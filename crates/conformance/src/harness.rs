@@ -19,10 +19,11 @@ use shmls_frontend::{FieldKind, KernelDef};
 use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::interp::Buffer;
+use stencil_hmls::engine::{Engine as MarchEngine, Stream, VECTOR};
 use stencil_hmls::runner::{
     run_cpu, run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with, KernelData,
 };
-use stencil_hmls::scale::{run_time_marched, time_march_reference};
+use stencil_hmls::scale::{run_time_marched_with, time_march_reference, MarchOptions};
 use stencil_hmls::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
 
 use crate::rng::Rng;
@@ -213,6 +214,9 @@ pub enum Failure {
     ScaleError {
         /// The (clamped) configuration that failed.
         scale: ScaleConfig,
+        /// The engine the march ran on (`"oracle"`: the iterated oracle
+        /// failed before any march).
+        engine: &'static str,
         /// Its error text.
         error: String,
     },
@@ -220,6 +224,8 @@ pub enum Failure {
     ScaleMismatch {
         /// The (clamped) configuration that failed.
         scale: ScaleConfig,
+        /// The engine the march ran on.
+        engine: &'static str,
         /// Output field with the worst disagreement.
         field: String,
         /// Interior point of the worst disagreement.
@@ -280,11 +286,14 @@ impl fmt::Display for Failure {
             Failure::Deadlock { engine, report } => {
                 write!(f, "engine `{engine}` deadlocked:\n{report}")
             }
-            Failure::ScaleError { scale, error } => {
-                write!(f, "scale run ({scale}) error: {error}")
-            }
+            Failure::ScaleError {
+                scale,
+                engine,
+                error,
+            } => write!(f, "scale run ({scale}, engine `{engine}`) error: {error}"),
             Failure::ScaleMismatch {
                 scale,
+                engine,
                 field,
                 point,
                 expect,
@@ -292,7 +301,7 @@ impl fmt::Display for Failure {
                 ulps,
             } => write!(
                 f,
-                "scale run ({scale}) disagrees with the iterated oracle on `{field}` \
+                "scale run ({scale}, engine `{engine}`) disagrees with the iterated oracle on `{field}` \
                  at {point:?}: expected {expect:e}, got {got:e} ({ulps} ulps)"
             ),
         }
@@ -501,10 +510,16 @@ fn check_engine(
     }
 }
 
+/// The engines every scale configuration is marched on: the vector tier
+/// the march defaults to, and the stream executor, whose slab designs —
+/// deep ones with their halo-merge seam stages over overlapping slabs
+/// above all — nothing else would run.
+const MARCH_ENGINES: [&dyn MarchEngine; 2] = [&VECTOR, &Stream];
+
 /// Check one (clamped) scale configuration: time-march the kernel over
-/// parallel CU slabs and compare against the sequential interpreter
-/// oracle iterated the same number of steps with the same feedback
-/// pairing.
+/// parallel CU slabs on each of [`MARCH_ENGINES`] and compare against the
+/// sequential interpreter oracle iterated the same number of steps with
+/// the same feedback pairing.
 fn check_scale(
     kernel: &KernelDef,
     compiled: &CompiledKernel,
@@ -519,7 +534,8 @@ fn check_scale(
         Err(e) => {
             return Some(Failure::ScaleError {
                 scale,
-                error: format!("iterated oracle: {e}"),
+                engine: "oracle",
+                error: e.to_string(),
             })
         }
     };
@@ -529,40 +545,51 @@ fn check_scale(
         ..Default::default()
     };
     slab_opts.hmls.temporal_depth = scale.depth;
-    let marched = match run_time_marched(kernel, data, scale.steps, scale.cus, &slab_opts) {
-        Ok((out, _report)) => out,
-        Err(e) => {
-            return Some(Failure::ScaleError {
-                scale,
-                error: e.to_string(),
-            })
-        }
-    };
-    let lb = vec![0i64; kernel.rank()];
-    let mut worst: Option<(u64, String, Vec<i64>, f64, f64)> = None;
-    for (name, expect_buf) in &oracle {
-        let Some(got_buf) = marched.get(name) else {
-            return Some(Failure::ScaleError {
-                scale,
-                error: format!("output `{name}` missing from scale-run results"),
-            });
+    MARCH_ENGINES.into_iter().find_map(|march_engine| {
+        let engine = march_engine.name();
+        let march = MarchOptions {
+            engine: Some(march_engine),
+            ..Default::default()
         };
-        for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
-            let expect = expect_buf.load(&p).unwrap_or(f64::NAN);
-            let got = got_buf.load(&p).unwrap_or(f64::NAN);
-            let d = ulp_distance(expect, got);
-            if d > max_ulps && worst.as_ref().is_none_or(|(w, ..)| d > *w) {
-                worst = Some((d, name.clone(), p, expect, got));
+        let marched =
+            match run_time_marched_with(kernel, data, scale.steps, scale.cus, &slab_opts, &march) {
+                Ok((out, _report)) => out,
+                Err(e) => {
+                    return Some(Failure::ScaleError {
+                        scale,
+                        engine,
+                        error: e.to_string(),
+                    })
+                }
+            };
+        let lb = vec![0i64; kernel.rank()];
+        let mut worst: Option<(u64, String, Vec<i64>, f64, f64)> = None;
+        for (name, expect_buf) in &oracle {
+            let Some(got_buf) = marched.get(name) else {
+                return Some(Failure::ScaleError {
+                    scale,
+                    engine,
+                    error: format!("output `{name}` missing from scale-run results"),
+                });
+            };
+            for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
+                let expect = expect_buf.load(&p).unwrap_or(f64::NAN);
+                let got = got_buf.load(&p).unwrap_or(f64::NAN);
+                let d = ulp_distance(expect, got);
+                if d > max_ulps && worst.as_ref().is_none_or(|(w, ..)| d > *w) {
+                    worst = Some((d, name.clone(), p, expect, got));
+                }
             }
         }
-    }
-    worst.map(|(ulps, field, point, expect, got)| Failure::ScaleMismatch {
-        scale,
-        field,
-        point,
-        expect,
-        got,
-        ulps,
+        worst.map(|(ulps, field, point, expect, got)| Failure::ScaleMismatch {
+            scale,
+            engine,
+            field,
+            point,
+            expect,
+            got,
+            ulps,
+        })
     })
 }
 

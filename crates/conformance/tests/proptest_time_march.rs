@@ -7,7 +7,9 @@
 //! an excuse). A temporally-blocked march (`depth > 1`) must
 //! additionally be *bitwise* identical to the depth-1 march of the same
 //! configuration: chaining timesteps on-chip is a scheduling change, not
-//! a numerical one.
+//! a numerical one. Every march runs twice, on the vector tier the march
+//! defaults to and on the stream executor (the only thing that runs the
+//! deep slab designs' seam stages), and the two must agree bitwise too.
 //!
 //! The deterministic sweep below covers a full rotation of the
 //! configuration space and runs everywhere; the proptest property widens
@@ -21,8 +23,9 @@ use shmls_conformance::generator::generate;
 use shmls_conformance::harness::{clamp_scale, make_data, ulp_distance};
 use shmls_conformance::rng::Rng;
 use shmls_conformance::{GenOptions, ScaleConfig};
+use stencil_hmls::engine::{Engine, Stream, VECTOR};
 use stencil_hmls::runner::run_hls;
-use stencil_hmls::scale::{run_time_marched, time_march_reference};
+use stencil_hmls::scale::{run_time_marched_with, time_march_reference, MarchOptions};
 use stencil_hmls::{compile_kernel, CompileOptions, TargetPath};
 
 /// Generate kernel (`seed`, `case`), clamp `(cus, steps, depth)` to its
@@ -57,51 +60,75 @@ fn check_march_of(kernel: &shmls_frontend::KernelDef, cfg: ScaleConfig, data_see
         run_hls(&monolithic, d).map(|(out, _)| out)
     })
     .expect("monolithic march");
-    let (marched, report) =
-        run_time_marched(kernel, &data, cfg.steps, cfg.cus, &opts).expect("slab march");
-    assert_eq!(report.cus, cfg.cus);
-    assert_eq!(report.steps, cfg.steps);
-    assert_eq!(report.temporal_depth, cfg.depth);
-
-    let max_ulps = if cfg.steps == 1 { 0 } else { 4 };
-    let lb = vec![0i64; kernel.rank()];
-    for (name, mono) in &reference {
-        let slab = marched
-            .get(name)
-            .unwrap_or_else(|| panic!("output `{name}` missing from slab march"));
-        for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
-            let expect = mono.load(&p).unwrap();
-            let got = slab.load(&p).unwrap();
-            let d = ulp_distance(expect, got);
-            assert!(
-                d <= max_ulps,
-                "{who} ({cfg}): `{name}` at {p:?}: \
-                 monolithic {expect:e} vs slab {got:e} ({d} ulps)"
-            );
-        }
-    }
-
-    // Temporal blocking is a scheduling change, not a numerical one: the
-    // deep march must be bitwise identical to the depth-1 march.
-    if cfg.depth > 1 {
-        let mut shallow_opts = mono_opts;
-        shallow_opts.hmls.temporal_depth = 1;
-        let (shallow, _) = run_time_marched(kernel, &data, cfg.steps, cfg.cus, &shallow_opts)
-            .expect("depth-1 march");
-        for (name, deep_buf) in &marched {
-            let shallow_buf = shallow
+    type Outputs = std::collections::BTreeMap<String, shmls_ir::interp::Buffer>;
+    let assert_bitwise = |a: &Outputs, b: &Outputs, what: &str| {
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "{who} ({cfg}): {what}: output sets differ"
+        );
+        for (name, a_buf) in a {
+            let b_buf = b
                 .get(name)
-                .unwrap_or_else(|| panic!("output `{name}` missing from depth-1 march"));
-            for (i, (d, s)) in deep_buf.data.iter().zip(&shallow_buf.data).enumerate() {
+                .unwrap_or_else(|| panic!("{who} ({cfg}): {what}: output `{name}` missing"));
+            for (i, (x, y)) in a_buf.data.iter().zip(&b_buf.data).enumerate() {
                 assert_eq!(
-                    d.to_bits(),
-                    s.to_bits(),
-                    "{who} ({cfg}): `{name}` element {i}: depth-{} {d:e} vs depth-1 {s:e}",
-                    cfg.depth
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{who} ({cfg}): {what}: `{name}` element {i}: {x:e} vs {y:e}"
                 );
             }
         }
+    };
+    let mut marches = Vec::new();
+    for engine in [&VECTOR as &dyn Engine, &Stream] {
+        let march = MarchOptions {
+            engine: Some(engine),
+            ..Default::default()
+        };
+        let (marched, report) =
+            run_time_marched_with(kernel, &data, cfg.steps, cfg.cus, &opts, &march)
+                .unwrap_or_else(|e| panic!("{who} ({cfg}): {} march: {e}", engine.name()));
+        assert_eq!(report.cus, cfg.cus);
+        assert_eq!(report.steps, cfg.steps);
+        assert_eq!(report.temporal_depth, cfg.depth);
+        assert_eq!(report.engine, engine.name());
+
+        let max_ulps = if cfg.steps == 1 { 0 } else { 4 };
+        let lb = vec![0i64; kernel.rank()];
+        for (name, mono) in &reference {
+            let slab = marched
+                .get(name)
+                .unwrap_or_else(|| panic!("output `{name}` missing from slab march"));
+            for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
+                let expect = mono.load(&p).unwrap();
+                let got = slab.load(&p).unwrap();
+                let d = ulp_distance(expect, got);
+                assert!(
+                    d <= max_ulps,
+                    "{who} ({cfg}, {}): `{name}` at {p:?}: \
+                     monolithic {expect:e} vs slab {got:e} ({d} ulps)",
+                    engine.name()
+                );
+            }
+        }
+
+        // Temporal blocking is a scheduling change, not a numerical one:
+        // the deep march must be bitwise identical to the depth-1 march.
+        if cfg.depth > 1 {
+            let (shallow, _) =
+                run_time_marched_with(kernel, &data, cfg.steps, cfg.cus, &mono_opts, &march)
+                    .expect("depth-1 march");
+            assert_bitwise(
+                &marched,
+                &shallow,
+                &format!("{} depth-{} vs depth-1", engine.name(), cfg.depth),
+            );
+        }
+        marches.push(marched);
     }
+    // So is the choice of engine.
+    assert_bitwise(&marches[0], &marches[1], "vector vs stream");
 }
 
 /// Deterministic sweep: one full rotation of `(cus, steps, depth)` over

@@ -550,7 +550,7 @@ pub fn tune(kernel: &KernelDef, opts: &TuneOptions, cache: &CompileCache) -> IrR
                     .collect();
                 // Join *all* threads before surfacing any panic, so one
                 // poisoned simulation cannot abort the sweep mid-join
-                // (the same containment pattern as `scale::run_all_cus`).
+                // (the same containment pattern as `scale::sweep_slabs`).
                 std::iter::once(("default".to_string(), default_handle.join()))
                     .chain(pairs.iter().zip(handles).map(|(&(di, fd), h)| {
                         (format!("depth {} fifo {fd}", depths[di]), h.join())

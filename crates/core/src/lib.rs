@@ -28,9 +28,9 @@
 //! - [`persist`] — the disk-persistent tier behind the compile server:
 //!   checksummed, atomically written design records that make restarts
 //!   warm ([`persist::PersistentCache`]).
-//! - [`scale`] — scale-out execution: parallel compute units,
-//!   time-marching with halo exchange, and the aggregated
-//!   [`scale::MultiCuReport`].
+//! - [`engine`] / [`scale`] — the execution tiers behind one trait, and
+//!   scale-out execution on any of them: parallel compute units marched
+//!   in temporally-blocked rounds ([`scale::MultiCuReport`]).
 //! - [`autotune`] — the joint design-space autotuner: sweeps
 //!   CU count × slab split × FIFO depth × bundling × temporal depth,
 //!   prunes with the analytic models, and cycle-simulates only the
@@ -79,6 +79,7 @@ pub mod connectivity;
 pub mod cpu_lowering;
 pub mod driver;
 pub mod dse;
+pub mod engine;
 pub mod fpp;
 pub mod fuse;
 pub mod hmls;

@@ -1,19 +1,18 @@
-//! Convenience runners: execute a [`CompiledKernel`] through any of the
-//! four paths (stencil interpretation, CPU loops, HLS sequential engine,
-//! HLS threaded engine) from the same named buffers.
+//! Convenience runners: the named buffers a kernel runs over, and one
+//! function per execution tier — each a single sweep on the matching
+//! [`Engine`].
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
-use shmls_fpga_sim::executor::execute_hls_kernel;
-use shmls_fpga_sim::threaded::{execute_threaded, ThreadedOutcome};
-use shmls_frontend::{FieldKind, KernelArg};
+use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::error::IrResult;
-use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store};
-use shmls_ir::{ir_bail, ir_error};
+use shmls_ir::interp::Buffer;
 
 use crate::driver::CompiledKernel;
+pub use crate::engine::StreamStats;
+use crate::engine::{Engine, Interp, Stream, Threaded};
 
 /// Named input data for a kernel run.
 #[derive(Debug, Clone, Default)]
@@ -40,84 +39,13 @@ impl KernelData {
     }
 }
 
-/// Allocate the kernel arguments in `store` and return
-/// `(args, name → handle)` in signature order.
-fn bind_args(
-    compiled: &CompiledKernel,
-    data: &KernelData,
-    store: &mut Store,
-) -> IrResult<(Vec<RtValue>, BTreeMap<String, usize>)> {
-    let bounded = shmls_ir::types::StencilBounds::from_extents(&compiled.signature.grid)
-        .grown(compiled.signature.halo);
-    let mut args = Vec::new();
-    let mut handles = BTreeMap::new();
-    for arg in &compiled.signature.args {
-        match arg {
-            KernelArg::Field(name, _) => {
-                let buffer = match data.buffers.get(name) {
-                    Some(b) => b.clone(),
-                    None => Buffer::zeroed(bounded.extents(), bounded.lb.clone()),
-                };
-                if buffer.shape != bounded.extents() {
-                    ir_bail!(
-                        "field `{name}`: buffer shape {:?} does not match padded grid {:?}",
-                        buffer.shape,
-                        bounded.extents()
-                    );
-                }
-                let h = store.alloc(buffer);
-                handles.insert(name.clone(), h);
-                args.push(RtValue::MemRef(h));
-            }
-            KernelArg::Param(name, _, extent) => {
-                let buffer = match data.buffers.get(name) {
-                    Some(b) => b.clone(),
-                    None => Buffer::zeroed(vec![*extent], vec![0]),
-                };
-                let h = store.alloc(buffer);
-                handles.insert(name.clone(), h);
-                args.push(RtValue::MemRef(h));
-            }
-            KernelArg::Const(name) => {
-                let v = *data
-                    .scalars
-                    .get(name)
-                    .ok_or_else(|| ir_error!("missing scalar constant `{name}`"))?;
-                args.push(RtValue::F64(v));
-            }
-        }
-    }
-    Ok((args, handles))
-}
-
-/// Collect the externally written fields from a final store.
-fn collect_outputs(
-    compiled: &CompiledKernel,
-    store: &Store,
-    handles: &BTreeMap<String, usize>,
-) -> IrResult<BTreeMap<String, Buffer>> {
-    let mut out = BTreeMap::new();
-    for arg in &compiled.signature.args {
-        if let KernelArg::Field(name, kind) = arg {
-            if matches!(kind, FieldKind::Output | FieldKind::InOut) {
-                out.insert(name.clone(), store.get(handles[name])?.clone());
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Run the frontend's stencil-dialect function directly (reference
 /// semantics).
 pub fn run_stencil(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<BTreeMap<String, Buffer>> {
-    let mut no = NoExtern;
-    let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
-    let (args, handles) = bind_args(compiled, data, &mut machine.store)?;
-    machine.call(&compiled.kernel.name, &args)?;
-    collect_outputs(compiled, &machine.store, &handles)
+    Ok(Interp::Tree.sweep(compiled, data, 1)?.outputs)
 }
 
 /// Run the stencil-dialect function through the bytecode tier: each
@@ -130,43 +58,25 @@ pub fn run_stencil_bytecode(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<BTreeMap<String, Buffer>> {
-    run_stencil_bytecode_with(compiled, data, shmls_ir::bytecode::ApplyMode::default())
+    run_stencil_bytecode_with(compiled, data, ApplyMode::default())
 }
 
-/// [`run_stencil_bytecode`] with an explicit
-/// [`ApplyMode`](shmls_ir::bytecode::ApplyMode): `Scalar` is the
-/// per-point dispatch the bench harness measures speedups against;
+/// [`run_stencil_bytecode`] with an explicit [`ApplyMode`]: `Scalar` is
+/// the per-point dispatch the bench harness measures speedups against;
 /// `Chunked` is the vector tier (optionally threaded over the axis-0
 /// slab partition). Results are bitwise-identical in every mode.
 pub fn run_stencil_bytecode_with(
     compiled: &CompiledKernel,
     data: &KernelData,
-    mode: shmls_ir::bytecode::ApplyMode,
+    mode: ApplyMode,
 ) -> IrResult<BTreeMap<String, Buffer>> {
-    let mut no = NoExtern;
-    let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
-    machine.apply_plans = compiled.apply_plans.clone();
-    machine.apply_mode = mode;
-    let (args, handles) = bind_args(compiled, data, &mut machine.store)?;
-    machine.call(&compiled.kernel.name, &args)?;
-    collect_outputs(compiled, &machine.store, &handles)
+    Ok(Interp::Bytecode(mode).sweep(compiled, data, 1)?.outputs)
 }
 
 /// Run the CPU (Von-Neumann loop nest) lowering.
 pub fn run_cpu(compiled: &CompiledKernel, data: &KernelData) -> IrResult<BTreeMap<String, Buffer>> {
-    if compiled.cpu_func.is_none() {
-        ir_bail!("kernel was compiled without the CPU path");
-    }
-    let mut no = NoExtern;
-    let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
-    let (args, handles) = bind_args(compiled, data, &mut machine.store)?;
-    machine.call(&compiled.cpu_name(), &args)?;
-    collect_outputs(compiled, &machine.store, &handles)
+    Ok(Interp::Cpu.sweep(compiled, data, 1)?.outputs)
 }
-
-/// Stream statistics from a sequential-engine run:
-/// `(streams created, elements pushed, 512-bit memory beats)`.
-pub type StreamStats = (usize, u64, u64);
 
 /// Run the Stencil-HMLS dataflow design on the sequential (Kahn) engine,
 /// returning the written fields and the run's [`StreamStats`].
@@ -174,21 +84,7 @@ pub fn run_hls(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<(BTreeMap<String, Buffer>, StreamStats)> {
-    let mut handles_out = BTreeMap::new();
-    let (store, runtime) = execute_hls_kernel(
-        &compiled.ctx,
-        compiled.module,
-        &compiled.hls_name(),
-        |store| {
-            let (args, handles) =
-                bind_args(compiled, data, store).expect("argument binding failed");
-            handles_out = handles;
-            args
-        },
-    )?;
-    let outputs = collect_outputs(compiled, &store, &handles_out)?;
-    let (n_streams, pushed, _) = runtime.streams.stats();
-    Ok((outputs, (n_streams, pushed, runtime.mem_beats)))
+    Stream.run(compiled, data)
 }
 
 /// Run the Stencil-HMLS design on the threaded engine (bounded FIFOs, one
@@ -204,25 +100,7 @@ pub fn run_hls_threaded(
     data: &KernelData,
     watchdog: Duration,
 ) -> IrResult<Result<BTreeMap<String, Buffer>, Box<DeadlockReport>>> {
-    let mut handles_out = BTreeMap::new();
-    let outcome = execute_threaded(
-        &compiled.ctx,
-        compiled.module,
-        &compiled.hls_name(),
-        |store| {
-            let (args, handles) =
-                bind_args(compiled, data, store).expect("argument binding failed");
-            handles_out = handles;
-            args
-        },
-        watchdog,
-    )?;
-    match outcome {
-        ThreadedOutcome::Completed { store, .. } => {
-            Ok(Ok(collect_outputs(compiled, &store, &handles_out)?))
-        }
-        ThreadedOutcome::Deadlock { report } => Ok(Err(report)),
-    }
+    Threaded { watchdog }.run(compiled, data)
 }
 
 /// Maximum absolute difference between two output maps over the interior.

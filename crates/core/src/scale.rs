@@ -1,39 +1,41 @@
-//! Scale-out execution: parallel compute units and time-marching with
-//! halo exchange.
+//! Scale-out execution: parallel compute units and time-marching in
+//! temporally-blocked rounds.
 //!
 //! The paper's headline numbers replicate the dataflow design across
 //! compute units (4 CUs for PW advection, one HBM bank per field per CU)
 //! and run iterative stencils over many timesteps. This module supplies
-//! both dimensions for the simulated system:
+//! both dimensions for the simulated system, with one scheduler
+//! ([`run_time_marched_with`]):
 //!
 //! - **Spatial**: the domain is decomposed along axis 0 into contiguous
-//!   slabs, one per CU, and the slabs execute *concurrently* on a worker
-//!   pool. Each CU owns a disjoint row range of every output buffer, so
-//!   parallel execution is race-free by construction — workers share only
-//!   the immutable compiled designs and write only their own slab
-//!   buffers; the merge into global buffers happens after the workers
-//!   join (see DESIGN.md §12 for the full ownership argument).
-//! - **Temporal**: [`run_time_marched`] iterates the compiled designs
-//!   over `steps` timesteps. Between steps, neighbouring CUs exchange
-//!   halo rows (each CU's received halo is the neighbour's just-computed
-//!   interior boundary) instead of re-splitting the global domain, and
-//!   nothing is recompiled inside the loop: every distinct slab height is
-//!   compiled exactly once, through the content-addressed
-//!   [`CompileCache`].
-//! - **Temporal blocking** (`temporal_depth >= 2` in
-//!   [`crate::hmls::HmlsOptions`]): instead of exchanging halos after
-//!   every step, the march runs *rounds*. Each round slices every CU an
-//!   axis-0-extended slab (`(depth-1)*halo` extra rows per internal side,
-//!   clamped at the domain edges where the true boundary ring makes
-//!   extension unnecessary), runs one deep sweep that advances `depth`
-//!   timesteps entirely on-chip, then gathers each CU's *owned* rows back
-//!   into the global buffers and re-slices for the next round. The
-//!   overlap rows are recomputed redundantly — that is the classic
-//!   temporal-blocking trade: `ceil(steps/depth)` external-memory passes
-//!   instead of `steps`, paid for with `(depth-1)*halo` ghost rows per
-//!   slab side. A non-divisible `steps` finishes with a shallower
-//!   remainder round whose depth-`steps % depth` design comes out of the
-//!   same content-addressed cache (no recompilation on repeats).
+//!   slabs, one per CU. Each CU owns a disjoint row range of every
+//!   written field, so running the slabs concurrently is race-free by
+//!   construction — workers share only the immutable compiled designs
+//!   and their own sliced inputs, and return their own outputs; the
+//!   global state is touched only after they are all done (DESIGN.md §12
+//!   has the full ownership argument).
+//! - **Temporal**: the march runs `ceil(steps / depth)` *rounds*, `depth`
+//!   being `temporal_depth` in [`crate::hmls::HmlsOptions`]. A round
+//!   slices every CU a slab out of the global state — extended
+//!   `(depth-1)*halo` rows past each internal side, clamped at the
+//!   domain edges where the true boundary ring makes extension
+//!   unnecessary — runs one sweep that advances `depth` timesteps, and
+//!   gathers each CU's *owned* rows back into the global state, which is
+//!   the halo exchange: the next round's slices read the neighbours'
+//!   fresh rows from it. The extension rows are recomputed redundantly —
+//!   the classic temporal-blocking trade: `ceil(steps/depth)`
+//!   external-memory passes instead of `steps`, paid for with
+//!   `(depth-1)*halo` ghost rows per slab side. At depth 1 the extension
+//!   is zero and a round is one step. A non-divisible `steps` finishes
+//!   with a shallower remainder round.
+//! - **Engines**: a sweep runs on any [`Engine`] — by default the vector
+//!   tier ([`VECTOR`]), which computes the values some five hundred times
+//!   faster than the stream executor; [`MarchOptions::engine`] selects a
+//!   dataflow engine for what only it can report (stream counts, pushed
+//!   elements, memory beats). Either way every slab's dataflow design is
+//!   compiled, once per distinct slab height and depth, through the
+//!   content-addressed [`CompileCache`]: the report's model columns are
+//!   read from it.
 //!
 //! Feedback between steps follows a declaration-order pairing rule
 //! ([`feedback_pairs`]): an `inout` field feeds itself, and the *k*-th
@@ -42,7 +44,9 @@
 //! the same rule to a monolithic (single-domain) runner and is the oracle
 //! the slab path is differentially tested against.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,13 +55,14 @@ use shmls_fpga_sim::perf::{
     external_passes, hmls_estimate, scale_estimate, PerfEstimate, ScaleEstimate,
 };
 use shmls_frontend::{FieldKind, KernelDef};
-use shmls_ir::error::IrResult;
-use shmls_ir::interp::{iter_box, Buffer};
+use shmls_ir::error::{IrError, IrResult};
+use shmls_ir::interp::Buffer;
 use shmls_ir::{ir_bail, ir_error};
 
 use crate::cache::{global_cache, CompileCache};
 use crate::driver::{CompileOptions, CompiledKernel, TargetPath};
-use crate::runner::{run_hls, KernelData, StreamStats};
+use crate::engine::{Engine, StreamStats, Sweep, VECTOR};
+use crate::runner::KernelData;
 
 /// Split `n0` rows into `cus` contiguous `[start, end)` slabs; the
 /// remainder rows go one each to the first CUs, so heights differ by at
@@ -92,16 +97,16 @@ pub fn feedback_pairs(kernel: &KernelDef) -> Vec<(String, String)> {
     pairs
 }
 
-/// A fault injected into the halo exchange: after step `step`
-/// (0-indexed), the first halo row CU `cu` would receive is dropped —
-/// the copy is skipped, leaving the stale value — simulating a lost
-/// exchange message. Used to self-test that the differential harness
-/// detects exchange bugs; a run with `cus == 1`, `halo == 0`, or
-/// `step >= steps - 1` is unaffected (there is no exchange to corrupt,
-/// or no later step to observe it).
+/// A fault injected into the halo exchange: the gather after the round
+/// that covers step `step` (0-indexed) skips the first row CU `cu` owns
+/// of the first fed field, so the next round's slices read a stale value
+/// there — a lost exchange message. Used to self-test that the
+/// differential harness detects exchange bugs; a run whose last round
+/// covers `step`, or whose kernel feeds nothing back, is unaffected
+/// (no later sweep reads the gather).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaloFault {
-    /// The receiving compute unit.
+    /// The compute unit whose row is lost.
     pub cu: usize,
     /// The step after which the exchange is corrupted (0-indexed).
     pub step: usize,
@@ -110,8 +115,8 @@ pub struct HaloFault {
 /// Execution policy for the scale-out runners.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MarchOptions<'a> {
-    /// Run the CU slabs serially instead of on the worker pool (for
-    /// byte-identity checks and speedup measurements).
+    /// Run the CU slabs one after another instead of on worker threads
+    /// (for byte-identity checks and speedup measurements).
     pub serial: bool,
     /// Compile through this cache instead of the process-wide
     /// [`global_cache`] — tests use a private cache so hit/miss counts
@@ -122,8 +127,12 @@ pub struct MarchOptions<'a> {
     /// Panic inside this CU's worker (self-test hook): verifies a worker
     /// panic surfaces as a structured error naming the CU instead of
     /// tearing down the whole process. The march aborts on the first
-    /// step's error, so the panic fires exactly once.
+    /// round's error, so the panic fires exactly once.
     pub panic_cu: Option<usize>,
+    /// The tier every slab sweep runs on; `None` is the vector tier
+    /// ([`VECTOR`]). The values are the same bits on every engine — pass
+    /// a dataflow engine for its stream statistics.
+    pub engine: Option<&'a dyn Engine>,
 }
 
 /// Per-compute-unit execution record.
@@ -135,21 +144,19 @@ pub struct CuReport {
     pub rows: (i64, i64),
     /// Interior points this CU produces per step.
     pub interior_elems: u64,
-    /// Streams instantiated by one step's dataflow execution.
-    pub streams: usize,
-    /// Stream elements pushed, summed over all steps.
-    pub stream_elements: u64,
-    /// 512-bit memory beats, summed over all steps.
-    pub mem_beats: u64,
-    /// Modelled cycles per step for this CU's slab design
+    /// From an engine that executes streams, `None` otherwise: the
+    /// streams one sweep instantiates, and the stream elements pushed and
+    /// 512-bit memory beats summed over all sweeps.
+    pub stream: Option<StreamStats>,
+    /// Modelled cycles per sweep for this CU's slab design
     /// (analytic model, U280 clock).
     pub model_cycles: u64,
-    /// Wall-clock time this CU spent executing, summed over all steps.
+    /// Wall-clock time this CU spent executing, summed over all sweeps.
     pub wall: Duration,
 }
 
-/// One round of a temporally-blocked march (`temporal_depth >= 2`): a
-/// single sweep that advances every slab `depth` timesteps on-chip.
+/// One round of the march: a single sweep that advances every slab
+/// `depth` timesteps.
 #[derive(Debug, Clone)]
 pub struct RoundReport {
     /// Round index (0-based).
@@ -157,7 +164,9 @@ pub struct RoundReport {
     /// Timesteps this round's sweep advanced — the final remainder round
     /// may be shallower than the configured temporal depth.
     pub depth: usize,
-    /// Compile-cache hits among this round's design lookups.
+    /// Compile-cache hits among this round's design lookups. Designs are
+    /// looked up when the round depth changes (the first round and a
+    /// remainder round); the rounds between reuse them unasked.
     pub cache_hits: u64,
     /// Compile-cache misses (each one compiled a slab design).
     pub cache_misses: u64,
@@ -176,9 +185,12 @@ pub struct MultiCuReport {
     pub cus: usize,
     /// Timesteps executed.
     pub steps: usize,
+    /// Name of the engine the sweeps ran on.
+    pub engine: &'static str,
     /// Per-CU records, in CU order.
     pub per_cu: Vec<CuReport>,
-    /// End-to-end wall-clock time (compile excluded, merge included).
+    /// End-to-end wall-clock time: every round's slice, sweep and gather
+    /// (design lookups and compiles excluded).
     pub wall: Duration,
     /// Aggregate interior elements produced per second of wall-clock
     /// (all CUs, all steps).
@@ -190,18 +202,16 @@ pub struct MultiCuReport {
     pub cache_hits: u64,
     /// Compile-cache misses (each one compiled a slab design).
     pub cache_misses: u64,
-    /// Temporal depth the march ran at (timesteps per on-chip sweep).
+    /// Temporal depth the march ran at (timesteps per sweep).
     pub temporal_depth: usize,
     /// External-memory passes the model charges:
     /// `ceil(steps / temporal_depth)` (see
     /// [`shmls_fpga_sim::perf::external_passes`]).
     pub model_passes: u64,
-    /// Per-round records for depth >= 2 marches. Empty at depth 1, where
-    /// every step is one external pass and the per-step numbers live in
-    /// `per_cu`.
+    /// Per-round records, one per external pass.
     pub rounds: Vec<RoundReport>,
-    /// Analytic per-sweep estimate for the CU ensemble (one sweep is one
-    /// step at depth 1, `temporal_depth` steps otherwise).
+    /// Analytic per-sweep estimate for the CU ensemble (one sweep is
+    /// `temporal_depth` steps).
     pub model: ScaleEstimate,
 }
 
@@ -220,11 +230,14 @@ impl MultiCuReport {
     }
 }
 
-/// One CU's standing state: its compiled design and current slab inputs.
-struct CuState {
+/// One CU's share of a round.
+struct SlabPlan {
+    /// Owned global rows `[start, end)`.
     rows: (i64, i64),
+    /// Rows the slab reaches below `start` and above `end`.
+    ext: (i64, i64),
+    /// The design for a slab of `ext.0 + (end - start) + ext.1` rows.
     compiled: Arc<CompiledKernel>,
-    data: KernelData,
 }
 
 /// Run `kernel` over `cus` compute units for one application of the
@@ -242,7 +255,7 @@ pub fn run_hls_multi_cu_report(
 
 /// Time-march `kernel` for `steps` timesteps over `cus` parallel compute
 /// units, exchanging halo rows between neighbouring slabs after each
-/// step. Compiles each distinct slab height exactly once (through the
+/// round. Compiles each distinct slab design exactly once (through the
 /// process-wide compile cache), regardless of `steps`.
 pub fn run_time_marched(
     kernel: &KernelDef,
@@ -254,7 +267,21 @@ pub fn run_time_marched(
     run_time_marched_with(kernel, data, steps, cus, opts, &MarchOptions::default())
 }
 
-/// [`run_time_marched`] with an explicit execution policy.
+/// [`run_time_marched`] with an explicit execution policy: the round
+/// scheduler. Runs `ceil(steps / depth)` rounds of slice → sweep →
+/// gather, the last one shallower when `depth` does not divide `steps`
+/// (its depth-`steps % depth` designs come out of the same cache, so a
+/// repeated march never recompiles them).
+///
+/// **Validity of the extension.** One step contaminates at most `halo`
+/// rows inward from a slab edge whose ring holds stale values, so after
+/// `d` steps the wavefront has eaten `(d-1)*halo` rows (the first step
+/// reads freshly-sliced, globally-correct halos). Extending each internal
+/// slab side by exactly `ext = (d-1)*halo` rows therefore keeps the
+/// *owned* rows bitwise-identical to the monolithic sweep. At a domain
+/// edge the slab ring *is* the global boundary ring — always correct, no
+/// extension needed — hence the clamp
+/// `ext = min((d-1)*halo, distance to domain edge)`.
 pub fn run_time_marched_with(
     kernel: &KernelDef,
     data: &KernelData,
@@ -286,207 +313,35 @@ pub fn run_time_marched_with(
     if depth == 0 {
         ir_bail!("temporal depth must be at least 1 (got 0)");
     }
-    let cache: &CompileCache = match march.cache {
-        Some(c) => c,
+    let engine = march.engine.unwrap_or(&VECTOR);
+    let cache = match march.cache {
+        Some(cache) => cache,
         None => global_cache(),
     };
-    if depth >= 2 {
-        return run_deep_march(kernel, data, steps, cus, depth, opts, march, cache);
-    }
-    let bounded = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(halo);
-    let pairs = feedback_pairs(kernel);
-
-    // --- compile: once per distinct slab height, never inside the loop --
-    let slab_opts = CompileOptions {
-        paths: TargetPath::HlsOnly,
-        ..opts.clone()
-    };
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut states: Vec<CuState> = Vec::with_capacity(cus);
-    for &(start, end) in &partition(n0, cus) {
-        let mut slab_kernel = kernel.clone();
-        slab_kernel.grid[0] = end - start;
-        let (compiled, hit) = cache.get_or_compile(&slab_kernel, &slab_opts)?;
-        if hit {
-            cache_hits += 1;
-        } else {
-            cache_misses += 1;
-        }
-        let data = slice_slab_data(kernel, data, start, end, &bounded)?;
-        states.push(CuState {
-            rows: (start, end),
-            compiled,
-            data,
-        });
-    }
-
-    // Per-step analytic model, one estimate per CU's slab design.
-    let device = Device::u280();
-    let estimates: Vec<PerfEstimate> = states
-        .iter()
-        .map(|s| {
-            let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-                &s.compiled.ctx,
-                s.compiled.hls_func,
-            )?;
-            Ok(hmls_estimate(&design, &device, 1))
-        })
-        .collect::<IrResult<_>>()?;
-
-    // --- the step loop ---------------------------------------------------
-    let run_start = Instant::now();
-    let mut walls = vec![Duration::ZERO; cus];
-    let mut stream_elements = vec![0u64; cus];
-    let mut mem_beats = vec![0u64; cus];
-    let mut streams = vec![0usize; cus];
-    let mut last_outputs: Vec<BTreeMap<String, Buffer>> = Vec::new();
-    for step in 0..steps {
-        let step_out = run_all_cus(&states, march.serial, march.panic_cu)?;
-        for (cu, (_, (n_streams, pushed, beats), wall)) in step_out.iter().enumerate() {
-            streams[cu] = *n_streams;
-            stream_elements[cu] += pushed;
-            mem_beats[cu] += beats;
-            walls[cu] += *wall;
-        }
-        let outputs: Vec<BTreeMap<String, Buffer>> =
-            step_out.into_iter().map(|(out, _, _)| out).collect();
-        if step + 1 < steps {
-            exchange_and_feed(&mut states, &outputs, &pairs, halo, march.fault, step)?;
-        }
-        last_outputs = outputs;
-    }
-
-    // --- merge the final step's interiors into global buffers -----------
-    let mut merged: BTreeMap<String, Buffer> = kernel
-        .fields
-        .iter()
-        .filter(|f| matches!(f.kind, FieldKind::Output | FieldKind::InOut))
-        .map(|f| {
-            (
-                f.name.clone(),
-                Buffer::zeroed(bounded.extents(), bounded.lb.clone()),
-            )
-        })
-        .collect();
-    for (state, slab_out) in states.iter().zip(&last_outputs) {
-        let (start, end) = state.rows;
-        for (name, slab_buffer) in slab_out {
-            let global = merged
-                .get_mut(name)
-                .ok_or_else(|| ir_error!("unexpected output `{name}`"))?;
-            let mut lo = vec![0i64; kernel.rank()];
-            let mut hi = kernel.grid.clone();
-            lo[0] = 0;
-            hi[0] = end - start;
-            for p in iter_box(&lo, &hi) {
-                let mut q = p.clone();
-                q[0] += start;
-                global.store(&q, slab_buffer.load(&p)?)?;
-            }
-        }
-    }
-    let wall = run_start.elapsed();
-
-    // --- report ----------------------------------------------------------
-    let off_axis: i64 = kernel.grid[1..].iter().product();
-    let per_cu: Vec<CuReport> = states
-        .iter()
-        .enumerate()
-        .map(|(cu, s)| CuReport {
-            cu,
-            rows: s.rows,
-            interior_elems: ((s.rows.1 - s.rows.0) * off_axis) as u64,
-            streams: streams[cu],
-            stream_elements: stream_elements[cu],
-            mem_beats: mem_beats[cu],
-            model_cycles: estimates[cu].cycles,
-            wall: walls[cu],
-        })
-        .collect();
-    let total_elems: u64 = per_cu.iter().map(|c| c.interior_elems).sum::<u64>() * steps as u64;
-    let mean_wall = walls.iter().map(|w| w.as_secs_f64()).sum::<f64>() / cus as f64;
-    let max_wall = walls.iter().map(|w| w.as_secs_f64()).fold(0.0f64, f64::max);
-    let report = MultiCuReport {
-        cus,
-        steps,
-        per_cu,
-        wall,
-        elems_per_s: total_elems as f64 / wall.as_secs_f64().max(1e-9),
-        load_imbalance: if mean_wall > 0.0 {
-            max_wall / mean_wall
-        } else {
-            1.0
-        },
-        cache_hits,
-        cache_misses,
-        temporal_depth: 1,
-        model_passes: external_passes(steps as u64, 1),
-        rounds: Vec::new(),
-        model: scale_estimate(&estimates),
-    };
-    Ok((merged, report))
-}
-
-/// The temporally-blocked march (`depth >= 2`). Runs
-/// `ceil(steps/depth)` *rounds*; each round slices every CU an extended
-/// slab, executes one deep sweep that advances up to `depth` timesteps
-/// on-chip, and gathers the owned rows back into the global buffers
-/// before re-slicing for the next round. The final round is a shallower
-/// remainder sweep when `steps % depth != 0` (its depth-`R` design comes
-/// from the same content-addressed cache, so repeated remainders never
-/// recompile).
-///
-/// **Validity of the extension.** One sweep step contaminates at most
-/// `halo` rows inward from a slab edge whose ring holds stale values, so
-/// after `d` steps the wavefront has eaten `(d-1)*halo` rows (the first
-/// step reads freshly-sliced, globally-correct halos). Extending each
-/// internal slab side by exactly `ext = (d-1)*halo` rows therefore keeps
-/// the *owned* rows `[ext_lo, ext_lo + height)` bitwise-identical to the
-/// monolithic deep sweep. At a domain edge the slab ring *is* the global
-/// boundary ring — always correct, no extension needed — hence the clamp
-/// `ext = min((d-1)*halo, distance to domain edge)`.
-/// Per-CU output buffers and `(ext_lo, ext_hi)` slab extensions from the
-/// most recent round, carried to the next feed or the final gather.
-type RoundOutputs = (Vec<BTreeMap<String, Buffer>>, Vec<(i64, i64)>);
-
-#[allow(clippy::too_many_arguments)]
-fn run_deep_march(
-    kernel: &KernelDef,
-    data: &KernelData,
-    steps: usize,
-    cus: usize,
-    depth: usize,
-    opts: &CompileOptions,
-    march: &MarchOptions<'_>,
-    cache: &CompileCache,
-) -> IrResult<(BTreeMap<String, Buffer>, MultiCuReport)> {
-    let n0 = kernel.grid[0];
-    let halo = kernel.halo;
-    let bounded = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(halo);
     let pairs = feedback_pairs(kernel);
     let slabs = partition(n0, cus);
 
-    // Round schedule: whole rounds of `depth` steps, then the remainder.
+    // Whole rounds of `depth` steps, then the remainder.
     let mut round_depths = vec![depth; steps / depth];
     if !steps.is_multiple_of(depth) {
         round_depths.push(steps % depth);
     }
 
-    // Ring base per written field. The deep design's halo-merge stages
-    // read their ring values from the *output* argument's buffer, so the
-    // slab slices must carry the same ring the depth-1 march carries:
-    // `inout` rings come from the caller's buffer (an `inout` field is a
-    // march input), pure-output rings are zero (output buffers are not
-    // march inputs — the depth-1 path never slices them, so every slab
-    // starts them zeroed). Neither ring is ever written (`write_data`
-    // touches the interior only), so the base is constant across rounds.
-    let out_base: BTreeMap<String, Buffer> = kernel
+    // The global state of the written fields, which the rounds gather
+    // into and slice the fed inputs out of, and which is the result.
+    // Outside the rows the CUs write it keeps what it starts with — the
+    // halo ring: the caller's for an `inout` field (a march input), zero
+    // for a pure output (output buffers are not march inputs: no slab is
+    // ever sliced one, so every sweep starts them zeroed). A sweep reads
+    // its fed fields' rings from exactly these values, so the gathered
+    // state is the whole buffer the monolithic oracle feeds back.
+    let bounded = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(halo);
+    let mut state: BTreeMap<String, Buffer> = kernel
         .fields
         .iter()
         .filter(|f| matches!(f.kind, FieldKind::Output | FieldKind::InOut))
         .map(|f| {
-            let buf = if matches!(f.kind, FieldKind::InOut) {
+            let start = if matches!(f.kind, FieldKind::InOut) {
                 data.buffers
                     .get(&f.name)
                     .cloned()
@@ -494,138 +349,99 @@ fn run_deep_march(
             } else {
                 Buffer::zeroed(bounded.extents(), bounded.lb.clone())
             };
-            Ok((f.name.clone(), buf))
+            Ok((f.name.clone(), start))
         })
         .collect::<IrResult<_>>()?;
 
-    let device = Device::u280();
-    let mut current = data.clone();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
+    let mut plans: Vec<SlabPlan> = Vec::new();
+    let mut estimates: Vec<PerfEstimate> = Vec::new();
     let mut walls = vec![Duration::ZERO; cus];
-    let mut stream_elements = vec![0u64; cus];
-    let mut mem_beats = vec![0u64; cus];
-    let mut streams = vec![0usize; cus];
+    let mut streams: Vec<Option<StreamStats>> = vec![None; cus];
     let mut rounds: Vec<RoundReport> = Vec::with_capacity(round_depths.len());
-    let mut estimates: Option<Vec<PerfEstimate>> = None;
-    let mut last: Option<RoundOutputs> = None;
-    let run_start = Instant::now();
-
     for (round, &d) in round_depths.iter().enumerate() {
-        let round_start = Instant::now();
-        let mut slab_opts = CompileOptions {
-            paths: TargetPath::HlsOnly,
-            ..opts.clone()
-        };
-        slab_opts.hmls.temporal_depth = d;
-        let margin = (d as i64 - 1) * halo;
-        let mut states: Vec<CuState> = Vec::with_capacity(cus);
-        let mut exts: Vec<(i64, i64)> = Vec::with_capacity(cus);
-        let mut round_hits = 0u64;
-        let mut round_misses = 0u64;
-        for &(start, end) in &slabs {
-            let ext_lo = margin.min(start);
-            let ext_hi = margin.min(n0 - end);
-            let (xs, xe) = (start - ext_lo, end + ext_hi);
-            let mut slab_kernel = kernel.clone();
-            slab_kernel.grid[0] = xe - xs;
-            let (compiled, hit) = cache.get_or_compile(&slab_kernel, &slab_opts)?;
-            if hit {
-                round_hits += 1;
-            } else {
-                round_misses += 1;
+        // Designs: once per distinct round depth, never per round.
+        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
+        if round == 0 || d != depth {
+            plans.clear();
+            let mut slab_opts = CompileOptions {
+                paths: TargetPath::HlsOnly,
+                ..opts.clone()
+            };
+            slab_opts.hmls.temporal_depth = d;
+            let margin = (d as i64 - 1) * halo;
+            for &(start, end) in &slabs {
+                let ext = (margin.min(start), margin.min(n0 - end));
+                let mut slab_kernel = kernel.clone();
+                slab_kernel.grid[0] = ext.0 + (end - start) + ext.1;
+                let (compiled, hit) = cache.get_or_compile(&slab_kernel, &slab_opts)?;
+                cache_hits += u64::from(hit);
+                cache_misses += u64::from(!hit);
+                plans.push(SlabPlan {
+                    rows: (start, end),
+                    ext,
+                    compiled,
+                });
             }
-            let sdata = slice_deep_slab_data(kernel, &current, &out_base, xs, xe, &bounded)?;
-            exts.push((ext_lo, ext_hi));
-            states.push(CuState {
-                rows: (start, end),
-                compiled,
-                data: sdata,
-            });
         }
-        if estimates.is_none() {
-            estimates = Some(
-                states
-                    .iter()
-                    .map(|s| {
-                        let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-                            &s.compiled.ctx,
-                            s.compiled.hls_func,
-                        )?;
-                        Ok(hmls_estimate(&design, &device, 1))
-                    })
-                    .collect::<IrResult<Vec<_>>>()?,
-            );
+        if round == 0 {
+            let device = Device::u280();
+            estimates = plans
+                .iter()
+                .map(|p| {
+                    let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
+                        &p.compiled.ctx,
+                        p.compiled.hls_func,
+                    )?;
+                    Ok(hmls_estimate(&design, &device, 1))
+                })
+                .collect::<IrResult<_>>()?;
         }
-        let step_out = run_all_cus(&states, march.serial, march.panic_cu)?;
-        for (cu, (_, (n_streams, pushed, beats), wall)) in step_out.iter().enumerate() {
-            streams[cu] = *n_streams;
-            stream_elements[cu] += pushed;
-            mem_beats[cu] += beats;
-            walls[cu] += *wall;
+
+        let round_start = Instant::now();
+        // Slice and sweep. After the first round a fed input is read from
+        // the state of the output that feeds it.
+        let fed: BTreeMap<&str, &Buffer> = pairs
+            .iter()
+            .filter(|_| round > 0)
+            .filter_map(|(out_name, in_name)| Some((in_name.as_str(), state.get(out_name)?)))
+            .collect();
+        let swept = sweep_slabs(engine, &plans, d, march, |plan| {
+            slice_slab(kernel, data, &fed, plan)
+        })?;
+        let mut outputs = Vec::with_capacity(cus);
+        for (cu, (sweep, wall)) in swept.into_iter().enumerate() {
+            walls[cu] += wall;
+            if let Some((n_streams, pushed, beats)) = sweep.stats {
+                let (_, all_pushed, all_beats) = streams[cu].unwrap_or_default();
+                streams[cu] = Some((n_streams, all_pushed + pushed, all_beats + beats));
+            }
+            outputs.push(sweep.outputs);
         }
-        let outputs: Vec<BTreeMap<String, Buffer>> =
-            step_out.into_iter().map(|(out, _, _)| out).collect();
-        cache_hits += round_hits;
-        cache_misses += round_misses;
+        // Gather — the exchange: every CU's owned rows go back into the
+        // state, where the next round's slices find their neighbours'.
+        // Only the last round's gather needs the fields nothing reads.
+        let last = round + 1 == round_depths.len();
+        let steps_done = round * depth;
+        let mut drop_first = march
+            .fault
+            .filter(|f| !last && (steps_done..steps_done + d).contains(&f.step))
+            .map(|f| f.cu);
+        for (name, whole) in state.iter_mut() {
+            if last || pairs.iter().any(|(out_name, _)| out_name == name) {
+                gather_owned(whole, &plans, &outputs, name, drop_first.take())?;
+            }
+        }
         rounds.push(RoundReport {
             round,
             depth: d,
-            cache_hits: round_hits,
-            cache_misses: round_misses,
-            overlap_rows: exts.iter().map(|(lo, hi)| lo + hi).sum(),
+            cache_hits,
+            cache_misses,
+            overlap_rows: plans.iter().map(|p| p.ext.0 + p.ext.1).sum(),
             wall: round_start.elapsed(),
         });
-        if round + 1 < round_depths.len() {
-            // Feed: each paired input becomes the ring base overlaid with
-            // every CU's owned interior rows — exactly the full output
-            // buffer the monolithic oracle feeds back. A HaloFault drops
-            // the first owned row one CU contributes after the round that
-            // covers the faulted step (the gather is this path's exchange).
-            let first_step = round * depth;
-            let fault_cu = match march.fault {
-                Some(f) if f.step >= first_step && f.step < first_step + d => Some(f.cu),
-                _ => None,
-            };
-            let mut drop_one = fault_cu;
-            for (out_name, in_name) in &pairs {
-                let mut fed = out_base
-                    .get(out_name)
-                    .cloned()
-                    .ok_or_else(|| ir_error!("missing feedback output `{out_name}`"))?;
-                gather_owned(
-                    kernel, &slabs, &exts, &outputs, out_name, &mut fed, drop_one,
-                )?;
-                drop_one = None;
-                current.buffers.insert(in_name.clone(), fed);
-            }
-        } else {
-            last = Some((outputs, exts));
-        }
     }
 
-    // --- merge the final round's owned rows into global buffers --------
-    let (last_outputs, last_exts) =
-        last.ok_or_else(|| ir_error!("temporal march executed no rounds"))?;
-    let mut merged: BTreeMap<String, Buffer> = kernel
-        .fields
-        .iter()
-        .filter(|f| matches!(f.kind, FieldKind::Output | FieldKind::InOut))
-        .map(|f| {
-            (
-                f.name.clone(),
-                Buffer::zeroed(bounded.extents(), bounded.lb.clone()),
-            )
-        })
-        .collect();
-    for name in merged.keys().cloned().collect::<Vec<_>>() {
-        let dst = merged.get_mut(&name).expect("key just listed");
-        gather_owned(kernel, &slabs, &last_exts, &last_outputs, &name, dst, None)?;
-    }
-    let wall = run_start.elapsed();
-
-    // --- report ---------------------------------------------------------
-    let estimates = estimates.ok_or_else(|| ir_error!("temporal march estimated no designs"))?;
+    let wall: Duration = rounds.iter().map(|r| r.wall).sum();
     let off_axis: i64 = kernel.grid[1..].iter().product();
     let per_cu: Vec<CuReport> = slabs
         .iter()
@@ -634,9 +450,7 @@ fn run_deep_march(
             cu,
             rows: (start, end),
             interior_elems: ((end - start) * off_axis) as u64,
-            streams: streams[cu],
-            stream_elements: stream_elements[cu],
-            mem_beats: mem_beats[cu],
+            stream: streams[cu],
             model_cycles: estimates[cu].cycles,
             wall: walls[cu],
         })
@@ -647,6 +461,7 @@ fn run_deep_march(
     let report = MultiCuReport {
         cus,
         steps,
+        engine: engine.name(),
         per_cu,
         wall,
         elems_per_s: total_elems as f64 / wall.as_secs_f64().max(1e-9),
@@ -655,51 +470,14 @@ fn run_deep_march(
         } else {
             1.0
         },
-        cache_hits,
-        cache_misses,
+        cache_hits: rounds.iter().map(|r| r.cache_hits).sum(),
+        cache_misses: rounds.iter().map(|r| r.cache_misses).sum(),
         temporal_depth: depth,
         model_passes: external_passes(steps as u64, depth as u64),
         rounds,
         model: scale_estimate(&estimates),
     };
-    Ok((merged, report))
-}
-
-/// Overlay each CU's *owned* axis-0 rows (`[ext_lo, ext_lo + height)` in
-/// slab coordinates, re-indexed to global rows) onto `dst`. The
-/// extension rows on either side are the redundantly-recomputed overlap
-/// and are discarded. With `drop_first = Some(cu)`, the first owned row
-/// that CU would contribute is skipped (the HaloFault hook — leaves the
-/// stale `dst` value in place, like a lost exchange message).
-fn gather_owned(
-    kernel: &KernelDef,
-    slabs: &[(i64, i64)],
-    exts: &[(i64, i64)],
-    outputs: &[BTreeMap<String, Buffer>],
-    name: &str,
-    dst: &mut Buffer,
-    drop_first: Option<usize>,
-) -> IrResult<()> {
-    for (cu, &(start, end)) in slabs.iter().enumerate() {
-        let (ext_lo, _) = exts[cu];
-        let slab = outputs[cu]
-            .get(name)
-            .ok_or_else(|| ir_error!("missing output `{name}` from compute unit {cu}"))?;
-        let skip_row = if drop_first == Some(cu) { ext_lo } else { -1 };
-        let mut lo = vec![0i64; kernel.rank()];
-        let mut hi = kernel.grid.clone();
-        lo[0] = ext_lo;
-        hi[0] = ext_lo + (end - start);
-        for p in iter_box(&lo, &hi) {
-            if p[0] == skip_row {
-                continue;
-            }
-            let mut q = p.clone();
-            q[0] += start - ext_lo;
-            dst.store(&q, slab.load(&p)?)?;
-        }
-    }
-    Ok(())
+    Ok((state, report))
 }
 
 /// Monolithic time-marching oracle: apply `run_once` to the full domain
@@ -736,252 +514,181 @@ where
     Ok(last)
 }
 
-/// Slice one CU's halo-padded slab inputs out of the global buffers:
-/// fields get rows `[start-halo, end+halo)` re-indexed to slab
-/// coordinates, axis-0 params are sliced likewise, other params and
-/// scalars pass through.
-fn slice_slab_data(
+/// Slice one CU's halo-padded slab inputs out of the global state — the
+/// `fed` fields, the caller's `data` for the rest. With `first` the
+/// slab's lowest global row (extension included), read fields get rows
+/// `[first - halo, last + halo)` re-indexed so that slab row 0 is global
+/// row `first`; axis-0 params are sliced likewise, other params and
+/// scalars pass through. Pure outputs are not inputs.
+fn slice_slab(
     kernel: &KernelDef,
     data: &KernelData,
-    start: i64,
-    end: i64,
-    bounded: &shmls_ir::types::StencilBounds,
+    fed: &BTreeMap<&str, &Buffer>,
+    plan: &SlabPlan,
 ) -> IrResult<KernelData> {
     let halo = kernel.halo;
-    let height = end - start;
-    let mut slab_data = KernelData::default();
-    for (name, value) in &data.scalars {
-        slab_data = slab_data.scalar(name, *value);
-    }
+    let first = plan.rows.0 - plan.ext.0;
+    let rows = plan.rows.1 + plan.ext.1 - first + 2 * halo;
+    // Rows `[from, from + rows)` of `global` as a buffer of its own whose
+    // axis-0 origin is `origin`.
+    let cut = |global: &Buffer, from: i64, origin: i64| -> IrResult<Buffer> {
+        let on_axis0 = |first: i64, all: &[i64]| -> Vec<i64> {
+            std::iter::once(first)
+                .chain(all.iter().skip(1).copied())
+                .collect()
+        };
+        let mut slab = Buffer::zeroed(
+            on_axis0(rows, &global.shape),
+            on_axis0(origin, &global.origin),
+        );
+        slab.copy_rows_from(global, from, origin, rows)?;
+        Ok(slab)
+    };
+    let mut slab = KernelData {
+        scalars: data.scalars.clone(),
+        ..Default::default()
+    };
     for field in &kernel.fields {
         if !matches!(field.kind, FieldKind::Input | FieldKind::InOut) {
             continue;
         }
-        let global = data
-            .buffers
-            .get(&field.name)
+        let global = fed
+            .get(field.name.as_str())
+            .copied()
+            .or_else(|| data.buffers.get(&field.name))
             .ok_or_else(|| ir_error!("missing input buffer `{}`", field.name))?;
-        slab_data = slab_data.buffer(&field.name, slice_field(global, start, end, halo, bounded)?);
+        slab.buffers
+            .insert(field.name.clone(), cut(global, first - halo, -halo)?);
     }
     for p in &kernel.params {
         let global = data
             .buffers
             .get(&p.name)
             .ok_or_else(|| ir_error!("missing param buffer `{}`", p.name))?;
-        if p.axis == 0 {
-            let mut slab = Buffer::zeroed(vec![height + 2 * halo], vec![0]);
-            for i in 0..height + 2 * halo {
-                slab.store(&[i], global.load(&[i + start])?)?;
-            }
-            slab_data = slab_data.buffer(&p.name, slab);
+        let buffer = if p.axis == 0 {
+            cut(global, first, 0)?
         } else {
-            slab_data = slab_data.buffer(&p.name, global.clone());
-        }
-    }
-    Ok(slab_data)
-}
-
-/// Slice one halo-padded slab (`[start-halo, end+halo)` on axis 0,
-/// re-indexed so slab row 0 is global row `start`) out of a global
-/// bounded buffer.
-fn slice_field(
-    global: &Buffer,
-    start: i64,
-    end: i64,
-    halo: i64,
-    bounded: &shmls_ir::types::StencilBounds,
-) -> IrResult<Buffer> {
-    let height = end - start;
-    let mut slab_extents = bounded.extents();
-    slab_extents[0] = height + 2 * halo;
-    let mut slab_lb = bounded.lb.clone();
-    slab_lb[0] = -halo;
-    let mut slab = Buffer::zeroed(slab_extents, slab_lb);
-    let mut lo = bounded.lb.clone();
-    lo[0] = start - halo;
-    let mut hi = bounded.ub.clone();
-    hi[0] = end + halo;
-    for p in iter_box(&lo, &hi) {
-        let mut q = p.clone();
-        q[0] -= start;
-        slab.store(&q, global.load(&p)?)?;
+            global.clone()
+        };
+        slab.buffers.insert(p.name.clone(), buffer);
     }
     Ok(slab)
 }
 
-/// [`slice_slab_data`] for the temporally-blocked path: inputs and
-/// params are sliced from `current` (the fed global state), and *pure
-/// output* fields are additionally sliced from their constant ring base
-/// — the deep design's halo-merge stages read ring values from the
-/// output argument's buffer, so the slab must carry the same ring the
-/// monolithic oracle's output buffer carries. (`inout` fields need no
-/// extra slice: their single argument is both merge source and output.)
-fn slice_deep_slab_data(
-    kernel: &KernelDef,
-    current: &KernelData,
-    out_base: &BTreeMap<String, Buffer>,
-    start: i64,
-    end: i64,
-    bounded: &shmls_ir::types::StencilBounds,
-) -> IrResult<KernelData> {
-    let mut slab_data = slice_slab_data(kernel, current, start, end, bounded)?;
-    for field in &kernel.fields {
-        if !matches!(field.kind, FieldKind::Output) {
-            continue;
-        }
-        let base = out_base
-            .get(&field.name)
-            .ok_or_else(|| ir_error!("missing ring base for output `{}`", field.name))?;
-        slab_data = slab_data.buffer(
-            &field.name,
-            slice_field(base, start, end, kernel.halo, bounded)?,
-        );
-    }
-    Ok(slab_data)
-}
-
-/// Run every CU's slab once — concurrently on scoped worker threads, or
-/// serially when asked. Workers share only `&CuState` (the compiled
-/// design is immutable during execution) and each returns its own
-/// outputs; nothing is written to shared state until after the join.
-///
-/// A panicking worker is *contained*: its join error is converted into a
-/// structured [`IrResult`] error naming the CU (with the panic payload
-/// when it is a string), exactly like any other per-CU failure — callers
-/// see `Err`, not an aborted process. The remaining workers still run to
-/// completion first (scoped threads always join), so no slab is left
-/// half-executed when the error propagates.
-#[allow(clippy::type_complexity)]
-fn run_all_cus(
-    states: &[CuState],
-    serial: bool,
-    panic_cu: Option<usize>,
-) -> IrResult<Vec<(BTreeMap<String, Buffer>, StreamStats, Duration)>> {
-    let run_one =
-        |cu: usize, s: &CuState| -> IrResult<(BTreeMap<String, Buffer>, StreamStats, Duration)> {
-            if panic_cu == Some(cu) {
-                panic!("injected fault in compute unit {cu}");
-            }
-            let t0 = Instant::now();
-            let (out, stats) = run_hls(&s.compiled, &s.data)?;
-            Ok((out, stats, t0.elapsed()))
-        };
-    if serial || states.len() == 1 {
-        return states
-            .iter()
-            .enumerate()
-            .map(|(cu, s)| run_one(cu, s))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .iter()
-            .enumerate()
-            .map(|(cu, s)| scope.spawn(move || run_one(cu, s)))
-            .collect();
-        // Join *every* handle before propagating any error: a panicked
-        // handle left to the scope's implicit join would re-raise the
-        // panic and abort the caller.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .enumerate()
-            .map(|(cu, j)| match j {
-                Ok(result) => result,
-                Err(payload) => {
-                    let reason = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    Err(ir_error!("compute-unit {cu} worker panicked: {reason}"))
-                }
-            })
-            .collect()
-    })
-}
-
-/// Build every CU's next-step inputs from this step's outputs: each
-/// paired input starts as the CU's own returned output buffer (so its
-/// interior and its share of the global boundary are already correct),
-/// then the axis-0 halo rows are overwritten with the neighbours'
-/// just-computed boundary rows — rows `[-halo, 0)` from the previous
-/// CU's top interior rows, rows `[height, height+halo)` from the next
-/// CU's bottom interior rows. Full rows are exchanged (off-axis halo
-/// columns included): the neighbour's slab holds exactly the global
-/// values there. Global-boundary halos are never exchanged; the CU's own
-/// buffer already carries the monolithic values (zero for pure outputs,
-/// the original data for `inout` fields).
-fn exchange_and_feed(
-    states: &mut [CuState],
+/// Overlay each CU's *owned* axis-0 rows of field `name`
+/// (`[ext.0, ext.0 + height)` in slab coordinates, re-indexed to global
+/// rows) onto `whole`. The extension rows on either side are the
+/// redundantly recomputed overlap and are discarded. With
+/// `drop_first = Some(cu)`, the first owned row that CU would contribute
+/// is skipped (the [`HaloFault`] hook — leaves the stale value in place,
+/// like a lost exchange message).
+fn gather_owned(
+    whole: &mut Buffer,
+    plans: &[SlabPlan],
     outputs: &[BTreeMap<String, Buffer>],
-    pairs: &[(String, String)],
-    halo: i64,
-    fault: Option<HaloFault>,
-    step: usize,
+    name: &str,
+    drop_first: Option<usize>,
 ) -> IrResult<()> {
-    let cus = states.len();
-    for cu in 0..cus {
-        // Drop the first row this CU would receive, if a fault targets
-        // this CU at this step.
-        let mut drop_next = matches!(fault, Some(f) if f.cu == cu && f.step == step);
-        let height = states[cu].rows.1 - states[cu].rows.0;
-        for (out_name, in_name) in pairs {
-            let own = outputs[cu]
-                .get(out_name)
-                .ok_or_else(|| ir_error!("missing feedback output `{out_name}`"))?;
-            let mut fed = own.clone();
-            if cu > 0 {
-                // Rows [-halo, 0) ← previous CU's rows [prev_h - halo, prev_h).
-                let prev = &outputs[cu - 1][out_name];
-                let prev_h = states[cu - 1].rows.1 - states[cu - 1].rows.0;
-                for r in 0..halo {
-                    if std::mem::take(&mut drop_next) {
-                        continue;
-                    }
-                    copy_row(prev, prev_h - halo + r, &mut fed, r - halo)?;
-                }
-            }
-            if cu + 1 < cus {
-                // Rows [height, height + halo) ← next CU's rows [0, halo).
-                let next = &outputs[cu + 1][out_name];
-                for r in 0..halo {
-                    if std::mem::take(&mut drop_next) {
-                        continue;
-                    }
-                    copy_row(next, r, &mut fed, height + r)?;
-                }
-            }
-            states[cu].data.buffers.insert(in_name.clone(), fed);
-        }
+    for (cu, (plan, out)) in plans.iter().zip(outputs).enumerate() {
+        let slab = out
+            .get(name)
+            .ok_or_else(|| ir_error!("missing output `{name}` from compute unit {cu}"))?;
+        let (start, end) = plan.rows;
+        let skip = i64::from(drop_first == Some(cu));
+        whole.copy_rows_from(slab, plan.ext.0 + skip, start + skip, end - start - skip)?;
     }
     Ok(())
 }
 
-/// Copy one full axis-0 row (all other axes, halo included) between two
-/// equally-shaped slab buffers.
-fn copy_row(src: &Buffer, src_row: i64, dst: &mut Buffer, dst_row: i64) -> IrResult<()> {
-    let mut lo = dst.origin.clone();
-    let mut hi: Vec<i64> = dst
-        .origin
+/// Slice and sweep every CU's slab once — concurrently on scoped worker
+/// threads, or one after another on the calling thread when the march is
+/// `serial` or a slab is less work than a thread costs to spawn and join
+/// ([`Engine::min_parallel_work`]). Workers share only the immutable
+/// designs and the global state `slice` reads, and each returns its own
+/// outputs; nothing is written to shared state until they are all done.
+///
+/// A panicking sweep is *contained*, on a worker or on the calling
+/// thread: it becomes a structured [`IrResult`] error naming the CU (with
+/// the panic payload when it is a string), exactly like any other per-CU
+/// failure — callers see `Err`, not an aborted process. The remaining
+/// slabs still run to completion first, so no slab is left half-executed
+/// when the error propagates.
+fn sweep_slabs(
+    engine: &dyn Engine,
+    plans: &[SlabPlan],
+    depth: usize,
+    march: &MarchOptions<'_>,
+    slice: impl Fn(&SlabPlan) -> IrResult<KernelData> + Sync,
+) -> IrResult<Vec<(Sweep, Duration)>> {
+    let panic_cu = march.panic_cu;
+    let run_one = |cu: usize| -> IrResult<(Sweep, Duration)> {
+        if panic_cu == Some(cu) {
+            panic!("injected fault in compute unit {cu}");
+        }
+        let slab_data = slice(&plans[cu])?;
+        let t0 = Instant::now();
+        let sweep = engine.sweep(&plans[cu].compiled, &slab_data, depth)?;
+        Ok((sweep, t0.elapsed()))
+    };
+    // Slab heights differ by at most one row, so the tallest speaks for
+    // them all.
+    let work = plans
         .iter()
-        .zip(&dst.shape)
-        .map(|(o, s)| o + s)
-        .collect();
-    lo[0] = src_row;
-    hi[0] = src_row + 1;
-    for p in iter_box(&lo, &hi) {
-        let mut q = p.clone();
-        q[0] = dst_row;
-        dst.store(&q, src.load(&p)?)?;
-    }
-    Ok(())
+        .map(|p| p.compiled.kernel.grid.iter().product::<i64>())
+        .max()
+        .unwrap_or(0) as u64
+        * depth as u64;
+    let inline = march.serial || plans.len() == 1 || work < engine.min_parallel_work();
+    let joined: Vec<std::thread::Result<_>> = if inline {
+        (0..plans.len())
+            .map(|cu| catch_unwind(AssertUnwindSafe(|| run_one(cu))))
+            .collect()
+    } else {
+        let run_one = &run_one;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..plans.len())
+                .map(|cu| scope.spawn(move || run_one(cu)))
+                .collect();
+            // Join *every* handle here: a panicked handle left to the
+            // scope's implicit join would re-raise the panic in the
+            // caller.
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    joined
+        .into_iter()
+        .enumerate()
+        .map(|(cu, result)| result.unwrap_or_else(|payload| Err(worker_panicked(cu, payload))))
+        .collect()
+}
+
+/// The structured error a panicking compute-unit sweep becomes.
+fn worker_panicked(cu: usize, payload: Box<dyn Any + Send>) -> IrError {
+    let reason = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    ir_error!("compute-unit {cu} worker panicked: {reason}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Stream, Threaded};
     use shmls_frontend::parse_kernel;
+
+    /// The engines every march property below is held on: the default
+    /// vector tier and the stream executor (whose deep designs run the
+    /// halo-merge seam stages the vector tier replaces with a loop).
+    const ENGINES: [&dyn Engine; 2] = [&VECTOR, &Stream];
+
+    fn march_on(engine: &dyn Engine) -> MarchOptions<'_> {
+        MarchOptions {
+            engine: Some(engine),
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn partition_distributes_remainder_to_leading_cus() {
@@ -1016,7 +723,10 @@ mod tests {
         // harness's `.expect("compute-unit worker panicked")`, re-raising
         // the panic in the coordinating thread and tearing the whole
         // process down. It must instead surface as an ordinary `Err`
-        // naming the CU, like every other per-CU failure (cf. HaloFault).
+        // naming the CU, like every other per-CU failure (cf. HaloFault)
+        // — on a worker thread (the stream engine spawns them for slabs
+        // this small), on the calling thread (the vector tier sweeps
+        // them inline), and in a serial march.
         let kernel = parse_kernel(
             "kernel p { grid(8, 6) halo 1 field a : input field b : output \
              compute b { b = a[-1,0] + a[0,1] } }",
@@ -1035,31 +745,35 @@ mod tests {
             ..Default::default()
         };
         let cache = CompileCache::new();
+        // A slab is 4 rows of 6 points: threads on one engine, not the other.
+        assert!(24 >= Stream.min_parallel_work() && 24 < VECTOR.min_parallel_work());
 
-        // Sanity: the same configuration succeeds without the fault.
-        let clean = MarchOptions {
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        run_time_marched_with(&kernel, &data, 2, 2, &opts, &clean)
-            .expect("clean parallel march must succeed");
+        for (engine, serial) in [(ENGINES[0], false), (ENGINES[1], false), (ENGINES[1], true)] {
+            // Sanity: the same configuration succeeds without the fault.
+            let clean = MarchOptions {
+                cache: Some(&cache),
+                serial,
+                ..march_on(engine)
+            };
+            run_time_marched_with(&kernel, &data, 2, 2, &opts, &clean)
+                .expect("clean march must succeed");
 
-        let faulty = MarchOptions {
-            cache: Some(&cache),
-            panic_cu: Some(1),
-            ..Default::default()
-        };
-        let err = run_time_marched_with(&kernel, &data, 2, 2, &opts, &faulty)
-            .expect_err("injected worker panic must fail the march");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("compute-unit 1 worker panicked"),
-            "error must name the CU: {msg}"
-        );
-        assert!(
-            msg.contains("injected fault in compute unit 1"),
-            "error must carry the panic payload: {msg}"
-        );
+            let faulty = MarchOptions {
+                panic_cu: Some(1),
+                ..clean
+            };
+            let err = run_time_marched_with(&kernel, &data, 2, 2, &opts, &faulty)
+                .expect_err("injected worker panic must fail the march");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("compute-unit 1 worker panicked"),
+                "error must name the CU: {msg}"
+            );
+            assert!(
+                msg.contains("injected fault in compute unit 1"),
+                "error must carry the panic payload: {msg}"
+            );
+        }
     }
 
     /// Deterministic pseudo-random fill in [-1, 1) (splitmix-style).
@@ -1099,6 +813,37 @@ mod tests {
         }
     }
 
+    /// Every (cus, steps, depth) march of `kernel`, on every engine, is
+    /// bitwise the single-CU depth-1 vector march of the same step count.
+    fn assert_marches_agree(kernel: &KernelDef, data: &KernelData, configs: &[[usize; 3]]) {
+        for &[cus, steps, depth] in configs {
+            let (plain, _) =
+                run_time_marched(kernel, data, steps, 1, &opts_depth(1)).expect("plain march");
+            for engine in ENGINES {
+                let what = format!("{} cus={cus} steps={steps} depth={depth}", engine.name());
+                let (marched, report) = run_time_marched_with(
+                    kernel,
+                    data,
+                    steps,
+                    cus,
+                    &opts_depth(depth),
+                    &march_on(engine),
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_bitwise_eq(&plain, &marched, &what);
+                assert_eq!(report.engine, engine.name());
+                assert_eq!(report.temporal_depth, depth);
+                assert_eq!(report.model_passes, (steps as u64).div_ceil(depth as u64));
+                assert_eq!(report.rounds.len(), report.model_passes as usize);
+                assert_eq!(
+                    report.per_cu.iter().all(|cu| cu.stream.is_some()),
+                    engine.name() == "stream",
+                    "{what}: stream statistics come from the stream engine alone"
+                );
+            }
+        }
+    }
+
     #[test]
     fn deep_march_is_bitwise_equal_to_depth1_march() {
         let kernel = parse_kernel(
@@ -1109,23 +854,21 @@ mod tests {
         let mut a = Buffer::zeroed(vec![14, 8], vec![-1, -1]);
         let mut b = Buffer::zeroed(vec![14, 8], vec![-1, -1]);
         fill(&mut a, 11);
-        fill(&mut b, 22); // non-zero output ring exercises the merge ring
+        fill(&mut b, 22); // a caller's output buffer is not a march input
         let data = KernelData::default().buffer("a", a).buffer("b", b);
-        // (cus, steps, depth): divisible, remainder round, depth > steps.
-        for (cus, steps, depth) in [(1, 4, 2), (2, 5, 2), (3, 5, 4), (2, 3, 8), (3, 4, 4)] {
-            let (shallow, _) = run_time_marched(&kernel, &data, steps, cus, &opts_depth(1))
-                .expect("depth-1 march");
-            let (deep, report) = run_time_marched(&kernel, &data, steps, cus, &opts_depth(depth))
-                .expect("deep march");
-            assert_bitwise_eq(
-                &shallow,
-                &deep,
-                &format!("cus={cus} steps={steps} depth={depth}"),
-            );
-            assert_eq!(report.temporal_depth, depth);
-            assert_eq!(report.model_passes, (steps as u64).div_ceil(depth as u64));
-            assert_eq!(report.rounds.len(), report.model_passes as usize);
-        }
+        // Divisible, remainder round, depth > steps, and plain depth 1.
+        assert_marches_agree(
+            &kernel,
+            &data,
+            &[
+                [1, 4, 2],
+                [2, 5, 2],
+                [3, 5, 4],
+                [2, 3, 8],
+                [3, 4, 4],
+                [3, 3, 1],
+            ],
+        );
     }
 
     #[test]
@@ -1137,18 +880,16 @@ mod tests {
         .unwrap();
         let mut u = Buffer::zeroed(vec![12, 8], vec![-1, -1]);
         fill(&mut u, 7);
-        let data = KernelData::default().buffer("u", u);
-        for (cus, steps, depth) in [(1, 3, 3), (2, 5, 3), (3, 4, 2)] {
-            let (shallow, _) = run_time_marched(&kernel, &data, steps, cus, &opts_depth(1))
-                .expect("depth-1 march");
-            let (deep, _) = run_time_marched(&kernel, &data, steps, cus, &opts_depth(depth))
-                .expect("deep march");
-            assert_bitwise_eq(
-                &shallow,
-                &deep,
-                &format!("inout cus={cus} steps={steps} depth={depth}"),
-            );
-        }
+        let data = KernelData::default().buffer("u", u.clone());
+        assert_marches_agree(
+            &kernel,
+            &data,
+            &[[1, 3, 3], [2, 5, 3], [3, 4, 2], [2, 2, 1]],
+        );
+        // An `inout` field comes back inside the caller's ring, as it
+        // does from a monolithic run.
+        let (marched, _) = run_time_marched(&kernel, &data, 3, 2, &opts_depth(2)).unwrap();
+        assert_eq!(marched["u"].data[..8], u.data[..8]);
     }
 
     #[test]
@@ -1161,38 +902,38 @@ mod tests {
         let mut a = Buffer::zeroed(vec![12, 8], vec![-1, -1]);
         fill(&mut a, 3);
         let data = KernelData::default().buffer("a", a);
-        let cache = CompileCache::new();
-        let march = MarchOptions {
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        // 5 steps at depth 2 over 2 CUs of 5 rows: rounds [2, 2, 1].
-        let (_, report) =
-            run_time_marched_with(&kernel, &data, 5, 2, &opts_depth(2), &march).unwrap();
-        assert_eq!(report.rounds.len(), 3);
-        assert_eq!(
-            report.rounds.iter().map(|r| r.depth).collect::<Vec<_>>(),
-            vec![2, 2, 1]
-        );
-        // Round 0: both extended slabs are 6 rows tall — one miss, one
-        // hit. Round 1 reuses both. The depth-1 remainder round compiles
-        // one fresh 5-row design, then hits.
-        assert_eq!(report.rounds[0].cache_misses, 1);
-        assert_eq!(report.rounds[0].cache_hits, 1);
-        assert_eq!(report.rounds[1].cache_misses, 0);
-        assert_eq!(report.rounds[1].cache_hits, 2);
-        assert_eq!(report.rounds[2].cache_misses, 1);
-        assert_eq!(report.rounds[2].cache_hits, 1);
-        // Overlap: (depth-1)*halo = 1 row per internal side.
-        assert_eq!(report.rounds[0].overlap_rows, 2);
-        assert_eq!(report.rounds[1].overlap_rows, 2);
-        assert_eq!(report.rounds[2].overlap_rows, 0);
-        // A second identical march is all hits — remainder rounds never
-        // recompile once their depth is cached.
-        let (_, warm) =
-            run_time_marched_with(&kernel, &data, 5, 2, &opts_depth(2), &march).unwrap();
-        assert_eq!(warm.cache_misses, 0);
-        assert_eq!(warm.cache_hits, 6);
+        for engine in ENGINES {
+            let cache = CompileCache::new();
+            let march = MarchOptions {
+                cache: Some(&cache),
+                ..march_on(engine)
+            };
+            // 5 steps at depth 2 over 2 CUs of 5 rows: rounds [2, 2, 1].
+            let (_, report) =
+                run_time_marched_with(&kernel, &data, 5, 2, &opts_depth(2), &march).unwrap();
+            assert_eq!(
+                report.rounds.iter().map(|r| r.depth).collect::<Vec<_>>(),
+                vec![2, 2, 1]
+            );
+            // Round 0: both extended slabs are 6 rows tall — one miss, one
+            // hit. Round 1 keeps its designs without asking. The depth-1
+            // remainder round compiles one fresh 5-row design, then hits.
+            let lookups: Vec<(u64, u64)> = report
+                .rounds
+                .iter()
+                .map(|r| (r.cache_misses, r.cache_hits))
+                .collect();
+            assert_eq!(lookups, [(1, 1), (0, 0), (1, 1)]);
+            assert_eq!((report.cache_misses, report.cache_hits), (2, 2));
+            // Overlap: (depth-1)*halo = 1 row per internal side.
+            let overlap: Vec<i64> = report.rounds.iter().map(|r| r.overlap_rows).collect();
+            assert_eq!(overlap, [2, 2, 0]);
+            // A second identical march is all hits — remainder rounds
+            // never recompile once their depth is cached.
+            let (_, warm) =
+                run_time_marched_with(&kernel, &data, 5, 2, &opts_depth(2), &march).unwrap();
+            assert_eq!((warm.cache_misses, warm.cache_hits), (0, 4));
+        }
     }
 
     #[test]
@@ -1223,30 +964,62 @@ mod tests {
         let mut a = Buffer::zeroed(vec![12, 8], vec![-1, -1]);
         fill(&mut a, 17);
         let data = KernelData::default().buffer("a", a);
-        let opts = opts_depth(2);
-        let (clean, _) = run_time_marched(&kernel, &data, 4, 2, &opts).unwrap();
-        // A fault in the first round's gather corrupts the feed and must
-        // be visible downstream.
-        let faulty = MarchOptions {
-            fault: Some(HaloFault { cu: 1, step: 0 }),
-            ..Default::default()
+        for engine in ENGINES {
+            for depth in [1, 2] {
+                let opts = opts_depth(depth);
+                let what = format!("{} depth {depth}", engine.name());
+                let (clean, _) =
+                    run_time_marched_with(&kernel, &data, 4, 2, &opts, &march_on(engine)).unwrap();
+                // A fault in the first round's gather corrupts the feed
+                // and must be visible downstream.
+                let faulty = MarchOptions {
+                    fault: Some(HaloFault { cu: 1, step: 0 }),
+                    ..march_on(engine)
+                };
+                let (hit, _) = run_time_marched_with(&kernel, &data, 4, 2, &opts, &faulty).unwrap();
+                assert!(
+                    clean["b"]
+                        .data
+                        .iter()
+                        .zip(&hit["b"].data)
+                        .any(|(x, y)| x.to_bits() != y.to_bits()),
+                    "{what}: a dropped gather row must perturb the result"
+                );
+                // A fault aimed at the final round has no later feed to
+                // corrupt.
+                let late = MarchOptions {
+                    fault: Some(HaloFault { cu: 1, step: 3 }),
+                    ..march_on(engine)
+                };
+                let (unhit, _) = run_time_marched_with(&kernel, &data, 4, 2, &opts, &late).unwrap();
+                assert_bitwise_eq(&clean, &unhit, &format!("{what}: final-round fault"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_dataflow_engine_refuses_a_depth_its_design_was_not_built_for() {
+        let kernel = parse_kernel(
+            "kernel d { grid(6, 6) halo 1 field a : input field b : output \
+             compute b { b = a[0,1] } }",
+        )
+        .unwrap();
+        let compiled = crate::compile_kernel(kernel, &opts_depth(2)).unwrap();
+        let data = KernelData::default();
+        let threaded = Threaded {
+            watchdog: Duration::from_secs(5),
         };
-        let (hit, _) = run_time_marched_with(&kernel, &data, 4, 2, &opts, &faulty).unwrap();
-        assert!(
-            clean["b"]
-                .data
-                .iter()
-                .zip(&hit["b"].data)
-                .any(|(x, y)| x.to_bits() != y.to_bits()),
-            "a dropped gather row must perturb the result"
-        );
-        // A fault aimed at the final round has no later feed to corrupt.
-        let late = MarchOptions {
-            fault: Some(HaloFault { cu: 1, step: 3 }),
-            ..Default::default()
-        };
-        let (unhit, _) = run_time_marched_with(&kernel, &data, 4, 2, &opts, &late).unwrap();
-        assert_bitwise_eq(&clean, &unhit, "final-round fault");
+        for engine in [&Stream as &dyn Engine, &threaded] {
+            assert!(engine.sweep(&compiled, &data, 2).is_ok());
+            let e = engine.sweep(&compiled, &data, 1).unwrap_err();
+            assert!(
+                e.to_string().contains("compiled at temporal depth 2"),
+                "{e}"
+            );
+        }
+        // The interpreter tiers run the stencil function, whatever the
+        // design's depth.
+        assert!(VECTOR.sweep(&compiled, &data, 3).is_ok());
     }
 
     #[test]

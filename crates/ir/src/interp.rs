@@ -222,6 +222,52 @@ impl Buffer {
         }
         Ok(())
     }
+
+    /// Copy `rows` whole axis-0 rows of `src`, starting at its logical
+    /// row `src_row`, over the rows of `self` starting at logical row
+    /// `dst_row`. The buffers must agree on every other axis (extent and
+    /// origin), so the row range is one contiguous slice of each —
+    /// storage is row-major — and the copy is a single
+    /// `copy_from_slice`. A rank or off-axis mismatch, a negative count
+    /// and a range outside either buffer are errors; zero rows copy
+    /// nothing.
+    pub fn copy_rows_from(
+        &mut self,
+        src: &Buffer,
+        src_row: i64,
+        dst_row: i64,
+        rows: i64,
+    ) -> IrResult<()> {
+        ir_ensure!(
+            !self.shape.is_empty()
+                && self.shape.len() == src.shape.len()
+                && self.shape[1..] == src.shape[1..]
+                && self.origin[1..] == src.origin[1..],
+            "copy_rows_from: source (shape {:?}, origin {:?}) and destination \
+             (shape {:?}, origin {:?}) differ off axis 0",
+            src.shape,
+            src.origin,
+            self.shape,
+            self.origin
+        );
+        ir_ensure!(rows >= 0, "copy_rows_from: negative row count {rows}");
+        let row_len: usize = self.shape[1..].iter().map(|&e| e as usize).product();
+        let span = |buf: &Buffer, first: i64| -> IrResult<std::ops::Range<usize>> {
+            let local = first - buf.origin[0];
+            ir_ensure!(
+                local >= 0 && local + rows <= buf.shape[0],
+                "copy_rows_from: rows [{first}, {}) outside axis 0 (origin {}, extent {})",
+                first + rows,
+                buf.origin[0],
+                buf.shape[0]
+            );
+            Ok(local as usize * row_len..(local + rows) as usize * row_len)
+        };
+        let from = span(src, src_row)?;
+        let to = span(self, dst_row)?;
+        self.data[to].copy_from_slice(&src.data[from]);
+        Ok(())
+    }
 }
 
 /// The interpreter's memory: a table of buffers addressed by handle.
@@ -254,6 +300,18 @@ impl Store {
         self.buffers
             .get_mut(handle)
             .ok_or_else(|| ir_error!("invalid buffer handle {handle}"))
+    }
+
+    /// Move a buffer out of the store, leaving an empty one behind its
+    /// handle — for collecting a finished run's results without copying
+    /// them.
+    pub fn take(&mut self, handle: usize) -> IrResult<Buffer> {
+        let empty = Buffer {
+            shape: vec![0],
+            origin: vec![0],
+            data: Vec::new(),
+        };
+        Ok(std::mem::replace(self.get_mut(handle)?, empty))
     }
 
     /// Borrow `src` shared and `dst` mutable at once (for region copies
@@ -1116,6 +1174,83 @@ mod tests {
         assert!(b2.load(&[-1, -1]).is_ok());
         assert!(b2.load(&[4, 4]).is_ok());
         assert!(b2.load(&[5, 5]).is_err());
+    }
+
+    #[test]
+    fn copy_rows_moves_whole_axis0_rows() {
+        // A 3-row slab cut out of a 6x4 halo-1 buffer and written back
+        // two rows further down, off-axis halo columns included.
+        let mut global = Buffer::zeroed(vec![6, 4], vec![-1, -1]);
+        for (i, v) in global.data.iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        let mut slab = Buffer::zeroed(vec![3, 4], vec![-1, -1]);
+        slab.copy_rows_from(&global, 0, -1, 3).unwrap();
+        assert_eq!(slab.data, global.data[4..16]);
+        let mut back = Buffer::zeroed(vec![6, 4], vec![-1, -1]);
+        back.copy_rows_from(&slab, -1, 2, 3).unwrap();
+        assert_eq!(back.data[12..24], global.data[4..16]);
+        assert!(back.data[..12].iter().all(|&v| v == 0.0));
+        // Rank 1 (an axis parameter): a row is one element.
+        let param = Buffer {
+            shape: vec![5],
+            origin: vec![0],
+            data: vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        };
+        let mut cut = Buffer::zeroed(vec![2], vec![0]);
+        cut.copy_rows_from(&param, 3, 0, 2).unwrap();
+        assert_eq!(cut.data, [4.0, 5.0]);
+        // Zero rows copy nothing, wherever they point inside the buffers.
+        cut.copy_rows_from(&param, 5, 2, 0).unwrap();
+        assert_eq!(cut.data, [4.0, 5.0]);
+    }
+
+    #[test]
+    fn copy_rows_rejects_mismatched_buffers_and_ranges() {
+        let src = Buffer::zeroed(vec![4, 3], vec![-1, 0]);
+        let mut dst = Buffer::zeroed(vec![4, 3], vec![-1, 0]);
+        for (what, e) in [
+            (
+                "source range past the end",
+                dst.copy_rows_from(&src, 2, -1, 2),
+            ),
+            (
+                "source range before the origin",
+                dst.copy_rows_from(&src, -2, -1, 1),
+            ),
+            (
+                "destination range past the end",
+                dst.copy_rows_from(&src, -1, 0, 4),
+            ),
+            ("negative count", dst.copy_rows_from(&src, 0, 0, -1)),
+        ] {
+            assert!(e.is_err(), "{what} must be an error");
+        }
+        let wider = Buffer::zeroed(vec![4, 5], vec![-1, 0]);
+        let shifted = Buffer::zeroed(vec![4, 3], vec![-1, -1]);
+        let flat = Buffer::zeroed(vec![4], vec![-1]);
+        for other in [&wider, &shifted, &flat] {
+            let e = dst.copy_rows_from(other, 0, 0, 1).unwrap_err();
+            assert!(e.to_string().contains("differ off axis 0"), "{e}");
+        }
+        let mut scalar = Buffer::zeroed(vec![], vec![]);
+        assert!(scalar
+            .copy_rows_from(&Buffer::zeroed(vec![], vec![]), 0, 0, 1)
+            .is_err());
+        assert_eq!(dst, Buffer::zeroed(vec![4, 3], vec![-1, 0]));
+    }
+
+    #[test]
+    fn store_take_moves_the_buffer_out() {
+        let mut store = Store::new();
+        let mut b = Buffer::zeroed(vec![2, 2], vec![0, 0]);
+        b.data[3] = 9.0;
+        let keep = store.alloc(Buffer::zeroed(vec![1], vec![0]));
+        let h = store.alloc(b.clone());
+        assert_eq!(store.take(h).unwrap(), b);
+        assert!(store.get(h).unwrap().data.is_empty());
+        assert_eq!(store.get(keep).unwrap().data, [0.0]);
+        assert!(store.take(7).is_err());
     }
 
     #[test]

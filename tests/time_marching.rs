@@ -1,19 +1,22 @@
 //! Scale-out execution: parallel CU workers must be byte-identical to
 //! the serial path, time-marching with halo exchange must match the
-//! monolithic reference, the compile cache must make the compile count
-//! independent of the step count, and the error paths and the
-//! fault-injection self-test must all fire.
+//! monolithic reference — to the bit, whole buffers, on every engine at
+//! every (compute units × steps × temporal depth) — the compile cache
+//! must make the compile count independent of the step count, and the
+//! error paths and the fault-injection self-test must all fire.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use shmls_ir::interp::Buffer;
-use shmls_kernels::pw_advection;
+use shmls_kernels::{heat3d, pw_advection, tracer_advection};
 use stencil_hmls::cache::CompileCache;
-use stencil_hmls::runner::{run_hls, run_hls_multi_cu, KernelData};
+use stencil_hmls::engine::{Engine, Stream, Threaded, VECTOR};
+use stencil_hmls::runner::{run_hls, run_hls_multi_cu, run_stencil, KernelData};
 use stencil_hmls::scale::{
     run_time_marched, run_time_marched_with, time_march_reference, HaloFault, MarchOptions,
 };
-use stencil_hmls::{compile, CompileOptions, TargetPath};
+use stencil_hmls::{compile, compile_kernel, CompileOptions, TargetPath};
 
 fn pw_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     let kernel = shmls_frontend::parse_kernel(&pw_advection::source(n[0], n[1], n[2])).unwrap();
@@ -31,11 +34,48 @@ fn pw_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     (kernel, data)
 }
 
+fn heat_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
+    let kernel = shmls_frontend::parse_kernel(&heat3d::source(n[0], n[1], n[2])).unwrap();
+    let inputs = heat3d::Heat3dInputs::random(n[0], n[1], n[2], 3);
+    let data = KernelData::default()
+        .buffer("t", inputs.t.to_buffer())
+        .buffer("kz", inputs.kz.to_buffer())
+        .scalar("dt", inputs.dt);
+    (kernel, data)
+}
+
+fn tracer_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
+    let source = tracer_advection::source(n[0], n[1], n[2]);
+    let kernel = shmls_frontend::parse_kernel(&source).unwrap();
+    let inputs = tracer_advection::TracerInputs::random(n[0], n[1], n[2], 7);
+    let data = KernelData::default()
+        .buffer("tsn", inputs.tsn.to_buffer())
+        .buffer("pun", inputs.pun.to_buffer())
+        .buffer("pvn", inputs.pvn.to_buffer())
+        .buffer("pwn", inputs.pwn.to_buffer())
+        .buffer("tmask", inputs.tmask.to_buffer())
+        .buffer("umask", inputs.umask.to_buffer())
+        .buffer("vmask", inputs.vmask.to_buffer())
+        .buffer("rnfmsk", inputs.rnfmsk.to_buffer())
+        .buffer("upsmsk", inputs.upsmsk.to_buffer())
+        .buffer("ztfreez", inputs.ztfreez.to_buffer())
+        .buffer("rnfmsk_z", inputs.rnfmsk_z.to_buffer())
+        .buffer("e3t", inputs.e3t.to_buffer())
+        .scalar("pdt", inputs.pdt);
+    (kernel, data)
+}
+
 fn opts() -> CompileOptions {
-    CompileOptions {
+    opts_depth(1)
+}
+
+fn opts_depth(depth: usize) -> CompileOptions {
+    let mut opts = CompileOptions {
         paths: TargetPath::HlsOnly,
         ..Default::default()
-    }
+    };
+    opts.hmls.temporal_depth = depth;
+    opts
 }
 
 /// Assert two output maps are bit-for-bit identical (shape, origin, and
@@ -71,6 +111,88 @@ fn parallel_cus_byte_identical_to_serial() {
         let (par, _) = run_time_marched(&kernel, &data, steps, 4, &opts()).unwrap();
         let (seq, _) = run_time_marched_with(&kernel, &data, steps, 4, &opts(), &serial).unwrap();
         assert_bitwise_eq(&par, &seq, &format!("steps={steps}"));
+    }
+}
+
+#[test]
+fn engines_march_to_the_oracles_bits_at_every_cus_steps_depth() {
+    // The engines are interchangeable under the march: vector, stream and
+    // threaded agree with the iterated monolithic stencil function on
+    // whole buffers, halo ring included, over a grid that covers the
+    // single sweep, whole rounds, the shallower remainder round and a
+    // depth beyond the step count.
+    let threaded = Threaded {
+        watchdog: Duration::from_secs(60),
+    };
+    let engines: [&dyn Engine; 3] = [&VECTOR, &Stream, &threaded];
+    let n = [6, 4, 3];
+    for (kernel, data) in [pw_data(n), heat_data(n), tracer_data(n)] {
+        let monolithic = compile_kernel(kernel.clone(), &opts()).unwrap();
+        let cache = CompileCache::new();
+        for steps in [1usize, 3, 5] {
+            let oracle =
+                time_march_reference(&kernel, &data, steps, |d| run_stencil(&monolithic, d))
+                    .unwrap();
+            for cus in [1usize, 2, 3] {
+                for depth in [1usize, 2, 4] {
+                    for engine in engines {
+                        let what = format!(
+                            "{} on {}: cus={cus} steps={steps} depth={depth}",
+                            kernel.name,
+                            engine.name()
+                        );
+                        let march = MarchOptions {
+                            cache: Some(&cache),
+                            engine: Some(engine),
+                            ..Default::default()
+                        };
+                        let o = opts_depth(depth);
+                        let (marched, report) =
+                            run_time_marched_with(&kernel, &data, steps, cus, &o, &march)
+                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_bitwise_eq(&oracle, &marched, &what);
+                        let round_depths: Vec<usize> =
+                            report.rounds.iter().map(|r| r.depth).collect();
+                        let mut expected = vec![depth; steps / depth];
+                        expected.extend((steps % depth != 0).then_some(steps % depth));
+                        assert_eq!(round_depths, expected, "{what}: rounds");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_march_on_worker_threads_is_the_serial_march() {
+    // The stream engine puts slabs of any size on worker threads; the
+    // vector tier sweeps small ones on the calling thread either way, so
+    // it gets a grid past its threshold.
+    let big = [24, 40, 40];
+    let depth = 2;
+    assert!((big[0] / 3 * big[1] * big[2]) as u64 * depth as u64 >= VECTOR.min_parallel_work());
+    let small = [6, 4, 3];
+    let cases: [(_, &dyn Engine); 4] = [
+        (pw_data(small), &Stream),
+        (heat_data(small), &Stream),
+        (tracer_data(small), &Stream),
+        (heat_data(big), &VECTOR),
+    ];
+    for ((kernel, data), engine) in cases {
+        let cache = CompileCache::new();
+        let run = |serial: bool| {
+            let march = MarchOptions {
+                serial,
+                cache: Some(&cache),
+                engine: Some(engine),
+                ..Default::default()
+            };
+            run_time_marched_with(&kernel, &data, 5, 3, &opts_depth(depth), &march)
+                .unwrap()
+                .0
+        };
+        let what = format!("{} on {}", kernel.name, engine.name());
+        assert_bitwise_eq(&run(false), &run(true), &what);
     }
 }
 
@@ -151,23 +273,31 @@ fn dropped_halo_row_changes_the_answer() {
     // Self-test of the differential harness: a lost halo-exchange
     // message must be observable in the next step's output.
     let (kernel, data) = pw_data([8, 6, 5]);
-    let (clean, _) = run_time_marched(&kernel, &data, 2, 2, &opts()).unwrap();
-    let faulty_march = MarchOptions {
-        fault: Some(HaloFault { cu: 1, step: 0 }),
-        ..Default::default()
-    };
-    let (faulty, _) = run_time_marched_with(&kernel, &data, 2, 2, &opts(), &faulty_march).unwrap();
-    let mut differs = false;
-    for (name, cb) in &clean {
-        let fb = &faulty[name];
-        for (va, vb) in cb.data.iter().zip(&fb.data) {
-            if va.to_bits() != vb.to_bits() {
-                differs = true;
-            }
-        }
-        let _ = name;
+    for engine in [&VECTOR as &dyn Engine, &Stream] {
+        let clean_march = MarchOptions {
+            engine: Some(engine),
+            ..Default::default()
+        };
+        let (clean, _) =
+            run_time_marched_with(&kernel, &data, 2, 2, &opts(), &clean_march).unwrap();
+        let faulty_march = MarchOptions {
+            fault: Some(HaloFault { cu: 1, step: 0 }),
+            ..clean_march
+        };
+        let (faulty, _) =
+            run_time_marched_with(&kernel, &data, 2, 2, &opts(), &faulty_march).unwrap();
+        let differs = clean.iter().any(|(name, cb)| {
+            let words = cb.data.iter().zip(&faulty[name].data);
+            words
+                .into_iter()
+                .any(|(va, vb)| va.to_bits() != vb.to_bits())
+        });
+        assert!(
+            differs,
+            "{}: dropping an exchanged halo row went undetected",
+            engine.name()
+        );
     }
-    assert!(differs, "dropping an exchanged halo row went undetected");
 }
 
 #[test]
@@ -202,7 +332,12 @@ fn compile_count_is_independent_of_steps() {
 #[test]
 fn report_aggregates_are_consistent() {
     let (kernel, data) = pw_data([10, 6, 5]);
-    let (_, report) = run_time_marched(&kernel, &data, 2, 3, &opts()).unwrap();
+    let on_streams = MarchOptions {
+        engine: Some(&Stream),
+        ..Default::default()
+    };
+    let (_, report) = run_time_marched_with(&kernel, &data, 2, 3, &opts(), &on_streams).unwrap();
+    assert_eq!(report.engine, "stream");
     assert_eq!(report.per_cu.len(), 3);
     // The slabs tile the axis without gaps or overlap.
     assert_eq!(report.per_cu[0].rows, (0, 4));
@@ -217,9 +352,22 @@ fn report_aggregates_are_consistent() {
     let max_cycles = report.per_cu.iter().map(|c| c.model_cycles).max().unwrap();
     assert_eq!(report.model.makespan_cycles, max_cycles);
     assert_eq!(report.model.per_cu_cycles.len(), 3);
-    for cu in &report.per_cu {
-        assert!(cu.stream_elements > 0);
-        assert!(cu.streams > 0);
+    // Stream statistics are the stream engine's to report: present on
+    // it, pushed elements summed over both steps, and absent from the
+    // default vector march, whose other columns are the same.
+    let (_, one_step) = run_time_marched_with(&kernel, &data, 1, 3, &opts(), &on_streams).unwrap();
+    for (cu, once) in report.per_cu.iter().zip(&one_step.per_cu) {
+        let (streams, pushed, beats) = cu.stream.expect("stream statistics");
+        let (streams_once, pushed_once, beats_once) = once.stream.expect("stream statistics");
+        assert!(streams > 0 && streams == streams_once);
+        assert_eq!((pushed, beats), (2 * pushed_once, 2 * beats_once));
+    }
+    let (_, vector) = run_time_marched(&kernel, &data, 2, 3, &opts()).unwrap();
+    assert_eq!(vector.engine, "vector");
+    for (cu, streamed) in vector.per_cu.iter().zip(&report.per_cu) {
+        assert!(cu.stream.is_none());
+        assert_eq!(cu.rows, streamed.rows);
+        assert_eq!(cu.model_cycles, streamed.model_cycles);
     }
 }
 
@@ -229,16 +377,9 @@ fn tuned_best_design_matches_default_march_bitwise() {
     // temporal depth); it must never change *what* is computed. March the
     // best frontier candidate and the default single-CU depth-1 design
     // over the same inputs and demand bit-identical outputs.
-    use shmls_kernels::heat3d;
     use stencil_hmls::autotune::{self, TuneOptions};
 
-    let n = [12i64, 10, 8];
-    let kernel = shmls_frontend::parse_kernel(&heat3d::source(n[0], n[1], n[2])).unwrap();
-    let inputs = heat3d::Heat3dInputs::random(n[0], n[1], n[2], 3);
-    let data = KernelData::default()
-        .buffer("t", inputs.t.to_buffer())
-        .buffer("kz", inputs.kz.to_buffer())
-        .scalar("dt", inputs.dt);
+    let (kernel, data) = heat_data([12, 10, 8]);
 
     // Cap the CU axis so every swept slab keeps at least `halo x depth`
     // rows and the tuned schedule is always marchable on this grid.
@@ -257,8 +398,7 @@ fn tuned_best_design_matches_default_march_bitwise() {
 
     let steps = 4;
     let run = |cus: usize, depth: usize| {
-        let mut o = opts();
-        o.hmls.temporal_depth = depth;
+        let o = opts_depth(depth);
         let march = MarchOptions {
             cache: Some(&cache),
             ..Default::default()
