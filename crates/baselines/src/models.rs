@@ -15,12 +15,12 @@
 //!
 //! Calibration notes live in EXPERIMENTS.md.
 
-use serde::Serialize;
 use shmls_fpga_sim::design::Stage;
 use shmls_fpga_sim::device::{CostTable, Device, PowerCoefficients};
 use shmls_fpga_sim::perf::{hmls_estimate, pipeline_estimate, PerfEstimate, PipelineModel};
 use shmls_fpga_sim::power;
 use shmls_fpga_sim::resources::{self, ResourceUsage};
+use shmls_ir::json::Json;
 
 use crate::profile::KernelProfile;
 
@@ -61,7 +61,7 @@ impl Default for EvalContext {
 }
 
 /// One framework's result for one kernel/size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Measurement {
     /// Throughput (the paper's Figure-4 metric).
     pub mpts: f64,
@@ -84,7 +84,7 @@ pub struct Measurement {
 }
 
 /// Outcome of evaluating a framework on a kernel/size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum Outcome {
     /// Ran to completion.
     Completed(Measurement),
@@ -105,7 +105,51 @@ pub enum Outcome {
     Inexpressible(String),
 }
 
+impl Measurement {
+    /// Encode as a JSON object keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("mpts".into(), self.mpts.into()),
+            ("seconds".into(), self.seconds.into()),
+            ("watts".into(), self.watts.into()),
+            ("joules".into(), self.joules.into()),
+            ("resources".into(), self.resources.to_json()),
+            ("resource_pct".into(), pct_json(&self.resource_pct)),
+            ("cus".into(), self.cus.into()),
+            ("ii".into(), self.ii.into()),
+            ("cycles".into(), self.cycles.into()),
+        ])
+    }
+}
+
+fn pct_json(pct: &[f64; 4]) -> Json {
+    Json::Arr(pct.iter().map(|&p| Json::Num(p)).collect())
+}
+
 impl Outcome {
+    /// Encode externally tagged, `{"<Variant>": <payload>}` — the shape
+    /// of the paper artifact's `results.json`.
+    pub fn to_json(&self) -> Json {
+        let (variant, payload) = match self {
+            Outcome::Completed(m) => ("Completed", m.to_json()),
+            Outcome::CompileError(why) => ("CompileError", Json::Str(why.clone())),
+            Outcome::RuntimeDeadlock {
+                reason,
+                resources,
+                resource_pct,
+            } => (
+                "RuntimeDeadlock",
+                Json::Obj(vec![
+                    ("reason".into(), Json::Str(reason.clone())),
+                    ("resources".into(), resources.to_json()),
+                    ("resource_pct".into(), pct_json(resource_pct)),
+                ]),
+            ),
+            Outcome::Inexpressible(why) => ("Inexpressible", Json::Str(why.clone())),
+        };
+        Json::Obj(vec![(variant.into(), payload)])
+    }
+
     /// The measurement, if the run completed.
     pub fn measurement(&self) -> Option<&Measurement> {
         match self {

@@ -1031,10 +1031,7 @@ fn tune_cmd(args: &[String]) {
         }
     };
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).expect("tune report serialises")
-        );
+        print!("{}", report.to_json().pretty());
     } else {
         print!("{}", autotune::render(&report));
     }
@@ -1070,8 +1067,7 @@ fn main() {
         "json" => {
             let path = args.get(1).map(String::as_str).unwrap_or("results.json");
             let results = evaluate_all(&eval);
-            let body = serde_json::to_string_pretty(&results).expect("results serialise");
-            if let Err(e) = std::fs::write(path, body) {
+            if let Err(e) = std::fs::write(path, results.to_json().pretty()) {
                 eprintln!("repro: cannot write `{path}`: {e}");
                 exit_flushed(1);
             }

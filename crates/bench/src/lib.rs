@@ -19,7 +19,7 @@ pub mod telemetry;
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
+use json::Json;
 use shmls_baselines::{
     all_frameworks, DaceModel, EvalContext, FrameworkModel, KernelProfile, Outcome,
     StencilHmlsModel,
@@ -83,10 +83,23 @@ pub fn evaluate(kernel: Kernel, size: &ProblemSize, eval: &EvalContext) -> Vec<(
 }
 
 /// The complete result set (mirrors the artifact's `results.json`).
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Results {
     /// kernel → size label → framework → outcome
     pub results: BTreeMap<String, BTreeMap<String, BTreeMap<String, Outcome>>>,
+}
+
+impl Results {
+    /// Encode as the artifact's `results.json` document.
+    pub fn to_json(&self) -> Json {
+        fn nest<V>(map: &BTreeMap<String, V>, leaf: impl Fn(&V) -> Json) -> Json {
+            Json::Obj(map.iter().map(|(k, v)| (k.clone(), leaf(v))).collect())
+        }
+        let results = nest(&self.results, |sizes| {
+            nest(sizes, |frameworks| nest(frameworks, Outcome::to_json))
+        });
+        Json::Obj(vec![("results".into(), results)])
+    }
 }
 
 /// Evaluate everything.
@@ -522,12 +535,73 @@ mod tests {
         assert!(a.contains("predicted"), "{a}");
     }
 
+    /// The `results.json` shape, key by key: kernel → size → framework →
+    /// an externally tagged outcome whose `Completed` payload carries
+    /// exactly the artifact's measurement fields.
     #[test]
-    fn results_serialize_to_json() {
-        let eval = EvalContext::default();
-        let r = evaluate_all(&eval);
-        let json = serde_json::to_string_pretty(&r).unwrap();
-        assert!(json.contains("Stencil-HMLS"));
-        assert!(json.contains("mpts"));
+    fn results_json_has_the_artifact_shape() {
+        let results = evaluate_all(&EvalContext::default());
+        let doc = Json::parse(&results.to_json().pretty()).expect("emitted JSON parses");
+        let keys = |v: &Json| -> Vec<String> {
+            let pairs = v.as_obj().expect("an object");
+            pairs.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys(&doc), ["results"]);
+        let kernels = doc.get("results").unwrap();
+        assert_eq!(
+            keys(kernels),
+            [Kernel::PwAdvection.title(), Kernel::TracerAdvection.title()]
+        );
+        let mut completed = 0;
+        for (kernel, sizes) in kernels.as_obj().unwrap() {
+            for (size, frameworks) in sizes.as_obj().unwrap() {
+                assert!(frameworks.get("Stencil-HMLS").is_some(), "{kernel}/{size}");
+                for (framework, outcome) in frameworks.as_obj().unwrap() {
+                    let who = format!("{kernel}/{size}/{framework}");
+                    let tagged = outcome.as_obj().unwrap();
+                    assert_eq!(tagged.len(), 1, "{who}: one variant tag");
+                    let (variant, payload) = &tagged[0];
+                    match variant.as_str() {
+                        "Completed" => {
+                            completed += 1;
+                            assert_eq!(
+                                keys(payload),
+                                [
+                                    "mpts",
+                                    "seconds",
+                                    "watts",
+                                    "joules",
+                                    "resources",
+                                    "resource_pct",
+                                    "cus",
+                                    "ii",
+                                    "cycles"
+                                ],
+                                "{who}"
+                            );
+                            assert_eq!(
+                                keys(payload.get("resources").unwrap()),
+                                ["luts", "ffs", "bram36", "uram", "dsps"],
+                                "{who}"
+                            );
+                            let pct = payload.get("resource_pct").and_then(Json::as_arr);
+                            assert_eq!(pct.map(<[Json]>::len), Some(4), "{who}");
+                            assert!(payload.get("mpts").and_then(Json::as_f64).unwrap() > 0.0);
+                            assert!(payload.get("cycles").and_then(Json::as_u64).is_some());
+                        }
+                        "CompileError" | "Inexpressible" => {
+                            assert!(payload.as_str().is_some(), "{who}")
+                        }
+                        "RuntimeDeadlock" => assert_eq!(
+                            keys(payload),
+                            ["reason", "resources", "resource_pct"],
+                            "{who}"
+                        ),
+                        other => panic!("{who}: unknown variant `{other}`"),
+                    }
+                }
+            }
+        }
+        assert!(completed > 0, "no framework completed anywhere");
     }
 }

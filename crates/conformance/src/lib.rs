@@ -26,7 +26,7 @@
 //! - [`fuzz`] — the loop tying it together, driven by `repro fuzz`.
 //!
 //! Determinism is load-bearing: the same `--seed` produces byte-identical
-//! kernels on every host (the crate carries its own SplitMix64 [`rng`]),
+//! kernels on every host (the workspace carries its own SplitMix64 [`rng`]),
 //! and [`fuzz::FuzzSummary::digest`] lets CI prove it.
 
 #![warn(missing_docs)]
@@ -35,10 +35,14 @@ pub mod corpus;
 pub mod fuzz;
 pub mod generator;
 pub mod harness;
-pub mod rng;
 pub mod shrink;
 
 pub use fuzz::{rotated_scale, run_fuzz, FuzzOptions, FuzzSummary};
 pub use generator::{generate, GenOptions};
 pub use harness::{check_kernel, clamp_scale, CheckOptions, Engine, Failure, Fault, ScaleConfig};
 pub use shrink::shrink;
+
+/// The workspace's SplitMix64 generator, which lives in `shmls-ir` so every
+/// crate's seeded sweeps can use it; this path is the one the fuzzer's
+/// callers import.
+pub use shmls_ir::rng;

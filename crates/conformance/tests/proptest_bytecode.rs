@@ -7,8 +7,10 @@
 //! dataflow results bitwise-identical to the sequential Kahn engine,
 //! which still tree-walks every stage body.
 //!
-//! The deterministic sweep runs everywhere; the proptest property widens
-//! the seed space in CI. The fault-injection test closes the loop: a
+//! The fixed sweep pins one rotation; the seeded property sweeps
+//! ([`shmls_ir::rng::sweep`], reproducible from the `(seed, case)` pair a
+//! failure prints) widen the seed space. The fault-injection test closes
+//! the loop: a
 //! single flipped opcode in a compiled plan must be caught by the same
 //! differential that the sweep relies on, proving the harness can see
 //! miscompiles at all.
@@ -22,10 +24,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
 use shmls_conformance::generator::generate;
 use shmls_conformance::harness::make_data;
-use shmls_conformance::rng::Rng;
+use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::GenOptions;
 use shmls_ir::bytecode::{ApplyMode, BinOp, Instr, UnOp, LANES};
 use shmls_ir::interp::iter_box;
@@ -255,28 +256,40 @@ fn mutate_one_opcode(compiled: &mut CompiledKernel) -> bool {
     false
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Root seed of the property sweeps below.
+const SEED: u64 = 0xb7c_0001;
 
-    #[test]
-    fn bytecode_matches_tree_walker(
-        (seed, case, data_seed) in (any::<u64>(), 0u64..256, 1u64..1_000_000)
-    ) {
+#[test]
+fn bytecode_matches_tree_walker() {
+    // `(seed, case, data_seed) in (any u64, 0..256, 1..1_000_000)`
+    let gen = |r: &mut Rng| {
+        (
+            r.next_u64(),
+            r.range(0, 255) as u64,
+            r.range(1, 999_999) as u64,
+        )
+    };
+    sweep(SEED, 32, gen, |&(seed, case, data_seed)| {
         check_bytecode_bitwise(seed, case, data_seed);
-    }
+    });
+}
 
-    /// Interior/halo split property: for a random inner extent straddling
-    /// the chunk grid and a random thread count, the chunked executor's
-    /// full-chunk interior + per-point tail must partition the row with
-    /// no gap, no overlap, and no arithmetic difference — checked by
-    /// bitwise comparison against the tree-walker at every point.
-    #[test]
-    fn interior_halo_split_is_exact(
-        (extra, threads, data_seed) in (0i64..(2 * LANES as i64 + 2), 1usize..5, 1u64..1_000)
-    ) {
+/// Interior/halo split property: for a random inner extent straddling
+/// the chunk grid and a random thread count, the chunked executor's
+/// full-chunk interior + per-point tail must partition the row with
+/// no gap, no overlap, and no arithmetic difference — checked by
+/// bitwise comparison against the tree-walker at every point.
+#[test]
+fn interior_halo_split_is_exact() {
+    // `(extra, threads, data_seed) in (0..2·LANES+2, 1..5, 1..1_000)`
+    let gen = |r: &mut Rng| {
+        let extra = r.range_i64(0, 2 * LANES as i64 + 1);
+        (extra, r.range(1, 4), r.range(1, 999) as u64)
+    };
+    sweep(SEED, 32, gen, |&(extra, threads, data_seed)| {
         let n = LANES as i64 - 1 + extra;
-        let kernel = shmls_frontend::parse_kernel(&shmls_kernels::laplace::source_1d(n))
-            .expect("parse");
+        let kernel =
+            shmls_frontend::parse_kernel(&shmls_kernels::laplace::source_1d(n)).expect("parse");
         let compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
         let data = make_data(&kernel, data_seed);
         let oracle = run_stencil(&compiled, &data).expect("oracle");
@@ -288,12 +301,12 @@ proptest! {
             for p in iter_box(&lb, &kernel.grid) {
                 let e = expect.load(&p).unwrap();
                 let g = out.load(&p).unwrap();
-                prop_assert_eq!(
-                    e.to_bits(), g.to_bits(),
-                    "n={} threads={} `{}` at {:?}: {:e} vs {:e}",
-                    n, threads, name, p, e, g
+                assert_eq!(
+                    e.to_bits(),
+                    g.to_bits(),
+                    "n={n} threads={threads} `{name}` at {p:?}: {e:e} vs {g:e}"
                 );
             }
         }
-    }
+    });
 }

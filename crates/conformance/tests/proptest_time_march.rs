@@ -11,17 +11,17 @@
 //! defaults to and on the stream executor (the only thing that runs the
 //! deep slab designs' seam stages), and the two must agree bitwise too.
 //!
-//! The deterministic sweep below covers a full rotation of the
-//! configuration space and runs everywhere; the proptest property widens
-//! the seed space in CI. Any regression found here should be pinned as a
+//! The fixed sweep below covers a full rotation of the configuration
+//! space; the seeded property sweep ([`shmls_ir::rng::sweep`],
+//! reproducible from the `(seed, case)` pair a failure prints) widens
+//! the seed space. Any regression found here should be pinned as a
 //! `pinned_*` test with its exact (seed, case, cus, steps, depth, data
 //! seed).
 
-use proptest::prelude::*;
 use shmls_conformance::fuzz::rotated_scale;
 use shmls_conformance::generator::generate;
 use shmls_conformance::harness::{clamp_scale, make_data, ulp_distance};
-use shmls_conformance::rng::Rng;
+use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::{GenOptions, ScaleConfig};
 use stencil_hmls::engine::{Engine, Stream, VECTOR};
 use stencil_hmls::runner::run_hls;
@@ -134,8 +134,7 @@ fn check_march_of(kernel: &shmls_frontend::KernelDef, cfg: ScaleConfig, data_see
 /// Deterministic sweep: one full rotation of `(cus, steps, depth)` over
 /// distinct generated kernels and data seeds — the same rotation the
 /// fuzzer's scale dimension walks, including remainder rounds
-/// (steps 5, depth 2|4) and depth > steps (steps 1|2, depth 4). This is
-/// the part of the property that runs even without a proptest runner.
+/// (steps 5, depth 2|4) and depth > steps (steps 1|2, depth 4).
 #[test]
 fn slab_march_matches_monolithic_sweep() {
     for case in 0u64..24 {
@@ -254,19 +253,20 @@ fn pinned_degenerate_grids_at_depth() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn slab_march_matches_monolithic(
-        (seed, case, (cus, steps_pick, depth_pick), data_seed) in
-            (any::<u64>(), 0u64..256, (1usize..=3, 0usize..4, 0usize..3), 1u64..1_000_000)
-    ) {
+#[test]
+fn slab_march_matches_monolithic() {
+    // `(seed, case, (cus, steps, depth), data_seed) in (any u64, 0..256,
+    // (1..=3, one of 1|2|4|5, one of 1|2|4), 1..1_000_000)`
+    let gen = |r: &mut Rng| {
+        let (seed, case) = (r.next_u64(), r.range(0, 255) as u64);
         let cfg = ScaleConfig {
-            cus,
-            steps: [1, 2, 4, 5][steps_pick],
-            depth: [1, 2, 4][depth_pick],
+            cus: r.range(1, 3),
+            steps: *r.pick(&[1, 2, 4, 5]),
+            depth: *r.pick(&[1, 2, 4]),
         };
+        (seed, case, cfg, r.range(1, 999_999) as u64)
+    };
+    sweep(0x7a3_0001, 24, gen, |&(seed, case, cfg, data_seed)| {
         check_slab_march(seed, case, cfg, data_seed);
-    }
+    });
 }

@@ -20,9 +20,9 @@
 //!    `redundant_compiles` must be 0).
 //! 2. **Prune** with the analytic models, cheapest test first: the
 //!    32-port shell budget (`cus × ports_per_cu ≤ max_axi_ports`), then
-//!    the resource model ([`resources`]), then Pareto dominance over
-//!    (throughput ↑, BRAM ↓, watts ↓) using the [`perf`] and [`power`]
-//!    models.
+//!    the resource model ([`shmls_fpga_sim::resources`]), then Pareto
+//!    dominance over (throughput ↑, BRAM ↓, watts ↓) using the
+//!    [`shmls_fpga_sim::perf`] and [`power`] models.
 //! 3. **Simulate** only the Pareto frontier, in parallel. Candidates that
 //!    differ only in axes the simulator cannot see (CU count, split,
 //!    bundling) share one raw simulation per (design, FIFO depth) pair;
@@ -34,7 +34,6 @@
 //! three modelled utilisations) and its margin over the next-ranked
 //! candidate, so `repro tune` reads as a decision, not a dump.
 
-use serde::Serialize;
 use shmls_fpga_sim::design::{DesignDescriptor, Stage};
 use shmls_fpga_sim::device::{CostTable, Device, PowerCoefficients};
 use shmls_fpga_sim::perf::{hmls_estimate, STAGE_FILL_CYCLES};
@@ -43,6 +42,7 @@ use shmls_fpga_sim::resources::{bram_blocks, ResourceUsage};
 use shmls_frontend::KernelDef;
 use shmls_ir::error::IrResult;
 use shmls_ir::ir_error;
+use shmls_ir::json::Json;
 
 use crate::cache::CompileCache;
 use crate::driver::{CompileOptions, TargetPath};
@@ -50,7 +50,7 @@ use crate::dse;
 use crate::scale;
 
 /// How the axis-0 domain is partitioned across compute units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitStrategy {
     /// [`scale::partition`]'s balanced split: heights differ by at most
     /// one row, remainder rows on the *leading* CUs.
@@ -69,10 +69,21 @@ impl SplitStrategy {
             SplitStrategy::FloorRemainderLast => "floor-last",
         }
     }
+
+    /// Encode as the variant's name.
+    pub fn to_json(&self) -> Json {
+        Json::Str(
+            match self {
+                SplitStrategy::Balanced => "Balanced",
+                SplitStrategy::FloorRemainderLast => "FloorRemainderLast",
+            }
+            .into(),
+        )
+    }
 }
 
 /// Which modelled constraint binds a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Constraint {
     /// The memory side of the load/write/merge stages is the steady-state
     /// bottleneck: more banks (or fewer beats) would make it faster.
@@ -85,7 +96,7 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// Stable string used in reports and the JSON schema.
+    /// Stable string used in reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             Constraint::HbmBandwidth => "hbm-bandwidth",
@@ -93,11 +104,23 @@ impl Constraint {
             Constraint::PortBudget => "port-budget",
         }
     }
+
+    /// Encode as the variant's name.
+    pub fn to_json(&self) -> Json {
+        Json::Str(
+            match self {
+                Constraint::HbmBandwidth => "HbmBandwidth",
+                Constraint::Bram => "Bram",
+                Constraint::PortBudget => "PortBudget",
+            }
+            .into(),
+        )
+    }
 }
 
 /// Modelled utilisation of each potentially-binding constraint, all in
 /// `[0, 1]`-ish fractions so they are comparable.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Utilisation {
     /// Memory-stage steady cycles over total steady cycles: 1.0 means the
     /// pipeline is purely bandwidth-bound.
@@ -109,6 +132,15 @@ pub struct Utilisation {
 }
 
 impl Utilisation {
+    /// Encode as a JSON object keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("hbm".into(), self.hbm.into()),
+            ("bram".into(), self.bram.into()),
+            ("ports".into(), self.ports.into()),
+        ])
+    }
+
     /// The constraint with the maximum modelled utilisation (ties resolve
     /// in `hbm`, `bram`, `ports` order, deterministically).
     pub fn binding(&self) -> Constraint {
@@ -168,7 +200,7 @@ impl TuneOptions {
 }
 
 /// One Pareto-frontier candidate, fully costed and cycle-simulated.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TunedCandidate {
     /// Compute units.
     pub cus: u32,
@@ -204,8 +236,31 @@ pub struct TunedCandidate {
     pub margin_pct: f64,
 }
 
+impl TunedCandidate {
+    /// Encode as a JSON object keyed by field name.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("cus".into(), self.cus.into()),
+            ("split".into(), self.split.to_json()),
+            ("temporal_depth".into(), self.temporal_depth.into()),
+            ("fifo_depth".into(), self.fifo_depth.into()),
+            ("bundled_fields".into(), self.bundled_fields.into()),
+            ("ports_per_cu".into(), self.ports_per_cu.into()),
+            ("cycles".into(), self.cycles.into()),
+            ("mpts".into(), self.mpts.into()),
+            ("resources".into(), self.resources.to_json()),
+            ("watts".into(), self.watts.into()),
+            ("simulated_cycles".into(), self.simulated_cycles.into()),
+            ("simulated_mpts".into(), self.simulated_mpts.into()),
+            ("utilisation".into(), self.utilisation.to_json()),
+            ("binding".into(), self.binding.to_json()),
+            ("margin_pct".into(), self.margin_pct.into()),
+        ])
+    }
+}
+
 /// The autotuner's full report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TuneReport {
     /// Kernel name.
     pub kernel: String,
@@ -244,6 +299,33 @@ pub struct TuneReport {
     pub best_speedup: f64,
     /// The Pareto frontier, ranked by simulated throughput (best first).
     pub frontier: Vec<TunedCandidate>,
+}
+
+impl TuneReport {
+    /// Encode as the `repro tune --json` document.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("kernel".into(), Json::Str(self.kernel.clone())),
+            ("interior_points".into(), self.interior_points.into()),
+            ("candidates_total".into(), self.candidates_total.into()),
+            ("pruned_ports".into(), self.pruned_ports.into()),
+            ("pruned_resources".into(), self.pruned_resources.into()),
+            ("pruned_dominated".into(), self.pruned_dominated.into()),
+            ("pruned_deadlocked".into(), self.pruned_deadlocked.into()),
+            ("simulated".into(), self.simulated.into()),
+            ("unique_designs".into(), self.unique_designs.into()),
+            ("compile_misses".into(), self.compile_misses.into()),
+            ("compile_hits".into(), self.compile_hits.into()),
+            ("redundant_compiles".into(), self.redundant_compiles.into()),
+            ("default_cycles".into(), self.default_cycles.into()),
+            ("default_mpts".into(), self.default_mpts.into()),
+            ("best_speedup".into(), self.best_speedup.into()),
+            (
+                "frontier".into(),
+                Json::Arr(self.frontier.iter().map(TunedCandidate::to_json).collect()),
+            ),
+        ])
+    }
 }
 
 /// A candidate between enumeration and the frontier cut.
@@ -813,9 +895,90 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let kernel = heat3d();
-        let a = serde_json::to_string(&quick_tune(&kernel)).unwrap();
-        let b = serde_json::to_string(&quick_tune(&kernel)).unwrap();
+        let a = quick_tune(&kernel).to_json().compact();
+        let b = quick_tune(&kernel).to_json().compact();
         assert_eq!(a, b);
+    }
+
+    /// The `repro tune --json` shape: every report and candidate field
+    /// under its own name, unit enums as their variant names.
+    #[test]
+    fn report_json_has_the_documented_shape() {
+        let report = quick_tune(&heat3d());
+        let doc = Json::parse(&report.to_json().pretty()).expect("emitted JSON parses");
+        let keys = |v: &Json| -> Vec<String> {
+            let pairs = v.as_obj().expect("an object");
+            pairs.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "kernel",
+                "interior_points",
+                "candidates_total",
+                "pruned_ports",
+                "pruned_resources",
+                "pruned_dominated",
+                "pruned_deadlocked",
+                "simulated",
+                "unique_designs",
+                "compile_misses",
+                "compile_hits",
+                "redundant_compiles",
+                "default_cycles",
+                "default_mpts",
+                "best_speedup",
+                "frontier"
+            ]
+        );
+        assert_eq!(doc.get("kernel").and_then(Json::as_str), Some("heat3d"));
+        let frontier = doc.get("frontier").and_then(Json::as_arr).unwrap();
+        assert_eq!(frontier.len(), report.frontier.len());
+        assert!(!frontier.is_empty());
+        for (entry, candidate) in frontier.iter().zip(&report.frontier) {
+            assert_eq!(
+                keys(entry),
+                [
+                    "cus",
+                    "split",
+                    "temporal_depth",
+                    "fifo_depth",
+                    "bundled_fields",
+                    "ports_per_cu",
+                    "cycles",
+                    "mpts",
+                    "resources",
+                    "watts",
+                    "simulated_cycles",
+                    "simulated_mpts",
+                    "utilisation",
+                    "binding",
+                    "margin_pct"
+                ]
+            );
+            let split = entry.get("split").and_then(Json::as_str).unwrap();
+            assert!(
+                ["Balanced", "FloorRemainderLast"].contains(&split),
+                "{split}"
+            );
+            let binding = entry.get("binding").and_then(Json::as_str).unwrap();
+            assert!(
+                ["HbmBandwidth", "Bram", "PortBudget"].contains(&binding),
+                "{binding}"
+            );
+            assert_eq!(
+                keys(entry.get("utilisation").unwrap()),
+                ["hbm", "bram", "ports"]
+            );
+            assert_eq!(
+                keys(entry.get("resources").unwrap()),
+                ["luts", "ffs", "bram36", "uram", "dsps"]
+            );
+            assert_eq!(
+                entry.get("simulated_cycles").and_then(Json::as_u64),
+                Some(candidate.simulated_cycles)
+            );
+        }
     }
 
     #[test]

@@ -18,14 +18,13 @@
 //!
 //! and returns every evaluated configuration with the best one marked.
 
-use serde::Serialize;
 use shmls_fpga_sim::design::{DesignDescriptor, Stage};
 use shmls_fpga_sim::device::{CostTable, Device};
 use shmls_fpga_sim::perf::{hmls_estimate, STAGE_FILL_CYCLES};
 use shmls_fpga_sim::resources::{self, ResourceUsage};
 
 /// One evaluated bundling configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BundlingChoice {
     /// Field ports folded into the shared bundle (0 = the paper's default:
     /// every field on its own port).
@@ -46,7 +45,7 @@ pub struct BundlingChoice {
 
 /// The exploration result: all configurations plus the index of the best
 /// *feasible* one.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BundlingExploration {
     /// Every swept configuration, in increasing `bundled_fields` order.
     pub choices: Vec<BundlingChoice>,
@@ -315,7 +314,7 @@ mod tests {
 // ---------------------------------------------------------------------
 
 /// One evaluated uniform FIFO depth.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DepthChoice {
     /// FIFO depth applied to every stream.
     pub depth: usize,
@@ -329,7 +328,7 @@ pub struct DepthChoice {
 
 /// Result of the depth sweep: all choices plus the recommended depth (the
 /// smallest whose slowdown stays within `tolerance`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DepthExploration {
     /// Evaluated depths in increasing order.
     pub choices: Vec<DepthChoice>,

@@ -23,14 +23,12 @@
 //!   one result every `II` cycles.
 //! - **Write** drains one token per result stream per fire.
 
-use serde::Serialize;
-
 use crate::deadlock::{DeadlockReport, StageSnapshot, StageStatus, StreamSnapshot};
 use crate::design::{DesignDescriptor, Stage};
 use crate::device::Device;
 
 /// Result of a cycle-stepped run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Total cycles until every stage completed.
     pub cycles: u64,

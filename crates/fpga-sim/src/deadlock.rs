@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// What a stage was doing when the run was declared deadlocked.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageStatus {
     /// The stage ran to completion.
     Finished,
@@ -33,7 +31,7 @@ pub enum StageStatus {
 }
 
 /// One stage's state at deadlock time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
     /// Stage label (program order plus a role hint, e.g. `stage2:compute`).
     pub stage: String,
@@ -42,7 +40,7 @@ pub struct StageSnapshot {
 }
 
 /// One FIFO's state at deadlock time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamSnapshot {
     /// Stream handle (creation order).
     pub stream: usize,
@@ -64,7 +62,7 @@ impl StreamSnapshot {
 
 /// A full deadlock diagnosis: every stage's state and every FIFO's
 /// occupancy versus declared depth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeadlockReport {
     /// Per-stage state, program order.
     pub stages: Vec<StageSnapshot>,

@@ -7,10 +7,8 @@
 //! reproduced — see EXPERIMENTS.md for the calibration notes. Absolute
 //! agreement with physical hardware is explicitly out of scope.
 
-use serde::Serialize;
-
 /// A reconfigurable device (defaults describe the Alveo U280).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Device {
     /// Marketing name.
     pub name: String,
@@ -74,7 +72,7 @@ impl Device {
 /// Per-operator implementation cost used by the resource estimator
 /// (double-precision floating point on UltraScale+; representative
 /// figures from Vitis HLS operator library reports).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpCost {
     /// LUTs consumed.
     pub luts: u64,
@@ -85,7 +83,7 @@ pub struct OpCost {
 }
 
 /// Cost table for double-precision operators and infrastructure blocks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostTable {
     /// f64 add/sub.
     pub fadd: OpCost,
@@ -154,7 +152,7 @@ impl CostTable {
 }
 
 /// Power-model coefficients: `P = static + Σ class · coefficient`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerCoefficients {
     /// Watts per active LUT.
     pub per_lut: f64,

@@ -10,15 +10,13 @@
 //! Two implementations are provided and property-tested against each other:
 //! an analytic bound and an exact cycle-stepped arbitration simulation.
 
-use serde::Serialize;
-
 use crate::design::DesignDescriptor;
 use crate::device::Device;
 use shmls_ir::error::IrResult;
 use shmls_ir::ir_ensure;
 
 /// One AXI port's bank assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortAssignment {
     /// Compute-unit instance (1-based, like Vitis `kernel_1`).
     pub cu: u32,
@@ -29,7 +27,7 @@ pub struct PortAssignment {
 }
 
 /// A full connectivity map for a replicated deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connectivity {
     /// Kernel name.
     pub kernel: String,

@@ -16,8 +16,6 @@
 //! functional simulator's stream statistics on small grids (integration
 //! tests), and the absolute scale is set by the device clock.
 
-use serde::Serialize;
-
 use crate::design::{DesignDescriptor, Stage};
 use crate::device::Device;
 
@@ -26,7 +24,7 @@ use crate::device::Device;
 pub const STAGE_FILL_CYCLES: u64 = 64;
 
 /// A performance estimate.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfEstimate {
     /// Total kernel cycles (per compute unit, all CUs run concurrently).
     pub cycles: u64,
@@ -109,7 +107,7 @@ pub fn hmls_estimate(design: &DesignDescriptor, device: &Device, cus: u32) -> Pe
 
 /// Aggregate estimate for a set of compute units executing concurrently
 /// over a domain decomposition (possibly with unequal slab heights).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleEstimate {
     /// Modelled cycles per compute unit, in CU order.
     pub per_cu_cycles: Vec<u64>,
@@ -165,7 +163,7 @@ fn stage_name(stage: &Stage, index: usize) -> String {
 
 /// A generic single-pipeline (or fused-dataflow) execution model used for
 /// the comparator frameworks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineModel {
     /// Total problem points.
     pub points: u64,

@@ -14,13 +14,11 @@
 //! more* power yet consumes far less energy — the paper's headline
 //! energy-efficiency result.
 
-use serde::Serialize;
-
 use crate::device::{Device, PowerCoefficients};
 use crate::resources::ResourceUsage;
 
 /// A power/energy estimate for one kernel execution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerEstimate {
     /// Average power draw in watts.
     pub watts: f64,

@@ -7,7 +7,7 @@
 //! charges infrastructure per AXI port, per stream and per stage. The
 //! per-operator cost table lives in [`crate::device::CostTable`].
 
-use serde::Serialize;
+use shmls_ir::json::Json;
 
 use crate::design::{DesignDescriptor, Stage};
 use crate::device::{CostTable, Device};
@@ -25,7 +25,7 @@ pub const LUTRAM_THRESHOLD_BYTES: u64 = 1024;
 pub const URAM_THRESHOLD_BYTES: u64 = 512 * 1024;
 
 /// Absolute resource usage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceUsage {
     /// LUTs.
     pub luts: u64,
@@ -40,6 +40,17 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
+    /// Encode as a JSON object, one key per resource class.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("luts".into(), self.luts.into()),
+            ("ffs".into(), self.ffs.into()),
+            ("bram36".into(), self.bram36.into()),
+            ("uram".into(), self.uram.into()),
+            ("dsps".into(), self.dsps.into()),
+        ])
+    }
+
     /// Element-wise sum.
     pub fn add(&mut self, other: ResourceUsage) {
         self.luts += other.luts;

@@ -9,11 +9,10 @@
 //! "did not complete their execution under 10 minutes, a likely indicator
 //! of deadlock" — as a first-class outcome rather than a hang.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender};
-use parking_lot::Mutex;
 use shmls_dialects::hls;
 use shmls_ir::error::{IrError, IrResult};
 use shmls_ir::interp::{ExternOps, Machine, RtValue, Store};
@@ -42,45 +41,71 @@ pub enum ThreadedOutcome {
     },
 }
 
-/// One bounded channel plus its declared depth (for occupancy reporting).
+/// One bounded FIFO: a queue that never holds more than `depth` values,
+/// with one condition per direction a stage can block in.
 struct Channel {
-    tx: Sender<RtValue>,
-    rx: Receiver<RtValue>,
+    queue: Mutex<VecDeque<RtValue>>,
+    not_empty: Condvar,
+    not_full: Condvar,
     depth: usize,
+}
+
+/// Lock a mutex whose data every critical section here leaves valid (a
+/// whole push, a whole pop), so a stage that panicked while holding it
+/// must not take the other stages down with a second panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Channel {
+    /// Block on `condition` until `ready(queue)` holds, for at most
+    /// `watchdog` in total; `None` means the watchdog expired first.
+    fn wait_until<'a>(
+        &'a self,
+        condition: &Condvar,
+        watchdog: Duration,
+        ready: impl Fn(&VecDeque<RtValue>) -> bool,
+    ) -> Option<MutexGuard<'a, VecDeque<RtValue>>> {
+        let mut queue = lock(&self.queue);
+        let mut deadline = None;
+        while !ready(&queue) {
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
+            let left = deadline.checked_duration_since(Instant::now())?;
+            queue = condition
+                .wait_timeout(queue, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        Some(queue)
+    }
 }
 
 /// A channel-backed stream table shared by all stage threads.
 struct ChannelTable {
-    channels: Mutex<Vec<Channel>>,
+    channels: Mutex<Vec<Arc<Channel>>>,
     watchdog: Duration,
 }
 
 impl ChannelTable {
     fn create(&self, depth: usize) -> usize {
-        let mut guard = self.channels.lock();
-        let depth = depth.max(1);
-        let (tx, rx) = bounded(depth);
-        guard.push(Channel { tx, rx, depth });
+        let mut guard = lock(&self.channels);
+        guard.push(Arc::new(Channel {
+            queue: Mutex::new(VecDeque::new()),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            depth: depth.max(1),
+        }));
         guard.len() - 1
-    }
-
-    fn endpoints(&self, handle: usize) -> IrResult<(Sender<RtValue>, Receiver<RtValue>)> {
-        self.channels
-            .lock()
-            .get(handle)
-            .map(|c| (c.tx.clone(), c.rx.clone()))
-            .ok_or_else(|| ir_error!("invalid stream handle {handle}"))
     }
 
     /// Occupancy vs. declared depth for every FIFO, creation order.
     fn snapshot(&self) -> Vec<StreamSnapshot> {
-        self.channels
-            .lock()
+        lock(&self.channels)
             .iter()
             .enumerate()
             .map(|(i, c)| StreamSnapshot {
                 stream: i,
-                occupancy: c.rx.len(),
+                occupancy: lock(&c.queue).len(),
                 depth: c.depth,
                 full_stall_cycles: None,
             })
@@ -93,36 +118,62 @@ impl ChannelTable {
 /// name the stream the owning stage was stuck on.
 struct ChannelIo {
     table: Arc<ChannelTable>,
+    /// The table's channels as last seen. The table only ever grows, so
+    /// a handle found here is current and the shared table is locked
+    /// only for a handle this stage has not met yet.
+    known: Vec<Arc<Channel>>,
     last_stall: Option<StageStatus>,
+}
+
+impl ChannelIo {
+    fn new(table: Arc<ChannelTable>) -> ChannelIo {
+        ChannelIo {
+            table,
+            known: Vec::new(),
+            last_stall: None,
+        }
+    }
+
+    fn channel(&mut self, handle: usize) -> IrResult<&Channel> {
+        if handle >= self.known.len() {
+            self.known = lock(&self.table.channels).clone();
+        }
+        match self.known.get(handle) {
+            Some(channel) => Ok(channel),
+            None => Err(ir_error!("invalid stream handle {handle}")),
+        }
+    }
 }
 
 impl StreamIo for ChannelIo {
     fn pop(&mut self, handle: usize) -> IrResult<RtValue> {
-        let (_, rx) = self.table.endpoints(handle)?;
-        match rx.recv_timeout(self.table.watchdog) {
-            Ok(v) => Ok(v),
-            Err(RecvTimeoutError::Timeout) => {
-                self.last_stall = Some(StageStatus::BlockedOnPop { stream: handle });
-                Err(stall_error("read", handle))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(ir_error!("stream {handle} closed with reader pending"))
-            }
+        let watchdog = self.table.watchdog;
+        let channel = self.channel(handle)?;
+        if let Some(mut queue) = channel.wait_until(&channel.not_empty, watchdog, |q| !q.is_empty())
+        {
+            let value = queue.pop_front().expect("waited for a non-empty queue");
+            drop(queue);
+            channel.not_full.notify_one();
+            return Ok(value);
         }
+        self.last_stall = Some(StageStatus::BlockedOnPop { stream: handle });
+        Err(stall_error("read", handle))
     }
 
     fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()> {
-        let (tx, _) = self.table.endpoints(handle)?;
-        match tx.send_timeout(value, self.table.watchdog) {
-            Ok(()) => Ok(()),
-            Err(SendTimeoutError::Timeout(_)) => {
-                self.last_stall = Some(StageStatus::BlockedOnPush { stream: handle });
-                Err(stall_error("write", handle))
-            }
-            Err(SendTimeoutError::Disconnected(_)) => {
-                Err(ir_error!("stream {handle} closed with writer pending"))
-            }
+        let watchdog = self.table.watchdog;
+        let channel = self.channel(handle)?;
+        let depth = channel.depth;
+        if let Some(mut queue) =
+            channel.wait_until(&channel.not_full, watchdog, |q| q.len() < depth)
+        {
+            queue.push_back(value);
+            drop(queue);
+            channel.not_empty.notify_one();
+            return Ok(());
         }
+        self.last_stall = Some(StageStatus::BlockedOnPush { stream: handle });
+        Err(stall_error("write", handle))
     }
 }
 
@@ -204,10 +255,7 @@ pub fn execute_threaded(
 
     // ---- init phase: run everything except dataflow regions -------------
     let mut init_extern = ChannelExtern {
-        io: ChannelIo {
-            table: Arc::clone(&table),
-            last_stall: None,
-        },
+        io: ChannelIo::new(Arc::clone(&table)),
         mem_beats: 0,
     };
     let mut machine = Machine::new(ctx, module, &mut init_extern);
@@ -270,10 +318,7 @@ pub fn execute_threaded(
             let table = Arc::clone(&table);
             handles.push(scope.spawn(move || -> StageResult {
                 let mut ext = ChannelExtern {
-                    io: ChannelIo {
-                        table,
-                        last_stall: None,
-                    },
+                    io: ChannelIo::new(table),
                     mem_beats: 0,
                 };
                 let (run, store, beats) = if let Some(plan) = plan {
@@ -400,6 +445,43 @@ mod tests {
             let _ = hls::read(&mut ib, s);
             scf::yield_op(&mut ib, vec![]);
         })
+    }
+
+    /// The transport alone, two threads: values leave in the order they
+    /// entered, and the queue never holds more than its declared depth —
+    /// the consumer starts only once the producer has filled it.
+    #[test]
+    fn channel_is_fifo_and_never_exceeds_its_depth() {
+        const DEPTH: usize = 3;
+        const VALUES: i64 = 2000;
+        let table = Arc::new(ChannelTable {
+            channels: Mutex::new(Vec::new()),
+            watchdog: Duration::from_secs(5),
+        });
+        let stream = table.create(DEPTH);
+        let io = || ChannelIo::new(Arc::clone(&table));
+        let occupancy = || table.snapshot()[stream].occupancy;
+        let filled = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut producer = io();
+                for v in 0..VALUES {
+                    producer.push(stream, RtValue::I64(v)).unwrap();
+                    assert!(occupancy() <= DEPTH);
+                    if v + 1 == DEPTH as i64 {
+                        filled.wait();
+                    }
+                }
+            });
+            let mut consumer = io();
+            filled.wait();
+            assert_eq!(occupancy(), DEPTH, "the producer blocks on a full FIFO");
+            for v in 0..VALUES {
+                assert_eq!(consumer.pop(stream).unwrap(), RtValue::I64(v));
+                assert!(occupancy() <= DEPTH);
+            }
+        });
+        assert_eq!(occupancy(), 0);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Property tests for the FIFO stream model and the streaming shift
-//! buffer.
+//! buffer, as seeded sweeps ([`shmls_ir::rng::sweep`]): a failure prints
+//! the `(seed, case)` pair that reproduces it.
 
-use proptest::prelude::*;
 use shmls_dialects::window::{offset_to_window_pos, window_offsets};
 use shmls_fpga_sim::stream::{Fifo, StreamTable};
 use shmls_ir::interp::RtValue;
+use shmls_ir::rng::{sweep, Rng};
+
+/// Root seed of every sweep in this file.
+const SEED: u64 = 0xf1f0_0001;
 
 /// One random FIFO operation.
 #[derive(Debug, Clone, Copy)]
@@ -13,28 +17,30 @@ enum FifoOp {
     Pop,
 }
 
-fn arb_ops() -> impl Strategy<Value = Vec<FifoOp>> {
-    prop::collection::vec(
-        prop_oneof![any::<i64>().prop_map(FifoOp::Push), Just(FifoOp::Pop)],
-        0..200,
-    )
+/// Up to 199 operations, pushes and pops equally likely.
+fn gen_ops(rng: &mut Rng) -> Vec<FifoOp> {
+    rng.vec(0, 199, |r| {
+        if r.chance(1, 2) {
+            FifoOp::Push(r.next_u64() as i64)
+        } else {
+            FifoOp::Pop
+        }
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// An unbounded FIFO behaves exactly like a VecDeque (order, length,
-    /// and statistics).
-    #[test]
-    fn unbounded_fifo_matches_model(ops in arb_ops()) {
+/// An unbounded FIFO behaves exactly like a VecDeque (order, length,
+/// and statistics).
+#[test]
+fn unbounded_fifo_matches_model() {
+    sweep(SEED, 256, gen_ops, |ops| {
         let mut fifo = Fifo::new(4, false);
         let mut model = std::collections::VecDeque::new();
         let mut pushed = 0u64;
         let mut high_water = 0usize;
-        for op in ops {
+        for &op in ops {
             match op {
                 FifoOp::Push(v) => {
-                    prop_assert!(fifo.push(RtValue::I64(v)));
+                    assert!(fifo.push(RtValue::I64(v)));
                     model.push_back(v);
                     pushed += 1;
                     high_water = high_water.max(model.len());
@@ -42,27 +48,31 @@ proptest! {
                 FifoOp::Pop => {
                     let got = fifo.pop();
                     let want = model.pop_front().map(RtValue::I64);
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(fifo.len(), model.len());
-            prop_assert_eq!(fifo.is_empty(), model.is_empty());
+            assert_eq!(fifo.len(), model.len());
+            assert_eq!(fifo.is_empty(), model.is_empty());
         }
-        prop_assert_eq!(fifo.total_pushed, pushed);
-        prop_assert_eq!(fifo.max_occupancy, high_water);
-    }
+        assert_eq!(fifo.total_pushed, pushed);
+        assert_eq!(fifo.max_occupancy, high_water);
+    });
+}
 
-    /// A bounded FIFO never exceeds its depth, rejects pushes exactly when
-    /// full, and preserves order among accepted elements.
-    #[test]
-    fn bounded_fifo_respects_depth(depth in 1usize..8, ops in arb_ops()) {
+/// A bounded FIFO never exceeds its depth, rejects pushes exactly when
+/// full, and preserves order among accepted elements.
+#[test]
+fn bounded_fifo_respects_depth() {
+    let gen = |rng: &mut Rng| (rng.range(1, 7), gen_ops(rng));
+    sweep(SEED, 256, gen, |(depth, ops)| {
+        let depth = *depth;
         let mut fifo = Fifo::new(depth, true);
         let mut model = std::collections::VecDeque::new();
-        for op in ops {
+        for &op in ops {
             match op {
                 FifoOp::Push(v) => {
                     let accepted = fifo.push(RtValue::I64(v));
-                    prop_assert_eq!(accepted, model.len() < depth);
+                    assert_eq!(accepted, model.len() < depth);
                     if accepted {
                         model.push_back(v);
                     }
@@ -70,25 +80,32 @@ proptest! {
                 FifoOp::Pop => {
                     let got = fifo.pop();
                     let want = model.pop_front().map(RtValue::I64);
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
-            prop_assert!(fifo.len() <= depth);
-            prop_assert_eq!(fifo.is_full(), model.len() == depth);
+            assert!(fifo.len() <= depth);
+            assert_eq!(fifo.is_full(), model.len() == depth);
         }
-    }
+    });
+}
 
-    /// Stream tables allocate distinct handles and aggregate statistics.
-    #[test]
-    fn table_handles_are_distinct(n in 1usize..20) {
-        let mut t = StreamTable::new();
-        let handles: Vec<usize> = (0..n).map(|i| t.create(i + 1)).collect();
-        let mut sorted = handles.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), n);
-        prop_assert_eq!(t.len(), n);
-    }
+/// Stream tables allocate distinct handles and aggregate statistics.
+#[test]
+fn table_handles_are_distinct() {
+    sweep(
+        SEED,
+        256,
+        |rng| rng.range(1, 19),
+        |&n| {
+            let mut t = StreamTable::new();
+            let handles: Vec<usize> = (0..n).map(|i| t.create(i + 1)).collect();
+            let mut sorted = handles.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), n);
+            assert_eq!(t.len(), n);
+        },
+    );
 }
 
 // ---- streaming shift buffer vs direct window gather --------------------
@@ -163,84 +180,68 @@ fn check_shift_buffer(extents: Vec<i64>, halo: i64, values: Vec<f64>) {
     assert_eq!(got, expected);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The gather property on one drawn shape: interior extents `n` (each
+/// already in its range), a halo, and the seed of the field's values.
+fn check_gather(&(ref interior, halo, seed): &(Vec<i64>, i64, u64)) {
+    let extents: Vec<i64> = interior.iter().map(|n| n + 2 * halo).collect();
+    let total: i64 = extents.iter().product();
+    let values: Vec<f64> = (0..total)
+        .map(|i| ((seed.wrapping_add(i as u64)).wrapping_mul(2654435761) % 1000) as f64)
+        .collect();
+    check_shift_buffer(extents, halo, values);
+}
 
-    #[test]
-    fn shift_buffer_equals_direct_gather_1d(
-        n in 1i64..20,
-        halo in 1i64..3,
-        seed in any::<u64>(),
-    ) {
-        let extents = vec![n + 2 * halo];
-        let total: i64 = extents.iter().product();
-        let values: Vec<f64> = (0..total)
-            .map(|i| ((seed.wrapping_add(i as u64)).wrapping_mul(2654435761) % 1000) as f64)
-            .collect();
-        check_shift_buffer(extents, halo, values);
-    }
+#[test]
+fn shift_buffer_equals_direct_gather_1d() {
+    let gen = |r: &mut Rng| (vec![r.range_i64(1, 19)], r.range_i64(1, 2), r.next_u64());
+    sweep(SEED, 48, gen, check_gather);
+}
 
-    #[test]
-    fn shift_buffer_equals_direct_gather_2d(
-        nx in 1i64..10,
-        ny in 1i64..10,
-        halo in 1i64..3,
-        seed in any::<u64>(),
-    ) {
-        let extents = vec![nx + 2 * halo, ny + 2 * halo];
-        let total: i64 = extents.iter().product();
-        let values: Vec<f64> = (0..total)
-            .map(|i| ((seed.wrapping_add(i as u64)).wrapping_mul(2654435761) % 1000) as f64)
-            .collect();
-        check_shift_buffer(extents, halo, values);
-    }
+#[test]
+fn shift_buffer_equals_direct_gather_2d() {
+    let gen = |r: &mut Rng| {
+        let interior = vec![r.range_i64(1, 9), r.range_i64(1, 9)];
+        (interior, r.range_i64(1, 2), r.next_u64())
+    };
+    sweep(SEED, 48, gen, check_gather);
+}
 
-    #[test]
-    fn shift_buffer_equals_direct_gather_3d(
-        nx in 1i64..6,
-        ny in 1i64..6,
-        nz in 1i64..6,
-        seed in any::<u64>(),
-    ) {
-        let halo = 1i64;
-        let extents = vec![nx + 2, ny + 2, nz + 2];
-        let total: i64 = extents.iter().product();
-        let values: Vec<f64> = (0..total)
-            .map(|i| ((seed.wrapping_add(i as u64)).wrapping_mul(2654435761) % 1000) as f64)
-            .collect();
-        check_shift_buffer(extents, halo, values);
-    }
+#[test]
+fn shift_buffer_equals_direct_gather_3d() {
+    let gen = |r: &mut Rng| {
+        let interior = vec![r.range_i64(1, 5), r.range_i64(1, 5), r.range_i64(1, 5)];
+        (interior, 1, r.next_u64())
+    };
+    sweep(SEED, 48, gen, check_gather);
 }
 
 // ---- HBM arbitration: analytic bound vs exact simulation ----------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn arbitration_analytic_matches_stepped(
-        demands in prop::collection::vec((0u32..4, 1u64..300), 1..8),
-        rate_milli in 100u32..1500,
-    ) {
-        use shmls_fpga_sim::memory::{
-            contention_cycles_analytic, simulate_arbitration, Traffic,
-        };
-        let rate = rate_milli as f64 / 1000.0;
-        let traffic: Vec<Traffic> =
-            demands.iter().map(|&(bank, beats)| Traffic { bank, beats }).collect();
-        let analytic = contention_cycles_analytic(&traffic, rate);
-        let (stepped, done) = simulate_arbitration(&traffic, rate);
+#[test]
+fn arbitration_analytic_matches_stepped() {
+    use shmls_fpga_sim::memory::{contention_cycles_analytic, simulate_arbitration, Traffic};
+    // `demands in vec((bank 0..4, beats 1..300), 1..8), rate_milli in 100..1500`
+    let gen = |rng: &mut Rng| {
+        let traffic = rng.vec(1, 7, |r| Traffic {
+            bank: r.range(0, 3) as u32,
+            beats: r.range(1, 299) as u64,
+        });
+        (traffic, rng.range(100, 1499) as f64 / 1000.0)
+    };
+    sweep(SEED, 128, gen, |(traffic, rate)| {
+        let rate = *rate;
+        let analytic = contention_cycles_analytic(traffic, rate);
+        let (stepped, done) = simulate_arbitration(traffic, rate);
         // Exact arbitration can round up by at most one cycle per bank's
         // fractional credit; with integer beats the gap stays ≤ 1.
-        prop_assert!(stepped >= analytic, "{stepped} < {analytic}");
-        prop_assert!(stepped <= analytic + 1, "{stepped} > {analytic}+1");
+        assert!(stepped >= analytic, "{stepped} < {analytic}");
+        assert!(stepped <= analytic + 1, "{stepped} > {analytic}+1");
         // Every port finishes by the end, none after it.
-        prop_assert_eq!(done.iter().copied().max().unwrap(), stepped);
+        assert_eq!(done.iter().copied().max().unwrap(), stepped);
         // Conservation: total service time ≥ total beats / rate.
         let total: u64 = traffic.iter().map(|t| t.beats).sum();
-        let banks: std::collections::BTreeSet<u32> =
-            traffic.iter().map(|t| t.bank).collect();
+        let banks: std::collections::BTreeSet<u32> = traffic.iter().map(|t| t.bank).collect();
         let lower = (total as f64 / (rate * banks.len() as f64)).floor() as u64;
-        prop_assert!(stepped >= lower);
-    }
+        assert!(stepped >= lower);
+    });
 }

@@ -1,119 +1,121 @@
 //! Property test: the DSL printer/parser round-trip on randomly generated
 //! kernels — `parse(print(k))` is `k` up to literal-sign normalisation
-//! (the parser represents `-3.0` as `Neg(Num(3.0))`).
+//! (the parser represents `-3.0` as `Neg(Num(3.0))`). The property is a
+//! seeded sweep ([`shmls_ir::rng::sweep`]): a failure prints the
+//! `(seed, case)` pair that reproduces it.
 
-use proptest::prelude::*;
 use shmls_frontend::ast::build;
 use shmls_frontend::{
     kernel_to_source, parse_kernel, ComputeDef, ConstDecl, Expr, FieldDecl, FieldKind, Intrinsic,
     KernelDef, ParamDecl,
 };
+use shmls_ir::rng::{sweep, Rng};
 
-fn arb_expr(
+/// What an expression of one kernel may name.
+#[derive(Clone, Copy)]
+struct Scope {
     n_inputs: usize,
     rank: usize,
     has_param: bool,
     has_const: bool,
-) -> impl Strategy<Value = Expr> {
-    let leaf = {
-        let mut options: Vec<BoxedStrategy<Expr>> = vec![
-            (0i32..120).prop_map(|v| build::num(v as f64 / 4.0)).boxed(),
-            (0..n_inputs, 0..rank, -1i64..2)
-                .prop_map(move |(f, axis, off)| {
-                    let mut offsets = vec![0i64; rank];
-                    offsets[axis] = off;
-                    build::field(&format!("in{f}"), &offsets)
-                })
-                .boxed(),
-        ];
-        if has_param {
-            options.push((-1i64..2).prop_map(|o| build::param("coef", o)).boxed());
+}
+
+fn gen_leaf(rng: &mut Rng, scope: Scope) -> Expr {
+    let options = 2 + scope.has_param as usize + scope.has_const as usize;
+    match rng.range(0, options - 1) {
+        0 => build::num(rng.range_i64(0, 119) as f64 / 4.0),
+        1 => {
+            let field = rng.range(0, scope.n_inputs - 1);
+            let mut offsets = vec![0i64; scope.rank];
+            offsets[rng.range(0, scope.rank - 1)] = rng.range_i64(-1, 1);
+            build::field(&format!("in{field}"), &offsets)
         }
-        if has_const {
-            options.push(Just(build::cst("alpha")).boxed());
-        }
-        prop::strategy::Union::new(options)
-    };
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (0u8..4, inner.clone(), inner.clone()).prop_map(|(op, l, r)| match op {
+        2 if scope.has_param => build::param("coef", rng.range_i64(-1, 1)),
+        _ => build::cst("alpha"),
+    }
+}
+
+fn gen_expr(rng: &mut Rng, scope: Scope, depth: usize) -> Expr {
+    if depth == 0 || rng.chance(1, 3) {
+        return gen_leaf(rng, scope);
+    }
+    let sub = |rng: &mut Rng| gen_expr(rng, scope, depth - 1);
+    match rng.range(0, 4) {
+        0 => {
+            let (op, l, r) = (rng.range(0, 3), sub(rng), sub(rng));
+            match op {
                 0 => build::add(l, r),
                 1 => build::sub(l, r),
                 2 => build::mul(l, r),
                 _ => build::div(l, r),
-            }),
-            inner.clone().prop_map(build::neg),
-            inner
-                .clone()
-                .prop_map(|a| build::call(Intrinsic::Abs, vec![a])),
-            inner
-                .clone()
-                .prop_map(|a| build::call(Intrinsic::Sqrt, vec![a])),
-            (0u8..3, inner.clone(), inner).prop_map(|(f, l, r)| {
-                let intr = match f {
-                    0 => Intrinsic::Min,
-                    1 => Intrinsic::Max,
-                    _ => Intrinsic::Sign,
-                };
-                build::call(intr, vec![l, r])
-            }),
-        ]
-    })
+            }
+        }
+        1 => build::neg(sub(rng)),
+        2 => build::call(Intrinsic::Abs, vec![sub(rng)]),
+        3 => build::call(Intrinsic::Sqrt, vec![sub(rng)]),
+        _ => {
+            let intr = *rng.pick(&[Intrinsic::Min, Intrinsic::Max, Intrinsic::Sign]);
+            build::call(intr, vec![sub(rng), sub(rng)])
+        }
+    }
 }
 
-fn arb_kernel() -> impl Strategy<Value = KernelDef> {
-    (1usize..4, 1usize..3, any::<bool>(), any::<bool>()).prop_flat_map(
-        |(rank, n_inputs, has_param, has_const)| {
-            (
-                prop::collection::vec(3i64..8, rank),
-                prop::collection::vec(arb_expr(n_inputs, rank, has_param, has_const), 1..4),
-            )
-                .prop_map(move |(grid, exprs)| {
-                    let mut fields: Vec<FieldDecl> = (0..n_inputs)
-                        .map(|i| FieldDecl {
-                            name: format!("in{i}"),
-                            kind: FieldKind::Input,
-                        })
-                        .collect();
-                    for (o, _) in exprs.iter().enumerate() {
-                        fields.push(FieldDecl {
-                            name: format!("out{o}"),
-                            kind: FieldKind::Output,
-                        });
-                    }
-                    let computes = exprs
-                        .iter()
-                        .enumerate()
-                        .map(|(o, e)| ComputeDef {
-                            target: format!("out{o}"),
-                            expr: e.clone(),
-                        })
-                        .collect();
-                    KernelDef {
-                        name: "roundtrip".into(),
-                        grid,
-                        halo: 1,
-                        fields,
-                        params: if has_param {
-                            vec![ParamDecl {
-                                name: "coef".into(),
-                                axis: rank - 1,
-                            }]
-                        } else {
-                            vec![]
-                        },
-                        consts: if has_const {
-                            vec![ConstDecl {
-                                name: "alpha".into(),
-                            }]
-                        } else {
-                            vec![]
-                        },
-                        computes,
-                    }
-                })
-        },
-    )
+/// A kernel that passes `validate` (the few draws that do not are
+/// redrawn, so every case of the sweep checks the property).
+fn gen_kernel(rng: &mut Rng) -> KernelDef {
+    loop {
+        let scope = Scope {
+            rank: rng.range(1, 3),
+            n_inputs: rng.range(1, 2),
+            has_param: rng.chance(1, 2),
+            has_const: rng.chance(1, 2),
+        };
+        let grid: Vec<i64> = (0..scope.rank).map(|_| rng.range_i64(3, 7)).collect();
+        let exprs = rng.vec(1, 3, |r| gen_expr(r, scope, 3));
+        let mut fields: Vec<FieldDecl> = (0..scope.n_inputs)
+            .map(|i| FieldDecl {
+                name: format!("in{i}"),
+                kind: FieldKind::Input,
+            })
+            .collect();
+        fields.extend((0..exprs.len()).map(|o| FieldDecl {
+            name: format!("out{o}"),
+            kind: FieldKind::Output,
+        }));
+        let computes = exprs
+            .into_iter()
+            .enumerate()
+            .map(|(o, expr)| ComputeDef {
+                target: format!("out{o}"),
+                expr,
+            })
+            .collect();
+        let kernel = KernelDef {
+            name: "roundtrip".into(),
+            grid,
+            halo: 1,
+            fields,
+            params: if scope.has_param {
+                vec![ParamDecl {
+                    name: "coef".into(),
+                    axis: scope.rank - 1,
+                }]
+            } else {
+                vec![]
+            },
+            consts: if scope.has_const {
+                vec![ConstDecl {
+                    name: "alpha".into(),
+                }]
+            } else {
+                vec![]
+            },
+            computes,
+        };
+        if kernel.validate().is_ok() {
+            return kernel;
+        }
+    }
 }
 
 /// `-3.0` parses as `Neg(Num(3.0))`; normalise both sides for comparison.
@@ -145,7 +147,7 @@ fn normalize_kernel(k: &KernelDef) -> KernelDef {
 }
 
 /// The round-trip property for one kernel, with panic-based assertions so
-/// it can be shared between the proptest and the pinned regressions.
+/// it can be shared between the sweep and the pinned regression.
 fn check_round_trip(kernel: &KernelDef) {
     let source = kernel_to_source(kernel);
     let reparsed =
@@ -159,18 +161,13 @@ fn check_round_trip(kernel: &KernelDef) {
     assert_eq!(kernel_to_source(&reparsed), source);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn dsl_round_trip(kernel in arb_kernel()) {
-        prop_assume!(kernel.validate().is_ok());
-        check_round_trip(&kernel);
-    }
+#[test]
+fn dsl_round_trip() {
+    sweep(0xd51_0001, 256, gen_kernel, check_round_trip);
 }
 
-/// The shrunk case from `proptest_dsl.proptest-regressions`, pinned as a
-/// deterministic test: a nested right-associated add `0.0 + (0.0 + 0.0)`
+/// A regression the property once shrank to, pinned as a deterministic
+/// test: a nested right-associated add `0.0 + (0.0 + 0.0)`
 /// must keep its parentheses through print → parse → print.
 #[test]
 fn pinned_nested_add_round_trips() {

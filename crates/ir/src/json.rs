@@ -30,6 +30,18 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Numbers enter a document as `f64`, whatever width they were counted in.
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u64, u32, usize);
+
 /// A parse error with the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {

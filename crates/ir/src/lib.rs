@@ -45,6 +45,7 @@ pub mod parser;
 pub mod pass;
 pub mod printer;
 pub mod rewrite;
+pub mod rng;
 pub mod timing;
 pub mod types;
 pub mod verifier;

@@ -1,10 +1,15 @@
-//! A tiny deterministic PRNG (SplitMix64).
+//! A tiny deterministic PRNG (SplitMix64) and the seeded property sweep
+//! built on it.
 //!
 //! The fuzzer's contract is *same seed → same kernels, on every host and
-//! every build of this crate*. Library generators do not promise
-//! cross-version stream stability, so the conformance suite carries its
-//! own: SplitMix64 is 9 lines, passes BigCrush, and its output sequence
-//! is fixed by the algorithm, not by a crate version.
+//! every build of this workspace*. Library generators do not promise
+//! cross-version stream stability, so the workspace carries its own:
+//! SplitMix64 is 9 lines, passes BigCrush, and its output sequence is
+//! fixed by the algorithm, not by a crate version. It lives in `shmls-ir`
+//! because that is the dependency root every crate's tests already share.
+
+use std::fmt::Debug;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// SplitMix64 generator state.
 #[derive(Debug, Clone)]
@@ -59,6 +64,11 @@ impl Rng {
         &items[self.range(0, items.len() - 1)]
     }
 
+    /// `lo..=hi` items, each drawn by `item`.
+    pub fn vec<T>(&mut self, lo: usize, hi: usize, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+        (0..self.range(lo, hi)).map(|_| item(self)).collect()
+    }
+
     /// Uniform float in `[lo, hi)` with ~3 decimal digits — coarse on
     /// purpose, so generated literals print compactly and round-trip
     /// exactly through the DSL printer/parser.
@@ -67,6 +77,23 @@ impl Rng {
         let t = (self.next_u64() % steps as u64) as f64 / steps;
         let raw = lo + t * (hi - lo);
         (raw * 1000.0).round() / 1000.0
+    }
+}
+
+/// A seeded property sweep: for each `case` in `0..cases`, draw a value
+/// from `gen` on the stream `Rng::new(seed).fork(case)` and run `check`
+/// on it. A failing check's panic is re-raised after printing the
+/// `(seed, case)` pair and the value's `Debug`, so that one integer pair
+/// reproduces the failure: `sweep(seed, case + 1, ..)` ends on it, and
+/// `gen(&mut Rng::new(seed).fork(case))` rebuilds the value alone.
+pub fn sweep<T: Debug>(seed: u64, cases: u64, gen: impl Fn(&mut Rng) -> T, check: impl Fn(&T)) {
+    let root = Rng::new(seed);
+    for case in 0..cases {
+        let value = gen(&mut root.fork(case));
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&value))) {
+            eprintln!("property failed at (seed {seed}, case {case}) on {value:?}");
+            resume_unwind(panic);
+        }
     }
 }
 
@@ -96,6 +123,23 @@ mod tests {
         let x = f0.next_u64();
         assert_eq!(x, f0b.next_u64());
         assert_ne!(x, f1.next_u64());
+    }
+
+    #[test]
+    fn sweep_runs_every_case_on_its_own_fork() {
+        let seen = std::cell::RefCell::new(Vec::new());
+        sweep(9, 5, Rng::next_u64, |v| seen.borrow_mut().push(*v));
+        let root = Rng::new(9);
+        let want: Vec<u64> = (0..5).map(|c| root.fork(c).next_u64()).collect();
+        assert_eq!(*seen.borrow(), want);
+    }
+
+    #[test]
+    fn sweep_re_raises_the_failing_case() {
+        let failure =
+            catch_unwind(|| sweep(1, 8, |r| r.range(0, 9), |v| assert!(*v > 9, "v = {v}")));
+        let message = failure.unwrap_err();
+        assert!(message.downcast_ref::<String>().unwrap().contains("v = "));
     }
 
     #[test]

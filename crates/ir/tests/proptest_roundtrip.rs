@@ -1,91 +1,130 @@
 //! Property tests: printer/parser round-trips on randomly generated
-//! types, attributes, and whole modules.
+//! types, attributes, and whole modules. Each property is a seeded sweep
+//! ([`shmls_ir::rng::sweep`]): a failure prints the `(seed, case)` pair
+//! that reproduces it.
 
-use proptest::prelude::*;
 use shmls_ir::prelude::*;
+use shmls_ir::rng::{sweep, Rng};
+
+/// Root seed of every sweep in this file.
+const SEED: u64 = 0x1e_0001;
 
 // ---- generators ---------------------------------------------------------
 
-fn arb_scalar_type() -> impl Strategy<Value = Type> {
-    prop_oneof![
-        Just(Type::I1),
-        Just(Type::I32),
-        Just(Type::I64),
-        Just(Type::Index),
-        Just(Type::F32),
-        Just(Type::F64),
-    ]
+fn gen_scalar_type(rng: &mut Rng) -> Type {
+    rng.pick(&[
+        Type::I1,
+        Type::I32,
+        Type::I64,
+        Type::Index,
+        Type::F32,
+        Type::F64,
+    ])
+    .clone()
 }
 
-fn arb_type() -> impl Strategy<Value = Type> {
-    let leaf = arb_scalar_type();
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            (prop::collection::vec(1i64..16, 0..3), inner.clone())
-                .prop_map(|(shape, elem)| Type::memref(shape, elem)),
-            inner.clone().prop_map(Type::llvm_ptr),
-            prop::collection::vec(inner.clone(), 0..4).prop_map(Type::LlvmStruct),
-            (1u64..64, inner.clone()).prop_map(|(n, t)| Type::llvm_array(n, t)),
-            inner.clone().prop_map(Type::hls_stream),
-            inner.clone().prop_map(Type::stencil_result),
-            (
-                prop::collection::vec((-4i64..4, 5i64..70), 1..4),
-                inner.clone()
-            )
-                .prop_map(|(bounds, elem)| {
-                    let (lb, ub): (Vec<i64>, Vec<i64>) = bounds.into_iter().unzip();
-                    Type::stencil_field(StencilBounds::new(lb, ub), elem)
-                }),
-            (
-                prop::collection::vec(inner.clone(), 0..3),
-                prop::collection::vec(inner, 0..3)
-            )
-                .prop_map(|(i, r)| Type::function(i, r)),
-        ]
-    })
-}
-
-fn arb_attribute() -> impl Strategy<Value = Attribute> {
-    let leaf = prop_oneof![
-        Just(Attribute::Unit),
-        any::<bool>().prop_map(Attribute::Bool),
-        any::<i64>().prop_map(Attribute::int),
-        (-1.0e12..1.0e12f64).prop_map(Attribute::f64),
-        "[a-z][a-z0-9_]{0,8}".prop_map(Attribute::string),
-        "[a-z][a-z0-9_]{0,8}".prop_map(Attribute::symbol),
-        prop::collection::vec(any::<i64>(), 0..5).prop_map(Attribute::IndexArray),
-        arb_scalar_type().prop_map(Attribute::TypeAttr),
-    ];
-    leaf.prop_recursive(2, 16, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..4).prop_map(Attribute::Array),
-            prop::collection::btree_map("[a-z][a-z0-9_]{0,6}", inner, 0..4)
-                .prop_map(Attribute::Dict),
-        ]
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn type_round_trip(t in arb_type()) {
-        let text = t.to_string();
-        let parsed = shmls_ir::parser::parse_type(&text)
-            .unwrap_or_else(|e| panic!("parse `{text}`: {e}"));
-        prop_assert_eq!(&parsed, &t);
-        prop_assert_eq!(parsed.to_string(), text);
+fn gen_type(rng: &mut Rng, depth: usize) -> Type {
+    if depth == 0 || rng.chance(1, 3) {
+        return gen_scalar_type(rng);
     }
-
-    #[test]
-    fn attribute_round_trip(a in arb_attribute()) {
-        let text = a.to_string();
-        let parsed = shmls_ir::parser::parse_attribute(&text)
-            .unwrap_or_else(|e| panic!("parse `{text}`: {e}"));
-        // Floats may lose no precision with {:e}; require exact equality.
-        prop_assert_eq!(&parsed, &a);
-        prop_assert_eq!(parsed.to_string(), text);
+    let d = depth - 1;
+    match rng.range(0, 7) {
+        0 => Type::memref(rng.vec(0, 2, |r| r.range_i64(1, 15)), gen_type(rng, d)),
+        1 => Type::llvm_ptr(gen_type(rng, d)),
+        2 => Type::LlvmStruct(rng.vec(0, 3, |r| gen_type(r, d))),
+        3 => Type::llvm_array(rng.range(1, 63) as u64, gen_type(rng, d)),
+        4 => Type::hls_stream(gen_type(rng, d)),
+        5 => Type::stencil_result(gen_type(rng, d)),
+        6 => {
+            let bounds = rng.vec(1, 3, |r| (r.range_i64(-4, 3), r.range_i64(5, 69)));
+            let (lb, ub): (Vec<i64>, Vec<i64>) = bounds.into_iter().unzip();
+            Type::stencil_field(StencilBounds::new(lb, ub), gen_type(rng, d))
+        }
+        _ => Type::function(
+            rng.vec(0, 2, |r| gen_type(r, d)),
+            rng.vec(0, 2, |r| gen_type(r, d)),
+        ),
     }
+}
+
+/// Any `i64`, with the values integer printers get wrong first drawn
+/// one time in eight.
+fn gen_i64(rng: &mut Rng) -> i64 {
+    if rng.chance(1, 8) {
+        *rng.pick(&[0, 1, -1, i64::MIN, i64::MAX])
+    } else {
+        rng.next_u64() as i64
+    }
+}
+
+/// Uniform in `[lo, hi)` at full 53-bit resolution, so the shortest
+/// round-trip float printing is exercised on long mantissas.
+fn gen_f64(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+    let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    lo + unit * (hi - lo)
+}
+
+/// `[a-z][a-z0-9_]{0,max_tail}`
+fn gen_ident(rng: &mut Rng, max_tail: usize) -> String {
+    const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+    let mut name = String::from(*rng.pick(&TAIL[..26]) as char);
+    name.extend(rng.vec(0, max_tail, |r| *r.pick(TAIL) as char));
+    name
+}
+
+fn gen_attribute(rng: &mut Rng, depth: usize) -> Attribute {
+    if depth > 0 && rng.chance(1, 2) {
+        let d = depth - 1;
+        return if rng.chance(1, 2) {
+            Attribute::Array(rng.vec(0, 3, |r| gen_attribute(r, d)))
+        } else {
+            let entries = rng.vec(0, 3, |r| (gen_ident(r, 6), gen_attribute(r, d)));
+            Attribute::Dict(entries.into_iter().collect())
+        };
+    }
+    match rng.range(0, 7) {
+        0 => Attribute::Unit,
+        1 => Attribute::Bool(rng.chance(1, 2)),
+        2 => Attribute::int(gen_i64(rng)),
+        3 => Attribute::f64(gen_f64(rng, -1.0e12, 1.0e12)),
+        4 => Attribute::string(gen_ident(rng, 8)),
+        5 => Attribute::symbol(gen_ident(rng, 8)),
+        6 => Attribute::IndexArray(rng.vec(0, 4, gen_i64)),
+        _ => Attribute::TypeAttr(gen_scalar_type(rng)),
+    }
+}
+
+#[test]
+fn type_round_trip() {
+    sweep(
+        SEED,
+        256,
+        |rng| gen_type(rng, 3),
+        |t| {
+            let text = t.to_string();
+            let parsed = shmls_ir::parser::parse_type(&text)
+                .unwrap_or_else(|e| panic!("parse `{text}`: {e}"));
+            assert_eq!(&parsed, t);
+            assert_eq!(parsed.to_string(), text);
+        },
+    );
+}
+
+#[test]
+fn attribute_round_trip() {
+    sweep(
+        SEED,
+        256,
+        |rng| gen_attribute(rng, 2),
+        |a| {
+            let text = a.to_string();
+            let parsed = shmls_ir::parser::parse_attribute(&text)
+                .unwrap_or_else(|e| panic!("parse `{text}`: {e}"));
+            // Floats may lose no precision with {:e}; require exact equality.
+            assert_eq!(&parsed, a);
+            assert_eq!(parsed.to_string(), text);
+        },
+    );
 }
 
 // ---- random module round trip -------------------------------------------
@@ -108,28 +147,16 @@ enum OpRecipe {
     DeepLoop(usize),
 }
 
-fn arb_recipes() -> impl Strategy<Value = Vec<OpRecipe>> {
-    prop::collection::vec(
-        prop_oneof![
-            (-1.0e6..1.0e6f64).prop_map(OpRecipe::ConstF64),
-            (0i64..100).prop_map(OpRecipe::ConstIndex),
-            (
-                0u8..4,
-                any::<prop::sample::Index>(),
-                any::<prop::sample::Index>()
-            )
-                .prop_map(|(k, a, b)| OpRecipe::Binary(
-                    k,
-                    a.index(1 << 16),
-                    b.index(1 << 16)
-                )),
-            any::<prop::sample::Index>().prop_map(|a| OpRecipe::Loop(a.index(1 << 16))),
-            (any::<prop::sample::Index>(), any::<i64>())
-                .prop_map(|(a, v)| OpRecipe::Annotated(a.index(1 << 16), v)),
-            any::<prop::sample::Index>().prop_map(|a| OpRecipe::DeepLoop(a.index(1 << 16))),
-        ],
-        1..24,
-    )
+fn gen_recipes(rng: &mut Rng) -> Vec<OpRecipe> {
+    const PICK: usize = (1 << 16) - 1;
+    rng.vec(1, 23, |r| match r.range(0, 5) {
+        0 => OpRecipe::ConstF64(gen_f64(r, -1.0e6, 1.0e6)),
+        1 => OpRecipe::ConstIndex(r.range_i64(0, 99)),
+        2 => OpRecipe::Binary(r.range(0, 3) as u8, r.range(0, PICK), r.range(0, PICK)),
+        3 => OpRecipe::Loop(r.range(0, PICK)),
+        4 => OpRecipe::Annotated(r.range(0, PICK), gen_i64(r)),
+        _ => OpRecipe::DeepLoop(r.range(0, PICK)),
+    })
 }
 
 fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
@@ -196,7 +223,11 @@ fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
                 let val = b.build_value("arith.mulf", vec![lhs, lhs], Type::F64);
                 let op = ctx.defining_op(val).unwrap();
                 ctx.set_attr(op, "note", Attribute::string("annotated"));
-                ctx.set_attr(op, "tags", Attribute::IndexArray(vec![*v, -*v]));
+                ctx.set_attr(
+                    op,
+                    "tags",
+                    Attribute::IndexArray(vec![*v, v.wrapping_neg()]),
+                );
                 ctx.set_attr(op, "hot", Attribute::Bool(*v % 2 == 0));
                 floats.push(val);
             }
@@ -238,8 +269,8 @@ fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
 
 /// Deterministic pin of the recipe generator's newest arms (attribute-
 /// carrying ops and doubly nested regions): one fixed recipe list must
-/// round-trip and reach a printing fixpoint. Complements the proptest
-/// regression seeds with a case that needs no generation at all.
+/// round-trip and reach a printing fixpoint — a case that needs no
+/// generation at all.
 #[test]
 fn pinned_annotated_and_nested_module_round_trips() {
     let recipes = vec![
@@ -260,52 +291,83 @@ fn pinned_annotated_and_nested_module_round_trips() {
     shmls_ir::verifier::verify(&ctx2, m2).unwrap();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn check_module_round_trip(recipes: &[OpRecipe]) {
+    let (ctx, module) = build_module(recipes);
+    shmls_ir::verifier::verify(&ctx, module).unwrap();
+    let text = print_op(&ctx, module);
+    let (ctx2, module2) = parse_op(&text).unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
+    let text2 = print_op(&ctx2, module2);
+    assert_eq!(text, text2);
+    shmls_ir::verifier::verify(&ctx2, module2).unwrap();
+}
 
-    #[test]
-    fn module_round_trip(recipes in arb_recipes()) {
-        let (ctx, module) = build_module(&recipes);
-        shmls_ir::verifier::verify(&ctx, module).unwrap();
-        let text = print_op(&ctx, module);
-        let (ctx2, module2) = parse_op(&text)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
-        let text2 = print_op(&ctx2, module2);
-        prop_assert_eq!(text, text2);
-        shmls_ir::verifier::verify(&ctx2, module2).unwrap();
-    }
+/// Print → parse is *idempotent*: the first printed form is already a
+/// fixpoint, so a second round trip must reproduce it byte-for-byte.
+/// (A printer that, say, canonicalises attribute order only on parsed
+/// input would pass a single round trip but fail this.)
+fn check_module_round_trip_is_idempotent(recipes: &[OpRecipe]) {
+    let (ctx, module) = build_module(recipes);
+    let pass0 = print_op(&ctx, module);
+    let (ctx1, m1) =
+        parse_op(&pass0).unwrap_or_else(|e| panic!("first reparse failed: {e}\n{pass0}"));
+    let pass1 = print_op(&ctx1, m1);
+    let (ctx2, m2) =
+        parse_op(&pass1).unwrap_or_else(|e| panic!("second reparse failed: {e}\n{pass1}"));
+    let pass2 = print_op(&ctx2, m2);
+    assert_eq!(&pass0, &pass1);
+    assert_eq!(&pass1, &pass2);
+    shmls_ir::verifier::verify(&ctx2, m2).unwrap();
+}
 
-    /// Print → parse is *idempotent*: the first printed form is already a
-    /// fixpoint, so a second round trip must reproduce it byte-for-byte.
-    /// (A printer that, say, canonicalises attribute order only on parsed
-    /// input would pass a single round trip but fail this.)
-    #[test]
-    fn module_round_trip_is_idempotent(recipes in arb_recipes()) {
-        let (ctx, module) = build_module(&recipes);
-        let pass0 = print_op(&ctx, module);
-        let (ctx1, m1) = parse_op(&pass0)
-            .unwrap_or_else(|e| panic!("first reparse failed: {e}\n{pass0}"));
-        let pass1 = print_op(&ctx1, m1);
-        let (ctx2, m2) = parse_op(&pass1)
-            .unwrap_or_else(|e| panic!("second reparse failed: {e}\n{pass1}"));
-        let pass2 = print_op(&ctx2, m2);
-        prop_assert_eq!(&pass0, &pass1);
-        prop_assert_eq!(&pass1, &pass2);
-        shmls_ir::verifier::verify(&ctx2, m2).unwrap();
-    }
+fn check_clone_preserves_structure(recipes: &[OpRecipe]) {
+    let (mut ctx, module) = build_module(recipes);
+    let before = print_op(&ctx, module);
+    let mut map = std::collections::HashMap::new();
+    let clone = ctx.clone_op(module, &mut map);
+    // Original unchanged, clone prints identically.
+    assert_eq!(&print_op(&ctx, module), &before);
+    assert_eq!(&print_op(&ctx, clone), &before);
+    // The clone is fully disjoint: erasing it leaves the original.
+    ctx.erase_op(clone);
+    assert_eq!(&print_op(&ctx, module), &before);
+    shmls_ir::verifier::verify(&ctx, module).unwrap();
+}
 
-    #[test]
-    fn clone_preserves_structure(recipes in arb_recipes()) {
-        let (mut ctx, module) = build_module(&recipes);
-        let before = print_op(&ctx, module);
-        let mut map = std::collections::HashMap::new();
-        let clone = ctx.clone_op(module, &mut map);
-        // Original unchanged, clone prints identically.
-        prop_assert_eq!(&print_op(&ctx, module), &before);
-        prop_assert_eq!(&print_op(&ctx, clone), &before);
-        // The clone is fully disjoint: erasing it leaves the original.
-        ctx.erase_op(clone);
-        prop_assert_eq!(&print_op(&ctx, module), &before);
-        shmls_ir::verifier::verify(&ctx, module).unwrap();
-    }
+#[test]
+fn module_round_trip() {
+    sweep(SEED, 128, gen_recipes, |r| check_module_round_trip(r));
+}
+
+#[test]
+fn module_round_trip_is_idempotent() {
+    sweep(SEED, 128, gen_recipes, |r| {
+        check_module_round_trip_is_idempotent(r)
+    });
+}
+
+#[test]
+fn clone_preserves_structure() {
+    sweep(SEED, 128, gen_recipes, |r| {
+        check_clone_preserves_structure(r)
+    });
+}
+
+fn check_every_module_property(recipes: &[OpRecipe]) {
+    check_module_round_trip(recipes);
+    check_module_round_trip_is_idempotent(recipes);
+    check_clone_preserves_structure(recipes);
+}
+
+/// Regression once shrunk to `recipes = [Loop(0)]`: a region op whose body
+/// uses the function's own block argument.
+#[test]
+fn pinned_loop_over_the_block_argument() {
+    check_every_module_property(&[OpRecipe::Loop(0)]);
+}
+
+/// Regression once shrunk to `recipes = [Annotated(0, 1), DeepLoop(0)]`:
+/// an attribute-carrying op followed by a doubly nested region.
+#[test]
+fn pinned_annotated_op_then_deep_loop() {
+    check_every_module_property(&[OpRecipe::Annotated(0, 1), OpRecipe::DeepLoop(0)]);
 }

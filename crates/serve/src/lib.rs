@@ -8,14 +8,17 @@
 //! key compile exactly once (single-flight) and a restarted server
 //! answers repeat keys from disk without recompiling.
 //!
-//! Five modules, one per layer:
+//! Five public modules, one per layer, over one shared connection loop
+//! (`listener`: accept thread, worker pool, the NDJSON read/answer/write
+//! loop the server and the router both run):
 //!
 //! - [`protocol`] — the wire format: [`protocol::Request`] /
 //!   [`protocol::Response`] and their hand-rolled JSON codecs (the
 //!   workspace's [`shmls_ir::json::Json`]; no serialisation
 //!   dependency).
-//! - [`server`] — the TCP service: std `TcpListener`, a bounded worker
-//!   pool, per-request panic isolation, cooperative shutdown.
+//! - [`server`] — the TCP service: the shared listener answering from
+//!   the compile cache, per-request panic isolation, cooperative
+//!   shutdown.
 //! - [`shard`] — ring membership ([`shard::Topology`]) and the
 //!   in-process shard supervisor ([`shard::ShardSet`]) with the
 //!   kill/restart hooks the fault-injection tests drive.
@@ -83,6 +86,7 @@
 
 #![warn(missing_docs)]
 
+mod listener;
 pub mod loadgen;
 pub mod protocol;
 pub mod router;

@@ -448,9 +448,25 @@ impl Response {
     }
 }
 
+/// Echo the client's id even on frames that fail full request parsing
+/// (or that an error is synthesized for), so a pipelined client can still
+/// correlate the error.
+pub(crate) fn best_effort_id(line: &str) -> Option<u64> {
+    Json::parse(line)
+        .ok()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_effort_id_survives_partial_frames() {
+        assert_eq!(best_effort_id(r#"{"id": 9}"#), Some(9));
+        assert_eq!(best_effort_id("not json"), None);
+        assert_eq!(best_effort_id(r#"{"id": "x"}"#), None);
+    }
 
     fn sample_request() -> Request {
         Request {

@@ -39,10 +39,10 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,8 @@ use shmls_ir::json::Json;
 use stencil_hmls::cache::fnv1a;
 use stencil_hmls::persist::PersistentCache;
 
-use crate::protocol::{ErrorKind, Request, Response};
+use crate::listener::Listener;
+use crate::protocol::{best_effort_id, ErrorKind, Request, Response};
 use crate::shard::Topology;
 
 /// Virtual nodes per shard on the ring. More vnodes smooth the load
@@ -307,10 +308,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// How long a router worker blocks reading a client before re-checking
-/// the shutdown flag (same poll discipline as the backend server).
-const READ_POLL: Duration = Duration::from_millis(100);
-
 /// How long to wait for a shard to (re)join when the ring is empty
 /// before giving up on a request.
 const EMPTY_RING_BACKOFF: Duration = Duration::from_millis(50);
@@ -324,46 +321,24 @@ struct RouterStats {
 }
 
 impl RouterStats {
-    fn with_shard(&self, id: usize, f: impl FnOnce(&mut ShardTraffic)) {
-        let mut map = self.per_shard.lock().expect("router stats poisoned");
-        f(map.entry(id).or_default());
-    }
-}
-
-/// A running router. Dropping the handle shuts it down (backends are
-/// *not* touched — they belong to the shard supervisor).
-#[derive(Debug)]
-pub struct RouterHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    stats: Arc<RouterStats>,
-    topology: Arc<Topology>,
-}
-
-impl RouterHandle {
-    /// The address the router bound.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Responses relayed so far — the chaos hooks in `repro route` poll
-    /// this to time their kill/restart against real traffic.
-    pub fn forwarded(&self) -> u64 {
-        self.stats.forwarded.load(Ordering::Relaxed)
-    }
-
-    /// The current aggregated report.
-    pub fn report(&self) -> RouterReport {
-        let per_shard = self
-            .stats
-            .per_shard
+    /// The per-shard counters. Every update is one whole integer
+    /// increment, so the map behind a poisoned lock is still valid: a
+    /// worker that panicked mid-request must not take the request path
+    /// (or the report) down with it.
+    fn per_shard(&self) -> MutexGuard<'_, HashMap<usize, ShardTraffic>> {
+        self.per_shard
             .lock()
-            .expect("router stats poisoned")
-            .clone();
-        let mut shards: Vec<ShardReport> = self
-            .topology
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn with_shard(&self, id: usize, f: impl FnOnce(&mut ShardTraffic)) {
+        f(self.per_shard().entry(id).or_default());
+    }
+
+    /// The current aggregated report over `topology`'s shards.
+    fn report(&self, topology: &Topology) -> RouterReport {
+        let per_shard = self.per_shard().clone();
+        let mut shards: Vec<ShardReport> = topology
             .snapshot()
             .into_iter()
             .map(|slot| ShardReport {
@@ -376,84 +351,68 @@ impl RouterHandle {
             .collect();
         shards.sort_by_key(|s| s.id);
         RouterReport {
-            forwarded: self.stats.forwarded.load(Ordering::Relaxed),
-            replays: self.stats.replays.load(Ordering::Relaxed),
-            unroutable: self.stats.unroutable.load(Ordering::Relaxed),
+            forwarded: self.forwarded.load(Ordering::Relaxed),
+            replays: self.replays.load(Ordering::Relaxed),
+            unroutable: self.unroutable.load(Ordering::Relaxed),
             shards,
-        }
-    }
-
-    /// Stop accepting and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
 
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
+/// A running router. Dropping the handle shuts it down (backends are
+/// *not* touched — they belong to the shard supervisor).
+#[derive(Debug)]
+pub struct RouterHandle {
+    listener: Listener,
+    stats: Arc<RouterStats>,
+    topology: Arc<Topology>,
+}
+
+impl RouterHandle {
+    /// The address the router bound.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// Responses relayed so far — the chaos hooks in `repro route` poll
+    /// this to time their kill/restart against real traffic.
+    pub fn forwarded(&self) -> u64 {
+        self.stats.forwarded.load(Ordering::Relaxed)
+    }
+
+    /// The current aggregated report.
+    pub fn report(&self) -> RouterReport {
+        self.stats.report(&self.topology)
+    }
+
+    /// Stop accepting and join every thread.
+    pub fn shutdown(self) {
+        drop(self.listener);
     }
 }
 
 /// Bind the router in front of the shards in `topology` and start
 /// serving the NDJSON protocol. Returns once the listener is live.
 pub fn start_router(config: RouterConfig, topology: Arc<Topology>) -> io::Result<RouterHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(RouterStats::default());
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let topology = Arc::clone(&topology);
-            let config = config.clone();
-            thread::spawn(move || loop {
-                let conn = rx.lock().expect("router queue poisoned").recv();
-                match conn {
-                    Ok(stream) => route_connection(stream, &config, &topology, &stats, &stop),
-                    Err(_) => return,
+    let listener = {
+        let (stats, topology) = (Arc::clone(&stats), Arc::clone(&topology));
+        let addr = config.addr.clone();
+        Listener::start(
+            &addr,
+            config.workers,
+            BackendPool::new,
+            move |pool, frame| {
+                if is_stats_control(frame) {
+                    stats.report(&topology).to_json().compact()
+                } else {
+                    relay(frame, &config, &topology, &stats, pool)
                 }
-            })
-        })
-        .collect();
-
-    let accept = {
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Ok(stream) = stream {
-                    if tx.send(stream).is_err() {
-                        return;
-                    }
-                }
-            }
-        })
+            },
+        )?
     };
-
     Ok(RouterHandle {
-        local_addr,
-        stop,
-        accept: Some(accept),
-        workers,
+        listener,
         stats,
         topology,
     })
@@ -463,57 +422,6 @@ pub fn start_router(config: RouterConfig, topology: Arc<Topology>) -> io::Result
 /// so a restarted shard (same id, new address) gets a fresh connection
 /// instead of the stale socket.
 type BackendPool = HashMap<(usize, String), TcpStream>;
-
-fn route_connection(
-    stream: TcpStream,
-    config: &RouterConfig,
-    topology: &Topology,
-    stats: &RouterStats,
-    stop: &AtomicBool,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut pool = BackendPool::new();
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let frame = line.trim_end_matches(['\r', '\n']).to_string();
-                line.clear();
-                let reply = if is_stats_control(&frame) {
-                    report_line(topology, stats)
-                } else {
-                    relay(&frame, config, topology, stats, &mut pool)
-                };
-                if writer.write_all(reply.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
 
 /// `{"control": "stats"}` — the one frame the router answers itself.
 fn is_stats_control(line: &str) -> bool {
@@ -526,34 +434,6 @@ fn is_stats_control(line: &str) -> bool {
         })
         .as_deref()
         == Some("stats")
-}
-
-fn report_line(topology: &Topology, stats: &RouterStats) -> String {
-    let per_shard = stats
-        .per_shard
-        .lock()
-        .expect("router stats poisoned")
-        .clone();
-    let mut shards: Vec<ShardReport> = topology
-        .snapshot()
-        .into_iter()
-        .map(|slot| ShardReport {
-            traffic: per_shard.get(&slot.id).copied().unwrap_or_default(),
-            id: slot.id,
-            addr: slot.addr,
-            alive: slot.alive,
-            deaths: slot.deaths,
-        })
-        .collect();
-    shards.sort_by_key(|s| s.id);
-    RouterReport {
-        forwarded: stats.forwarded.load(Ordering::Relaxed),
-        replays: stats.replays.load(Ordering::Relaxed),
-        unroutable: stats.unroutable.load(Ordering::Relaxed),
-        shards,
-    }
-    .to_json()
-    .compact()
 }
 
 /// Forward one raw frame to the key's owner, replaying across the
@@ -676,13 +556,6 @@ fn exchange(
     result
 }
 
-/// Echo the client's id even on frames we synthesized an error for.
-fn best_effort_id(line: &str) -> Option<u64> {
-    Json::parse(line)
-        .ok()
-        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,6 +629,58 @@ mod tests {
         assert_eq!(RouterReport::from_json(&doc).unwrap(), report);
         assert_eq!(report.deaths(), 1);
         assert_eq!(report.misses(), 10);
+    }
+
+    /// A thread that panics while holding the per-shard counters poisons
+    /// their mutex; the counters are plain integers, so the router keeps
+    /// relaying and keeps reporting instead of aborting its workers.
+    #[test]
+    fn poisoned_stats_lock_neither_stops_relaying_nor_reporting() {
+        let shards = crate::shard::ShardSet::start(crate::shard::ShardSetConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let router = start_router(RouterConfig::default(), shards.topology()).unwrap();
+        let poisoner = {
+            let stats = Arc::clone(&router.stats);
+            thread::spawn(move || {
+                let _held = stats.per_shard.lock().unwrap();
+                panic!("poison the router stats");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(router.stats.per_shard.is_poisoned());
+
+        let request = Request {
+            id: Some(11),
+            source: crate::loadgen::kernel_source(1),
+            options: crate::protocol::RequestOptions {
+                paths: Some("hls".to_string()),
+                ..Default::default()
+            },
+        };
+        let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut exchange = |frame: String| {
+            stream.write_all(format!("{frame}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        };
+        let response = Response::parse(exchange(request.encode()).trim_end()).unwrap();
+        assert!(response.ok, "{:?}", response.error);
+        assert_eq!(response.id, Some(11));
+        assert_eq!(response.disposition.as_deref(), Some("miss"));
+
+        let over_the_wire = Json::parse(&exchange(r#"{"control": "stats"}"#.to_string())).unwrap();
+        let report = router.report();
+        assert_eq!(RouterReport::from_json(&over_the_wire).unwrap(), report);
+        assert_eq!(report.forwarded, 1);
+        assert_eq!(report.misses(), 1);
+        router.shutdown();
+        shards.shutdown();
     }
 
     #[test]

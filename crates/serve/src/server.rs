@@ -1,9 +1,9 @@
 //! The TCP compile service.
 //!
-//! Deliberately built on `std` alone: a blocking `TcpListener`, one
-//! accept thread, and a bounded pool of worker threads fed over an
-//! `mpsc` channel. Each worker owns one connection at a time and runs
-//! its newline-delimited request/response loop to completion. The
+//! The shared connection loop (`listener.rs`: a blocking `TcpListener`,
+//! one accept thread, a bounded pool of workers, each running one
+//! connection's newline-delimited request/response loop to completion)
+//! answering every request line from the compile cache. The
 //! compile cache ([`PersistentCache`]) is shared across workers, so
 //! concurrent requests for the same key compile exactly once and — when
 //! a cache directory is configured — survive server restarts.
@@ -17,30 +17,19 @@
 //! - A panic inside the compiler is caught per request
 //!   ([`std::panic::catch_unwind`]) and answered as an `internal`
 //!   error; the worker, the connection and the server all survive.
-//!
-//! Shutdown is cooperative: workers poll a shared flag between read
-//! timeouts, and [`ServerHandle::shutdown`] unblocks the accept loop
-//! with a throwaway connection to itself.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use shmls_frontend::parse_kernel;
-use shmls_ir::json::Json;
 use stencil_hmls::persist::PersistentCache;
 
-use crate::protocol::{ErrorKind, Request, Response};
-
-/// How long a worker blocks in a read before re-checking the shutdown
-/// flag. Bounds shutdown latency; invisible to clients.
-const READ_POLL: Duration = Duration::from_millis(100);
+use crate::listener::Listener;
+use crate::protocol::{best_effort_id, ErrorKind, Request, Response};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -74,17 +63,14 @@ impl Default for ServerConfig {
 /// [`ServerHandle::shutdown`] to do so explicitly.
 #[derive(Debug)]
 pub struct ServerHandle {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    listener: Listener,
     cache: Arc<PersistentCache>,
 }
 
 impl ServerHandle {
     /// The address the server actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The shared compile cache, for in-process stats reads.
@@ -95,27 +81,8 @@ impl ServerHandle {
     /// Stop accepting, drain workers, and join every thread. Open
     /// connections are closed after at most one read-poll interval
     /// (100 ms).
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The accept loop sits in a blocking `accept`; a throwaway
-        // connection to ourselves wakes it so it can observe the flag.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        drop(self.listener);
     }
 }
 
@@ -128,100 +95,16 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         None => PersistentCache::in_memory(config.capacity),
     };
     let cache = Arc::new(cache);
-    let listener = TcpListener::bind(&config.addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = (0..config.workers.max(1))
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let cache = Arc::clone(&cache);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || loop {
-                // Holding the lock only for the recv keeps the other
-                // workers free to pick up queued connections.
-                let conn = rx.lock().expect("worker queue poisoned").recv();
-                match conn {
-                    Ok(stream) => serve_connection(stream, &cache, &stop),
-                    // Sender dropped: the accept loop has exited.
-                    Err(_) => return,
-                }
-            })
-        })
-        .collect();
-
-    let accept = {
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    return; // drops `tx`, draining the workers
-                }
-                if let Ok(stream) = stream {
-                    if tx.send(stream).is_err() {
-                        return;
-                    }
-                }
-            }
-        })
+    let listener = {
+        let cache = Arc::clone(&cache);
+        Listener::start(
+            &config.addr,
+            config.workers,
+            || (),
+            move |(), line| respond(&cache, line).encode(),
+        )?
     };
-
-    Ok(ServerHandle {
-        local_addr,
-        stop,
-        accept: Some(accept),
-        workers,
-        cache,
-    })
-}
-
-/// Run one connection's request/response loop until EOF, a transport
-/// error, or server shutdown.
-fn serve_connection(stream: TcpStream, cache: &PersistentCache, stop: &AtomicBool) {
-    // One small write per response on a request/response protocol:
-    // without TCP_NODELAY, Nagle + delayed ACK turns every cache hit
-    // into a ~40–200 ms round trip.
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
-                let response = respond(cache, line.trim_end_matches(['\r', '\n']));
-                line.clear();
-                let frame = response.encode();
-                if writer.write_all(frame.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
-                    return;
-                }
-            }
-            // A poll timeout mid-wait (or even mid-line: `read_line`
-            // keeps partial bytes in `line`, so resuming is lossless).
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+    Ok(ServerHandle { listener, cache })
 }
 
 /// Answer one request line. Never panics out: compiler panics become
@@ -287,20 +170,14 @@ fn handle(cache: &PersistentCache, line: &str, start: &Instant) -> Response {
     }
 }
 
-/// Echo the client's id even on frames that fail full request parsing,
-/// so a pipelined client can still correlate the error.
-fn best_effort_id(line: &str) -> Option<u64> {
-    Json::parse(line)
-        .ok()
-        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-}
-
 fn wall_us(start: &Instant) -> u64 {
     start.elapsed().as_micros() as u64
 }
 
 #[cfg(test)]
 mod tests {
+    use std::net::TcpListener;
+
     use super::*;
 
     #[test]
@@ -356,12 +233,5 @@ mod tests {
         let r = respond(&cache, &request.encode());
         assert!(r.ok, "{:?}", r.error);
         assert_eq!(r.disposition.as_deref(), Some("miss"));
-    }
-
-    #[test]
-    fn best_effort_id_survives_partial_frames() {
-        assert_eq!(best_effort_id(r#"{"id": 9}"#), Some(9));
-        assert_eq!(best_effort_id("not json"), None);
-        assert_eq!(best_effort_id(r#"{"id": "x"}"#), None);
     }
 }

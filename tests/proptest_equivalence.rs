@@ -9,16 +9,18 @@
 //! This exercises the whole compiler (frontend lowering, canonicalise,
 //! the nine HMLS steps, shift buffers, stream duplication, producer
 //! chaining, small-data localisation) over a far broader kernel space
-//! than the hand-written benchmarks.
+//! than the hand-written benchmarks. The property is a seeded sweep
+//! ([`shmls_ir::rng::sweep`]): a failure prints the `(seed, case)` pair
+//! that reproduces it.
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
 use shmls_frontend::ast::build;
 use shmls_frontend::{
     ComputeDef, ConstDecl, Expr, FieldDecl, FieldKind, Intrinsic, KernelDef, ParamDecl,
 };
 use shmls_ir::interp::Buffer;
+use shmls_ir::rng::{sweep, Rng};
 use stencil_hmls::runner::{run_cpu, run_hls, run_stencil, KernelData};
 use stencil_hmls::{compile_kernel, CompileOptions, TargetPath};
 
@@ -27,7 +29,7 @@ use stencil_hmls::{compile_kernel, CompileOptions, TargetPath};
 ///
 /// Selector fields (`field`, `offset`, `which`) are raw `usize` draws,
 /// reduced modulo the relevant range at resolution time (see [`index`]).
-/// The checked-in regression seeds shrink these to huge values like
+/// The pinned regressions below carry huge values like
 /// `9223372036854775808`; the explicit modulo makes out-of-range indexing
 /// impossible by construction, whatever the raw draw.
 #[derive(Debug, Clone)]
@@ -61,42 +63,48 @@ enum ExprRecipe {
     },
 }
 
-/// Reduce a raw selector draw into `0..size` — the same arithmetic
-/// `prop::sample::Index` applies, written out so resolution can never
+/// Reduce a raw selector draw into `0..size`, so resolution can never
 /// index out of range however extreme the raw value.
 fn index(raw: usize, size: usize) -> usize {
     debug_assert!(size > 0, "selector range must be non-empty");
     raw % size
 }
 
-fn arb_expr() -> impl Strategy<Value = ExprRecipe> {
-    let leaf = prop_oneof![
-        (-30i32..30).prop_map(ExprRecipe::Lit),
-        (any::<usize>(), any::<usize>())
-            .prop_map(|(field, offset)| ExprRecipe::Input { field, offset }),
-        any::<usize>().prop_map(|which| ExprRecipe::Computed { which }),
-        (-1i8..2).prop_map(|offset| ExprRecipe::Param { offset }),
-        Just(ExprRecipe::Const),
-    ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (0u8..3, inner.clone(), inner.clone()).prop_map(|(op, l, r)| ExprRecipe::Bin {
-                op,
-                lhs: Box::new(l),
-                rhs: Box::new(r)
-            }),
-            inner.clone().prop_map(|e| ExprRecipe::Neg(Box::new(e))),
-            (0u8..1, inner.clone()).prop_map(|(f, a)| ExprRecipe::Unary {
-                f,
-                arg: Box::new(a)
-            }),
-            (0u8..3, inner.clone(), inner).prop_map(|(f, l, r)| ExprRecipe::Binary2 {
-                f,
-                lhs: Box::new(l),
-                rhs: Box::new(r)
-            }),
-        ]
-    })
+fn gen_expr(rng: &mut Rng, depth: usize) -> ExprRecipe {
+    if depth == 0 || rng.chance(1, 3) {
+        return match rng.range(0, 4) {
+            0 => ExprRecipe::Lit(rng.range_i64(-30, 29) as i32),
+            1 => ExprRecipe::Input {
+                field: rng.next_u64() as usize,
+                offset: rng.next_u64() as usize,
+            },
+            2 => ExprRecipe::Computed {
+                which: rng.next_u64() as usize,
+            },
+            3 => ExprRecipe::Param {
+                offset: rng.range_i64(-1, 1) as i8,
+            },
+            _ => ExprRecipe::Const,
+        };
+    }
+    let sub = |rng: &mut Rng| Box::new(gen_expr(rng, depth - 1));
+    match rng.range(0, 3) {
+        0 => ExprRecipe::Bin {
+            op: rng.range(0, 2) as u8,
+            lhs: sub(rng),
+            rhs: sub(rng),
+        },
+        1 => ExprRecipe::Neg(sub(rng)),
+        2 => ExprRecipe::Unary {
+            f: 0,
+            arg: sub(rng),
+        },
+        _ => ExprRecipe::Binary2 {
+            f: rng.range(0, 2) as u8,
+            lhs: sub(rng),
+            rhs: sub(rng),
+        },
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -112,36 +120,20 @@ struct KernelRecipe {
     seed: u64,
 }
 
-fn arb_kernel() -> impl Strategy<Value = KernelRecipe> {
-    (
-        1usize..4,
-        1usize..4,
-        0usize..3,
-        1usize..3,
-        any::<bool>(),
-        any::<bool>(),
-        any::<u64>(),
-    )
-        .prop_flat_map(
-            |(rank, n_inputs, n_temps, n_outputs, has_param, has_const, seed)| {
-                let n_computes = n_temps + n_outputs;
-                (
-                    prop::collection::vec(3i64..6, rank),
-                    prop::collection::vec(arb_expr(), n_computes),
-                )
-                    .prop_map(move |(dims, exprs)| KernelRecipe {
-                        rank,
-                        dims,
-                        n_inputs,
-                        n_temps,
-                        n_outputs,
-                        has_param,
-                        has_const,
-                        exprs,
-                        seed,
-                    })
-            },
-        )
+fn gen_kernel(rng: &mut Rng) -> KernelRecipe {
+    let rank = rng.range(1, 3);
+    let (n_inputs, n_temps, n_outputs) = (rng.range(1, 3), rng.range(0, 2), rng.range(1, 2));
+    KernelRecipe {
+        rank,
+        dims: (0..rank).map(|_| rng.range_i64(3, 5)).collect(),
+        n_inputs,
+        n_temps,
+        n_outputs,
+        has_param: rng.chance(1, 2),
+        has_const: rng.chance(1, 2),
+        exprs: (0..n_temps + n_outputs).map(|_| gen_expr(rng, 3)).collect(),
+        seed: rng.next_u64(),
+    }
 }
 
 /// Resolve a recipe into a valid expression for compute number `k`
@@ -439,21 +431,18 @@ fn check_all_paths(recipe: &KernelRecipe) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn all_paths_agree_on_random_kernels(recipe in arb_kernel()) {
-        check_all_paths(&recipe);
-    }
+#[test]
+fn all_paths_agree_on_random_kernels() {
+    sweep(0xe9_0001, 64, gen_kernel, check_all_paths);
 }
 
-/// The three shrunk cases from `proptest_equivalence.proptest-regressions`,
-/// pinned as deterministic tests. Their signature is the huge raw selector
-/// values (e.g. `Index(9223372036854775808)`) that must reduce in-range
-/// via [`index`] rather than panic in the recipe resolver.
+// Three regressions the property once shrank to, pinned as deterministic
+// tests. Their signature is the huge raw selector values (e.g.
+// `9223372036854775808`) that must reduce in-range via [`index`] rather
+// than panic in the recipe resolver.
+
 #[test]
-fn pinned_regression_recipes_pass() {
+fn pinned_rank1_two_temps_huge_selectors() {
     let r1 = KernelRecipe {
         rank: 1,
         dims: vec![3],
@@ -511,6 +500,11 @@ fn pinned_regression_recipes_pass() {
         ],
         seed: 14057307636149143301,
     };
+    check_all_paths(&r1);
+}
+
+#[test]
+fn pinned_rank3_param_and_chained_computed() {
     let r2 = KernelRecipe {
         rank: 3,
         dims: vec![3, 3, 3],
@@ -535,6 +529,11 @@ fn pinned_regression_recipes_pass() {
         ],
         seed: 9719278599767481186,
     };
+    check_all_paths(&r2);
+}
+
+#[test]
+fn pinned_rank3_double_negated_const_temp() {
     let r3 = KernelRecipe {
         rank: 3,
         dims: vec![3, 3, 3],
@@ -570,8 +569,5 @@ fn pinned_regression_recipes_pass() {
         ],
         seed: 15305569472585956697,
     };
-    for (label, recipe) in [("seed1", &r1), ("seed2", &r2), ("seed3", &r3)] {
-        println!("checking pinned recipe {label}");
-        check_all_paths(recipe);
-    }
+    check_all_paths(&r3);
 }
