@@ -366,7 +366,6 @@ pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
         } else {
             TargetPath::HlsOnly
         },
-        time_passes: false,
         snapshots: opts.snapshots,
         ..Default::default()
     };
@@ -541,7 +540,6 @@ fn check_scale(
     };
     let mut slab_opts = CompileOptions {
         paths: TargetPath::HlsOnly,
-        time_passes: false,
         ..Default::default()
     };
     slab_opts.hmls.temporal_depth = scale.depth;

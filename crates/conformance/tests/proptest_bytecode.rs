@@ -38,7 +38,6 @@ use stencil_hmls::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
 fn compile_opts() -> CompileOptions {
     CompileOptions {
         paths: TargetPath::HlsOnly,
-        time_passes: false,
         ..Default::default()
     }
 }

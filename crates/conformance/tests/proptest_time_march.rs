@@ -45,14 +45,12 @@ fn check_march_of(kernel: &shmls_frontend::KernelDef, cfg: ScaleConfig, data_see
     let data = make_data(kernel, data_seed);
     let mut opts = CompileOptions {
         paths: TargetPath::HlsOnly,
-        time_passes: false,
         ..Default::default()
     };
     opts.hmls.temporal_depth = cfg.depth;
 
     let mono_opts = CompileOptions {
         paths: TargetPath::HlsOnly,
-        time_passes: false,
         ..Default::default()
     };
     let monolithic = compile_kernel(kernel.clone(), &mono_opts).expect("monolithic compile");

@@ -16,7 +16,7 @@
 //! conformance fuzzer uses for its kernel-source digest; the fuzzer now
 //! reuses this implementation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -151,27 +151,74 @@ impl CacheStats {
     }
 }
 
+/// A bounded map of shared values, insert-if-absent, evicting in
+/// insertion order — the workload is "a handful of keys, reused heavily",
+/// not a scan, so recency tracking would buy nothing. Both cache tiers
+/// (compiled kernels here, design records in [`crate::persist`]) are one
+/// of these behind their own lock.
+#[derive(Debug)]
+pub(crate) struct FifoMap<V> {
+    map: HashMap<u64, Arc<V>>,
+    /// Keys in insertion order.
+    order: VecDeque<u64>,
+    capacity: usize,
+}
+
+impl<V> FifoMap<V> {
+    /// An empty map holding at most `capacity` values (min 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        FifoMap {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    pub(crate) fn get(&self, key: u64) -> Option<Arc<V>> {
+        self.map.get(&key).cloned()
+    }
+
+    /// Insert `value` (evicting the oldest entries when full). If the key
+    /// is already resident that value wins, so every holder shares one.
+    pub(crate) fn insert(&mut self, key: u64, value: Arc<V>) -> Arc<V> {
+        if let Some(existing) = self.map.get(&key) {
+            return Arc::clone(existing);
+        }
+        while self.order.len() >= self.capacity {
+            let oldest = self.order.pop_front().expect("capacity is at least 1");
+            self.map.remove(&oldest);
+        }
+        self.order.push_back(key);
+        self.map.insert(key, Arc::clone(&value));
+        value
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+}
+
 /// A bounded content-addressed cache of compiled kernels.
 ///
 /// Entries are shared as [`Arc`]s, so a cached design can be executed by
 /// several compute-unit workers concurrently while the cache itself stays
 /// lock-free on the hot read path (the lock is held only around the map
-/// probe, never across a compilation). Eviction is FIFO by insertion
-/// order — the workload is "a handful of slab shapes, reused heavily",
-/// not a scan, so recency tracking would buy nothing.
+/// probe, never across a compilation).
 #[derive(Debug)]
 pub struct CompileCache {
     inner: Mutex<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    capacity: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheInner {
-    map: HashMap<u64, Arc<CompiledKernel>>,
-    /// Keys in insertion order, for FIFO eviction.
-    order: Vec<u64>,
+    designs: FifoMap<CompiledKernel>,
     /// Single-flight guards: keys whose compilation is in progress. A
     /// thread that misses while a key is here waits on the slot instead
     /// of compiling the same design a second time.
@@ -200,10 +247,12 @@ impl CompileCache {
     /// An empty cache holding at most `capacity` designs (min 1).
     pub fn with_capacity(capacity: usize) -> Self {
         CompileCache {
-            inner: Mutex::new(CacheInner::default()),
+            inner: Mutex::new(CacheInner {
+                designs: FifoMap::new(capacity),
+                in_flight: HashMap::new(),
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            capacity: capacity.max(1),
         }
     }
 
@@ -231,7 +280,6 @@ impl CompileCache {
             paths,
             verify,
             optimize,
-            time_passes,
             snapshots,
         } = opts;
         let mut h = Fnv64::new();
@@ -255,20 +303,13 @@ impl CompileCache {
         );
         field("|verify:", i64::from(*verify));
         field("|optimize:", i64::from(*optimize));
-        field("|time_passes:", i64::from(*time_passes));
         field("|snapshots:", i64::from(*snapshots));
         h.finish()
     }
 
     /// Look up a design by key, counting the hit or miss.
     pub fn lookup(&self, key: u64) -> Option<Arc<CompiledKernel>> {
-        let found = self
-            .inner
-            .lock()
-            .expect("cache poisoned")
-            .map
-            .get(&key)
-            .cloned();
+        let found = self.inner.lock().expect("cache poisoned").designs.get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -281,27 +322,7 @@ impl CompileCache {
     /// every holder shares one design.
     pub fn insert(&self, key: u64, compiled: Arc<CompiledKernel>) -> Arc<CompiledKernel> {
         let mut inner = self.inner.lock().expect("cache poisoned");
-        Self::insert_locked(&mut inner, self.capacity, key, compiled)
-    }
-
-    /// Insertion body, factored out so the single-flight leader can
-    /// publish its design and retire its guard under one lock.
-    fn insert_locked(
-        inner: &mut CacheInner,
-        capacity: usize,
-        key: u64,
-        compiled: Arc<CompiledKernel>,
-    ) -> Arc<CompiledKernel> {
-        if let Some(existing) = inner.map.get(&key) {
-            return Arc::clone(existing);
-        }
-        while inner.order.len() >= capacity {
-            let oldest = inner.order.remove(0);
-            inner.map.remove(&oldest);
-        }
-        inner.order.push(key);
-        inner.map.insert(key, Arc::clone(&compiled));
-        compiled
+        inner.designs.insert(key, compiled)
     }
 
     /// Fetch the design for `kernel` under `opts`, compiling on a miss.
@@ -339,9 +360,9 @@ impl CompileCache {
         }
         let role = {
             let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.map.get(&key) {
+            if let Some(hit) = inner.designs.get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(hit), Disposition::MemoryHit));
+                return Ok((hit, Disposition::MemoryHit));
             }
             match inner.in_flight.get(&key) {
                 Some(slot) => Role::Follower(Arc::clone(slot)),
@@ -363,8 +384,7 @@ impl CompileCache {
                         // guard gone is guaranteed to find the entry.
                         let mut inner = self.inner.lock().expect("cache poisoned");
                         inner.in_flight.remove(&key);
-                        let shared = Self::insert_locked(&mut inner, self.capacity, key, compiled);
-                        Ok(shared)
+                        Ok(inner.designs.insert(key, compiled))
                     }
                     Err(e) => {
                         let mut inner = self.inner.lock().expect("cache poisoned");
@@ -401,15 +421,13 @@ impl CompileCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("cache poisoned").map.len(),
+            entries: self.inner.lock().expect("cache poisoned").designs.len(),
         }
     }
 
     /// Drop every entry (counters are kept).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
+        self.inner.lock().expect("cache poisoned").designs.clear();
     }
 }
 
@@ -453,7 +471,6 @@ mod tests {
     fn opts() -> CompileOptions {
         CompileOptions {
             paths: TargetPath::HlsOnly,
-            time_passes: false,
             ..Default::default()
         }
     }
@@ -477,7 +494,6 @@ mod tests {
             paths: _,
             verify,
             optimize,
-            time_passes,
             snapshots,
         } = base.clone();
         let variants = vec![
@@ -530,10 +546,6 @@ mod tests {
             },
             CompileOptions {
                 optimize: !optimize,
-                ..base.clone()
-            },
-            CompileOptions {
-                time_passes: !time_passes,
                 ..base.clone()
             },
             CompileOptions {
@@ -594,7 +606,6 @@ mod tests {
         let cache = CompileCache::new();
         cache.get_or_compile(&kernel(6), &opts()).unwrap();
         let full = CompileOptions {
-            time_passes: false,
             ..Default::default()
         };
         let (compiled, hit) = cache.get_or_compile(&kernel(6), &full).unwrap();

@@ -25,20 +25,6 @@ struct StreamUse {
     consumers: Vec<String>,
 }
 
-/// Role hint for a dataflow stage, from the runtime calls it makes.
-fn stage_role(ctx: &Context, stage: OpId) -> &'static str {
-    for call in ctx.find_ops(stage, "func.call") {
-        match func::callee(ctx, call) {
-            Some("write_data") => return "write_data",
-            Some("load_data") | Some("dummy_load_data") => return "load_data",
-            Some("shift_buffer") => return "shift_buffer",
-            Some("halo_merge") => return "halo_merge",
-            _ => {}
-        }
-    }
-    "compute"
-}
-
 /// Record the stream operands of `op` (reads and writes) against `label`.
 fn record_op(
     ctx: &Context,
@@ -48,77 +34,32 @@ fn record_op(
     uses: &mut [StreamUse],
 ) -> IrResult<()> {
     let operands = ctx.operands(op);
-    match ctx.op_name(op) {
-        n if n == hls::READ => {
-            if let Some(&h) = operands.first().and_then(|v| handles.get(v)) {
-                uses[h].consumers.push(label.to_string());
-            }
-        }
-        n if n == hls::WRITE => {
-            if let Some(&h) = operands.get(1).and_then(|v| handles.get(v)) {
-                uses[h].producers.push(label.to_string());
-            }
-        }
-        "func.call" => match func::callee(ctx, op) {
-            // load_data(ptrs…, streams…): second half of the operands.
-            Some("load_data") => {
-                let n = operands.len() / 2;
-                for v in &operands[n..] {
-                    if let Some(&h) = handles.get(v) {
-                        uses[h].producers.push(label.to_string());
-                    }
-                }
-            }
-            Some("dummy_load_data") => {
-                if let Some(&h) = operands.get(1).and_then(|v| handles.get(v)) {
-                    uses[h].producers.push(label.to_string());
-                }
-            }
-            // halo_merge(ptr, result_in, elem_out): consumes the previous
-            // step's result stream, produces the next step's element
-            // stream (the halo ring comes from memory, not a stream).
-            Some("halo_merge") => {
-                if let Some(&h) = operands.get(1).and_then(|v| handles.get(v)) {
-                    uses[h].consumers.push(label.to_string());
-                }
-                if let Some(&h) = operands.get(2).and_then(|v| handles.get(v)) {
-                    uses[h].producers.push(label.to_string());
-                }
-            }
-            // shift_buffer(elem_in, window_out).
-            Some("shift_buffer") => {
-                if let Some(&h) = operands.first().and_then(|v| handles.get(v)) {
-                    uses[h].consumers.push(label.to_string());
-                }
-                if let Some(&h) = operands.get(1).and_then(|v| handles.get(v)) {
-                    uses[h].producers.push(label.to_string());
-                }
-            }
-            // write_data(streams…, ptrs…) {fields}: first `fields` operands.
-            Some("write_data") => {
-                let n = ctx
-                    .attr(op, "fields")
-                    .and_then(Attribute::as_int)
-                    .unwrap_or(operands.len() as i64 / 2) as usize;
-                for v in operands.iter().take(n) {
-                    if let Some(&h) = handles.get(v) {
-                        uses[h].consumers.push(label.to_string());
-                    }
-                }
-            }
-            callee => {
+    let handle = |v: &ValueId| handles.get(v).copied();
+    let (consumed, produced) = match ctx.op_name(op) {
+        hls::READ => (operands.get(..1).unwrap_or_default(), &operands[..0]),
+        hls::WRITE => (&operands[..0], operands.get(1..2).unwrap_or_default()),
+        func::CALL => match hls::decode_runtime_call(ctx, op, operands)? {
+            Some(call) => (call.consumed, call.produced),
+            None => {
                 // Any other call touching a stream is outside the known
                 // runtime contract — reject rather than mis-count.
                 if operands.iter().any(|v| handles.contains_key(v)) {
                     ir_bail!(
                         "connectivity: call to {:?} in {label} passes a stream \
                          but is not a known runtime function",
-                        callee.unwrap_or("<unknown>")
+                        func::callee(ctx, op).unwrap_or("<unknown>")
                     );
                 }
+                return Ok(());
             }
         },
-        _ => {}
+        _ => return Ok(()),
+    };
+    for h in consumed.iter().filter_map(handle) {
+        uses[h].consumers.push(label.to_string());
+    }
+    for h in produced.iter().filter_map(handle) {
+        uses[h].producers.push(label.to_string());
     }
     Ok(())
 }
@@ -144,9 +85,9 @@ pub fn verify_connectivity(ctx: &Context, hls_func: OpId) -> IrResult<()> {
     let mut stage_idx = 0usize;
     for &op in ctx.block_ops(entry) {
         if ctx.op_name(op) == hls::DATAFLOW {
-            let label = format!("stage{stage_idx}:{}", stage_role(ctx, op));
+            let label = format!("stage{stage_idx}:{}", hls::stage_role(ctx, op));
             stage_idx += 1;
-            for kind in [hls::READ, hls::WRITE, "func.call"] {
+            for kind in [hls::READ, hls::WRITE, func::CALL] {
                 for inner in ctx.find_ops(op, kind) {
                     record_op(ctx, inner, &label, &handles, &mut uses)?;
                 }

@@ -3,16 +3,20 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use shmls_dialects::builtin::create_module;
+use shmls_dialects::builtin::{create_module, module_body};
 use shmls_frontend::{lower_kernel, parse_kernel, KernelDef, KernelSignature};
 use shmls_ir::error::IrResult;
+use shmls_ir::pass::Pass;
 use shmls_ir::prelude::*;
-use shmls_ir::verifier::verify_with;
+use shmls_ir::verifier::{verify_with, OpVerifiers};
 
+use crate::canonicalize::CanonicalizePass;
 use crate::fpp::{run_fpp, DirectiveReport};
-use crate::hmls::{stencil_to_hls, HmlsOptions, HmlsReport};
+use crate::hmls::{stencil_to_hls, HmlsOptions, HmlsOutput, HmlsReport};
 use crate::llvm_lowering::hls_to_llvm;
+use crate::split::SplitPass;
 
 /// Which lowering paths [`compile`] produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +42,6 @@ pub struct CompileOptions {
     /// DCE) on the stencil IR before lowering — on FPGAs this deletes
     /// physical operators, not just instructions.
     pub optimize: bool,
-    /// Collect per-pass wall-clock timings on [`CompiledKernel::timings`].
-    /// With `false` the driver skips its clock reads and record
-    /// allocations at runtime and the result's timings are empty (the
-    /// pass manager and stencil-to-HLS transform still take a handful of
-    /// internal timestamps, which are dropped); building `shmls-ir`
-    /// without its `timing` feature removes the instrumentation entirely.
-    pub time_passes: bool,
     /// Capture a printed snapshot of the whole module after every
     /// pipeline stage on [`CompiledKernel::snapshots`]. Off by default
     /// (printing is not free); the conformance harness turns it on so a
@@ -59,7 +56,6 @@ impl Default for CompileOptions {
             paths: TargetPath::Full,
             verify: true,
             optimize: true,
-            time_passes: true,
             snapshots: false,
         }
     }
@@ -92,9 +88,7 @@ pub struct CompiledKernel {
     /// Per-pass wall-clock timings (`parse`, `frontend-lower`,
     /// `canonicalize`, `split`, `stencil-to-hls`, `connectivity`,
     /// `cpu-lowering`, `llvm-lowering`, `fpp`, `bytecode`, `verify`,
-    /// `total`), in execution order. Empty when
-    /// [`CompileOptions::time_passes`] is off or `shmls-ir` was built
-    /// without its `timing` feature.
+    /// `total`), in execution order.
     pub timings: Timings,
     /// `(stage, printed module)` pairs in pipeline order, when
     /// [`CompileOptions::snapshots`] was set: `frontend-lower`,
@@ -142,23 +136,17 @@ pub fn compile_stencil_ir(
     ir_text: &str,
     opts: &CompileOptions,
 ) -> IrResult<(Context, OpId, OpId, HmlsReport)> {
-    let (mut ctx, module) = shmls_ir::parser::parse_op(ir_text)?;
-    let registry = shmls_dialects::registry();
-    verify_with(&ctx, module, &registry).map_err(|e| e.context("verifying input IR"))?;
-    let funcs = ctx.find_ops(module, shmls_dialects::func::FUNC);
+    let (ctx, module) = shmls_ir::parser::parse_op(ir_text)?;
+    let mut p = Pipeline::over(ctx, module, opts);
+    // The text comes from outside: checked whatever `opts.verify` says.
+    p.verify("verifying input IR")?;
+    let funcs = p.ctx.find_ops(module, shmls_dialects::func::FUNC);
     let [stencil_func] = funcs.as_slice() else {
         shmls_ir::ir_bail!("expected exactly one func.func, found {}", funcs.len());
     };
-    let stencil_func = *stencil_func;
-    reject_f32_types(&ctx, stencil_func)?;
-    if opts.optimize {
-        crate::canonicalize::canonicalize(&mut ctx, module)?;
-    }
-    let out = stencil_to_hls(&mut ctx, stencil_func, &opts.hmls)?;
-    if opts.verify {
-        verify_with(&ctx, module, &registry).map_err(|e| e.context("after stencil-to-hls"))?;
-    }
-    Ok((ctx, module, out.func, out.report))
+    reject_f32_types(&p.ctx, *stencil_func)?;
+    let out = p.lower_to_hls(*stencil_func)?;
+    Ok((p.ctx, module, out.func, out.report))
 }
 
 /// Reject `f32` anywhere in a function's values or attributes with a
@@ -209,142 +197,172 @@ fn reject_f32_types(ctx: &Context, func: OpId) -> IrResult<()> {
     }
 }
 
-/// The driver's phase collector: live when `time_passes` is set, a
-/// runtime no-op otherwise.
-fn driver_timings(opts: &CompileOptions) -> Timings {
-    if opts.time_passes {
-        Timings::new()
-    } else {
-        Timings::off()
-    }
-}
-
 /// Compile DSL source text through the full pipeline.
 pub fn compile(source: &str, opts: &CompileOptions) -> IrResult<CompiledKernel> {
-    let mut timings = driver_timings(opts);
-    let kernel = timings.time("parse", || parse_kernel(source))?;
-    compile_kernel_timed(kernel, opts, timings)
+    let mut p = Pipeline::new(opts);
+    let kernel = p.stage("parse", |_, _| parse_kernel(source))?;
+    p.compile_kernel(kernel)
 }
 
 /// Compile an already-built [`KernelDef`] through the full pipeline.
 pub fn compile_kernel(kernel: KernelDef, opts: &CompileOptions) -> IrResult<CompiledKernel> {
-    compile_kernel_timed(kernel, opts, driver_timings(opts))
+    Pipeline::new(opts).compile_kernel(kernel)
 }
 
-/// The pipeline body, continuing the telemetry started by [`compile`]
-/// (which has already recorded the `parse` phase).
-fn compile_kernel_timed(
-    kernel: KernelDef,
-    opts: &CompileOptions,
-    mut timings: Timings,
-) -> IrResult<CompiledKernel> {
-    let mut stopwatch = Stopwatch::start();
-    let mut ctx = Context::new();
-    let (module, body) = create_module(&mut ctx);
-    let mut snapshots: Vec<(String, String)> = Vec::new();
-    let snap = |ctx: &Context, stage: &str, snapshots: &mut Vec<(String, String)>| {
-        snapshots.push((stage.to_string(), shmls_ir::printer::print_op(ctx, module)));
-    };
-    let lowered = lower_kernel(&mut ctx, body, &kernel)?;
-    stopwatch.lap(&mut timings, "frontend-lower");
-    if opts.snapshots {
-        snap(&ctx, "frontend-lower", &mut snapshots);
-    }
-    let registry = shmls_dialects::registry();
-    if opts.verify {
-        verify_with(&ctx, module, &registry).map_err(|e| e.context("after frontend lowering"))?;
-        stopwatch.lap(&mut timings, "verify");
-    }
-
-    if opts.optimize {
-        // A real pass pipeline (with inter-pass verification) for the
-        // IR-to-IR stages that precede the dataflow construction. `split`
-        // is a no-op on the frontend's already-split form but guarantees
-        // `stencil_to_hls`'s single-result precondition for IR arriving
-        // from other frontends in the CPU/GPU-favoured fused form.
-        let mut pm = shmls_ir::pass::PassManager::with_verifiers(shmls_dialects::registry());
-        pm.verify_each = opts.verify;
-        pm.add(crate::canonicalize::CanonicalizePass);
-        pm.add(crate::split::SplitPass);
-        let pass_timings = pm.run(&mut ctx, module)?;
-        timings.absorb_pass_timings(&pass_timings);
-        if opts.snapshots {
-            snap(&ctx, "optimize", &mut snapshots);
-        }
-    }
-
-    let hls_out = stencil_to_hls(&mut ctx, lowered.func, &opts.hmls)?;
-    timings.extend(&hls_out.timings);
-    if opts.snapshots {
-        snap(&ctx, "stencil-to-hls", &mut snapshots);
-    }
-    stopwatch = Stopwatch::start();
-    if opts.verify {
-        verify_with(&ctx, module, &registry).map_err(|e| e.context("after stencil-to-hls"))?;
-        stopwatch.lap(&mut timings, "verify");
-    }
-
-    let cpu_func = if matches!(opts.paths, TargetPath::HlsAndCpu | TargetPath::Full) {
-        let f = crate::cpu_lowering::stencil_to_cpu(&mut ctx, lowered.func)?;
-        stopwatch.lap(&mut timings, "cpu-lowering");
-        if opts.snapshots {
-            snap(&ctx, "cpu-lowering", &mut snapshots);
-        }
-        if opts.verify {
-            verify_with(&ctx, module, &registry).map_err(|e| e.context("after cpu lowering"))?;
-            stopwatch.lap(&mut timings, "verify");
-        }
-        Some(f)
-    } else {
-        None
-    };
-
-    let (llvm_func, directives) = if matches!(opts.paths, TargetPath::Full) {
-        let f = hls_to_llvm(&mut ctx, hls_out.func)?;
-        stopwatch.lap(&mut timings, "llvm-lowering");
-        let report = run_fpp(&mut ctx, f)?;
-        stopwatch.lap(&mut timings, "fpp");
-        if opts.snapshots {
-            snap(&ctx, "llvm-lowering", &mut snapshots);
-        }
-        if opts.verify {
-            verify_with(&ctx, module, &registry)
-                .map_err(|e| e.context("after llvm lowering + fpp"))?;
-            stopwatch.lap(&mut timings, "verify");
-        }
-        (Some(f), Some(report))
-    } else {
-        (None, None)
-    };
-
-    // Bytecode tier: compile each apply body once into a flat register
-    // program. Best-effort per apply — an unsupported body just keeps the
-    // tree-walking path.
-    stopwatch = Stopwatch::start();
-    let apply_plans = compile_apply_plans(&ctx, lowered.func);
-    stopwatch.lap(&mut timings, "bytecode");
-
-    // Summary row last; `Timings::total()` skips it when re-summing, so
-    // the reported end-to-end time is not doubled. No-op when the
-    // collector is off.
-    let total = timings.total();
-    timings.record("total", total);
-
-    Ok(CompiledKernel {
-        ctx,
-        module,
-        kernel,
-        signature: lowered.signature,
-        stencil_func: lowered.func,
-        hls_func: hls_out.func,
-        cpu_func,
-        llvm_func,
-        report: hls_out.report,
-        directives,
-        timings,
-        snapshots,
-        apply_plans,
+/// For a stage that leaves a changed, finished module behind: the name of
+/// the snapshot taken after it (if any) and the failure context of the
+/// verification after it. Any other stage leaves the module as it found it
+/// (`parse`, `bytecode`) or for the next stage to finish (`llvm-lowering`).
+fn checked(stage: &str) -> Option<(Option<&'static str>, &'static str)> {
+    Some(match stage {
+        "frontend-lower" => (Some("frontend-lower"), "after frontend lowering"),
+        "canonicalize" => (None, "verification after pass `canonicalize`"),
+        "split" => (Some("optimize"), "verification after pass `split`"),
+        "stencil-to-hls" => (Some("stencil-to-hls"), "after stencil-to-hls"),
+        "cpu-lowering" => (Some("cpu-lowering"), "after cpu lowering"),
+        "fpp" => (Some("llvm-lowering"), "after llvm lowering + fpp"),
+        _ => return None,
     })
+}
+
+/// A module on its way through the pipeline, with what the stages leave
+/// behind. [`Pipeline::stage`] is the one place a stage is timed,
+/// snapshotted and verified; the two entry points are stage lists on it.
+struct Pipeline<'o> {
+    ctx: Context,
+    module: OpId,
+    opts: &'o CompileOptions,
+    registry: OpVerifiers,
+    timings: Timings,
+    snapshots: Vec<(String, String)>,
+}
+
+impl<'o> Pipeline<'o> {
+    /// A pipeline over a fresh, empty module.
+    fn new(opts: &'o CompileOptions) -> Self {
+        let mut ctx = Context::new();
+        let (module, _body) = create_module(&mut ctx);
+        Self::over(ctx, module, opts)
+    }
+
+    /// A pipeline over an existing module.
+    fn over(ctx: Context, module: OpId, opts: &'o CompileOptions) -> Self {
+        Pipeline {
+            ctx,
+            module,
+            opts,
+            registry: shmls_dialects::registry(),
+            timings: Timings::new(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Run stage `name`: time it under `name` (unless it records rows of
+    /// its own into the `Timings` it is handed), then, for a [`checked`]
+    /// stage, snapshot the module when [`CompileOptions::snapshots`] asks
+    /// and verify it when [`CompileOptions::verify`] asks.
+    fn stage<T>(
+        &mut self,
+        name: &str,
+        run: impl FnOnce(&mut Context, &mut Timings) -> IrResult<T>,
+    ) -> IrResult<T> {
+        let (start, rows) = (Instant::now(), self.timings.records().len());
+        let out = run(&mut self.ctx, &mut self.timings)?;
+        if self.timings.records().len() == rows {
+            self.timings.record(name, start.elapsed());
+        }
+        if let Some((snapshot, context)) = checked(name) {
+            if let (true, Some(snapshot)) = (self.opts.snapshots, snapshot) {
+                let printed = shmls_ir::printer::print_op(&self.ctx, self.module);
+                self.snapshots.push((snapshot.to_string(), printed));
+            }
+            if self.opts.verify {
+                self.verify(context)?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Verify the whole module, timed under `verify`.
+    fn verify(&mut self, context: &str) -> IrResult<()> {
+        let (ctx, module, registry) = (&self.ctx, self.module, &self.registry);
+        self.timings
+            .time("verify", || verify_with(ctx, module, registry))
+            .map_err(|e| e.context(context))
+    }
+
+    /// The stages both entry points share: the IR-to-IR passes that
+    /// precede the dataflow construction, then the construction. `split` is
+    /// a no-op on the frontend's already-split form but guarantees
+    /// `stencil_to_hls`'s single-result precondition for IR arriving from
+    /// other frontends in the CPU/GPU-favoured fused form.
+    fn lower_to_hls(&mut self, stencil_func: OpId) -> IrResult<HmlsOutput> {
+        let (module, hmls) = (self.module, &self.opts.hmls);
+        if self.opts.optimize {
+            for pass in [&CanonicalizePass as &dyn Pass, &SplitPass] {
+                let failed = |e: IrError| e.context(format!("pass `{}`", pass.name()));
+                self.stage(pass.name(), |ctx, _| pass.run(ctx, module).map_err(failed))?;
+            }
+        }
+        // The transform times itself, as two rows.
+        self.stage("stencil-to-hls", |ctx, rows| {
+            let out = stencil_to_hls(ctx, stencil_func, hmls)?;
+            rows.extend(&out.timings);
+            Ok(out)
+        })
+    }
+
+    /// The DSL entry points' stage list: everything a [`CompiledKernel`]
+    /// carries.
+    fn compile_kernel(mut self, kernel: KernelDef) -> IrResult<CompiledKernel> {
+        let body = module_body(&self.ctx, self.module);
+        let lowered = self.stage("frontend-lower", |ctx, _| lower_kernel(ctx, body, &kernel))?;
+        let hls_out = self.lower_to_hls(lowered.func)?;
+
+        let paths = self.opts.paths;
+        let cpu_func = if matches!(paths, TargetPath::HlsAndCpu | TargetPath::Full) {
+            Some(self.stage("cpu-lowering", |ctx, _| {
+                crate::cpu_lowering::stencil_to_cpu(ctx, lowered.func)
+            })?)
+        } else {
+            None
+        };
+        let (llvm_func, directives) = if matches!(paths, TargetPath::Full) {
+            let f = self.stage("llvm-lowering", |ctx, _| hls_to_llvm(ctx, hls_out.func))?;
+            let report = self.stage("fpp", |ctx, _| run_fpp(ctx, f))?;
+            (Some(f), Some(report))
+        } else {
+            (None, None)
+        };
+        // Bytecode tier: compile each apply body once into a flat register
+        // program. Best-effort per apply — an unsupported body just keeps
+        // the tree-walking path.
+        let apply_plans = self.stage("bytecode", |ctx, _| {
+            Ok(compile_apply_plans(ctx, lowered.func))
+        })?;
+
+        // Summary row last; `Timings::total()` skips it when re-summing, so
+        // the reported end-to-end time is not doubled.
+        let mut timings = self.timings;
+        let total = timings.total();
+        timings.record("total", total);
+
+        Ok(CompiledKernel {
+            ctx: self.ctx,
+            module: self.module,
+            kernel,
+            signature: lowered.signature,
+            stencil_func: lowered.func,
+            hls_func: hls_out.func,
+            cpu_func,
+            llvm_func,
+            report: hls_out.report,
+            directives,
+            timings,
+            snapshots: self.snapshots,
+            apply_plans,
+        })
+    }
 }
 
 /// Compile a bytecode [`Program`](shmls_ir::bytecode::Program) for every
@@ -424,10 +442,6 @@ kernel demo {
     #[test]
     fn timings_cover_every_stage() {
         let compiled = compile(SRC, &CompileOptions::default()).unwrap();
-        if !Timings::enabled() {
-            assert!(compiled.timings.is_empty());
-            return;
-        }
         for stage in [
             "parse",
             "frontend-lower",
@@ -448,9 +462,12 @@ kernel demo {
                 compiled.timings
             );
         }
+        // One verification per stage that changes the module: frontend,
+        // canonicalize, split, stencil-to-hls, cpu, llvm + fpp.
+        let records = compiled.timings.records();
+        assert_eq!(records.iter().filter(|r| r.name == "verify").count(), 6);
         // `total` is recorded last, covers the sum of the real phases,
         // and re-summing after it lands must not double-count it.
-        let records = compiled.timings.records();
         assert_eq!(records.last().unwrap().name, "total");
         assert_eq!(
             compiled.timings.get("total"),
@@ -491,15 +508,5 @@ kernel demo {
     fn snapshots_off_by_default() {
         let compiled = compile(SRC, &CompileOptions::default()).unwrap();
         assert!(compiled.snapshots.is_empty());
-    }
-
-    #[test]
-    fn time_passes_off_leaves_timings_empty() {
-        let opts = CompileOptions {
-            time_passes: false,
-            ..Default::default()
-        };
-        let compiled = compile(SRC, &opts).unwrap();
-        assert!(compiled.timings.is_empty());
     }
 }

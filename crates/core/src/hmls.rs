@@ -9,9 +9,16 @@
 //! 2. **512-bit packed interface types** — field pointers become
 //!    `!llvm.ptr<!llvm.struct<(!llvm.array<8 x f64>)>>` so each external
 //!    beat moves 8 doubles.
-//! 3. **Streams replace direct memory access** — one `dummy_load_data`
-//!    placeholder dataflow stage per input field feeding an element stream
-//!    (Listing 4).
+//! 3. **Streams replace direct memory access, through a single load stage,
+//!    emitted directly** (the paper's steps 3 and 7) — one `load_data`
+//!    stage feeds an element stream per read field (Listing 4, Figure 3:
+//!    one data-loading stage, many shift buffers). The paper first plants
+//!    a placeholder load per field and later fuses them into
+//!    the real call, because an xDSL rewrite pattern sees one
+//!    `stencil.load` at a time and cannot know the full field list when it
+//!    fires. This builder has every read field of a step in hand before it
+//!    emits anything, so it writes the one call and there is nothing to
+//!    replace.
 //! 4. **Per-field compute stages** — one pipelined loop per
 //!    `stencil.apply` result (multi-result applies must be split first,
 //!    [`crate::split`]).
@@ -20,42 +27,34 @@
 //!    `llvm.extractvalue` at the flattened window position.
 //! 6. **Result storage** — a single `write_data` stage drains the result
 //!    streams into external memory in 512-bit chunks.
-//! 7. **Placeholder replacement** — the first `dummy_load_data` becomes the
-//!    single `load_data` call covering every input field; the rest are
-//!    removed (one data-loading stage, many shift buffers — Figure 3).
+//! 7. *(folded into step 3.)*
 //! 8. **Small data to local memory** — each `memref` argument is copied
 //!    into a `memref.alloca` (BRAM) at kernel start, duplicated per
 //!    consuming compute stage to respect the one-accessor dataflow rule.
 //! 9. **AXI bundle assignment** — every field argument gets its own
 //!    `m_axi` bundle (own HBM port); all small data shares one bundle;
 //!    scalars ride the `s_axilite` control bundle.
+//!
+//! [`stencil_to_hls`] runs these as named phases: two that only read the
+//! stencil function (`analyse_sources`, `plan_steps`) and leave an
+//! `Analysis` and one `StepPlan` per temporal step, then the `Design`
+//! builder's — `open` (steps 2, 8, 9), per temporal step `feed`, `shift`,
+//! `dup` and `compute` (steps 3–5), and `write` (step 6) — each appending
+//! its stages to the end of the new function's entry block, and last the
+//! stream-graph check of [`crate::connectivity`]. The names and operand
+//! layouts of the runtime calls come from
+//! [`shmls_dialects::hls::RuntimeKind`]; nothing here spells them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
+use shmls_dialects::hls::{RuntimeCall, RuntimeKind};
 use shmls_dialects::{arith, func, hls, llvm, memref, scf, stencil};
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
-use crate::classify::{classify_args, ArgClass};
+use crate::classify::{classify_args, ArgClass, Classification};
 use crate::shift_buffer::{offset_to_window_pos, shift_register_len, window_size};
-
-/// Runtime function: read all input fields from external memory in 512-bit
-/// beats and feed the per-field element streams.
-pub const RT_LOAD_DATA: &str = "load_data";
-/// Placeholder inserted by step 3, replaced by step 7.
-pub const RT_DUMMY_LOAD_DATA: &str = "dummy_load_data";
-/// Runtime function: the shift buffer (element stream → window stream).
-pub const RT_SHIFT_BUFFER: &str = "shift_buffer";
-/// Runtime function: drain result streams to external memory (512-bit).
-pub const RT_WRITE_DATA: &str = "write_data";
-/// Runtime function: kernel-init copy of small data into BRAM.
-pub const RT_COPY_SMALL_DATA: &str = "copy_small_data";
-/// Runtime function: temporal-blocking seam stage. Feeds a deeper step's
-/// element stream by merging the previous step's result stream (interior
-/// points) with the halo ring read from the output field's buffer — the
-/// ring a single-step march would have re-loaded from external memory.
-pub const RT_HALO_MERGE: &str = "halo_merge";
 
 /// Number of f64 lanes in a 512-bit beat.
 pub const PACK_LANES: u64 = 8;
@@ -143,7 +142,6 @@ pub struct HmlsOutput {
     pub report: HmlsReport,
     /// Wall-clock telemetry: `"stencil-to-hls"` (analysis + dataflow
     /// construction) and `"connectivity"` (stream-graph verification).
-    /// Empty when `shmls-ir` is built without the `timing` feature.
     pub timings: Timings,
 }
 
@@ -188,6 +186,72 @@ pub fn stencil_to_hls(
 ) -> IrResult<HmlsOutput> {
     let mut timings = Timings::new();
     let mut stopwatch = Stopwatch::start();
+
+    let kernel = analyse_sources(ctx, stencil_func)?;
+    let steps = plan_steps(&kernel, opts.temporal_depth)?;
+
+    // Streams and stages, one step of the temporal chain at a time. Each
+    // phase appends in program order (feed → shift → dup → compute), so
+    // the entry block remains a topologically ordered Kahn network and the
+    // sequential engine can run stages to completion in order. Step 1 is
+    // exactly the single-step design.
+    let mut design = Design::open(ctx, &kernel, &steps, opts)?;
+    for step in 0..steps.len() {
+        design.feed(step)?;
+        design.shift(step);
+        design.dup(step);
+        design.compute(step)?;
+    }
+    design.write()?;
+    let (hls_func, report) = (design.func, design.report);
+
+    // The generated design must be a well-formed Kahn network: every
+    // stream fed and drained. Anything else would deadlock at runtime.
+    stopwatch.lap(&mut timings, "stencil-to-hls");
+    crate::connectivity::verify_connectivity(ctx, hls_func)?;
+    stopwatch.lap(&mut timings, "connectivity");
+
+    Ok(HmlsOutput {
+        func: hls_func,
+        report,
+        timings,
+    })
+}
+
+// ---- analysis ---------------------------------------------------------------
+
+/// What the analysis learns about the stencil function. The construction
+/// phases only read it.
+struct Analysis {
+    name: String,
+    /// The module block the new function is appended to.
+    module_body: BlockId,
+    /// Entry-block arguments of the stencil function.
+    old_args: Vec<ValueId>,
+    classification: Classification,
+    applies: Vec<ApplyInfo>,
+    /// `live[i]`: apply `i` is stored or feeds a stored apply. Dead applies
+    /// must not become compute stages: each would push to a result stream
+    /// with no consumer, fill it, block, and back-pressure its window dup —
+    /// deadlocking the whole design under bounded FIFOs.
+    live: Vec<bool>,
+    /// Interior bounds every compute stage loops over.
+    interior: StencilBounds,
+    /// Extents of the halo-padded box every field occupies.
+    bounded_extents: Vec<i64>,
+    halo: i64,
+    /// Feedback pairing, mirroring `scale::feedback_pairs` (declaration
+    /// order): an inout field feeds itself; the k-th pure output feeds the
+    /// k-th pure input. `pair_out_of[in_arg]` names the output arg whose
+    /// step-s result becomes `in_arg`'s step-(s+1) value.
+    pair_out_of: BTreeMap<usize, usize>,
+    /// `(field arg, apply whose result is stored to it)`, sorted.
+    stored: Vec<(usize, usize)>,
+}
+
+/// Phase 1: trace every apply operand to where its values come from, find
+/// what is stored where, and derive the geometry all stages share.
+fn analyse_sources(ctx: &Context, stencil_func: OpId) -> IrResult<Analysis> {
     let classification = classify_args(ctx, stencil_func)?;
     let entry = ctx
         .entry_block(stencil_func)
@@ -200,7 +264,75 @@ pub fn stencil_to_hls(
         .parent_block(stencil_func)
         .ok_or_else(|| ir_error!("stencil function is detached"))?;
 
-    // ---- analysis --------------------------------------------------------
+    let applies = trace_applies(ctx, stencil_func, entry, &name, &classification)?;
+    let stored = applies.iter().map(|a| a.stored_to.is_some()).collect();
+    let live = close_over_producers(&applies, stored);
+    let first_live = live.iter().position(|&l| l).ok_or_else(|| {
+        ir_error!("stencil_to_hls: kernel stores no results — every compute stage is dead")
+    })?;
+    let interior = applies[first_live].interior.clone();
+
+    let fields = classification.fields();
+    let bounds_of = |f: usize| {
+        ctx.value_type(old_args[f])
+            .stencil_bounds()
+            .ok_or_else(|| ir_error!("field arg without bounds"))
+    };
+    let first_field = *fields
+        .first()
+        .ok_or_else(|| ir_error!("kernel has no fields"))?;
+    let bounded = bounds_of(first_field)?;
+    // Halo derivation below assumes a single uniform field geometry (the
+    // frontend guarantees it; hand-written IR through compile_stencil_ir
+    // must satisfy it too).
+    for &f in &fields {
+        let b = bounds_of(f)?;
+        ir_ensure!(
+            b == bounded,
+            "field arguments have differing bounds ({b} vs {bounded}); \
+             uniform field geometry is required"
+        );
+    }
+
+    let inouts = classification.indices_of(ArgClass::FieldInOut);
+    let outs = classification.indices_of(ArgClass::FieldOutput);
+    let ins = classification.indices_of(ArgClass::FieldInput);
+    let pair_out_of = inouts
+        .iter()
+        .map(|&io| (io, io))
+        .chain(ins.into_iter().zip(outs))
+        .collect();
+    let mut stored: Vec<(usize, usize)> = applies
+        .iter()
+        .enumerate()
+        .filter_map(|(i, info)| info.stored_to.map(|arg| (arg, i)))
+        .collect();
+    stored.sort_unstable();
+
+    Ok(Analysis {
+        name,
+        module_body,
+        halo: interior.lb[0] - bounded.lb[0],
+        bounded_extents: bounded.extents(),
+        interior,
+        old_args,
+        classification,
+        applies,
+        live,
+        pair_out_of,
+        stored,
+    })
+}
+
+/// The function's applies in program order, each operand traced to its
+/// [`Source`] and each result to the field it is stored to.
+fn trace_applies(
+    ctx: &Context,
+    stencil_func: OpId,
+    entry: BlockId,
+    name: &str,
+    classification: &Classification,
+) -> IrResult<Vec<ApplyInfo>> {
     let applies: Vec<OpId> = ctx
         .block_ops(entry)
         .iter()
@@ -217,12 +349,13 @@ pub fn stencil_to_hls(
             "stencil_to_hls: multi-result stencil.apply found; run split_applies first"
         );
     }
+    let old_args = ctx.block_args(entry);
+    let arg_index = |v: ValueId| old_args.iter().position(|&a| a == v);
 
     // stencil.load result -> field arg index
     let mut load_of: BTreeMap<ValueId, usize> = BTreeMap::new();
     for l in ctx.find_ops(stencil_func, stencil::LOAD) {
-        let src = ctx.operands(l)[0];
-        if let Some(arg) = old_args.iter().position(|&a| a == src) {
+        if let Some(arg) = arg_index(ctx.operands(l)[0]) {
             load_of.insert(ctx.result(l, 0), arg);
         }
     }
@@ -232,20 +365,16 @@ pub fn stencil_to_hls(
         .enumerate()
         .map(|(i, &a)| (ctx.result(a, 0), i))
         .collect();
-    // apply result -> stored field arg
+    // apply index -> stored field arg
     let mut stored_to: BTreeMap<usize, usize> = BTreeMap::new();
     for s in ctx.find_ops(stencil_func, stencil::STORE) {
-        let temp = ctx.operands(s)[0];
-        let field = ctx.operands(s)[1];
-        if let (Some(&apply_idx), Some(arg)) = (
-            result_of.get(&temp),
-            old_args.iter().position(|&a| a == field),
-        ) {
+        let (temp, field) = (ctx.operands(s)[0], ctx.operands(s)[1]);
+        if let (Some(&apply_idx), Some(arg)) = (result_of.get(&temp), arg_index(field)) {
             stored_to.insert(apply_idx, arg);
         }
     }
 
-    let mut infos: Vec<ApplyInfo> = Vec::with_capacity(applies.len());
+    let mut infos = Vec::with_capacity(applies.len());
     for (i, &a) in applies.iter().enumerate() {
         let mut sources = Vec::new();
         for &operand in ctx.operands(a) {
@@ -254,7 +383,7 @@ pub fn stencil_to_hls(
             } else if let Some(&apply) = result_of.get(&operand) {
                 ir_ensure!(apply < i, "apply operand from a later apply");
                 Source::Producer { apply }
-            } else if let Some(arg) = old_args.iter().position(|&x| x == operand) {
+            } else if let Some(arg) = arg_index(operand) {
                 match classification.classes[arg] {
                     ArgClass::SmallData => Source::Param { arg },
                     ArgClass::Scalar => Source::Const { arg },
@@ -277,796 +406,590 @@ pub fn stencil_to_hls(
             interior,
         });
     }
+    Ok(infos)
+}
 
-    // ---- dead-stage pruning ----------------------------------------------
-    // An apply is live iff its result is stored or feeds a live apply.
-    // Dead applies must not become compute stages: each would push to a
-    // result stream with no consumer, fill it, block, and back-pressure
-    // its window dup — deadlocking the whole design under bounded FIFOs.
-    // Walking in reverse works because producers precede their consumers.
-    let mut live = vec![false; infos.len()];
-    for i in (0..infos.len()).rev() {
-        if live[i] || infos[i].stored_to.is_some() {
-            live[i] = true;
-            for src in &infos[i].sources {
+/// The one liveness walk: starting from `live`, mark every apply a live
+/// apply reads from. Back-to-front works because producers precede their
+/// consumers in the apply list. Seeded with the stored applies it is the
+/// base pruning; seeded with the applies the next temporal step reads, a
+/// step's liveness.
+fn close_over_producers(applies: &[ApplyInfo], mut live: Vec<bool>) -> Vec<bool> {
+    for i in (0..applies.len()).rev() {
+        if live[i] {
+            for src in &applies[i].sources {
                 if let Source::Producer { apply } = *src {
                     live[apply] = true;
                 }
             }
         }
     }
-    let pruned_stages = live.iter().filter(|&&l| !l).count();
-    ir_ensure!(
-        live.iter().any(|&l| l),
-        "stencil_to_hls: kernel stores no results — every compute stage is dead"
-    );
-    if pruned_stages > 0 {
-        // Remap Producer indices to the compacted live-apply list. A live
-        // apply's producers are themselves live, so the lookup never misses.
-        let remap: BTreeMap<usize, usize> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l)
-            .map(|(old, _)| old)
-            .enumerate()
-            .map(|(new, old)| (old, new))
-            .collect();
-        infos = infos
-            .into_iter()
-            .zip(&live)
-            .filter(|(_, &l)| l)
-            .map(|(mut info, _)| {
-                for src in &mut info.sources {
-                    if let Source::Producer { apply } = src {
-                        *apply = remap[apply];
-                    }
-                }
-                info
-            })
-            .collect();
-    }
+    live
+}
 
-    let interior = infos[0].interior.clone();
-    let rank = interior.rank();
-    let first_field = classification
-        .fields()
-        .first()
-        .copied()
-        .ok_or_else(|| ir_error!("kernel has no fields"))?;
-    let bounded = ctx
-        .value_type(old_args[first_field])
-        .stencil_bounds()
-        .ok_or_else(|| ir_error!("field arg without bounds"))?
-        .clone();
-    // Halo derivation below assumes a single uniform field geometry (the
-    // frontend guarantees it; hand-written IR through compile_stencil_ir
-    // must satisfy it too).
-    for &f in &classification.fields() {
-        let b = ctx
-            .value_type(old_args[f])
-            .stencil_bounds()
-            .ok_or_else(|| ir_error!("field arg without bounds"))?;
-        ir_ensure!(
-            *b == bounded,
-            "field arguments have differing bounds ({b} vs {bounded});              uniform field geometry is required"
-        );
-    }
-    let halo = interior.lb[0] - bounded.lb[0];
-    let n_points = interior.num_points();
-    let w = window_size(rank, halo);
+/// What one step of the temporal chain builds. Streams, shift buffers and
+/// the feed stages are demand-driven: only fields some live apply actually
+/// reads get them (a declared-but-unused input would otherwise feed a
+/// window stream nobody drains — a guaranteed deadlock under bounded
+/// FIFOs).
+struct StepPlan {
+    /// Applies that become compute stages at this step.
+    live: Vec<bool>,
+    /// Field arg -> number of live applies reading its window stream; the
+    /// keys are the fields the step reads.
+    window_consumers: BTreeMap<usize, usize>,
+    /// Apply -> number of consumers of its result stream: same-step
+    /// applies, plus `write_data` (final step) or the next step's seam.
+    result_consumers: BTreeMap<usize, usize>,
+}
 
-    // ---- temporal depth ---------------------------------------------------
-    let depth = opts.temporal_depth;
+impl StepPlan {
+    fn read_fields(&self) -> Vec<usize> {
+        self.window_consumers.keys().copied().collect()
+    }
+}
+
+/// Phase 2: liveness and consumer counts per temporal step.
+///
+/// The final step is the base-pruned design. An apply at an earlier step
+/// is live iff its stored field feeds — through the declaration-order
+/// pairing — a field some live apply reads one step later (via a
+/// halo_merge seam), or it feeds a live same-step consumer. Dead
+/// earlier-step stages are dropped for the same reason as base pruning.
+fn plan_steps(k: &Analysis, depth: usize) -> IrResult<Vec<StepPlan>> {
     ir_ensure!(
         depth >= 1,
         "stencil_to_hls: temporal_depth must be at least 1 (got 0)"
     );
-
-    // Feedback pairing, mirroring `scale::feedback_pairs` (declaration
-    // order): an inout field feeds itself; the k-th pure output feeds the
-    // k-th pure input. `pair_out_of[in_arg]` names the output arg whose
-    // step-s result becomes `in_arg`'s step-(s+1) value.
-    let mut pair_in_of: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut pair_out_of: BTreeMap<usize, usize> = BTreeMap::new();
-    {
-        let mut outs = Vec::new();
-        let mut ins = Vec::new();
-        for (idx, class) in classification.classes.iter().enumerate() {
-            match class {
-                ArgClass::FieldInOut => {
-                    pair_in_of.insert(idx, idx);
-                    pair_out_of.insert(idx, idx);
-                }
-                ArgClass::FieldOutput => outs.push(idx),
-                ArgClass::FieldInput => ins.push(idx),
-                _ => {}
-            }
-        }
-        for (&o, &i) in outs.iter().zip(ins.iter()) {
-            pair_in_of.insert(o, i);
-            pair_out_of.insert(i, o);
-        }
-    }
-    // field arg -> the apply whose result is stored to it.
-    let storer_of: BTreeMap<usize, usize> = infos
-        .iter()
-        .enumerate()
-        .filter_map(|(i, info)| info.stored_to.map(|arg| (arg, i)))
-        .collect();
-
-    // Per-step consumer analysis. Streams, shift buffers and the feed
-    // stages are demand-driven: only fields some live apply actually reads
-    // get them (a declared-but-unused input would otherwise feed a window
-    // stream nobody drains — a guaranteed deadlock under bounded FIFOs).
-    //
-    // The final step is the base-pruned design (every remaining apply is
-    // stored or feeds a stored one). An apply at an earlier step is live
-    // iff its stored field feeds — through the declaration-order pairing —
-    // a field some live apply reads one step later (via a halo_merge
-    // seam), or it feeds a live same-step consumer. Dead earlier-step
-    // stages are dropped for the same reason as base pruning: each would
-    // push to a consumer-less result stream and deadlock the design.
-    struct StepInfo {
-        live: Vec<bool>,
-        read_fields: Vec<usize>,
-        window_consumers: BTreeMap<usize, usize>,
-        producer_consumers: BTreeMap<usize, usize>,
-    }
-    let fields_read_by = |live: &[bool], infos: &[ApplyInfo]| -> Vec<usize> {
-        let mut consumed = std::collections::BTreeSet::new();
-        for (i, info) in infos.iter().enumerate() {
-            if !live[i] {
-                continue;
-            }
-            for src in &info.sources {
-                if let Source::FieldWindow { arg } = *src {
-                    consumed.insert(arg);
-                }
-            }
-        }
-        consumed.into_iter().collect()
-    };
     // Built back-to-front (liveness flows backwards), then reversed.
-    let mut step_infos: Vec<StepInfo> = Vec::with_capacity(depth);
-    for s in (0..depth).rev() {
-        let mut live = vec![false; infos.len()];
-        if s == depth - 1 {
-            live.fill(true);
-        } else {
-            let next = step_infos.last().expect("later step already built");
-            for (i, info) in infos.iter().enumerate() {
-                if let Some(out_arg) = info.stored_to {
-                    if let Some(in_arg) = pair_in_of.get(&out_arg) {
-                        if next.read_fields.contains(in_arg) {
-                            live[i] = true;
-                        }
-                    }
-                }
-            }
-            // Same-step producer edges, back-to-front (producers precede
-            // their consumers in the apply list).
-            for i in (0..infos.len()).rev() {
-                if live[i] {
-                    for src in &infos[i].sources {
-                        if let Source::Producer { apply } = *src {
-                            live[apply] = true;
-                        }
-                    }
-                }
-            }
-        }
-        let read_fields = fields_read_by(&live, &infos);
-        let mut window_consumers: BTreeMap<usize, usize> =
-            read_fields.iter().map(|&f| (f, 0)).collect();
-        let mut producer_consumers: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, info) in infos.iter().enumerate() {
-            if !live[i] {
-                continue;
-            }
+    let mut steps: Vec<StepPlan> = Vec::with_capacity(depth);
+    for _ in 0..depth {
+        let next = steps.last();
+        let feeds_next = |info: &ApplyInfo| {
+            let mut read_next = next.iter().flat_map(|n| n.window_consumers.keys());
+            info.stored_to
+                .is_some_and(|out| read_next.any(|f| k.pair_out_of.get(f) == Some(&out)))
+        };
+        let live = match next {
+            None => k.live.clone(),
+            Some(_) => close_over_producers(&k.applies, k.applies.iter().map(feeds_next).collect()),
+        };
+        let mut window_consumers: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut result_consumers: BTreeMap<usize, usize> = BTreeMap::new();
+        for (i, info) in k.applies.iter().enumerate().filter(|&(i, _)| live[i]) {
             for src in &info.sources {
                 match *src {
                     Source::FieldWindow { arg } => *window_consumers.entry(arg).or_default() += 1,
-                    Source::Producer { apply } => {
-                        *producer_consumers.entry(apply).or_default() += 1
-                    }
+                    Source::Producer { apply } => *result_consumers.entry(apply).or_default() += 1,
                     _ => {}
                 }
             }
-        }
-        for (i, info) in infos.iter().enumerate() {
-            let Some(out_arg) = info.stored_to else {
-                continue;
-            };
-            if !live[i] {
-                continue;
-            }
-            if s == depth - 1 {
-                // Final-step results drain to write_data.
-                *producer_consumers.entry(i).or_default() += 1;
-            } else if let Some(in_arg) = pair_in_of.get(&out_arg) {
-                let next = step_infos.last().expect("later step already built");
-                if next.read_fields.contains(in_arg) {
-                    // Consumed by the next step's halo_merge seam.
-                    *producer_consumers.entry(i).or_default() += 1;
-                }
+            // Final-step results drain to write_data, earlier ones to the
+            // next step's halo_merge seam.
+            if info.stored_to.is_some() && (next.is_none() || feeds_next(info)) {
+                *result_consumers.entry(i).or_default() += 1;
             }
         }
-        step_infos.push(StepInfo {
+        steps.push(StepPlan {
             live,
-            read_fields,
             window_consumers,
-            producer_consumers,
+            result_consumers,
         });
     }
-    step_infos.reverse();
-
-    let mut report = HmlsReport {
-        inputs: step_infos[depth - 1].read_fields.len(),
-        outputs: classification.written_fields().len(),
-        window_elems: w,
-        pruned_stages,
-        temporal_depth: depth,
-        ..HmlsReport::default()
-    };
-
-    // ---- construction -----------------------------------------------------
-
-    // New function signature (step 2: packed field pointers).
-    let mut new_input_types = Vec::with_capacity(old_args.len());
-    for (idx, &arg) in old_args.iter().enumerate() {
-        let ty = match classification.classes[idx] {
-            c if c.is_field() => packed_field_type(),
-            _ => ctx.value_type(arg).clone(),
-        };
-        new_input_types.push(ty);
-    }
-    let hls_name = format!("{name}_hls");
-    let (hls_func, hls_entry) =
-        func::create_func(ctx, module_body, &hls_name, new_input_types, vec![]);
-    let new_args = ctx.block_args(hls_entry).to_vec();
-
-    // Step 9: AXI bundle assignment.
-    {
-        let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-        let mut gmem = 0usize;
-        for (idx, &arg) in new_args.iter().enumerate() {
-            let bundle = match classification.classes[idx] {
-                c if c.is_field() => {
-                    let bd = format!("gmem{gmem}");
-                    gmem += 1;
-                    hls::interface(&mut b, arg, hls::AXI4, &bd);
-                    bd
-                }
-                ArgClass::SmallData => {
-                    hls::interface(&mut b, arg, hls::AXI4, "gmem_small");
-                    "gmem_small".to_string()
-                }
-                _ => {
-                    hls::interface(&mut b, arg, "s_axilite", "control");
-                    "control".to_string()
-                }
-            };
-            report.bundles.push(bundle);
-        }
-    }
-
-    // Step 8: local BRAM copies of small data, one per consuming stage.
-    // local_for[(param_arg, apply_idx)] -> alloca value
-    let mut local_for: BTreeMap<(usize, usize), ValueId> = BTreeMap::new();
-    for (i, info) in infos.iter().enumerate() {
-        for src in &info.sources {
-            if let Source::Param { arg } = *src {
-                if local_for.contains_key(&(arg, i)) {
-                    continue;
-                }
-                let Type::MemRef { shape, elem } = ctx.value_type(new_args[arg]).clone() else {
-                    ir_bail!("small data argument is not a memref");
-                };
-                let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-                let local = memref::alloca(&mut b, shape.clone(), (*elem).clone());
-                let call = func::call(
-                    &mut b,
-                    RT_COPY_SMALL_DATA,
-                    vec![new_args[arg], local],
-                    vec![],
-                );
-                let elems: i64 = shape.iter().product();
-                ctx.set_attr(call, "elements", Attribute::int(elems));
-                local_for.insert((arg, i), local);
-                report.local_copies.push((arg, elems));
-            }
-        }
-    }
-
-    // Streams and stages, one step of the temporal chain at a time. Each
-    // step's stages are appended in program order (feed → shift → dup →
-    // compute), so the entry block remains a topologically ordered Kahn
-    // network and the sequential engine can run stages to completion in
-    // order. Step 1 is exactly the single-step design; each deeper step is
-    // fed by halo_merge seams (feedback-paired fields) plus its own loader
-    // stage (constant fields — a loader shared across steps would block on
-    // the deeper step's bounded FIFOs and starve the shallower one).
-    let bounded_extents = bounded.extents();
-    let window_ty = Type::LlvmStruct(vec![Type::llvm_array(w as u64, Type::F64)]);
-    let mut elem_stream: BTreeMap<(usize, usize), ValueId> = BTreeMap::new();
-    let mut window_stream: BTreeMap<(usize, usize), ValueId> = BTreeMap::new();
-    let mut result_stream: BTreeMap<(usize, usize), ValueId> = BTreeMap::new();
-    let mut window_copies: BTreeMap<(usize, usize), Vec<ValueId>> = BTreeMap::new();
-    let mut result_copies: BTreeMap<(usize, usize), Vec<ValueId>> = BTreeMap::new();
-    let mut window_next: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut result_next: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut dummy_calls: Vec<OpId> = Vec::new();
-
-    for s in 0..depth {
-        let si = &step_infos[s];
-        // Element + window streams for this step's read fields.
-        {
-            let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-            for &f in &si.read_fields {
-                let es = hls::create_stream(&mut b, Type::F64, opts.stream_depth);
-                elem_stream.insert((s, f), es);
-                report.streams += 1;
-            }
-            for &f in &si.read_fields {
-                let ws = hls::create_stream(&mut b, window_ty.clone(), opts.window_stream_depth);
-                window_stream.insert((s, f), ws);
-                report.streams += 1;
-            }
-        }
-        if s == 0 {
-            // Step 3: placeholder load stages (one per read field), fused
-            // into the single real load_data by step 7 below.
-            for &f in &si.read_fields {
-                let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-                let (_df, body) = hls::dataflow(&mut b);
-                let mut ib = OpBuilder::at_block_end(ctx, body);
-                let call = func::call(
-                    &mut ib,
-                    RT_DUMMY_LOAD_DATA,
-                    vec![new_args[f], elem_stream[&(s, f)]],
-                    vec![],
-                );
-                ctx.set_attr(
-                    call,
-                    "extents",
-                    Attribute::IndexArray(bounded_extents.clone()),
-                );
-                ctx.set_attr(call, "halo", Attribute::int(halo));
-                dummy_calls.push(call);
-            }
-        } else {
-            // Feed stages for a deeper step: halo_merge seams for fed
-            // fields, one fresh loader for the step's constant fields.
-            let mut const_fields: Vec<usize> = Vec::new();
-            for &f in &si.read_fields {
-                let Some(&out_arg) = pair_out_of.get(&f) else {
-                    const_fields.push(f);
-                    continue;
-                };
-                let producer = *storer_of
-                    .get(&out_arg)
-                    .ok_or_else(|| ir_error!("paired output arg {out_arg} has no storing apply"))?;
-                let src = take_copy(&result_copies, &mut result_next, (s - 1, producer))?;
-                let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-                let (_df, body) = hls::dataflow(&mut b);
-                let mut ib = OpBuilder::at_block_end(ctx, body);
-                let call = func::call(
-                    &mut ib,
-                    RT_HALO_MERGE,
-                    vec![new_args[out_arg], src, elem_stream[&(s, f)]],
-                    vec![],
-                );
-                ctx.set_attr(
-                    call,
-                    "extents",
-                    Attribute::IndexArray(bounded_extents.clone()),
-                );
-                ctx.set_attr(call, "halo", Attribute::int(halo));
-                report.merge_stages += 1;
-            }
-            if !const_fields.is_empty() {
-                let mut operands: Vec<ValueId> =
-                    const_fields.iter().map(|&f| new_args[f]).collect();
-                operands.extend(const_fields.iter().map(|&f| elem_stream[&(s, f)]));
-                let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-                let (_df, body) = hls::dataflow(&mut b);
-                let mut ib = OpBuilder::at_block_end(ctx, body);
-                let call = func::call(&mut ib, RT_LOAD_DATA, operands, vec![]);
-                ctx.set_attr(
-                    call,
-                    "extents",
-                    Attribute::IndexArray(bounded_extents.clone()),
-                );
-                ctx.set_attr(call, "halo", Attribute::int(halo));
-                ctx.set_attr(call, "fields", Attribute::int(const_fields.len() as i64));
-            }
-        }
-        // Shift buffers.
-        for &f in &si.read_fields {
-            let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-            let (_df, body) = hls::dataflow(&mut b);
-            let mut ib = OpBuilder::at_block_end(ctx, body);
-            let call = func::call(
-                &mut ib,
-                RT_SHIFT_BUFFER,
-                vec![elem_stream[&(s, f)], window_stream[&(s, f)]],
-                vec![],
-            );
-            ctx.set_attr(
-                call,
-                "extents",
-                Attribute::IndexArray(bounded_extents.clone()),
-            );
-            ctx.set_attr(call, "halo", Attribute::int(halo));
-            report.shift_buffers += 1;
-            report
-                .shift_register_lens
-                .push(shift_register_len(&bounded_extents, halo));
-        }
-        // Result streams for this step's live applies.
-        {
-            let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-            for i in 0..infos.len() {
-                if !si.live[i] {
-                    continue;
-                }
-                let rs = hls::create_stream(&mut b, Type::F64, opts.stream_depth);
-                result_stream.insert((s, i), rs);
-                report.streams += 1;
-            }
-        }
-        // Duplication (Listing 4's stream-copy region): one copy of each
-        // window/result stream per consumer. Copies (streams) are created
-        // up front; the dup *stages* are placed so they follow their
-        // producer in program order — window dups right here (after the
-        // shift buffers), result dups interleaved after each compute
-        // stage below.
-        for &f in &si.read_fields {
-            let n = si.window_consumers.get(&f).copied().unwrap_or(0);
-            let source = window_stream[&(s, f)];
-            let copies = create_stream_copies(ctx, hls_entry, source, n, &mut report)?;
-            if copies.len() > 1 {
-                build_dup_stage(ctx, hls_entry, source, &copies, n_points, opts)?;
-                report.dup_stages += 1;
-            }
-            window_copies.insert((s, f), copies);
-        }
-        for i in 0..infos.len() {
-            if !si.live[i] {
-                continue;
-            }
-            let n = si.producer_consumers.get(&i).copied().unwrap_or(0);
-            let copies =
-                create_stream_copies(ctx, hls_entry, result_stream[&(s, i)], n, &mut report)?;
-            result_copies.insert((s, i), copies);
-        }
-
-        // Step 4 + 5: one compute stage per live apply, each immediately
-        // followed by the duplication stage for its result stream when it
-        // has several consumers.
-        for (i, info) in infos.iter().enumerate() {
-            if !si.live[i] {
-                continue;
-            }
-            build_compute_stage(
-                ctx,
-                hls_entry,
-                info,
-                i,
-                s,
-                result_stream[&(s, i)],
-                &window_copies,
-                &result_copies,
-                &mut window_next,
-                &mut result_next,
-                &local_for,
-                &new_args,
-                &interior,
-                halo,
-                opts,
-            )?;
-            report.compute_stages += 1;
-            let copies = &result_copies[&(s, i)];
-            if copies.len() > 1 {
-                let copies = copies.clone();
-                build_dup_stage(
-                    ctx,
-                    hls_entry,
-                    result_stream[&(s, i)],
-                    &copies,
-                    n_points,
-                    opts,
-                )?;
-                report.dup_stages += 1;
-            }
-        }
-    }
-
-    // Step 6: a single write_data stage draining the FINAL step's results
-    // — intermediate steps live entirely on-chip.
-    {
-        let mut stored: Vec<(usize, usize)> = infos
-            .iter()
-            .enumerate()
-            .filter_map(|(i, info)| info.stored_to.map(|arg| (i, arg)))
-            .collect();
-        stored.sort_by_key(|&(_, arg)| arg);
-        ir_ensure!(!stored.is_empty(), "kernel stores no results");
-        let mut operands = Vec::new();
-        for &(apply_idx, _) in &stored {
-            let copy = take_copy(&result_copies, &mut result_next, (depth - 1, apply_idx))?;
-            operands.push(copy);
-        }
-        for &(_, arg) in &stored {
-            operands.push(new_args[arg]);
-        }
-        let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-        let (_df, body) = hls::dataflow(&mut b);
-        let mut ib = OpBuilder::at_block_end(ctx, body);
-        let call = func::call(&mut ib, RT_WRITE_DATA, operands, vec![]);
-        ctx.set_attr(call, "extents", Attribute::IndexArray(interior.extents()));
-        ctx.set_attr(call, "halo", Attribute::int(halo));
-        ctx.set_attr(call, "fields", Attribute::int(stored.len() as i64));
-    }
-
-    {
-        let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-        func::ret(&mut b, vec![]);
-    }
-
-    // Step 7: replace the first placeholder with the real load_data over
-    // all of step 1's fields, delete the rest (single loading stage,
-    // Figure 3). Deeper steps' loaders were emitted directly above.
-    let step0_fields = &step_infos[0].read_fields;
-    let mut load_operands: Vec<ValueId> = step0_fields.iter().map(|&f| new_args[f]).collect();
-    load_operands.extend(step0_fields.iter().map(|&f| elem_stream[&(0, f)]));
-    replace_load_placeholders(ctx, &dummy_calls, load_operands)?;
-
-    // The generated design must be a well-formed Kahn network: every
-    // stream fed and drained. Anything else would deadlock at runtime.
-    stopwatch.lap(&mut timings, "stencil-to-hls");
-    crate::connectivity::verify_connectivity(ctx, hls_func)?;
-    stopwatch.lap(&mut timings, "connectivity");
-
-    Ok(HmlsOutput {
-        func: hls_func,
-        report,
-        timings,
-    })
+    steps.reverse();
+    Ok(steps)
 }
 
-/// Create `consumers` copy streams of `source` (when more than one consumer
-/// needs it); with zero or one consumer the source itself is the single
-/// "copy". Stream creation happens at the current end of the entry block so
-/// the values dominate every later stage.
-fn create_stream_copies(
-    ctx: &mut Context,
-    hls_entry: BlockId,
+// ---- construction -----------------------------------------------------------
+
+/// `(step, field arg)` or `(step, apply)`.
+type Key = (usize, usize);
+
+/// The copies of stream `source`, handed out one per consumer; `source`
+/// itself when it has no more than one.
+#[derive(Clone)]
+struct Copies {
     source: ValueId,
-    consumers: usize,
-    report: &mut HmlsReport,
-) -> IrResult<Vec<ValueId>> {
-    if consumers <= 1 {
-        return Ok(vec![source]);
-    }
-    let elem_ty = ctx
-        .value_type(source)
-        .element_type()
-        .ok_or_else(|| ir_error!("dup source is not a stream"))?
-        .clone();
-    let depth = shmls_dialects::hls::stream_depth(
-        ctx,
-        ctx.defining_op(source)
-            .ok_or_else(|| ir_error!("stream without creator"))?,
-    );
-    let mut copies = Vec::with_capacity(consumers);
-    let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-    for _ in 0..consumers {
-        copies.push(hls::create_stream(&mut b, elem_ty.clone(), depth));
-        report.streams += 1;
-    }
-    Ok(copies)
+    streams: Vec<ValueId>,
+    taken: usize,
 }
 
-/// Build the dataflow stage that fans `source` out into `copies`
-/// (Listing 4's stream-duplication region). Must be placed after the stage
-/// producing `source` in program order.
-fn build_dup_stage(
-    ctx: &mut Context,
-    hls_entry: BlockId,
-    source: ValueId,
-    copies: &[ValueId],
-    n_points: i64,
-    opts: &HmlsOptions,
-) -> IrResult<()> {
-    let loop_body = {
-        let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-        let (_df, body) = hls::dataflow(&mut b);
-        let mut ib = OpBuilder::at_block_end(ctx, body);
-        let lb = arith::constant_index(&mut ib, 0);
-        let ub = arith::constant_index(&mut ib, n_points);
-        let step = arith::constant_index(&mut ib, 1);
-        let (_for_op, loop_body) = scf::for_loop(&mut ib, lb, ub, step, vec![]);
-        loop_body
-    };
-    let mut lb_builder = OpBuilder::at_block_end(ctx, loop_body);
-    hls::pipeline(&mut lb_builder, opts.ii);
-    let v = hls::read(&mut lb_builder, source);
-    for &c in copies {
-        hls::write(&mut lb_builder, v, c);
-    }
-    scf::yield_op(&mut lb_builder, vec![]);
-    Ok(())
-}
-
-/// Take the next unused copy of stream `key` ((step, field) or
-/// (step, apply)).
-fn take_copy(
-    copies: &BTreeMap<(usize, usize), Vec<ValueId>>,
-    next: &mut BTreeMap<(usize, usize), usize>,
-    key: (usize, usize),
-) -> IrResult<ValueId> {
-    let list = copies
-        .get(&key)
+/// Take the next unused copy of stream `key`.
+fn take_copy(copies: &mut BTreeMap<Key, Copies>, key: Key) -> IrResult<ValueId> {
+    let c = copies
+        .get_mut(&key)
         .ok_or_else(|| ir_error!("no stream copies for key {key:?}"))?;
-    let idx = next.entry(key).or_insert(0);
-    let v = *list
-        .get(*idx)
+    let v = *c
+        .streams
+        .get(c.taken)
         .ok_or_else(|| ir_error!("stream copies for key {key:?} exhausted"))?;
-    *idx += 1;
+    c.taken += 1;
     Ok(v)
 }
 
-/// Build one compute stage: a pipelined loop over the interior that reads
-/// its input streams, evaluates the cloned stencil body, and writes the
-/// result stream.
-#[allow(clippy::too_many_arguments)]
-fn build_compute_stage(
-    ctx: &mut Context,
-    hls_entry: BlockId,
-    info: &ApplyInfo,
-    apply_idx: usize,
-    step: usize,
-    my_stream: ValueId,
-    window_copies: &BTreeMap<(usize, usize), Vec<ValueId>>,
-    result_copies: &BTreeMap<(usize, usize), Vec<ValueId>>,
-    window_next: &mut BTreeMap<(usize, usize), usize>,
-    result_next: &mut BTreeMap<(usize, usize), usize>,
-    local_for: &BTreeMap<(usize, usize), ValueId>,
-    new_args: &[ValueId],
-    interior: &StencilBounds,
-    halo: i64,
-    opts: &HmlsOptions,
-) -> IrResult<()> {
-    // The stream feeding each operand (window or producer element).
-    let mut operand_stream: Vec<Option<ValueId>> = Vec::with_capacity(info.sources.len());
-    for src in &info.sources {
-        let s = match *src {
-            Source::FieldWindow { arg } => {
-                Some(take_copy(window_copies, window_next, (step, arg))?)
-            }
-            Source::Producer { apply } => {
-                Some(take_copy(result_copies, result_next, (step, apply))?)
-            }
-            Source::Param { .. } | Source::Const { .. } => None,
-        };
-        operand_stream.push(s);
-    }
-    let n_points = interior.num_points();
-    let extents = interior.extents();
-    let rank = interior.rank();
-    let unroll = if opts.unroll > 1 && n_points % opts.unroll == 0 {
-        opts.unroll
-    } else {
-        1
-    };
+/// The design under construction: the new function, the streams created
+/// so far and the report. Every phase appends at the end of `entry`.
+struct Design<'a> {
+    ctx: &'a mut Context,
+    k: &'a Analysis,
+    steps: &'a [StepPlan],
+    opts: &'a HmlsOptions,
+    func: OpId,
+    entry: BlockId,
+    args: Vec<ValueId>,
+    report: HmlsReport,
+    /// `(param arg, apply)` -> the apply's stage-local BRAM copy.
+    local_for: BTreeMap<Key, ValueId>,
+    elem_stream: BTreeMap<Key, ValueId>,
+    window_stream: BTreeMap<Key, ValueId>,
+    window_copies: BTreeMap<Key, Copies>,
+    result_copies: BTreeMap<Key, Copies>,
+}
 
-    let (for_op, loop_body) = {
-        let mut b = OpBuilder::at_block_end(ctx, hls_entry);
-        let (_df, body) = hls::dataflow(&mut b);
-        let mut ib = OpBuilder::at_block_end(ctx, body);
-        let lb = arith::constant_index(&mut ib, 0);
-        let ub = arith::constant_index(&mut ib, n_points / unroll);
-        let step = arith::constant_index(&mut ib, 1);
-        scf::for_loop(&mut ib, lb, ub, step, vec![])
-    };
-    let lin = scf::induction_var(ctx, for_op);
-    {
-        let mut lbld = OpBuilder::at_block_end(ctx, loop_body);
-        hls::pipeline(&mut lbld, opts.ii);
-        if unroll > 1 {
-            hls::unroll(&mut lbld, unroll);
+impl<'a> Design<'a> {
+    /// Steps 2, 9 and 8: the new function's signature, its AXI bundles and
+    /// the local copies of small data.
+    fn open(
+        ctx: &'a mut Context,
+        k: &'a Analysis,
+        steps: &'a [StepPlan],
+        opts: &'a HmlsOptions,
+    ) -> IrResult<Self> {
+        let classes = &k.classification.classes;
+        // Step 2: packed field pointers.
+        let input_types = k
+            .old_args
+            .iter()
+            .zip(classes)
+            .map(|(&arg, class)| match class {
+                c if c.is_field() => packed_field_type(),
+                _ => ctx.value_type(arg).clone(),
+            })
+            .collect();
+        let hls_name = format!("{}_hls", k.name);
+        let (func, entry) = func::create_func(ctx, k.module_body, &hls_name, input_types, vec![]);
+        let args = ctx.block_args(entry).to_vec();
+        let mut report = HmlsReport {
+            inputs: steps[steps.len() - 1].window_consumers.len(),
+            outputs: k.classification.written_fields().len(),
+            window_elems: window_size(k.interior.rank(), k.halo),
+            pruned_stages: k.live.iter().filter(|&&l| !l).count(),
+            temporal_depth: steps.len(),
+            ..HmlsReport::default()
+        };
+
+        // Step 9: AXI bundle assignment.
+        let mut b = OpBuilder::at_block_end(ctx, entry);
+        let mut gmem = 0usize;
+        for (&arg, class) in args.iter().zip(classes) {
+            let (protocol, bundle) = match class {
+                c if c.is_field() => {
+                    gmem += 1;
+                    (hls::AXI4, format!("gmem{}", gmem - 1))
+                }
+                ArgClass::SmallData => (hls::AXI4, "gmem_small".to_string()),
+                _ => ("s_axilite", "control".to_string()),
+            };
+            hls::interface(&mut b, arg, protocol, &bundle);
+            report.bundles.push(bundle);
+        }
+
+        // Step 8: local BRAM copies of small data, one per consuming stage.
+        let mut local_for = BTreeMap::new();
+        for (i, info) in k.applies.iter().enumerate().filter(|&(i, _)| k.live[i]) {
+            for src in &info.sources {
+                let Source::Param { arg } = *src else {
+                    continue;
+                };
+                if local_for.contains_key(&(arg, i)) {
+                    continue;
+                }
+                let Type::MemRef { shape, elem } = b.ctx_ref().value_type(args[arg]).clone() else {
+                    ir_bail!("small data argument is not a memref");
+                };
+                let local = memref::alloca(&mut b, shape.clone(), *elem);
+                let copy = RuntimeCall {
+                    kind: RuntimeKind::CopySmallData,
+                    pointers: &[args[arg], local],
+                    consumed: &[],
+                    produced: &[],
+                    extents: shape,
+                    halo: 0,
+                };
+                hls::runtime_call(&mut b, &copy);
+                local_for.insert((arg, i), local);
+                report
+                    .local_copies
+                    .push((arg, copy.extents.iter().product()));
+            }
+        }
+
+        Ok(Design {
+            ctx,
+            k,
+            steps,
+            opts,
+            func,
+            entry,
+            args,
+            report,
+            local_for,
+            elem_stream: BTreeMap::new(),
+            window_stream: BTreeMap::new(),
+            window_copies: BTreeMap::new(),
+            result_copies: BTreeMap::new(),
+        })
+    }
+
+    /// Append one stream to the entry block.
+    fn stream(&mut self, elem: Type, depth: i64) -> ValueId {
+        self.report.streams += 1;
+        hls::create_stream(
+            &mut OpBuilder::at_block_end(self.ctx, self.entry),
+            elem,
+            depth,
+        )
+    }
+
+    /// Append the dataflow stage that is one runtime call, over the box
+    /// that call walks: the interior for `write_data`, the halo-padded
+    /// field for the rest.
+    fn runtime_stage(
+        &mut self,
+        kind: RuntimeKind,
+        pointers: &[ValueId],
+        consumed: &[ValueId],
+        produced: &[ValueId],
+    ) {
+        let extents = match kind {
+            RuntimeKind::WriteData => self.k.interior.extents(),
+            _ => self.k.bounded_extents.clone(),
+        };
+        let call = RuntimeCall {
+            kind,
+            pointers,
+            consumed,
+            produced,
+            extents,
+            halo: self.k.halo,
+        };
+        let (_stage, body) = hls::dataflow(&mut OpBuilder::at_block_end(self.ctx, self.entry));
+        hls::runtime_call(&mut OpBuilder::at_block_end(self.ctx, body), &call);
+    }
+
+    /// Step 3: the step's element and window streams, and the stages that
+    /// fill the element streams. A deeper step's feedback-paired fields
+    /// come from the previous step's results through a `halo_merge` seam;
+    /// every other field — all of them at the first step — from the step's
+    /// one `load_data` stage (a loader shared across steps would block on
+    /// the deeper step's bounded FIFOs and starve the shallower one).
+    fn feed(&mut self, s: usize) -> IrResult<()> {
+        let k = self.k;
+        let fields = self.steps[s].read_fields();
+        for &f in &fields {
+            let es = self.stream(Type::F64, self.opts.stream_depth);
+            self.elem_stream.insert((s, f), es);
+        }
+        let window_ty = Type::LlvmStruct(vec![Type::llvm_array(
+            self.report.window_elems as u64,
+            Type::F64,
+        )]);
+        for &f in &fields {
+            let ws = self.stream(window_ty.clone(), self.opts.window_stream_depth);
+            self.window_stream.insert((s, f), ws);
+        }
+        let mut loaded: Vec<usize> = Vec::new();
+        for &f in &fields {
+            let Some(&out_arg) = k.pair_out_of.get(&f).filter(|_| s > 0) else {
+                loaded.push(f);
+                continue;
+            };
+            let mut storers = k.stored.iter().rev();
+            let &(_, producer) = storers
+                .find(|&&(arg, _)| arg == out_arg)
+                .ok_or_else(|| ir_error!("paired output arg {out_arg} has no storing apply"))?;
+            let src = take_copy(&mut self.result_copies, (s - 1, producer))?;
+            let out = self.elem_stream[&(s, f)];
+            self.runtime_stage(
+                RuntimeKind::HaloMerge,
+                &[self.args[out_arg]],
+                &[src],
+                &[out],
+            );
+            self.report.merge_stages += 1;
+        }
+        if !loaded.is_empty() {
+            let ptrs: Vec<ValueId> = loaded.iter().map(|&f| self.args[f]).collect();
+            let streams: Vec<ValueId> = loaded.iter().map(|f| self.elem_stream[&(s, *f)]).collect();
+            self.runtime_stage(RuntimeKind::LoadData, &ptrs, &[], &streams);
+        }
+        Ok(())
+    }
+
+    /// One shift buffer per read field: element stream → window stream.
+    fn shift(&mut self, s: usize) {
+        for f in self.steps[s].read_fields() {
+            let (elems, windows) = (self.elem_stream[&(s, f)], self.window_stream[&(s, f)]);
+            self.runtime_stage(RuntimeKind::ShiftBuffer, &[], &[elems], &[windows]);
+            self.report.shift_buffers += 1;
+            self.report
+                .shift_register_lens
+                .push(shift_register_len(&self.k.bounded_extents, self.k.halo));
         }
     }
 
-    let src_block = ctx.entry_block(info.op).expect("apply body");
-    let src_args = ctx.block_args(src_block).to_vec();
-    let needs_index = !ctx.find_ops(info.op, stencil::INDEX).is_empty();
+    /// Result streams, and duplication (Listing 4's stream-copy region):
+    /// one copy of each window/result stream per consumer. Copies (streams)
+    /// are created up front; the dup *stages* are placed so they follow
+    /// their producer in program order — window dups right here (after the
+    /// shift buffers), result dups after each compute stage in `compute`.
+    fn dup(&mut self, s: usize) {
+        let step = &self.steps[s];
+        let live = (0..self.k.applies.len()).filter(|&i| step.live[i]);
+        let results: Vec<(usize, ValueId)> = live
+            .map(|i| (i, self.stream(Type::F64, self.opts.stream_depth)))
+            .collect();
+        for (&f, &consumers) in &step.window_consumers {
+            let depth = self.opts.window_stream_depth;
+            let copies = self.stream_copies(self.window_stream[&(s, f)], consumers, depth);
+            self.dup_stage(&copies);
+            self.window_copies.insert((s, f), copies);
+        }
+        for (i, source) in results {
+            let consumers = step.result_consumers.get(&i).copied().unwrap_or(0);
+            let copies = self.stream_copies(source, consumers, self.opts.stream_depth);
+            self.result_copies.insert((s, i), copies);
+        }
+    }
 
-    // One physically replicated point-computation per unroll step.
-    for u in 0..unroll {
-        // Per-step stream reads: window packs / producer elements.
-        let mut window_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
-        let mut scalar_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
-        let mut param_local: BTreeMap<ValueId, ValueId> = BTreeMap::new();
-        {
-            let mut lbld = OpBuilder::at_block_end(ctx, loop_body);
+    /// Steps 4 + 5: one compute stage per live apply, each immediately
+    /// followed by the duplication stage for its result stream when it
+    /// has several consumers.
+    fn compute(&mut self, s: usize) -> IrResult<()> {
+        let step = &self.steps[s];
+        for i in (0..self.k.applies.len()).filter(|&i| step.live[i]) {
+            self.compute_stage(s, i)?;
+            self.report.compute_stages += 1;
+            let copies = self.result_copies[&(s, i)].clone();
+            self.dup_stage(&copies);
+        }
+        Ok(())
+    }
+
+    /// Step 6: a single write_data stage draining the FINAL step's results
+    /// — intermediate steps live entirely on-chip.
+    fn write(&mut self) -> IrResult<()> {
+        let last = self.steps.len() - 1;
+        let mut streams = Vec::new();
+        let mut ptrs = Vec::new();
+        for &(arg, apply) in &self.k.stored {
+            streams.push(take_copy(&mut self.result_copies, (last, apply))?);
+            ptrs.push(self.args[arg]);
+        }
+        self.runtime_stage(RuntimeKind::WriteData, &ptrs, &streams, &[]);
+        func::ret(&mut OpBuilder::at_block_end(self.ctx, self.entry), vec![]);
+        Ok(())
+    }
+
+    /// Create `consumers` copy streams of `source`, as deep as it (when
+    /// more than one consumer needs it); with zero or one consumer the
+    /// source itself is the single "copy". Stream creation happens at the
+    /// current end of the entry block so the values dominate every later
+    /// stage.
+    fn stream_copies(&mut self, source: ValueId, consumers: usize, depth: i64) -> Copies {
+        let mut streams = vec![source];
+        if consumers > 1 {
+            let elem = self.ctx.value_type(source).element_type();
+            let elem = elem.expect("copies are made of streams").clone();
+            streams = (0..consumers)
+                .map(|_| self.stream(elem.clone(), depth))
+                .collect();
+        }
+        Copies {
+            source,
+            streams,
+            taken: 0,
+        }
+    }
+
+    /// Append the dataflow stage that fans a stream out into its copies
+    /// (Listing 4's stream-duplication region), unless it is its own single
+    /// copy. Must be placed after the stage producing the stream in program
+    /// order.
+    fn dup_stage(&mut self, copies: &Copies) {
+        if copies.streams.len() <= 1 {
+            return;
+        }
+        let trips = self.k.interior.num_points();
+        let (_for_op, loop_body) = self.stage_loop(trips);
+        let mut b = OpBuilder::at_block_end(self.ctx, loop_body);
+        hls::pipeline(&mut b, self.opts.ii);
+        let v = hls::read(&mut b, copies.source);
+        for &c in &copies.streams {
+            hls::write(&mut b, v, c);
+        }
+        scf::yield_op(&mut b, vec![]);
+        self.report.dup_stages += 1;
+    }
+
+    /// Append a dataflow stage holding one `0..trips` loop; returns the
+    /// loop and its (still empty) body.
+    fn stage_loop(&mut self, trips: i64) -> (OpId, BlockId) {
+        let (_stage, body) = hls::dataflow(&mut OpBuilder::at_block_end(self.ctx, self.entry));
+        let mut b = OpBuilder::at_block_end(self.ctx, body);
+        let lb = arith::constant_index(&mut b, 0);
+        let ub = arith::constant_index(&mut b, trips);
+        let step = arith::constant_index(&mut b, 1);
+        scf::for_loop(&mut b, lb, ub, step, vec![])
+    }
+
+    /// Build one compute stage: a pipelined loop over the interior that
+    /// reads its input streams, evaluates the cloned stencil body, and
+    /// writes the result stream.
+    fn compute_stage(&mut self, s: usize, apply_idx: usize) -> IrResult<()> {
+        let info = &self.k.applies[apply_idx];
+        // The stream feeding each operand (window or producer element).
+        let mut operand_stream: Vec<Option<ValueId>> = Vec::with_capacity(info.sources.len());
+        for src in &info.sources {
+            operand_stream.push(match *src {
+                Source::FieldWindow { arg } => Some(take_copy(&mut self.window_copies, (s, arg))?),
+                Source::Producer { apply } => Some(take_copy(&mut self.result_copies, (s, apply))?),
+                Source::Param { .. } | Source::Const { .. } => None,
+            });
+        }
+        let n_points = self.k.interior.num_points();
+        let unroll = if self.opts.unroll > 1 && n_points % self.opts.unroll == 0 {
+            self.opts.unroll
+        } else {
+            1
+        };
+        let (for_op, loop_body) = self.stage_loop(n_points / unroll);
+        let lin = scf::induction_var(self.ctx, for_op);
+        let mut b = OpBuilder::at_block_end(self.ctx, loop_body);
+        hls::pipeline(&mut b, self.opts.ii);
+        if unroll > 1 {
+            hls::unroll(&mut b, unroll);
+        }
+
+        let src_block = self.ctx.entry_block(info.op).expect("apply body");
+        let src_args = self.ctx.block_args(src_block).to_vec();
+        let needs_index = !self.ctx.find_ops(info.op, stencil::INDEX).is_empty();
+        let out = self.result_copies[&(s, apply_idx)].source;
+
+        // One physically replicated point-computation per unroll step.
+        for u in 0..unroll {
+            // Per-step stream reads: window packs / producer elements.
+            // `subst` maps the apply body's values to the stage's.
+            let mut window_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
+            let mut scalar_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
+            let mut subst: HashMap<ValueId, ValueId> = HashMap::new();
+            let mut b = OpBuilder::at_block_end(self.ctx, loop_body);
             for ((src, &stream), &src_arg) in
                 info.sources.iter().zip(&operand_stream).zip(&src_args)
             {
                 match *src {
                     Source::FieldWindow { .. } => {
-                        let w = hls::read(&mut lbld, stream.expect("window stream"));
+                        let w = hls::read(&mut b, stream.expect("window stream"));
                         window_value.insert(src_arg, w);
                     }
                     Source::Producer { .. } => {
-                        let v = hls::read(&mut lbld, stream.expect("producer stream"));
+                        let v = hls::read(&mut b, stream.expect("producer stream"));
                         scalar_value.insert(src_arg, v);
                     }
                     Source::Param { arg } => {
-                        param_local.insert(src_arg, local_for[&(arg, apply_idx)]);
+                        subst.insert(src_arg, self.local_for[&(arg, apply_idx)]);
                     }
                     Source::Const { arg } => {
-                        scalar_value.insert(src_arg, new_args[arg]);
+                        scalar_value.insert(src_arg, self.args[arg]);
                     }
                 }
             }
-        }
-
-        // Reconstruct the multi-dimensional index of this point from the
-        // linear induction variable (point = lin * unroll + u), lazily.
-        let mut axis_index: Vec<ValueId> = Vec::new();
-        if needs_index {
-            let mut lbld = OpBuilder::at_block_end(ctx, loop_body);
-            let point = if unroll == 1 {
-                lin
+            subst.extend(scalar_value.iter().map(|(&k, &v)| (k, v)));
+            let axis_index = if needs_index {
+                self.point_index(loop_body, lin, unroll, u)
             } else {
-                let factor = arith::constant_index(&mut lbld, unroll);
-                let scaled = arith::muli(&mut lbld, lin, factor);
-                let off = arith::constant_index(&mut lbld, u);
-                arith::addi(&mut lbld, scaled, off)
+                Vec::new()
             };
-            // Row-major: last dim fastest.
-            let mut divisors = vec![1i64; rank];
-            for d in (0..rank.saturating_sub(1)).rev() {
-                divisors[d] = divisors[d + 1] * extents[d + 1];
-            }
-            for d in 0..rank {
-                let div = arith::constant_index(&mut lbld, divisors[d]);
-                let q = arith::divsi(&mut lbld, point, div);
-                let idx = if d == 0 {
+            let point = PointValues {
+                window_value,
+                scalar_value,
+                axis_index,
+            };
+            self.clone_body(src_block, loop_body, out, &point, subst)?;
+        }
+        scf::yield_op(&mut OpBuilder::at_block_end(self.ctx, loop_body), vec![]);
+        Ok(())
+    }
+
+    /// Reconstruct the multi-dimensional index of a point from the linear
+    /// induction variable (point = lin * unroll + u).
+    fn point_index(
+        &mut self,
+        loop_body: BlockId,
+        lin: ValueId,
+        unroll: i64,
+        u: i64,
+    ) -> Vec<ValueId> {
+        let extents = self.k.interior.extents();
+        let rank = extents.len();
+        let mut b = OpBuilder::at_block_end(self.ctx, loop_body);
+        let point = if unroll == 1 {
+            lin
+        } else {
+            let factor = arith::constant_index(&mut b, unroll);
+            let scaled = arith::muli(&mut b, lin, factor);
+            let off = arith::constant_index(&mut b, u);
+            arith::addi(&mut b, scaled, off)
+        };
+        // Row-major: last dim fastest.
+        let mut divisors = vec![1i64; rank];
+        for d in (0..rank.saturating_sub(1)).rev() {
+            divisors[d] = divisors[d + 1] * extents[d + 1];
+        }
+        (0..rank)
+            .map(|d| {
+                let div = arith::constant_index(&mut b, divisors[d]);
+                let q = arith::divsi(&mut b, point, div);
+                if d == 0 {
                     q
                 } else {
-                    let ext = arith::constant_index(&mut lbld, extents[d]);
-                    arith::remsi(&mut lbld, q, ext)
-                };
-                axis_index.push(idx);
-            }
-        }
+                    let ext = arith::constant_index(&mut b, extents[d]);
+                    arith::remsi(&mut b, q, ext)
+                }
+            })
+            .collect()
+    }
 
-        // Clone the apply body with substitutions (step 5).
-        let mut vmap: BTreeMap<ValueId, ValueId> = BTreeMap::new();
-        let src_ops = ctx.block_ops(src_block).to_vec();
-        for op in src_ops {
-            let op_name = ctx.op_name(op).to_string();
-            match op_name.as_str() {
+    /// Step 5: clone the apply body `src_block` into `loop_body` for one
+    /// point, with accesses, indices and the return substituted.
+    fn clone_body(
+        &mut self,
+        src_block: BlockId,
+        loop_body: BlockId,
+        out: ValueId,
+        point: &PointValues,
+        mut subst: HashMap<ValueId, ValueId>,
+    ) -> IrResult<()> {
+        let ctx = &mut *self.ctx;
+        for op in ctx.block_ops(src_block).to_vec() {
+            match ctx.op_name(op) {
                 stencil::ACCESS => {
                     let operand = ctx.operands(op)[0];
                     let offset = stencil::access_offset(ctx, op)
                         .ok_or_else(|| ir_error!("access without offset"))?
                         .to_vec();
                     let result = ctx.result(op, 0);
-                    if let Some(&wv) = window_value.get(&operand) {
-                        let pos = offset_to_window_pos(&offset, halo);
-                        let mut lbld = OpBuilder::at_block_end(ctx, loop_body);
-                        let e = llvm::extractvalue(&mut lbld, wv, &[0, pos as i64], Type::F64);
-                        vmap.insert(result, e);
-                    } else if let Some(&sv) = scalar_value.get(&operand) {
+                    if let Some(&wv) = point.window_value.get(&operand) {
+                        let pos = offset_to_window_pos(&offset, self.k.halo);
+                        let mut b = OpBuilder::at_block_end(ctx, loop_body);
+                        let e = llvm::extractvalue(&mut b, wv, &[0, pos as i64], Type::F64);
+                        subst.insert(result, e);
+                    } else if let Some(&sv) = point.scalar_value.get(&operand) {
                         ir_ensure!(
                             offset.iter().all(|&o| o == 0),
                             "producer-temp access at non-zero offset {offset:?}"
                         );
-                        vmap.insert(result, sv);
+                        subst.insert(result, sv);
                     } else {
                         ir_bail!("stencil.access on unmapped operand");
                     }
@@ -1077,93 +1000,35 @@ fn build_compute_stage(
                         .and_then(Attribute::as_int)
                         .ok_or_else(|| ir_error!("stencil.index without dim"))?
                         as usize;
-                    vmap.insert(ctx.result(op, 0), axis_index[dim]);
+                    subst.insert(ctx.result(op, 0), point.axis_index[dim]);
                 }
                 stencil::RETURN => {
-                    let v = ctx.operands(op)[0];
                     // The returned value may be a cloned body value, a
                     // scalar block argument (const operand / producer
                     // element), or — for constant kernels — nothing local.
-                    let mapped = vmap
-                        .get(&v)
-                        .or_else(|| scalar_value.get(&v))
-                        .copied()
-                        .unwrap_or(v);
-                    let mut lbld = OpBuilder::at_block_end(ctx, loop_body);
-                    hls::write(&mut lbld, mapped, my_stream);
+                    let v = ctx.operands(op)[0];
+                    let mapped = subst.get(&v).copied().unwrap_or(v);
+                    hls::write(&mut OpBuilder::at_block_end(ctx, loop_body), mapped, out);
                 }
                 _ => {
-                    // Substitute param memrefs with the stage-local copies.
-                    let mut m: std::collections::HashMap<ValueId, ValueId> = vmap
-                        .iter()
-                        .map(|(&k, &v)| (k, v))
-                        .chain(param_local.iter().map(|(&k, &v)| (k, v)))
-                        .chain(scalar_value.iter().map(|(&k, &v)| (k, v)))
-                        .collect();
-                    let cloned = ctx.clone_op(op, &mut m);
+                    // `clone_op` records the clone's results in `subst`.
+                    let cloned = ctx.clone_op(op, &mut subst);
                     ctx.append_op(loop_body, cloned);
-                    for (&old_r, &new_r) in ctx
-                        .results(op)
-                        .to_vec()
-                        .iter()
-                        .zip(ctx.results(cloned).to_vec().iter())
-                    {
-                        vmap.insert(old_r, new_r);
-                    }
                 }
             }
         }
+        Ok(())
     }
-    let mut endb = OpBuilder::at_block_end(ctx, loop_body);
-    scf::yield_op(&mut endb, vec![]);
-    Ok(())
 }
 
-/// Step 7: replace the first `dummy_load_data` with the single `load_data`
-/// call covering every step-1 read field and erase the remaining
-/// placeholders (including their now-empty dataflow regions). `operands`
-/// is the prebuilt `(ptrs…, streams…)` list.
-fn replace_load_placeholders(
-    ctx: &mut Context,
-    dummy_calls: &[OpId],
-    operands: Vec<ValueId>,
-) -> IrResult<()> {
-    if dummy_calls.is_empty() {
-        // Generator-only kernel: nothing to load.
-        return Ok(());
-    }
-    let first = dummy_calls[0];
-    let extents = ctx
-        .attr(first, "extents")
-        .and_then(Attribute::as_index_array)
-        .ok_or_else(|| ir_error!("placeholder without extents"))?
-        .to_vec();
-    let halo = ctx
-        .attr(first, "halo")
-        .and_then(Attribute::as_int)
-        .ok_or_else(|| ir_error!("placeholder without halo"))?;
-
-    let n_fields = operands.len() / 2;
-    let mut b = OpBuilder::before(ctx, first);
-    let call = func::call(&mut b, RT_LOAD_DATA, operands, vec![]);
-    ctx.set_attr(call, "extents", Attribute::IndexArray(extents));
-    ctx.set_attr(call, "halo", Attribute::int(halo));
-    ctx.set_attr(call, "fields", Attribute::int(n_fields as i64));
-
-    // Erase placeholders; all but the first live in their own dataflow
-    // region, which we erase wholesale.
-    ctx.erase_op(first);
-    for &dummy in &dummy_calls[1..] {
-        let dataflow_op = ctx
-            .parent_op(dummy)
-            .ok_or_else(|| ir_error!("placeholder outside a dataflow region"))?;
-        ir_ensure!(
-            ctx.op_name(dataflow_op) == hls::DATAFLOW,
-            "placeholder not directly inside hls.dataflow"
-        );
-        ctx.erase_op(dataflow_op);
-    }
-    Ok(())
+/// The values one replicated point-computation reads its operands from.
+struct PointValues {
+    /// Apply block argument -> the window pack read for it.
+    window_value: BTreeMap<ValueId, ValueId>,
+    /// Apply block argument -> producer element or scalar constant.
+    scalar_value: BTreeMap<ValueId, ValueId>,
+    /// Per-axis index of the point, when the body asks for it.
+    axis_index: Vec<ValueId>,
 }
 
 #[cfg(test)]
@@ -1216,6 +1081,14 @@ kernel chain {
 }
 "#;
 
+    /// Dataflow stages of `func` built around runtime function `kind`.
+    fn count_stages(ctx: &Context, func: OpId, kind: RuntimeKind) -> usize {
+        ctx.find_ops(func, hls::DATAFLOW)
+            .into_iter()
+            .filter(|&stage| hls::stage_kind(ctx, stage) == Some(kind))
+            .count()
+    }
+
     fn build(src: &str) -> (Context, OpId, HmlsOutput, shmls_frontend::KernelSignature) {
         let k = parse_kernel(src).unwrap();
         let mut ctx = Context::new();
@@ -1238,19 +1111,8 @@ kernel chain {
         assert_eq!(r.shift_buffers, 1);
         // Streams: 1 elem + 1 window + 1 result.
         assert_eq!(r.streams, 3);
-        // Exactly one load_data, no placeholders left.
-        let calls: Vec<_> = ctx
-            .find_ops(module, "func.call")
-            .into_iter()
-            .filter(|&c| ctx.attr(c, "callee").and_then(Attribute::as_str) == Some(RT_LOAD_DATA))
-            .collect();
-        assert_eq!(calls.len(), 1);
-        assert!(
-            ctx.find_ops(module, "func.call")
-                .into_iter()
-                .all(|c| ctx.attr(c, "callee").and_then(Attribute::as_str)
-                    != Some(RT_DUMMY_LOAD_DATA))
-        );
+        // The step's single load stage, emitted directly.
+        assert_eq!(count_stages(&ctx, out.func, RuntimeKind::LoadData), 1);
         // Bundles: one gmem per field, control for the scalar.
         assert_eq!(
             r.bundles,
@@ -1623,14 +1485,61 @@ kernel relax {
         assert_eq!(r.streams, 9);
         // Still exactly one load_data (step 1); deeper steps are fed by
         // halo_merge seams, not fresh external passes.
-        let callees: Vec<&str> = ctx
-            .find_ops(module, "func.call")
-            .into_iter()
-            .filter_map(|c| ctx.attr(c, "callee").and_then(Attribute::as_str))
+        assert_eq!(count_stages(&ctx, out.func, RuntimeKind::LoadData), 1);
+        assert_eq!(count_stages(&ctx, out.func, RuntimeKind::HaloMerge), 2);
+        assert_eq!(count_stages(&ctx, out.func, RuntimeKind::WriteData), 1);
+    }
+
+    #[test]
+    fn one_load_stage_per_step_that_loads() {
+        // `b` feeds `a` through a seam, but `m` has no paired output: every
+        // step reads it from memory, through that step's own single loader.
+        const MASKED: &str = r#"
+kernel masked {
+  grid(6, 5)
+  halo 1
+  field a : input
+  field m : input
+  field b : output
+  compute b { b = m[0,0] * (a[-1,0] + a[1,0]) }
+}
+"#;
+        let k = parse_kernel(MASKED).unwrap();
+        let mut ctx = Context::new();
+        let (module, body) = create_module(&mut ctx);
+        let lowered = lower_kernel(&mut ctx, body, &k).unwrap();
+        let opts = HmlsOptions {
+            temporal_depth: 3,
+            ..Default::default()
+        };
+        let out = stencil_to_hls(&mut ctx, lowered.func, &opts).unwrap();
+        verify_with(&ctx, module, &shmls_dialects::registry()).unwrap();
+        let entry = ctx.entry_block(out.func).unwrap();
+        let stages: Vec<&str> = ctx
+            .block_ops(entry)
+            .iter()
+            .filter(|&&op| ctx.op_name(op) == hls::DATAFLOW)
+            .map(|&op| hls::stage_role(&ctx, op))
             .collect();
-        assert_eq!(callees.iter().filter(|&&c| c == RT_LOAD_DATA).count(), 1);
-        assert_eq!(callees.iter().filter(|&&c| c == RT_HALO_MERGE).count(), 2);
-        assert_eq!(callees.iter().filter(|&&c| c == RT_WRITE_DATA).count(), 1);
+        let step0 = ["load_data", "shift_buffer", "shift_buffer", "compute"];
+        let deeper = [
+            "halo_merge",
+            "load_data",
+            "shift_buffer",
+            "shift_buffer",
+            "compute",
+        ];
+        let expected: Vec<&str> = [&step0[..], &deeper, &deeper, &["write_data"]].concat();
+        assert_eq!(stages, expected);
+        // Step 0 loads both fields in its one call, deeper steps only `m`.
+        let loads: Vec<usize> = ctx
+            .find_ops(out.func, func::CALL)
+            .into_iter()
+            .filter_map(|c| hls::decode_runtime_call(&ctx, c, ctx.operands(c)).unwrap())
+            .filter(|call| call.kind == RuntimeKind::LoadData)
+            .map(|call| call.fields())
+            .collect();
+        assert_eq!(loads, [2, 1, 1]);
     }
 
     #[test]

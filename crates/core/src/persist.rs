@@ -23,7 +23,6 @@
 //!   key recompiles as a plain miss and the entry is rewritten. A bad
 //!   entry never poisons the rest of the cache directory.
 
-use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -33,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use shmls_frontend::{kernel_to_source, KernelDef};
 use shmls_ir::error::IrResult;
 
-use crate::cache::{fnv1a, CompileCache, Disposition};
+use crate::cache::{fnv1a, CompileCache, Disposition, FifoMap};
 use crate::driver::{CompileOptions, CompiledKernel};
 
 /// On-disk format version. Bump on any change to the entry layout; a
@@ -345,21 +344,14 @@ impl ServeStats {
 #[derive(Debug)]
 pub struct PersistentCache {
     mem: CompileCache,
-    records: Mutex<RecordTier>,
+    /// FIFO-bounded: records are tiny, but a service that never evicts
+    /// grows without bound.
+    records: Mutex<FifoMap<DesignRecord>>,
     disk: Option<DiskStore>,
-    record_capacity: usize,
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct RecordTier {
-    map: HashMap<u64, Arc<DesignRecord>>,
-    /// Keys in insertion order, for FIFO eviction (records are tiny, but
-    /// a service that never evicts grows without bound).
-    order: Vec<u64>,
 }
 
 impl PersistentCache {
@@ -369,9 +361,8 @@ impl PersistentCache {
     pub fn in_memory(capacity: usize) -> Self {
         PersistentCache {
             mem: CompileCache::with_capacity(capacity),
-            records: Mutex::new(RecordTier::default()),
+            records: Mutex::new(FifoMap::new(capacity.max(1).saturating_mul(8))),
             disk: None,
-            record_capacity: capacity.max(1).saturating_mul(8),
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -453,28 +444,14 @@ impl PersistentCache {
     }
 
     fn probe_records(&self, key: u64) -> Option<Arc<DesignRecord>> {
-        self.records
-            .lock()
-            .expect("record tier poisoned")
-            .map
-            .get(&key)
-            .cloned()
+        self.records.lock().expect("record tier poisoned").get(key)
     }
 
-    /// Insert into the record tier (FIFO-bounded); a concurrently
-    /// inserted record for the same key wins so all holders share one.
+    /// Insert into the record tier; a concurrently inserted record for
+    /// the same key wins so all holders share one.
     fn insert_record(&self, key: u64, record: Arc<DesignRecord>) -> Arc<DesignRecord> {
         let mut tier = self.records.lock().expect("record tier poisoned");
-        if let Some(existing) = tier.map.get(&key) {
-            return Arc::clone(existing);
-        }
-        while tier.order.len() >= self.record_capacity {
-            let oldest = tier.order.remove(0);
-            tier.map.remove(&oldest);
-        }
-        tier.order.push(key);
-        tier.map.insert(key, Arc::clone(&record));
-        record
+        tier.insert(key, record)
     }
 
     /// Traffic counters.
@@ -484,7 +461,7 @@ impl PersistentCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            records: self.records.lock().expect("record tier poisoned").map.len(),
+            records: self.records.lock().expect("record tier poisoned").len(),
         }
     }
 }
@@ -515,7 +492,6 @@ mod tests {
     fn opts() -> CompileOptions {
         CompileOptions {
             paths: TargetPath::HlsOnly,
-            time_passes: true,
             ..Default::default()
         }
     }

@@ -741,7 +741,6 @@ mod tests {
             .buffer("b", Buffer::zeroed(vec![10, 8], vec![-1, -1]));
         let opts = CompileOptions {
             paths: TargetPath::HlsOnly,
-            time_passes: false,
             ..Default::default()
         };
         let cache = CompileCache::new();

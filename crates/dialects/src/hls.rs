@@ -20,9 +20,21 @@
 //! The paper's `hls.streamtype` attribute is realised as the
 //! `!hls.stream<T>` type; `hls.axi_protocol` as the `protocol` attribute of
 //! `hls.interface`.
+//!
+//! The module also owns the *runtime-stage vocabulary*: the five functions
+//! of the paper's C++ runtime that a generated design calls
+//! ([`RuntimeKind`]), the operand and attribute layout of such a call
+//! ([`runtime_call`] writes it, [`decode_runtime_call`] reads it back into
+//! a [`RuntimeCall`]) and the role label of a dataflow stage
+//! ([`stage_role`]). The transform that emits the calls and every engine,
+//! verifier and model that consumes them go through these, so the format
+//! is spelled once.
 
-use shmls_ir::ir_ensure;
+use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
+use shmls_ir::{ir_ensure, ir_error};
+
+use crate::func;
 
 /// `hls.create_stream` op name.
 pub const CREATE_STREAM: &str = "hls.create_stream";
@@ -151,6 +163,187 @@ pub fn interface_binding(ctx: &Context, op: OpId) -> Option<(&str, &str)> {
     let protocol = ctx.attr(op, "protocol")?.as_str()?;
     let bundle = ctx.attr(op, "bundle")?.as_str()?;
     Some((protocol, bundle))
+}
+
+/// A function of the runtime the generated design links against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RuntimeKind {
+    /// `load_data(ptrs…, streams…) {extents, halo, fields}` — read every
+    /// field from external memory in 512-bit beats, feeding one element
+    /// stream per field.
+    LoadData,
+    /// `shift_buffer(elem_in, window_out) {extents, halo}` — element
+    /// stream → window stream.
+    ShiftBuffer,
+    /// `halo_merge(ptr, result_in, elem_out) {extents, halo}` — the
+    /// temporal-blocking seam: the previous step's result stream over the
+    /// interior, the halo ring from the field's buffer.
+    HaloMerge,
+    /// `write_data(streams…, ptrs…) {extents, halo, fields}` — drain the
+    /// result streams to external memory in 512-bit beats.
+    WriteData,
+    /// `copy_small_data(src, dst) {elements}` — kernel-init copy of small
+    /// data into BRAM.
+    CopySmallData,
+}
+
+impl RuntimeKind {
+    /// Every runtime function.
+    pub const ALL: [RuntimeKind; 5] = [
+        RuntimeKind::LoadData,
+        RuntimeKind::ShiftBuffer,
+        RuntimeKind::HaloMerge,
+        RuntimeKind::WriteData,
+        RuntimeKind::CopySmallData,
+    ];
+
+    /// The symbol a `func.call` names this function by.
+    pub fn callee(self) -> &'static str {
+        match self {
+            RuntimeKind::LoadData => "load_data",
+            RuntimeKind::ShiftBuffer => "shift_buffer",
+            RuntimeKind::HaloMerge => "halo_merge",
+            RuntimeKind::WriteData => "write_data",
+            RuntimeKind::CopySmallData => "copy_small_data",
+        }
+    }
+
+    /// The runtime function called `callee`, if it is one.
+    pub fn from_callee(callee: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.callee() == callee)
+    }
+}
+
+/// A runtime call taken apart. `T` is whatever stands for an operand where
+/// the call is looked at: a [`ValueId`] in the IR, a runtime value in an
+/// engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuntimeCall<'a, T> {
+    /// Which runtime function.
+    pub kind: RuntimeKind,
+    /// External-memory (or, for `copy_small_data`, source and destination)
+    /// buffers.
+    pub pointers: &'a [T],
+    /// Streams the call pops from.
+    pub consumed: &'a [T],
+    /// Streams the call pushes into.
+    pub produced: &'a [T],
+    /// The box the call walks: the halo-padded field for the stages that
+    /// feed or shift, the interior for `write_data`. For `copy_small_data`
+    /// the copied shape, stored as its element count — a decoded call has
+    /// the one extent `[elements]`.
+    pub extents: Vec<i64>,
+    /// Halo width (0 for `copy_small_data`).
+    pub halo: i64,
+}
+
+impl<T> RuntimeCall<'_, T> {
+    /// Number of fields a `load_data` / `write_data` moves.
+    pub fn fields(&self) -> usize {
+        self.pointers.len()
+    }
+}
+
+/// Build the `func.call` for `call` at `b`'s insertion point.
+pub fn runtime_call(b: &mut OpBuilder<'_>, call: &RuntimeCall<'_, ValueId>) -> OpId {
+    let operands = match call.kind {
+        RuntimeKind::WriteData => [call.consumed, call.pointers].concat(),
+        _ => [call.pointers, call.consumed, call.produced].concat(),
+    };
+    let op = func::call(b, call.kind.callee(), operands, vec![]);
+    let ctx = b.ctx();
+    if call.kind == RuntimeKind::CopySmallData {
+        let elements = call.extents.iter().product();
+        ctx.set_attr(op, "elements", Attribute::int(elements));
+        return op;
+    }
+    ctx.set_attr(op, "extents", Attribute::IndexArray(call.extents.clone()));
+    ctx.set_attr(op, "halo", Attribute::int(call.halo));
+    if matches!(call.kind, RuntimeKind::LoadData | RuntimeKind::WriteData) {
+        ctx.set_attr(op, "fields", Attribute::int(call.fields() as i64));
+    }
+    op
+}
+
+/// Take the runtime call `op` apart over `operands` — `ctx.operands(op)`,
+/// or the same positions as runtime values. `Ok(None)` when `op` is not a
+/// `func.call` to a runtime function; an error when its operands or
+/// attributes do not fit the function's layout.
+pub fn decode_runtime_call<'a, T>(
+    ctx: &Context,
+    op: OpId,
+    operands: &'a [T],
+) -> IrResult<Option<RuntimeCall<'a, T>>> {
+    if ctx.op_name(op) != func::CALL {
+        return Ok(None);
+    }
+    let Some(kind) = func::callee(ctx, op).and_then(RuntimeKind::from_callee) else {
+        return Ok(None);
+    };
+    let name = kind.callee();
+    let int_attr = |key: &str| ctx.attr(op, key).and_then(Attribute::as_int);
+    let n = operands.len();
+    let none: &[T] = &[];
+    let (pointers, consumed, produced) = match kind {
+        RuntimeKind::LoadData | RuntimeKind::WriteData => {
+            ir_ensure!(n.is_multiple_of(2), "{name} takes pointer/stream pairs");
+            if let Some(fields) = int_attr("fields") {
+                ir_ensure!(
+                    fields == (n / 2) as i64,
+                    "{name} declares {fields} fields but has {n} operands"
+                );
+            }
+            let (first, second) = operands.split_at(n / 2);
+            if kind == RuntimeKind::LoadData {
+                (first, none, second)
+            } else {
+                (second, first, none)
+            }
+        }
+        RuntimeKind::ShiftBuffer => {
+            ir_ensure!(n == 2, "{name} takes (elem_in, window_out)");
+            (none, &operands[..1], &operands[1..])
+        }
+        RuntimeKind::HaloMerge => {
+            ir_ensure!(n == 3, "{name} takes (ptr, result_in, elem_out)");
+            (&operands[..1], &operands[1..2], &operands[2..])
+        }
+        RuntimeKind::CopySmallData => {
+            ir_ensure!(n == 2, "{name} takes (src, dst)");
+            (operands, none, none)
+        }
+    };
+    let extents = if kind == RuntimeKind::CopySmallData {
+        vec![int_attr("elements").unwrap_or(0)]
+    } else {
+        ctx.attr(op, "extents")
+            .and_then(Attribute::as_index_array)
+            .ok_or_else(|| ir_error!("{name} without extents attribute"))?
+            .to_vec()
+    };
+    Ok(Some(RuntimeCall {
+        kind,
+        pointers,
+        consumed,
+        produced,
+        extents,
+        halo: int_attr("halo").unwrap_or(0),
+    }))
+}
+
+/// The runtime function a dataflow stage is built around, if any
+/// (`copy_small_data` runs at kernel init and makes no stage).
+pub fn stage_kind(ctx: &Context, stage: OpId) -> Option<RuntimeKind> {
+    ctx.find_ops(stage, func::CALL)
+        .into_iter()
+        .filter_map(|call| RuntimeKind::from_callee(func::callee(ctx, call)?))
+        .find(|&kind| kind != RuntimeKind::CopySmallData)
+}
+
+/// Role label of a dataflow stage for diagnostics: the runtime function it
+/// calls, `compute` for a loop stage.
+pub fn stage_role(ctx: &Context, stage: OpId) -> &'static str {
+    stage_kind(ctx, stage).map_or("compute", RuntimeKind::callee)
 }
 
 /// Verifier rules for the hls dialect.
@@ -330,6 +523,136 @@ mod tests {
         let iface = interface(&mut ib, m, AXI4, "gmem0");
         assert_eq!(interface_binding(&ctx, iface), Some((AXI4, "gmem0")));
         verify_with(&ctx, module, &verifiers()).unwrap();
+    }
+
+    /// Emit `call` inside a dataflow stage and decode it back.
+    fn round_trip(call: &RuntimeCall<'_, ValueId>, ctx: &mut Context, block: BlockId) -> OpId {
+        let mut b = OpBuilder::at_block_end(ctx, block);
+        let (stage, inner) = dataflow(&mut b);
+        let mut ib = OpBuilder::at_block_end(ctx, inner);
+        let op = runtime_call(&mut ib, call);
+        assert_eq!(func::callee(ctx, op), Some(call.kind.callee()));
+        let decoded = decode_runtime_call(ctx, op, ctx.operands(op))
+            .unwrap()
+            .unwrap();
+        assert_eq!(&decoded, call);
+        if call.kind == RuntimeKind::CopySmallData {
+            assert_eq!(stage_role(ctx, stage), "compute");
+        } else {
+            assert_eq!(stage_kind(ctx, stage), Some(call.kind));
+            assert_eq!(stage_role(ctx, stage), call.kind.callee());
+        }
+        op
+    }
+
+    /// A module with two buffers and three streams to wire calls from.
+    fn operands() -> (Context, BlockId, [ValueId; 2], [ValueId; 3]) {
+        let mut ctx = Context::new();
+        let (_module, body) = create_module(&mut ctx);
+        let mut b = OpBuilder::at_block_end(&mut ctx, body);
+        let ptrs = [(); 2].map(|()| crate::memref::alloc(&mut b, vec![16], Type::F64));
+        let streams = [(); 3].map(|()| create_stream(&mut b, Type::F64, 2));
+        (ctx, body, ptrs, streams)
+    }
+
+    #[test]
+    fn load_data_round_trips() {
+        let (mut ctx, body, ptrs, streams) = operands();
+        let call = RuntimeCall {
+            kind: RuntimeKind::LoadData,
+            pointers: &ptrs,
+            consumed: &[],
+            produced: &streams[..2],
+            extents: vec![6, 5],
+            halo: 1,
+        };
+        round_trip(&call, &mut ctx, body);
+        assert_eq!(call.fields(), 2);
+    }
+
+    #[test]
+    fn shift_buffer_round_trips() {
+        let (mut ctx, body, _ptrs, streams) = operands();
+        let call = RuntimeCall {
+            kind: RuntimeKind::ShiftBuffer,
+            pointers: &[],
+            consumed: &streams[..1],
+            produced: &streams[1..2],
+            extents: vec![6, 5, 4],
+            halo: 2,
+        };
+        round_trip(&call, &mut ctx, body);
+    }
+
+    #[test]
+    fn halo_merge_round_trips() {
+        let (mut ctx, body, ptrs, streams) = operands();
+        let call = RuntimeCall {
+            kind: RuntimeKind::HaloMerge,
+            pointers: &ptrs[..1],
+            consumed: &streams[..1],
+            produced: &streams[2..],
+            extents: vec![8],
+            halo: 1,
+        };
+        round_trip(&call, &mut ctx, body);
+    }
+
+    #[test]
+    fn write_data_round_trips() {
+        let (mut ctx, body, ptrs, streams) = operands();
+        let call = RuntimeCall {
+            kind: RuntimeKind::WriteData,
+            pointers: &ptrs,
+            consumed: &streams[1..],
+            produced: &[],
+            extents: vec![4, 3],
+            halo: 1,
+        };
+        let op = round_trip(&call, &mut ctx, body);
+        // Streams first, then pointers — the reverse of load_data.
+        assert_eq!(ctx.operands(op), [streams[1], streams[2], ptrs[0], ptrs[1]]);
+    }
+
+    #[test]
+    fn copy_small_data_round_trips() {
+        let (mut ctx, body, ptrs, _streams) = operands();
+        let call = RuntimeCall {
+            kind: RuntimeKind::CopySmallData,
+            pointers: &ptrs,
+            consumed: &[],
+            produced: &[],
+            extents: vec![16],
+            halo: 0,
+        };
+        round_trip(&call, &mut ctx, body);
+    }
+
+    #[test]
+    fn decode_rejects_a_layout_mismatch_and_skips_other_calls() {
+        let (mut ctx, body, ptrs, streams) = operands();
+        let mut b = OpBuilder::at_block_end(&mut ctx, body);
+        let other = func::call(&mut b, "helper", vec![streams[0]], vec![]);
+        let short = func::call(
+            &mut b,
+            RuntimeKind::HaloMerge.callee(),
+            vec![ptrs[0], streams[0]],
+            vec![],
+        );
+        let bare = func::call(
+            &mut b,
+            RuntimeKind::ShiftBuffer.callee(),
+            streams[..2].to_vec(),
+            vec![],
+        );
+        assert_eq!(
+            decode_runtime_call(&ctx, other, ctx.operands(other)).unwrap(),
+            None
+        );
+        let e = decode_runtime_call(&ctx, short, ctx.operands(short)).unwrap_err();
+        assert!(e.to_string().contains("halo_merge takes"), "{e}");
+        let e = decode_runtime_call(&ctx, bare, ctx.operands(bare)).unwrap_err();
+        assert!(e.to_string().contains("without extents"), "{e}");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use shmls_dialects::hls::RuntimeKind;
 use shmls_dialects::{arith, func, hls, memref, scf};
 use shmls_ir::attributes::Attribute;
 use shmls_ir::error::IrResult;
@@ -299,12 +300,12 @@ impl DesignDescriptor {
                         .ok_or_else(|| ir_error!("alloca of unsized type"))?;
                     d.local_buffer_bytes.push(bytes);
                 }
-                "func.call" if func::callee(ctx, op) == Some("copy_small_data") => {
-                    let elems = ctx
-                        .attr(op, "elements")
-                        .and_then(Attribute::as_int)
-                        .unwrap_or(0);
-                    d.init_copy_elements += elems as u64;
+                func::CALL => {
+                    if let Some(call) = hls::decode_runtime_call(ctx, op, ctx.operands(op))? {
+                        if call.kind == RuntimeKind::CopySmallData {
+                            d.init_copy_elements += call.extents[0] as u64;
+                        }
+                    }
                 }
                 hls::DATAFLOW => {
                     let stage = extract_stage(ctx, op, &stream_width)?;
@@ -321,8 +322,7 @@ impl DesignDescriptor {
                         }
                         _ => {}
                     }
-                    d.wiring
-                        .push(extract_wiring(ctx, op, &stage, &stream_index));
+                    d.wiring.push(extract_wiring(ctx, op, &stream_index)?);
                     d.stages.push(stage);
                 }
                 _ => {}
@@ -343,65 +343,36 @@ fn extract_stage(
         .ok_or_else(|| ir_error!("dataflow without body"))?;
     // Runtime-call stages: a single func.call.
     for &op in ctx.block_ops(body) {
-        if ctx.op_name(op) == "func.call" {
-            let callee = func::callee(ctx, op).unwrap_or_default();
-            let extents = ctx
-                .attr(op, "extents")
-                .and_then(Attribute::as_index_array)
-                .map(<[i64]>::to_vec)
-                .unwrap_or_default();
-            let halo = ctx
-                .attr(op, "halo")
-                .and_then(Attribute::as_int)
-                .unwrap_or(0);
-            let points: i64 = extents.iter().product();
-            match callee {
-                "load_data" | "dummy_load_data" => {
-                    let fields = ctx
-                        .attr(op, "fields")
-                        .and_then(Attribute::as_int)
-                        .unwrap_or(1) as usize;
-                    let elements = points.max(0) as u64;
-                    return Ok(Stage::Load {
-                        fields,
-                        beats_per_field: elements.div_ceil(8),
-                        elements_per_field: elements,
-                    });
-                }
-                "shift_buffer" => {
-                    let register_len = shmls_dialects::window::shift_register_len(&extents, halo);
-                    let interior: i64 = extents.iter().map(|&e| (e - 2 * halo).max(0)).product();
-                    return Ok(Stage::Shift {
-                        register_len,
-                        elements: points.max(0) as u64,
-                        windows: interior.max(0) as u64,
-                    });
-                }
-                "halo_merge" => {
-                    let bounded = points.max(0) as u64;
-                    let interior: i64 = extents.iter().map(|&e| (e - 2 * halo).max(0)).product();
-                    let interior = interior.max(0) as u64;
-                    return Ok(Stage::Merge {
-                        interior,
-                        bounded,
-                        ring: bounded - interior,
-                    });
-                }
-                "write_data" => {
-                    let fields = ctx
-                        .attr(op, "fields")
-                        .and_then(Attribute::as_int)
-                        .unwrap_or(1) as usize;
-                    let elements = points.max(0) as u64;
-                    return Ok(Stage::Write {
-                        fields,
-                        beats_per_field: elements.div_ceil(8),
-                        elements_per_field: elements,
-                    });
-                }
-                _ => {}
-            }
-        }
+        let Some(call) = hls::decode_runtime_call(ctx, op, ctx.operands(op))? else {
+            continue;
+        };
+        let halo = call.halo;
+        let bounded = call.extents.iter().product::<i64>().max(0) as u64;
+        let interior = call.extents.iter().map(|&e| (e - 2 * halo).max(0));
+        let interior = interior.product::<i64>() as u64;
+        return Ok(match call.kind {
+            RuntimeKind::LoadData => Stage::Load {
+                fields: call.fields(),
+                beats_per_field: bounded.div_ceil(8),
+                elements_per_field: bounded,
+            },
+            RuntimeKind::ShiftBuffer => Stage::Shift {
+                register_len: shmls_dialects::window::shift_register_len(&call.extents, halo),
+                elements: bounded,
+                windows: interior,
+            },
+            RuntimeKind::HaloMerge => Stage::Merge {
+                interior,
+                bounded,
+                ring: bounded - interior,
+            },
+            RuntimeKind::WriteData => Stage::Write {
+                fields: call.fields(),
+                beats_per_field: bounded.div_ceil(8),
+                elements_per_field: bounded,
+            },
+            RuntimeKind::CopySmallData => continue,
+        });
     }
     // Loop stages: dup or compute.
     for &op in ctx.block_ops(body) {
@@ -469,64 +440,25 @@ fn extract_loop_stage(
 fn extract_wiring(
     ctx: &Context,
     dataflow: OpId,
-    stage: &Stage,
     stream_index: &BTreeMap<ValueId, usize>,
-) -> StageWiring {
+) -> IrResult<StageWiring> {
     let mut wiring = StageWiring::default();
     let idx = |v: &ValueId| stream_index.get(v).copied();
     for op in ctx.walk_collect(dataflow) {
+        let operands = ctx.operands(op);
         match ctx.op_name(op) {
-            hls::READ => {
-                if let Some(i) = idx(&ctx.operands(op)[0]) {
-                    wiring.reads.push(i);
-                }
-            }
-            hls::WRITE => {
-                if let Some(i) = idx(&ctx.operands(op)[1]) {
-                    wiring.writes.push(i);
-                }
-            }
-            "func.call" => {
-                let operands = ctx.operands(op).to_vec();
-                match (func::callee(ctx, op), stage) {
-                    (Some("load_data") | Some("dummy_load_data"), Stage::Load { fields, .. }) => {
-                        for v in operands.iter().skip(*fields) {
-                            if let Some(i) = idx(v) {
-                                wiring.writes.push(i);
-                            }
-                        }
-                    }
-                    // halo_merge(ptr, result_in, elem_out).
-                    (Some("halo_merge"), _) => {
-                        if let Some(i) = idx(&operands[1]) {
-                            wiring.reads.push(i);
-                        }
-                        if let Some(i) = idx(&operands[2]) {
-                            wiring.writes.push(i);
-                        }
-                    }
-                    (Some("shift_buffer"), _) => {
-                        if let Some(i) = idx(&operands[0]) {
-                            wiring.reads.push(i);
-                        }
-                        if let Some(i) = idx(&operands[1]) {
-                            wiring.writes.push(i);
-                        }
-                    }
-                    (Some("write_data"), Stage::Write { fields, .. }) => {
-                        for v in operands.iter().take(*fields) {
-                            if let Some(i) = idx(v) {
-                                wiring.reads.push(i);
-                            }
-                        }
-                    }
-                    _ => {}
+            hls::READ => wiring.reads.extend(idx(&operands[0])),
+            hls::WRITE => wiring.writes.extend(idx(&operands[1])),
+            func::CALL => {
+                if let Some(call) = hls::decode_runtime_call(ctx, op, operands)? {
+                    wiring.reads.extend(call.consumed.iter().filter_map(idx));
+                    wiring.writes.extend(call.produced.iter().filter_map(idx));
                 }
             }
             _ => {}
         }
     }
-    wiring
+    Ok(wiring)
 }
 
 /// Constant trip count of a normalised loop (`lb`, `ub`, `step` all

@@ -11,8 +11,7 @@
 //! [`crate::threaded`] for true concurrency with bounded FIFOs and
 //! deadlock detection.
 
-use shmls_dialects::hls;
-use shmls_ir::attributes::Attribute;
+use shmls_dialects::hls::{self, RuntimeCall, RuntimeKind};
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::{iter_box, ExternOps, Machine, RtValue, Store};
 use shmls_ir::prelude::*;
@@ -109,7 +108,7 @@ impl ExternOps for HlsRuntime {
             }
             // Directive ops are structural no-ops at functional level.
             hls::PIPELINE | hls::UNROLL | hls::ARRAY_PARTITION | hls::INTERFACE => Ok(Some(vec![])),
-            "func.call" => {
+            shmls_dialects::func::CALL => {
                 let mut beats = 0u64;
                 let result = dispatch_runtime_call(self, &mut beats, ctx, op, args, store);
                 self.mem_beats += beats;
@@ -131,92 +130,68 @@ pub fn dispatch_runtime_call(
     args: &[RtValue],
     store: &mut Store,
 ) -> IrResult<Option<Vec<RtValue>>> {
-    let callee = ctx
-        .attr(op, "callee")
-        .and_then(Attribute::as_str)
-        .unwrap_or_default();
-    match callee {
-        "load_data" => rt_load_data(io, mem_beats, ctx, op, args, store).map(Some),
-        "dummy_load_data" => {
-            ir_ensure!(args.len() == 2, "dummy_load_data takes one ptr/stream pair");
-            rt_load_data(io, mem_beats, ctx, op, args, store).map(Some)
-        }
-        "shift_buffer" => rt_shift_buffer(io, ctx, op, args).map(Some),
-        "halo_merge" => rt_halo_merge(io, mem_beats, ctx, op, args, store).map(Some),
-        "write_data" => rt_write_data(io, mem_beats, ctx, op, args, store).map(Some),
-        "copy_small_data" => rt_copy_small_data(mem_beats, args, store).map(Some),
-        _ => Ok(None),
-    }
+    let Some(call) = hls::decode_runtime_call(ctx, op, args)? else {
+        return Ok(None);
+    };
+    match call.kind {
+        RuntimeKind::LoadData => rt_load_data(io, mem_beats, &call, store),
+        RuntimeKind::ShiftBuffer => rt_shift_buffer(io, &call),
+        RuntimeKind::HaloMerge => rt_halo_merge(io, mem_beats, &call, store),
+        RuntimeKind::WriteData => rt_write_data(io, mem_beats, &call, store),
+        RuntimeKind::CopySmallData => rt_copy_small_data(mem_beats, &call, store),
+    }?;
+    Ok(Some(vec![]))
 }
 
-fn call_geometry(ctx: &Context, op: OpId) -> IrResult<(Vec<i64>, i64)> {
-    let extents = ctx
-        .attr(op, "extents")
-        .and_then(Attribute::as_index_array)
-        .ok_or_else(|| ir_error!("runtime call without extents attribute"))?
-        .to_vec();
-    let halo = ctx
-        .attr(op, "halo")
-        .and_then(Attribute::as_int)
-        .unwrap_or(0);
-    Ok((extents, halo))
+/// A decoded runtime call over runtime values.
+type Call<'a> = RuntimeCall<'a, RtValue>;
+
+fn stream_handles(values: &[RtValue]) -> IrResult<Vec<usize>> {
+    values.iter().map(RtValue::as_stream).collect()
 }
 
-/// `load_data(ptrs…, streams…) {extents, halo, fields}` — stream every
-/// element of each (halo-padded) field, row-major, counting 512-bit beats
-/// for the memory model.
+/// `load_data` — stream every element of each (halo-padded) field,
+/// row-major, counting 512-bit beats for the memory model.
 fn rt_load_data(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
-    ctx: &Context,
-    op: OpId,
-    args: &[RtValue],
+    call: &Call<'_>,
     store: &mut Store,
-) -> IrResult<Vec<RtValue>> {
-    let (extents, halo) = call_geometry(ctx, op)?;
-    ir_ensure!(
-        args.len().is_multiple_of(2),
-        "load_data takes ptr/stream pairs"
-    );
-    let n_fields = args.len() / 2;
+) -> IrResult<()> {
+    let (extents, halo) = (&call.extents, call.halo);
     let lb: Vec<i64> = extents.iter().map(|_| -halo).collect();
     let ub: Vec<i64> = extents.iter().zip(&lb).map(|(&e, &l)| l + e).collect();
-    let buffers: Vec<_> = (0..n_fields)
-        .map(|f| store.get(args[f].as_memref()?).cloned())
+    let buffers: Vec<_> = call
+        .pointers
+        .iter()
+        .map(|p| store.get(p.as_memref()?).cloned())
         .collect::<IrResult<_>>()?;
-    let streams: Vec<usize> = (0..n_fields)
-        .map(|f| args[n_fields + f].as_stream())
-        .collect::<IrResult<_>>()?;
+    let streams = stream_handles(call.produced)?;
     // Round-robin across fields: each field rides its own AXI port, so the
     // hardware load stage advances all element streams in lockstep. (A
     // field-at-a-time order would deadlock the downstream shift buffers
     // under bounded FIFOs — consumers need all fields' windows together.)
     let mut count = 0u64;
     for p in iter_box(&lb, &ub) {
-        for f in 0..n_fields {
-            io.push(streams[f], RtValue::F64(buffers[f].load(&p)?))?;
+        for (buffer, &stream) in buffers.iter().zip(&streams) {
+            io.push(stream, RtValue::F64(buffer.load(&p)?))?;
         }
         count += 1;
     }
-    *mem_beats += n_fields as u64 * count.div_ceil(8);
-    Ok(vec![])
+    *mem_beats += call.fields() as u64 * count.div_ceil(8);
+    Ok(())
 }
 
-/// `shift_buffer(elem_in, window_out) {extents, halo}` — the true streaming
-/// shift register (§3.3, Figure 2): consumes the (padded) field's elements
-/// in row-major order through a ring buffer of exactly the shift-register
-/// length, emitting for each interior point the full `(2h+1)^rank` window
-/// the moment its last element arrives.
-fn rt_shift_buffer(
-    io: &mut dyn StreamIo,
-    ctx: &Context,
-    op: OpId,
-    args: &[RtValue],
-) -> IrResult<Vec<RtValue>> {
-    let (extents, halo) = call_geometry(ctx, op)?;
+/// `shift_buffer` — the true streaming shift register (§3.3, Figure 2):
+/// consumes the (padded) field's elements in row-major order through a
+/// ring buffer of exactly the shift-register length, emitting for each
+/// interior point the full `(2h+1)^rank` window the moment its last
+/// element arrives.
+fn rt_shift_buffer(io: &mut dyn StreamIo, call: &Call<'_>) -> IrResult<()> {
+    let (extents, halo) = (&call.extents, call.halo);
     let rank = extents.len();
-    let input = args[0].as_stream()?;
-    let output = args[1].as_stream()?;
+    let input = call.consumed[0].as_stream()?;
+    let output = call.produced[0].as_stream()?;
 
     let lb: Vec<i64> = vec![-halo; rank];
     let interior_lb = vec![0i64; rank];
@@ -224,7 +199,7 @@ fn rt_shift_buffer(
     let offsets = window_offsets_cached(rank, halo);
 
     // Ring buffer of exactly the hardware shift-register length.
-    let ring_len = shmls_dialects::window::shift_register_len(&extents, halo) as usize;
+    let ring_len = shmls_dialects::window::shift_register_len(extents, halo) as usize;
     let mut ring = vec![0.0f64; ring_len];
     let mut consumed: i64 = 0;
     let total: i64 = extents.iter().product();
@@ -246,7 +221,7 @@ fn rt_shift_buffer(
             consumed += 1;
         } else if emit_cursor < interior_points.len() {
             ir_bail!(
-                "shift_buffer: input exhausted with {} windows pending",
+                "shift buffer: input exhausted with {} windows pending",
                 interior_points.len() - emit_cursor
             );
         }
@@ -260,7 +235,7 @@ fn rt_shift_buffer(
             let first_needed = linearize(p, &vec![-halo; rank]);
             ir_ensure!(
                 first_needed > consumed - ring_len as i64 - 1,
-                "shift_buffer: window element already evicted (ring too short)"
+                "shift buffer: window element already evicted (ring too short)"
             );
             let mut window = Vec::with_capacity(offsets.len());
             for off in &offsets {
@@ -271,41 +246,35 @@ fn rt_shift_buffer(
             emit_cursor += 1;
         }
     }
-    Ok(vec![])
+    Ok(())
 }
 
-/// `halo_merge(ptr, result_in, elem_out) {extents, halo}` — the temporal
-/// blocking seam between two on-chip timesteps: streams the bounded box
-/// row-major into the next step's element stream, taking interior points
-/// from the previous step's result stream and the halo ring from the
-/// output field's buffer (constant during the sweep — `write_data` is the
-/// last stage in program order for the sequential engine, and the threaded
-/// engine hands every stage a clone of the initial store). Ring loads are
-/// real external-memory traffic and counted in 512-bit beats; the interior
-/// never leaves the chip.
+/// `halo_merge` — the temporal blocking seam between two on-chip
+/// timesteps: streams the bounded box row-major into the next step's
+/// element stream, taking interior points from the previous step's result
+/// stream and the halo ring from the output field's buffer (constant
+/// during the sweep — `write_data` is the last stage in program order for
+/// the sequential engine, and the threaded engine hands every stage a
+/// clone of the initial store). Ring loads are real external-memory
+/// traffic and counted in 512-bit beats; the interior never leaves the
+/// chip.
 fn rt_halo_merge(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
-    ctx: &Context,
-    op: OpId,
-    args: &[RtValue],
+    call: &Call<'_>,
     store: &mut Store,
-) -> IrResult<Vec<RtValue>> {
-    let (extents, halo) = call_geometry(ctx, op)?;
-    ir_ensure!(
-        args.len() == 3,
-        "halo_merge takes (ptr, result_in, elem_out)"
-    );
-    let buffer = store.get(args[0].as_memref()?).cloned()?;
-    let result_in = args[1].as_stream()?;
-    let elem_out = args[2].as_stream()?;
+) -> IrResult<()> {
+    let (extents, halo) = (&call.extents, call.halo);
+    let buffer = store.get(call.pointers[0].as_memref()?).cloned()?;
+    let result_in = call.consumed[0].as_stream()?;
+    let elem_out = call.produced[0].as_stream()?;
     let lb: Vec<i64> = extents.iter().map(|_| -halo).collect();
     let ub: Vec<i64> = extents.iter().zip(&lb).map(|(&e, &l)| l + e).collect();
     let mut ring = 0u64;
     for p in iter_box(&lb, &ub) {
         let interior = p
             .iter()
-            .zip(&extents)
+            .zip(extents)
             .all(|(&x, &e)| x >= 0 && x < e - 2 * halo);
         let v = if interior {
             io.pop(result_in)?.as_f64()?
@@ -316,71 +285,51 @@ fn rt_halo_merge(
         io.push(elem_out, RtValue::F64(v))?;
     }
     *mem_beats += ring.div_ceil(8);
-    Ok(vec![])
+    Ok(())
 }
 
-/// `write_data(streams…, ptrs…) {extents, fields}` — drain each result
-/// stream (interior, row-major) into its output buffer, counting 512-bit
-/// beats.
+/// `write_data` — drain each result stream (interior, row-major) into its
+/// output buffer, counting 512-bit beats.
 fn rt_write_data(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
-    ctx: &Context,
-    op: OpId,
-    args: &[RtValue],
+    call: &Call<'_>,
     store: &mut Store,
-) -> IrResult<Vec<RtValue>> {
-    let extents = ctx
-        .attr(op, "extents")
-        .and_then(Attribute::as_index_array)
-        .ok_or_else(|| ir_error!("write_data without extents"))?
-        .to_vec();
-    let n_fields = ctx
-        .attr(op, "fields")
-        .and_then(Attribute::as_int)
-        .ok_or_else(|| ir_error!("write_data without fields count"))? as usize;
-    ir_ensure!(
-        args.len() == 2 * n_fields,
-        "write_data takes stream/ptr pairs"
-    );
-    let lb = vec![0i64; extents.len()];
+) -> IrResult<()> {
+    let streams = stream_handles(call.consumed)?;
+    let buffers: Vec<usize> = call
+        .pointers
+        .iter()
+        .map(RtValue::as_memref)
+        .collect::<IrResult<_>>()?;
+    let lb = vec![0i64; call.extents.len()];
     // Round-robin across fields, matching the hardware draining all result
     // streams concurrently (essential under bounded FIFOs: field-major
     // draining would deadlock producers that emit in lockstep).
-    let points = iter_box(&lb, &extents);
-    let mut counts = vec![0u64; n_fields];
+    let points = iter_box(&lb, &call.extents);
     for p in &points {
-        for f in 0..n_fields {
-            let stream = args[f].as_stream()?;
-            let handle = args[n_fields + f].as_memref()?;
+        for (&stream, &buffer) in streams.iter().zip(&buffers) {
             let v = io.pop(stream)?.as_f64()?;
-            store.get_mut(handle)?.store(p, v)?;
-            counts[f] += 1;
+            store.get_mut(buffer)?.store(p, v)?;
         }
     }
-    for c in counts {
-        *mem_beats += c.div_ceil(8);
-    }
-    Ok(vec![])
+    *mem_beats += call.fields() as u64 * (points.len() as u64).div_ceil(8);
+    Ok(())
 }
 
-/// `copy_small_data(src, dst)` — the kernel-init BRAM copy of step 8.
-fn rt_copy_small_data(
-    mem_beats: &mut u64,
-    args: &[RtValue],
-    store: &mut Store,
-) -> IrResult<Vec<RtValue>> {
-    let src = store.get(args[0].as_memref()?)?.clone();
-    let dst = store.get_mut(args[1].as_memref()?)?;
+/// `copy_small_data` — the kernel-init BRAM copy of step 8.
+fn rt_copy_small_data(mem_beats: &mut u64, call: &Call<'_>, store: &mut Store) -> IrResult<()> {
+    let src = store.get(call.pointers[0].as_memref()?)?.clone();
+    let dst = store.get_mut(call.pointers[1].as_memref()?)?;
     ir_ensure!(
         src.data.len() == dst.data.len(),
-        "copy_small_data size mismatch: {} vs {}",
+        "small-data copy size mismatch: {} vs {}",
         src.data.len(),
         dst.data.len()
     );
     dst.data.copy_from_slice(&src.data);
     *mem_beats += (src.data.len() as u64).div_ceil(8);
-    Ok(vec![])
+    Ok(())
 }
 
 fn window_offsets_cached(rank: usize, halo: i64) -> Vec<Vec<i64>> {
@@ -487,7 +436,6 @@ mod tests {
 
     #[test]
     fn copy_small_data_round_trip() {
-        let runtime = HlsRuntime::new();
         let mut store = Store::new();
         let src = store.alloc(Buffer {
             shape: vec![4],
@@ -495,16 +443,18 @@ mod tests {
             data: vec![1., 2., 3., 4.],
         });
         let dst = store.alloc(Buffer::zeroed(vec![4], vec![0]));
+        let call = RuntimeCall {
+            kind: RuntimeKind::CopySmallData,
+            pointers: &[RtValue::MemRef(src), RtValue::MemRef(dst)],
+            consumed: &[],
+            produced: &[],
+            extents: vec![4],
+            halo: 0,
+        };
         let mut beats = 0u64;
-        rt_copy_small_data(
-            &mut beats,
-            &[RtValue::MemRef(src), RtValue::MemRef(dst)],
-            &mut store,
-        )
-        .unwrap();
+        rt_copy_small_data(&mut beats, &call, &mut store).unwrap();
         assert_eq!(store.get(dst).unwrap().data, vec![1., 2., 3., 4.]);
         assert_eq!(beats, 1);
-        let _ = runtime;
     }
 
     #[test]

@@ -184,20 +184,6 @@ fn stall_error(what: &str, handle: usize) -> IrError {
     ir_error!("{STALL_PREFIX} blocking {what} on stream {handle} exceeded the watchdog")
 }
 
-/// Role hint for a stage, derived from the runtime calls it makes.
-fn stage_role(ctx: &Context, stage: OpId) -> &'static str {
-    for call in ctx.find_ops(stage, "func.call") {
-        match shmls_dialects::func::callee(ctx, call) {
-            Some("write_data") => return "write_data",
-            Some("load_data") | Some("dummy_load_data") => return "load_data",
-            Some("shift_buffer") => return "shift_buffer",
-            Some("halo_merge") => return "halo_merge",
-            _ => {}
-        }
-    }
-    "compute"
-}
-
 /// Extern hook for stage threads and for the init phase.
 struct ChannelExtern {
     io: ChannelIo,
@@ -226,7 +212,7 @@ impl ExternOps for ChannelExtern {
                 ir_bail!("hls.empty/full are not supported by the threaded engine")
             }
             hls::PIPELINE | hls::UNROLL | hls::ARRAY_PARTITION | hls::INTERFACE => Ok(Some(vec![])),
-            "func.call" => {
+            shmls_dialects::func::CALL => {
                 let mut beats = 0u64;
                 let r = dispatch_runtime_call(&mut self.io, &mut beats, ctx, op, args, store);
                 self.mem_beats += beats;
@@ -288,11 +274,9 @@ pub fn execute_threaded(
     let init_beats = init_extern.mem_beats;
 
     // Identify the stage doing external writes — its store is the result.
-    let write_stage = stages.iter().position(|&s| {
-        ctx.find_ops(s, "func.call")
-            .into_iter()
-            .any(|c| shmls_dialects::func::callee(ctx, c) == Some("write_data"))
-    });
+    let write_stage = stages
+        .iter()
+        .position(|&s| hls::stage_kind(ctx, s) == Some(hls::RuntimeKind::WriteData));
 
     // ---- concurrent phase ------------------------------------------------
     enum StageResult {
@@ -359,7 +343,7 @@ pub fn execute_threaded(
     let mut stores: Vec<Option<(Store, u64)>> = Vec::new();
     let mut stage_snaps: Vec<StageSnapshot> = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
-        let label = format!("stage{i}:{}", stage_role(ctx, stages[i]));
+        let label = format!("stage{i}:{}", hls::stage_role(ctx, stages[i]));
         match r {
             StageResult::Done(store, beats) => {
                 stage_snaps.push(StageSnapshot {

@@ -47,15 +47,6 @@ impl PassManager {
         }
     }
 
-    /// An empty pipeline that uses the given dialect verifier registry.
-    pub fn with_verifiers(verifiers: OpVerifiers) -> Self {
-        Self {
-            passes: Vec::new(),
-            verify_each: true,
-            verifiers,
-        }
-    }
-
     /// Append a pass.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));

@@ -5,22 +5,11 @@
 //! stencil-to-hls → connectivity → llvm-lowering → fpp) and exposes on the
 //! compile result. The collector is deliberately dumb — no hierarchy, no
 //! global state, no locks — so a phase costs two `Instant::now()` calls to
-//! time.
-//!
-//! The whole module is gated behind the `timing` cargo feature (enabled by
-//! default). With the feature off, [`Timings`] is a zero-sized type and
-//! every method compiles to a no-op, so latency-critical embedders can
-//! build the compiler entirely free of telemetry. For per-call opt-out at
-//! runtime (e.g. `CompileOptions::time_passes = false`), [`Timings::off`]
-//! builds a collector that skips both the clock reads and the record
-//! allocations.
+//! time, and a whole compile about a dozen; there is no switch to turn it
+//! off.
 
 use std::fmt;
-use std::time::Duration;
-#[cfg(feature = "timing")]
-use std::time::Instant;
-
-use crate::pass::PassTiming;
+use std::time::{Duration, Instant};
 
 /// One named timed phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,107 +24,37 @@ pub struct TimingRecord {
 ///
 /// Repeated names are legal (e.g. `"verify"` is recorded once per
 /// inter-stage verification); [`Timings::get`] sums them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timings {
-    #[cfg(feature = "timing")]
     records: Vec<TimingRecord>,
-    /// Runtime gate: `false` turns every mutation into a no-op.
-    #[cfg(feature = "timing")]
-    on: bool,
-}
-
-impl Default for Timings {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Timings {
     /// An empty collector.
     pub fn new() -> Self {
-        Self {
-            #[cfg(feature = "timing")]
-            records: Vec::new(),
-            #[cfg(feature = "timing")]
-            on: true,
-        }
+        Self::default()
     }
 
-    /// A collector that ignores every `record`/`time`/`lap` — the runtime
-    /// counterpart of building without the `timing` feature, so callers
-    /// opting out (e.g. `time_passes = false`) skip the clock reads and
-    /// allocations rather than collecting and discarding.
-    pub fn off() -> Self {
-        Self {
-            #[cfg(feature = "timing")]
-            records: Vec::new(),
-            #[cfg(feature = "timing")]
-            on: false,
-        }
-    }
-
-    /// Whether the crate was built with timing support (`timing` feature).
-    pub const fn enabled() -> bool {
-        cfg!(feature = "timing")
-    }
-
-    /// Whether this collector accepts records: built with the `timing`
-    /// feature and not constructed via [`Timings::off`].
-    pub fn is_on(&self) -> bool {
-        #[cfg(feature = "timing")]
-        {
-            self.on
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            false
-        }
-    }
-
-    /// Record a phase. No-op without the `timing` feature or on an
-    /// [`Timings::off`] collector.
-    #[allow(unused_variables)]
+    /// Record a phase.
     pub fn record(&mut self, name: impl Into<String>, duration: Duration) {
-        #[cfg(feature = "timing")]
-        if self.on {
-            self.records.push(TimingRecord {
-                name: name.into(),
-                duration,
-            });
-        }
+        self.records.push(TimingRecord {
+            name: name.into(),
+            duration,
+        });
     }
 
     /// Time the closure and record it under `name`, passing its value
-    /// through. Zero-cost (just the call) without the `timing` feature;
-    /// skips the clock reads on an [`Timings::off`] collector.
-    #[allow(unused_variables)]
+    /// through.
     pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        #[cfg(feature = "timing")]
-        {
-            if !self.on {
-                return f();
-            }
-            let start = Instant::now();
-            let out = f();
-            self.record(name, start.elapsed());
-            out
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            f()
-        }
+        let start = Instant::now();
+        let out = f();
+        self.record(name, start.elapsed());
+        out
     }
 
-    /// All records, in execution order (empty without the feature).
+    /// All records, in execution order.
     pub fn records(&self) -> &[TimingRecord] {
-        #[cfg(feature = "timing")]
-        {
-            &self.records
-        }
-        #[cfg(not(feature = "timing"))]
-        {
-            &[]
-        }
+        &self.records
     }
 
     /// Total duration recorded under `name` (summing repeats), if any.
@@ -162,35 +81,14 @@ impl Timings {
             .sum()
     }
 
-    /// True when nothing has been recorded (always true without the
-    /// feature).
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records().is_empty()
+        self.records.is_empty()
     }
 
-    /// Append every record of `other`, preserving order. No-op on an
-    /// [`Timings::off`] collector.
-    #[allow(unused_variables)]
+    /// Append every record of `other`, preserving order.
     pub fn extend(&mut self, other: &Timings) {
-        #[cfg(feature = "timing")]
-        if self.on {
-            self.records.extend(other.records.iter().cloned());
-        }
-    }
-
-    /// Absorb the pass manager's per-pass timings. No-op on an
-    /// [`Timings::off`] collector.
-    #[allow(unused_variables)]
-    pub fn absorb_pass_timings(&mut self, timings: &[PassTiming]) {
-        #[cfg(feature = "timing")]
-        if self.on {
-            for t in timings {
-                self.records.push(TimingRecord {
-                    name: t.name.clone(),
-                    duration: t.duration,
-                });
-            }
-        }
+        self.records.extend(other.records.iter().cloned());
     }
 }
 
@@ -219,7 +117,6 @@ impl fmt::Display for Timings {
 /// [`Stopwatch::lap`] at each boundary.
 #[derive(Debug)]
 pub struct Stopwatch {
-    #[cfg(feature = "timing")]
     last: Instant,
 }
 
@@ -227,25 +124,16 @@ impl Stopwatch {
     /// Start timing.
     pub fn start() -> Self {
         Self {
-            #[cfg(feature = "timing")]
             last: Instant::now(),
         }
     }
 
     /// Record the time since construction or the previous lap under
-    /// `name`, then reset. Skips the clock read entirely when `timings`
-    /// is not collecting.
-    #[allow(unused_variables)]
+    /// `name`, then reset.
     pub fn lap(&mut self, timings: &mut Timings, name: &str) {
-        #[cfg(feature = "timing")]
-        {
-            if !timings.is_on() {
-                return;
-            }
-            let now = Instant::now();
-            timings.record(name, now - self.last);
-            self.last = now;
-        }
+        let now = Instant::now();
+        timings.record(name, now - self.last);
+        self.last = now;
     }
 }
 
@@ -259,15 +147,11 @@ mod tests {
         t.record("a", Duration::from_millis(2));
         t.record("b", Duration::from_millis(3));
         t.record("a", Duration::from_millis(5));
-        if Timings::enabled() {
-            assert_eq!(t.records().len(), 3);
-            assert_eq!(t.get("a"), Some(Duration::from_millis(7)));
-            assert_eq!(t.get("b"), Some(Duration::from_millis(3)));
-            assert_eq!(t.get("c"), None);
-            assert_eq!(t.total(), Duration::from_millis(10));
-        } else {
-            assert!(t.is_empty());
-        }
+        assert_eq!(t.records().len(), 3);
+        assert_eq!(t.get("a"), Some(Duration::from_millis(7)));
+        assert_eq!(t.get("b"), Some(Duration::from_millis(3)));
+        assert_eq!(t.get("c"), None);
+        assert_eq!(t.total(), Duration::from_millis(10));
     }
 
     #[test]
@@ -277,37 +161,18 @@ mod tests {
         t.record("b", Duration::from_millis(3));
         let total = t.total();
         t.record("total", total);
-        if Timings::enabled() {
-            // Recording the summary row must not double the reported total.
-            assert_eq!(t.total(), Duration::from_millis(5));
-            assert_eq!(t.get("total"), Some(Duration::from_millis(5)));
-        }
+        // Recording the summary row must not double the reported total.
+        assert_eq!(t.total(), Duration::from_millis(5));
+        assert_eq!(t.get("total"), Some(Duration::from_millis(5)));
     }
 
     #[test]
-    fn off_collector_drops_everything() {
-        let mut t = Timings::off();
-        assert!(!t.is_on());
-        t.record("a", Duration::from_millis(2));
-        let v = t.time("b", || 7);
-        assert_eq!(v, 7);
-        let mut sw = Stopwatch::start();
-        sw.lap(&mut t, "c");
-        let mut other = Timings::new();
-        other.record("d", Duration::from_millis(1));
-        t.extend(&other);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn time_passes_value_through() {
+    fn time_returns_the_closure_value() {
         let mut t = Timings::new();
         let v = t.time("phase", || 41 + 1);
         assert_eq!(v, 42);
-        if Timings::enabled() {
-            assert_eq!(t.records().len(), 1);
-            assert_eq!(t.records()[0].name, "phase");
-        }
+        assert_eq!(t.records().len(), 1);
+        assert_eq!(t.records()[0].name, "phase");
     }
 
     #[test]
@@ -316,10 +181,8 @@ mod tests {
         let mut sw = Stopwatch::start();
         sw.lap(&mut t, "first");
         sw.lap(&mut t, "second");
-        if Timings::enabled() {
-            let names: Vec<&str> = t.records().iter().map(|r| r.name.as_str()).collect();
-            assert_eq!(names, vec!["first", "second"]);
-        }
+        let names: Vec<&str> = t.records().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, vec!["first", "second"]);
     }
 
     #[test]
@@ -329,10 +192,8 @@ mod tests {
         let mut b = Timings::new();
         b.record("y", Duration::from_millis(2));
         a.extend(&b);
-        if Timings::enabled() {
-            let names: Vec<&str> = a.records().iter().map(|r| r.name.as_str()).collect();
-            assert_eq!(names, vec!["x", "y"]);
-        }
+        let names: Vec<&str> = a.records().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, vec!["x", "y"]);
     }
 
     #[test]
@@ -340,11 +201,7 @@ mod tests {
         let mut t = Timings::new();
         t.record("parse", Duration::from_micros(1500));
         let s = t.to_string();
-        if Timings::enabled() {
-            assert!(s.contains("parse"), "{s}");
-            assert!(s.contains("1.500 ms"), "{s}");
-        } else {
-            assert!(s.is_empty());
-        }
+        assert!(s.contains("parse"), "{s}");
+        assert!(s.contains("1.500 ms"), "{s}");
     }
 }

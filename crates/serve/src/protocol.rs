@@ -52,8 +52,7 @@ impl ErrorKind {
 
 /// Compile-option overrides carried by a request. Every field is
 /// optional; an absent field keeps the server-side default
-/// ([`CompileOptions::default`], with `time_passes` forced on so
-/// responses always carry timings).
+/// ([`CompileOptions::default`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequestOptions {
     /// FIFO depth for element/result streams.
@@ -165,13 +164,9 @@ impl Request {
         })
     }
 
-    /// Resolve the overrides against the server defaults. `time_passes`
-    /// is forced on — responses always carry timings.
+    /// Resolve the overrides against the server defaults.
     pub fn compile_options(&self) -> Result<CompileOptions, String> {
-        let mut co = CompileOptions {
-            time_passes: true,
-            ..Default::default()
-        };
+        let mut co = CompileOptions::default();
         let o = &self.options;
         if let Some(v) = o.stream_depth {
             co.hmls.stream_depth = v;
@@ -499,7 +494,6 @@ mod tests {
         assert_eq!(co.hmls.unroll, 2);
         assert_eq!(co.paths, TargetPath::HlsOnly);
         assert!(!co.verify);
-        assert!(co.time_passes, "timings are always collected");
         // Untouched fields keep their defaults.
         let defaults = CompileOptions::default();
         assert_eq!(co.hmls.ii, defaults.hmls.ii);

@@ -320,6 +320,68 @@ fn textual_stencil_ir_is_a_complete_interchange_format() {
 }
 
 #[test]
+fn fused_stencil_ir_is_split_on_the_ir_entry_point() {
+    // Regression: `compile_stencil_ir` ran canonicalize but not split, so
+    // IR in the CPU/GPU-favoured fused form — which only ever arrives
+    // through this entry point — died in stencil_to_hls with "run
+    // split_applies first". The fused IR must compile to a design that
+    // computes what the unfused DSL compile computes.
+    use shmls_dialects::builtin::create_module;
+    use shmls_frontend::{lower_kernel, parse_kernel};
+    use shmls_ir::interp::{Buffer, RtValue};
+    const PAIR: &str = r#"
+kernel pair {
+  grid(8, 6)
+  halo 1
+  field a : input
+  field b : output
+  field c : output
+  const w
+  compute b { b = w * (a[-1,0] + a[1,0]) }
+  compute c { c = a[0,-1] - a[0,1] }
+}
+"#;
+    let mut ctx = Context::new();
+    let (module, body) = create_module(&mut ctx);
+    let lowered = lower_kernel(&mut ctx, body, &parse_kernel(PAIR).unwrap()).unwrap();
+    let fused = stencil_hmls::fuse::fuse_applies(&mut ctx, lowered.func).unwrap();
+    assert_eq!(ctx.results(fused).len(), 2);
+    let fused_ir = print_op(&ctx, module);
+
+    let (ctx2, module2, hls_func2, report2) =
+        stencil_hmls::driver::compile_stencil_ir(&fused_ir, &CompileOptions::default()).unwrap();
+    assert_eq!(report2.compute_stages, 2);
+
+    let mut a = Buffer::zeroed(vec![10, 8], vec![-1, -1]);
+    for p in shmls_ir::interp::iter_box(&[-1, -1], &[9, 7]) {
+        a.store(&p, (p[0] * 7 - p[1] * 3) as f64 / 4.0).unwrap();
+    }
+    let compiled = compile(PAIR, &CompileOptions::default()).unwrap();
+    let data = stencil_hmls::runner::KernelData::default()
+        .buffer("a", a.clone())
+        .scalar("w", 0.5);
+    let (unfused, _) = stencil_hmls::runner::run_hls(&compiled, &data).unwrap();
+
+    let hls_name = shmls_dialects::func::func_name(&ctx2, hls_func2)
+        .unwrap()
+        .to_string();
+    let (store, _) =
+        shmls_fpga_sim::executor::execute_hls_kernel(&ctx2, module2, &hls_name, |store| {
+            let out = || Buffer::zeroed(vec![10, 8], vec![-1, -1]);
+            vec![
+                RtValue::MemRef(store.alloc(a.clone())),
+                RtValue::MemRef(store.alloc(out())),
+                RtValue::MemRef(store.alloc(out())),
+                RtValue::F64(0.5),
+            ]
+        })
+        .unwrap();
+    for (arg, name) in [(1, "b"), (2, "c")] {
+        assert_eq!(store.get(arg).unwrap().data, unfused[name].data, "{name}");
+    }
+}
+
+#[test]
 fn halo_zero_pointwise_kernel() {
     // A pointwise (halo 0) kernel: trivial windows, no neighbours — the
     // degenerate end of the stencil spectrum must still flow through the
