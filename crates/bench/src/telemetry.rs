@@ -23,6 +23,7 @@ use crate::json::Json;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_kernels::{heat3d, laplace, pw_advection, tracer_advection};
 use stencil_hmls::cache::CompileCache;
+use stencil_hmls::engine::{Engine, VECTOR};
 use stencil_hmls::runner::{
     run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with, KernelData,
 };
@@ -449,6 +450,32 @@ pub fn run_bench(quick: bool) -> Result<BenchReport, String> {
                 better: Better::Higher,
                 noise: Noise::WallClock,
             },
+        );
+    }
+
+    // --- sweep work: bytes allocated and copied besides the kernel's own ---
+    // One sweep of each bench kernel on the vector tier, from the store's
+    // own counters: temps the applies needed and bytes copied between
+    // buffers (lent inputs written, `stencil.store` copies). Exact on any
+    // host, so the compare gate holds them at the deterministic
+    // tolerance: a reintroduced input clone or result temp fails CI
+    // without a quiet machine. PW advection needs neither; tracer
+    // advection's chained stages keep their temps.
+    for (kname, grid) in bench_kernels(quick) {
+        let compiled = compile(&source_for(kname, grid), &CompileOptions::default())
+            .map_err(|e| format!("compiling {kname} for the sweep-work bench: {e}"))?;
+        let work = VECTOR
+            .sweep(&compiled, &kernel_data(kname, grid), 1)
+            .map_err(|e| format!("{kname} vector sweep: {e}"))?
+            .work
+            .ok_or_else(|| format!("{kname}: the vector tier reported no store work"))?;
+        metrics.insert(
+            format!("interp/{kname}/sweep_temp_bytes"),
+            det(work.allocated_bytes as f64, "bytes"),
+        );
+        metrics.insert(
+            format!("interp/{kname}/sweep_copied_bytes"),
+            det(work.copied_bytes as f64, "bytes"),
         );
     }
 

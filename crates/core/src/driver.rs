@@ -103,6 +103,11 @@ pub struct CompiledKernel {
     /// fast. Applies that fail to compile are simply absent (the
     /// tree-walker remains the universal fallback).
     pub apply_plans: HashMap<OpId, Arc<shmls_ir::bytecode::Program>>,
+    /// The apply results of the stencil-dialect function that the chunked
+    /// bytecode tier may compute straight into the field their
+    /// `stencil.store` names, skipping the temp and the copy (see
+    /// [`shmls_ir::bytecode::direct_stores`]).
+    pub direct_stores: shmls_ir::bytecode::DirectStores,
 }
 
 impl CompiledKernel {
@@ -337,8 +342,11 @@ impl<'o> Pipeline<'o> {
         // Bytecode tier: compile each apply body once into a flat register
         // program. Best-effort per apply — an unsupported body just keeps
         // the tree-walking path.
-        let apply_plans = self.stage("bytecode", |ctx, _| {
-            Ok(compile_apply_plans(ctx, lowered.func))
+        let (apply_plans, direct_stores) = self.stage("bytecode", |ctx, _| {
+            Ok((
+                compile_apply_plans(ctx, lowered.func),
+                shmls_ir::bytecode::direct_stores(ctx, lowered.func),
+            ))
         })?;
 
         // Summary row last; `Timings::total()` skips it when re-summing, so
@@ -361,6 +369,7 @@ impl<'o> Pipeline<'o> {
             timings,
             snapshots: self.snapshots,
             apply_plans,
+            direct_stores,
         })
     }
 }

@@ -30,7 +30,7 @@ use shmls_fpga_sim::threaded::{execute_threaded, ThreadedOutcome};
 use shmls_frontend::{FieldKind, KernelArg};
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::error::IrResult;
-use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store};
+use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store, StoreWork};
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
 use crate::driver::CompiledKernel;
@@ -49,6 +49,9 @@ pub struct Sweep {
     pub outputs: BTreeMap<String, Buffer>,
     /// Stream statistics, from the tiers that execute streams.
     pub stats: Option<StreamStats>,
+    /// Bytes the sweep allocated and copied after binding its arguments,
+    /// from the tiers that run in one store (the interpreter tiers).
+    pub work: Option<StoreWork>,
 }
 
 /// One execution tier.
@@ -122,6 +125,7 @@ impl Engine for Interp {
         let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
         if let Interp::Bytecode(mode) = *self {
             machine.apply_plans = compiled.apply_plans.clone();
+            machine.direct_stores = compiled.direct_stores.clone();
             machine.apply_mode = mode;
         }
         let (args, handles) = bind_args(compiled, data, &mut machine.store)?;
@@ -137,15 +141,16 @@ impl Engine for Interp {
                 .collect();
             for _ in 1..depth {
                 for &(out, input) in &feeds {
-                    let (src, dst) = machine.store.pair_mut(out, input)?;
-                    dst.data.copy_from_slice(&src.data);
+                    machine.store.copy_whole(out, input)?;
                 }
                 machine.call(&func, &args)?;
             }
         }
+        let work = machine.store.work();
         Ok(Sweep {
             outputs: collect_outputs(compiled, &mut machine.store, &handles)?,
             stats: None,
+            work: Some(work),
         })
     }
 
@@ -200,6 +205,7 @@ impl Engine for Stream {
         Ok(Sweep {
             outputs,
             stats: Some(stats),
+            work: None,
         })
     }
 
@@ -258,6 +264,7 @@ impl Engine for Threaded {
             Ok(outputs) => Ok(Sweep {
                 outputs,
                 stats: None,
+                work: None,
             }),
             Err(report) => Err(ir_error!("the threaded engine deadlocked:\n{report}")),
         }
@@ -278,60 +285,56 @@ fn check_design_depth(compiled: &CompiledKernel, depth: usize) -> IrResult<()> {
     Ok(())
 }
 
-/// Allocate the kernel arguments in `store` and return
-/// `(args, name → handle)` in signature order.
-fn bind_args(
+/// Bind the kernel arguments in `store` and return `(args, name →
+/// handle)` in signature order. A buffer found in `data` is lent, not
+/// copied: the store reads it in place and copies it only if the kernel
+/// writes it (an `inout` field, a caller-supplied output), so the
+/// caller's data is never mutated. A buffer `data` leaves out is a zeroed
+/// one of the argument's shape. The store's work counters start from
+/// zero once everything is bound.
+fn bind_args<'d>(
     compiled: &CompiledKernel,
-    data: &KernelData,
-    store: &mut Store,
+    data: &'d KernelData,
+    store: &mut Store<'d>,
 ) -> IrResult<(Vec<RtValue>, BTreeMap<String, usize>)> {
     let bounded = shmls_ir::types::StencilBounds::from_extents(&compiled.signature.grid)
         .grown(compiled.signature.halo);
     let mut args = Vec::new();
     let mut handles = BTreeMap::new();
+    let mut bind = |name: &String, what: &str, shape: Vec<i64>, origin: Vec<i64>| {
+        let h = match data.buffers.get(name) {
+            Some(buffer) if buffer.shape != shape => ir_bail!(
+                "{what} `{name}`: buffer shape {:?} does not match the expected {shape:?}",
+                buffer.shape
+            ),
+            Some(buffer) => store.lend(buffer),
+            None => store.alloc(Buffer::zeroed(shape, origin)),
+        };
+        handles.insert(name.clone(), h);
+        Ok(RtValue::MemRef(h))
+    };
     for arg in &compiled.signature.args {
-        match arg {
+        args.push(match arg {
             KernelArg::Field(name, _) => {
-                let buffer = match data.buffers.get(name) {
-                    Some(b) => b.clone(),
-                    None => Buffer::zeroed(bounded.extents(), bounded.lb.clone()),
-                };
-                if buffer.shape != bounded.extents() {
-                    ir_bail!(
-                        "field `{name}`: buffer shape {:?} does not match padded grid {:?}",
-                        buffer.shape,
-                        bounded.extents()
-                    );
-                }
-                let h = store.alloc(buffer);
-                handles.insert(name.clone(), h);
-                args.push(RtValue::MemRef(h));
+                bind(name, "field", bounded.extents(), bounded.lb.clone())?
             }
-            KernelArg::Param(name, _, extent) => {
-                let buffer = match data.buffers.get(name) {
-                    Some(b) => b.clone(),
-                    None => Buffer::zeroed(vec![*extent], vec![0]),
-                };
-                let h = store.alloc(buffer);
-                handles.insert(name.clone(), h);
-                args.push(RtValue::MemRef(h));
-            }
-            KernelArg::Const(name) => {
-                let v = *data
+            KernelArg::Param(name, _, extent) => bind(name, "parameter", vec![*extent], vec![0])?,
+            KernelArg::Const(name) => RtValue::F64(
+                *data
                     .scalars
                     .get(name)
-                    .ok_or_else(|| ir_error!("missing scalar constant `{name}`"))?;
-                args.push(RtValue::F64(v));
-            }
-        }
+                    .ok_or_else(|| ir_error!("missing scalar constant `{name}`"))?,
+            ),
+        });
     }
+    store.reset_work();
     Ok((args, handles))
 }
 
 /// Move the externally written fields out of a finished run's store.
 fn collect_outputs(
     compiled: &CompiledKernel,
-    store: &mut Store,
+    store: &mut Store<'_>,
     handles: &BTreeMap<String, usize>,
 ) -> IrResult<BTreeMap<String, Buffer>> {
     let mut out = BTreeMap::new();
@@ -341,4 +344,180 @@ fn collect_outputs(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{compile, CompileOptions};
+    use shmls_ir::rng::Rng;
+
+    /// An `inout` field, a pure output, an axis parameter and a constant.
+    const RELAX: &str = "kernel relax { grid(6, 5, 9) halo 1 \
+         field a : input field s : inout field b : output param kz[k] const w \
+         compute s { s = s[0,0,0] + w * (a[-1,0,0] + a[1,0,0]) } \
+         compute b { b = s[0,0,0] * kz[k] + a[0,0,-1] } }";
+
+    fn every_engine() -> Vec<Box<dyn Engine>> {
+        vec![
+            Box::new(Interp::Tree),
+            Box::new(Interp::Bytecode(ApplyMode::Scalar)),
+            Box::new(VECTOR),
+            Box::new(Interp::Bytecode(ApplyMode::Chunked { threads: 3 })),
+            Box::new(Interp::Cpu),
+            Box::new(Stream),
+            Box::new(Threaded {
+                watchdog: Duration::from_secs(30),
+            }),
+        ]
+    }
+
+    fn seeded(shape: Vec<i64>, origin: Vec<i64>, rng: &mut Rng) -> Buffer {
+        let mut buffer = Buffer::zeroed(shape, origin);
+        buffer.data.fill_with(|| rng.coarse_f64(-4.0, 4.0));
+        buffer
+    }
+
+    /// RELAX's data, the output `b` supplied by the caller as well.
+    fn relax_data() -> KernelData {
+        let mut rng = Rng::new(21);
+        let mut field = || seeded(vec![8, 7, 11], vec![-1, -1, -1], &mut rng);
+        let (a, s, b) = (field(), field(), field());
+        KernelData::default()
+            .buffer("a", a)
+            .buffer("s", s)
+            .buffer("b", b)
+            .buffer("kz", seeded(vec![11], vec![0], &mut rng))
+            .scalar("w", 0.3)
+    }
+
+    fn bits(buffers: &BTreeMap<String, Buffer>) -> Vec<(&String, &Vec<i64>, Vec<u64>)> {
+        buffers
+            .iter()
+            .map(|(name, b)| (name, &b.shape, b.data.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn sweep_leaves_the_callers_data_untouched() {
+        let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
+        let data = relax_data();
+        let before = data.clone();
+        let oracle = Interp::Tree.sweep(&compiled, &data, 1).unwrap().outputs;
+        for engine in every_engine() {
+            let sweep = engine.sweep(&compiled, &data, 1).unwrap();
+            assert_eq!(
+                bits(&data.buffers),
+                bits(&before.buffers),
+                "{} wrote the caller's buffers",
+                engine.name()
+            );
+            // Whole buffers: the supplied rings of `s` and `b` included.
+            assert_eq!(bits(&sweep.outputs), bits(&oracle), "{}", engine.name());
+        }
+    }
+
+    #[test]
+    fn sweep_work_counts_temps_and_copies() {
+        let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
+        let data = relax_data();
+        let (padded, interior) = (8 * 7 * 11 * 8, 6 * 5 * 9 * 8);
+        // Tree: a temp per apply, a box copy per store, and each lent
+        // destination copied on its first write.
+        assert_eq!(
+            Interp::Tree.sweep(&compiled, &data, 1).unwrap().work,
+            Some(StoreWork {
+                allocated_bytes: 2 * interior,
+                copied_bytes: 2 * padded + 2 * interior,
+            })
+        );
+        // Vector: `b` is computed in place; `s` is loaded as well as
+        // stored, so it keeps its temp and its copy.
+        assert_eq!(
+            VECTOR.sweep(&compiled, &data, 1).unwrap().work,
+            Some(StoreWork {
+                allocated_bytes: interior,
+                copied_bytes: 2 * padded + interior,
+            })
+        );
+        // With no output supplied, `b` is the store's own: nothing lent
+        // is written but `s`.
+        let mut own = data.clone();
+        own.buffers.remove("b");
+        assert_eq!(
+            VECTOR.sweep(&compiled, &own, 1).unwrap().work,
+            Some(StoreWork {
+                allocated_bytes: interior,
+                copied_bytes: padded + interior,
+            })
+        );
+    }
+
+    #[test]
+    fn a_deep_sweep_equals_chained_single_sweeps() {
+        let [nx, ny, nz] = [7, 6, 9];
+        let compiled = compile(
+            &shmls_kernels::heat3d::source(nx, ny, nz),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        let inputs = shmls_kernels::heat3d::Heat3dInputs::random(nx, ny, nz, 3);
+        let data = KernelData::default()
+            .buffer("t", inputs.t.to_buffer())
+            .buffer("kz", inputs.kz.to_buffer())
+            .scalar("dt", inputs.dt);
+        for engine in [
+            Interp::Tree,
+            VECTOR,
+            Interp::Bytecode(ApplyMode::Chunked { threads: 2 }),
+        ] {
+            let mut chained = data.clone();
+            let mut last = BTreeMap::new();
+            for _ in 0..3 {
+                last = engine.sweep(&compiled, &chained, 1).unwrap().outputs;
+                chained.buffers.insert("t".into(), last["tnew"].clone());
+            }
+            let deep = engine.sweep(&compiled, &data, 3).unwrap();
+            assert_eq!(bits(&deep.outputs), bits(&last), "{}", engine.name());
+        }
+        // The feed replaces the lent `t` with the fed buffer (one copy a
+        // step) instead of copying `t` only to overwrite it.
+        let padded = ((nx + 2) * (ny + 2) * (nz + 2) * 8) as u64;
+        let work = VECTOR.sweep(&compiled, &data, 3).unwrap().work.unwrap();
+        assert_eq!(work.copied_bytes, 2 * padded);
+        assert_eq!(work.allocated_bytes, 0);
+    }
+
+    /// A parameter buffer of the wrong extent or rank is refused when it
+    /// is bound, by name.
+    fn refuses_misshapen_parameters(engine: &dyn Engine) {
+        let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
+        for shape in [vec![10], vec![11, 1]] {
+            let mut data = relax_data();
+            let origin = vec![0; shape.len()];
+            data.buffers
+                .insert("kz".into(), Buffer::zeroed(shape, origin));
+            let e = engine.sweep(&compiled, &data, 1).unwrap_err().to_string();
+            assert!(e.contains("parameter `kz`") && e.contains("[11]"), "{e}");
+        }
+    }
+
+    #[test]
+    fn interp_refuses_misshapen_parameters() {
+        refuses_misshapen_parameters(&Interp::Tree);
+        refuses_misshapen_parameters(&VECTOR);
+        refuses_misshapen_parameters(&Interp::Cpu);
+    }
+
+    #[test]
+    fn stream_refuses_misshapen_parameters() {
+        refuses_misshapen_parameters(&Stream);
+    }
+
+    #[test]
+    fn threaded_refuses_misshapen_parameters() {
+        refuses_misshapen_parameters(&Threaded {
+            watchdog: Duration::from_secs(30),
+        });
+    }
 }

@@ -76,7 +76,7 @@ impl ExternOps for HlsRuntime {
         ctx: &Context,
         op: OpId,
         args: &[RtValue],
-        store: &mut Store,
+        store: &mut Store<'_>,
     ) -> IrResult<Option<Vec<RtValue>>> {
         match ctx.op_name(op) {
             hls::CREATE_STREAM => {
@@ -128,7 +128,7 @@ pub fn dispatch_runtime_call(
     ctx: &Context,
     op: OpId,
     args: &[RtValue],
-    store: &mut Store,
+    store: &mut Store<'_>,
 ) -> IrResult<Option<Vec<RtValue>>> {
     let Some(call) = hls::decode_runtime_call(ctx, op, args)? else {
         return Ok(None);
@@ -156,7 +156,7 @@ fn rt_load_data(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
     call: &Call<'_>,
-    store: &mut Store,
+    store: &mut Store<'_>,
 ) -> IrResult<()> {
     let (extents, halo) = (&call.extents, call.halo);
     let lb: Vec<i64> = extents.iter().map(|_| -halo).collect();
@@ -164,7 +164,7 @@ fn rt_load_data(
     let buffers: Vec<_> = call
         .pointers
         .iter()
-        .map(|p| store.get(p.as_memref()?).cloned())
+        .map(|p| store.get(p.as_memref()?))
         .collect::<IrResult<_>>()?;
     let streams = stream_handles(call.produced)?;
     // Round-robin across fields: each field rides its own AXI port, so the
@@ -254,18 +254,18 @@ fn rt_shift_buffer(io: &mut dyn StreamIo, call: &Call<'_>) -> IrResult<()> {
 /// element stream, taking interior points from the previous step's result
 /// stream and the halo ring from the output field's buffer (constant
 /// during the sweep — `write_data` is the last stage in program order for
-/// the sequential engine, and the threaded engine hands every stage a
-/// clone of the initial store). Ring loads are real external-memory
-/// traffic and counted in 512-bit beats; the interior never leaves the
-/// chip.
+/// the sequential engine, and the threaded engine hands every stage its
+/// own copy-on-write view of the initial store). Ring loads are real
+/// external-memory traffic and counted in 512-bit beats; the interior
+/// never leaves the chip.
 fn rt_halo_merge(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
     call: &Call<'_>,
-    store: &mut Store,
+    store: &mut Store<'_>,
 ) -> IrResult<()> {
     let (extents, halo) = (&call.extents, call.halo);
-    let buffer = store.get(call.pointers[0].as_memref()?).cloned()?;
+    let buffer = store.get(call.pointers[0].as_memref()?)?;
     let result_in = call.consumed[0].as_stream()?;
     let elem_out = call.produced[0].as_stream()?;
     let lb: Vec<i64> = extents.iter().map(|_| -halo).collect();
@@ -294,7 +294,7 @@ fn rt_write_data(
     io: &mut dyn StreamIo,
     mem_beats: &mut u64,
     call: &Call<'_>,
-    store: &mut Store,
+    store: &mut Store<'_>,
 ) -> IrResult<()> {
     let streams = stream_handles(call.consumed)?;
     let buffers: Vec<usize> = call
@@ -318,17 +318,13 @@ fn rt_write_data(
 }
 
 /// `copy_small_data` — the kernel-init BRAM copy of step 8.
-fn rt_copy_small_data(mem_beats: &mut u64, call: &Call<'_>, store: &mut Store) -> IrResult<()> {
-    let src = store.get(call.pointers[0].as_memref()?)?.clone();
-    let dst = store.get_mut(call.pointers[1].as_memref()?)?;
-    ir_ensure!(
-        src.data.len() == dst.data.len(),
-        "small-data copy size mismatch: {} vs {}",
-        src.data.len(),
-        dst.data.len()
-    );
+fn rt_copy_small_data(mem_beats: &mut u64, call: &Call<'_>, store: &mut Store<'_>) -> IrResult<()> {
+    let (src, dst) = (call.pointers[0].as_memref()?, call.pointers[1].as_memref()?);
+    let (from, to) = (store.get(src)?.data.len(), store.get(dst)?.data.len());
+    ir_ensure!(from == to, "small-data copy size mismatch: {from} vs {to}");
+    let (src, dst) = store.pair_mut(src, dst)?;
     dst.data.copy_from_slice(&src.data);
-    *mem_beats += (src.data.len() as u64).div_ceil(8);
+    *mem_beats += (from as u64).div_ceil(8);
     Ok(())
 }
 
@@ -343,12 +339,12 @@ fn window_offsets_cached(rank: usize, halo: i64) -> Vec<Vec<i64>> {
 /// `setup` allocates the kernel's buffers in the store and returns the
 /// argument values in signature order. Returns the final [`Store`] plus the
 /// runtime (for stream/memory statistics).
-pub fn execute_hls_kernel(
-    ctx: &Context,
+pub fn execute_hls_kernel<'d>(
+    ctx: &'d Context,
     module: OpId,
     func_name: &str,
-    setup: impl FnOnce(&mut Store) -> Vec<RtValue>,
-) -> IrResult<(Store, HlsRuntime)> {
+    setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
+) -> IrResult<(Store<'d>, HlsRuntime)> {
     let mut runtime = HlsRuntime::new();
     let mut machine = Machine::new(ctx, module, &mut runtime);
     let args = setup(&mut machine.store);

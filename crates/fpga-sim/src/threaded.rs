@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use shmls_dialects::hls;
 use shmls_ir::error::{IrError, IrResult};
-use shmls_ir::interp::{ExternOps, Machine, RtValue, Store};
+use shmls_ir::interp::{Buffer, ExternOps, Machine, RtValue, Store};
 use shmls_ir::prelude::*;
 use shmls_ir::{ir_bail, ir_error};
 
@@ -24,11 +24,12 @@ use crate::executor::{dispatch_runtime_call, StreamIo};
 
 /// Outcome of a threaded run.
 #[derive(Debug)]
-pub enum ThreadedOutcome {
+pub enum ThreadedOutcome<'d> {
     /// All stages completed; the store contains the written outputs.
     Completed {
-        /// Final memory state (from the stage that performed the writes).
-        store: Store,
+        /// Final memory state: the initial store with the buffers the
+        /// writing stage wrote.
+        store: Store<'d>,
         /// Total 512-bit beats moved.
         mem_beats: u64,
     },
@@ -196,7 +197,7 @@ impl ExternOps for ChannelExtern {
         ctx: &Context,
         op: OpId,
         args: &[RtValue],
-        store: &mut Store,
+        store: &mut Store<'_>,
     ) -> IrResult<Option<Vec<RtValue>>> {
         match ctx.op_name(op) {
             hls::CREATE_STREAM => {
@@ -227,13 +228,13 @@ impl ExternOps for ChannelExtern {
 /// and bounded FIFOs. `setup` allocates buffers and returns the argument
 /// values; `watchdog` bounds how long any single blocking stream operation
 /// may stall before the run is declared deadlocked.
-pub fn execute_threaded(
-    ctx: &Context,
+pub fn execute_threaded<'d>(
+    ctx: &'d Context,
     module: OpId,
     func_name: &str,
-    setup: impl FnOnce(&mut Store) -> Vec<RtValue>,
+    setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
     watchdog: Duration,
-) -> IrResult<ThreadedOutcome> {
+) -> IrResult<ThreadedOutcome<'d>> {
     let table = Arc::new(ChannelTable {
         channels: Mutex::new(Vec::new()),
         watchdog,
@@ -273,14 +274,17 @@ pub fn execute_threaded(
     drop(machine);
     let init_beats = init_extern.mem_beats;
 
-    // Identify the stage doing external writes — its store is the result.
+    // Identify the stage doing external writes — what it wrote is the
+    // result.
     let write_stage = stages
         .iter()
         .position(|&s| hls::stage_kind(ctx, s) == Some(hls::RuntimeKind::WriteData));
 
     // ---- concurrent phase ------------------------------------------------
     enum StageResult {
-        Done(Store, u64),
+        /// The buffers the stage wrote or allocated, by handle, and its
+        /// memory beats.
+        Done(Vec<Option<Buffer>>, u64),
         /// The stage timed out blocking on the named stream operation.
         Stalled(StageStatus),
         Failed(IrError),
@@ -298,7 +302,9 @@ pub fn execute_threaded(
         let mut handles = Vec::new();
         for (&stage, plan) in stages.iter().zip(plans) {
             let env = env.clone();
-            let store = init_store.clone();
+            // Every stage reads the initial memory in place and pays only
+            // for the buffers it writes.
+            let store = init_store.lend_all();
             let table = Arc::clone(&table);
             handles.push(scope.spawn(move || -> StageResult {
                 let mut ext = ChannelExtern {
@@ -321,7 +327,7 @@ pub fn execute_threaded(
                     (run, store, ext.mem_beats)
                 };
                 match run {
-                    Ok(()) => StageResult::Done(store, beats),
+                    Ok(()) => StageResult::Done(store.into_owned_buffers(), beats),
                     Err(e) => match ext.io.last_stall {
                         Some(status) if e.to_string().contains(STALL_PREFIX) => {
                             StageResult::Stalled(status)
@@ -340,17 +346,21 @@ pub fn execute_threaded(
     // Non-stall errors take precedence: a failing stage is a bug in the
     // program, not a deadlock, even if its failure starved the others.
     let mut stalled = false;
-    let mut stores: Vec<Option<(Store, u64)>> = Vec::new();
+    let mut mem_beats = init_beats;
+    let mut written: Vec<Option<Buffer>> = Vec::new();
     let mut stage_snaps: Vec<StageSnapshot> = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
         let label = format!("stage{i}:{}", hls::stage_role(ctx, stages[i]));
         match r {
-            StageResult::Done(store, beats) => {
+            StageResult::Done(owned, beats) => {
                 stage_snaps.push(StageSnapshot {
                     stage: label,
                     status: StageStatus::Finished,
                 });
-                stores.push(Some((store, beats)));
+                mem_beats += beats;
+                if write_stage == Some(i) {
+                    written = owned;
+                }
             }
             StageResult::Stalled(status) => {
                 stalled = true;
@@ -358,7 +368,6 @@ pub fn execute_threaded(
                     stage: label,
                     status,
                 });
-                stores.push(None);
             }
             StageResult::Failed(e) => return Err(e),
         }
@@ -373,12 +382,14 @@ pub fn execute_threaded(
             report: Box::new(report),
         });
     }
-    let mem_beats: u64 = init_beats + stores.iter().flatten().map(|(_, b)| *b).sum::<u64>();
-    let store = match write_stage {
-        Some(i) => stores.into_iter().nth(i).flatten().map(|(s, _)| s),
-        None => None,
+    // What the writing stage came to own goes back behind its handle. (A
+    // buffer a stage allocated for itself has no handle outside it.)
+    let mut store = init_store;
+    for (handle, buffer) in written.into_iter().enumerate().take(store.len()) {
+        if let Some(buffer) = buffer {
+            store.put(handle, buffer)?;
+        }
     }
-    .unwrap_or(init_store);
     Ok(ThreadedOutcome::Completed { store, mem_beats })
 }
 

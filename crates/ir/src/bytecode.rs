@@ -805,21 +805,36 @@ pub fn slab_partition(n0: i64, parts: usize) -> Vec<(i64, i64)> {
     slabs
 }
 
-/// A stencil-access input resolved against the store: register to fill,
-/// borrowed data, and the affine map from grid point to linear element.
-struct BufLoad<'a> {
-    reg: usize,
-    data: &'a [f64],
-    /// Row-major strides of the source buffer, one per grid dim. The
-    /// inner (last) stride is always 1: buffers and the iteration box
-    /// share rank and layout, which is what makes interior chunk loads
-    /// contiguous.
+/// The affine map from grid point to linear element of one row-major
+/// buffer, shifted by a constant neighbour offset.
+#[derive(Clone)]
+struct Affine {
+    /// Row-major strides of the buffer, one per grid dim. The inner
+    /// (last) stride is always 1: buffers and the iteration box share
+    /// rank and layout, which is what makes interior chunk loads and
+    /// stores contiguous.
     stride: Vec<i64>,
     /// `point[d] + offset[d] - origin[d] = point[d] - sub[d]`.
     sub: Vec<i64>,
 }
 
-impl BufLoad<'_> {
+impl Affine {
+    fn new(shape: &[i64], origin: &[i64], offset: &[i64]) -> Affine {
+        let rank = shape.len();
+        let mut stride = vec![1i64; rank];
+        for d in (0..rank.saturating_sub(1)).rev() {
+            stride[d] = stride[d + 1] * shape[d + 1];
+        }
+        Affine {
+            stride,
+            sub: origin
+                .iter()
+                .zip(offset)
+                .map(|(&o, &off)| o - off)
+                .collect(),
+        }
+    }
+
     /// Linear element index of `point`.
     #[inline]
     fn lin(&self, point: &[i64]) -> i64 {
@@ -828,6 +843,63 @@ impl BufLoad<'_> {
             lin += (p - sub) * stride;
         }
         lin
+    }
+}
+
+/// A stencil-access input resolved against the store: register to fill,
+/// borrowed data, and the map from grid point to linear element.
+struct BufLoad<'a> {
+    reg: usize,
+    data: &'a [f64],
+    map: Affine,
+}
+
+/// Where the chunked executor writes one result: a run of whole axis-0
+/// planes of the destination buffer — an apply's own temp, or the padded
+/// field its `stencil.store` names — addressed by grid point like an
+/// input, so a row lands inside the destination's halo ring without the
+/// executor knowing there is one.
+struct OutRows<'a> {
+    /// The planes' storage; `data[0]` is linear element `start` of the
+    /// destination.
+    data: &'a mut [f64],
+    start: i64,
+    map: Affine,
+}
+
+impl<'a> OutRows<'a> {
+    fn whole(buffer: &'a mut Buffer) -> OutRows<'a> {
+        let zero = vec![0; buffer.shape.len()];
+        OutRows {
+            map: Affine::new(&buffer.shape, &buffer.origin, &zero),
+            data: &mut buffer.data,
+            start: 0,
+        }
+    }
+
+    /// Offset into `data` of the row starting at `point`.
+    #[inline]
+    fn row(&self, point: &[i64]) -> usize {
+        (self.map.lin(point) - self.start) as usize
+    }
+
+    /// Split off the planes of axis-0 rows `[from, to)`, which must lie
+    /// at or after the first plane still held; `self` keeps what follows
+    /// them.
+    fn split_off_rows(&mut self, from: i64, to: i64) -> OutRows<'a> {
+        let plane = self.map.stride[0];
+        let skip = (from - self.map.sub[0]) * plane - self.start;
+        let len = (to - from) * plane;
+        let (_, tail) = std::mem::take(&mut self.data).split_at_mut(skip as usize);
+        let (rows, rest) = tail.split_at_mut(len as usize);
+        let start = self.start + skip;
+        self.data = rest;
+        self.start = start + len;
+        OutRows {
+            data: rows,
+            start,
+            map: self.map.clone(),
+        }
     }
 }
 
@@ -899,15 +971,10 @@ fn resolve_inputs<'a>(
                         buf.origin
                     );
                 }
-                let mut stride = vec![1i64; rank];
-                for d in (0..rank.saturating_sub(1)).rev() {
-                    stride[d] = stride[d + 1] * buf.shape[d + 1];
-                }
                 resolved.buf_loads.push(BufLoad {
                     reg: i,
                     data: &buf.data,
-                    stride,
-                    sub: (0..rank).map(|d| buf.origin[d] - offset[d]).collect(),
+                    map: Affine::new(&buf.shape, &buf.origin, offset),
                 });
             }
             InputRef::ParamLoad {
@@ -980,7 +1047,7 @@ fn run_points(
     }
     for k in 0..n_points {
         for bl in &inputs.buf_loads {
-            regs[bl.reg] = bl.data[bl.lin(&point) as usize];
+            regs[bl.reg] = bl.data[bl.map.lin(&point) as usize];
         }
         for pr in &inputs.param_reads {
             regs[pr.reg] = pr.data[(point[pr.dim] - pr.sub) as usize];
@@ -1017,7 +1084,7 @@ fn run_slab_chunked(
     lb: &[i64],
     ub: &[i64],
     (r0, r1): (i64, i64),
-    outs: &mut [&mut [f64]],
+    outs: &mut [OutRows<'_>],
 ) {
     debug_assert!(rank >= 1);
     // Inner-axis geometry. For rank 1 the slab itself is the inner run.
@@ -1056,11 +1123,15 @@ fn run_slab_chunked(
     // Per-row linear base of every access (recomputed per row, constant
     // +1 per inner step within the row).
     let mut bases: Vec<i64> = vec![0; inputs.buf_loads.len()];
+    // Likewise where the row starts in every output.
+    let mut out_rows: Vec<usize> = vec![0; outs.len()];
     let interior = inner_n - inner_n % LANES;
-    let mut k = 0usize; // local linear output index of the row start
     for _row in 0..n_rows {
         for (base, bl) in bases.iter_mut().zip(&inputs.buf_loads) {
-            *base = bl.lin(&point);
+            *base = bl.map.lin(&point);
+        }
+        for (k, o) in out_rows.iter_mut().zip(outs.iter()) {
+            *k = o.row(&point);
         }
         // Row-invariant parameter lanes (axis != inner): splat once.
         for pr in &inputs.param_reads {
@@ -1084,8 +1155,8 @@ fn run_slab_chunked(
                 }
             }
             prog.run_lanes(&mut lane_regs);
-            for (o, &r) in outs.iter_mut().zip(&prog.results) {
-                o[k + j..k + j + LANES].copy_from_slice(&lane_regs[r as usize]);
+            for ((o, &k), &r) in outs.iter_mut().zip(&out_rows).zip(&prog.results) {
+                o.data[k + j..k + j + LANES].copy_from_slice(&lane_regs[r as usize]);
             }
             j += LANES;
         }
@@ -1101,12 +1172,11 @@ fn run_slab_chunked(
                 }
             }
             prog.run(&mut tail_regs);
-            for (o, &r) in outs.iter_mut().zip(&prog.results) {
-                o[k + j] = tail_regs[r as usize];
+            for ((o, &k), &r) in outs.iter_mut().zip(&out_rows).zip(&prog.results) {
+                o.data[k + j] = tail_regs[r as usize];
             }
             j += 1;
         }
-        k += inner_n;
         // Advance the row cursor: odometer over the outer dims only.
         let mut d = inner;
         while d > 0 {
@@ -1122,22 +1192,32 @@ fn run_slab_chunked(
 }
 
 /// Execute a compiled `stencil.apply` over `store` with an explicit
-/// [`ApplyMode`], allocating and filling one result buffer per apply
-/// result. Returns the result buffer handles in result order.
+/// [`ApplyMode`], filling one buffer per apply result. Returns the
+/// buffers' handles in result order.
 ///
 /// Mirrors the tree-walker's `exec_stencil_apply` exactly: the iteration
-/// box is the result bounds, traversed row-major (last dimension fastest),
-/// so the k-th point is the k-th linear element of each result buffer.
+/// box is the result bounds, traversed row-major (last dimension fastest).
 /// Every mode produces bitwise-identical buffers; `Chunked` only changes
 /// how many points are in flight per opcode dispatch and which thread
 /// owns which axis-0 slab.
+///
+/// `dests[o]`, when present and `Some`, names a buffer of `store` that
+/// result `o` may be computed into directly (destination passing, see
+/// [`direct_stores`]): the chunked path writes the result box there, row
+/// by row, touching nothing outside the box, and returns that handle
+/// instead of a fresh temp's — provided the box fits inside the buffer;
+/// otherwise, and on the per-point paths, the result gets a temp as if
+/// no destination had been named. A destination must be a different
+/// buffer from every memref operand and every other destination: it is
+/// out of the store while the apply runs.
 pub fn exec_apply_with(
     ctx: &Context,
     apply: OpId,
     args: &[RtValue],
-    store: &mut Store,
+    store: &mut Store<'_>,
     prog: &Program,
     mode: ApplyMode,
+    dests: &[Option<usize>],
 ) -> IrResult<Vec<usize>> {
     let results = ctx.results(apply).to_vec();
     ir_ensure!(!results.is_empty(), "stencil.apply without results");
@@ -1156,9 +1236,6 @@ pub fn exec_apply_with(
             "bytecode: apply results with differing bounds"
         );
     }
-    let rank = bounds.rank();
-    let lb = bounds.lb.clone();
-    let ub = bounds.ub.clone();
     // Normalise degenerate bounds once: a non-positive extent means an
     // empty box, and the *normalised* extents are what both the element
     // count and the allocated buffer shape use — a degenerate apply gets
@@ -1166,100 +1243,160 @@ pub fn exec_apply_with(
     // on a later `as usize` index.
     let extents: Vec<i64> = bounds.extents().iter().map(|&e| e.max(0)).collect();
     let n_points: usize = extents.iter().map(|&e| e as usize).product();
+    let direct = matches!(mode, ApplyMode::Chunked { .. }) && bounds.rank() > 0 && n_points > 0;
 
-    let inputs = resolve_inputs(prog, args, store, rank, &lb, &ub)?;
-    let mut outs: Vec<Vec<f64>> = (0..results.len()).map(|_| vec![0.0; n_points]).collect();
+    // One target per result: the named destination, taken out of the
+    // store for the duration, or a zeroed temp of exactly the box.
+    let mut targets: Vec<(Option<usize>, Buffer)> = Vec::with_capacity(results.len());
+    for o in 0..results.len() {
+        let named = dests.get(o).copied().flatten().filter(|_| direct);
+        let dest = named.filter(|&h| {
+            store.get(h).is_ok_and(|buf| {
+                buf.shape.len() == bounds.rank()
+                    && (0..bounds.rank()).all(|d| {
+                        bounds.lb[d] >= buf.origin[d]
+                            && bounds.ub[d] <= buf.origin[d] + buf.shape[d]
+                    })
+            })
+        });
+        targets.push(match dest {
+            Some(h) => (dest, store.take(h)?),
+            None => (None, Buffer::zeroed(extents.clone(), bounds.lb.clone())),
+        });
+    }
+    let computed = if n_points > 0 {
+        fill_targets(prog, args, store, mode, &bounds, &mut targets)
+    } else {
+        Ok(())
+    };
+    let mut handles = Vec::with_capacity(targets.len());
+    for (dest, buffer) in targets {
+        handles.push(match dest {
+            Some(h) => store.put(h, buffer).map(|()| h)?,
+            None => store.alloc(buffer),
+        });
+    }
+    computed.map(|()| handles)
+}
 
-    if n_points > 0 {
-        let full = (0i64, if rank == 0 { 0 } else { extents[0] });
-        let mut out_slices: Vec<&mut [f64]> = outs.iter_mut().map(|v| v.as_mut_slice()).collect();
-        match mode {
-            ApplyMode::Scalar => {
-                run_points(prog, &inputs, rank, &lb, &ub, full, &mut out_slices);
+/// Run `prog` over the non-empty box `bounds`, result `o` into
+/// `targets[o]`'s buffer.
+fn fill_targets(
+    prog: &Program,
+    args: &[RtValue],
+    store: &Store<'_>,
+    mode: ApplyMode,
+    bounds: &crate::types::StencilBounds,
+    targets: &mut [(Option<usize>, Buffer)],
+) -> IrResult<()> {
+    let rank = bounds.rank();
+    let (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
+    let inputs = resolve_inputs(prog, args, store, rank, lb, ub)?;
+    let rows = if rank == 0 { 0 } else { ub[0] - lb[0] };
+    let full = (0i64, rows);
+    let threads = match mode {
+        ApplyMode::Chunked { threads } if rank > 0 => threads,
+        // Scalar dispatch, or one point with nothing to chunk or split:
+        // the per-point path (which runs a rank-0 program exactly once,
+        // like the tree-walker). Its targets are always temps of exactly
+        // the box, so the k-th point is the k-th element.
+        _ => {
+            let mut outs: Vec<&mut [f64]> = targets
+                .iter_mut()
+                .map(|(_, buffer)| buffer.data.as_mut_slice())
+                .collect();
+            run_points(prog, &inputs, rank, lb, ub, full, &mut outs);
+            return Ok(());
+        }
+    };
+    let mut outs: Vec<OutRows<'_>> = targets
+        .iter_mut()
+        .map(|(_, buffer)| OutRows::whole(buffer))
+        .collect();
+    let n_points: usize = lb.iter().zip(ub).map(|(&l, &u)| (u - l) as usize).product();
+    // Cap the fan-out twice: a thread per row at most, and at least ~2k
+    // points per worker — below that, spawn and join cost more than the
+    // slab's compute and threading makes small applies *slower*.
+    let threads = threads.clamp(1, rows as usize).min(1 + n_points / 2048);
+    if threads <= 1 {
+        run_slab_chunked(prog, &inputs, rank, lb, ub, full, &mut outs);
+        return Ok(());
+    }
+    // Give each worker the planes of its slab's axis-0 rows in every
+    // target (axis 0 is outermost, so they are one contiguous range of
+    // each, halo columns included). Inputs are shared read-only.
+    let inputs = &inputs;
+    std::thread::scope(|scope| {
+        for (s, e) in slab_partition(rows, threads) {
+            if e > s {
+                let mut mine: Vec<OutRows<'_>> = outs
+                    .iter_mut()
+                    .map(|o| o.split_off_rows(lb[0] + s, lb[0] + e))
+                    .collect();
+                scope.spawn(move || {
+                    run_slab_chunked(prog, inputs, rank, lb, ub, (s, e), &mut mine);
+                });
             }
-            ApplyMode::Chunked { .. } if rank == 0 => {
-                // One point, nothing to chunk or split; the per-point path
-                // runs the program exactly once (like the tree-walker).
-                run_points(prog, &inputs, rank, &lb, &ub, full, &mut out_slices);
+        }
+    });
+    Ok(())
+}
+
+/// Apply results that may be computed straight into a field, each mapped
+/// to the `stencil.store` that would otherwise copy it there.
+pub type DirectStores = HashMap<ValueId, OpId>;
+
+/// Decide, from the IR alone, which `stencil.apply` results under `func`
+/// need no temp (destination passing). A result qualifies when
+///
+/// * its apply sits in `func`'s entry block,
+/// * its only use is as the source of a `stencil.store` in that block,
+///   whose bounds are the result's whole bounds, and
+/// * the store's field is an argument of `func` with no other use —
+///   nothing in the function loads it or stores to it again.
+///
+/// Under that rule writing the field when the apply runs rather than
+/// when the store does is unobservable: the same elements receive the
+/// same values, no op between the two can read the field, and the store
+/// runs whenever the apply did. What the IR cannot show — that the
+/// caller bound the field's buffer to no other argument — the
+/// [`Machine`](crate::interp::Machine) checks per call.
+pub fn direct_stores(ctx: &Context, func: OpId) -> DirectStores {
+    let mut direct = HashMap::new();
+    let Some(entry) = ctx.entry_block(func) else {
+        return direct;
+    };
+    for &apply in ctx.block_ops(entry) {
+        if ctx.op_name(apply) != "stencil.apply" {
+            continue;
+        }
+        for &result in ctx.results(apply) {
+            let [only] = ctx.value_uses(result) else {
+                continue;
+            };
+            let store = only.op;
+            if ctx.op_name(store) != "stencil.store"
+                || only.operand_index != 0
+                || ctx.operands(store).len() != 2
+                || ctx.parent_block(store) != Some(entry)
+            {
+                continue;
             }
-            ApplyMode::Chunked { threads } => {
-                let rows = extents[0];
-                let row_elems = n_points / rows.max(1) as usize;
-                // Cap the fan-out twice: a thread per row at most, and
-                // at least ~2k points per worker — below that, spawn and
-                // join cost more than the slab's compute and threading
-                // makes small applies *slower*.
-                let threads = threads
-                    .clamp(1, rows.max(1) as usize)
-                    .min(1 + n_points / 2048);
-                if threads <= 1 {
-                    run_slab_chunked(prog, &inputs, rank, &lb, &ub, full, &mut out_slices);
-                } else {
-                    // Split every result into disjoint per-slab ranges
-                    // (axis 0 is outermost, so a slab's rows are one
-                    // contiguous linear range) and hand each slab to a
-                    // scoped worker. Inputs are shared read-only.
-                    let slabs = slab_partition(rows, threads);
-                    let mut per_slab: Vec<(usize, Vec<&mut [f64]>)> = Vec::new();
-                    let mut rest = out_slices;
-                    for (si, &(s, e)) in slabs.iter().enumerate() {
-                        let len = ((e - s).max(0) as usize) * row_elems;
-                        let mut mine = Vec::with_capacity(rest.len());
-                        for r in rest.iter_mut() {
-                            let (a, b) = std::mem::take(r).split_at_mut(len);
-                            mine.push(a);
-                            *r = b;
-                        }
-                        if len > 0 {
-                            per_slab.push((si, mine));
-                        }
-                    }
-                    let (prog_ref, inputs_ref) = (prog, &inputs);
-                    let (lb_ref, ub_ref) = (&lb[..], &ub[..]);
-                    std::thread::scope(|scope| {
-                        for (si, mut mine) in per_slab {
-                            let (s, e) = slabs[si];
-                            scope.spawn(move || {
-                                run_slab_chunked(
-                                    prog_ref,
-                                    inputs_ref,
-                                    rank,
-                                    lb_ref,
-                                    ub_ref,
-                                    (s, e),
-                                    &mut mine,
-                                );
-                            });
-                        }
-                    });
-                }
+            let field = ctx.operands(store)[1];
+            let whole = ctx
+                .value_type(result)
+                .stencil_bounds()
+                .zip(
+                    ctx.attr(store, "bounds")
+                        .and_then(Attribute::as_index_array),
+                )
+                .is_some_and(|(b, flat)| flat == [&b.lb[..], &b.ub[..]].concat());
+            if whole && ctx.block_args(entry).contains(&field) && ctx.value_uses(field).len() == 1 {
+                direct.insert(result, store);
             }
         }
     }
-
-    let handles = outs
-        .into_iter()
-        .map(|data| {
-            store.alloc(Buffer {
-                shape: extents.clone(),
-                origin: lb.clone(),
-                data,
-            })
-        })
-        .collect();
-    Ok(handles)
-}
-
-/// Execute a compiled `stencil.apply` with the default [`ApplyMode`]
-/// (chunked, single-threaded). See [`exec_apply_with`].
-pub fn exec_apply(
-    ctx: &Context,
-    apply: OpId,
-    args: &[RtValue],
-    store: &mut Store,
-    prog: &Program,
-) -> IrResult<Vec<usize>> {
-    exec_apply_with(ctx, apply, args, store, prog, ApplyMode::default())
+    direct
 }
 
 #[cfg(test)]
@@ -1574,9 +1711,16 @@ mod tests {
             ApplyMode::Chunked { threads: 1 },
             ApplyMode::Chunked { threads: 4 },
         ] {
-            let handles =
-                exec_apply_with(&ctx, apply, &[RtValue::F64(1.5)], &mut store, &prog, mode)
-                    .unwrap();
+            let handles = exec_apply_with(
+                &ctx,
+                apply,
+                &[RtValue::F64(1.5)],
+                &mut store,
+                &prog,
+                mode,
+                &[],
+            )
+            .unwrap();
             assert_eq!(handles.len(), 1);
             let buf = store.get(handles[0]).unwrap();
             assert_eq!(buf.shape, Vec::<i64>::new());
@@ -1629,14 +1773,320 @@ mod tests {
         let prog = compile_apply(&ctx, apply).unwrap();
         let mut store = Store::new();
         for mode in [ApplyMode::Scalar, ApplyMode::Chunked { threads: 2 }] {
-            let handles =
-                exec_apply_with(&ctx, apply, &[RtValue::F64(2.0)], &mut store, &prog, mode)
-                    .unwrap();
+            let handles = exec_apply_with(
+                &ctx,
+                apply,
+                &[RtValue::F64(2.0)],
+                &mut store,
+                &prog,
+                mode,
+                &[],
+            )
+            .unwrap();
             let buf = store.get(handles[0]).unwrap();
             assert_eq!(buf.shape, vec![0], "mode {mode:?}: shape must be clamped");
             assert!(buf.data.is_empty(), "mode {mode:?}");
             assert_eq!(buf.shape.iter().product::<i64>() as usize, buf.data.len());
         }
+    }
+
+    /// What [`stored_module`] varies: the fields `main` takes, the one it
+    /// loads, how many results the apply yields and which `(result,
+    /// field, store bounds)` triples follow it (`None` = the result's
+    /// whole bounds).
+    struct Stored<'a> {
+        fields: &'a [&'a str],
+        load: &'a str,
+        results: usize,
+        stores: &'a [(usize, &'a str, Option<&'a [i64]>)],
+    }
+
+    /// `main(fields.., %w)` over an interior of `extents` with `halo`:
+    /// `r0 = in[-halo, 0..] + in[0.., +halo] * w`, `r1 = in[0.., +halo] *
+    /// w`, then the stores — the shape the frontend emits, as text.
+    fn stored_module(extents: &[i64], halo: i64, case: &Stored<'_>) -> (Context, OpId) {
+        let rank = extents.len();
+        let dims = |lo: i64, grow: i64| {
+            let d: Vec<String> = extents
+                .iter()
+                .map(|&n| format!("[{},{}]", lo, n + grow))
+                .collect();
+            d.join("x")
+        };
+        let field = format!("!stencil.field<{}xf64>", dims(-halo, halo));
+        let padded = format!("!stencil.temp<{}xf64>", dims(-halo, halo));
+        let interior = format!("!stencil.temp<{}xf64>", dims(0, 0));
+        let offset = |axis: usize, by: i64| {
+            let o: Vec<String> = (0..rank)
+                .map(|d| {
+                    if d == axis {
+                        by.to_string()
+                    } else {
+                        "0".into()
+                    }
+                })
+                .collect();
+            o.join(", ")
+        };
+        let params: Vec<String> = case
+            .fields
+            .iter()
+            .map(|f| format!("%{f}: {field}"))
+            .collect();
+        let names: Vec<String> = (0..case.results).map(|o| format!("%r{o}")).collect();
+        let yielded = ["%v", "%m"][..case.results].join(", ");
+        let tys = |ty: &str, n: usize| vec![ty; n].join(", ");
+        let stores: String = case
+            .stores
+            .iter()
+            .map(|&(o, f, partial)| {
+                let whole: Vec<i64> = vec![0; rank].into_iter().chain(extents.iter().copied()).collect();
+                let bounds: Vec<String> = partial.unwrap_or(&whole).iter().map(i64::to_string).collect();
+                format!(
+                    "    \"stencil.store\"(%r{o}, %{f}) {{bounds = <[{}]>}} : ({interior}, {field}) -> ()\n",
+                    bounds.join(", ")
+                )
+            })
+            .collect();
+        let text = format!(
+            r#""builtin.module"() ({{
+^bb():
+  "func.func"() ({{
+  ^bb({params}, %w: f64):
+    %t = "stencil.load"(%{load}) : ({field}) -> ({padded})
+    {names} = "stencil.apply"(%t, %w) ({{
+    ^bb(%a: {padded}, %s: f64):
+      %l = "stencil.access"(%a) {{offset = <[{lo}]>}} : ({padded}) -> (f64)
+      %u = "stencil.access"(%a) {{offset = <[{hi}]>}} : ({padded}) -> (f64)
+      %m = "arith.mulf"(%u, %s) : (f64, f64) -> (f64)
+      %v = "arith.addf"(%l, %m) : (f64, f64) -> (f64)
+      "stencil.return"({yielded}) : ({f64s}) -> ()
+    }}) : ({padded}, f64) -> ({interiors})
+{stores}    "func.return"() : () -> ()
+  }}) {{sym_name = "main"}} : () -> ()
+}}) : () -> ()"#,
+            params = params.join(", "),
+            load = case.load,
+            names = names.join(", "),
+            lo = offset(0, -halo),
+            hi = offset(rank - 1, halo),
+            f64s = tys("f64", case.results),
+            interiors = tys(&interior, case.results),
+        );
+        parse_op(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
+    /// The contents every [`run_stored`] starts its fields with.
+    fn seeded_fields(ctx: &Context, func: OpId, n_fields: usize) -> Vec<Buffer> {
+        let first = ctx.block_args(ctx.entry_block(func).unwrap())[0];
+        let bounds = ctx.value_type(first).stencil_bounds().unwrap();
+        let mut rng = crate::rng::Rng::new(11);
+        (0..n_fields)
+            .map(|_| {
+                let mut field = Buffer::zeroed(bounds.extents(), bounds.lb.clone());
+                field.data.fill_with(|| rng.coarse_f64(-4.0, 4.0));
+                field
+            })
+            .collect()
+    }
+
+    /// Run `main` of a [`stored_module`] on seeded field contents (rings
+    /// included) and return every field's final buffer plus how many
+    /// buffers the store ended with. `direct` installs the module's
+    /// [`direct_stores`]; plans are installed unless `mode` is `None`
+    /// (the tree-walker).
+    fn run_stored(
+        (ctx, module): &(Context, OpId),
+        n_fields: usize,
+        mode: Option<ApplyMode>,
+        direct: bool,
+    ) -> (Vec<Buffer>, usize) {
+        let func = ctx.find_ops(*module, "func.func")[0];
+        let mut no = NoExtern;
+        let mut m = Machine::new(ctx, *module, &mut no);
+        if let Some(mode) = mode {
+            for apply in ctx.find_ops(func, "stencil.apply") {
+                let plan = compile_apply(ctx, apply).unwrap();
+                m.apply_plans.insert(apply, std::sync::Arc::new(plan));
+            }
+            m.apply_mode = mode;
+        }
+        if direct {
+            m.direct_stores = direct_stores(ctx, func);
+        }
+        let mut args: Vec<RtValue> = seeded_fields(ctx, func, n_fields)
+            .into_iter()
+            .map(|field| RtValue::MemRef(m.store.alloc(field)))
+            .collect();
+        args.push(RtValue::F64(0.7));
+        m.call("main", &args).unwrap();
+        let fields = (0..n_fields)
+            .map(|h| m.store.get(h).unwrap().clone())
+            .collect();
+        (fields, m.store.len())
+    }
+
+    fn assert_bitwise(got: &[Buffer], want: &[Buffer], what: &str) {
+        for (f, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.shape, w.shape, "{what}: field {f}");
+            for (i, (a, b)) in g.data.iter().zip(&w.data).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: field {f} element {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn destination_passing_holds_at_every_eligibility_edge() {
+        let part: &[i64] = &[1, 0, 3, 9];
+        // (what, module shape, results computed in place)
+        let cases: [(&str, Stored<'_>, usize); 5] = [
+            (
+                "eligible",
+                Stored {
+                    fields: &["in", "out"],
+                    load: "in",
+                    results: 1,
+                    stores: &[(0, "out", None)],
+                },
+                1,
+            ),
+            (
+                "destination also loaded (inout)",
+                Stored {
+                    fields: &["io", "other"],
+                    load: "io",
+                    results: 1,
+                    stores: &[(0, "io", None)],
+                },
+                0,
+            ),
+            (
+                "temp with two uses",
+                Stored {
+                    fields: &["in", "out", "twin"],
+                    load: "in",
+                    results: 1,
+                    stores: &[(0, "out", None), (0, "twin", None)],
+                },
+                0,
+            ),
+            (
+                "store of partial bounds",
+                Stored {
+                    fields: &["in", "out"],
+                    load: "in",
+                    results: 1,
+                    stores: &[(0, "out", Some(part))],
+                },
+                0,
+            ),
+            (
+                "two results stored to one field",
+                Stored {
+                    fields: &["in", "out"],
+                    load: "in",
+                    results: 2,
+                    stores: &[(0, "out", None), (1, "out", None)],
+                },
+                0,
+            ),
+        ];
+        for (what, case, in_place) in &cases {
+            let built = stored_module(&[4, 9], 1, case);
+            crate::verifier::verify(&built.0, built.1).unwrap();
+            let func = built.0.find_ops(built.1, "func.func")[0];
+            assert_eq!(direct_stores(&built.0, func).len(), *in_place, "{what}");
+            let n = case.fields.len();
+            let (tree, _) = run_stored(&built, n, None, false);
+            for threads in [1, 3] {
+                let mode = ApplyMode::Chunked { threads };
+                let (got, buffers) = run_stored(&built, n, Some(mode), true);
+                assert_bitwise(&got, &tree, what);
+                // In place means no temp: the arguments are all there is.
+                assert_eq!(buffers, n + case.results - in_place, "{what}");
+            }
+            // The per-point tier keeps its temps whatever the IR allows.
+            let (scalar, buffers) = run_stored(&built, n, Some(ApplyMode::Scalar), true);
+            assert_bitwise(&scalar, &tree, what);
+            assert_eq!(buffers, n + case.results, "{what}");
+        }
+    }
+
+    #[test]
+    fn a_destination_bound_to_two_arguments_gets_a_temp() {
+        // What the IR cannot show: the caller passing one buffer as both
+        // the loaded field and the stored one. The early write would be
+        // read back by the apply itself, so the machine must notice.
+        let case = Stored {
+            fields: &["in", "out"],
+            load: "in",
+            results: 1,
+            stores: &[(0, "out", None)],
+        };
+        let (ctx, module) = stored_module(&[3, 9], 1, &case);
+        let func = ctx.find_ops(module, "func.func")[0];
+        let apply = ctx.find_ops(func, "stencil.apply")[0];
+        let run = |direct: bool| {
+            let mut no = NoExtern;
+            let mut m = Machine::new(&ctx, module, &mut no);
+            let plan = compile_apply(&ctx, apply).unwrap();
+            m.apply_plans.insert(apply, std::sync::Arc::new(plan));
+            if direct {
+                m.direct_stores = direct_stores(&ctx, func);
+            }
+            let mut both = Buffer::zeroed(vec![5, 11], vec![-1, -1]);
+            let mut rng = crate::rng::Rng::new(5);
+            both.data.fill_with(|| rng.coarse_f64(-4.0, 4.0));
+            let h = m.store.alloc(both);
+            let args = [RtValue::MemRef(h), RtValue::MemRef(h), RtValue::F64(0.7)];
+            m.call("main", &args).unwrap();
+            (vec![m.store.get(h).unwrap().clone()], m.store.len())
+        };
+        let (with, buffers) = run(true);
+        assert_eq!(buffers, 2, "one shared argument and the temp");
+        assert_bitwise(&with, &run(false).0, "aliased arguments");
+    }
+
+    #[test]
+    fn destination_passing_equals_temp_and_copy_on_seeded_shapes() {
+        // (extents, halo, threads): inner extents on every side of the
+        // chunk grid, one to six axis-0 rows (so threads > rows occurs)
+        // and, at rank 3, enough points — a worker per 2048 — that the
+        // slab split really spawns up to three of them.
+        let lanes = LANES as i64;
+        let gen = |rng: &mut crate::rng::Rng| {
+            let inner = *rng.pick(&[lanes - 1, lanes, lanes + 1, 2 * lanes + 1]);
+            let extents = match rng.range(1, 4) {
+                1 => vec![inner],
+                2 => vec![rng.range_i64(1, 6), inner],
+                _ => vec![rng.range_i64(1, 6), rng.range_i64(48, 96), inner],
+            };
+            (extents, rng.range_i64(1, 2), rng.range(1, 6))
+        };
+        let case = Stored {
+            fields: &["in", "out"],
+            load: "in",
+            results: 1,
+            stores: &[(0, "out", None)],
+        };
+        crate::rng::sweep(15, 48, gen, |(extents, halo, threads)| {
+            let built = stored_module(extents, *halo, &case);
+            let mode = Some(ApplyMode::Chunked { threads: *threads });
+            let (direct, buffers) = run_stored(&built, 2, mode, true);
+            let (copied, _) = run_stored(&built, 2, mode, false);
+            assert_eq!(buffers, 2, "no temp was allocated");
+            assert_bitwise(&direct, &copied, "direct vs temp + copy");
+            // Outside the box the destination is exactly what it was.
+            let func = built.0.find_ops(built.1, "func.func")[0];
+            let (initial, out) = (&seeded_fields(&built.0, func, 2)[1], &direct[1]);
+            let ub: Vec<i64> = extents.iter().map(|&n| n + halo).collect();
+            for p in crate::interp::iter_box(&out.origin, &ub) {
+                if p.iter().zip(extents).any(|(&x, &n)| x < 0 || x >= n) {
+                    let (was, is) = (initial.load(&p).unwrap(), out.load(&p).unwrap());
+                    assert_eq!(was.to_bits(), is.to_bits(), "ring at {p:?}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! validation; the threaded engine in `shmls-fpga-sim` validates the
 //! concurrent behaviour (including deadlock detection).
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::attributes::Attribute;
 use crate::error::IrResult;
@@ -270,13 +271,55 @@ impl Buffer {
     }
 }
 
-/// The interpreter's memory: a table of buffers addressed by handle.
-#[derive(Debug, Default, Clone)]
-pub struct Store {
-    buffers: Vec<Buffer>,
+/// What a [`Store`] did besides the kernel's own loads and stores, in
+/// bytes — the deterministic work counters `repro bench` gates: the same
+/// kernel over the same shapes counts the same bytes on any host.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StoreWork {
+    /// Bytes of buffers allocated through [`Store::alloc`] (temps,
+    /// `memref.alloc`) since the last [`Store::reset_work`].
+    pub allocated_bytes: u64,
+    /// Bytes copied since then: the copy a lent buffer pays on its first
+    /// write, and every box or whole-buffer copy between two buffers.
+    pub copied_bytes: u64,
 }
 
-impl Store {
+fn bytes(elements: usize) -> u64 {
+    (elements * std::mem::size_of::<f64>()) as u64
+}
+
+/// The buffer in `slot`, made the store's own first — the one copy a
+/// lent buffer pays, counted in `work`.
+fn own<'a>(work: &mut StoreWork, slot: &'a mut Cow<'_, Buffer>) -> &'a mut Buffer {
+    if let Cow::Borrowed(lent) = slot {
+        work.copied_bytes += bytes(lent.data.len());
+    }
+    slot.to_mut()
+}
+
+fn slot<'a, 'd>(
+    buffers: &'a mut [Cow<'d, Buffer>],
+    handle: usize,
+) -> IrResult<&'a mut Cow<'d, Buffer>> {
+    buffers
+        .get_mut(handle)
+        .ok_or_else(|| ir_error!("invalid buffer handle {handle}"))
+}
+
+/// The interpreter's memory: a table of buffers addressed by handle.
+///
+/// A buffer is either owned by the store or *lent* to it for `'d`
+/// ([`Store::lend`]). A lent buffer is read in place and copied the first
+/// time something asks to write it (`get_mut`, `pair_mut`'s destination,
+/// `take`), so the lender's data is never mutated and a buffer nothing
+/// writes is never copied.
+#[derive(Debug, Default, Clone)]
+pub struct Store<'d> {
+    buffers: Vec<Cow<'d, Buffer>>,
+    work: StoreWork,
+}
+
+impl<'d> Store<'d> {
     /// Empty store.
     pub fn new() -> Self {
         Self::default()
@@ -284,41 +327,79 @@ impl Store {
 
     /// Allocate a buffer, returning its handle.
     pub fn alloc(&mut self, buffer: Buffer) -> usize {
-        self.buffers.push(buffer);
+        self.work.allocated_bytes += bytes(buffer.data.len());
+        self.buffers.push(Cow::Owned(buffer));
         self.buffers.len() - 1
+    }
+
+    /// Bind a caller's buffer by reference, returning its handle.
+    pub fn lend(&mut self, buffer: &'d Buffer) -> usize {
+        self.buffers.push(Cow::Borrowed(buffer));
+        self.buffers.len() - 1
+    }
+
+    /// A store that lends every buffer of this one under the same
+    /// handles, with its counters at zero.
+    pub fn lend_all(&self) -> Store<'_> {
+        Store {
+            buffers: self.buffers.iter().map(|b| Cow::Borrowed(&**b)).collect(),
+            work: StoreWork::default(),
+        }
+    }
+
+    /// The buffers this store owns, by handle — `None` where the buffer
+    /// is still the lender's. With [`Store::put`] this carries what a
+    /// store made by [`Store::lend_all`] wrote back to the one it
+    /// borrowed from.
+    pub fn into_owned_buffers(self) -> Vec<Option<Buffer>> {
+        self.buffers
+            .into_iter()
+            .map(|b| match b {
+                Cow::Owned(buffer) => Some(buffer),
+                Cow::Borrowed(_) => None,
+            })
+            .collect()
     }
 
     /// Borrow a buffer.
     pub fn get(&self, handle: usize) -> IrResult<&Buffer> {
         self.buffers
             .get(handle)
+            .map(|b| &**b)
             .ok_or_else(|| ir_error!("invalid buffer handle {handle}"))
     }
 
-    /// Borrow a buffer mutably.
+    /// Borrow a buffer mutably, copying it first if it was lent.
     pub fn get_mut(&mut self, handle: usize) -> IrResult<&mut Buffer> {
-        self.buffers
-            .get_mut(handle)
-            .ok_or_else(|| ir_error!("invalid buffer handle {handle}"))
+        Ok(own(&mut self.work, slot(&mut self.buffers, handle)?))
     }
 
-    /// Move a buffer out of the store, leaving an empty one behind its
-    /// handle — for collecting a finished run's results without copying
-    /// them.
+    /// Move a buffer out of the store (a copy of it, if it was lent),
+    /// leaving an empty one behind its handle — for collecting a finished
+    /// run's results without copying them.
     pub fn take(&mut self, handle: usize) -> IrResult<Buffer> {
         let empty = Buffer {
             shape: vec![0],
             origin: vec![0],
             data: Vec::new(),
         };
-        Ok(std::mem::replace(self.get_mut(handle)?, empty))
+        let slot = slot(&mut self.buffers, handle)?;
+        own(&mut self.work, slot);
+        Ok(std::mem::replace(slot, Cow::Owned(empty)).into_owned())
+    }
+
+    /// Put `buffer` behind `handle`, dropping what was there (a lent
+    /// buffer is only let go of).
+    pub fn put(&mut self, handle: usize, buffer: Buffer) -> IrResult<()> {
+        *slot(&mut self.buffers, handle)? = Cow::Owned(buffer);
+        Ok(())
     }
 
     /// Borrow `src` shared and `dst` mutable at once (for region copies
-    /// that would otherwise have to clone the source). Errors when the
-    /// handles alias — a region copy between a buffer and itself is
-    /// always a bug in this IR (temps are never stored back to
-    /// themselves).
+    /// that would otherwise have to clone the source), copying `dst`
+    /// first if it was lent. Errors when the handles alias — a region
+    /// copy between a buffer and itself is always a bug in this IR (temps
+    /// are never stored back to themselves).
     pub fn pair_mut(&mut self, src: usize, dst: usize) -> IrResult<(&Buffer, &mut Buffer)> {
         ir_ensure!(
             src != dst,
@@ -331,10 +412,43 @@ impl Store {
         );
         let (a, b) = self.buffers.split_at_mut(src.max(dst));
         if src < dst {
-            Ok((&a[src], &mut b[0]))
+            Ok((&a[src], own(&mut self.work, &mut b[0])))
         } else {
-            Ok((&b[0], &mut a[dst]))
+            Ok((&b[0], own(&mut self.work, &mut a[dst])))
         }
+    }
+
+    /// [`Buffer::copy_box_from`] between two buffers of the store.
+    pub fn copy_box(&mut self, src: usize, dst: usize, lb: &[i64], ub: &[i64]) -> IrResult<()> {
+        let (src_buf, dst_buf) = self.pair_mut(src, dst)?;
+        dst_buf.copy_box_from(src_buf, lb, ub)?;
+        let volume: usize = lb
+            .iter()
+            .zip(ub)
+            .map(|(&l, &u)| (u - l).max(0) as usize)
+            .product();
+        self.work.copied_bytes += bytes(volume);
+        Ok(())
+    }
+
+    /// Make `dst` an element-for-element copy of `src` (equal shapes). A
+    /// lent `dst` is replaced by the copy rather than copied twice.
+    pub fn copy_whole(&mut self, src: usize, dst: usize) -> IrResult<()> {
+        let (from, to) = (self.get(src)?, self.get(dst)?);
+        ir_ensure!(
+            from.shape == to.shape,
+            "whole-buffer copy between shapes {:?} and {:?}",
+            from.shape,
+            to.shape
+        );
+        self.work.copied_bytes += bytes(from.data.len());
+        if let Cow::Borrowed(_) = self.buffers[dst] {
+            let copy = self.get(src)?.clone();
+            return self.put(dst, copy);
+        }
+        let (from, to) = self.pair_mut(src, dst)?;
+        to.data.copy_from_slice(&from.data);
+        Ok(())
     }
 
     /// Number of buffers allocated.
@@ -345,6 +459,17 @@ impl Store {
     /// True when no buffer has been allocated.
     pub fn is_empty(&self) -> bool {
         self.buffers.is_empty()
+    }
+
+    /// The work counted since the last [`Store::reset_work`].
+    pub fn work(&self) -> StoreWork {
+        self.work
+    }
+
+    /// Start the work counters again from zero — called once the
+    /// arguments are bound, so a sweep's counters are the sweep's own.
+    pub fn reset_work(&mut self) {
+        self.work = StoreWork::default();
     }
 }
 
@@ -394,7 +519,7 @@ pub struct Machine<'c, 'e> {
     /// SSA value bindings.
     pub env: HashMap<ValueId, RtValue>,
     /// Memory.
-    pub store: Store,
+    pub store: Store<'c>,
     /// Symbol table: function name → `func.func` op.
     pub functions: BTreeMap<String, OpId>,
     extern_ops: &'e mut dyn ExternOps,
@@ -412,6 +537,13 @@ pub struct Machine<'c, 'e> {
     /// chunked+threaded). Bitwise-identical results in every mode; see
     /// [`crate::bytecode::ApplyMode`].
     pub apply_mode: crate::bytecode::ApplyMode,
+    /// Apply results a planned apply may compute straight into the field
+    /// their `stencil.store` names (see
+    /// [`crate::bytecode::direct_stores`]). Empty by default.
+    pub direct_stores: crate::bytecode::DirectStores,
+    /// The `stencil.store` ops whose copy the apply before them already
+    /// made, each removed again when it executes.
+    stored_in_place: HashSet<OpId>,
 }
 
 impl<'c, 'e> Machine<'c, 'e> {
@@ -434,6 +566,8 @@ impl<'c, 'e> Machine<'c, 'e> {
             fuel: u64::MAX,
             apply_plans: HashMap::new(),
             apply_mode: crate::bytecode::ApplyMode::default(),
+            direct_stores: HashMap::new(),
+            stored_in_place: HashSet::new(),
         }
     }
 
@@ -875,7 +1009,11 @@ impl<'c, 'e> Machine<'c, 'e> {
                 one(args[0].clone())
             }
             "stencil.store" => {
-                // temp -> field region copy.
+                // temp -> field region copy, unless the apply computed
+                // the temp into the field to begin with.
+                if self.stored_in_place.remove(&op) {
+                    return Ok(Some(vec![]));
+                }
                 let src = args[0].as_memref()?;
                 let dst = args[1].as_memref()?;
                 let bounds = ctx
@@ -884,8 +1022,7 @@ impl<'c, 'e> Machine<'c, 'e> {
                     .ok_or_else(|| ir_error!("stencil.store without bounds"))?
                     .to_vec();
                 let (lb, ub) = split_bounds(&bounds)?;
-                let (src_buf, dst_buf) = self.store.pair_mut(src, dst)?;
-                dst_buf.copy_box_from(src_buf, &lb, &ub)?;
+                self.store.copy_box(src, dst, &lb, &ub)?;
                 Ok(Some(vec![]))
             }
             "stencil.apply" => {
@@ -940,6 +1077,30 @@ impl<'c, 'e> Machine<'c, 'e> {
         // point. Bitwise-identical by construction (same ops, same order).
         if !self.apply_plans.is_empty() {
             if let Some(plan) = self.apply_plans.get(&op).cloned() {
+                let results = self.ctx.results(op).to_vec();
+                // Where each result may be computed in place: the buffer
+                // bound to the field its one `stencil.store` names — if
+                // this call bound that buffer to no other argument of the
+                // function, so nothing else here can read or write it.
+                let stores: Vec<Option<OpId>> = results
+                    .iter()
+                    .map(|r| self.direct_stores.get(r).copied())
+                    .collect();
+                let func_args = match self.ctx.parent_block(op) {
+                    Some(block) => self.ctx.block_args(block),
+                    None => &[],
+                };
+                let dests: Vec<Option<usize>> = stores
+                    .iter()
+                    .map(|s| {
+                        let field = self.ctx.operands((*s)?)[1];
+                        let bound = self.env.get(&field)?;
+                        let shared = func_args
+                            .iter()
+                            .any(|a| *a != field && self.env.get(a) == Some(bound));
+                        bound.as_memref().ok().filter(|_| !shared)
+                    })
+                    .collect();
                 let handles = crate::bytecode::exec_apply_with(
                     self.ctx,
                     op,
@@ -947,13 +1108,16 @@ impl<'c, 'e> Machine<'c, 'e> {
                     &mut self.store,
                     &plan,
                     self.apply_mode,
+                    &dests,
                 )?;
-                let results = self.ctx.results(op).to_vec();
                 ir_ensure!(
                     results.len() == handles.len(),
                     "bytecode plan result arity mismatch"
                 );
-                for (&r, h) in results.iter().zip(handles) {
+                for (o, (&r, h)) in results.iter().zip(handles).enumerate() {
+                    if dests[o] == Some(h) {
+                        self.stored_in_place.extend(stores[o]);
+                    }
                     self.bind(r, RtValue::MemRef(h));
                 }
                 return Ok(());
@@ -1251,6 +1415,55 @@ mod tests {
         assert!(store.get(h).unwrap().data.is_empty());
         assert_eq!(store.get(keep).unwrap().data, [0.0]);
         assert!(store.take(7).is_err());
+    }
+
+    #[test]
+    fn lent_buffers_are_read_in_place_and_copied_on_first_write() {
+        let mut caller = Buffer::zeroed(vec![4], vec![0]);
+        caller.data = vec![1.0, 2.0, 3.0, 4.0];
+        let before = caller.clone();
+        let mut store = Store::new();
+        let read = store.lend(&caller);
+        let written = store.lend(&caller);
+        let taken = store.lend(&caller);
+        let fed = store.lend(&caller);
+        // A read is the caller's own storage; nothing has been copied.
+        assert!(std::ptr::eq(store.get(read).unwrap(), &caller));
+        assert_eq!(store.work(), StoreWork::default());
+        // The first write copies the buffer (once), later ones do not.
+        store.get_mut(written).unwrap().data[0] = 9.0;
+        store.get_mut(written).unwrap().data[1] = 8.0;
+        assert_eq!(store.work().copied_bytes, 32);
+        assert_eq!(store.get(written).unwrap().data, [9.0, 8.0, 3.0, 4.0]);
+        // Taking a lent buffer hands out a copy; a whole-buffer copy over
+        // a lent one replaces it instead of copying it first.
+        assert_eq!(store.take(taken).unwrap(), before);
+        store.copy_whole(written, fed).unwrap();
+        assert_eq!(store.get(fed).unwrap().data, [9.0, 8.0, 3.0, 4.0]);
+        store.copy_whole(read, fed).unwrap();
+        assert_eq!(store.get(fed).unwrap(), &before);
+        assert_eq!(store.work().copied_bytes, 4 * 32);
+        // A box copy counts the box, and its lent destination once.
+        let temp = store.alloc(Buffer::zeroed(vec![2], vec![1]));
+        let dst = store.lend(&caller);
+        store.copy_box(temp, dst, &[1], &[3]).unwrap();
+        assert_eq!(store.get(dst).unwrap().data, [1.0, 0.0, 0.0, 4.0]);
+        assert_eq!(
+            store.work(),
+            StoreWork {
+                allocated_bytes: 16,
+                copied_bytes: 4 * 32 + 32 + 16
+            }
+        );
+        store.reset_work();
+        assert_eq!(store.work(), StoreWork::default());
+        assert_eq!(caller, before, "the lender's buffer is never written");
+        // A store of lent views hands back only what it came to own.
+        let mut view = store.lend_all();
+        view.get_mut(read).unwrap().data[3] = 7.0;
+        let owned = view.into_owned_buffers();
+        assert_eq!(owned.iter().flatten().count(), 1);
+        assert_eq!(owned[read].as_ref().unwrap().data, [1.0, 2.0, 3.0, 7.0]);
     }
 
     #[test]
