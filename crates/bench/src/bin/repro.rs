@@ -13,10 +13,9 @@
 //! repro validate         # functional validation on the simulator
 //! repro all              # everything above
 //! repro json <path>      # dump raw results as JSON (artifact-style)
-//! repro bench [--quick] [--out PATH]
-//!                        # performance telemetry -> BENCH.json
-//! repro compare <baseline.json> <new.json> [--tolerance PCT]
-//!               [--time-tolerance PCT] [--time-floor MS] [--markdown]
+//! repro bench [--out PATH]
+//!                        # the deterministic ledger -> BENCH.json
+//! repro compare <baseline.json> <new.json> [--tolerance PCT] [--markdown]
 //!                        # delta table; exit 1 on regressions
 //! repro fuzz [--cases N] [--seed S] [--engine E]... [--ulp N]
 //!            [--inject offset-flip|op-swap] [--corpus DIR]
@@ -561,15 +560,13 @@ fn loadgen_cmd(args: &[String]) {
     println!("loadgen gate: PASS");
 }
 
-/// `repro bench [--quick] [--out PATH]`
+/// `repro bench [--out PATH]`
 fn bench(args: &[String]) {
     use shmls_bench::telemetry::run_bench;
-    let mut quick = false;
     let mut out_path = "BENCH.json".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--out" => match it.next() {
                 Some(p) => out_path = p.clone(),
                 None => {
@@ -583,7 +580,7 @@ fn bench(args: &[String]) {
             }
         }
     }
-    let report = match run_bench(quick) {
+    let report = match run_bench() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro bench: {e}");
@@ -595,10 +592,7 @@ fn bench(args: &[String]) {
         eprintln!("repro bench: cannot write `{out_path}`: {e}");
         exit_flushed(1);
     }
-    println!(
-        "Benchmark ({} mode, rev {}, {} {}, {} cpus)",
-        report.mode, report.git_rev, report.host.os, report.host.arch, report.host.cpus
-    );
+    println!("Benchmark (rev {})", report.git_rev);
     let width = report.metrics.keys().map(String::len).max().unwrap_or(6);
     for (key, m) in &report.metrics {
         println!("  {key:<width$} {:>14.3} {}", m.value, m.unit);
@@ -606,32 +600,23 @@ fn bench(args: &[String]) {
     println!("wrote {out_path} ({} metrics)", report.metrics.len());
 }
 
-/// `repro compare <baseline> <new> [--tolerance PCT] [--time-tolerance PCT]
-/// [--time-floor MS] [--markdown]`
+/// `repro compare <baseline> <new> [--tolerance PCT] [--markdown]`
 fn compare_cmd(args: &[String]) {
-    use shmls_bench::telemetry::{compare, BenchReport, CompareOptions};
+    use shmls_bench::telemetry::{compare, BenchReport};
     let mut paths: Vec<&String> = Vec::new();
-    let mut opts = CompareOptions::default();
+    let mut tolerance_pct = 2.0;
     let mut markdown = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--markdown" => markdown = true,
-            "--tolerance" | "--time-tolerance" | "--time-floor" => {
-                let which = arg.clone();
-                let value = it.next().and_then(|v| v.parse::<f64>().ok());
-                match value {
-                    Some(v) if v >= 0.0 => match which.as_str() {
-                        "--tolerance" => opts.tolerance_pct = v,
-                        "--time-tolerance" => opts.time_tolerance_pct = v,
-                        _ => opts.time_floor_ms = v,
-                    },
-                    _ => {
-                        eprintln!("repro compare: `{which}` needs a non-negative number");
-                        exit_flushed(2);
-                    }
+            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) if v >= 0.0 => tolerance_pct = v,
+                _ => {
+                    eprintln!("repro compare: `--tolerance` needs a non-negative number");
+                    exit_flushed(2);
                 }
-            }
+            },
             other if !other.starts_with("--") => paths.push(arg),
             other => {
                 eprintln!("repro compare: unknown flag `{other}`");
@@ -640,7 +625,7 @@ fn compare_cmd(args: &[String]) {
         }
     }
     let [base_path, new_path] = paths.as_slice() else {
-        eprintln!("usage: repro compare <baseline.json> <new.json> [--tolerance PCT] [--time-tolerance PCT] [--time-floor MS] [--markdown]");
+        eprintln!("usage: repro compare <baseline.json> <new.json> [--tolerance PCT] [--markdown]");
         exit_flushed(2);
     };
     let load = |path: &str| match std::fs::read_to_string(path) {
@@ -658,7 +643,7 @@ fn compare_cmd(args: &[String]) {
     };
     let base = load(base_path);
     let new = load(new_path);
-    let report = match compare(&base, &new, &opts) {
+    let report = match compare(&base, &new, tolerance_pct) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("repro compare: {e}");

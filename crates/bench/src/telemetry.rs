@@ -1,58 +1,48 @@
-//! The `repro bench` / `repro compare` performance-telemetry harness.
+//! The `repro bench` / `repro compare` ledger of deterministic numbers.
 //!
-//! `run_bench` compiles both paper kernels at the paper's grid sizes with
-//! full per-pass timing ([`stencil_hmls::CompiledKernel::timings`]), runs
-//! the sequential and threaded dataflow engines plus the cycle-stepped
-//! simulator on small grids, and flattens everything into a
-//! schema-versioned metric map serialised as `BENCH.json`.
+//! `run_bench` compiles both paper kernels at every paper grid size, runs
+//! the sequential dataflow engine, the cycle-stepped simulator, a
+//! vector-tier sweep, two marches, the autotuner and the compile service
+//! on small grids, and records only what is exact on any host: design
+//! structure, simulated cycles, memory beats, bytes allocated and copied,
+//! cache and error rates. Two runs of the same code give the same
+//! `BENCH.json` `metrics` object, byte for byte.
 //!
-//! `compare` diffs two such reports metric-by-metric and classifies each
-//! delta against a tolerance, so CI can gate on regressions (see
-//! `.github/workflows/ci.yml` and the committed `bench/baseline.json`).
+//! `compare` diffs two such reports row by row against one tolerance, so
+//! CI can gate on regressions (see `.github/workflows/ci.yml` and the
+//! committed `bench/baseline.json`).
 //!
-//! Two noise classes keep the gate honest: `deterministic` metrics
-//! (simulated cycles, stage/stream counts, memory beats) regress only when
-//! the compiler's output actually changes and get the tight tolerance;
-//! `wallclock` metrics (per-pass ms, engine throughput) vary with the host
-//! and get a separate, much looser tolerance.
+//! Nothing here reads a clock. Every time and rate — per-pass compile
+//! cost, engine throughput, march speed-ups, service latency — is
+//! measured by `sysbench/` at the paper's sizes (DESIGN.md §10 names the
+//! owner of each).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::json::Json;
-use shmls_ir::bytecode::ApplyMode;
-use shmls_kernels::{heat3d, laplace, pw_advection, tracer_advection};
+use shmls_fpga_sim::{cycle, design::DesignDescriptor};
+use shmls_kernels::{heat3d, laplace, pw_advection, pw_sizes, tracer_advection, tracer_sizes};
+use shmls_serve::{loadgen, router, server, shard};
+use stencil_hmls::autotune::{self, TuneOptions};
 use stencil_hmls::cache::CompileCache;
 use stencil_hmls::engine::{Engine, VECTOR};
-use stencil_hmls::runner::{
-    run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with, KernelData,
-};
+use stencil_hmls::runner::{run_hls, KernelData};
 use stencil_hmls::scale::{run_time_marched_with, MarchOptions};
 use stencil_hmls::{compile, CompileOptions, CompiledKernel};
 
 /// Version of the `BENCH.json` schema. Bump on any breaking change to the
 /// metric key space or file layout, and refresh `bench/baseline.json` in
 /// the same commit — `compare` refuses to diff across versions.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Which direction is an improvement for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Better {
-    /// Larger values are better (throughput).
+    /// Larger values are better (hit rates, speed-ups).
     Higher,
-    /// Smaller values are better (durations, cycles, resource counts).
+    /// Smaller values are better (cycles, bytes, resource counts).
     Lower,
-}
-
-/// How noisy a metric is across runs and hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Noise {
-    /// Identical on every run of the same code (cycle counts, design
-    /// structure). Compared with the tight tolerance.
-    Deterministic,
-    /// Wall-clock derived; varies with machine and load. Compared with
-    /// the loose time tolerance.
-    WallClock,
 }
 
 /// One measured value.
@@ -60,51 +50,24 @@ pub enum Noise {
 pub struct Metric {
     /// The measurement.
     pub value: f64,
-    /// Display unit (`"ms"`, `"cycles"`, `"elems/s"`, `"count"`, …).
+    /// Display unit (`"cycles"`, `"bytes"`, `"count"`, `"ratio"`, …).
     pub unit: String,
     /// Improvement direction.
     pub better: Better,
-    /// Noise class (selects which tolerance applies).
-    pub noise: Noise,
 }
 
-/// Host fingerprint recorded alongside the numbers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostInfo {
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// Available parallelism.
-    pub cpus: usize,
-}
-
-impl HostInfo {
-    /// Fingerprint the current host.
-    pub fn current() -> Self {
-        Self {
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
+/// The flat row map, keyed `area/kernel/…` (sorted for stable diffs).
+pub type Rows = BTreeMap<String, Metric>;
 
 /// A full benchmark report (the in-memory form of `BENCH.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
     pub schema_version: u64,
-    /// `"quick"` or `"full"`.
-    pub mode: String,
     /// `git rev-parse --short HEAD` at measurement time (or `"unknown"`).
     pub git_rev: String,
-    /// Where the numbers were taken.
-    pub host: HostInfo,
-    /// Flat metric map, keyed `area/kernel/…` (sorted for stable diffs).
-    pub metrics: BTreeMap<String, Metric>,
+    /// The rows.
+    pub metrics: Rows,
 }
 
 fn git_rev() -> String {
@@ -118,35 +81,14 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The benchmark kernels, with their engine-run grids per mode.
-fn bench_kernels(quick: bool) -> Vec<(&'static str, [i64; 3])> {
-    if quick {
-        vec![
-            ("pw_advection", [10, 8, 6]),
-            ("tracer_advection", [8, 7, 6]),
-        ]
-    } else {
-        vec![
-            ("pw_advection", [16, 14, 10]),
-            ("tracer_advection", [12, 10, 8]),
-        ]
-    }
-}
+/// The paper kernels with the small grids the engines run them on.
+const BENCH_KERNELS: [(&str, [i64; 3]); 2] = [
+    ("pw_advection", [10, 8, 6]),
+    ("tracer_advection", [8, 7, 6]),
+];
 
-/// The interpreter-tier kernels (tree-walker vs bytecode), with their
-/// grids per mode. The ISSUE's ≥2× speedup target is measured on these.
-/// Grids are sized so the apply loops dominate the per-run fixed costs
-/// (argument binding, `stencil.load` copies) that all tiers share — at
-/// toy sizes those costs dilute any tier-vs-tier ratio toward 1×. Inner
-/// extents deliberately include a partial chunk so the vector tier's
-/// tail path stays on the measured profile.
-fn interp_kernels(quick: bool) -> Vec<(&'static str, [i64; 3])> {
-    if quick {
-        vec![("laplace", [16, 16, 28]), ("pw_advection", [10, 10, 20])]
-    } else {
-        vec![("laplace", [24, 24, 44]), ("pw_advection", [16, 14, 28])]
-    }
-}
+/// The heat3d grid of the temporal and autotuner sections.
+const HEAT_GRID: [i64; 3] = [12, 10, 8];
 
 /// DSL source for a named bench kernel at `grid`. Panics on an unknown
 /// name — callers validate against [`bench_kernel_names`] first.
@@ -218,691 +160,361 @@ pub fn kernel_data(kernel: &str, grid: [i64; 3]) -> KernelData {
     }
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn det(value: f64, unit: &str) -> Metric {
+fn lower(value: f64, unit: &str) -> Metric {
     Metric {
         value,
         unit: unit.to_string(),
         better: Better::Lower,
-        noise: Noise::Deterministic,
     }
 }
 
-fn wall_ms(value: f64) -> Metric {
+fn higher(value: f64, unit: &str) -> Metric {
     Metric {
-        value,
-        unit: "ms".to_string(),
-        better: Better::Lower,
-        noise: Noise::WallClock,
-    }
-}
-
-fn throughput(value: f64) -> Metric {
-    Metric {
-        value,
-        unit: "elems/s".to_string(),
         better: Better::Higher,
-        noise: Noise::WallClock,
+        ..lower(value, unit)
     }
 }
 
-/// Best-of-N per-pass durations across repeated compiles: the minimum is
-/// the standard noise-resistant estimator for short deterministic work.
-fn best_pass_times(runs: &[&CompiledKernel]) -> Vec<(String, Duration)> {
-    let mut names: Vec<String> = Vec::new();
-    for r in runs[0].timings.records() {
-        if !names.contains(&r.name) {
-            names.push(r.name.clone());
-        }
-    }
-    names
-        .into_iter()
-        .map(|name| {
-            let best = runs
-                .iter()
-                .filter_map(|c| c.timings.get(&name))
-                .min()
-                .unwrap_or(Duration::ZERO);
-            (name, best)
-        })
-        .collect()
-}
-
-fn compile_metrics(
-    metrics: &mut BTreeMap<String, Metric>,
+fn compile_at(
     kernel: &str,
-    label: &str,
-    runs: &[&CompiledKernel],
-) {
-    for (name, best) in best_pass_times(runs) {
-        metrics.insert(
-            format!("compile/{kernel}/{label}/{name}_ms"),
-            wall_ms(ms(best)),
-        );
-    }
-    let compiled = runs[0];
-    // Design structure: deterministic fingerprints of the generated
-    // dataflow — these move only when the compiler's output changes.
-    let r = &compiled.report;
-    metrics.insert(
-        format!("design/{kernel}/{label}/streams"),
-        det(r.streams as f64, "count"),
-    );
-    metrics.insert(
-        format!("design/{kernel}/{label}/compute_stages"),
-        det(r.compute_stages as f64, "count"),
-    );
-    metrics.insert(
-        format!("design/{kernel}/{label}/dup_stages"),
-        det(r.dup_stages as f64, "count"),
-    );
-    metrics.insert(
-        format!("design/{kernel}/{label}/shift_buffers"),
-        det(r.shift_buffers as f64, "count"),
-    );
+    grid: [i64; 3],
+    opts: &CompileOptions,
+) -> Result<CompiledKernel, String> {
+    compile(&source_for(kernel, grid), opts)
+        .map_err(|e| format!("compiling {kernel} at {grid:?}: {e}"))
 }
 
-/// Run the benchmark suite. `quick` limits compile timing to the first
-/// paper size per kernel and shrinks the engine grids — the CI
-/// configuration; the full run covers every paper size.
-pub fn run_bench(quick: bool) -> Result<BenchReport, String> {
-    let mut metrics = BTreeMap::new();
+fn parse_at(kernel: &str, grid: [i64; 3]) -> Result<shmls_frontend::KernelDef, String> {
+    shmls_frontend::parse_kernel(&source_for(kernel, grid))
+        .map_err(|e| format!("parsing {kernel} at {grid:?}: {e}"))
+}
 
-    // --- compile timing at the paper's grid sizes ------------------------
-    for kernel in [crate::Kernel::PwAdvection, crate::Kernel::TracerAdvection] {
-        let kname = match kernel {
-            crate::Kernel::PwAdvection => "pw_advection",
-            crate::Kernel::TracerAdvection => "tracer_advection",
-        };
-        let sizes = kernel.sizes();
-        let sizes = if quick { &sizes[..1] } else { &sizes[..] };
+/// Cycles the cycle-stepped simulator takes for one sweep of a design.
+fn sweep_cycles(compiled: &CompiledKernel, what: &str) -> Result<u64, String> {
+    let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
+        .map_err(|e| format!("{what} design extraction: {e}"))?;
+    cycle::simulate(&design, None)
+        .map(|stepped| stepped.cycles)
+        .map_err(|report| format!("{what} cycle simulation deadlocked:\n{report}"))
+}
+
+/// Design structure at every paper grid size: fingerprints of the
+/// generated dataflow that move only when the compiler's output changes.
+fn design(rows: &mut Rows) -> Result<(), String> {
+    for (kname, sizes) in [
+        ("pw_advection", pw_sizes()),
+        ("tracer_advection", tracer_sizes()),
+    ] {
         for size in sizes {
-            let mut runs = Vec::new();
-            for _ in 0..3 {
-                runs.push(
-                    compile(&kernel.source(size.grid), &CompileOptions::default())
-                        .map_err(|e| format!("compiling {kname} at {}: {e}", size.label))?,
+            let report = compile_at(kname, size.grid, &CompileOptions::default())?.report;
+            for (row, count) in [
+                ("streams", report.streams),
+                ("compute_stages", report.compute_stages),
+                ("dup_stages", report.dup_stages),
+                ("shift_buffers", report.shift_buffers),
+            ] {
+                rows.insert(
+                    format!("design/{kname}/{}/{row}", size.label),
+                    lower(count as f64, "count"),
                 );
             }
-            let refs: Vec<&CompiledKernel> = runs.iter().collect();
-            compile_metrics(&mut metrics, kname, size.label, &refs);
         }
     }
+    Ok(())
+}
 
-    // --- engine runs on small grids --------------------------------------
-    for (kname, grid) in bench_kernels(quick) {
-        let compiled = compile(&source_for(kname, grid), &CompileOptions::default())
-            .map_err(|e| format!("compiling {kname} for simulation: {e}"))?;
-        let data = kernel_data(kname, grid);
-        let points: i64 = grid.iter().product();
-
-        // Sequential (Kahn) engine.
-        let t0 = Instant::now();
-        let (_, (_, pushed, beats)) =
-            run_hls(&compiled, &data).map_err(|e| format!("{kname} sequential engine: {e}"))?;
-        let seq_wall = t0.elapsed();
-        metrics.insert(
-            format!("sim/{kname}/seq_elems_per_s"),
-            throughput(points as f64 / seq_wall.as_secs_f64().max(1e-9)),
+/// The extracted designs on the sequential (Kahn) engine and the
+/// cycle-stepped simulator.
+fn sim(rows: &mut Rows) -> Result<(), String> {
+    for (kname, grid) in BENCH_KERNELS {
+        let compiled = compile_at(kname, grid, &CompileOptions::default())?;
+        let (_, (_, pushed, beats)) = run_hls(&compiled, &kernel_data(kname, grid))
+            .map_err(|e| format!("{kname} sequential engine: {e}"))?;
+        rows.insert(
+            format!("sim/{kname}/mem_beats"),
+            lower(beats as f64, "beats"),
         );
-        metrics.insert(format!("sim/{kname}/mem_beats"), det(beats as f64, "beats"));
-        metrics.insert(
+        rows.insert(
             format!("sim/{kname}/stream_elements"),
-            det(pushed as f64, "elems"),
+            lower(pushed as f64, "elems"),
         );
-
-        // Threaded engine (bounded FIFOs, one thread per stage).
-        let t0 = Instant::now();
-        let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(120))
-            .map_err(|e| format!("{kname} threaded engine: {e}"))?;
-        let thr_wall = t0.elapsed();
-        if let Err(report) = threaded {
-            return Err(format!("{kname} threaded engine deadlocked:\n{report}"));
-        }
-        metrics.insert(
-            format!("sim/{kname}/threaded_elems_per_s"),
-            throughput(points as f64 / thr_wall.as_secs_f64().max(1e-9)),
-        );
-
-        // Cycle-stepped simulation: fully deterministic.
-        let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-            &compiled.ctx,
-            compiled.hls_func,
-        )
-        .map_err(|e| format!("{kname} design extraction: {e}"))?;
-        let stepped = shmls_fpga_sim::cycle::simulate(&design, None)
-            .map_err(|report| format!("{kname} cycle simulation deadlocked:\n{report}"))?;
-        metrics.insert(
+        rows.insert(
             format!("sim/{kname}/cycles"),
-            det(stepped.cycles as f64, "cycles"),
+            lower(sweep_cycles(&compiled, kname)? as f64, "cycles"),
         );
     }
+    Ok(())
+}
 
-    // --- interpreter tiers: tree-walker vs bytecode ------------------------
-    // Both tiers execute the same stencil-dialect function on identical
-    // data; the bytecode tier must be bitwise-identical (the conformance
-    // suite enforces that) and substantially faster (the compare gate
-    // enforces *that*: `bytecode_speedup` is higher-is-better, so a
-    // silent fallback to the tree-walker reads as a large regression).
-    for (kname, grid) in interp_kernels(quick) {
-        let compiled = compile(&source_for(kname, grid), &CompileOptions::default())
-            .map_err(|e| format!("compiling {kname} for the interp bench: {e}"))?;
-        if compiled.apply_plans.is_empty() {
-            return Err(format!("{kname}: no stencil.apply compiled to bytecode"));
+/// Bytes one vector-tier sweep allocates and copies besides the kernel's
+/// own, from the store's counters: temps the applies needed and bytes
+/// copied between buffers (lent inputs written, `stencil.store` copies).
+/// A reintroduced input clone or result temp fails the gate on any host.
+/// PW advection needs neither; tracer advection's chained stages keep
+/// their temps. Every apply must have compiled to bytecode: one that had
+/// not would fall back to the tree-walker and still sweep correctly.
+fn sweep_work(rows: &mut Rows) -> Result<(), String> {
+    for (kname, grid) in BENCH_KERNELS {
+        let compiled = compile_at(kname, grid, &CompileOptions::default())?;
+        let applies = compiled
+            .ctx
+            .find_ops(compiled.stencil_func, "stencil.apply")
+            .len();
+        if compiled.apply_plans.len() != applies {
+            return Err(format!(
+                "{kname}: {} of {applies} stencil.apply ops compiled to bytecode",
+                compiled.apply_plans.len()
+            ));
         }
-        let data = kernel_data(kname, grid);
-        let points: i64 = grid.iter().product();
-
-        // Best-of-3: all tiers are deterministic, so the minimum is the
-        // noise-resistant estimate of the true cost. `bytecode` pins
-        // scalar (per-point) dispatch — the PR 5 tier — and `simd` is the
-        // chunked/threaded executor, so `simd_speedup` measures exactly
-        // the vectorisation + threading win and a silent fallback to
-        // scalar dispatch reads as a large higher-is-better regression.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut tree_best = Duration::MAX;
-        let mut byte_best = Duration::MAX;
-        let mut simd_best = Duration::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            run_stencil(&compiled, &data).map_err(|e| format!("{kname} tree-walker: {e}"))?;
-            tree_best = tree_best.min(t0.elapsed());
-            let t0 = Instant::now();
-            run_stencil_bytecode_with(&compiled, &data, ApplyMode::Scalar)
-                .map_err(|e| format!("{kname} bytecode tier: {e}"))?;
-            byte_best = byte_best.min(t0.elapsed());
-            let t0 = Instant::now();
-            run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads })
-                .map_err(|e| format!("{kname} simd tier: {e}"))?;
-            simd_best = simd_best.min(t0.elapsed());
-        }
-        metrics.insert(
-            format!("interp/{kname}/tree_elems_per_s"),
-            throughput(points as f64 / tree_best.as_secs_f64().max(1e-9)),
-        );
-        metrics.insert(
-            format!("interp/{kname}/bytecode_elems_per_s"),
-            throughput(points as f64 / byte_best.as_secs_f64().max(1e-9)),
-        );
-        metrics.insert(
-            format!("interp/{kname}/bytecode_speedup"),
-            Metric {
-                value: tree_best.as_secs_f64() / byte_best.as_secs_f64().max(1e-9),
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            format!("interp/{kname}/simd_elems_per_s"),
-            throughput(points as f64 / simd_best.as_secs_f64().max(1e-9)),
-        );
-        metrics.insert(
-            format!("interp/{kname}/simd_speedup"),
-            Metric {
-                value: byte_best.as_secs_f64() / simd_best.as_secs_f64().max(1e-9),
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-    }
-
-    // --- sweep work: bytes allocated and copied besides the kernel's own ---
-    // One sweep of each bench kernel on the vector tier, from the store's
-    // own counters: temps the applies needed and bytes copied between
-    // buffers (lent inputs written, `stencil.store` copies). Exact on any
-    // host, so the compare gate holds them at the deterministic
-    // tolerance: a reintroduced input clone or result temp fails CI
-    // without a quiet machine. PW advection needs neither; tracer
-    // advection's chained stages keep their temps.
-    for (kname, grid) in bench_kernels(quick) {
-        let compiled = compile(&source_for(kname, grid), &CompileOptions::default())
-            .map_err(|e| format!("compiling {kname} for the sweep-work bench: {e}"))?;
         let work = VECTOR
             .sweep(&compiled, &kernel_data(kname, grid), 1)
             .map_err(|e| format!("{kname} vector sweep: {e}"))?
             .work
             .ok_or_else(|| format!("{kname}: the vector tier reported no store work"))?;
-        metrics.insert(
+        rows.insert(
             format!("interp/{kname}/sweep_temp_bytes"),
-            det(work.allocated_bytes as f64, "bytes"),
+            lower(work.allocated_bytes as f64, "bytes"),
         );
-        metrics.insert(
+        rows.insert(
             format!("interp/{kname}/sweep_copied_bytes"),
-            det(work.copied_bytes as f64, "bytes"),
+            lower(work.copied_bytes as f64, "bytes"),
         );
     }
+    Ok(())
+}
 
-    // --- scale-out: parallel compute units + time-marching ----------------
-    // One kernel is enough to gate the scale path: pw_advection over 4 CU
-    // slabs, time-marched on the march's default engine (the vector tier)
-    // so the compile cache and the gather between rounds are both on the
-    // measured path. The serial run populates a private cache; the
-    // parallel run must then hit it on every CU (`cache_hit_rate` is a
-    // deterministic 1.0 unless caching breaks).
-    {
-        let (kname, grid) = bench_kernels(quick)[0];
-        let steps = if quick { 4 } else { 8 };
-        let cus = 4;
-        let kernel = shmls_frontend::parse_kernel(&source_for(kname, grid))
-            .map_err(|e| format!("parsing {kname} for the scale bench: {e}"))?;
-        let data = kernel_data(kname, grid);
-        let opts = CompileOptions::default();
-        let cache = CompileCache::new();
-
-        let serial = MarchOptions {
-            serial: true,
+/// PW advection time-marched over 4 CU slabs on the march's default
+/// engine. The serial run populates a private compile cache; the parallel
+/// run must then hit it on every CU (`cache_hit_rate` is 1.0 unless
+/// caching breaks).
+fn scale(rows: &mut Rows) -> Result<(), String> {
+    let (kname, grid) = BENCH_KERNELS[0];
+    let (steps, cus) = (4, 4);
+    let kernel = parse_at(kname, grid)?;
+    let data = kernel_data(kname, grid);
+    let opts = CompileOptions::default();
+    let cache = CompileCache::new();
+    let march = |serial: bool| {
+        let options = MarchOptions {
+            serial,
             cache: Some(&cache),
             ..Default::default()
         };
-        let (_, serial_report) = run_time_marched_with(&kernel, &data, steps, cus, &opts, &serial)
-            .map_err(|e| format!("{kname} serial scale run: {e}"))?;
+        run_time_marched_with(&kernel, &data, steps, cus, &opts, &options)
+            .map(|(_, report)| report)
+            .map_err(|e| format!("{kname} scale run (serial: {serial}): {e}"))
+    };
+    march(true)?;
+    let report = march(false)?;
+    rows.insert(
+        format!("scale/{kname}/cache_hit_rate"),
+        higher(report.cache_hit_rate(), "ratio"),
+    );
+    rows.insert(
+        format!("scale/{kname}/model_makespan_cycles"),
+        lower(report.model.makespan_cycles as f64, "cycles"),
+    );
+    rows.insert(
+        format!("scale/{kname}/model_load_imbalance"),
+        lower(report.model.load_imbalance, "ratio"),
+    );
+    Ok(())
+}
 
-        let parallel = MarchOptions {
-            serial: false,
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        let (_, report) = run_time_marched_with(&kernel, &data, steps, cus, &opts, &parallel)
-            .map_err(|e| format!("{kname} parallel scale run: {e}"))?;
-
-        metrics.insert(
-            format!("scale/{kname}/multi_cu_elems_per_s"),
-            throughput(report.elems_per_s),
-        );
-        metrics.insert(
-            format!("scale/{kname}/parallel_speedup"),
-            Metric {
-                value: serial_report.wall.as_secs_f64() / report.wall.as_secs_f64().max(1e-9),
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            format!("scale/{kname}/cache_hit_rate"),
-            Metric {
-                value: report.cache_hit_rate(),
-                unit: "ratio".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            format!("scale/{kname}/model_makespan_cycles"),
-            det(report.model.makespan_cycles as f64, "cycles"),
-        );
-        metrics.insert(
-            format!("scale/{kname}/model_load_imbalance"),
-            det(report.model.load_imbalance, "ratio"),
-        );
-    }
-
-    // --- temporal blocking: chained timesteps vs one-step rounds ----------
-    // heat3d time-marched at depth 4 against the same march at depth 1 on
-    // a shared warm cache. Both execute the identical arithmetic (the
-    // conformance suite holds them bitwise equal); depth 4 folds four
-    // timesteps into one on-chip sweep, so the march makes ceil(steps/4)
-    // external-memory passes instead of `steps`. `pass_reduction` is the
-    // deterministic model of that; `cycle_speedup` is the cycle-stepped
-    // simulator's verdict on the FPGA-side claim (the deep pipeline
-    // overlaps timesteps, so one deep sweep costs far less than depth
-    // shallow sweeps); `depth4_speedup` is the host wall-clock ratio of
-    // the two marches on the vector tier, which computes a deep sweep as
-    // four fed-back shallow ones: it saves three of four slice-and-gather
-    // passes, not arithmetic, so it sits a little above parity and rides
-    // the loose wall-clock tolerance.
-    {
-        let kname = "heat3d";
-        let grid: [i64; 3] = if quick { [12, 10, 8] } else { [16, 14, 10] };
-        let steps = 8;
-        let depth = 4;
-        // One CU: slab overlap (each extra on-chip step widens the slab
-        // by the halo) would otherwise fold multi-CU redundancy into what
-        // is meant to be a pure depth-1-vs-depth-4 comparison.
-        let cus = 1;
-        let kernel = shmls_frontend::parse_kernel(&source_for(kname, grid))
-            .map_err(|e| format!("parsing {kname} for the temporal bench: {e}"))?;
-        let data = kernel_data(kname, grid);
-        let cache = CompileCache::new();
-        let march = MarchOptions {
-            serial: false,
-            cache: Some(&cache),
-            ..Default::default()
-        };
-        let shallow_opts = CompileOptions::default();
-        let mut deep_opts = CompileOptions::default();
-        deep_opts.hmls.temporal_depth = depth;
-
-        // Warm the cache for both designs, then best-of-3 each.
-        let mut shallow_best = Duration::MAX;
-        let mut deep_best = Duration::MAX;
-        let mut deep_report = None;
-        for warmup in [true, false, false, false] {
-            let t0 = Instant::now();
-            let (_, r1) = run_time_marched_with(&kernel, &data, steps, cus, &shallow_opts, &march)
-                .map_err(|e| format!("{kname} depth-1 march: {e}"))?;
-            let shallow_wall = t0.elapsed();
-            let t0 = Instant::now();
-            let (_, rd) = run_time_marched_with(&kernel, &data, steps, cus, &deep_opts, &march)
-                .map_err(|e| format!("{kname} depth-{depth} march: {e}"))?;
-            let deep_wall = t0.elapsed();
-            if !warmup {
-                shallow_best = shallow_best.min(shallow_wall);
-                deep_best = deep_best.min(deep_wall);
-            }
-            if deep_report.is_none() {
-                assert_eq!(r1.model_passes, steps as u64);
-                deep_report = Some(rd);
-            }
-        }
-        let deep_report = deep_report.expect("temporal bench ran at least once");
-        metrics.insert(
-            format!("temporal/{kname}/model_passes_depth{depth}"),
-            det(deep_report.model_passes as f64, "passes"),
-        );
-        metrics.insert(
-            format!("temporal/{kname}/pass_reduction"),
-            Metric {
-                value: steps as f64 / deep_report.model_passes as f64,
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            format!("temporal/{kname}/depth{depth}_speedup"),
-            Metric {
-                value: shallow_best.as_secs_f64() / deep_best.as_secs_f64().max(1e-9),
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            format!("temporal/{kname}/depth{depth}_elems_per_s"),
-            throughput(
-                grid.iter().product::<i64>() as f64 * steps as f64
-                    / deep_best.as_secs_f64().max(1e-9),
-            ),
-        );
-
-        // Cycle-stepped simulation of both monolithic designs: `steps`
-        // shallow sweeps vs `model_passes` deep sweeps. Fully
-        // deterministic — this is the on-FPGA claim the temporal-depth
-        // mode exists for, and a regression here means the deep pipeline
-        // stopped overlapping timesteps.
-        let sweep_cycles = |temporal_depth: usize| -> Result<u64, String> {
-            let mut opts = CompileOptions::default();
-            opts.hmls.temporal_depth = temporal_depth;
-            let compiled = compile(&source_for(kname, grid), &opts)
-                .map_err(|e| format!("compiling {kname} at depth {temporal_depth}: {e}"))?;
-            let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-                &compiled.ctx,
-                compiled.hls_func,
-            )
-            .map_err(|e| format!("{kname} depth-{temporal_depth} design extraction: {e}"))?;
-            shmls_fpga_sim::cycle::simulate(&design, None)
-                .map(|s| s.cycles)
-                .map_err(|report| {
-                    format!("{kname} depth-{temporal_depth} cycle simulation deadlocked:\n{report}")
-                })
-        };
-        let shallow_cycles = sweep_cycles(1)?;
-        let deep_cycles = sweep_cycles(depth)?;
-        metrics.insert(
-            format!("temporal/{kname}/deep_sweep_cycles"),
-            det(deep_cycles as f64, "cycles"),
-        );
-        metrics.insert(
-            format!("temporal/{kname}/cycle_speedup"),
-            Metric {
-                value: (steps as u64 * shallow_cycles) as f64
-                    / (deep_report.model_passes * deep_cycles).max(1) as f64,
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-    }
-
-    // --- joint design-space autotuner -------------------------------------
-    // The full `autotune::tune` pipeline on heat3d: enumerate CU count ×
-    // slab split × FIFO depth × port bundling × temporal depth, prune
-    // with the analytic perf/resource/power models, cycle-simulate only
-    // the Pareto frontier, and share compiled designs through the
-    // content-addressed cache. Every metric here is deterministic — they
-    // move only when the search space, the models, or the cache-key
-    // discipline change. `redundant_compiles` must stay 0: candidates
-    // differing only in runtime knobs never recompile.
-    {
-        use stencil_hmls::autotune::{self, TuneOptions};
-        let grid = if quick { [12, 10, 8] } else { [16, 14, 10] };
-        let kernel = shmls_frontend::parse_kernel(&source_for("heat3d", grid))
-            .map_err(|e| format!("parsing heat3d for the autotuner: {e}"))?;
-        let opts = if quick {
-            TuneOptions::quick()
-        } else {
-            TuneOptions::full()
-        };
-        let cache = CompileCache::new();
-        let report = autotune::tune(&kernel, &opts, &cache)
-            .map_err(|e| format!("autotuning heat3d: {e}"))?;
-        if report.frontier.is_empty() {
-            return Err("autotuner returned an empty Pareto frontier for heat3d".to_string());
-        }
-        let pruned = report.pruned_ports
-            + report.pruned_resources
-            + report.pruned_dominated
-            + report.pruned_deadlocked;
-        metrics.insert(
-            "dse/heat3d/frontier_size".to_string(),
-            Metric {
-                value: report.frontier.len() as f64,
-                unit: "count".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            "dse/heat3d/candidates_simulated".to_string(),
-            det(report.simulated as f64, "count"),
-        );
-        metrics.insert(
-            "dse/heat3d/candidates_pruned".to_string(),
-            Metric {
-                value: pruned as f64,
-                unit: "count".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            "dse/heat3d/best_speedup".to_string(),
-            Metric {
-                value: report.best_speedup,
-                unit: "x".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            "dse/heat3d/redundant_compiles".to_string(),
-            det(report.redundant_compiles as f64, "count"),
-        );
-    }
-
-    // --- compile-as-a-service: a real server under real load --------------
-    // An in-process `shmls-serve` instance (fresh disk-persistent cache in
-    // a scratch directory) measured through actual TCP sockets by the
-    // loadgen — the same path `repro loadgen` and the serve-loadtest CI
-    // job exercise. `error_rate` and `warm_hit_rate` are deterministic
-    // service invariants (any error or cache regression trips the tight
-    // gate); throughput and latency ride the loose wall-clock tolerance.
-    {
-        let scratch = std::env::temp_dir().join(format!(
-            "shmls-bench-serve-{}-{}",
-            std::process::id(),
-            if quick { "quick" } else { "full" }
+/// heat3d time-marched at depth 4 against the same march at depth 1.
+/// Both execute the identical arithmetic (the conformance suite holds
+/// them bitwise equal); depth 4 folds four timesteps into one on-chip
+/// sweep, so the march makes ceil(steps/4) external-memory passes instead
+/// of `steps` — `pass_reduction`. `cycle_speedup` is the cycle-stepped
+/// simulator's verdict on the FPGA-side claim: `steps` shallow sweeps
+/// against `model_passes` deep ones, and a regression means the deep
+/// pipeline stopped overlapping timesteps.
+fn temporal(rows: &mut Rows) -> Result<(), String> {
+    let (kname, steps, depth) = ("heat3d", 8, 4);
+    // One CU: slab overlap (each extra on-chip step widens the slab by
+    // the halo) would otherwise fold multi-CU redundancy into what is
+    // meant to be a pure depth-1-vs-depth-4 comparison.
+    let cus = 1;
+    let kernel = parse_at(kname, HEAT_GRID)?;
+    let data = kernel_data(kname, HEAT_GRID);
+    let cache = CompileCache::new();
+    let march = MarchOptions {
+        cache: Some(&cache),
+        ..Default::default()
+    };
+    let at_depth = |temporal_depth: usize| {
+        let mut opts = CompileOptions::default();
+        opts.hmls.temporal_depth = temporal_depth;
+        opts
+    };
+    let model_passes = |d: usize| {
+        run_time_marched_with(&kernel, &data, steps, cus, &at_depth(d), &march)
+            .map(|(_, report)| report.model_passes)
+            .map_err(|e| format!("{kname} depth-{d} march: {e}"))
+    };
+    let (shallow_passes, deep_passes) = (model_passes(1)?, model_passes(depth)?);
+    if shallow_passes != steps as u64 {
+        return Err(format!(
+            "{kname}: {shallow_passes} passes for {steps} depth-1 steps"
         ));
-        let _ = std::fs::remove_dir_all(&scratch);
-        let handle = shmls_serve::server::serve(shmls_serve::server::ServerConfig {
-            cache_dir: Some(scratch.clone()),
+    }
+    let cycles = |d: usize| {
+        let what = format!("{kname} depth-{d}");
+        sweep_cycles(&compile_at(kname, HEAT_GRID, &at_depth(d))?, &what)
+    };
+    let (shallow_cycles, deep_cycles) = (cycles(1)?, cycles(depth)?);
+    rows.insert(
+        format!("temporal/{kname}/model_passes_depth{depth}"),
+        lower(deep_passes as f64, "passes"),
+    );
+    rows.insert(
+        format!("temporal/{kname}/pass_reduction"),
+        higher(steps as f64 / deep_passes as f64, "x"),
+    );
+    rows.insert(
+        format!("temporal/{kname}/deep_sweep_cycles"),
+        lower(deep_cycles as f64, "cycles"),
+    );
+    rows.insert(
+        format!("temporal/{kname}/cycle_speedup"),
+        higher(
+            (steps as u64 * shallow_cycles) as f64 / (deep_passes * deep_cycles).max(1) as f64,
+            "x",
+        ),
+    );
+    Ok(())
+}
+
+/// The full `autotune::tune` pipeline on heat3d over the quick axes:
+/// enumerate CU count × slab split × FIFO depth × port bundling ×
+/// temporal depth, prune with the analytic models, cycle-simulate the
+/// Pareto frontier, share compiled designs through the content-addressed
+/// cache. The rows move only when the search space, the models or the
+/// cache-key discipline change; `redundant_compiles` must stay 0.
+fn dse(rows: &mut Rows) -> Result<(), String> {
+    let kernel = parse_at("heat3d", HEAT_GRID)?;
+    let report = autotune::tune(&kernel, &TuneOptions::quick(), &CompileCache::new())
+        .map_err(|e| format!("autotuning heat3d: {e}"))?;
+    if report.frontier.is_empty() {
+        return Err("autotuner returned an empty Pareto frontier for heat3d".to_string());
+    }
+    let pruned = report.pruned_ports
+        + report.pruned_resources
+        + report.pruned_dominated
+        + report.pruned_deadlocked;
+    for (row, metric) in [
+        (
+            "frontier_size",
+            higher(report.frontier.len() as f64, "count"),
+        ),
+        (
+            "candidates_simulated",
+            lower(report.simulated as f64, "count"),
+        ),
+        ("candidates_pruned", higher(pruned as f64, "count")),
+        ("best_speedup", higher(report.best_speedup, "x")),
+        (
+            "redundant_compiles",
+            lower(report.redundant_compiles as f64, "count"),
+        ),
+    ] {
+        rows.insert(format!("dse/heat3d/{row}"), metric);
+    }
+    Ok(())
+}
+
+/// The compile service under the loadgen, through real TCP sockets — the
+/// path `repro loadgen` and the serve CI jobs exercise — over a fresh
+/// disk-persistent cache in a scratch directory. `routed` puts three
+/// shards sharing that disk tier behind the consistent-hash router (two
+/// network hops); otherwise one server answers directly. Any error or
+/// warm-pass cache miss moves a row; the loadgen's own gate (every key
+/// compiled exactly once) fails the bench outright.
+fn serve(rows: &mut Rows, routed: bool) -> Result<(), String> {
+    // Unique per call: callers in one process may run side by side.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let (what, prefix) = if routed {
+        ("route", "serve/router_")
+    } else {
+        ("serve", "serve/loadgen/")
+    };
+    let scratch = std::env::temp_dir().join(format!(
+        "shmls-bench-{what}-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let run = |addr: std::net::SocketAddr| {
+        loadgen::run(&loadgen::LoadgenConfig {
+            addr: addr.to_string(),
+            clients: 8,
+            requests: 32,
+            unique_keys: 4,
+            router: routed,
             ..Default::default()
         })
-        .map_err(|e| format!("starting the compile server: {e}"))?;
-        let config = shmls_serve::loadgen::LoadgenConfig {
-            addr: handle.local_addr().to_string(),
-            clients: 8,
-            requests: if quick { 32 } else { 64 },
-            unique_keys: if quick { 4 } else { 8 },
-            ..Default::default()
-        };
-        let report = shmls_serve::loadgen::run(&config)
-            .map_err(|e| format!("loadgen against the compile server: {e}"))?;
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&scratch);
-        if !report.passed() {
-            return Err(format!(
-                "compile-server loadgen gate failed: {}",
-                report.gate_failures.join("; ")
-            ));
-        }
-        let total_requests = (report.cold.requests + report.warm.requests).max(1);
-        let total_errors = report.cold.errors + report.warm.errors;
-        metrics.insert(
-            "serve/loadgen/cold_compiles_per_s".to_string(),
-            Metric {
-                value: report.cold.compiles_per_s(),
-                unit: "compiles/s".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            "serve/loadgen/warm_requests_per_s".to_string(),
-            Metric {
-                value: report.warm.requests_per_s(),
-                unit: "req/s".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            "serve/loadgen/warm_hit_rate".to_string(),
-            Metric {
-                value: report.warm.hit_rate(),
-                unit: "ratio".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            "serve/loadgen/warm_p99_ms".to_string(),
-            wall_ms(report.warm.p99_us as f64 / 1e3),
-        );
-        metrics.insert(
-            "serve/loadgen/error_rate".to_string(),
-            det(total_errors as f64 / total_requests as f64, "ratio"),
-        );
-    }
-
-    // --- sharded front tier: the consistent-hash router -------------------
-    // Three in-process shards sharing one disk tier behind the router,
-    // measured by the same loadgen through two network hops (client →
-    // router → shard). `warm_hit_rate` and `error_rate` stay
-    // deterministic invariants; throughput rides the wall-clock
-    // tolerance and quantifies the router's relay overhead against the
-    // direct `serve/loadgen/*` series above.
-    {
-        let scratch = std::env::temp_dir().join(format!(
-            "shmls-bench-route-{}-{}",
-            std::process::id(),
-            if quick { "quick" } else { "full" }
-        ));
-        let _ = std::fs::remove_dir_all(&scratch);
-        let shards = shmls_serve::shard::ShardSet::start(shmls_serve::shard::ShardSetConfig {
+    };
+    let starting = |e: std::io::Error| format!("{what}: starting the service: {e}");
+    let report = if routed {
+        let shards = shard::ShardSet::start(shard::ShardSetConfig {
             shards: 3,
             cache_dir: Some(scratch.clone()),
             workers_per_shard: 4,
             capacity: 64,
         })
-        .map_err(|e| format!("starting the shard set: {e}"))?;
-        let router = shmls_serve::router::start_router(
-            shmls_serve::router::RouterConfig::default(),
-            shards.topology(),
-        )
-        .map_err(|e| format!("starting the router: {e}"))?;
-        let config = shmls_serve::loadgen::LoadgenConfig {
-            addr: router.local_addr().to_string(),
-            clients: 8,
-            requests: if quick { 32 } else { 64 },
-            unique_keys: if quick { 4 } else { 8 },
-            router: true,
-            ..Default::default()
-        };
-        let report = shmls_serve::loadgen::run(&config)
-            .map_err(|e| format!("loadgen against the router: {e}"))?;
+        .map_err(starting)?;
+        let router = router::start_router(router::RouterConfig::default(), shards.topology())
+            .map_err(starting)?;
+        let report = run(router.local_addr());
         router.shutdown();
         shards.shutdown();
-        let _ = std::fs::remove_dir_all(&scratch);
-        if !report.passed() {
-            return Err(format!(
-                "routed loadgen gate failed: {}",
-                report.gate_failures.join("; ")
-            ));
-        }
-        let total_requests = (report.cold.requests + report.warm.requests).max(1);
-        let total_errors = report.cold.errors + report.warm.errors;
-        metrics.insert(
-            "serve/router_cold_compiles_per_s".to_string(),
-            Metric {
-                value: report.cold.compiles_per_s(),
-                unit: "compiles/s".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            "serve/router_warm_requests_per_s".to_string(),
-            Metric {
-                value: report.warm.requests_per_s(),
-                unit: "req/s".to_string(),
-                better: Better::Higher,
-                noise: Noise::WallClock,
-            },
-        );
-        metrics.insert(
-            "serve/router_warm_hit_rate".to_string(),
-            Metric {
-                value: report.warm.hit_rate(),
-                unit: "ratio".to_string(),
-                better: Better::Higher,
-                noise: Noise::Deterministic,
-            },
-        );
-        metrics.insert(
-            "serve/router_warm_p99_ms".to_string(),
-            wall_ms(report.warm.p99_us as f64 / 1e3),
-        );
-        metrics.insert(
-            "serve/router_error_rate".to_string(),
-            det(total_errors as f64 / total_requests as f64, "ratio"),
-        );
+        report
+    } else {
+        let handle = server::serve(server::ServerConfig {
+            cache_dir: Some(scratch.clone()),
+            ..Default::default()
+        })
+        .map_err(starting)?;
+        let report = run(handle.local_addr());
+        handle.shutdown();
+        report
+    };
+    let _ = std::fs::remove_dir_all(&scratch);
+    let report = report.map_err(|e| format!("{what}: loadgen: {e}"))?;
+    if !report.passed() {
+        return Err(format!(
+            "{what}: loadgen gate failed: {}",
+            report.gate_failures.join("; ")
+        ));
     }
+    let requests = (report.cold.requests + report.warm.requests).max(1);
+    let errors = report.cold.errors + report.warm.errors;
+    rows.insert(
+        format!("{prefix}warm_hit_rate"),
+        higher(report.warm.hit_rate(), "ratio"),
+    );
+    rows.insert(
+        format!("{prefix}error_rate"),
+        lower(errors as f64 / requests as f64, "ratio"),
+    );
+    Ok(())
+}
 
+/// Run the benchmark suite: every section, one row map.
+pub fn run_bench() -> Result<BenchReport, String> {
+    let mut rows = Rows::new();
+    design(&mut rows)?;
+    sim(&mut rows)?;
+    sweep_work(&mut rows)?;
+    scale(&mut rows)?;
+    temporal(&mut rows)?;
+    dse(&mut rows)?;
+    serve(&mut rows, false)?;
+    serve(&mut rows, true)?;
     Ok(BenchReport {
         schema_version: SCHEMA_VERSION,
-        mode: if quick { "quick" } else { "full" }.to_string(),
         git_rev: git_rev(),
-        host: HostInfo::current(),
-        metrics,
+        metrics: rows,
     })
 }
 
@@ -910,29 +522,14 @@ pub fn run_bench(quick: bool) -> Result<BenchReport, String> {
 
 impl Metric {
     fn to_json(&self) -> Json {
+        let better = match self.better {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        };
         Json::Obj(vec![
             ("value".into(), Json::Num(self.value)),
             ("unit".into(), Json::Str(self.unit.clone())),
-            (
-                "better".into(),
-                Json::Str(
-                    match self.better {
-                        Better::Higher => "higher",
-                        Better::Lower => "lower",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "noise".into(),
-                Json::Str(
-                    match self.noise {
-                        Noise::Deterministic => "deterministic",
-                        Noise::WallClock => "wallclock",
-                    }
-                    .into(),
-                ),
-            ),
+            ("better".into(), Json::Str(better.into())),
         ])
     }
 
@@ -951,16 +548,10 @@ impl Metric {
             Some("lower") | None => Better::Lower,
             Some(other) => return Err(format!("metric `{key}`: bad `better` value `{other}`")),
         };
-        let noise = match v.get("noise").and_then(Json::as_str) {
-            Some("deterministic") => Noise::Deterministic,
-            Some("wallclock") | None => Noise::WallClock,
-            Some(other) => return Err(format!("metric `{key}`: bad `noise` value `{other}`")),
-        };
         Ok(Metric {
             value,
             unit,
             better,
-            noise,
         })
     }
 }
@@ -978,16 +569,7 @@ impl BenchReport {
                 "schema_version".into(),
                 Json::Num(self.schema_version as f64),
             ),
-            ("mode".into(), Json::Str(self.mode.clone())),
             ("git_rev".into(), Json::Str(self.git_rev.clone())),
-            (
-                "host".into(),
-                Json::Obj(vec![
-                    ("os".into(), Json::Str(self.host.os.clone())),
-                    ("arch".into(), Json::Str(self.host.arch.clone())),
-                    ("cpus".into(), Json::Num(self.host.cpus as f64)),
-                ]),
-            ),
             ("metrics".into(), Json::Obj(metrics)),
         ])
         .pretty()
@@ -1000,36 +582,12 @@ impl BenchReport {
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or("missing `schema_version`")?;
-        let mode = v
-            .get("mode")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
         let git_rev = v
             .get("git_rev")
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        let host = HostInfo {
-            os: v
-                .get("host")
-                .and_then(|h| h.get("os"))
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            arch: v
-                .get("host")
-                .and_then(|h| h.get("arch"))
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            cpus: v
-                .get("host")
-                .and_then(|h| h.get("cpus"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0) as usize,
-        };
-        let mut metrics = BTreeMap::new();
+        let mut metrics = Rows::new();
         for (k, m) in v
             .get("metrics")
             .and_then(Json::as_obj)
@@ -1039,39 +597,13 @@ impl BenchReport {
         }
         Ok(BenchReport {
             schema_version,
-            mode,
             git_rev,
-            host,
             metrics,
         })
     }
 }
 
 // ---- comparison ----------------------------------------------------------
-
-/// Tolerances for [`compare`], in percent.
-#[derive(Debug, Clone, Copy)]
-pub struct CompareOptions {
-    /// Allowed degradation for deterministic metrics.
-    pub tolerance_pct: f64,
-    /// Allowed degradation for wall-clock metrics.
-    pub time_tolerance_pct: f64,
-    /// Absolute floor for millisecond metrics: a `ms` metric only gates
-    /// when it is over `time_tolerance_pct` *and* more than this many ms
-    /// slower. Sub-millisecond passes jitter by whole multiples between
-    /// identical-code runs, so a purely relative gate would flap.
-    pub time_floor_ms: f64,
-}
-
-impl Default for CompareOptions {
-    fn default() -> Self {
-        Self {
-            tolerance_pct: 2.0,
-            time_tolerance_pct: 75.0,
-            time_floor_ms: 5.0,
-        }
-    }
-}
 
 /// Classification of one metric's delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1222,13 +754,14 @@ impl CompareReport {
     }
 }
 
-/// Diff `new` against `base`. Errors (rather than producing a table) on
-/// schema-version or mode mismatches — those comparisons are meaningless
-/// and almost always mean the baseline needs refreshing.
+/// Diff `new` against `base`, allowing each row `tolerance_pct` percent of
+/// degradation. Errors (rather than producing a table) on a
+/// schema-version mismatch — that comparison is meaningless and almost
+/// always means the baseline needs refreshing.
 pub fn compare(
     base: &BenchReport,
     new: &BenchReport,
-    opts: &CompareOptions,
+    tolerance_pct: f64,
 ) -> Result<CompareReport, String> {
     if base.schema_version != new.schema_version {
         return Err(format!(
@@ -1243,83 +776,22 @@ pub fn compare(
             base.schema_version
         ));
     }
-    if base.mode != new.mode {
-        return Err(format!(
-            "bench mode mismatch: baseline `{}` vs new `{}`",
-            base.mode, new.mode
-        ));
-    }
 
     let mut rows = Vec::new();
     for (key, b) in &base.metrics {
-        let row = match new.metrics.get(key) {
-            None => CompareRow {
-                metric: key.clone(),
-                base: Some(b.value),
-                new: None,
-                delta_pct: None,
-                tolerance_pct: 0.0,
-                unit: b.unit.clone(),
-                status: RowStatus::MissingInNew,
+        let n = new.metrics.get(key);
+        rows.push(CompareRow {
+            metric: key.clone(),
+            base: Some(b.value),
+            new: n.map(|n| n.value),
+            delta_pct: n.map(|n| delta_pct(b.value, n.value)),
+            tolerance_pct: if n.is_some() { tolerance_pct } else { 0.0 },
+            unit: b.unit.clone(),
+            status: match n {
+                None => RowStatus::MissingInNew,
+                Some(n) => classify(b, n.value, tolerance_pct),
             },
-            Some(n) => {
-                let tolerance_pct = match b.noise {
-                    Noise::Deterministic => opts.tolerance_pct,
-                    Noise::WallClock => opts.time_tolerance_pct,
-                };
-                let delta_pct = if b.value == 0.0 {
-                    if n.value == 0.0 {
-                        0.0
-                    } else {
-                        // From zero, any change is "infinitely" large;
-                        // report ±1000% so the sign still reads.
-                        1000.0 * n.value.signum()
-                    }
-                } else {
-                    (n.value - b.value) / b.value.abs() * 100.0
-                };
-                // Positive "worseness" = degradation. Higher-is-better
-                // metrics compare as a ratio: dropping to 1/k of the
-                // baseline reads as a (k-1)·100% degradation, symmetric
-                // with a lower-is-better metric growing k×. Negating the
-                // plain delta would cap degradations at 100% (values are
-                // non-negative) and the loose wall-clock tolerances could
-                // never fire on a throughput collapse.
-                let worse_pct = match b.better {
-                    Better::Lower => delta_pct,
-                    Better::Higher if b.value > 0.0 && n.value > 0.0 => {
-                        (b.value / n.value - 1.0) * 100.0
-                    }
-                    // Throughput collapsed to zero: unboundedly worse.
-                    Better::Higher if b.value > 0.0 => f64::INFINITY,
-                    Better::Higher => -delta_pct,
-                };
-                // Millisecond metrics additionally need an absolute
-                // movement beyond the floor before they count either way.
-                let floored = b.unit == "ms"
-                    && b.noise == Noise::WallClock
-                    && (n.value - b.value).abs() < opts.time_floor_ms;
-                let status = if floored {
-                    RowStatus::Ok
-                } else if worse_pct > tolerance_pct {
-                    RowStatus::Regressed
-                } else if worse_pct < -tolerance_pct {
-                    RowStatus::Improved
-                } else {
-                    RowStatus::Ok
-                };
-                CompareRow {
-                    metric: key.clone(),
-                    base: Some(b.value),
-                    new: Some(n.value),
-                    delta_pct: Some(delta_pct),
-                    tolerance_pct,
-                    unit: b.unit.clone(),
-                    status,
-                }
-            }
-        };
-        rows.push(row);
+        });
     }
     for (key, n) in &new.metrics {
         if !base.metrics.contains_key(key) {
@@ -1335,4 +807,40 @@ pub fn compare(
         }
     }
     Ok(CompareReport { rows })
+}
+
+/// Signed change from `base` to `new` in percent.
+fn delta_pct(base: f64, new: f64) -> f64 {
+    if base != 0.0 {
+        (new - base) / base.abs() * 100.0
+    } else if new == 0.0 {
+        0.0
+    } else {
+        // From zero, any change is "infinitely" large; report ±1000% so
+        // the sign still reads.
+        1000.0 * new.signum()
+    }
+}
+
+fn classify(base: &Metric, new: f64, tolerance_pct: f64) -> RowStatus {
+    // Positive "worseness" = degradation. Higher-is-better metrics
+    // compare as a ratio: dropping to 1/k of the baseline reads as a
+    // (k-1)·100% degradation, symmetric with a lower-is-better metric
+    // growing k×. Negating the plain delta would cap degradations at
+    // 100% (values are non-negative), so no tolerance of 100 or more
+    // could ever fire on a collapse.
+    let worse_pct = match base.better {
+        Better::Lower => delta_pct(base.value, new),
+        Better::Higher if base.value > 0.0 && new > 0.0 => (base.value / new - 1.0) * 100.0,
+        // Collapsed to zero: unboundedly worse.
+        Better::Higher if base.value > 0.0 => f64::INFINITY,
+        Better::Higher => -delta_pct(base.value, new),
+    };
+    if worse_pct > tolerance_pct {
+        RowStatus::Regressed
+    } else if worse_pct < -tolerance_pct {
+        RowStatus::Improved
+    } else {
+        RowStatus::Ok
+    }
 }

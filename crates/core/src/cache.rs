@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use shmls_frontend::{kernel_to_source, KernelDef};
 use shmls_ir::error::IrResult;
@@ -235,6 +235,43 @@ struct Pending {
     cv: Condvar,
 }
 
+impl Pending {
+    /// Hand `outcome` to every follower, present and future. Runs in a
+    /// drop guard too, so it must not panic: a poisoned slot is taken as
+    /// it is (assigning the `Option` leaves it valid at every step).
+    fn publish(&self, outcome: Result<Arc<CompiledKernel>, String>) {
+        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.cv.notify_all();
+    }
+}
+
+/// The leader's hold on its key. If the compilation unwinds — the compile
+/// server catches that per request and keeps serving — the drop retires
+/// the slot and fails the followers, where they would otherwise wait for
+/// ever and every later request for the key would join them.
+struct Leading<'c> {
+    cache: &'c CompileCache,
+    key: u64,
+    slot: Arc<Pending>,
+    published: bool,
+}
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            let mut inner = self
+                .cache
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            inner.in_flight.remove(&self.key);
+            drop(inner);
+            self.slot
+                .publish(Err("single-flight leader panicked".to_string()));
+        }
+    }
+}
+
 /// Default capacity of [`CompileCache::new`] (also the global cache's).
 pub const DEFAULT_CAPACITY: usize = 128;
 
@@ -353,7 +390,18 @@ impl CompileCache {
         kernel: &KernelDef,
         opts: &CompileOptions,
     ) -> IrResult<(Arc<CompiledKernel>, Disposition)> {
-        let key = Self::key(kernel, opts);
+        self.single_flight(Self::key(kernel, opts), || {
+            compile_kernel(kernel.clone(), opts)
+        })
+    }
+
+    /// The design under `key`, from the map, from the leader already
+    /// compiling it, or from `compile` with this caller as the leader.
+    fn single_flight(
+        &self,
+        key: u64,
+        compile: impl FnOnce() -> IrResult<CompiledKernel>,
+    ) -> IrResult<(Arc<CompiledKernel>, Disposition)> {
         enum Role {
             Leader(Arc<Pending>),
             Follower(Arc<Pending>),
@@ -376,28 +424,26 @@ impl CompileCache {
         match role {
             Role::Leader(slot) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let outcome = compile_kernel(kernel.clone(), opts).map(Arc::new);
-                let result = match outcome {
-                    Ok(compiled) => {
-                        // Publish to the map and retire the guard in one
-                        // critical section, so a thread that finds the
-                        // guard gone is guaranteed to find the entry.
-                        let mut inner = self.inner.lock().expect("cache poisoned");
-                        inner.in_flight.remove(&key);
-                        Ok(inner.designs.insert(key, compiled))
-                    }
-                    Err(e) => {
-                        let mut inner = self.inner.lock().expect("cache poisoned");
-                        inner.in_flight.remove(&key);
-                        Err(e)
-                    }
+                let mut leading = Leading {
+                    cache: self,
+                    key,
+                    slot,
+                    published: false,
                 };
-                let for_followers = match &result {
+                let outcome = compile().map(Arc::new);
+                let result = {
+                    // Publish to the map and retire the guard in one
+                    // critical section, so a thread that finds the guard
+                    // gone is guaranteed to find the entry.
+                    let mut inner = self.inner.lock().expect("cache poisoned");
+                    inner.in_flight.remove(&key);
+                    outcome.map(|compiled| inner.designs.insert(key, compiled))
+                };
+                leading.slot.publish(match &result {
                     Ok(c) => Ok(Arc::clone(c)),
                     Err(e) => Err(e.to_string()),
-                };
-                *slot.done.lock().expect("pending slot poisoned") = Some(for_followers);
-                slot.cv.notify_all();
+                });
+                leading.published = true;
                 result.map(|c| (c, Disposition::Miss))
             }
             Role::Follower(slot) => {
@@ -685,6 +731,44 @@ mod tests {
                 "all threads must share one compiled design"
             );
         }
+    }
+
+    #[test]
+    fn panicking_leader_fails_its_followers_and_frees_its_key() {
+        // Regression: the slot was retired only on the leader's return
+        // paths, so a compilation that unwound (the server catches that
+        // per request) left its followers waiting for ever and turned
+        // every later request for the key into one more of them.
+        let cache = CompileCache::new();
+        let key = CompileCache::key(&kernel(6), &opts());
+        std::thread::scope(|s| {
+            let (leading_tx, leading_rx) = std::sync::mpsc::channel();
+            let cache = &cache;
+            let leader = s.spawn(move || {
+                cache.single_flight(key, || {
+                    leading_tx.send(()).unwrap();
+                    // Unwind only once the follower holds the slot too
+                    // (the map, this leader and the follower: three).
+                    while Arc::strong_count(&cache.inner.lock().unwrap().in_flight[&key]) < 3 {
+                        std::thread::yield_now();
+                    }
+                    panic!("the compilation unwinds");
+                })
+            });
+            leading_rx.recv().unwrap();
+            let follower =
+                s.spawn(|| cache.single_flight(key, || unreachable!("a follower never compiles")));
+            assert!(
+                leader.join().is_err(),
+                "the leader's panic reaches its caller"
+            );
+            let err = follower.join().unwrap().unwrap_err().to_string();
+            assert!(err.contains("single-flight leader panicked"), "{err}");
+        });
+        let (_, disposition) = cache
+            .single_flight(key, || compile_kernel(kernel(6), &opts()))
+            .unwrap();
+        assert_eq!(disposition, Disposition::Miss);
     }
 
     #[test]

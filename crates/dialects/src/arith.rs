@@ -1,7 +1,10 @@
-//! `arith` dialect: constants, arithmetic and comparisons.
+//! `arith` dialect: constants, arithmetic and comparisons — and the
+//! verifier rules of the `math.*` ops, which have builders nowhere (the
+//! frontend spells their names) and the same scalar signatures.
 
 use shmls_ir::ir_ensure;
 use shmls_ir::prelude::*;
+use shmls_ir::verifier::{expect_counts, OpVerifiers};
 
 /// `arith.constant` op name.
 pub const CONSTANT: &str = "arith.constant";
@@ -146,8 +149,39 @@ pub fn is_pure(name: &str) -> bool {
     name.starts_with("arith.") || name.starts_with("math.")
 }
 
-/// Verifier rules for the arith dialect.
-pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
+/// A scalar kind a rule can require: its test, and its name in diagnostics.
+type Kind = (fn(&Type) -> bool, &'static str);
+const FLOAT: Kind = (Type::is_float, "float");
+const INT: Kind = (Type::is_integer, "integer");
+const BOOL: Kind = (|t| *t == Type::I1, "i1");
+
+/// One operand of each of `operands`' kinds, in order, and one result of
+/// kind `result`.
+fn expect_kinds(ctx: &Context, op: OpId, operands: &[Kind], result: Kind) -> IrResult<()> {
+    expect_counts(ctx, op, operands.len(), 1)?;
+    let values = ctx.operands(op).iter().chain(ctx.results(op));
+    for (&value, (is_kind, kind)) in values.zip(operands.iter().chain([&result])) {
+        let ty = ctx.value_type(value);
+        ir_ensure!(is_kind(ty), "expected {kind}, found non-{kind} type {ty}");
+    }
+    Ok(())
+}
+
+/// `operands` compared under a `predicate` attribute drawn from `known`.
+fn expect_comparison(ctx: &Context, op: OpId, operands: Kind, known: &[&str]) -> IrResult<()> {
+    expect_kinds(ctx, op, &[operands, operands], BOOL)?;
+    match ctx.attr(op, "predicate").and_then(Attribute::as_str) {
+        Some(pred) if known.contains(&pred) => Ok(()),
+        Some(pred) => shmls_ir::ir_bail!("unknown predicate `{pred}`"),
+        None => shmls_ir::ir_bail!("needs a string `predicate` attribute"),
+    }
+}
+
+/// Verifier rules for `arith.constant` and for every scalar `arith.*` and
+/// `math.*` op the interpreter executes: arity and operand/result kinds,
+/// so the passes and engines that index `operands(op)[i]` on verified IR
+/// cannot be handed an op that is short of them.
+pub fn register_verifiers(v: &mut OpVerifiers) {
     v.register(CONSTANT, |ctx, op| {
         let value = ctx
             .attr(op, "value")
@@ -162,29 +196,70 @@ pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
         }
         Ok(())
     });
-    for name in ["arith.addf", "arith.subf", "arith.mulf", "arith.divf"] {
+    for name in ["arith.negf", "math.absf", "math.sqrt", "math.exp"] {
+        v.register(name, |ctx, op| expect_kinds(ctx, op, &[FLOAT], FLOAT));
+    }
+    for name in [
+        "arith.addf",
+        "arith.subf",
+        "arith.mulf",
+        "arith.divf",
+        "arith.maximumf",
+        "arith.minimumf",
+        "math.powf",
+        "math.copysign",
+    ] {
         v.register(name, |ctx, op| {
-            ir_ensure!(
-                ctx.operands(op).len() == 2,
-                "float binop takes two operands"
-            );
-            for &o in ctx.operands(op) {
-                ir_ensure!(
-                    ctx.value_type(o).is_float(),
-                    "float binop operand has non-float type {}",
-                    ctx.value_type(o)
-                );
-            }
-            Ok(())
+            expect_kinds(ctx, op, &[FLOAT, FLOAT], FLOAT)
         });
     }
+    v.register("math.fma", |ctx, op| {
+        expect_kinds(ctx, op, &[FLOAT, FLOAT, FLOAT], FLOAT)
+    });
+    for name in [
+        "arith.addi",
+        "arith.subi",
+        "arith.muli",
+        "arith.divsi",
+        "arith.remsi",
+        "arith.andi",
+        "arith.ori",
+    ] {
+        v.register(name, |ctx, op| expect_kinds(ctx, op, &[INT, INT], INT));
+    }
+    v.register("arith.cmpi", |ctx, op| {
+        expect_comparison(ctx, op, INT, &["eq", "ne", "slt", "sle", "sgt", "sge"])
+    });
+    v.register("arith.cmpf", |ctx, op| {
+        expect_comparison(ctx, op, FLOAT, &["oeq", "one", "olt", "ole", "ogt", "oge"])
+    });
+    v.register("arith.select", |ctx, op| {
+        expect_counts(ctx, op, 3, 1)?;
+        let [cond, a, b] = [0, 1, 2].map(|i| ctx.value_type(ctx.operands(op)[i]));
+        ir_ensure!(*cond == Type::I1, "condition has non-i1 type {cond}");
+        let result = ctx.value_type(ctx.result(op, 0));
+        ir_ensure!(
+            a == b && a == result,
+            "selects between {a} and {b} into {result}"
+        );
+        Ok(())
+    });
+    v.register("arith.index_cast", |ctx, op| {
+        expect_kinds(ctx, op, &[INT], INT)
+    });
+    v.register("arith.sitofp", |ctx, op| {
+        expect_kinds(ctx, op, &[INT], FLOAT)
+    });
+    v.register("arith.fptosi", |ctx, op| {
+        expect_kinds(ctx, op, &[FLOAT], INT)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builtin::create_module;
-    use shmls_ir::verifier::{verify_with, OpVerifiers};
+    use shmls_ir::verifier::verify_with;
 
     fn verifiers() -> OpVerifiers {
         let mut v = OpVerifiers::new();
@@ -232,6 +307,103 @@ mod tests {
         b.build("arith.addf", vec![i, i], vec![Type::F64]);
         let e = verify_with(&ctx, module, &verifiers()).unwrap_err();
         assert!(e.to_string().contains("non-float"), "{e}");
+    }
+
+    #[test]
+    fn every_scalar_op_has_an_arity_and_kind_rule() {
+        // `f`, `i` and `c` stand for an f64, an index and an i1 operand.
+        let rejects = |name: &str, operands: &str, result: Type, pred: Option<&str>, why: &str| {
+            let mut ctx = Context::new();
+            let (module, body) = create_module(&mut ctx);
+            let mut b = OpBuilder::at_block_end(&mut ctx, body);
+            let (f, i) = (constant_f64(&mut b, 1.0), constant_index(&mut b, 1));
+            let c = cmpi(&mut b, "eq", i, i);
+            let operands = operands.chars().map(|kind| match kind {
+                'f' => f,
+                'i' => i,
+                _ => c,
+            });
+            let op = b.build(name, operands.collect(), vec![result]);
+            if let Some(pred) = pred {
+                ctx.set_attr(op, "predicate", Attribute::string(pred));
+            }
+            let e = verify_with(&ctx, module, &verifiers())
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains(&format!("op `{name}`")), "{name}: {e}");
+            assert!(e.contains(why), "{name}: {e}");
+        };
+        use Type::{Index, F64, I1};
+        rejects(
+            "arith.negf",
+            "",
+            F64,
+            None,
+            "expected 1 operand(s), found 0",
+        );
+        rejects("math.sqrt", "i", F64, None, "non-float type index");
+        rejects(
+            "arith.maximumf",
+            "f",
+            F64,
+            None,
+            "expected 2 operand(s), found 1",
+        );
+        rejects("math.copysign", "ff", Index, None, "non-float type index");
+        rejects(
+            "math.fma",
+            "ff",
+            F64,
+            None,
+            "expected 3 operand(s), found 2",
+        );
+        rejects("arith.remsi", "if", Index, None, "non-integer type f64");
+        rejects(
+            "arith.ori",
+            "iii",
+            Index,
+            None,
+            "expected 2 operand(s), found 3",
+        );
+        rejects(
+            "arith.cmpi",
+            "ii",
+            I1,
+            Some("ult"),
+            "unknown predicate `ult`",
+        );
+        rejects("arith.cmpi", "ii", I1, None, "needs a string `predicate`");
+        rejects("arith.cmpf", "ff", F64, Some("olt"), "non-i1 type f64");
+        rejects(
+            "arith.select",
+            "cf",
+            F64,
+            None,
+            "expected 3 operand(s), found 2",
+        );
+        rejects(
+            "arith.select",
+            "fff",
+            F64,
+            None,
+            "condition has non-i1 type f64",
+        );
+        rejects(
+            "arith.select",
+            "cfi",
+            F64,
+            None,
+            "selects between f64 and index",
+        );
+        rejects("arith.index_cast", "f", Index, None, "non-integer type f64");
+        rejects("arith.sitofp", "i", Index, None, "non-float type index");
+        rejects(
+            "arith.fptosi",
+            "",
+            Index,
+            None,
+            "expected 1 operand(s), found 0",
+        );
     }
 
     #[test]

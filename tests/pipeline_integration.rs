@@ -382,6 +382,58 @@ kernel pair {
 }
 
 #[test]
+fn malformed_scalar_ops_are_rejected_on_the_ir_entry_point() {
+    // Regression: only `arith.constant` and four float binops had verifier
+    // rules, so IR text with a scalar op short of operands passed the
+    // always-on input verification of `compile_stencil_ir`: a zero-operand
+    // `arith.negf` then panicked in canonicalize (`operands[0]`), and a
+    // one-operand `arith.maximumf` compiled to an HLS design. Both must end
+    // in an `IrError` that names the op.
+    use shmls_dialects::builtin::create_module;
+    use shmls_frontend::{lower_kernel, parse_kernel};
+    const SRC: &str = r#"
+kernel neg {
+  grid(6, 4)
+  halo 1
+  field a : input
+  field b : output
+  compute b { b = max(-a[0,0], a[1,0]) }
+}
+"#;
+    let mut ctx = Context::new();
+    let (module, body) = create_module(&mut ctx);
+    lower_kernel(&mut ctx, body, &parse_kernel(SRC).unwrap()).unwrap();
+    let good = print_op(&ctx, module);
+    let opts = CompileOptions::default();
+    stencil_hmls::driver::compile_stencil_ir(&good, &opts).unwrap();
+
+    // `"<op>"(%a, %b) : (f64, f64) -> …` with only its first `keep` operands.
+    let keep_operands = |op: &str, keep: usize| {
+        let start = good.find(&format!("\"{op}\"(")).expect("op is in the IR");
+        let open = start + op.len() + 2;
+        let close = open + good[open..].find(')').unwrap();
+        let arrow = close + good[close..].find(" -> ").unwrap();
+        let operands: Vec<&str> = good[open + 1..close].split(", ").take(keep).collect();
+        format!(
+            "{}({}) : ({}){}",
+            &good[..open],
+            operands.join(", "),
+            vec!["f64"; keep].join(", "),
+            &good[arrow..]
+        )
+    };
+    for (op, keep) in [("arith.negf", 0), ("arith.maximumf", 1)] {
+        let bad = keep_operands(op, keep);
+        assert_ne!(bad, good);
+        let err = stencil_hmls::driver::compile_stencil_ir(&bad, &opts)
+            .expect_err("a scalar op short of operands must not compile");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("op `{op}`")), "{msg}");
+        assert!(msg.contains(&format!("found {keep}")), "{msg}");
+    }
+}
+
+#[test]
 fn halo_zero_pointwise_kernel() {
     // A pointwise (halo 0) kernel: trivial windows, no neighbours — the
     // degenerate end of the stencil spectrum must still flow through the
