@@ -28,8 +28,9 @@ use shmls_conformance::generator::generate;
 use shmls_conformance::harness::make_data;
 use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::GenOptions;
-use shmls_ir::bytecode::{ApplyMode, BinOp, Instr, UnOp, LANES};
+use shmls_ir::bytecode::{ApplyMode, Instr, LANES};
 use shmls_ir::interp::iter_box;
+use shmls_ir::scalar::{BinOp, UnOp};
 use stencil_hmls::runner::{
     run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode, run_stencil_bytecode_with,
 };

@@ -11,6 +11,7 @@ use shmls_dialects::arith;
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
 use shmls_ir::rewrite::{dead_code_elimination, RewriteDriver, RewritePattern, RewriteStats};
+use shmls_ir::scalar::{self, bin_op, BinOp, Eval};
 
 /// Fold binary float arithmetic over two constants.
 struct FoldConstBinary;
@@ -21,12 +22,10 @@ impl RewritePattern for FoldConstBinary {
     }
 
     fn match_and_rewrite(&self, ctx: &mut Context, op: OpId) -> IrResult<bool> {
-        let folded = match ctx.op_name(op) {
-            "arith.addf" => |a: f64, b: f64| a + b,
-            "arith.subf" => |a: f64, b: f64| a - b,
-            "arith.mulf" => |a: f64, b: f64| a * b,
-            "arith.divf" => |a: f64, b: f64| a / b,
-            _ => return Ok(false),
+        let eval = scalar::lookup(ctx.op_name(op)).map(|row| row.eval);
+        let Some(Eval::Bin(fold @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div))) = eval
+        else {
+            return Ok(false);
         };
         let Some(a) = const_f64(ctx, ctx.operands(op)[0]) else {
             return Ok(false);
@@ -34,7 +33,7 @@ impl RewritePattern for FoldConstBinary {
         let Some(b) = const_f64(ctx, ctx.operands(op)[1]) else {
             return Ok(false);
         };
-        let value = folded(a, b);
+        let value = bin_op(fold, a, b);
         if !value.is_finite() {
             return Ok(false); // keep runtime semantics for inf/nan cases
         }

@@ -4,6 +4,7 @@
 
 use shmls_ir::ir_ensure;
 use shmls_ir::prelude::*;
+use shmls_ir::scalar::{self, Kind};
 use shmls_ir::verifier::{expect_counts, OpVerifiers};
 
 /// `arith.constant` op name.
@@ -146,14 +147,8 @@ pub fn constant_value(ctx: &Context, op: OpId) -> Option<&Attribute> {
 
 /// True for the side-effect-free arith/math op names (used by DCE).
 pub fn is_pure(name: &str) -> bool {
-    name.starts_with("arith.") || name.starts_with("math.")
+    name == CONSTANT || scalar::lookup(name).is_some()
 }
-
-/// A scalar kind a rule can require: its test, and its name in diagnostics.
-type Kind = (fn(&Type) -> bool, &'static str);
-const FLOAT: Kind = (Type::is_float, "float");
-const INT: Kind = (Type::is_integer, "integer");
-const BOOL: Kind = (|t| *t == Type::I1, "i1");
 
 /// One operand of each of `operands`' kinds, in order, and one result of
 /// kind `result`.
@@ -167,9 +162,8 @@ fn expect_kinds(ctx: &Context, op: OpId, operands: &[Kind], result: Kind) -> IrR
     Ok(())
 }
 
-/// `operands` compared under a `predicate` attribute drawn from `known`.
-fn expect_comparison(ctx: &Context, op: OpId, operands: Kind, known: &[&str]) -> IrResult<()> {
-    expect_kinds(ctx, op, &[operands, operands], BOOL)?;
+/// A `predicate` attribute drawn from `known`.
+fn expect_predicate(ctx: &Context, op: OpId, known: &[&str]) -> IrResult<()> {
     match ctx.attr(op, "predicate").and_then(Attribute::as_str) {
         Some(pred) if known.contains(&pred) => Ok(()),
         Some(pred) => shmls_ir::ir_bail!("unknown predicate `{pred}`"),
@@ -177,10 +171,11 @@ fn expect_comparison(ctx: &Context, op: OpId, operands: Kind, known: &[&str]) ->
     }
 }
 
-/// Verifier rules for `arith.constant` and for every scalar `arith.*` and
-/// `math.*` op the interpreter executes: arity and operand/result kinds,
-/// so the passes and engines that index `operands(op)[i]` on verified IR
-/// cannot be handed an op that is short of them.
+/// Verifier rules for `arith.constant` and for every row of
+/// [`scalar::TABLE`] — the scalar `arith.*` and `math.*` ops the
+/// interpreter executes: arity and operand/result kinds, so the passes and
+/// engines that index `operands(op)[i]` on verified IR cannot be handed an
+/// op that is short of them.
 pub fn register_verifiers(v: &mut OpVerifiers) {
     v.register(CONSTANT, |ctx, op| {
         let value = ctx
@@ -196,43 +191,7 @@ pub fn register_verifiers(v: &mut OpVerifiers) {
         }
         Ok(())
     });
-    for name in ["arith.negf", "math.absf", "math.sqrt", "math.exp"] {
-        v.register(name, |ctx, op| expect_kinds(ctx, op, &[FLOAT], FLOAT));
-    }
-    for name in [
-        "arith.addf",
-        "arith.subf",
-        "arith.mulf",
-        "arith.divf",
-        "arith.maximumf",
-        "arith.minimumf",
-        "math.powf",
-        "math.copysign",
-    ] {
-        v.register(name, |ctx, op| {
-            expect_kinds(ctx, op, &[FLOAT, FLOAT], FLOAT)
-        });
-    }
-    v.register("math.fma", |ctx, op| {
-        expect_kinds(ctx, op, &[FLOAT, FLOAT, FLOAT], FLOAT)
-    });
-    for name in [
-        "arith.addi",
-        "arith.subi",
-        "arith.muli",
-        "arith.divsi",
-        "arith.remsi",
-        "arith.andi",
-        "arith.ori",
-    ] {
-        v.register(name, |ctx, op| expect_kinds(ctx, op, &[INT, INT], INT));
-    }
-    v.register("arith.cmpi", |ctx, op| {
-        expect_comparison(ctx, op, INT, &["eq", "ne", "slt", "sle", "sgt", "sge"])
-    });
-    v.register("arith.cmpf", |ctx, op| {
-        expect_comparison(ctx, op, FLOAT, &["oeq", "one", "olt", "ole", "ogt", "oge"])
-    });
+    // Ahead of the rows' rule, which would name a non-i1 condition less well.
     v.register("arith.select", |ctx, op| {
         expect_counts(ctx, op, 3, 1)?;
         let [cond, a, b] = [0, 1, 2].map(|i| ctx.value_type(ctx.operands(op)[i]));
@@ -244,14 +203,17 @@ pub fn register_verifiers(v: &mut OpVerifiers) {
         );
         Ok(())
     });
-    v.register("arith.index_cast", |ctx, op| {
-        expect_kinds(ctx, op, &[INT], INT)
+    for row in &scalar::TABLE {
+        v.register(row.name, |ctx, op| {
+            let row = scalar::lookup(ctx.op_name(op)).expect("registered under a row's name");
+            expect_kinds(ctx, op, row.operands, row.result)
+        });
+    }
+    v.register("arith.cmpi", |ctx, op| {
+        expect_predicate(ctx, op, &["eq", "ne", "slt", "sle", "sgt", "sge"])
     });
-    v.register("arith.sitofp", |ctx, op| {
-        expect_kinds(ctx, op, &[INT], FLOAT)
-    });
-    v.register("arith.fptosi", |ctx, op| {
-        expect_kinds(ctx, op, &[FLOAT], INT)
+    v.register("arith.cmpf", |ctx, op| {
+        expect_predicate(ctx, op, &["oeq", "one", "olt", "ole", "ogt", "oge"])
     });
 }
 
@@ -404,6 +366,19 @@ mod tests {
             None,
             "expected 1 operand(s), found 0",
         );
+    }
+
+    #[test]
+    fn the_scalar_table_has_unique_names_found_by_lookup_and_verified() {
+        let mut names: Vec<&str> = scalar::TABLE.iter().map(|row| row.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), scalar::TABLE.len(), "a name is listed twice");
+        let v = verifiers();
+        for row in &scalar::TABLE {
+            assert!(scalar::lookup(row.name).is_some_and(|found| std::ptr::eq(found, row)));
+            assert!(!v.rules_for(row.name).is_empty(), "{}", row.name);
+        }
     }
 
     #[test]

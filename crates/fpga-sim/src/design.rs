@@ -14,6 +14,7 @@ use shmls_dialects::{arith, func, hls, memref, scf};
 use shmls_ir::attributes::Attribute;
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
+use shmls_ir::scalar::{self, Cost};
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
 /// Floating/integer operation mix of one compute stage.
@@ -35,6 +36,17 @@ impl OpMix {
     /// Total floating-point operations per point.
     pub fn flops(&self) -> u64 {
         self.fadd + self.fmul + self.fdiv + self.fmisc
+    }
+
+    /// Count one operator of class `cost`.
+    pub fn count(&mut self, cost: Cost) {
+        *match cost {
+            Cost::FAdd => &mut self.fadd,
+            Cost::FMul => &mut self.fmul,
+            Cost::FDiv => &mut self.fdiv,
+            Cost::FMisc => &mut self.fmisc,
+            Cost::IAlu => &mut self.ialu,
+        } += 1;
     }
 }
 
@@ -404,14 +416,11 @@ fn extract_loop_stage(
                 writes += 1;
                 written_streams.push(ctx.operands(op)[1]);
             }
-            "arith.addf" | "arith.subf" | "arith.negf" => ops.fadd += 1,
-            "arith.mulf" => ops.fmul += 1,
-            "arith.divf" => ops.fdiv += 1,
-            "arith.maximumf" | "arith.minimumf" | "arith.select" | "arith.cmpf" | "math.absf"
-            | "math.copysign" | "math.sqrt" => ops.fmisc += 1,
-            "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
-            | "arith.index_cast" | "arith.cmpi" => ops.ialu += 1,
-            _ => {}
+            name => {
+                if let Some(cost) = scalar::lookup(name).and_then(|row| row.cost) {
+                    ops.count(cost);
+                }
+            }
         }
     }
     // A dup stage is a loop with one read fanned out into N identical-width

@@ -15,12 +15,12 @@
 //! The float work reuses the shared bytecode ISA
 //! ([`shmls_ir::bytecode::Program`]); the stream-facing
 //! [`InputRef::PackElem`] / [`InputRef::ReadScalar`] variants index into
-//! the plan's per-iteration read list. Every opcode executes the same
-//! Rust expression the tree-walker uses — [`Program::run`] routes each
-//! instruction through the single-source `un_op` / `bin_op` semantics
-//! that the vector tier's chunked executor also calls — so a planned
-//! stage is bitwise-identical to the interpreted one, and any future
-//! opcode change lands in every execution tier at once.
+//! the plan's per-iteration read list. Every opcode executes through the
+//! functions the tree-walker calls — [`Program::run`] routes each float
+//! instruction through [`shmls_ir::scalar`]'s `un_op` / `bin_op`, the
+//! integer program through its `int_op` — so a planned stage is
+//! bitwise-identical to the interpreted one, and any future opcode change
+//! lands in every execution tier at once.
 //!
 //! Stage plans deliberately stay *scalar* (one loop iteration per
 //! [`Program::run`] dispatch) rather than borrowing the apply tier's
@@ -34,10 +34,11 @@ use std::collections::HashMap;
 
 use shmls_dialects::{hls, scf};
 use shmls_ir::attributes::Attribute;
-use shmls_ir::bytecode::{BinOp, InputRef, Program, ProgramBuilder, UnOp, VReg};
+use shmls_ir::bytecode::{InputRef, Instr, Program, ProgramBuilder, VReg};
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::{Buffer, RtValue, Store};
 use shmls_ir::ir::{Context, OpId, ValueId};
+use shmls_ir::scalar::{self, int_op, Eval, IntOp};
 use shmls_ir::types::Type;
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
@@ -45,9 +46,8 @@ use crate::design::OpMix;
 use crate::executor::StreamIo;
 
 /// One integer micro-instruction, evaluated once per loop iteration.
-/// Register 0 always holds the induction variable. Semantics mirror the
-/// interpreter's `arith.*` integer ops exactly (wrapping add/mul,
-/// truncating signed div/rem with a zero check).
+/// Register 0 always holds the induction variable. Integer ops execute
+/// through [`int_op`], the function the interpreter calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IntInstr {
     /// `int[dst] = value`.
@@ -57,35 +57,10 @@ pub enum IntInstr {
         /// Immediate.
         value: i64,
     },
-    /// `int[dst] = int[lhs].wrapping_add(int[rhs])` (`arith.addi`).
-    Add {
-        /// Destination register.
-        dst: usize,
-        /// Left operand.
-        lhs: usize,
-        /// Right operand.
-        rhs: usize,
-    },
-    /// `int[dst] = int[lhs].wrapping_mul(int[rhs])` (`arith.muli`).
-    Mul {
-        /// Destination register.
-        dst: usize,
-        /// Left operand.
-        lhs: usize,
-        /// Right operand.
-        rhs: usize,
-    },
-    /// `int[dst] = int[lhs] / int[rhs]` (`arith.divsi`, zero-checked).
-    Div {
-        /// Destination register.
-        dst: usize,
-        /// Left operand.
-        lhs: usize,
-        /// Right operand.
-        rhs: usize,
-    },
-    /// `int[dst] = int[lhs] % int[rhs]` (`arith.remsi`, zero-checked).
-    Rem {
+    /// `int[dst] = int_op(op, int[lhs], int[rhs])`.
+    Bin {
+        /// Opcode.
+        op: IntOp,
         /// Destination register.
         dst: usize,
         /// Left operand.
@@ -253,9 +228,8 @@ fn try_plan_stage(ctx: &Context, stage: OpId) -> IrResult<StagePlan> {
     }
 
     for &op in ctx.block_ops(loop_body) {
-        let name = ctx.op_name(op).to_string();
         let operands = ctx.operands(op).to_vec();
-        match name.as_str() {
+        match ctx.op_name(op) {
             n if n == hls::PIPELINE || n == hls::UNROLL => {}
             n if n == scf::YIELD => break,
             n if n == hls::READ => {
@@ -303,22 +277,6 @@ fn try_plan_stage(ctx: &Context, stage: OpId) -> IrResult<StagePlan> {
                     other => ir_bail!("stage plan: unsupported constant {other}"),
                 }
             }
-            "arith.addi" | "arith.muli" | "arith.divsi" | "arith.remsi" => {
-                let lhs = *ints
-                    .get(&operands[0])
-                    .ok_or_else(|| ir_error!("stage plan: non-planned integer operand"))?;
-                let rhs = *ints
-                    .get(&operands[1])
-                    .ok_or_else(|| ir_error!("stage plan: non-planned integer operand"))?;
-                let dst = int_reg(&mut plan);
-                plan.int_prog.push(match name.as_str() {
-                    "arith.addi" => IntInstr::Add { dst, lhs, rhs },
-                    "arith.muli" => IntInstr::Mul { dst, lhs, rhs },
-                    "arith.divsi" => IntInstr::Div { dst, lhs, rhs },
-                    _ => IntInstr::Rem { dst, lhs, rhs },
-                });
-                ints.insert(ctx.result(op, 0), dst);
-            }
             "llvm.extractvalue" => {
                 let &slot = read_slot
                     .get(&operands[0])
@@ -363,79 +321,47 @@ fn try_plan_stage(ctx: &Context, stage: OpId) -> IrResult<StagePlan> {
                 });
                 floats.insert(ctx.result(op, 0), r);
             }
-            "arith.negf" | "math.absf" | "math.sqrt" | "math.exp" => {
-                let src = float_use(
-                    ctx,
-                    loop_body,
-                    &mut builder,
-                    &mut floats,
-                    &read_slot,
-                    &mut plan.scalars,
-                    &mut scalar_slot,
-                    operands[0],
-                )?;
-                let opc = match name.as_str() {
-                    "arith.negf" => UnOp::Neg,
-                    "math.absf" => UnOp::Abs,
-                    "math.sqrt" => UnOp::Sqrt,
-                    _ => UnOp::Exp,
-                };
-                let r = builder.unary(opc, src);
-                floats.insert(ctx.result(op, 0), r);
+            other => {
+                let unsupported = || ir_error!("stage plan: unsupported loop op `{other}`");
+                match scalar::lookup(other).ok_or_else(unsupported)?.eval {
+                    Eval::Int(int) => {
+                        let reg = |v: &ValueId| {
+                            ints.get(v)
+                                .copied()
+                                .ok_or_else(|| ir_error!("stage plan: non-planned integer operand"))
+                        };
+                        let (lhs, rhs) = (reg(&operands[0])?, reg(&operands[1])?);
+                        let dst = int_reg(&mut plan);
+                        plan.int_prog.push(IntInstr::Bin {
+                            op: int,
+                            dst,
+                            lhs,
+                            rhs,
+                        });
+                        ints.insert(ctx.result(op, 0), dst);
+                    }
+                    eval if eval.is_float() => {
+                        let args = operands
+                            .iter()
+                            .map(|&v| {
+                                float_use(
+                                    ctx,
+                                    loop_body,
+                                    &mut builder,
+                                    &mut floats,
+                                    &read_slot,
+                                    &mut plan.scalars,
+                                    &mut scalar_slot,
+                                    v,
+                                )
+                            })
+                            .collect::<IrResult<Vec<_>>>()?;
+                        let r = builder.emit(eval, &args).ok_or_else(unsupported)?;
+                        floats.insert(ctx.result(op, 0), r);
+                    }
+                    _ => return Err(unsupported()),
+                }
             }
-            "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maximumf"
-            | "arith.minimumf" | "math.powf" | "math.copysign" => {
-                let lhs = float_use(
-                    ctx,
-                    loop_body,
-                    &mut builder,
-                    &mut floats,
-                    &read_slot,
-                    &mut plan.scalars,
-                    &mut scalar_slot,
-                    operands[0],
-                )?;
-                let rhs = float_use(
-                    ctx,
-                    loop_body,
-                    &mut builder,
-                    &mut floats,
-                    &read_slot,
-                    &mut plan.scalars,
-                    &mut scalar_slot,
-                    operands[1],
-                )?;
-                let opc = match name.as_str() {
-                    "arith.addf" => BinOp::Add,
-                    "arith.subf" => BinOp::Sub,
-                    "arith.mulf" => BinOp::Mul,
-                    "arith.divf" => BinOp::Div,
-                    "arith.maximumf" => BinOp::Max,
-                    "arith.minimumf" => BinOp::Min,
-                    "math.powf" => BinOp::Pow,
-                    _ => BinOp::Copysign,
-                };
-                let r = builder.binary(opc, lhs, rhs);
-                floats.insert(ctx.result(op, 0), r);
-            }
-            "math.fma" => {
-                let mut arg = |v| {
-                    float_use(
-                        ctx,
-                        loop_body,
-                        &mut builder,
-                        &mut floats,
-                        &read_slot,
-                        &mut plan.scalars,
-                        &mut scalar_slot,
-                        v,
-                    )
-                };
-                let (a, b2, c2) = (arg(operands[0])?, arg(operands[1])?, arg(operands[2])?);
-                let r = builder.fma(a, b2, c2);
-                floats.insert(ctx.result(op, 0), r);
-            }
-            other => ir_bail!("stage plan: unsupported loop op `{other}`"),
         }
     }
     Ok(plan)
@@ -547,19 +473,8 @@ pub fn run_stage_plan(
         for instr in &plan.int_prog {
             match *instr {
                 IntInstr::Const { dst, value } => int_regs[dst] = value,
-                IntInstr::Add { dst, lhs, rhs } => {
-                    int_regs[dst] = int_regs[lhs].wrapping_add(int_regs[rhs]);
-                }
-                IntInstr::Mul { dst, lhs, rhs } => {
-                    int_regs[dst] = int_regs[lhs].wrapping_mul(int_regs[rhs]);
-                }
-                IntInstr::Div { dst, lhs, rhs } => {
-                    ir_ensure!(int_regs[rhs] != 0, "division by zero in arith.divsi");
-                    int_regs[dst] = int_regs[lhs] / int_regs[rhs];
-                }
-                IntInstr::Rem { dst, lhs, rhs } => {
-                    ir_ensure!(int_regs[rhs] != 0, "division by zero in arith.remsi");
-                    int_regs[dst] = int_regs[lhs] % int_regs[rhs];
+                IntInstr::Bin { op, dst, lhs, rhs } => {
+                    int_regs[dst] = int_op(op, int_regs[lhs], int_regs[rhs])?;
                 }
             }
         }
@@ -617,38 +532,33 @@ pub fn run_stage_plan(
     Ok(())
 }
 
-/// The plan's operation mix, counted with exactly the same table
-/// [`crate::design`] uses when it extracts a
-/// [`Stage::Compute`](crate::design::Stage) descriptor from the IR — so
-/// the cycle model's per-iteration work and the bytecode that actually
-/// executes can be cross-checked against each other. Ops the descriptor
-/// walk ignores (`math.exp`, `math.powf`, `math.fma`, constants) are
-/// ignored here too.
+/// The plan's operation mix: each executed opcode counted under the
+/// [`Cost`](scalar::Cost) its op's row in [`scalar::TABLE`] carries — the
+/// classification [`crate::design`] applies when it walks the IR for a
+/// [`Stage::Compute`](crate::design::Stage) descriptor. Two independent
+/// walks (IR there, compiled plan here) under one classification, so the
+/// cycle model's per-iteration work and the bytecode that actually
+/// executes can be cross-checked against each other.
 pub fn plan_op_mix(plan: &StagePlan) -> OpMix {
-    use shmls_ir::bytecode::Instr;
     let mut mix = OpMix::default();
+    let mut count = |eval| {
+        if let Some(cost) = scalar::cost_of(eval) {
+            mix.count(cost);
+        }
+    };
     for instr in &plan.int_prog {
-        if !matches!(instr, IntInstr::Const { .. }) {
-            mix.ialu += 1;
+        if let IntInstr::Bin { op, .. } = instr {
+            count(Eval::Int(*op));
         }
     }
     for action in &plan.actions {
         if let Action::Eval { prog, .. } = action {
             for instr in &prog.instrs {
-                match instr {
-                    Instr::Unary { op, .. } => match op {
-                        UnOp::Neg => mix.fadd += 1,
-                        UnOp::Abs | UnOp::Sqrt => mix.fmisc += 1,
-                        UnOp::Exp => {}
-                    },
-                    Instr::Binary { op, .. } => match op {
-                        BinOp::Add | BinOp::Sub => mix.fadd += 1,
-                        BinOp::Mul => mix.fmul += 1,
-                        BinOp::Div => mix.fdiv += 1,
-                        BinOp::Max | BinOp::Min | BinOp::Copysign => mix.fmisc += 1,
-                        BinOp::Pow => {}
-                    },
-                    Instr::Const { .. } | Instr::Fma { .. } => {}
+                match *instr {
+                    Instr::Unary { op, .. } => count(Eval::Un(op)),
+                    Instr::Binary { op, .. } => count(Eval::Bin(op)),
+                    Instr::Fma { .. } => count(Eval::Fma),
+                    Instr::Const { .. } => {}
                 }
             }
         }
@@ -741,6 +651,186 @@ mod tests {
         let plan = plan_stage(&ctx, df).unwrap();
         let mix = plan_op_mix(&plan);
         assert_eq!((mix.fadd, mix.fmul, mix.fdiv, mix.ialu), (1, 1, 0, 0));
+    }
+
+    /// A module with one dataflow stage, `for i in 0..1 { body }`, over
+    /// `n_streams` f64 streams that `body` is handed.
+    fn one_trip_stage(
+        n_streams: usize,
+        body: impl FnOnce(&mut OpBuilder<'_>, &[ValueId]),
+    ) -> (Context, OpId, Vec<ValueId>) {
+        let mut ctx = Context::new();
+        let (_module, top) = create_module(&mut ctx);
+        let (_f, entry) = fdial::create_func(&mut ctx, top, "k", vec![], vec![]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, entry);
+        let streams: Vec<ValueId> = (0..n_streams)
+            .map(|_| hls::create_stream(&mut b, Type::F64, 4))
+            .collect();
+        let (df, dfb) = hls::dataflow(&mut b);
+        let mut ib = OpBuilder::at_block_end(&mut ctx, dfb);
+        let lb = arith::constant_index(&mut ib, 0);
+        let one = arith::constant_index(&mut ib, 1);
+        let (_for_op, lbody) = shmls_dialects::scf::for_loop(&mut ib, lb, one, one, vec![]);
+        let mut lb2 = OpBuilder::at_block_end(&mut ctx, lbody);
+        hls::pipeline(&mut lb2, 1);
+        body(&mut lb2, &streams);
+        shmls_dialects::scf::yield_op(&mut lb2, vec![]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, entry);
+        fdial::ret(&mut b, vec![]);
+        (ctx, df, streams)
+    }
+
+    /// Run a [`one_trip_stage`]'s plan with `inputs[i]` queued on stream
+    /// `i`; the last stream is the output.
+    fn run_one_trip(
+        plan: &StagePlan,
+        streams: &[ValueId],
+        inputs: &[f64],
+    ) -> IrResult<Option<RtValue>> {
+        let env = streams
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (s, RtValue::Stream(i)))
+            .collect();
+        let mut io = VecIo {
+            queues: vec![Default::default(); streams.len()],
+        };
+        for (queue, &v) in io.queues.iter_mut().zip(inputs) {
+            queue.push_back(RtValue::F64(v));
+        }
+        run_stage_plan(plan, &env, &Store::default(), &mut io)?;
+        Ok(io.queues[streams.len() - 1].pop_front())
+    }
+
+    #[test]
+    fn planned_integer_division_shares_the_interpreters_checks() {
+        type Build = fn(&mut OpBuilder<'_>, ValueId, ValueId) -> ValueId;
+        for divide in [arith::divsi as Build, arith::remsi] {
+            for (a, b, why) in [
+                (7, 0, "division by zero"),
+                (i64::MIN, -1, "signed overflow"),
+            ] {
+                let (ctx, df, streams) = one_trip_stage(2, |lb, s| {
+                    let (a, b) = (arith::constant_index(lb, a), arith::constant_index(lb, b));
+                    divide(lb, a, b);
+                    let v = hls::read(lb, s[0]);
+                    hls::write(lb, v, s[1]);
+                });
+                let plan = plan_stage(&ctx, df).expect("stage should plan");
+                assert!(plan
+                    .int_prog
+                    .iter()
+                    .any(|i| matches!(i, IntInstr::Bin { .. })));
+                let e = run_one_trip(&plan, &streams, &[1.0]).unwrap_err();
+                assert!(e.to_string().contains(why), "{a} by {b}: {e}");
+            }
+        }
+    }
+
+    /// Every `Un` / `Bin` / `Fma` row of the scalar table, evaluated by the
+    /// tree-walker, `Program::run`, `Program::run_lanes` and a planned
+    /// stage over special and seeded operands, must agree to the bit.
+    #[test]
+    fn every_float_row_agrees_bitwise_across_the_four_evaluators() {
+        use shmls_ir::bytecode::LANES;
+        use shmls_ir::interp::{Machine, NoExtern};
+
+        let mut rng = shmls_ir::rng::Rng::new(19);
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 8.0, // subnormal
+            -1.0,
+            rng.coarse_f64(0.1, 9.0) / 7.0,
+            -rng.coarse_f64(1.0, 900.0) / 3.0,
+        ];
+        let mut rows = 0;
+        for row in scalar::TABLE.iter().filter(|row| row.eval.is_float()) {
+            rows += 1;
+            let n = row.operands.len();
+
+            // Tree-walker: `main(args…) -> op(args…)`.
+            let mut tctx = Context::new();
+            let (tmodule, top) = create_module(&mut tctx);
+            let (_f, entry) =
+                fdial::create_func(&mut tctx, top, "main", vec![Type::F64; n], vec![Type::F64]);
+            let params = tctx.block_args(entry).to_vec();
+            let mut b = OpBuilder::at_block_end(&mut tctx, entry);
+            let r = b.build_value(row.name, params, Type::F64);
+            fdial::ret(&mut b, vec![r]);
+
+            // The bytecode program, for the scalar and the lane loop.
+            let mut pb = ProgramBuilder::new();
+            let ins: Vec<VReg> = (0..n as u16)
+                .map(|operand| pb.input(InputRef::Scalar { operand }))
+                .collect();
+            let r = pb.emit(row.eval, &ins).expect("a float row emits");
+            let prog = pb.finish(&[r]).unwrap();
+
+            // A stage planned from IR: read n streams, apply, write.
+            let (sctx, df, streams) = one_trip_stage(n + 1, |lb, s| {
+                let args = s[..n].iter().map(|&s| hls::read(lb, s)).collect();
+                let r = lb.build_value(row.name, args, Type::F64);
+                hls::write(lb, r, s[n]);
+            });
+            let plan = plan_stage(&sctx, df).expect("a float row plans");
+            let evals = plan
+                .actions
+                .iter()
+                .filter(|a| matches!(a, Action::Eval { .. }));
+            assert_eq!(evals.count(), 1, "{}", row.name);
+
+            for case in 0..values.len().pow(n as u32) {
+                let args: Vec<f64> = (0..n as u32)
+                    .map(|i| values[case / values.len().pow(i) % values.len()])
+                    .collect();
+
+                let rt: Vec<RtValue> = args.iter().map(|&v| RtValue::F64(v)).collect();
+                let mut no = NoExtern;
+                let tree = Machine::new(&tctx, tmodule, &mut no)
+                    .call("main", &rt)
+                    .unwrap()[0]
+                    .as_f64()
+                    .unwrap();
+
+                let mut regs = vec![0.0; prog.n_regs as usize];
+                regs[..n].copy_from_slice(&args);
+                prog.run(&mut regs);
+                let run = regs[prog.results[0] as usize];
+
+                // The case's operands ride in one lane; the others carry
+                // different values, which must not leak across.
+                let lane = case % LANES;
+                let mut lanes = vec![[0.0; LANES]; prog.n_regs as usize];
+                for (i, reg) in lanes.iter_mut().enumerate().take(n) {
+                    for (l, slot) in reg.iter_mut().enumerate() {
+                        *slot = values[(case + i + l) % values.len()];
+                    }
+                    reg[lane] = args[i];
+                }
+                prog.run_lanes(&mut lanes);
+                let laned = lanes[prog.results[0] as usize][lane];
+
+                let staged = run_one_trip(&plan, &streams, &args)
+                    .unwrap()
+                    .expect("the stage writes one value")
+                    .as_f64()
+                    .unwrap();
+
+                for (tier, got) in [("run", run), ("run_lanes", laned), ("stage plan", staged)] {
+                    assert_eq!(
+                        got.to_bits(),
+                        tree.to_bits(),
+                        "{}{args:?}: {tier} gives {got}, the tree-walker {tree}",
+                        row.name
+                    );
+                }
+            }
+        }
+        assert_eq!(rows, 13, "4 unary, 8 binary and fma");
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! ## Bitwise contract
 //!
-//! Every opcode is implemented by *the same Rust expression* the
-//! tree-walker uses (`+`, `f64::max`, `f64::mul_add`, …), so a compiled
-//! program is bitwise-identical to interpretation — including NaN
-//! propagation and signed zeros. The conformance suite enforces this with
+//! Every opcode executes through the functions the tree-walker calls
+//! ([`un_op`], [`bin_op`], `f64::mul_add`), so a compiled program is
+//! bitwise-identical to interpretation — including NaN propagation and
+//! signed zeros. The conformance suite enforces this with
 //! differential fuzzing; the interpreter stays the oracle.
 //!
 //! ## Register allocation
@@ -45,46 +45,12 @@ use crate::attributes::Attribute;
 use crate::error::IrResult;
 use crate::interp::{Buffer, RtValue, Store};
 use crate::ir::{Context, OpId, ValueId};
+use crate::scalar::{self, bin_op, un_op, BinOp, Eval, UnOp};
 use crate::types::Type;
 use crate::{ir_bail, ir_ensure, ir_error};
 
 /// A physical register index.
 pub type Reg = u16;
-
-/// Unary float opcodes (semantics: the identical `f64` method the
-/// tree-walker calls).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
-    /// `-x` (`arith.negf`).
-    Neg,
-    /// `x.abs()` (`math.absf`).
-    Abs,
-    /// `x.sqrt()` (`math.sqrt`).
-    Sqrt,
-    /// `x.exp()` (`math.exp`).
-    Exp,
-}
-
-/// Binary float opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    /// `a + b` (`arith.addf`).
-    Add,
-    /// `a - b` (`arith.subf`).
-    Sub,
-    /// `a * b` (`arith.mulf`).
-    Mul,
-    /// `a / b` (`arith.divf`).
-    Div,
-    /// `a.max(b)` (`arith.maximumf`).
-    Max,
-    /// `a.min(b)` (`arith.minimumf`).
-    Min,
-    /// `a.powf(b)` (`math.powf`).
-    Pow,
-    /// `a.copysign(b)` (`math.copysign`).
-    Copysign,
-}
 
 /// One straight-line instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,36 +158,6 @@ pub struct Program {
 /// line / one AVX-512 register / two AVX2 registers — a fixed width the
 /// autovectoriser turns into straight SIMD without any reassociation.
 pub const LANES: usize = 8;
-
-/// The single source of truth for unary opcode semantics: both the scalar
-/// and the lane executor call this exact expression per element, which is
-/// also the expression the tree-walker evaluates. Changing it changes
-/// every tier at once — the zero-ULP differential contract cannot drift
-/// between tiers.
-#[inline(always)]
-pub fn un_op(op: UnOp, v: f64) -> f64 {
-    match op {
-        UnOp::Neg => -v,
-        UnOp::Abs => v.abs(),
-        UnOp::Sqrt => v.sqrt(),
-        UnOp::Exp => v.exp(),
-    }
-}
-
-/// Binary opcode semantics; see [`un_op`].
-#[inline(always)]
-pub fn bin_op(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Max => a.max(b),
-        BinOp::Min => a.min(b),
-        BinOp::Pow => a.powf(b),
-        BinOp::Copysign => a.copysign(b),
-    }
-}
 
 impl Program {
     /// Execute the straight-line code over a register file of at least
@@ -377,19 +313,16 @@ impl ProgramBuilder {
         self.push(VInstr::Const { value })
     }
 
-    /// Emit a unary op.
-    pub fn unary(&mut self, op: UnOp, src: VReg) -> VReg {
-        self.push(VInstr::Unary { op, src })
-    }
-
-    /// Emit a binary op.
-    pub fn binary(&mut self, op: BinOp, lhs: VReg, rhs: VReg) -> VReg {
-        self.push(VInstr::Binary { op, lhs, rhs })
-    }
-
-    /// Emit a fused multiply-add.
-    pub fn fma(&mut self, a: VReg, b: VReg, c: VReg) -> VReg {
-        self.push(VInstr::Fma { a, b, c })
+    /// Emit the instruction a scalar op's [`Eval`] compiles to, over
+    /// operands the caller has resolved to registers. `None` when the row
+    /// is not a float op ([`Eval::is_float`]) or `args` is not its arity.
+    pub fn emit(&mut self, eval: Eval, args: &[VReg]) -> Option<VReg> {
+        Some(self.push(match (eval, args) {
+            (Eval::Un(op), &[src]) => VInstr::Unary { op, src },
+            (Eval::Bin(op), &[lhs, rhs]) => VInstr::Binary { op, lhs, rhs },
+            (Eval::Fma, &[a, b, c]) => VInstr::Fma { a, b, c },
+            _ => return None,
+        }))
     }
 
     /// Allocate physical registers (inputs pinned to `0..n_inputs`, temps
@@ -714,41 +647,6 @@ pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
                 });
                 floats.insert(ctx.result(op, 0), r);
             }
-            "arith.negf" | "math.absf" | "math.sqrt" | "math.exp" => {
-                let src = float_of(ctx, &mut b, &mut floats, &param_pos, operands[0])?;
-                let op_code = match name {
-                    "arith.negf" => UnOp::Neg,
-                    "math.absf" => UnOp::Abs,
-                    "math.sqrt" => UnOp::Sqrt,
-                    _ => UnOp::Exp,
-                };
-                let r = b.unary(op_code, src);
-                floats.insert(ctx.result(op, 0), r);
-            }
-            "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maximumf"
-            | "arith.minimumf" | "math.powf" | "math.copysign" => {
-                let lhs = float_of(ctx, &mut b, &mut floats, &param_pos, operands[0])?;
-                let rhs = float_of(ctx, &mut b, &mut floats, &param_pos, operands[1])?;
-                let op_code = match name {
-                    "arith.addf" => BinOp::Add,
-                    "arith.subf" => BinOp::Sub,
-                    "arith.mulf" => BinOp::Mul,
-                    "arith.divf" => BinOp::Div,
-                    "arith.maximumf" => BinOp::Max,
-                    "arith.minimumf" => BinOp::Min,
-                    "math.powf" => BinOp::Pow,
-                    _ => BinOp::Copysign,
-                };
-                let r = b.binary(op_code, lhs, rhs);
-                floats.insert(ctx.result(op, 0), r);
-            }
-            "math.fma" => {
-                let a = float_of(ctx, &mut b, &mut floats, &param_pos, operands[0])?;
-                let m = float_of(ctx, &mut b, &mut floats, &param_pos, operands[1])?;
-                let c = float_of(ctx, &mut b, &mut floats, &param_pos, operands[2])?;
-                let r = b.fma(a, m, c);
-                floats.insert(ctx.result(op, 0), r);
-            }
             "stencil.return" => {
                 let outs = operands
                     .iter()
@@ -756,7 +654,19 @@ pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
                     .collect::<IrResult<Vec<_>>>()?;
                 return b.finish(&outs);
             }
-            other => ir_bail!("bytecode: unsupported op `{other}` in apply body"),
+            other => {
+                let unsupported = || ir_error!("bytecode: unsupported op `{other}` in apply body");
+                let eval = scalar::lookup(other)
+                    .map(|row| row.eval)
+                    .filter(Eval::is_float)
+                    .ok_or_else(unsupported)?;
+                let args = operands
+                    .iter()
+                    .map(|&v| float_of(ctx, &mut b, &mut floats, &param_pos, v))
+                    .collect::<IrResult<Vec<_>>>()?;
+                let r = b.emit(eval, &args).ok_or_else(unsupported)?;
+                floats.insert(ctx.result(op, 0), r);
+            }
         }
     }
     ir_bail!("stencil.apply body has no stencil.return")
@@ -1411,9 +1321,9 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let a = b.input(InputRef::Scalar { operand: 0 });
         let c = b.constant(2.0);
-        let t1 = b.binary(BinOp::Mul, a, c); // dies feeding t2
-        let t2 = b.binary(BinOp::Add, t1, a);
-        let t3 = b.unary(UnOp::Neg, t2);
+        let t1 = b.emit(Eval::Bin(BinOp::Mul), &[a, c]).unwrap(); // dies feeding t2
+        let t2 = b.emit(Eval::Bin(BinOp::Add), &[t1, a]).unwrap();
+        let t3 = b.emit(Eval::Un(UnOp::Neg), &[t2]).unwrap();
         let p = b.finish(&[t3]).unwrap();
         // 1 input + at most 3 live temps; the free list keeps it tight.
         assert!(p.n_regs <= 4, "n_regs = {}", p.n_regs);
@@ -1434,9 +1344,9 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let c = b.input(InputRef::Scalar { operand: 0 });
         let one = b.constant(1.0);
-        let s = b.binary(BinOp::Add, c, one);
+        let s = b.emit(Eval::Bin(BinOp::Add), &[c, one]).unwrap();
         let d = b.constant(0.65);
-        let q = b.binary(BinOp::Div, s, d);
+        let q = b.emit(Eval::Bin(BinOp::Div), &[s, d]).unwrap();
         let p = b.finish(&[q]).unwrap();
         let mut regs = vec![0.0; p.n_regs as usize];
         regs[0] = 1.84;
@@ -1456,7 +1366,7 @@ mod tests {
         let x = b.input(InputRef::Scalar { operand: 0 });
         let mut acc = b.constant(0.0);
         for _ in 0..64 {
-            acc = b.binary(BinOp::Add, acc, x);
+            acc = b.emit(Eval::Bin(BinOp::Add), &[acc, x]).unwrap();
         }
         let p = b.finish(&[acc]).unwrap();
         assert!(p.n_regs <= 4, "n_regs = {}", p.n_regs);
@@ -1478,7 +1388,7 @@ mod tests {
             offset: vec![1],
         });
         assert_eq!(a1, a2);
-        let s = b.binary(BinOp::Add, a1, a2);
+        let s = b.emit(Eval::Bin(BinOp::Add), &[a1, a2]).unwrap();
         let p = b.finish(&[s]).unwrap();
         assert_eq!(p.inputs.len(), 1);
     }

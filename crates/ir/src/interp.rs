@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use crate::attributes::Attribute;
 use crate::error::IrResult;
 use crate::ir::{BlockId, Context, OpId, ValueId};
+use crate::scalar;
 use crate::types::Type;
 use crate::{ir_bail, ir_ensure, ir_error};
 
@@ -799,27 +800,17 @@ impl<'c, 'e> Machine<'c, 'e> {
         // Fixed-arity guard: parseable-but-malformed IR (wrong operand
         // count) must fail with a diagnostic, not an index panic. Ops with
         // shape-dependent arity (memref, stencil) check in their own arms.
+        let row = scalar::lookup(name);
         let required: Option<usize> = match name {
             "arith.constant" | "llvm.mlir.constant" | "llvm.mlir.undef" | "stencil.index"
             | "memref.alloc" | "memref.alloca" => Some(0),
-            "arith.negf"
-            | "arith.index_cast"
-            | "arith.sitofp"
-            | "arith.fptosi"
-            | "math.absf"
-            | "math.sqrt"
-            | "math.exp"
-            | "llvm.extractvalue"
+            "llvm.extractvalue"
             | "stencil.external_load"
             | "stencil.cast"
             | "stencil.buffer_cast"
             | "stencil.load" => Some(1),
-            "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maximumf"
-            | "arith.minimumf" | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi"
-            | "arith.remsi" | "arith.andi" | "arith.ori" | "arith.cmpi" | "arith.cmpf"
-            | "math.powf" | "math.copysign" | "llvm.insertvalue" | "stencil.store" => Some(2),
-            "arith.select" | "math.fma" => Some(3),
-            _ => None,
+            "llvm.insertvalue" | "stencil.store" => Some(2),
+            _ => row.map(|row| row.operands.len()),
         };
         if let Some(required) = required {
             ir_ensure!(
@@ -829,6 +820,10 @@ impl<'c, 'e> Machine<'c, 'e> {
             );
         }
         let one = |v: RtValue| Ok(Some(vec![v]));
+        if let Some(row) = row {
+            let predicate = ctx.attr(op, "predicate").and_then(Attribute::as_str);
+            return one(scalar::eval(row, predicate, args)?);
+        }
         match name {
             "arith.constant" => {
                 let attr = ctx
@@ -841,86 +836,6 @@ impl<'c, 'e> Machine<'c, 'e> {
                     other => ir_bail!("unsupported constant attribute {other}"),
                 }
             }
-            "arith.addf" => one(RtValue::F64(args[0].as_f64()? + args[1].as_f64()?)),
-            "arith.subf" => one(RtValue::F64(args[0].as_f64()? - args[1].as_f64()?)),
-            "arith.mulf" => one(RtValue::F64(args[0].as_f64()? * args[1].as_f64()?)),
-            "arith.divf" => one(RtValue::F64(args[0].as_f64()? / args[1].as_f64()?)),
-            "arith.negf" => one(RtValue::F64(-args[0].as_f64()?)),
-            "arith.maximumf" => one(RtValue::F64(args[0].as_f64()?.max(args[1].as_f64()?))),
-            "arith.minimumf" => one(RtValue::F64(args[0].as_f64()?.min(args[1].as_f64()?))),
-            "arith.addi" => one(RtValue::I64(
-                args[0].as_i64()?.wrapping_add(args[1].as_i64()?),
-            )),
-            "arith.subi" => one(RtValue::I64(
-                args[0].as_i64()?.wrapping_sub(args[1].as_i64()?),
-            )),
-            "arith.muli" => one(RtValue::I64(
-                args[0].as_i64()?.wrapping_mul(args[1].as_i64()?),
-            )),
-            "arith.divsi" => {
-                let d = args[1].as_i64()?;
-                ir_ensure!(d != 0, "division by zero in arith.divsi");
-                one(RtValue::I64(args[0].as_i64()? / d))
-            }
-            "arith.remsi" => {
-                let d = args[1].as_i64()?;
-                ir_ensure!(d != 0, "division by zero in arith.remsi");
-                one(RtValue::I64(args[0].as_i64()? % d))
-            }
-            "arith.andi" => one(RtValue::I64(args[0].as_i64()? & args[1].as_i64()?)),
-            "arith.ori" => one(RtValue::I64(args[0].as_i64()? | args[1].as_i64()?)),
-            "arith.index_cast" => one(RtValue::I64(args[0].as_i64()?)),
-            "arith.sitofp" => one(RtValue::F64(args[0].as_i64()? as f64)),
-            "arith.fptosi" => one(RtValue::I64(args[0].as_f64()? as i64)),
-            "arith.select" => one(if args[0].as_bool()? {
-                args[1].clone()
-            } else {
-                args[2].clone()
-            }),
-            "arith.cmpi" => {
-                let pred = ctx
-                    .attr(op, "predicate")
-                    .and_then(Attribute::as_str)
-                    .ok_or_else(|| ir_error!("arith.cmpi without predicate"))?;
-                let (a, b) = (args[0].as_i64()?, args[1].as_i64()?);
-                let r = match pred {
-                    "eq" => a == b,
-                    "ne" => a != b,
-                    "slt" => a < b,
-                    "sle" => a <= b,
-                    "sgt" => a > b,
-                    "sge" => a >= b,
-                    other => ir_bail!("unsupported cmpi predicate `{other}`"),
-                };
-                one(RtValue::Bool(r))
-            }
-            "arith.cmpf" => {
-                let pred = ctx
-                    .attr(op, "predicate")
-                    .and_then(Attribute::as_str)
-                    .ok_or_else(|| ir_error!("arith.cmpf without predicate"))?;
-                let (a, b) = (args[0].as_f64()?, args[1].as_f64()?);
-                let r = match pred {
-                    "oeq" => a == b,
-                    "one" => a != b,
-                    "olt" => a < b,
-                    "ole" => a <= b,
-                    "ogt" => a > b,
-                    "oge" => a >= b,
-                    other => ir_bail!("unsupported cmpf predicate `{other}`"),
-                };
-                one(RtValue::Bool(r))
-            }
-            "math.absf" => one(RtValue::F64(args[0].as_f64()?.abs())),
-            "math.sqrt" => one(RtValue::F64(args[0].as_f64()?.sqrt())),
-            "math.exp" => one(RtValue::F64(args[0].as_f64()?.exp())),
-            "math.powf" => one(RtValue::F64(args[0].as_f64()?.powf(args[1].as_f64()?))),
-            "math.copysign" => one(RtValue::F64(args[0].as_f64()?.copysign(args[1].as_f64()?))),
-            "math.fma" => one(RtValue::F64(
-                args[0]
-                    .as_f64()?
-                    .mul_add(args[1].as_f64()?, args[2].as_f64()?),
-            )),
             // ---- llvm (packed aggregates & annotations) -----------------
             "llvm.mlir.constant" => {
                 let attr = ctx

@@ -46,6 +46,7 @@ pub mod pass;
 pub mod printer;
 pub mod rewrite;
 pub mod rng;
+pub mod scalar;
 pub mod timing;
 pub mod types;
 pub mod verifier;

@@ -72,7 +72,7 @@ fn verify_op(
     scope: &mut HashSet<ValueId>,
     verifiers: &OpVerifiers,
 ) -> IrResult<()> {
-    let name = ctx.op_name(op).to_string();
+    let name = ctx.op_name(op);
     // Operands must be visible here.
     for (i, &operand) in ctx.operands(op).iter().enumerate() {
         ir_ensure!(
@@ -122,7 +122,7 @@ fn verify_op(
         }
     }
     // Dialect rules last, so they can assume structure is sound.
-    for rule in verifiers.rules_for(&name) {
+    for rule in verifiers.rules_for(name) {
         rule(ctx, op).map_err(|e| e.context(format!("op `{name}`")))?;
     }
     Ok(())

@@ -65,6 +65,14 @@ fn integer_division_by_zero_is_error() {
         )
         .unwrap_err();
         assert!(e.to_string().contains("division by zero"), "{op}: {e}");
+        // The one quotient i64 cannot hold is an error too, not a panic.
+        let e = run(
+            &body,
+            "%a: i64, %b: i64",
+            &[RtValue::I64(i64::MIN), RtValue::I64(-1)],
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("signed overflow"), "{op}: {e}");
     }
 }
 
@@ -105,6 +113,8 @@ fn cmp_predicates() {
     for (pred, a, b, expect) in [
         ("oeq", 1.0, 1.0, true),
         ("one", 1.0, 2.0, true),
+        ("one", f64::NAN, 1.0, false),
+        ("one", 1.0, f64::NAN, false),
         ("olt", 1.0, 2.0, true),
         ("ole", 2.0, 2.0, true),
         ("ogt", 3.0, 2.0, true),
