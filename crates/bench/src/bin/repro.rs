@@ -8,10 +8,11 @@
 //! repro table2           # Table 2: tracer advection resources
 //! repro ablation         # §4 speed-up decomposition (4 × 9 × 3 ≈ 108)
 //! repro dse              # port-bundling DSE (§4 future-work heuristic)
-//! repro cycles           # analytic vs cycle-stepped model validation
+//! repro cycles           # analytic vs cycle-simulated model validation,
+//!                        # toy grids and the paper's 8M points
 //! repro ii               # measured initiation intervals
 //! repro validate         # functional validation on the simulator
-//! repro all              # everything above
+//! repro all              # everything above (cycles: toy grids only)
 //! repro json <path>      # dump raw results as JSON (artifact-style)
 //! repro bench [--out PATH]
 //!                        # the deterministic ledger -> BENCH.json
@@ -61,7 +62,8 @@ use std::time::Duration;
 
 use shmls_baselines::EvalContext;
 use shmls_bench::{
-    ablation, cycles, dse, evaluate_all, figure4, figure5, figure6, ii_report, table1, table2,
+    ablation, cycles, cycles_at_paper_size, dse, evaluate_all, figure4, figure5, figure6,
+    ii_report, table1, table2,
 };
 
 fn validate() -> String {
@@ -1038,7 +1040,7 @@ fn main() {
         "table2" => print!("{}", table2(&eval)),
         "ablation" => print!("{}", ablation(&eval)),
         "dse" => print!("{}", dse(&eval)),
-        "cycles" => print!("{}", cycles(&eval)),
+        "cycles" => print!("{}\n{}", cycles(&eval), cycles_at_paper_size()),
         "ii" => print!("{}", ii_report(&eval)),
         "validate" => print!("{}", validate()),
         "bench" => bench(&args[1..]),

@@ -422,27 +422,59 @@ pub fn dse(eval: &EvalContext) -> String {
     out
 }
 
-/// Cycle-model validation: analytic makespan vs cycle-stepped Kahn
+/// Cycle-model validation: analytic makespan vs the token-level Kahn
 /// simulation on moderate grids (the agreement behind Figures 4–6).
 pub fn cycles(_eval: &EvalContext) -> String {
-    use std::fmt::Write;
     let mut out = String::from(
-        "Cycle-model validation: analytic vs cycle-stepped Kahn simulation
-         ==================================================================
+        "Cycle-model validation: analytic vs cycle-level Kahn simulation
+         ================================================================
 ",
     );
+    cycle_rows(
+        &mut out,
+        &[
+            ("laplace3d", [24, 24, 16], None),
+            ("pw_advection", [24, 20, 12], None),
+            ("tracer_advection", [16, 14, 10], None),
+        ],
+    );
+    out
+}
+
+/// The same comparison at the paper's smallest size, 256×256×128 (8M
+/// points): both advection kernels at their declared FIFO depths, and
+/// tracer advection again at depth 16, where the back-pressure its
+/// reconvergent paths suffer at depth 8 is gone. About eight seconds in
+/// a release build — `repro cycles` prints it, `repro all` does not.
+pub fn cycles_at_paper_size() -> String {
+    let mut out = String::from(
+        "Cycle-model validation at the paper's 8M points
+         ===============================================
+",
+    );
+    let grid = [256, 256, 128];
+    cycle_rows(
+        &mut out,
+        &[
+            ("pw_advection", grid, None),
+            ("tracer_advection", grid, None),
+            ("tracer_advection", grid, Some(16)),
+        ],
+    );
+    out
+}
+
+/// One table row per `(kernel, grid, FIFO depth override)`.
+fn cycle_rows(out: &mut String, rows: &[(&str, [i64; 3], Option<usize>)]) {
+    use std::fmt::Write;
     writeln!(
         out,
-        "  {:<18} {:>10} {:>12} {:>12} {:>7}",
-        "kernel", "points", "analytic", "stepped", "ratio"
+        "  {:<18} {:>9} {:>9} {:>10} {:>10} {:>6} {:>13} {:>10}",
+        "kernel", "points", "fifos", "analytic", "simulated", "ratio", "stalled-full", "stepped"
     )
     .unwrap();
     let device = shmls_fpga_sim::device::Device::u280();
-    for (name, grid) in [
-        ("laplace3d", [24i64, 24, 16]),
-        ("pw_advection", [24, 20, 12]),
-        ("tracer_advection", [16, 14, 10]),
-    ] {
+    for &(name, grid, depth) in rows {
         let source = match name {
             "laplace3d" => shmls_kernels::laplace::source_3d(grid[0], grid[1], grid[2]),
             "pw_advection" => pw_advection::source(grid[0], grid[1], grid[2]),
@@ -459,20 +491,22 @@ pub fn cycles(_eval: &EvalContext) -> String {
         )
         .expect("extracts");
         let analytic = shmls_fpga_sim::perf::hmls_estimate(&design, &device, 1);
-        let stepped = shmls_fpga_sim::cycle::simulate(&design, None)
+        let simulated = shmls_fpga_sim::cycle::simulate(&design, depth)
             .expect("generated designs are deadlock-free at declared depths");
         writeln!(
             out,
-            "  {:<18} {:>10} {:>12} {:>12} {:>7.3}",
+            "  {:<18} {:>9} {:>9} {:>10} {:>10} {:>6.3} {:>13} {:>10}",
             name,
             design.interior_points,
+            depth.map_or("declared".to_string(), |d| format!("depth {d}")),
             analytic.cycles,
-            stepped.cycles,
-            stepped.cycles as f64 / analytic.cycles as f64
+            simulated.cycles,
+            simulated.cycles as f64 / analytic.cycles as f64,
+            simulated.stalled_full.iter().sum::<u64>(),
+            simulated.stepped_cycles,
         )
         .unwrap();
     }
-    out
 }
 
 /// Initiation intervals per framework (§4's measured IIs).

@@ -256,7 +256,7 @@ fn ledger_rows_and_units_are_pinned() {
         for row in ["sweep_copied_bytes", "sweep_temp_bytes"] {
             expected.push(format!("interp/{kernel}/{row}"));
         }
-        for row in ["cycles", "mem_beats", "stream_elements"] {
+        for row in ["cycles", "mem_beats", "stepped_cycles", "stream_elements"] {
             expected.push(format!("sim/{kernel}/{row}"));
         }
     }

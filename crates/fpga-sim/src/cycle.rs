@@ -1,4 +1,4 @@
-//! Cycle-stepped Kahn-network simulation of a dataflow design.
+//! Cycle-level Kahn-network simulation of a dataflow design.
 //!
 //! Where [`crate::perf`] computes a closed-form makespan (max stage time +
 //! fill) and [`crate::executor`] computes *values* with no notion of time,
@@ -22,12 +22,17 @@
 //! - **Compute** consumes one token from each input stream and produces
 //!   one result every `II` cycles.
 //! - **Write** drains one token per result stream per fire.
+//!
+//! The step allocates nothing, and a stationary cycle — one that leaves
+//! every FIFO level where it found it — is not stepped again: the cycles
+//! that can only repeat it are counted in one jump (see [`simulate`]).
+//! That is what lets the engine reach the paper's 8M-point grids.
 
 use crate::deadlock::{DeadlockReport, StageSnapshot, StageStatus, StreamSnapshot};
-use crate::design::{DesignDescriptor, Stage};
+use crate::design::{DesignDescriptor, Stage, StageWiring};
 use crate::device::Device;
 
-/// Result of a cycle-stepped run.
+/// Result of a cycle-level run.
 #[derive(Debug, Clone)]
 pub struct CycleReport {
     /// Total cycles until every stage completed.
@@ -40,6 +45,10 @@ pub struct CycleReport {
     pub stalled_full: Vec<u64>,
     /// Completion cycle per stage.
     pub done_at: Vec<u64>,
+    /// Cycles the engine iterated one by one; the other
+    /// `cycles - stepped_cycles` were counted in stationary-run jumps. A
+    /// cost of the simulation, not a property of the design.
+    pub stepped_cycles: u64,
 }
 
 impl CycleReport {
@@ -64,74 +73,185 @@ struct StageState {
     shift: Option<(u64, u64, u64)>, // (register_len, elements, windows)
     /// For merge stages: totals for the consume gate.
     merge: Option<(u64, u64)>, // (interior, bounded)
+    /// Streams popped per fire as `(stream, tokens)`, ascending by stream
+    /// (a stream listed k times — e.g. by an unrolled compute body —
+    /// needs k tokens).
+    reads: Vec<(usize, usize)>,
+    /// Streams pushed per fire, likewise.
+    writes: Vec<(usize, usize)>,
 }
 
-/// Step `design` cycle by cycle with the declared FIFO depths
+/// `streams` as a sorted multiset of `(stream, occurrences)`.
+fn multiset(streams: &[usize]) -> Vec<(usize, usize)> {
+    let mut sorted = streams.to_vec();
+    sorted.sort_unstable();
+    let mut counted: Vec<(usize, usize)> = Vec::new();
+    for s in sorted {
+        match counted.last_mut() {
+            Some((last, k)) if *last == s => *k += 1,
+            _ => counted.push((s, 1)),
+        }
+    }
+    counted
+}
+
+impl StageState {
+    fn new(stage: &Stage, wiring: &StageWiring) -> Self {
+        let (remaining, ii, shift, merge) = match stage {
+            Stage::Load {
+                elements_per_field, ..
+            } => (*elements_per_field, 1, None, None),
+            Stage::Shift {
+                register_len,
+                elements,
+                windows,
+            } => (
+                *elements,
+                1,
+                Some((*register_len as u64, *elements, *windows)),
+                None,
+            ),
+            Stage::Dup { trips, .. } => (*trips, 1, None, None),
+            Stage::Compute { ii, trips, .. } => (*trips, (*ii).max(1) as u64, None, None),
+            Stage::Merge {
+                interior, bounded, ..
+            } => (*bounded, 1, None, Some((*interior, *bounded))),
+            Stage::Write {
+                elements_per_field, ..
+            } => (*elements_per_field, 1, None, None),
+        };
+        StageState {
+            remaining,
+            consumed: 0,
+            produced: 0,
+            ready_at: 0,
+            ii,
+            shift,
+            merge,
+            reads: multiset(&wiring.reads),
+            writes: multiset(&wiring.writes),
+        }
+    }
+
+    /// A merge stage pops its result stream only for the interior share of
+    /// its emissions; the halo ring comes from memory.
+    fn consumes(&self) -> bool {
+        match self.merge {
+            Some((interior, bounded)) => {
+                merge_consumes(self.produced + 1, interior, bounded) > self.consumed
+            }
+            None => true,
+        }
+    }
+
+    /// A shift stage may fire without emitting.
+    fn emits(&self) -> bool {
+        match self.shift {
+            Some((register_len, elements, windows)) => {
+                shift_emits(self.consumed + 1, register_len, elements, windows) > self.produced
+            }
+            None => true,
+        }
+    }
+
+    /// The stage just fired as `(consumes, emits)` and did not finish: for
+    /// how many more fires in a row do both flags stay as they were and
+    /// the stage stay unfinished?
+    fn repeatable_fires(&self, consumes: bool, emits: bool) -> u64 {
+        let mut run = self.remaining - 1;
+        if let Some((register_len, elements, windows)) = self.shift {
+            let span = elements.saturating_sub(register_len) + 1;
+            let gate = (self.consumed, register_len, windows, span);
+            run = run.min(gate_run(gate, self.produced, emits));
+        }
+        if let Some((interior, bounded)) = self.merge {
+            let gate = (self.produced, 1, interior, bounded);
+            run = run.min(gate_run(gate, self.consumed, consumes));
+        }
+        run
+    }
+}
+
+/// What a stage did in the cycle just stepped.
+#[derive(Clone, Copy)]
+enum Decision {
+    /// Finished, or waiting out its initiation interval.
+    Idle,
+    Fired {
+        consumes: bool,
+        emits: bool,
+    },
+    StalledEmpty,
+    StalledFull,
+}
+
+/// Simulate `design` cycle by cycle with the declared FIFO depths
 /// (`depth_override` replaces every depth when given). The simulation is
 /// deterministic: stages fire in program order within a cycle, consuming
 /// the FIFO states left by the previous cycle (writes become visible the
 /// next cycle, like registered FIFO outputs).
+///
+/// A cycle that leaves every FIFO level unchanged, finishes no stage and
+/// fires only II-1 stages hands the next cycle the inputs it had itself,
+/// so the next cycle takes the same decisions, stage for stage, until a
+/// shift's emit gate or a merge's consume gate flips, a stage is about to
+/// finish, or the budget runs out. The engine computes the length of that
+/// run in closed form and adds it to the counters instead of stepping it;
+/// the report is the one stepping every cycle gives
+/// ([`CycleReport::stepped_cycles`] aside).
 ///
 /// A run that exceeds the cycle budget without every stage finishing is
 /// deadlocked (no legal design needs that many cycles); instead of
 /// panicking, the engine returns a [`DeadlockReport`] naming each blocked
 /// stage, the stream it is blocked on, and how many cycles each stream
 /// spent back-pressuring its producer.
+///
+/// # Panics
+///
+/// If the design fails [`DesignDescriptor::check_wiring`] — descriptors
+/// from [`DesignDescriptor::from_hls_func`] never do.
 pub fn simulate(
     design: &DesignDescriptor,
     depth_override: Option<usize>,
 ) -> Result<CycleReport, Box<DeadlockReport>> {
-    assert_eq!(
-        design.stages.len(),
-        design.wiring.len(),
-        "descriptor missing stage wiring"
-    );
+    simulate_with(design, depth_override, true)
+}
+
+/// [`simulate`] with every cycle stepped and none jumped: the oracle the
+/// jumps are tested against.
+#[doc(hidden)]
+pub fn simulate_stepped(
+    design: &DesignDescriptor,
+    depth_override: Option<usize>,
+) -> Result<CycleReport, Box<DeadlockReport>> {
+    simulate_with(design, depth_override, false)
+}
+
+fn simulate_with(
+    design: &DesignDescriptor,
+    depth_override: Option<usize>,
+    jump: bool,
+) -> Result<CycleReport, Box<DeadlockReport>> {
+    if let Err(e) = design.check_wiring() {
+        panic!("cannot simulate `{}`: {e}", design.name);
+    }
     let n_stages = design.stages.len();
-    let mut fifo_len: Vec<usize> = vec![0; design.streams.len()];
     let fifo_cap: Vec<usize> = design
         .streams
         .iter()
         .map(|s| depth_override.unwrap_or(s.depth.max(1) as usize))
         .collect();
+    // Fires see `visible`, last cycle's levels, and move `fifo_len`.
+    let mut fifo_len: Vec<usize> = vec![0; design.streams.len()];
+    let mut visible = fifo_len.clone();
 
     let mut states: Vec<StageState> = design
         .stages
         .iter()
-        .map(|stage| {
-            let (remaining, ii, shift, merge) = match stage {
-                Stage::Load {
-                    elements_per_field, ..
-                } => (*elements_per_field, 1, None, None),
-                Stage::Shift {
-                    register_len,
-                    elements,
-                    windows,
-                } => (
-                    *elements,
-                    1,
-                    Some((*register_len as u64, *elements, *windows)),
-                    None,
-                ),
-                Stage::Dup { trips, .. } => (*trips, 1, None, None),
-                Stage::Compute { ii, trips, .. } => (*trips, (*ii).max(1) as u64, None, None),
-                Stage::Merge {
-                    interior, bounded, ..
-                } => (*bounded, 1, None, Some((*interior, *bounded))),
-                Stage::Write {
-                    elements_per_field, ..
-                } => (*elements_per_field, 1, None, None),
-            };
-            StageState {
-                remaining,
-                consumed: 0,
-                produced: 0,
-                ready_at: 0,
-                ii,
-                shift,
-                merge,
-            }
-        })
+        .zip(&design.wiring)
+        .map(|(stage, wiring)| StageState::new(stage, wiring))
         .collect();
+    let mut decisions = vec![Decision::Idle; n_stages];
 
     let mut report = CycleReport {
         cycles: 0,
@@ -139,33 +259,19 @@ pub fn simulate(
         stalled_empty: vec![0; n_stages],
         stalled_full: vec![0; n_stages],
         done_at: vec![0; n_stages],
+        stepped_cycles: 0,
     };
 
     // Safety valve: no legal design needs more than this.
-    let budget: u64 = 64
-        + 4 * design
-            .stages
-            .iter()
-            .map(|s| match s {
-                Stage::Load {
-                    elements_per_field, ..
-                } => *elements_per_field,
-                Stage::Shift { elements, .. } => *elements,
-                Stage::Dup { trips, .. } => *trips,
-                Stage::Compute { ii, trips, .. } => *trips * (*ii).max(1) as u64,
-                Stage::Merge { bounded, .. } => *bounded,
-                Stage::Write {
-                    elements_per_field, ..
-                } => *elements_per_field,
-            })
-            .sum::<u64>();
+    let budget: u64 = 64 + 4 * states.iter().map(|s| s.remaining * s.ii).sum::<u64>();
 
     // Per-stream back-pressure accounting: cycles a producer spent unable
     // to push because this stream was full.
     let mut stream_full_stalls: Vec<u64> = vec![0; design.streams.len()];
 
+    let mut live = states.iter().filter(|s| s.remaining > 0).count();
     let mut cycle: u64 = 0;
-    while states.iter().any(|s| s.remaining > 0) {
+    while live > 0 {
         cycle += 1;
         if cycle >= budget {
             return Err(Box::new(diagnose(
@@ -177,83 +283,99 @@ pub fn simulate(
                 cycle,
             )));
         }
-        // Snapshot FIFO levels: fires this cycle see last cycle's state.
-        let visible = fifo_len.clone();
-        let mut delta = vec![0i64; fifo_len.len()];
+        report.stepped_cycles += 1;
+        visible.copy_from_slice(&fifo_len);
+        // Can the next cycle differ from this one only through a gate?
+        let mut repeats = jump;
         for (i, state) in states.iter_mut().enumerate() {
-            if state.remaining == 0 || state.ready_at > cycle {
+            decisions[i] = Decision::Idle;
+            if state.remaining == 0 {
                 continue;
             }
-            let wiring = &design.wiring[i];
-            // A merge stage pops its result stream only for the interior
-            // share of its emissions; the halo ring comes from memory.
-            let consumes = match state.merge {
-                Some((interior, bounded)) => {
-                    merge_consumes(state.produced + 1, interior, bounded) > state.consumed
-                }
-                None => true,
-            };
-            // Input availability (a stream listed k times — e.g. by an
-            // unrolled compute body — needs k tokens).
-            let mut need = std::collections::BTreeMap::<usize, usize>::new();
-            for &s in &wiring.reads {
-                *need.entry(s).or_default() += 1;
+            if state.ready_at > cycle {
+                repeats = false;
+                continue;
             }
-            let inputs_ready = !consumes || need.iter().all(|(&s, &k)| visible[s] >= k);
-            if !inputs_ready {
+            let consumes = state.consumes();
+            if consumes && state.reads.iter().any(|&(s, k)| visible[s] < k) {
                 report.stalled_empty[i] += 1;
+                decisions[i] = Decision::StalledEmpty;
                 continue;
             }
-            // Output availability; a shift stage may fire without emitting.
-            let emits = match state.shift {
-                Some((register_len, elements, windows)) => {
-                    shift_emits(state.consumed + 1, register_len, elements, windows)
-                        > state.produced
-                }
-                None => true,
-            };
-            let mut room = std::collections::BTreeMap::<usize, usize>::new();
-            for &s in &wiring.writes {
-                *room.entry(s).or_default() += 1;
-            }
-            let outputs_ready = !emits || room.iter().all(|(&s, &k)| visible[s] + k <= fifo_cap[s]);
-            if !outputs_ready {
+            let emits = state.emits();
+            let full = |w: &(usize, usize)| overflows(&visible, &fifo_cap, w);
+            if emits && state.writes.iter().any(full) {
                 report.stalled_full[i] += 1;
-                for (&s, &k) in &room {
-                    if visible[s] + k > fifo_cap[s] {
-                        stream_full_stalls[s] += 1;
-                    }
+                for &(s, _) in state.writes.iter().filter(|w| full(w)) {
+                    stream_full_stalls[s] += 1;
                 }
+                decisions[i] = Decision::StalledFull;
                 continue;
             }
-            // Fire.
+            // Fire. `check_wiring` gave each stream one reading stage, so
+            // the tokens seen in `visible` are still there to pop.
             if consumes {
-                for &s in &wiring.reads {
-                    delta[s] -= 1;
+                for &(s, k) in &state.reads {
+                    fifo_len[s] -= k;
                 }
                 state.consumed += 1;
             }
             if emits {
-                for &s in &wiring.writes {
-                    delta[s] += 1;
+                for &(s, k) in &state.writes {
+                    fifo_len[s] += k;
                 }
                 state.produced += 1;
             }
             state.remaining -= 1;
             state.ready_at = cycle + state.ii;
             report.fires[i] += 1;
+            decisions[i] = Decision::Fired { consumes, emits };
             if state.remaining == 0 {
                 report.done_at[i] = cycle;
+                live -= 1;
+            }
+            repeats &= state.remaining > 0 && state.ii == 1;
+        }
+        if !(repeats && fifo_len == visible) {
+            continue;
+        }
+        // Stationary: every following cycle repeats this one until a
+        // firing stage's gate flips or it is one fire from finishing. With
+        // nothing firing the design is stuck, and the run is the budget's.
+        let fired = states.iter().zip(&decisions).filter_map(|(s, d)| match *d {
+            Decision::Fired { consumes, emits } => Some(s.repeatable_fires(consumes, emits)),
+            _ => None,
+        });
+        let run = fired.min().unwrap_or(u64::MAX).min(budget - 1 - cycle);
+        for (i, (state, decision)) in states.iter_mut().zip(&decisions).enumerate() {
+            match *decision {
+                Decision::Idle => {}
+                Decision::Fired { consumes, emits } => {
+                    state.remaining -= run;
+                    state.consumed += if consumes { run } else { 0 };
+                    state.produced += if emits { run } else { 0 };
+                    report.fires[i] += run;
+                }
+                Decision::StalledEmpty => report.stalled_empty[i] += run,
+                Decision::StalledFull => {
+                    report.stalled_full[i] += run;
+                    for w in &state.writes {
+                        if overflows(&visible, &fifo_cap, w) {
+                            stream_full_stalls[w.0] += run;
+                        }
+                    }
+                }
             }
         }
-        for (len, d) in fifo_len.iter_mut().zip(&delta) {
-            let next = *len as i64 + d;
-            debug_assert!(next >= 0);
-            *len = next as usize;
-        }
+        cycle += run;
     }
     report.cycles = cycle;
     Ok(report)
+}
+
+/// Would pushing `(stream, tokens)` overfill the stream?
+fn overflows(fifo_len: &[usize], fifo_cap: &[usize], &(s, k): &(usize, usize)) -> bool {
+    fifo_len[s] + k > fifo_cap[s]
 }
 
 /// Human-readable role of a stage, for deadlock snapshots.
@@ -286,23 +408,17 @@ fn diagnose(
             let status = if state.remaining == 0 {
                 StageStatus::Finished
             } else {
-                let wiring = &design.wiring[i];
                 // Re-evaluate the fire conditions against the final FIFO
                 // state: a starved input wins over a full output (the stage
                 // checks inputs first), matching the per-cycle logic.
-                let mut need = std::collections::BTreeMap::<usize, usize>::new();
-                for &s in &wiring.reads {
-                    *need.entry(s).or_default() += 1;
-                }
-                let starved = need.iter().find(|&(&s, &k)| fifo_len[s] < k);
-                let mut room = std::collections::BTreeMap::<usize, usize>::new();
-                for &s in &wiring.writes {
-                    *room.entry(s).or_default() += 1;
-                }
-                let full = room.iter().find(|&(&s, &k)| fifo_len[s] + k > fifo_cap[s]);
+                let starved = state.reads.iter().find(|&&(s, k)| fifo_len[s] < k);
+                let full = state
+                    .writes
+                    .iter()
+                    .find(|w| overflows(fifo_len, fifo_cap, w));
                 match (starved, full) {
-                    (Some((&s, _)), _) => StageStatus::BlockedOnPop { stream: s },
-                    (None, Some((&s, _))) => StageStatus::BlockedOnPush { stream: s },
+                    (Some(&(s, _)), _) => StageStatus::BlockedOnPop { stream: s },
+                    (None, Some(&(s, _))) => StageStatus::BlockedOnPush { stream: s },
                     (None, None) => StageStatus::Running,
                 }
             };
@@ -326,11 +442,6 @@ fn diagnose(
     }
 }
 
-/// How many windows are emittable after `consumed` elements: none during
-/// the `register_len` warm-up, then the remaining consumption is spread
-/// uniformly over the `windows` emissions (the halo rows/planes create the
-/// gap between `elements` and `register_len + windows - 1`; spreading them
-/// uniformly is the "approximate" in cycle-approximate).
 /// How many result-stream tokens a merge stage must have popped after
 /// emitting `produced` of its `bounded` elements: the `interior` pops are
 /// spread uniformly over the emissions (the exact interleaving depends on
@@ -340,16 +451,61 @@ fn merge_consumes(produced: u64, interior: u64, bounded: u64) -> u64 {
     if bounded == 0 {
         return 0;
     }
-    ((produced as u128 * interior as u128) / bounded as u128) as u64
+    spread(produced, interior, bounded)
 }
 
+/// How many windows are emittable after `consumed` elements: none during
+/// the `register_len` warm-up, then the remaining consumption is spread
+/// uniformly over the `windows` emissions (the halo rows/planes create the
+/// gap between `elements` and `register_len + windows - 1`; spreading them
+/// uniformly is the "approximate" in cycle-approximate).
 fn shift_emits(consumed: u64, register_len: u64, elements: u64, windows: u64) -> u64 {
     if windows == 0 || consumed < register_len {
         return 0;
     }
     let span = elements.saturating_sub(register_len) + 1;
     let progressed = consumed - register_len + 1;
-    ((progressed as u128 * windows as u128) / span as u128) as u64
+    spread(progressed, windows, span)
+}
+
+/// `⌊progress · num / den⌋`, exact; 64-bit division when the product fits
+/// (at 134M points it is below 2⁵⁵), which the per-cycle gates feel.
+fn spread(progress: u64, num: u64, den: u64) -> u64 {
+    match progress.checked_mul(num) {
+        Some(product) => product / den,
+        None => (progress as u128 * num as u128 / den as u128) as u64,
+    }
+}
+
+/// Both gates have one shape: after `fires` fires, `⌊(fires + 1 − lead) ·
+/// num / den⌋` gated events are due (none while `fires < lead`), and a
+/// fire carries one exactly when more are due after it than the `done`
+/// before it — [`shift_emits`] is `(consumed, register_len, windows,
+/// span)` gating emissions, [`merge_consumes`] `(produced, 1, interior,
+/// bounded)` gating pops. Given the gate `(fires, lead, num, den)` and
+/// `done` as they stand after a fire that was `open` (carried an event) or
+/// not, the number of following fires that go the same way.
+fn gate_run((fires, lead, num, den): (u64, u64, u64, u64), done: u64, open: bool) -> u64 {
+    let (num, den, done) = (num as u128, den as u128, done as u128);
+    let run = if open {
+        // Fire m stays open while (p + m)·num ≥ (done + m)·den, where
+        // p·num ≥ done·den already: the slack shrinks den − num a fire.
+        if den <= num {
+            return u64::MAX;
+        }
+        let progressed = (fires + 1).saturating_sub(lead) as u128;
+        (progressed * num).saturating_sub(done * den) / (den - num)
+    } else {
+        // Fire m stays shut while (p + m)·num < (done + 1)·den.
+        if num == 0 || den == 0 {
+            return u64::MAX;
+        }
+        let last_shut = ((done + 1) * den - 1) / num;
+        last_shut
+            .saturating_add(lead as u128)
+            .saturating_sub(fires as u128 + 1)
+    };
+    run.min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -838,6 +994,106 @@ mod tests {
         // Degenerate empty box.
         assert_eq!(merge_consumes(5, 0, 12), 0);
         assert_eq!(merge_consumes(0, 0, 0), 0);
+    }
+
+    /// The closed-form run length against the definition: replay a gate
+    /// fire by fire and, after each, count the following fires that go
+    /// the same way.
+    #[test]
+    fn gate_run_matches_a_scan() {
+        let check = |fires_total: u64, lead: u64, num: u64, den: u64, due: &dyn Fn(u64) -> u64| {
+            let mut flags = Vec::new();
+            let mut done = 0;
+            for fired in 0..fires_total {
+                flags.push(due(fired + 1) > done);
+                done += flags[fired as usize] as u64;
+            }
+            let mut done = 0;
+            for (fired, &open) in flags.iter().enumerate() {
+                done += open as u64;
+                let scan = flags[fired + 1..]
+                    .iter()
+                    .take_while(|&&f| f == open)
+                    .count() as u64;
+                let left = fires_total - (fired as u64 + 1);
+                let run = gate_run((fired as u64 + 1, lead, num, den), done, open);
+                assert_eq!(
+                    run.min(left),
+                    scan,
+                    "after fire {fired} of {fires_total} (lead {lead}, {num}/{den}, open {open})"
+                );
+            }
+        };
+        // Shift gates: 1D (windows == span), 3D-like (windows < span), a
+        // long warm-up, no windows at all, more windows than span.
+        for (register_len, elements, windows) in [
+            (3, 12, 10),
+            (7, 60, 23),
+            (31, 64, 5),
+            (5, 300, 211),
+            (3, 20, 0),
+            (3, 12, 14),
+        ] {
+            let span = elements - register_len + 1;
+            check(elements, register_len, windows, span, &|consumed| {
+                shift_emits(consumed, register_len, elements, windows)
+            });
+        }
+        // Merge gates, incl. nothing to pop and everything to pop.
+        for (interior, bounded) in [(10, 12), (64, 216), (0, 12), (12, 12), (1, 50)] {
+            check(bounded, 1, interior, bounded, &|produced| {
+                merge_consumes(produced, interior, bounded)
+            });
+        }
+    }
+
+    /// The steady state of an II-1 pipeline is jumped, not stepped, and the
+    /// report is the stepped one.
+    #[test]
+    fn stationary_cycles_are_jumped_and_change_nothing() {
+        for (design, depth) in [
+            (linear_design(5000, 1, 1), None),
+            (linear_design(5000, 2, 1), Some(1)),
+            (temporal_design(3000, 1), None),
+            (linear_design(500, 1, 3), None),
+        ] {
+            let jumped = simulate(&design, depth).unwrap();
+            let stepped = simulate_stepped(&design, depth).unwrap();
+            assert_eq!(stepped.stepped_cycles, stepped.cycles);
+            assert_eq!(jumped.cycles, stepped.cycles);
+            assert_eq!(jumped.fires, stepped.fires);
+            assert_eq!(jumped.stalled_empty, stepped.stalled_empty);
+            assert_eq!(jumped.stalled_full, stepped.stalled_full);
+            assert_eq!(jumped.done_at, stepped.done_at);
+        }
+        let r = simulate(&linear_design(5000, 1, 1), None).unwrap();
+        assert!(
+            r.stepped_cycles < 100,
+            "{} of {}",
+            r.stepped_cycles,
+            r.cycles
+        );
+    }
+
+    /// A stuck design is stationary with nothing firing: one jump takes it
+    /// to the budget, with the report the stepped run gives.
+    #[test]
+    fn a_deadlock_is_reached_in_one_jump() {
+        let mut d = linear_design(200, 1, 1);
+        d.wiring[3].reads = vec![]; // nothing drains stream 2
+        let jumped = simulate(&d, None).unwrap_err();
+        assert_eq!(jumped, simulate_stepped(&d, None).unwrap_err());
+    }
+
+    /// Two stages popping one stream would take tokens the other had been
+    /// promised (a level of −1, which a release build used to report as a
+    /// deadlock with 2⁶⁴−1 tokens queued): refused before the first cycle.
+    #[test]
+    #[should_panic(expected = "stream 1 is read by stage 2 and by stage 3")]
+    fn a_stream_with_two_readers_is_refused() {
+        let mut d = linear_design(100, 1, 1);
+        d.wiring[3].reads = vec![1];
+        let _ = simulate(&d, None);
     }
 
     #[test]

@@ -256,6 +256,40 @@ impl DesignDescriptor {
         depth.into_iter().max().unwrap_or(1)
     }
 
+    /// The shape every engine that walks the wiring relies on: one wiring
+    /// entry per stage, every stream index in range, and each stream
+    /// popped by at most one stage and pushed by at most one (a stage may
+    /// list a stream several times). Two poppers would drain tokens the
+    /// other had been promised; the generated designs never have them.
+    pub fn check_wiring(&self) -> IrResult<()> {
+        ir_ensure!(
+            self.wiring.len() == self.stages.len(),
+            "{} stages but {} wiring entries",
+            self.stages.len(),
+            self.wiring.len()
+        );
+        let mut reader = vec![None; self.streams.len()];
+        let mut writer = vec![None; self.streams.len()];
+        for (stage, wiring) in self.wiring.iter().enumerate() {
+            for (ends, owner, verb) in [
+                (&wiring.reads, &mut reader, "read"),
+                (&wiring.writes, &mut writer, "written"),
+            ] {
+                for &s in ends {
+                    let slot = owner.get_mut(s).ok_or_else(|| {
+                        ir_error!("stage {stage} names stream {s} of {}", self.streams.len())
+                    })?;
+                    let first = *slot.get_or_insert(stage);
+                    ir_ensure!(
+                        first == stage,
+                        "stream {s} is {verb} by stage {first} and by stage {stage}"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Extract the descriptor from an HLS-dialect `func.func`.
     pub fn from_hls_func(ctx: &Context, hls_func: OpId) -> IrResult<Self> {
         ir_ensure!(
@@ -341,6 +375,7 @@ impl DesignDescriptor {
             }
         }
         ir_ensure!(!d.stages.is_empty(), "design has no dataflow stages");
+        d.check_wiring()?;
         Ok(d)
     }
 }
@@ -505,6 +540,84 @@ mod tests {
             ialu: 7,
         };
         assert_eq!(m.flops(), 10);
+    }
+
+    /// load → compute → write over streams 0 and 1.
+    fn wired(wiring: Vec<(Vec<usize>, Vec<usize>)>) -> DesignDescriptor {
+        let stream = StreamDesc {
+            depth: 8,
+            elem_bytes: 8,
+        };
+        DesignDescriptor {
+            name: "k".into(),
+            interior_points: 4,
+            bounded_points: 4,
+            stages: vec![
+                Stage::Load {
+                    fields: 1,
+                    beats_per_field: 1,
+                    elements_per_field: 4,
+                },
+                Stage::Compute {
+                    ii: 1,
+                    trips: 4,
+                    reads: 1,
+                    writes: 1,
+                    ops: OpMix::default(),
+                },
+                Stage::Write {
+                    fields: 1,
+                    beats_per_field: 1,
+                    elements_per_field: 4,
+                },
+            ],
+            wiring: wiring
+                .into_iter()
+                .map(|(reads, writes)| StageWiring { reads, writes })
+                .collect(),
+            streams: vec![stream.clone(), stream],
+            interfaces: vec![],
+            local_buffer_bytes: vec![],
+            init_copy_elements: 0,
+        }
+    }
+
+    #[test]
+    fn check_wiring_accepts_one_reader_and_one_writer_per_stream() {
+        let chain = vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![1], vec![])];
+        wired(chain).check_wiring().unwrap();
+        // One stage may list a stream several times (an unrolled body),
+        // and a stream may go unread or unwritten.
+        let unrolled = vec![(vec![], vec![0, 0]), (vec![0, 0], vec![]), (vec![], vec![])];
+        wired(unrolled).check_wiring().unwrap();
+    }
+
+    #[test]
+    fn check_wiring_rejects_each_malformed_shape() {
+        let rejected = |wiring, needle: &str| {
+            let e = wired(wiring).check_wiring().unwrap_err().to_string();
+            assert!(e.contains(needle), "`{e}` does not mention `{needle}`");
+        };
+        rejected(
+            vec![(vec![], vec![0]), (vec![0], vec![])],
+            "3 stages but 2 wiring entries",
+        );
+        rejected(
+            vec![(vec![], vec![0]), (vec![2], vec![1]), (vec![1], vec![])],
+            "stage 1 names stream 2 of 2",
+        );
+        rejected(
+            vec![(vec![], vec![0]), (vec![0], vec![7]), (vec![1], vec![])],
+            "stage 1 names stream 7 of 2",
+        );
+        rejected(
+            vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![0, 1], vec![])],
+            "stream 0 is read by stage 1 and by stage 2",
+        );
+        rejected(
+            vec![(vec![], vec![0, 1]), (vec![0], vec![1]), (vec![1], vec![])],
+            "stream 1 is written by stage 0 and by stage 1",
+        );
     }
 
     #[test]

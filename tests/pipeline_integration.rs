@@ -118,6 +118,29 @@ fn design_descriptor_extraction_matches_report() {
 }
 
 #[test]
+fn design_extraction_refuses_a_stream_with_two_readers() {
+    // IR can arrive as text: point one stage's `hls.read` at a stream
+    // another stage already pops. The cycle engine would hand both the
+    // same tokens, so extraction answers with a typed error.
+    use shmls_dialects::hls;
+    let source = shmls_kernels::pw_advection::source(8, 6, 4);
+    let mut compiled = compile(&source, &CompileOptions::default()).unwrap();
+    let reads = compiled.ctx.find_ops(compiled.hls_func, hls::READ);
+    let stream_of = |ctx: &Context, read: OpId| ctx.operands(read)[0];
+    let taken = stream_of(&compiled.ctx, reads[0]);
+    let other = *reads
+        .iter()
+        .find(|&&r| stream_of(&compiled.ctx, r) != taken)
+        .expect("a second stage reads another stream");
+    compiled.ctx.set_operand(other, 0, taken);
+    let e =
+        shmls_fpga_sim::design::DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
+            .unwrap_err()
+            .to_string();
+    assert!(e.contains("is read by stage"), "{e}");
+}
+
+#[test]
 fn fuse_then_split_pipeline_still_compiles() {
     // The CPU-favoured fused form, split back per-field, feeds the HLS
     // transformation identically.
