@@ -24,7 +24,9 @@ use shmls_baselines::{
     all_frameworks, DaceModel, EvalContext, FrameworkModel, KernelProfile, Outcome,
     StencilHmlsModel,
 };
+use shmls_frontend::parse_kernel;
 use shmls_kernels::{pw_advection, pw_sizes, tracer_advection, tracer_sizes, ProblemSize};
+use stencil_hmls::autotune::{self, TuneOptions};
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
 /// Which benchmark kernel.
@@ -383,41 +385,64 @@ pub fn ablation(eval: &EvalContext) -> String {
 }
 
 /// Port-bundling design-space exploration — the §4 future-work heuristic,
-/// run for both kernels at the 8M size.
+/// run for both kernels at the 8M size — and the stream-depth sweep
+/// (cycle-stepped, at a small size): how deep do the FIFOs actually need
+/// to be? Both tables are views of the autotuner's own phases.
 pub fn dse(eval: &EvalContext) -> String {
+    use std::fmt::Write;
+    let opts = TuneOptions {
+        device: eval.device.clone(),
+        costs: eval.costs.clone(),
+        power: eval.power.clone(),
+        ..TuneOptions::quick()
+    };
+    let parse = |source: String| parse_kernel(&source).expect("benchmark kernel must parse");
     let mut out = String::new();
     for kernel in [Kernel::PwAdvection, Kernel::TracerAdvection] {
-        let size = &kernel.sizes()[0];
-        let p = profile(kernel, size);
-        let exploration =
-            stencil_hmls::dse::explore_port_bundling(&p.design, &eval.device, &eval.costs);
-        out.push_str(&stencil_hmls::dse::render(kernel.title(), &exploration));
+        let def = parse(kernel.source(kernel.sizes()[0].grid));
+        let (rows, best) =
+            autotune::bundling_view(&def, &opts).expect("benchmark kernel must compile");
+        writeln!(
+            out,
+            "Port-bundling DSE for {} (the §4 future-work heuristic)\n\
+             ================================================================\n\
+             bundled    ports/CU   CUs      MPt/s    fits   best",
+            kernel.title()
+        )
+        .unwrap();
+        for (i, c) in rows.iter().enumerate() {
+            let fits = c.resources.fits(&eval.device);
+            writeln!(
+                out,
+                "{:<9} {:>9} {:>5} {:>10.1} {:>7} {:>6}",
+                c.bundled_fields,
+                c.ports_per_cu,
+                c.cus,
+                c.mpts,
+                if fits { "yes" } else { "NO" },
+                if Some(i) == best { "<--" } else { "" },
+            )
+            .unwrap();
+        }
         out.push('\n');
     }
-    // Stream-depth sweep (cycle-stepped) at a small size: how deep do the
-    // FIFOs actually need to be?
     out.push_str("Stream-depth sweep (cycle-stepped, PW advection 16x14x10):\n");
-    let opts = CompileOptions {
-        paths: TargetPath::HlsOnly,
-        ..Default::default()
-    };
-    let compiled = compile(&pw_advection::source(16, 14, 10), &opts).expect("compiles");
-    let design =
-        shmls_fpga_sim::design::DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
-            .expect("extracts");
-    let sweep = stencil_hmls::dse::explore_stream_depths(&design, &[1, 2, 4, 8, 16], 0.02);
-    for (i, c) in sweep.choices.iter().enumerate() {
-        out.push_str(&format!(
-            "  depth {:>2}: {:>8} cycles ({:>5.3}x) {}\n",
-            c.depth,
-            c.cycles,
-            c.slowdown,
-            if i == sweep.recommended {
-                "<-- recommended"
-            } else {
-                ""
-            }
-        ));
+    let def = parse(pw_advection::source(16, 14, 10));
+    let (rows, recommended) =
+        autotune::depth_view(&def, &opts).expect("benchmark kernel must compile");
+    let fastest = rows.iter().map(|r| r.1).min().unwrap_or(1).max(1);
+    for (i, &(depth, cycles)) in rows.iter().enumerate() {
+        let slowdown = cycles as f64 / fastest as f64;
+        let mark = if i == recommended {
+            "<-- recommended"
+        } else {
+            ""
+        };
+        writeln!(
+            out,
+            "  depth {depth:>2}: {cycles:>8} cycles ({slowdown:>5.3}x) {mark}"
+        )
+        .unwrap();
     }
     out
 }
@@ -548,6 +573,32 @@ mod tests {
         ] {
             assert!(fig.contains(needle), "missing `{needle}` in:\n{fig}");
         }
+    }
+
+    #[test]
+    fn dse_lists_every_row_and_marks_no_infeasible_winner() {
+        let tables = dse(&EvalContext::default());
+        // PW: 3 header lines, 6 bundlings, a blank; tracer: 16 bundlings;
+        // then the depth sweep's title and its 5 depths.
+        assert_eq!(tables.lines().count(), (3 + 6 + 1) + (3 + 16 + 1) + (1 + 5));
+        assert_eq!(tables.matches("<--").count(), 3, "{tables}");
+        // Nothing fits a device without resources: no bundling row is
+        // marked best (the depth recommendation is all that remains), and
+        // rendering does not panic.
+        let device = shmls_fpga_sim::device::Device {
+            luts: 0,
+            ffs: 0,
+            bram36: 0,
+            uram: 0,
+            dsps: 0,
+            ..EvalContext::default().device
+        };
+        let tables = dse(&EvalContext {
+            device,
+            ..EvalContext::default()
+        });
+        assert_eq!(tables.matches("<--").count(), 1, "{tables}");
+        assert!(!tables.contains("yes"), "{tables}");
     }
 
     #[test]

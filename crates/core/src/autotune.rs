@@ -1,52 +1,55 @@
 //! Joint design-space autotuner with a Pareto front.
 //!
-//! `core::dse` explores port bundling and FIFO depths in *isolation*; this
-//! module searches the joint space the paper says the transformation stack
-//! — not the programmer — should own:
+//! This module searches the joint space the paper says the transformation
+//! stack — not the programmer — should own:
 //!
 //! ```text
 //! {CU count} × {slab split} × {stream/FIFO depth} × {bundled fields}
 //!            × {temporal depth}
 //! ```
 //!
-//! The search is staged so the expensive tool (the cycle-stepped
-//! simulator) only ever sees candidates that earned it:
+//! [`tune`] is named phases over one `Plan`, staged so the expensive tool
+//! (the cycle-stepped simulator) only ever sees candidates that earned it:
 //!
-//! 1. **Enumerate** every combination of the swept axes. Only
-//!    `temporal_depth` changes the compiled design; the other four axes
-//!    are runtime/model knobs, so all candidates of one depth share one
-//!    compilation through the content-addressed [`CompileCache`] —
-//!    runtime-knob-only siblings never recompile (the report's
-//!    `redundant_compiles` must be 0).
-//! 2. **Prune** with the analytic models, cheapest test first: the
-//!    32-port shell budget (`cus × ports_per_cu ≤ max_axi_ports`), then
-//!    the resource model ([`shmls_fpga_sim::resources`]), then Pareto
-//!    dominance over (throughput ↑, BRAM ↓, watts ↓) using the
-//!    [`shmls_fpga_sim::perf`] and [`power`] models.
-//! 3. **Simulate** only the Pareto frontier, in parallel. Candidates that
+//! 1. **Compile** one design per `temporal_depth` — the only axis that
+//!    changes the compiled design — through the content-addressed
+//!    [`CompileCache`]; the other four axes are runtime/model knobs, so
+//!    siblings never recompile (`redundant_compiles` must be 0).
+//! 2. **Enumerate** every combination of the swept axes.
+//! 3. **Cost** and **prune** with the analytic models, cheapest test
+//!    first: the 32-port shell budget (`cus × ports_per_cu ≤
+//!    max_axi_ports`), then the resource model
+//!    ([`shmls_fpga_sim::resources`]), then Pareto dominance over
+//!    (throughput ↑, BRAM ↓, watts ↓) using the [`shmls_fpga_sim::perf`]
+//!    and [`power`] models.
+//! 4. **Simulate** only the Pareto frontier, in parallel. Candidates that
 //!    differ only in axes the simulator cannot see (CU count, split,
 //!    bundling) share one raw simulation per (design, FIFO depth) pair;
 //!    the per-candidate makespan is the raw sweep scaled by its slab
 //!    fraction and shared-port penalty.
+//! 5. **Rank and explain**: every survivor names which constraint binds
+//!    (HBM bandwidth, BRAM, or the port budget — the maximum of the three
+//!    modelled utilisations) and its margin over the next-ranked
+//!    candidate, so `repro tune` reads as a decision, not a dump.
 //!
-//! Every surviving candidate carries an *explanation*: which constraint
-//! binds (HBM bandwidth, BRAM, or the port budget — the maximum of the
-//! three modelled utilisations) and its margin over the next-ranked
-//! candidate, so `repro tune` reads as a decision, not a dump.
+//! `repro dse`'s two tables are views of the same phases: [`bundling_view`]
+//! of cost, [`depth_view`] of simulate.
 
-use shmls_fpga_sim::design::{DesignDescriptor, Stage};
+#![deny(clippy::too_many_lines)]
+
+use shmls_fpga_sim::cycle;
+use shmls_fpga_sim::design::{DesignDescriptor, Stage, StreamDesc};
 use shmls_fpga_sim::device::{CostTable, Device, PowerCoefficients};
 use shmls_fpga_sim::perf::{hmls_estimate, STAGE_FILL_CYCLES};
 use shmls_fpga_sim::power;
-use shmls_fpga_sim::resources::{bram_blocks, ResourceUsage};
+use shmls_fpga_sim::resources::{self, bram_blocks, ResourceUsage};
 use shmls_frontend::KernelDef;
-use shmls_ir::error::IrResult;
+use shmls_ir::error::{panic_reason, IrResult};
 use shmls_ir::ir_error;
 use shmls_ir::json::Json;
 
-use crate::cache::CompileCache;
+use crate::cache::{global_cache, CompileCache};
 use crate::driver::{CompileOptions, TargetPath};
-use crate::dse;
 use crate::scale;
 
 /// How the axis-0 domain is partitioned across compute units.
@@ -68,17 +71,6 @@ impl SplitStrategy {
             SplitStrategy::Balanced => "balanced",
             SplitStrategy::FloorRemainderLast => "floor-last",
         }
-    }
-
-    /// Encode as the variant's name.
-    pub fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                SplitStrategy::Balanced => "Balanced",
-                SplitStrategy::FloorRemainderLast => "FloorRemainderLast",
-            }
-            .into(),
-        )
     }
 }
 
@@ -103,18 +95,6 @@ impl Constraint {
             Constraint::Bram => "bram",
             Constraint::PortBudget => "port-budget",
         }
-    }
-
-    /// Encode as the variant's name.
-    pub fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Constraint::HbmBandwidth => "HbmBandwidth",
-                Constraint::Bram => "Bram",
-                Constraint::PortBudget => "PortBudget",
-            }
-            .into(),
-        )
     }
 }
 
@@ -199,17 +179,22 @@ impl TuneOptions {
     }
 }
 
-/// One Pareto-frontier candidate, fully costed and cycle-simulated.
+/// One point of the swept axes priced by the analytic models — what the
+/// cost phase produces and the Pareto cut, [`bundling_view`] and every
+/// frontier entry read.
 #[derive(Debug, Clone)]
-pub struct TunedCandidate {
+pub struct Candidate {
+    design: usize,
+    max_rows: i64,
     /// Compute units.
     pub cus: u32,
     /// Slab split across those CUs.
     pub split: SplitStrategy,
     /// Temporal-blocking depth of the compiled design.
     pub temporal_depth: usize,
-    /// Uniform FIFO depth override.
-    pub fifo_depth: usize,
+    /// Uniform FIFO depth override; `None` keeps every stream's declared
+    /// depth (the default configuration, and [`bundling_view`]'s rows).
+    pub fifo_depth: Option<usize>,
     /// Field ports folded into one shared AXI bundle.
     pub bundled_fields: usize,
     /// AXI ports per CU under that bundling.
@@ -223,12 +208,20 @@ pub struct TunedCandidate {
     pub resources: ResourceUsage,
     /// Modelled average power of the deployment.
     pub watts: f64,
+    /// Modelled utilisation of each constraint.
+    pub utilisation: Utilisation,
+}
+
+/// One Pareto-frontier candidate: its costed [`Candidate`] plus what cycle
+/// simulation and ranking add.
+#[derive(Debug, Clone)]
+pub struct TunedCandidate {
+    /// The analytic half, as the cost phase produced it.
+    pub costed: Candidate,
     /// Cycle-simulated makespan (raw sweep scaled to the slowest slab).
     pub simulated_cycles: u64,
     /// Cycle-simulated effective throughput, MPt·steps/s.
     pub simulated_mpts: f64,
-    /// Modelled utilisation of each constraint.
-    pub utilisation: Utilisation,
     /// The binding constraint (argmax of `utilisation`).
     pub binding: Constraint,
     /// Simulated-throughput margin over the next-ranked candidate (the
@@ -239,21 +232,25 @@ pub struct TunedCandidate {
 impl TunedCandidate {
     /// Encode as a JSON object keyed by field name.
     pub fn to_json(&self) -> Json {
+        let c = &self.costed;
         Json::Obj(vec![
-            ("cus".into(), self.cus.into()),
-            ("split".into(), self.split.to_json()),
-            ("temporal_depth".into(), self.temporal_depth.into()),
-            ("fifo_depth".into(), self.fifo_depth.into()),
-            ("bundled_fields".into(), self.bundled_fields.into()),
-            ("ports_per_cu".into(), self.ports_per_cu.into()),
-            ("cycles".into(), self.cycles.into()),
-            ("mpts".into(), self.mpts.into()),
-            ("resources".into(), self.resources.to_json()),
-            ("watts".into(), self.watts.into()),
+            ("cus".into(), c.cus.into()),
+            ("split".into(), Json::Str(format!("{:?}", c.split))),
+            ("temporal_depth".into(), c.temporal_depth.into()),
+            (
+                "fifo_depth".into(),
+                c.fifo_depth.map_or(Json::Null, Json::from),
+            ),
+            ("bundled_fields".into(), c.bundled_fields.into()),
+            ("ports_per_cu".into(), c.ports_per_cu.into()),
+            ("cycles".into(), c.cycles.into()),
+            ("mpts".into(), c.mpts.into()),
+            ("resources".into(), c.resources.to_json()),
+            ("watts".into(), c.watts.into()),
             ("simulated_cycles".into(), self.simulated_cycles.into()),
             ("simulated_mpts".into(), self.simulated_mpts.into()),
-            ("utilisation".into(), self.utilisation.to_json()),
-            ("binding".into(), self.binding.to_json()),
+            ("utilisation".into(), c.utilisation.to_json()),
+            ("binding".into(), Json::Str(format!("{:?}", self.binding))),
             ("margin_pct".into(), self.margin_pct.into()),
         ])
     }
@@ -328,24 +325,6 @@ impl TuneReport {
     }
 }
 
-/// A candidate between enumeration and the frontier cut.
-#[derive(Debug, Clone)]
-struct Candidate {
-    depth_idx: usize,
-    cus: u32,
-    split: SplitStrategy,
-    temporal_depth: usize,
-    fifo_depth: usize,
-    bundled_fields: usize,
-    ports_per_cu: usize,
-    max_rows: i64,
-    cycles: u64,
-    mpts: f64,
-    resources: ResourceUsage,
-    watts: f64,
-    utilisation: Utilisation,
-}
-
 /// `a` Pareto-dominates `b` over (throughput ↑, BRAM ↓, watts ↓).
 fn dominates(a: &Candidate, b: &Candidate) -> bool {
     let no_worse =
@@ -354,70 +333,104 @@ fn dominates(a: &Candidate, b: &Candidate) -> bool {
     no_worse && better
 }
 
-/// Steady-state cycles of the full-domain design on one CU with `bundled`
-/// field ports sharing a physical port — [`dse::estimate_bundled`]'s
-/// steady term, separated from fill so it can be scaled per slab.
-fn bundled_steady(design: &DesignDescriptor, device: &Device, bundled: usize) -> u64 {
-    let base = hmls_estimate(design, device, 1).steady_cycles;
-    base.max(shared_port_cycles(design, device, bundled))
+/// One compiled design and what every candidate of its temporal depth
+/// shares, derived once. The three vectors are indexed by the number of
+/// field ports folded into one shared bundle.
+struct PlannedDesign {
+    temporal_depth: usize,
+    design: DesignDescriptor,
+    /// Pipeline fill along the critical path.
+    fill: u64,
+    /// AXI ports one CU needs.
+    ports_per_cu: Vec<usize>,
+    /// Steady cycles of the full domain on one CU: the unbundled estimate,
+    /// or the shared bundle's serialisation where that is slower.
+    steady: Vec<u64>,
+    /// The memory side of `steady` (load/write beats, the merge stages'
+    /// halo-ring reads, the shared bundle): the HBM utilisation numerator.
+    memory: Vec<u64>,
 }
 
-/// The shared bundle's serialisation term: its members' beats ride one
-/// port whose effective rate degrades with the member count.
-fn shared_port_cycles(design: &DesignDescriptor, device: &Device, bundled: usize) -> u64 {
-    if bundled <= 1 {
-        return 0;
-    }
-    let arbitration_efficiency = 1.0 / (1.0 + 0.15 * (bundled as f64 - 1.0));
-    let shared_rate = device.beats_per_cycle_per_bank() * arbitration_efficiency;
-    let mut shared: u64 = 0;
-    for stage in &design.stages {
-        if let Stage::Load {
-            beats_per_field, ..
+impl PlannedDesign {
+    fn new(temporal_depth: usize, design: DesignDescriptor, device: &Device) -> Self {
+        let small = |bundle: &str| bundle.ends_with("_small");
+        let has_small = design.interfaces.iter().any(|(_, b)| small(b));
+        let field_ports = design
+            .interfaces
+            .iter()
+            .filter(|(p, b)| p == "m_axi" && !small(b))
+            .count();
+        let (mut field_beats, mut ring_beats) = (0u64, 0u64);
+        for stage in &design.stages {
+            match stage {
+                Stage::Load {
+                    beats_per_field, ..
+                }
+                | Stage::Write {
+                    beats_per_field, ..
+                } => field_beats = field_beats.max(*beats_per_field),
+                Stage::Merge { ring, .. } => ring_beats = ring_beats.max(ring.div_ceil(8)),
+                _ => {}
+            }
         }
-        | Stage::Write {
-            beats_per_field, ..
-        } = stage
-        {
-            let shared_beats = *beats_per_field as f64 * bundled as f64;
-            shared = shared.max((shared_beats / shared_rate).ceil() as u64);
+        let bank_rate = device.beats_per_cycle_per_bank();
+        let unbundled = hmls_estimate(&design, device, 1).steady_cycles;
+        let unbundled_memory = (field_beats.max(ring_beats) as f64 / bank_rate).ceil() as u64;
+        // The shared bundle's members ride one port whose effective rate
+        // degrades with the member count (their bursts interleave) — the
+        // performance effect §4 anticipated when it chose not to bundle
+        // without a heuristic. With no member, or one sharing with nobody,
+        // the term is at most a load stage's own and the maxima absorb it.
+        let shared = |bundled: usize| -> u64 {
+            let efficiency = 1.0 / (1.0 + 0.15 * (bundled as f64 - 1.0));
+            (field_beats as f64 * bundled as f64 / (bank_rate * efficiency)).ceil() as u64
+        };
+        let bundlings = 0..=field_ports.saturating_sub(1);
+        Self {
+            temporal_depth,
+            fill: STAGE_FILL_CYCLES * design.critical_path_stages(),
+            ports_per_cu: bundlings
+                .clone()
+                .map(|b| field_ports - b + usize::from(b > 0) + usize::from(has_small))
+                .collect(),
+            steady: bundlings
+                .clone()
+                .map(|b| unbundled.max(shared(b)))
+                .collect(),
+            memory: bundlings.map(|b| unbundled_memory.max(shared(b))).collect(),
+            design,
         }
     }
-    shared
+
+    /// Fill plus the shared bundle's arbitration latency.
+    fn fill_cycles(&self, bundled: usize) -> u64 {
+        self.fill + STAGE_FILL_CYCLES * if bundled > 1 { bundled as u64 } else { 0 }
+    }
+
+    /// Effective throughput of a sweep taking `cycles`, MPt·steps/s.
+    fn mpts(&self, device: &Device, cycles: u64) -> f64 {
+        let seconds = device.cycles_to_seconds(cycles);
+        self.design.interior_points as f64 * self.temporal_depth as f64 / seconds / 1.0e6
+    }
 }
 
-/// Steady cycles attributable to the *memory side* of the design (the
-/// load/write beat streams, the merge stages' halo-ring reads, and the
-/// shared bundle) — the numerator of the HBM utilisation fraction.
-fn memory_steady(design: &DesignDescriptor, device: &Device, bundled: usize) -> u64 {
-    let bank_rate = device.beats_per_cycle_per_bank();
-    let mut mem: u64 = 0;
-    for stage in &design.stages {
-        match stage {
-            Stage::Load {
-                beats_per_field, ..
-            }
-            | Stage::Write {
-                beats_per_field, ..
-            } => {
-                mem = mem.max((*beats_per_field as f64 / bank_rate).ceil() as u64);
-            }
-            Stage::Merge { ring, .. } => {
-                mem = mem.max((ring.div_ceil(8) as f64 / bank_rate).ceil() as u64);
-            }
-            _ => {}
-        }
-    }
-    mem.max(shared_port_cycles(design, device, bundled))
+/// What the phases share: the compiled designs and the axis-0 extent the
+/// slab splits divide.
+struct Plan {
+    n0: i64,
+    designs: Vec<PlannedDesign>,
+    /// Index of the depth-1 design, the default configuration's.
+    baseline: usize,
 }
 
-/// BRAM36 blocks one CU's FIFOs occupy at `depth` elements each.
-fn fifo_bram_at_depth(design: &DesignDescriptor, depth: u64) -> u64 {
-    design
-        .streams
-        .iter()
-        .map(|s| bram_blocks(depth * s.elem_bytes))
-        .sum()
+/// One combination of the swept axes, before it is priced.
+struct Point {
+    design: usize,
+    cus: u32,
+    split: SplitStrategy,
+    max_rows: i64,
+    bundled: usize,
+    fifo_depth: Option<usize>,
 }
 
 /// Rows of the tallest slab under `split`, or `None` when `cus` exceeds
@@ -431,34 +444,28 @@ fn max_slab_rows(n0: i64, cus: u32, split: SplitStrategy) -> Option<i64> {
             .iter()
             .map(|(s, e)| e - s)
             .max(),
-        SplitStrategy::FloorRemainderLast => {
-            let base = n0 / i64::from(cus);
-            let last = n0 - base * (i64::from(cus) - 1);
-            Some(base.max(last))
-        }
+        // The last CU: its own floor share plus the whole remainder.
+        SplitStrategy::FloorRemainderLast => Some(n0 - n0 / i64::from(cus) * (i64::from(cus) - 1)),
     }
 }
 
-/// Run the joint sweep for `kernel`, sharing compilations through
-/// `cache`. Pass a fresh private cache to measure the zero-recompile
-/// property, or [`crate::cache::global_cache`] to share designs with the
-/// rest of the process.
-pub fn tune(kernel: &KernelDef, opts: &TuneOptions, cache: &CompileCache) -> IrResult<TuneReport> {
-    if kernel.grid.is_empty() {
+/// Compile phase: one design per temporal depth (the only compile-time
+/// axis) through `cache`; depth 1 is always compiled because it is the
+/// report's default/baseline configuration.
+fn compile(
+    kernel: &KernelDef,
+    temporal_depths: &[usize],
+    device: &Device,
+    cache: &CompileCache,
+) -> IrResult<Plan> {
+    let Some(&n0) = kernel.grid.first() else {
         return Err(ir_error!("autotune: kernel `{}` has no grid", kernel.name));
-    }
-    let n0 = kernel.grid[0];
-    let device = &opts.device;
-    let stats_before = cache.stats();
-
-    // --- compile one design per temporal depth (the only compile-time
-    // axis); depth 1 is always compiled because it is the report's
-    // default/baseline configuration.
-    let mut depths: Vec<usize> = opts.temporal_depths.clone();
+    };
+    let mut depths = temporal_depths.to_vec();
     if !depths.contains(&1) {
         depths.insert(0, 1);
     }
-    let mut designs: Vec<DesignDescriptor> = Vec::with_capacity(depths.len());
+    let mut designs = Vec::with_capacity(depths.len());
     for &depth in &depths {
         let mut copts = CompileOptions {
             paths: TargetPath::HlsOnly,
@@ -466,39 +473,34 @@ pub fn tune(kernel: &KernelDef, opts: &TuneOptions, cache: &CompileCache) -> IrR
         };
         copts.hmls.temporal_depth = depth;
         let (compiled, _hit) = cache.get_or_compile(kernel, &copts)?;
-        designs.push(
-            DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
-                .map_err(|e| e.context(format!("autotune: depth-{depth} design extraction")))?,
-        );
+        let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
+            .map_err(|e| e.context(format!("autotune: depth-{depth} design extraction")))?;
+        designs.push(PlannedDesign::new(depth, design, device));
     }
-    let default_design = &designs[depths
-        .iter()
-        .position(|&d| d == 1)
-        .expect("depth 1 present")];
-    let interior_points = default_design.interior_points;
+    let baseline = depths.iter().position(|&d| d == 1);
+    Ok(Plan {
+        n0,
+        designs,
+        baseline: baseline.expect("depth 1 present"),
+    })
+}
 
-    // --- enumerate and prune with the analytic models.
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut candidates_total = 0usize;
-    let mut pruned_ports = 0usize;
-    let mut pruned_resources = 0usize;
-    for (depth_idx, &temporal_depth) in depths.iter().enumerate() {
-        if !opts.temporal_depths.contains(&temporal_depth) {
+/// Enumerate phase: every combination of the swept axes.
+fn enumerate(plan: &Plan, opts: &TuneOptions) -> IrResult<Vec<Point>> {
+    if opts.cus.contains(&0) {
+        return Err(ir_error!(
+            "autotune: the `cus` axis holds 0; a deployment needs at least one compute unit"
+        ));
+    }
+    let mut points = Vec::new();
+    for (design, planned) in plan.designs.iter().enumerate() {
+        if !opts.temporal_depths.contains(&planned.temporal_depth) {
             continue; // depth 1 compiled only as the baseline
         }
-        let design = &designs[depth_idx];
-        let total_field_ports = design
-            .interfaces
-            .iter()
-            .filter(|(p, b)| p == "m_axi" && !b.ends_with("_small"))
-            .count();
-        let has_small = design.interfaces.iter().any(|(_, b)| b.ends_with("_small"));
-        let fill = STAGE_FILL_CYCLES * design.critical_path_stages();
-
         for &cus in &opts.cus {
             let mut seen_rows: Vec<i64> = Vec::new();
             for &split in &opts.splits {
-                let Some(max_rows) = max_slab_rows(n0, cus, split) else {
+                let Some(max_rows) = max_slab_rows(plan.n0, cus, split) else {
                     continue;
                 };
                 // Splits that produce the same tallest slab model
@@ -508,260 +510,291 @@ pub fn tune(kernel: &KernelDef, opts: &TuneOptions, cache: &CompileCache) -> IrR
                     continue;
                 }
                 seen_rows.push(max_rows);
-                for bundled in 0..=total_field_ports.saturating_sub(1) {
-                    let private_ports = total_field_ports - bundled;
-                    let shared_ports = usize::from(bundled > 0) + usize::from(has_small);
-                    let ports_per_cu = private_ports + shared_ports;
-                    let steady_full = bundled_steady(design, device, bundled);
-                    let extra_fill = if bundled > 1 {
-                        STAGE_FILL_CYCLES * bundled as u64
-                    } else {
-                        0
-                    };
-                    for &fifo_depth in &opts.fifo_depths {
-                        candidates_total += 1;
-                        // Prune 1: the shell's port budget.
-                        if cus as usize * ports_per_cu > device.max_axi_ports as usize {
-                            pruned_ports += 1;
-                            continue;
-                        }
-                        // Analytic makespan: the slowest slab's share of
-                        // the full-domain steady state, plus fill.
-                        let makespan_steady =
-                            ((steady_full as f64 * max_rows as f64 / n0 as f64).ceil()) as u64;
-                        let cycles = makespan_steady + fill + extra_fill;
-                        let seconds = device.cycles_to_seconds(cycles);
-                        let mpts =
-                            design.interior_points as f64 * temporal_depth as f64 / seconds / 1.0e6;
-                        // Resources: bundling swaps port engines; the
-                        // FIFO override swaps per-stream storage.
-                        let mut resources =
-                            dse::resources_with_ports(design, &opts.costs, cus, ports_per_cu);
-                        let declared: u64 = design
-                            .streams
-                            .iter()
-                            .map(|s| bram_blocks(s.depth.max(0) as u64 * s.elem_bytes))
-                            .sum();
-                        let overridden = fifo_bram_at_depth(design, fifo_depth as u64);
-                        resources.bram36 =
-                            resources.bram36.saturating_sub(declared * u64::from(cus))
-                                + overridden * u64::from(cus);
-                        // Prune 2: the resource model.
-                        if !resources.fits(device) {
-                            pruned_resources += 1;
-                            continue;
-                        }
-                        let bytes_moved = design.total_beats() * 64;
-                        let pe =
-                            power::estimate(device, &opts.power, &resources, bytes_moved, seconds);
-                        let utilisation = Utilisation {
-                            hbm: memory_steady(design, device, bundled) as f64
-                                / steady_full.max(1) as f64,
-                            bram: resources.bram36 as f64 / device.bram36.max(1) as f64,
-                            ports: (cus as usize * ports_per_cu) as f64
-                                / device.max_axi_ports.max(1) as f64,
-                        };
-                        candidates.push(Candidate {
-                            depth_idx,
-                            cus,
-                            split,
-                            temporal_depth,
-                            fifo_depth,
-                            bundled_fields: bundled,
-                            ports_per_cu,
-                            max_rows,
-                            cycles,
-                            mpts,
-                            resources,
-                            watts: pe.watts,
-                            utilisation,
-                        });
-                    }
+                for bundled in 0..planned.steady.len() {
+                    points.extend(opts.fifo_depths.iter().map(|&depth| Point {
+                        design,
+                        cus,
+                        split,
+                        max_rows,
+                        bundled,
+                        fifo_depth: Some(depth),
+                    }));
                 }
             }
         }
     }
+    Ok(points)
+}
 
-    // --- prune 3: Pareto dominance over (throughput, BRAM, watts).
-    let frontier_mask: Vec<bool> = candidates
+/// Cost phase, one point. The analytic makespan is the slowest slab's
+/// share of the full-domain steady state, plus fill; the resources are
+/// `cus` replicas with the AXI protocol engines `estimate_cu` priced
+/// swapped for the bundled count and, under a FIFO override, the declared
+/// per-stream storage swapped for the overridden.
+fn cost(plan: &Plan, opts: &TuneOptions, point: &Point) -> Candidate {
+    let planned = &plan.designs[point.design];
+    let (design, device, costs) = (&planned.design, &opts.device, &opts.costs);
+    let steady_full = planned.steady[point.bundled];
+    let makespan_steady =
+        ((steady_full as f64 * point.max_rows as f64 / plan.n0 as f64).ceil()) as u64;
+    let cycles = makespan_steady + planned.fill_cycles(point.bundled);
+
+    let ports_per_cu = planned.ports_per_cu[point.bundled];
+    let mut per_cu = resources::estimate_cu(design, costs, u64::from(point.cus));
+    let (old_ports, new_ports) = (design.axi_ports() as u64, ports_per_cu as u64);
+    per_cu.luts = per_cu.luts - old_ports * costs.axi_port.luts + new_ports * costs.axi_port.luts;
+    per_cu.ffs = per_cu.ffs - old_ports * costs.axi_port.ffs + new_ports * costs.axi_port.ffs;
+    if let Some(depth) = point.fifo_depth {
+        let blocks = |s: &StreamDesc, depth: u64| bram_blocks(depth * s.elem_bytes);
+        let streams = design.streams.iter();
+        let declared: u64 = streams
+            .clone()
+            .map(|s| blocks(s, s.depth.max(0) as u64))
+            .sum();
+        let overridden: u64 = streams.map(|s| blocks(s, depth as u64)).sum();
+        per_cu.bram36 = per_cu.bram36.saturating_sub(declared) + overridden;
+    }
+    let resources = per_cu.scaled(u64::from(point.cus));
+
+    let seconds = device.cycles_to_seconds(cycles);
+    let bytes_moved = design.total_beats() * 64;
+    Candidate {
+        design: point.design,
+        max_rows: point.max_rows,
+        cus: point.cus,
+        split: point.split,
+        temporal_depth: planned.temporal_depth,
+        fifo_depth: point.fifo_depth,
+        bundled_fields: point.bundled,
+        ports_per_cu,
+        cycles,
+        mpts: planned.mpts(device, cycles),
+        watts: power::estimate(device, &opts.power, &resources, bytes_moved, seconds).watts,
+        utilisation: Utilisation {
+            hbm: planned.memory[point.bundled] as f64 / steady_full.max(1) as f64,
+            bram: resources.bram36 as f64 / device.bram36.max(1) as f64,
+            ports: (point.cus as usize * ports_per_cu) as f64 / device.max_axi_ports.max(1) as f64,
+        },
+        resources,
+    }
+}
+
+/// Prune phase: the Pareto frontier of `costed` — the candidates no other
+/// candidate dominates.
+fn prune(costed: Vec<Candidate>) -> Vec<Candidate> {
+    let keep: Vec<bool> = costed
         .iter()
-        .map(|c| !candidates.iter().any(|other| dominates(other, c)))
+        .map(|c| !costed.iter().any(|other| dominates(other, c)))
         .collect();
-    let pruned_dominated = frontier_mask.iter().filter(|&&keep| !keep).count();
-    let frontier_candidates: Vec<Candidate> = candidates
+    let kept = costed
         .into_iter()
-        .zip(&frontier_mask)
-        .filter_map(|(c, &keep)| keep.then_some(c))
-        .collect();
+        .zip(keep)
+        .filter_map(|(c, keep)| keep.then_some(c));
+    kept.collect()
+}
 
-    // --- simulate the default configuration and every unique
-    // (design, FIFO depth) pair the frontier needs, in parallel. The
-    // simulator models one full-domain CU; per-candidate makespans are
-    // that raw sweep scaled by slab fraction and shared-port penalty.
-    let default_idx = depths
-        .iter()
-        .position(|&d| d == 1)
-        .expect("depth 1 present");
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for c in &frontier_candidates {
-        let pair = (c.depth_idx, c.fifo_depth);
-        if !pairs.contains(&pair) {
-            pairs.push(pair);
-        }
-    }
-    let mut sim_results: Vec<Option<u64>> = Vec::with_capacity(pairs.len());
-    let mut default_cycles: u64 = 0;
-    {
-        let designs = &designs;
-        let joined: Vec<(String, std::thread::Result<Option<u64>>)> =
-            std::thread::scope(|scope| {
-                let default_handle = scope.spawn(move || {
-                    shmls_fpga_sim::cycle::simulate(&designs[default_idx], None)
-                        .ok()
-                        .map(|r| r.cycles)
-                });
-                let handles: Vec<_> = pairs
-                    .iter()
-                    .map(|&(di, fd)| {
-                        scope.spawn(move || {
-                            shmls_fpga_sim::cycle::simulate(&designs[di], Some(fd))
-                                .ok()
-                                .map(|r| r.cycles)
-                        })
-                    })
-                    .collect();
-                // Join *all* threads before surfacing any panic, so one
-                // poisoned simulation cannot abort the sweep mid-join
-                // (the same containment pattern as `scale::sweep_slabs`).
-                std::iter::once(("default".to_string(), default_handle.join()))
-                    .chain(pairs.iter().zip(handles).map(|(&(di, fd), h)| {
-                        (format!("depth {} fifo {fd}", depths[di]), h.join())
-                    }))
-                    .collect()
-            });
-        for (label, result) in joined {
-            let cycles = match result {
-                Ok(c) => c,
-                Err(payload) => {
-                    let reason = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    return Err(ir_error!("autotune: {label} simulation panicked: {reason}"));
-                }
-            };
-            if label == "default" {
-                default_cycles = cycles.ok_or_else(|| {
-                    ir_error!("autotune: the default configuration deadlocked in simulation")
-                })?;
-            } else {
-                sim_results.push(cycles);
-            }
-        }
-    }
-    let simulated = pairs.len();
-    let default_seconds = device.cycles_to_seconds(default_cycles);
-    let default_mpts = interior_points as f64 / default_seconds / 1.0e6;
+/// How a FIFO depth reads in a table or a message.
+fn fifo_label(fifo_depth: Option<usize>) -> String {
+    fifo_depth.map_or_else(|| "declared".to_string(), |d| d.to_string())
+}
 
-    // --- attach simulated makespans, dropping deadlocked pairs.
-    let mut pruned_deadlocked = 0usize;
-    let mut frontier: Vec<TunedCandidate> = Vec::new();
-    for c in frontier_candidates {
-        let pair_idx = pairs
+/// Cycle-simulate each `(design, FIFO depth)` pair on its own thread;
+/// `None` marks a pair that deadlocked. Every thread is joined before any
+/// panic surfaces, so one poisoned simulation cannot abort the sweep
+/// mid-join (the same containment pattern as `scale::sweep_slabs`).
+fn simulate_pairs(plan: &Plan, pairs: &[(usize, Option<usize>)]) -> IrResult<Vec<Option<u64>>> {
+    let sweep = |(design, fifo_depth): (usize, Option<usize>)| {
+        let report = cycle::simulate(&plan.designs[design].design, fifo_depth);
+        report.ok().map(|r| r.cycles)
+    };
+    let joined: Vec<std::thread::Result<Option<u64>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = pairs
             .iter()
-            .position(|&p| p == (c.depth_idx, c.fifo_depth))
-            .expect("pair enumerated above");
-        let Some(raw_cycles) = sim_results[pair_idx] else {
-            pruned_deadlocked += 1;
+            .map(|&pair| scope.spawn(move || sweep(pair)))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let contained = pairs.iter().zip(joined).map(|(&(design, fifo), result)| {
+        result.map_err(|payload| {
+            let (depth, fifo) = (plan.designs[design].temporal_depth, fifo_label(fifo));
+            let reason = panic_reason(&*payload);
+            ir_error!("autotune: depth {depth} fifo {fifo} simulation panicked: {reason}")
+        })
+    });
+    contained.collect()
+}
+
+/// Simulate phase: the default configuration — (depth-1 design, declared
+/// FIFOs), always the first pair — and every unique pair `candidates`
+/// need. The simulator models one full-domain CU; a candidate's makespan
+/// is that raw sweep's steady part scaled by its slab fraction and its
+/// shared-port penalty over the unbundled steady state, plus its fill.
+/// Returns the default's cycles, the raw sweeps run for the candidates,
+/// and the candidates whose pair did not deadlock, in the order given.
+fn simulate(
+    plan: &Plan,
+    device: &Device,
+    candidates: Vec<Candidate>,
+) -> IrResult<(u64, usize, Vec<TunedCandidate>)> {
+    let mut pairs = vec![(plan.baseline, None)];
+    for c in &candidates {
+        if !pairs.contains(&(c.design, c.fifo_depth)) {
+            pairs.push((c.design, c.fifo_depth));
+        }
+    }
+    let raw = simulate_pairs(plan, &pairs)?;
+    let default_cycles = raw[0]
+        .ok_or_else(|| ir_error!("autotune: the default configuration deadlocked in simulation"))?;
+    let mut entries = Vec::new();
+    for c in candidates {
+        let pair = pairs.iter().position(|&p| p == (c.design, c.fifo_depth));
+        let Some(raw_cycles) = raw[pair.expect("pair enumerated above")] else {
             continue;
         };
-        let design = &designs[c.depth_idx];
-        let fill = STAGE_FILL_CYCLES * design.critical_path_stages();
-        let extra_fill = if c.bundled_fields > 1 {
-            STAGE_FILL_CYCLES * c.bundled_fields as u64
-        } else {
-            0
-        };
-        // Shared-port penalty relative to the unbundled steady state.
-        let unbundled = bundled_steady(design, device, 0).max(1);
-        let penalty = bundled_steady(design, device, c.bundled_fields) as f64 / unbundled as f64;
-        let raw_steady = raw_cycles.saturating_sub(fill).max(1);
-        let simulated_cycles = ((raw_steady as f64 * c.max_rows as f64 / n0 as f64 * penalty)
+        let planned = &plan.designs[c.design];
+        let penalty = planned.steady[c.bundled_fields] as f64 / planned.steady[0].max(1) as f64;
+        let raw_steady = raw_cycles.saturating_sub(planned.fill).max(1);
+        let simulated_cycles = ((raw_steady as f64 * c.max_rows as f64 / plan.n0 as f64 * penalty)
             .ceil()) as u64
-            + fill
-            + extra_fill;
-        let sim_seconds = device.cycles_to_seconds(simulated_cycles);
-        let simulated_mpts =
-            design.interior_points as f64 * c.temporal_depth as f64 / sim_seconds / 1.0e6;
-        frontier.push(TunedCandidate {
-            cus: c.cus,
-            split: c.split,
-            temporal_depth: c.temporal_depth,
-            fifo_depth: c.fifo_depth,
-            bundled_fields: c.bundled_fields,
-            ports_per_cu: c.ports_per_cu,
-            cycles: c.cycles,
-            mpts: c.mpts,
-            resources: c.resources,
-            watts: c.watts,
+            + planned.fill_cycles(c.bundled_fields);
+        entries.push(TunedCandidate {
             simulated_cycles,
-            simulated_mpts,
-            utilisation: c.utilisation,
+            simulated_mpts: planned.mpts(device, simulated_cycles),
             binding: c.utilisation.binding(),
             margin_pct: 0.0,
+            costed: c,
         });
     }
+    Ok((default_cycles, pairs.len() - 1, entries))
+}
 
-    // --- rank by simulated throughput (deterministic tie-break on the
-    // axes) and compute margins: each entry over the next-ranked one, the
-    // last entry over the default configuration.
+/// Rank phase: order by simulated throughput (deterministic tie-break on
+/// the axes) and give each entry its margin over the next-ranked one, the
+/// last entry over the default configuration.
+fn rank(frontier: &mut [TunedCandidate], default_mpts: f64) {
     frontier.sort_by(|a, b| {
         b.simulated_mpts
             .total_cmp(&a.simulated_mpts)
-            .then_with(|| a.cus.cmp(&b.cus))
-            .then_with(|| a.temporal_depth.cmp(&b.temporal_depth))
-            .then_with(|| a.bundled_fields.cmp(&b.bundled_fields))
-            .then_with(|| a.fifo_depth.cmp(&b.fifo_depth))
+            .then_with(|| a.costed.cus.cmp(&b.costed.cus))
+            .then_with(|| a.costed.temporal_depth.cmp(&b.costed.temporal_depth))
+            .then_with(|| a.costed.bundled_fields.cmp(&b.costed.bundled_fields))
+            .then_with(|| a.costed.fifo_depth.cmp(&b.costed.fifo_depth))
     });
     for i in 0..frontier.len() {
-        let reference = if i + 1 < frontier.len() {
-            frontier[i + 1].simulated_mpts
-        } else {
-            default_mpts
-        };
+        let next = frontier.get(i + 1).map(|next| next.simulated_mpts);
+        let reference = next.unwrap_or(default_mpts);
         frontier[i].margin_pct = if reference > 0.0 {
             (frontier[i].simulated_mpts / reference - 1.0) * 100.0
         } else {
             0.0
         };
     }
-    let best_speedup = frontier
-        .first()
-        .map(|c| c.simulated_mpts / default_mpts)
-        .unwrap_or(0.0);
+}
+
+/// Run the joint sweep for `kernel`, sharing compilations through
+/// `cache`. Pass a fresh private cache to measure the zero-recompile
+/// property, or [`crate::cache::global_cache`] to share designs with the
+/// rest of the process.
+pub fn tune(kernel: &KernelDef, opts: &TuneOptions, cache: &CompileCache) -> IrResult<TuneReport> {
+    let device = &opts.device;
+    let stats_before = cache.stats();
+    let plan = compile(kernel, &opts.temporal_depths, device, cache)?;
+    let points = enumerate(&plan, opts)?;
+    // Cheapest test first: the shell's port budget needs no pricing.
+    let budget = device.max_axi_ports as usize;
+    let ports = |p: &Point| p.cus as usize * plan.designs[p.design].ports_per_cu[p.bundled];
+    let within_budget: Vec<&Point> = points.iter().filter(|p| ports(p) <= budget).collect();
+    let costed = within_budget.iter().map(|p| cost(&plan, opts, p));
+    let fitting: Vec<Candidate> = costed.filter(|c| c.resources.fits(device)).collect();
+    let fitting_count = fitting.len();
+    let frontier = prune(fitting);
+    let frontier_count = frontier.len();
+    let (default_cycles, simulated, mut frontier) = simulate(&plan, device, frontier)?;
+    let baseline = &plan.designs[plan.baseline];
+    let default_mpts = baseline.mpts(device, default_cycles);
+    rank(&mut frontier, default_mpts);
 
     let stats_after = cache.stats();
     let compile_misses = stats_after.misses - stats_before.misses;
-    let compile_hits = stats_after.hits - stats_before.hits;
+    let best = frontier.first();
     Ok(TuneReport {
         kernel: kernel.name.clone(),
-        interior_points,
-        candidates_total,
-        pruned_ports,
-        pruned_resources,
-        pruned_dominated,
-        pruned_deadlocked,
+        interior_points: baseline.design.interior_points,
+        candidates_total: points.len(),
+        pruned_ports: points.len() - within_budget.len(),
+        pruned_resources: within_budget.len() - fitting_count,
+        pruned_dominated: fitting_count - frontier_count,
+        pruned_deadlocked: frontier_count - frontier.len(),
         simulated,
-        unique_designs: designs.len(),
+        unique_designs: plan.designs.len(),
         compile_misses,
-        compile_hits,
-        redundant_compiles: compile_misses.saturating_sub(designs.len() as u64),
+        compile_hits: stats_after.hits - stats_before.hits,
+        redundant_compiles: compile_misses.saturating_sub(plan.designs.len() as u64),
         default_cycles,
         default_mpts,
-        best_speedup,
+        best_speedup: best.map_or(0.0, |best| best.simulated_mpts / default_mpts),
         frontier,
     })
+}
+
+/// The port-bundling heuristic §4 leaves to "heuristics … required by our
+/// transformation", as a view of the cost phase: one row per number of
+/// field ports folded into a shared bundle, each at the CU count its
+/// `ports_per_cu` lets the shell's port budget replicate (balanced split,
+/// depth 1, declared FIFOs; `opts`' swept axes are not read). Fewer ports
+/// per CU buys replicas; the shared bundle serialising its members' beats
+/// pays for them. Returns the rows and the index of the highest-throughput
+/// row that fits the device, if any does.
+pub fn bundling_view(
+    kernel: &KernelDef,
+    opts: &TuneOptions,
+) -> IrResult<(Vec<Candidate>, Option<usize>)> {
+    let plan = compile(kernel, &[1], &opts.device, global_cache())?;
+    let budget = opts.device.max_axi_ports as usize;
+    let row = |(bundled, &ports_per_cu): (usize, &usize)| {
+        // At least one CU, at most one per axis-0 row.
+        let cus = (budget / ports_per_cu.max(1)).clamp(1, plan.n0 as usize) as u32;
+        let split = SplitStrategy::Balanced;
+        let point = Point {
+            design: plan.baseline,
+            cus,
+            split,
+            max_rows: max_slab_rows(plan.n0, cus, split).expect("cus <= n0"),
+            bundled,
+            fifo_depth: None,
+        };
+        cost(&plan, opts, &point)
+    };
+    let ports_per_cu = &plan.designs[plan.baseline].ports_per_cu;
+    let rows: Vec<Candidate> = ports_per_cu.iter().enumerate().map(row).collect();
+    let fitting = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.resources.fits(&opts.device));
+    let best = fitting.max_by(|(_, a), (_, b)| a.mpts.total_cmp(&b.mpts));
+    let best = best.map(|(i, _)| i);
+    Ok((rows, best))
+}
+
+/// How deep do the FIFOs need to be — the question the paper's runtime
+/// answers with a fixed constant (`@llvm.fpga.set.stream.depth`) — as a
+/// view of the simulate phase: `(depth, cycles)` for each uniform depth of
+/// a fixed ladder through the depth-1 design, and the index of the
+/// shallowest row within 2% of the fastest. A depth that deadlocks reads
+/// `u64::MAX` cycles, so it is never recommended. The generated designs
+/// are rate-matched Kahn networks, so the expected answer is "barely
+/// deeper than a handshake".
+pub fn depth_view(kernel: &KernelDef, opts: &TuneOptions) -> IrResult<(Vec<(usize, u64)>, usize)> {
+    const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
+    const TOLERANCE: f64 = 0.02;
+    let plan = compile(kernel, &[1], &opts.device, global_cache())?;
+    let raw = simulate_pairs(&plan, &DEPTHS.map(|depth| (plan.baseline, Some(depth))))?;
+    let cycles = raw.into_iter().map(|c| c.unwrap_or(u64::MAX));
+    let rows: Vec<(usize, u64)> = DEPTHS.into_iter().zip(cycles).collect();
+    let fastest = rows.iter().map(|r| r.1).min().unwrap_or(1).max(1);
+    let within = |r: &(usize, u64)| r.1 as f64 / fastest as f64 <= 1.0 + TOLERANCE;
+    let recommended = rows.iter().position(within).unwrap_or(rows.len() - 1);
+    Ok((rows, recommended))
 }
 
 /// Render the report as the `repro tune` table.
@@ -792,25 +825,11 @@ pub fn render(report: &TuneReport) -> String {
         report.default_cycles,
         report.default_mpts,
     );
-    writeln!(
-        out,
-        "{:<5} {:>4} {:<11} {:>5} {:>5} {:>8} {:>9} {:>11} {:>10} {:>6} {:>6}  {:<14} {:>8}",
-        "rank",
-        "CUs",
-        "split",
-        "depth",
-        "fifo",
-        "bundled",
-        "ports/CU",
-        "sim-cycles",
-        "MPt·st/s",
-        "BRAM",
-        "watts",
-        "binding",
-        "margin"
-    )
-    .unwrap();
-    for (i, c) in report.frontier.iter().enumerate() {
+    out.push_str(
+        "rank   CUs split       depth  fifo  bundled  ports/CU  sim-cycles   MPt·st/s   BRAM  watts  binding          margin\n",
+    );
+    for (i, entry) in report.frontier.iter().enumerate() {
+        let c = &entry.costed;
         writeln!(
             out,
             "{:<5} {:>4} {:<11} {:>5} {:>5} {:>8} {:>9} {:>11} {:>10.1} {:>6} {:>6.1}  {:<14} {:>7.1}%",
@@ -818,15 +837,15 @@ pub fn render(report: &TuneReport) -> String {
             c.cus,
             c.split.as_str(),
             c.temporal_depth,
-            c.fifo_depth,
+            fifo_label(c.fifo_depth),
             c.bundled_fields,
             c.ports_per_cu,
-            c.simulated_cycles,
-            c.simulated_mpts,
+            entry.simulated_cycles,
+            entry.simulated_mpts,
             c.resources.bram36,
             c.watts,
-            c.binding.as_str(),
-            c.margin_pct,
+            entry.binding.as_str(),
+            entry.margin_pct,
         )
         .unwrap();
     }
@@ -848,6 +867,22 @@ mod tests {
         shmls_frontend::parse_kernel(&shmls_kernels::heat3d::source(12, 10, 8)).unwrap()
     }
 
+    /// The quick axes on a device nothing fits.
+    fn no_resources() -> TuneOptions {
+        let device = Device {
+            luts: 0,
+            ffs: 0,
+            bram36: 0,
+            uram: 0,
+            dsps: 0,
+            ..Device::u280()
+        };
+        TuneOptions {
+            device,
+            ..TuneOptions::quick()
+        }
+    }
+
     fn quick_tune(kernel: &KernelDef) -> TuneReport {
         let cache = CompileCache::new();
         tune(kernel, &TuneOptions::quick(), &cache).unwrap()
@@ -861,17 +896,8 @@ mod tests {
         // axes (throughput, BRAM, watts).
         for (i, a) in report.frontier.iter().enumerate() {
             for (j, b) in report.frontier.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let dominates = a.mpts >= b.mpts
-                    && a.resources.bram36 <= b.resources.bram36
-                    && a.watts <= b.watts
-                    && (a.mpts > b.mpts
-                        || a.resources.bram36 < b.resources.bram36
-                        || a.watts < b.watts);
                 assert!(
-                    !dominates,
+                    !dominates(&a.costed, &b.costed),
                     "frontier entry {i} dominates {j}:\n{a:#?}\n{b:#?}"
                 );
             }
@@ -985,7 +1011,7 @@ mod tests {
     fn every_explanation_names_the_max_utilisation_constraint() {
         let report = quick_tune(&heat3d());
         for c in &report.frontier {
-            let u = c.utilisation;
+            let u = c.costed.utilisation;
             let max = u.hbm.max(u.bram).max(u.ports);
             let expected = if max == u.hbm {
                 Constraint::HbmBandwidth
@@ -1027,18 +1053,7 @@ mod tests {
     fn impossible_device_yields_empty_frontier_without_panicking() {
         let kernel = heat3d();
         let cache = CompileCache::new();
-        let opts = TuneOptions {
-            device: Device {
-                luts: 0,
-                ffs: 0,
-                bram36: 0,
-                uram: 0,
-                dsps: 0,
-                ..Device::u280()
-            },
-            ..TuneOptions::quick()
-        };
-        let report = tune(&kernel, &opts, &cache).unwrap();
+        let report = tune(&kernel, &no_resources(), &cache).unwrap();
         assert!(report.frontier.is_empty());
         assert_eq!(
             report.pruned_resources + report.pruned_ports,
@@ -1058,13 +1073,158 @@ mod tests {
         // effective-throughput metric credits).
         let report = quick_tune(&heat3d());
         assert!(
-            report.frontier.iter().any(|c| c.temporal_depth > 1),
+            report.frontier.iter().any(|c| c.costed.temporal_depth > 1),
             "{:#?}",
             report
                 .frontier
                 .iter()
-                .map(|c| (c.cus, c.temporal_depth, c.simulated_mpts))
+                .map(|c| (c.costed.cus, c.costed.temporal_depth, c.simulated_mpts))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_zero_on_the_cus_axis_is_an_error_naming_the_axis() {
+        // Regression: 0 reached `n0 / cus` under `FloorRemainderLast` and
+        // panicked with a divide-by-zero.
+        let opts = TuneOptions {
+            cus: vec![0],
+            ..TuneOptions::quick()
+        };
+        let err = tune(&heat3d(), &opts, &CompileCache::new()).unwrap_err();
+        assert!(err.message().contains("`cus` axis"), "{err}");
+    }
+
+    /// The audit of "an analytic model that prunes": push every costed
+    /// candidate — not only the frontier — through the same simulate and
+    /// rescale path. The throughput model and the rescaled simulation rank
+    /// the quick axes alike, so no dominated candidate out-simulates the
+    /// ranked best.
+    #[test]
+    fn no_dominated_candidate_out_simulates_the_ranked_best() {
+        let opts = TuneOptions::quick();
+        let plan = compile(
+            &heat3d(),
+            &opts.temporal_depths,
+            &opts.device,
+            &CompileCache::new(),
+        )
+        .unwrap();
+        let points = enumerate(&plan, &opts).unwrap();
+        let costed: Vec<Candidate> = points.iter().map(|p| cost(&plan, &opts, p)).collect();
+        assert!(costed.iter().all(|c| c.resources.fits(&opts.device)));
+        let (dominated, frontier): (Vec<_>, Vec<_>) = costed
+            .iter()
+            .cloned()
+            .partition(|c| costed.iter().any(|other| dominates(other, c)));
+        assert_eq!(frontier.len(), prune(costed.clone()).len());
+        assert!(!dominated.is_empty());
+
+        let simulated = |candidates| simulate(&plan, &opts.device, candidates).unwrap().2;
+        let mut ranked = simulated(frontier);
+        rank(&mut ranked, 0.0);
+        let best = &ranked[0];
+        for c in simulated(dominated) {
+            assert!(
+                c.simulated_mpts <= best.simulated_mpts,
+                "pruned as dominated, yet out-simulates the best {best:#?}:\n{c:#?}"
+            );
+        }
+    }
+
+    // ---- the two views behind `repro dse`
+
+    fn parse(source: String) -> KernelDef {
+        shmls_frontend::parse_kernel(&source).unwrap()
+    }
+
+    #[test]
+    fn tracer_bundling_unlocks_more_cus() {
+        // The paper's own example: "reducing to 12 ports for the input and
+        // output fields plus one bundled port for the rest of the
+        // arguments would allow for 2 CUs".
+        let kernel = parse(shmls_kernels::tracer_advection::source(256, 256, 128));
+        let (rows, best) = bundling_view(&kernel, &TuneOptions::quick()).unwrap();
+        // Default: 17 ports, 1 CU.
+        assert_eq!((rows[0].ports_per_cu, rows[0].cus), (17, 1));
+        // Bundling 5 field ports: 11 private + shared + small = 13 → 2 CUs.
+        assert_eq!(
+            (rows[5].ports_per_cu, rows[5].cus),
+            (13, 2),
+            "{:?}",
+            rows[5]
+        );
+        // The heuristic finds a configuration at least as fast as the
+        // paper's 1-CU deployment, by replicating.
+        let best = &rows[best.expect("a feasible row")];
+        assert!(best.mpts >= rows[0].mpts, "best {best:?} vs {:?}", rows[0]);
+        assert!(
+            best.cus >= 2,
+            "bundling should unlock replication: {best:?}"
+        );
+    }
+
+    #[test]
+    fn heavy_bundling_hits_the_shared_port() {
+        let kernel = parse(shmls_kernels::tracer_advection::source(256, 256, 128));
+        let (rows, best) = bundling_view(&kernel, &TuneOptions::quick()).unwrap();
+        // Folding *everything* into one bundle serialises all traffic: the
+        // most aggressive bundling must not be the best choice.
+        let last = rows.last().unwrap();
+        let best = &rows[best.expect("a feasible row")];
+        assert!(best.bundled_fields < last.bundled_fields, "best {best:?}");
+        // And the shared-port penalty is visible per CU.
+        let per_cu = |c: &Candidate| c.mpts / f64::from(c.cus);
+        assert!(per_cu(last) < per_cu(&rows[0]) * 1.01, "{last:?}");
+    }
+
+    #[test]
+    fn pw_advection_keeps_the_paper_deployment_competitive() {
+        let kernel = parse(shmls_kernels::pw_advection::source(256, 256, 128));
+        let (rows, best) = bundling_view(&kernel, &TuneOptions::quick()).unwrap();
+        // Paper default: 7 ports → 4 CUs, within 1% of the best row.
+        assert_eq!((rows[0].ports_per_cu, rows[0].cus), (7, 4));
+        let best = &rows[best.expect("a feasible row")];
+        assert!(best.mpts >= rows[0].mpts * 0.99);
+        // One row per bundling, each at the streams' declared depths.
+        assert!(rows.iter().all(|c| c.fifo_depth.is_none()));
+        assert_eq!(rows.len(), 6);
+    }
+
+    #[test]
+    fn no_feasible_config_reports_none_instead_of_panicking() {
+        // Regression: the old explorer indexed `choices[0]` when *nothing*
+        // fit, silently presenting an infeasible design as the winner.
+        let kernel = parse(shmls_kernels::pw_advection::source(64, 64, 32));
+        let opts = no_resources();
+        let (rows, best) = bundling_view(&kernel, &opts).unwrap();
+        assert!(rows.iter().all(|c| !c.resources.fits(&opts.device)));
+        assert_eq!(best, None);
+    }
+
+    #[test]
+    fn rate_matched_designs_need_shallow_fifos() {
+        let kernel = parse(shmls_kernels::pw_advection::source(16, 14, 10));
+        let (rows, recommended) = depth_view(&kernel, &TuneOptions::quick()).unwrap();
+        // A handshake-depth FIFO suffices on a rate-matched network.
+        assert!(
+            rows[recommended].0 <= 4,
+            "recommended {:?}",
+            rows[recommended]
+        );
+        // Depths are swept in order and cycles never increase with depth.
+        for pair in rows.windows(2) {
+            assert!(pair[0].0 < pair[1].0);
+            assert!(pair[0].1 >= pair[1].1);
+        }
+    }
+
+    #[test]
+    fn tracer_chain_also_tolerates_shallow_fifos() {
+        let kernel = parse(shmls_kernels::tracer_advection::source(10, 8, 6));
+        let (rows, recommended) = depth_view(&kernel, &TuneOptions::quick()).unwrap();
+        assert!(rows[recommended].0 <= 8);
+        // Even depth 1 completes (deadlock-freedom at minimal buffering).
+        assert!(rows[0].1 < u64::MAX);
     }
 }

@@ -34,7 +34,9 @@
 //! - [`autotune`] — the joint design-space autotuner: sweeps
 //!   CU count × slab split × FIFO depth × bundling × temporal depth,
 //!   prunes with the analytic models, and cycle-simulates only the
-//!   Pareto frontier ([`autotune::tune`]).
+//!   Pareto frontier ([`autotune::tune`]); the §4 port-bundling heuristic
+//!   and the FIFO-depth ladder behind `repro dse` are views of its cost
+//!   and simulate phases.
 //!
 //! ## Example
 //!
@@ -78,7 +80,6 @@ pub mod classify;
 pub mod connectivity;
 pub mod cpu_lowering;
 pub mod driver;
-pub mod dse;
 pub mod engine;
 pub mod fpp;
 pub mod fuse;

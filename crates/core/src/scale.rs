@@ -44,7 +44,6 @@
 //! the same rule to a monolithic (single-domain) runner and is the oracle
 //! the slab path is differentially tested against.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -55,7 +54,7 @@ use shmls_fpga_sim::perf::{
     external_passes, hmls_estimate, scale_estimate, PerfEstimate, ScaleEstimate,
 };
 use shmls_frontend::{FieldKind, KernelDef};
-use shmls_ir::error::{IrError, IrResult};
+use shmls_ir::error::{panic_reason, IrResult};
 use shmls_ir::interp::Buffer;
 use shmls_ir::{ir_bail, ir_error};
 
@@ -658,18 +657,13 @@ fn sweep_slabs(
     joined
         .into_iter()
         .enumerate()
-        .map(|(cu, result)| result.unwrap_or_else(|payload| Err(worker_panicked(cu, payload))))
+        .map(|(cu, result)| {
+            result.unwrap_or_else(|payload| {
+                let reason = panic_reason(&*payload);
+                Err(ir_error!("compute-unit {cu} worker panicked: {reason}"))
+            })
+        })
         .collect()
-}
-
-/// The structured error a panicking compute-unit sweep becomes.
-fn worker_panicked(cu: usize, payload: Box<dyn Any + Send>) -> IrError {
-    let reason = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    ir_error!("compute-unit {cu} worker panicked: {reason}")
 }
 
 #[cfg(test)]

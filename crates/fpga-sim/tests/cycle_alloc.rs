@@ -1,10 +1,12 @@
 //! The cycle engine's step allocates nothing: `simulate` sets up its
 //! per-stage and per-stream vectors before the first cycle, so a run a
 //! hundred times longer performs the same number of allocations. A
-//! counting `#[global_allocator]` needs a test binary of its own (and one
-//! test in it, so no other thread allocates while it counts).
+//! counting `#[global_allocator]` needs a test binary of its own; it counts
+//! only the thread that asked (the harness's main thread allocates while
+//! the test runs, more often the busier the host).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use shmls_fpga_sim::cycle::{simulate, simulate_stepped};
@@ -14,18 +16,29 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are being counted.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a statistic that publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -87,7 +100,9 @@ fn linear_design(n: u64) -> DesignDescriptor {
 
 fn allocations_of(run: impl FnOnce() -> u64) -> (u64, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTED.set(true);
     let cycles = run();
+    COUNTED.set(false);
     (ALLOCATIONS.load(Ordering::Relaxed) - before, cycles)
 }
 

@@ -87,6 +87,16 @@ impl std::error::Error for IrError {}
 /// Convenience alias used throughout the workspace.
 pub type IrResult<T> = Result<T, IrError>;
 
+/// The message a caught panic carried: `panic!`'s payload is a `&str` or a
+/// `String`; anything else (`std::panic::panic_any`) has no text to show.
+pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Construct an [`IrError`] with `format!` semantics.
 #[macro_export]
 macro_rules! ir_error {

@@ -36,6 +36,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::Instant;
 
+use shmls_ir::error::panic_reason;
 use shmls_ir::json::Json;
 
 use crate::protocol::{Request, RequestOptions, Response};
@@ -536,11 +537,7 @@ fn run_phase(config: &LoadgenConfig) -> io::Result<(PhaseReport, Vec<Outcome>, V
             Ok(Ok(mut client_outcomes)) => outcomes.append(&mut client_outcomes),
             Ok(Err(e)) => connect_error = Some(e),
             Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let reason = panic_reason(&*payload);
                 panics.push(format!("client {client} panicked: {reason}"));
             }
         }

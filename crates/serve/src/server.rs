@@ -26,6 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use shmls_frontend::parse_kernel;
+use shmls_ir::error::panic_reason;
 use stencil_hmls::persist::PersistentCache;
 
 use crate::listener::Listener;
@@ -114,11 +115,7 @@ fn respond(cache: &PersistentCache, line: &str) -> Response {
     match catch_unwind(AssertUnwindSafe(|| handle(cache, line, &start))) {
         Ok(response) => response,
         Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic of unknown type".to_string());
+            let message = panic_reason(&*panic);
             Response::failure(
                 best_effort_id(line),
                 ErrorKind::Internal,

@@ -389,7 +389,11 @@ fn tuned_best_design_matches_default_march_bitwise() {
         ..TuneOptions::quick()
     };
     let report = autotune::tune(&kernel, &tune_opts, &cache).unwrap();
-    let best = report.frontier.first().expect("a non-empty frontier");
+    let best = &report
+        .frontier
+        .first()
+        .expect("a non-empty frontier")
+        .costed;
     assert!(
         report.best_speedup > 1.0,
         "tuned best must beat the default (got {}x)",
