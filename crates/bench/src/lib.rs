@@ -25,47 +25,16 @@ use shmls_baselines::{
     StencilHmlsModel,
 };
 use shmls_frontend::parse_kernel;
-use shmls_kernels::{pw_advection, pw_sizes, tracer_advection, tracer_sizes, ProblemSize};
+use shmls_kernels::catalogue::{Kernel, LAPLACE, PW_ADVECTION, TRACER_ADVECTION};
+use shmls_kernels::ProblemSize;
 use stencil_hmls::autotune::{self, TuneOptions};
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
-/// Which benchmark kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Piacsek–Williams advection (MONC).
-    PwAdvection,
-    /// NEMO tracer advection (PSycloneBench).
-    TracerAdvection,
-}
-
-impl Kernel {
-    /// Display name as in the paper.
-    pub fn title(&self) -> &'static str {
-        match self {
-            Kernel::PwAdvection => "PW advection",
-            Kernel::TracerAdvection => "tracer advection",
-        }
-    }
-
-    /// DSL source at a grid size.
-    pub fn source(&self, grid: [i64; 3]) -> String {
-        match self {
-            Kernel::PwAdvection => pw_advection::source(grid[0], grid[1], grid[2]),
-            Kernel::TracerAdvection => tracer_advection::source(grid[0], grid[1], grid[2]),
-        }
-    }
-
-    /// The paper's problem sizes for this kernel.
-    pub fn sizes(&self) -> Vec<ProblemSize> {
-        match self {
-            Kernel::PwAdvection => pw_sizes(),
-            Kernel::TracerAdvection => tracer_sizes(),
-        }
-    }
-}
+/// The two kernels the paper evaluates, in its order.
+pub const PAPER_KERNELS: [&Kernel; 2] = [&PW_ADVECTION, &TRACER_ADVECTION];
 
 /// Compile a kernel at a size and profile it.
-pub fn profile(kernel: Kernel, size: &ProblemSize) -> KernelProfile {
+pub fn profile(kernel: &Kernel, size: &ProblemSize) -> KernelProfile {
     let opts = CompileOptions {
         paths: TargetPath::HlsOnly,
         ..Default::default()
@@ -76,7 +45,7 @@ pub fn profile(kernel: Kernel, size: &ProblemSize) -> KernelProfile {
 }
 
 /// All framework outcomes for one kernel/size, in the paper's order.
-pub fn evaluate(kernel: Kernel, size: &ProblemSize, eval: &EvalContext) -> Vec<(String, Outcome)> {
+pub fn evaluate(kernel: &Kernel, size: &ProblemSize, eval: &EvalContext) -> Vec<(String, Outcome)> {
     let p = profile(kernel, size);
     all_frameworks()
         .iter()
@@ -107,14 +76,14 @@ impl Results {
 /// Evaluate everything.
 pub fn evaluate_all(eval: &EvalContext) -> Results {
     let mut results = BTreeMap::new();
-    for kernel in [Kernel::PwAdvection, Kernel::TracerAdvection] {
+    for kernel in PAPER_KERNELS {
         let mut by_size = BTreeMap::new();
         for size in kernel.sizes() {
             let outcomes: BTreeMap<String, Outcome> =
                 evaluate(kernel, &size, eval).into_iter().collect();
             by_size.insert(size.label.to_string(), outcomes);
         }
-        results.insert(kernel.title().to_string(), by_size);
+        results.insert(kernel.title.to_string(), by_size);
     }
     Results { results }
 }
@@ -128,9 +97,9 @@ fn fmt_mpts(outcome: &Outcome) -> String {
     }
 }
 
-fn perf_block(kernel: Kernel, eval: &EvalContext, out: &mut String) {
+fn perf_block(kernel: &Kernel, eval: &EvalContext, out: &mut String) {
     use std::fmt::Write;
-    writeln!(out, "{}:", kernel.title()).unwrap();
+    writeln!(out, "{}:", kernel.title).unwrap();
     writeln!(
         out,
         "  {:<6} {:>10} {:>10} {:>10} {:>10}",
@@ -165,19 +134,19 @@ pub fn figure4(eval: &EvalContext) -> String {
         "Figure 4: Performance comparison (MPt/s, higher is better)\n\
          ==========================================================\n",
     );
-    perf_block(Kernel::PwAdvection, eval, &mut out);
-    perf_block(Kernel::TracerAdvection, eval, &mut out);
+    perf_block(&PW_ADVECTION, eval, &mut out);
+    perf_block(&TRACER_ADVECTION, eval, &mut out);
     out.push_str("  n/a*  = fails to compile (no automatic multi-bank assignment)\n");
     out.push_str("  n/a** = inexpressible (no subselection support)\n");
     out
 }
 
-fn power_figure(kernel: Kernel, number: u32, eval: &EvalContext) -> String {
+fn power_figure(kernel: &Kernel, number: u32, eval: &EvalContext) -> String {
     use std::fmt::Write;
     let mut out = format!(
         "Figure {number}: Average power draw and energy of {} (lower is better)\n\
          ====================================================================\n",
-        kernel.title()
+        kernel.title
     );
     writeln!(
         out,
@@ -215,20 +184,20 @@ fn power_figure(kernel: Kernel, number: u32, eval: &EvalContext) -> String {
 
 /// Figure 5: PW advection power & energy.
 pub fn figure5(eval: &EvalContext) -> String {
-    power_figure(Kernel::PwAdvection, 5, eval)
+    power_figure(&PW_ADVECTION, 5, eval)
 }
 
 /// Figure 6: tracer advection power & energy.
 pub fn figure6(eval: &EvalContext) -> String {
-    power_figure(Kernel::TracerAdvection, 6, eval)
+    power_figure(&TRACER_ADVECTION, 6, eval)
 }
 
-fn resource_table(kernel: Kernel, number: u32, eval: &EvalContext) -> String {
+fn resource_table(kernel: &Kernel, number: u32, eval: &EvalContext) -> String {
     use std::fmt::Write;
     let mut out = format!(
         "Table {number}: Resource usage for the {} kernel\n\
          ================================================\n",
-        kernel.title()
+        kernel.title
     );
     writeln!(
         out,
@@ -281,12 +250,12 @@ fn resource_table(kernel: Kernel, number: u32, eval: &EvalContext) -> String {
 
 /// Table 1: PW advection resource usage.
 pub fn table1(eval: &EvalContext) -> String {
-    resource_table(Kernel::PwAdvection, 1, eval)
+    resource_table(&PW_ADVECTION, 1, eval)
 }
 
 /// Table 2: tracer advection resource usage.
 pub fn table2(eval: &EvalContext) -> String {
-    resource_table(Kernel::TracerAdvection, 2, eval)
+    resource_table(&TRACER_ADVECTION, 2, eval)
 }
 
 /// §4's speed-up decomposition: `4 (CUs) × 9 (1/9 of DaCe's II) × 3
@@ -297,8 +266,8 @@ pub fn ablation(eval: &EvalContext) -> String {
         "Ablation: decomposition of the Stencil-HMLS advantage over DaCe (PW advection)\n\
          ===============================================================================\n",
     );
-    let size = &pw_sizes()[0];
-    let p = profile(Kernel::PwAdvection, size);
+    let size = &PW_ADVECTION.sizes()[0];
+    let p = profile(&PW_ADVECTION, size);
     let hmls_model = StencilHmlsModel::default();
     let cus = StencilHmlsModel::derive_cus(&p, &eval.device);
     let dace_serial = DaceModel::serial_factor(&p);
@@ -361,7 +330,7 @@ pub fn ablation(eval: &EvalContext) -> String {
             },
             ..Default::default()
         };
-        let compiled = compile(&Kernel::PwAdvection.source(size.grid), &opts).expect("compiles");
+        let compiled = compile(&PW_ADVECTION.source(size.grid), &opts).expect("compiles");
         let profile = KernelProfile::from_compiled(&compiled).expect("profiles");
         let m = StencilHmlsModel { cus: Some(1) }.evaluate(&profile, eval);
         match m {
@@ -398,7 +367,7 @@ pub fn dse(eval: &EvalContext) -> String {
     };
     let parse = |source: String| parse_kernel(&source).expect("benchmark kernel must parse");
     let mut out = String::new();
-    for kernel in [Kernel::PwAdvection, Kernel::TracerAdvection] {
+    for kernel in PAPER_KERNELS {
         let def = parse(kernel.source(kernel.sizes()[0].grid));
         let (rows, best) =
             autotune::bundling_view(&def, &opts).expect("benchmark kernel must compile");
@@ -407,7 +376,7 @@ pub fn dse(eval: &EvalContext) -> String {
             "Port-bundling DSE for {} (the §4 future-work heuristic)\n\
              ================================================================\n\
              bundled    ports/CU   CUs      MPt/s    fits   best",
-            kernel.title()
+            kernel.title
         )
         .unwrap();
         for (i, c) in rows.iter().enumerate() {
@@ -427,7 +396,7 @@ pub fn dse(eval: &EvalContext) -> String {
         out.push('\n');
     }
     out.push_str("Stream-depth sweep (cycle-stepped, PW advection 16x14x10):\n");
-    let def = parse(pw_advection::source(16, 14, 10));
+    let def = parse(PW_ADVECTION.source([16, 14, 10]));
     let (rows, recommended) =
         autotune::depth_view(&def, &opts).expect("benchmark kernel must compile");
     let fastest = rows.iter().map(|r| r.1).min().unwrap_or(1).max(1);
@@ -458,9 +427,9 @@ pub fn cycles(_eval: &EvalContext) -> String {
     cycle_rows(
         &mut out,
         &[
-            ("laplace3d", [24, 24, 16], None),
-            ("pw_advection", [24, 20, 12], None),
-            ("tracer_advection", [16, 14, 10], None),
+            (&LAPLACE, [24, 24, 16], None),
+            (&PW_ADVECTION, [24, 20, 12], None),
+            (&TRACER_ADVECTION, [16, 14, 10], None),
         ],
     );
     out
@@ -481,16 +450,16 @@ pub fn cycles_at_paper_size() -> String {
     cycle_rows(
         &mut out,
         &[
-            ("pw_advection", grid, None),
-            ("tracer_advection", grid, None),
-            ("tracer_advection", grid, Some(16)),
+            (&PW_ADVECTION, grid, None),
+            (&TRACER_ADVECTION, grid, None),
+            (&TRACER_ADVECTION, grid, Some(16)),
         ],
     );
     out
 }
 
 /// One table row per `(kernel, grid, FIFO depth override)`.
-fn cycle_rows(out: &mut String, rows: &[(&str, [i64; 3], Option<usize>)]) {
+fn cycle_rows(out: &mut String, rows: &[(&Kernel, [i64; 3], Option<usize>)]) {
     use std::fmt::Write;
     writeln!(
         out,
@@ -499,17 +468,12 @@ fn cycle_rows(out: &mut String, rows: &[(&str, [i64; 3], Option<usize>)]) {
     )
     .unwrap();
     let device = shmls_fpga_sim::device::Device::u280();
-    for &(name, grid, depth) in rows {
-        let source = match name {
-            "laplace3d" => shmls_kernels::laplace::source_3d(grid[0], grid[1], grid[2]),
-            "pw_advection" => pw_advection::source(grid[0], grid[1], grid[2]),
-            _ => tracer_advection::source(grid[0], grid[1], grid[2]),
-        };
+    for &(kernel, grid, depth) in rows {
         let opts = CompileOptions {
             paths: TargetPath::HlsOnly,
             ..Default::default()
         };
-        let compiled = compile(&source, &opts).expect("compiles");
+        let compiled = compile(&kernel.source(grid), &opts).expect("compiles");
         let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
             &compiled.ctx,
             compiled.hls_func,
@@ -521,7 +485,7 @@ fn cycle_rows(out: &mut String, rows: &[(&str, [i64; 3], Option<usize>)]) {
         writeln!(
             out,
             "  {:<18} {:>9} {:>9} {:>10} {:>10} {:>6.3} {:>13} {:>10}",
-            name,
+            compiled.kernel.name,
             design.interior_points,
             depth.map_or("declared".to_string(), |d| format!("depth {d}")),
             analytic.cycles,
@@ -542,9 +506,9 @@ pub fn ii_report(eval: &EvalContext) -> String {
          SODA-opt 164, Vitis HLS 163 on tracer advection)\n\
          ==================================================================\n",
     );
-    for kernel in [Kernel::PwAdvection, Kernel::TracerAdvection] {
+    for kernel in PAPER_KERNELS {
         let size = &kernel.sizes()[0];
-        writeln!(out, "{} ({}):", kernel.title(), size.label).unwrap();
+        writeln!(out, "{} ({}):", kernel.title, size.label).unwrap();
         for (name, outcome) in evaluate(kernel, size, eval) {
             if let Outcome::Completed(m) = outcome {
                 writeln!(out, "  {:<14} II = {:>6.1}", name, m.ii).unwrap();
@@ -633,10 +597,7 @@ mod tests {
         };
         assert_eq!(keys(&doc), ["results"]);
         let kernels = doc.get("results").unwrap();
-        assert_eq!(
-            keys(kernels),
-            [Kernel::PwAdvection.title(), Kernel::TracerAdvection.title()]
-        );
+        assert_eq!(keys(kernels), PAPER_KERNELS.map(|k| k.title));
         let mut completed = 0;
         for (kernel, sizes) in kernels.as_obj().unwrap() {
             for (size, frameworks) in sizes.as_obj().unwrap() {

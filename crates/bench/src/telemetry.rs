@@ -24,12 +24,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::json::Json;
 use shmls_fpga_sim::{cycle, design::DesignDescriptor};
-use shmls_kernels::{heat3d, laplace, pw_advection, pw_sizes, tracer_advection, tracer_sizes};
+use shmls_kernels::catalogue::{Kernel, HEAT3D, PW_ADVECTION, TRACER_ADVECTION};
 use shmls_serve::{loadgen, router, server, shard};
 use stencil_hmls::autotune::{self, TuneOptions};
 use stencil_hmls::cache::CompileCache;
 use stencil_hmls::engine::{Engine, VECTOR};
-use stencil_hmls::runner::{run_hls, KernelData};
+use stencil_hmls::runner::run_hls;
 use stencil_hmls::scale::{run_time_marched_with, MarchOptions};
 use stencil_hmls::{compile, CompileOptions, CompiledKernel};
 
@@ -84,83 +84,11 @@ fn git_rev() -> String {
 }
 
 /// The paper kernels with the small grids the engines run them on.
-const BENCH_KERNELS: [(&str, [i64; 3]); 2] = [
-    ("pw_advection", [10, 8, 6]),
-    ("tracer_advection", [8, 7, 6]),
-];
+const BENCH_KERNELS: [(&Kernel, [i64; 3]); 2] =
+    [(&PW_ADVECTION, [10, 8, 6]), (&TRACER_ADVECTION, [8, 7, 6])];
 
 /// The heat3d grid of the temporal and autotuner sections.
 const HEAT_GRID: [i64; 3] = [12, 10, 8];
-
-/// DSL source for a named bench kernel at `grid`. Panics on an unknown
-/// name — callers validate against [`bench_kernel_names`] first.
-pub fn source_for(kernel: &str, grid: [i64; 3]) -> String {
-    match kernel {
-        "heat3d" => heat3d::source(grid[0], grid[1], grid[2]),
-        "laplace" => laplace::source_3d(grid[0], grid[1], grid[2]),
-        "pw_advection" => pw_advection::source(grid[0], grid[1], grid[2]),
-        "tracer_advection" => tracer_advection::source(grid[0], grid[1], grid[2]),
-        other => unreachable!("unknown bench kernel `{other}`"),
-    }
-}
-
-/// The names [`source_for`] and [`kernel_data`] accept.
-pub fn bench_kernel_names() -> &'static [&'static str] {
-    &["heat3d", "laplace", "pw_advection", "tracer_advection"]
-}
-
-/// Deterministic random input data for a named bench kernel at `grid`
-/// (same seeds as the telemetry runs use).
-pub fn kernel_data(kernel: &str, grid: [i64; 3]) -> KernelData {
-    let [nx, ny, nz] = grid;
-    match kernel {
-        "heat3d" => {
-            let inputs = heat3d::Heat3dInputs::random(nx, ny, nz, 3);
-            KernelData::default()
-                .buffer("t", inputs.t.to_buffer())
-                .buffer("kz", inputs.kz.to_buffer())
-                .scalar("dt", inputs.dt)
-        }
-        "laplace" => {
-            let mut a = shmls_kernels::Grid3::zeros([nx, ny, nz], 1);
-            a.fill_random(5);
-            KernelData::default()
-                .buffer("a", a.to_buffer())
-                .scalar("w", 0.15)
-        }
-        "pw_advection" => {
-            let inputs = pw_advection::PwInputs::random(nx, ny, nz, 1);
-            KernelData::default()
-                .buffer("u", inputs.u.to_buffer())
-                .buffer("v", inputs.v.to_buffer())
-                .buffer("w", inputs.w.to_buffer())
-                .buffer("tzc1", inputs.tzc1.to_buffer())
-                .buffer("tzc2", inputs.tzc2.to_buffer())
-                .buffer("tzd1", inputs.tzd1.to_buffer())
-                .buffer("tzd2", inputs.tzd2.to_buffer())
-                .scalar("tcx", inputs.tcx)
-                .scalar("tcy", inputs.tcy)
-        }
-        "tracer_advection" => {
-            let inputs = tracer_advection::TracerInputs::random(nx, ny, nz, 2);
-            KernelData::default()
-                .buffer("tsn", inputs.tsn.to_buffer())
-                .buffer("pun", inputs.pun.to_buffer())
-                .buffer("pvn", inputs.pvn.to_buffer())
-                .buffer("pwn", inputs.pwn.to_buffer())
-                .buffer("tmask", inputs.tmask.to_buffer())
-                .buffer("umask", inputs.umask.to_buffer())
-                .buffer("vmask", inputs.vmask.to_buffer())
-                .buffer("rnfmsk", inputs.rnfmsk.to_buffer())
-                .buffer("upsmsk", inputs.upsmsk.to_buffer())
-                .buffer("ztfreez", inputs.ztfreez.to_buffer())
-                .buffer("rnfmsk_z", inputs.rnfmsk_z.to_buffer())
-                .buffer("e3t", inputs.e3t.to_buffer())
-                .scalar("pdt", inputs.pdt)
-        }
-        other => unreachable!("unknown bench kernel `{other}`"),
-    }
-}
 
 fn lower(value: f64, unit: &str) -> Metric {
     Metric {
@@ -178,17 +106,17 @@ fn higher(value: f64, unit: &str) -> Metric {
 }
 
 fn compile_at(
-    kernel: &str,
+    kernel: &Kernel,
     grid: [i64; 3],
     opts: &CompileOptions,
 ) -> Result<CompiledKernel, String> {
-    compile(&source_for(kernel, grid), opts)
-        .map_err(|e| format!("compiling {kernel} at {grid:?}: {e}"))
+    compile(&kernel.source(grid), opts)
+        .map_err(|e| format!("compiling {} at {grid:?}: {e}", kernel.name))
 }
 
-fn parse_at(kernel: &str, grid: [i64; 3]) -> Result<shmls_frontend::KernelDef, String> {
-    shmls_frontend::parse_kernel(&source_for(kernel, grid))
-        .map_err(|e| format!("parsing {kernel} at {grid:?}: {e}"))
+fn parse_at(kernel: &Kernel, grid: [i64; 3]) -> Result<shmls_frontend::KernelDef, String> {
+    shmls_frontend::parse_kernel(&kernel.source(grid))
+        .map_err(|e| format!("parsing {} at {grid:?}: {e}", kernel.name))
 }
 
 /// What the cycle simulator reports for one sweep of a design.
@@ -202,12 +130,10 @@ fn sweep_report(compiled: &CompiledKernel, what: &str) -> Result<cycle::CycleRep
 /// Design structure at every paper grid size: fingerprints of the
 /// generated dataflow that move only when the compiler's output changes.
 fn design(rows: &mut Rows) -> Result<(), String> {
-    for (kname, sizes) in [
-        ("pw_advection", pw_sizes()),
-        ("tracer_advection", tracer_sizes()),
-    ] {
-        for size in sizes {
-            let report = compile_at(kname, size.grid, &CompileOptions::default())?.report;
+    for kernel in crate::PAPER_KERNELS {
+        let kname = kernel.name;
+        for size in kernel.sizes() {
+            let report = compile_at(kernel, size.grid, &CompileOptions::default())?.report;
             for (row, count) in [
                 ("streams", report.streams),
                 ("compute_stages", report.compute_stages),
@@ -228,9 +154,10 @@ fn design(rows: &mut Rows) -> Result<(), String> {
 /// simulator: `cycles` is what the design costs, `stepped_cycles` how
 /// many of them the simulator had to iterate one by one.
 fn sim(rows: &mut Rows) -> Result<(), String> {
-    for (kname, grid) in BENCH_KERNELS {
-        let compiled = compile_at(kname, grid, &CompileOptions::default())?;
-        let (_, (_, pushed, beats)) = run_hls(&compiled, &kernel_data(kname, grid))
+    for (kernel, grid) in BENCH_KERNELS {
+        let kname = kernel.name;
+        let compiled = compile_at(kernel, grid, &CompileOptions::default())?;
+        let (_, (_, pushed, beats)) = run_hls(&compiled, &kernel.data(grid))
             .map_err(|e| format!("{kname} sequential engine: {e}"))?;
         rows.insert(
             format!("sim/{kname}/mem_beats"),
@@ -261,8 +188,9 @@ fn sim(rows: &mut Rows) -> Result<(), String> {
 /// their temps. Every apply must have compiled to bytecode: one that had
 /// not would fall back to the tree-walker and still sweep correctly.
 fn sweep_work(rows: &mut Rows) -> Result<(), String> {
-    for (kname, grid) in BENCH_KERNELS {
-        let compiled = compile_at(kname, grid, &CompileOptions::default())?;
+    for (kernel, grid) in BENCH_KERNELS {
+        let kname = kernel.name;
+        let compiled = compile_at(kernel, grid, &CompileOptions::default())?;
         let applies = compiled
             .ctx
             .find_ops(compiled.stencil_func, "stencil.apply")
@@ -274,7 +202,7 @@ fn sweep_work(rows: &mut Rows) -> Result<(), String> {
             ));
         }
         let work = VECTOR
-            .sweep(&compiled, &kernel_data(kname, grid), 1)
+            .sweep(&compiled, &kernel.data(grid), 1)
             .map_err(|e| format!("{kname} vector sweep: {e}"))?
             .work
             .ok_or_else(|| format!("{kname}: the vector tier reported no store work"))?;
@@ -295,10 +223,11 @@ fn sweep_work(rows: &mut Rows) -> Result<(), String> {
 /// run must then hit it on every CU (`cache_hit_rate` is 1.0 unless
 /// caching breaks).
 fn scale(rows: &mut Rows) -> Result<(), String> {
-    let (kname, grid) = BENCH_KERNELS[0];
+    let (row, grid) = BENCH_KERNELS[0];
+    let kname = row.name;
     let (steps, cus) = (4, 4);
-    let kernel = parse_at(kname, grid)?;
-    let data = kernel_data(kname, grid);
+    let kernel = parse_at(row, grid)?;
+    let data = row.data(grid);
     let opts = CompileOptions::default();
     let cache = CompileCache::new();
     let march = |serial: bool| {
@@ -337,13 +266,13 @@ fn scale(rows: &mut Rows) -> Result<(), String> {
 /// against `model_passes` deep ones, and a regression means the deep
 /// pipeline stopped overlapping timesteps.
 fn temporal(rows: &mut Rows) -> Result<(), String> {
-    let (kname, steps, depth) = ("heat3d", 8, 4);
+    let (kname, steps, depth) = (HEAT3D.name, 8, 4);
     // One CU: slab overlap (each extra on-chip step widens the slab by
     // the halo) would otherwise fold multi-CU redundancy into what is
     // meant to be a pure depth-1-vs-depth-4 comparison.
     let cus = 1;
-    let kernel = parse_at(kname, HEAT_GRID)?;
-    let data = kernel_data(kname, HEAT_GRID);
+    let kernel = parse_at(&HEAT3D, HEAT_GRID)?;
+    let data = HEAT3D.data(HEAT_GRID);
     let cache = CompileCache::new();
     let march = MarchOptions {
         cache: Some(&cache),
@@ -367,7 +296,7 @@ fn temporal(rows: &mut Rows) -> Result<(), String> {
     }
     let cycles = |d: usize| {
         let what = format!("{kname} depth-{d}");
-        sweep_report(&compile_at(kname, HEAT_GRID, &at_depth(d))?, &what).map(|r| r.cycles)
+        sweep_report(&compile_at(&HEAT3D, HEAT_GRID, &at_depth(d))?, &what).map(|r| r.cycles)
     };
     let (shallow_cycles, deep_cycles) = (cycles(1)?, cycles(depth)?);
     rows.insert(
@@ -399,7 +328,7 @@ fn temporal(rows: &mut Rows) -> Result<(), String> {
 /// cache. The rows move only when the search space, the models or the
 /// cache-key discipline change; `redundant_compiles` must stay 0.
 fn dse(rows: &mut Rows) -> Result<(), String> {
-    let kernel = parse_at("heat3d", HEAT_GRID)?;
+    let kernel = parse_at(&HEAT3D, HEAT_GRID)?;
     let report = autotune::tune(&kernel, &TuneOptions::quick(), &CompileCache::new())
         .map_err(|e| format!("autotuning heat3d: {e}"))?;
     if report.frontier.is_empty() {

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use shmls_fpga_sim::cycle::simulate;
 use shmls_fpga_sim::design::DesignDescriptor;
-use shmls_frontend::{FieldKind, KernelDef};
+use shmls_frontend::KernelDef;
 use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::interp::Buffer;
@@ -25,8 +25,6 @@ use stencil_hmls::runner::{
 };
 use stencil_hmls::scale::{run_time_marched_with, time_march_reference, MarchOptions};
 use stencil_hmls::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
-
-use crate::rng::Rng;
 
 /// One engine under test (the oracle itself is not listed: every check is
 /// *against* it).
@@ -104,6 +102,9 @@ pub enum Fault {
 }
 
 impl Fault {
+    /// Every fault.
+    pub const ALL: [Fault; 2] = [Fault::OffsetFlip, Fault::OpSwap];
+
     /// CLI name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -114,9 +115,7 @@ impl Fault {
 
     /// Parse a CLI name.
     pub fn parse(name: &str) -> Option<Fault> {
-        [Fault::OffsetFlip, Fault::OpSwap]
-            .into_iter()
-            .find(|f| f.name() == name)
+        Fault::ALL.into_iter().find(|f| f.name() == name)
     }
 }
 
@@ -380,7 +379,7 @@ pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
         }
     };
 
-    let data = make_data(kernel, opts.data_seed);
+    let data = kernel.seeded_data(opts.data_seed);
 
     // The oracle runs on the pristine design; faults are injected after,
     // so only the engines see the miscompile.
@@ -589,43 +588,6 @@ fn check_scale(
             ulps,
         })
     })
-}
-
-/// Deterministic input data for a kernel: every input/inout field, every
-/// axis parameter, every scalar constant. Values are small and irregular
-/// so a flipped access or dropped term moves some interior point.
-pub fn make_data(kernel: &KernelDef, data_seed: u64) -> KernelData {
-    let bounds = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(kernel.halo);
-    let mut data = KernelData::default();
-    let root = Rng::new(data_seed);
-    let mut stream = 0u64;
-    for field in &kernel.fields {
-        if matches!(field.kind, FieldKind::Input | FieldKind::InOut) {
-            let mut rng = root.fork(stream);
-            let mut buf = Buffer::zeroed(bounds.extents(), bounds.lb.clone());
-            for v in buf.data.iter_mut() {
-                *v = rng.coarse_f64(-4.0, 4.0);
-            }
-            data = data.buffer(&field.name, buf);
-        }
-        stream += 1;
-    }
-    for p in &kernel.params {
-        let mut rng = root.fork(stream);
-        let extent = kernel.grid[p.axis] + 2 * kernel.halo;
-        let mut buf = Buffer::zeroed(vec![extent], vec![0]);
-        for v in buf.data.iter_mut() {
-            *v = rng.coarse_f64(-2.0, 2.0);
-        }
-        data = data.buffer(&p.name, buf);
-        stream += 1;
-    }
-    for c in &kernel.consts {
-        let mut rng = root.fork(stream);
-        data = data.scalar(&c.name, rng.coarse_f64(-2.0, 2.0));
-        stream += 1;
-    }
-    data
 }
 
 /// Compare engine outputs to the oracle over the grid interior (neither

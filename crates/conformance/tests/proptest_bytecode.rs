@@ -25,7 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use shmls_conformance::generator::generate;
-use shmls_conformance::harness::make_data;
 use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::GenOptions;
 use shmls_ir::bytecode::{ApplyMode, Instr, LANES};
@@ -52,7 +51,7 @@ fn check_bytecode_bitwise(seed: u64, case: u64, data_seed: u64) -> usize {
     let mut rng = Rng::new(seed).fork(case);
     let kernel = generate(&mut rng, case, &GenOptions::default());
     let compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
-    let data = make_data(&kernel, data_seed);
+    let data = kernel.seeded_data(data_seed);
 
     let oracle = run_stencil(&compiled, &data).expect("tree-walker oracle");
     let fast = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Scalar)
@@ -139,7 +138,7 @@ fn check_chunk_seam(source: &str, label: &str, max_threads: usize) {
         !compiled.apply_plans.is_empty(),
         "{label}: no apply compiled to bytecode"
     );
-    let data = make_data(&kernel, 5);
+    let data = kernel.seeded_data(5);
     let oracle = run_stencil(&compiled, &data).expect("oracle");
     for threads in 1..=max_threads {
         let got = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads })
@@ -201,7 +200,7 @@ fn mutated_opcode_is_detected() {
     let mutated = mutate_one_opcode(&mut compiled);
     assert!(mutated, "no mutable instruction found in any plan");
 
-    let data = make_data(&kernel, 3);
+    let data = kernel.seeded_data(3);
     let oracle = run_stencil(&compiled, &data).expect("oracle");
     let fast = run_stencil_bytecode(&compiled, &data).expect("mutated bytecode");
     let lb = vec![0i64; kernel.grid.len()];
@@ -291,7 +290,7 @@ fn interior_halo_split_is_exact() {
         let kernel =
             shmls_frontend::parse_kernel(&shmls_kernels::laplace::source_1d(n)).expect("parse");
         let compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
-        let data = make_data(&kernel, data_seed);
+        let data = kernel.seeded_data(data_seed);
         let oracle = run_stencil(&compiled, &data).expect("oracle");
         let got = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads })
             .expect("chunked");

@@ -20,7 +20,7 @@
 
 use shmls_conformance::fuzz::rotated_scale;
 use shmls_conformance::generator::generate;
-use shmls_conformance::harness::{clamp_scale, make_data, ulp_distance};
+use shmls_conformance::harness::{clamp_scale, ulp_distance};
 use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::{GenOptions, ScaleConfig};
 use stencil_hmls::engine::{Engine, Stream, VECTOR};
@@ -42,7 +42,7 @@ fn check_slab_march(seed: u64, case: u64, cfg: ScaleConfig, data_seed: u64) {
 /// pinned seam tests can drive hand-written degenerate kernels.
 fn check_march_of(kernel: &shmls_frontend::KernelDef, cfg: ScaleConfig, data_seed: u64, who: &str) {
     let cfg = clamp_scale(kernel, cfg);
-    let data = make_data(kernel, data_seed);
+    let data = kernel.seeded_data(data_seed);
     let mut opts = CompileOptions {
         paths: TargetPath::HlsOnly,
         ..Default::default()

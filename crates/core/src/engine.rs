@@ -72,14 +72,19 @@ pub trait Engine: Debug + Sync {
     fn min_parallel_work(&self) -> u64;
 }
 
-/// The engine called `name` on the command line: `vector`, `stream` or
+/// The engines a command line can name: `vector`, `stream` and
 /// `threaded` (with a 30-second watchdog).
-pub fn by_name(name: &str) -> Option<&'static dyn Engine> {
-    const THREADED: Threaded = Threaded {
+pub const NAMED: [&dyn Engine; 3] = [
+    &VECTOR,
+    &Stream,
+    &Threaded {
         watchdog: Duration::from_secs(30),
-    };
-    let engines: [&'static dyn Engine; 3] = [&VECTOR, &Stream, &THREADED];
-    engines.into_iter().find(|e| e.name() == name)
+    },
+];
+
+/// The engine of [`NAMED`] called `name`.
+pub fn by_name(name: &str) -> Option<&'static dyn Engine> {
+    NAMED.into_iter().find(|e| e.name() == name)
 }
 
 /// The interpreter tiers: which function of the compiled module runs, and

@@ -23,6 +23,8 @@
 //! - [`fpp`] — the f++ equivalent: marker-call pattern matching back into
 //!   structured directives.
 //! - [`driver`] — end-to-end compilation entry points.
+//! - [`cli`] — the flag reader, failure type and exit path `shmlsc` and
+//!   `repro` share.
 //! - [`cache`] — content-addressed compile cache (kernel source +
 //!   compile-option digest), shared by the scale-out runners.
 //! - [`persist`] — the disk-persistent tier behind the compile server:
@@ -77,6 +79,7 @@ pub mod autotune;
 pub mod cache;
 pub mod canonicalize;
 pub mod classify;
+pub mod cli;
 pub mod connectivity;
 pub mod cpu_lowering;
 pub mod driver;

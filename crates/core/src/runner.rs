@@ -9,35 +9,12 @@ use shmls_fpga_sim::deadlock::DeadlockReport;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::Buffer;
+pub use shmls_ir::interp::KernelData;
+use shmls_ir::ir_error;
 
 use crate::driver::CompiledKernel;
 pub use crate::engine::StreamStats;
 use crate::engine::{Engine, Interp, Stream, Threaded};
-
-/// Named input data for a kernel run.
-#[derive(Debug, Clone, Default)]
-pub struct KernelData {
-    /// Field and parameter buffers by name. Field buffers must be
-    /// halo-padded (`origin = -halo`); parameter buffers span
-    /// `n + 2·halo` with origin 0.
-    pub buffers: BTreeMap<String, Buffer>,
-    /// Scalar constants by name.
-    pub scalars: BTreeMap<String, f64>,
-}
-
-impl KernelData {
-    /// Insert a buffer.
-    pub fn buffer(mut self, name: &str, buffer: Buffer) -> Self {
-        self.buffers.insert(name.to_string(), buffer);
-        self
-    }
-
-    /// Insert a scalar.
-    pub fn scalar(mut self, name: &str, value: f64) -> Self {
-        self.scalars.insert(name.to_string(), value);
-        self
-    }
-}
 
 /// Run the frontend's stencil-dialect function directly (reference
 /// semantics).
@@ -103,23 +80,25 @@ pub fn run_hls_threaded(
     Threaded { watchdog }.run(compiled, data)
 }
 
-/// Maximum absolute difference between two output maps over the interior.
+/// Maximum absolute difference between two output maps over the interior;
+/// an error when `b` lacks one of `a`'s fields or a field does not cover
+/// the interior.
 pub fn max_output_diff(
     a: &BTreeMap<String, Buffer>,
     b: &BTreeMap<String, Buffer>,
     interior_lb: &[i64],
     interior_ub: &[i64],
-) -> f64 {
+) -> IrResult<f64> {
     let mut worst: f64 = 0.0;
     for (name, ba) in a {
-        let bb = &b[name];
+        let bb = b
+            .get(name)
+            .ok_or_else(|| ir_error!("output `{name}` is missing from the second run"))?;
         for p in shmls_ir::interp::iter_box(interior_lb, interior_ub) {
-            let va = ba.load(&p).unwrap_or(f64::NAN);
-            let vb = bb.load(&p).unwrap_or(f64::NAN);
-            worst = worst.max((va - vb).abs());
+            worst = worst.max((ba.load(&p)? - bb.load(&p)?).abs());
         }
     }
-    worst
+    Ok(worst)
 }
 
 // ---- compute-unit replication (domain decomposition) --------------------

@@ -24,6 +24,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use shmls_ir::error::IrResult;
+use shmls_ir::interp::{Buffer, KernelData};
+use shmls_ir::rng::Rng;
+use shmls_ir::types::StencilBounds;
 use shmls_ir::{ir_bail, ir_ensure};
 
 /// Role of a field in the kernel signature.
@@ -227,6 +230,37 @@ impl KernelDef {
             .iter()
             .filter(|f| f.kind != FieldKind::Temp)
             .collect()
+    }
+
+    /// Deterministic input data: every input/inout field (halo-padded),
+    /// every axis parameter, every scalar constant, each on its own stream
+    /// of `seed`. Values are small and irregular so a flipped access or
+    /// dropped term moves some interior point.
+    pub fn seeded_data(&self, seed: u64) -> KernelData {
+        let bounds = StencilBounds::from_extents(&self.grid).grown(self.halo);
+        let root = Rng::new(seed);
+        let filled = |stream: u64, shape: Vec<i64>, origin: Vec<i64>, bound: f64| {
+            let mut rng = root.fork(stream);
+            let mut buffer = Buffer::zeroed(shape, origin);
+            buffer.data.fill_with(|| rng.coarse_f64(-bound, bound));
+            buffer
+        };
+        let mut data = KernelData::default();
+        let (fields, params) = (self.fields.len() as u64, self.params.len() as u64);
+        for (stream, field) in (0..).zip(&self.fields) {
+            if matches!(field.kind, FieldKind::Input | FieldKind::InOut) {
+                let buffer = filled(stream, bounds.extents(), bounds.lb.clone(), 4.0);
+                data = data.buffer(&field.name, buffer);
+            }
+        }
+        for (stream, p) in (fields..).zip(&self.params) {
+            let extent = self.grid[p.axis] + 2 * self.halo;
+            data = data.buffer(&p.name, filled(stream, vec![extent], vec![0], 2.0));
+        }
+        for (stream, c) in (fields + params..).zip(&self.consts) {
+            data = data.scalar(&c.name, root.fork(stream).coarse_f64(-2.0, 2.0));
+        }
+        data
     }
 
     /// Semantic validation: names resolve, kinds make sense, offsets fit in

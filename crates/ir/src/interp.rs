@@ -272,6 +272,31 @@ impl Buffer {
     }
 }
 
+/// Named input data for a kernel run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelData {
+    /// Field and parameter buffers by name. Field buffers must be
+    /// halo-padded (`origin = -halo`); parameter buffers span
+    /// `n + 2·halo` with origin 0.
+    pub buffers: BTreeMap<String, Buffer>,
+    /// Scalar constants by name.
+    pub scalars: BTreeMap<String, f64>,
+}
+
+impl KernelData {
+    /// Insert a buffer.
+    pub fn buffer(mut self, name: &str, buffer: Buffer) -> Self {
+        self.buffers.insert(name.to_string(), buffer);
+        self
+    }
+
+    /// Insert a scalar.
+    pub fn scalar(mut self, name: &str, value: f64) -> Self {
+        self.scalars.insert(name.to_string(), value);
+        self
+    }
+}
+
 /// What a [`Store`] did besides the kernel's own loads and stores, in
 /// bytes — the deterministic work counters `repro bench` gates: the same
 /// kernel over the same shapes counts the same bytes on any host.

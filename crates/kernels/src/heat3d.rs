@@ -5,6 +5,8 @@
 //! enough per step that chaining several steps on-chip (temporal depth)
 //! visibly cuts the external-memory round trips.
 
+use shmls_ir::interp::KernelData;
+
 use crate::grid::{Grid3, Param1};
 
 /// DSL source for the heat-diffusion kernel at the given grid size.
@@ -52,6 +54,11 @@ impl Heat3dInputs {
         let mut kz = Param1::zeros(nz, 1);
         kz.fill_with(|k| 0.4 + 0.003 * k as f64);
         Self { t, kz, dt: 0.1 }
+    }
+
+    /// These inputs as the runners take them, keyed by the DSL's names.
+    pub fn data(&self) -> KernelData {
+        kernel_data!(self; t, kz; dt)
     }
 }
 

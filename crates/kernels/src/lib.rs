@@ -13,10 +13,24 @@
 //!   temporal-blocking benchmark; twin of `kernels/heat3d.stencil`).
 //! - [`laplace`] — small demo kernels (quickstart, Listing 1).
 //! - [`workload`] — the paper's problem sizes (8M/32M/134M, 8M/33M).
+//! - [`catalogue`] — the four kernels above as one table: name, title,
+//!   source, seeded inputs and sizes, for whoever resolves a kernel name.
 //! - [`grid`] — halo-padded grid storage for the golden paths.
 
 #![warn(missing_docs)]
 
+/// `KernelData` of the named members of an inputs struct — grids and
+/// parameter profiles as buffers, then scalars — keyed by the member
+/// names, which are the DSL's field names.
+macro_rules! kernel_data {
+    ($inputs:expr; $($buffer:ident),*; $($scalar:ident),*) => {
+        shmls_ir::interp::KernelData::default()
+            $(.buffer(stringify!($buffer), $inputs.$buffer.to_buffer()))*
+            $(.scalar(stringify!($scalar), $inputs.$scalar))*
+    };
+}
+
+pub mod catalogue;
 pub mod grid;
 pub mod heat3d;
 pub mod laplace;

@@ -9,6 +9,8 @@
 //! small data — exactly the paper's port budget that caps PW advection at
 //! 4 CUs on the U280.
 
+use shmls_ir::interp::KernelData;
+
 use crate::grid::{Grid3, Param1};
 
 /// DSL source for the PW advection kernel at the given grid size.
@@ -111,6 +113,11 @@ impl PwInputs {
             tcx: 0.25,
             tcy: 0.25,
         }
+    }
+
+    /// These inputs as the runners take them, keyed by the DSL's names.
+    pub fn data(&self) -> KernelData {
+        kernel_data!(self; u, v, w, tzc1, tzc2, tzd1, tzd2; tcx, tcy)
     }
 }
 

@@ -16,6 +16,8 @@
 //! one level (reading the *input* fields at the neighbouring point) so all
 //! cross-point reads touch external inputs — see DESIGN.md §8.
 
+use shmls_ir::interp::KernelData;
+
 use crate::grid::{fsign, Grid3, Param1};
 
 /// DSL source for the tracer advection kernel at the given grid size.
@@ -213,6 +215,12 @@ impl TracerInputs {
             e3t,
             pdt: 0.5,
         }
+    }
+
+    /// These inputs as the runners take them, keyed by the DSL's names.
+    pub fn data(&self) -> KernelData {
+        kernel_data!(self; tsn, pun, pvn, pwn, tmask, umask, vmask, rnfmsk, upsmsk, ztfreez,
+            rnfmsk_z, e3t; pdt)
     }
 }
 

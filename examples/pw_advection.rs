@@ -11,7 +11,7 @@
 
 use shmls_baselines::{all_frameworks, EvalContext, KernelProfile, Outcome};
 use shmls_kernels::{pw_advection, pw_sizes};
-use stencil_hmls::runner::{run_hls, KernelData};
+use stencil_hmls::runner::run_hls;
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
 fn main() {
@@ -34,16 +34,7 @@ fn main() {
 
     let inputs = pw_advection::PwInputs::random(n[0], n[1], n[2], 42);
     let (su_golden, sv_golden, sw_golden) = pw_advection::golden(&inputs);
-    let data = KernelData::default()
-        .buffer("u", inputs.u.to_buffer())
-        .buffer("v", inputs.v.to_buffer())
-        .buffer("w", inputs.w.to_buffer())
-        .buffer("tzc1", inputs.tzc1.to_buffer())
-        .buffer("tzc2", inputs.tzc2.to_buffer())
-        .buffer("tzd1", inputs.tzd1.to_buffer())
-        .buffer("tzd2", inputs.tzd2.to_buffer())
-        .scalar("tcx", inputs.tcx)
-        .scalar("tcy", inputs.tcy);
+    let data = inputs.data();
     let (out, _) = run_hls(&compiled, &data).expect("dataflow runs");
     for (name, golden) in [("su", &su_golden), ("sv", &sv_golden), ("sw", &sw_golden)] {
         let got = shmls_kernels::Grid3::from_buffer(&out[name]);

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use shmls_baselines::{DaceModel, EvalContext, FrameworkModel, KernelProfile, StencilHmlsModel};
 use shmls_kernels::tracer_advection;
-use stencil_hmls::runner::{run_hls, run_hls_threaded, KernelData};
+use stencil_hmls::runner::{run_hls, run_hls_threaded};
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
 fn main() {
@@ -56,20 +56,7 @@ fn main() {
     // Functional validation against the golden implementation.
     let inputs = tracer_advection::TracerInputs::random(n[0], n[1], n[2], 7);
     let golden = tracer_advection::golden(&inputs);
-    let data = KernelData::default()
-        .buffer("tsn", inputs.tsn.to_buffer())
-        .buffer("pun", inputs.pun.to_buffer())
-        .buffer("pvn", inputs.pvn.to_buffer())
-        .buffer("pwn", inputs.pwn.to_buffer())
-        .buffer("tmask", inputs.tmask.to_buffer())
-        .buffer("umask", inputs.umask.to_buffer())
-        .buffer("vmask", inputs.vmask.to_buffer())
-        .buffer("rnfmsk", inputs.rnfmsk.to_buffer())
-        .buffer("upsmsk", inputs.upsmsk.to_buffer())
-        .buffer("ztfreez", inputs.ztfreez.to_buffer())
-        .buffer("rnfmsk_z", inputs.rnfmsk_z.to_buffer())
-        .buffer("e3t", inputs.e3t.to_buffer())
-        .scalar("pdt", inputs.pdt);
+    let data = inputs.data();
 
     let (out, (streams, elements, _)) = run_hls(&compiled, &data).expect("dataflow runs");
     println!("\nsequential Kahn engine: {streams} streams, {elements} elements moved");

@@ -40,16 +40,7 @@ fn assert_matches_golden(
 fn pw_setup(n: [i64; 3]) -> (KernelData, BTreeMap<String, shmls_kernels::Grid3>) {
     let inputs = pw_advection::PwInputs::random(n[0], n[1], n[2], 2024);
     let (su, sv, sw) = pw_advection::golden(&inputs);
-    let data = KernelData::default()
-        .buffer("u", inputs.u.to_buffer())
-        .buffer("v", inputs.v.to_buffer())
-        .buffer("w", inputs.w.to_buffer())
-        .buffer("tzc1", inputs.tzc1.to_buffer())
-        .buffer("tzc2", inputs.tzc2.to_buffer())
-        .buffer("tzd1", inputs.tzd1.to_buffer())
-        .buffer("tzd2", inputs.tzd2.to_buffer())
-        .scalar("tcx", inputs.tcx)
-        .scalar("tcy", inputs.tcy);
+    let data = inputs.data();
     let mut golden = BTreeMap::new();
     golden.insert("su".to_string(), su);
     golden.insert("sv".to_string(), sv);
@@ -106,20 +97,7 @@ fn pw_advection_structure_matches_paper() {
 fn tracer_setup(n: [i64; 3]) -> (KernelData, BTreeMap<String, shmls_kernels::Grid3>) {
     let inputs = tracer_advection::TracerInputs::random(n[0], n[1], n[2], 77);
     let out = tracer_advection::golden(&inputs);
-    let data = KernelData::default()
-        .buffer("tsn", inputs.tsn.to_buffer())
-        .buffer("pun", inputs.pun.to_buffer())
-        .buffer("pvn", inputs.pvn.to_buffer())
-        .buffer("pwn", inputs.pwn.to_buffer())
-        .buffer("tmask", inputs.tmask.to_buffer())
-        .buffer("umask", inputs.umask.to_buffer())
-        .buffer("vmask", inputs.vmask.to_buffer())
-        .buffer("rnfmsk", inputs.rnfmsk.to_buffer())
-        .buffer("upsmsk", inputs.upsmsk.to_buffer())
-        .buffer("ztfreez", inputs.ztfreez.to_buffer())
-        .buffer("rnfmsk_z", inputs.rnfmsk_z.to_buffer())
-        .buffer("e3t", inputs.e3t.to_buffer())
-        .scalar("pdt", inputs.pdt);
+    let data = inputs.data();
     let mut golden = BTreeMap::new();
     golden.insert("mydomain".to_string(), out.mydomain);
     golden.insert("zind".to_string(), out.zind);

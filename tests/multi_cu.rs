@@ -9,16 +9,7 @@ use stencil_hmls::{compile, CompileOptions, TargetPath};
 fn pw_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     let kernel = shmls_frontend::parse_kernel(&pw_advection::source(n[0], n[1], n[2])).unwrap();
     let inputs = pw_advection::PwInputs::random(n[0], n[1], n[2], 11);
-    let data = KernelData::default()
-        .buffer("u", inputs.u.to_buffer())
-        .buffer("v", inputs.v.to_buffer())
-        .buffer("w", inputs.w.to_buffer())
-        .buffer("tzc1", inputs.tzc1.to_buffer())
-        .buffer("tzc2", inputs.tzc2.to_buffer())
-        .buffer("tzd1", inputs.tzd1.to_buffer())
-        .buffer("tzd2", inputs.tzd2.to_buffer())
-        .scalar("tcx", inputs.tcx)
-        .scalar("tcy", inputs.tcy);
+    let data = inputs.data();
     (kernel, data)
 }
 

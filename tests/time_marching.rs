@@ -21,26 +21,14 @@ use stencil_hmls::{compile, compile_kernel, CompileOptions, TargetPath};
 fn pw_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     let kernel = shmls_frontend::parse_kernel(&pw_advection::source(n[0], n[1], n[2])).unwrap();
     let inputs = pw_advection::PwInputs::random(n[0], n[1], n[2], 23);
-    let data = KernelData::default()
-        .buffer("u", inputs.u.to_buffer())
-        .buffer("v", inputs.v.to_buffer())
-        .buffer("w", inputs.w.to_buffer())
-        .buffer("tzc1", inputs.tzc1.to_buffer())
-        .buffer("tzc2", inputs.tzc2.to_buffer())
-        .buffer("tzd1", inputs.tzd1.to_buffer())
-        .buffer("tzd2", inputs.tzd2.to_buffer())
-        .scalar("tcx", inputs.tcx)
-        .scalar("tcy", inputs.tcy);
+    let data = inputs.data();
     (kernel, data)
 }
 
 fn heat_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     let kernel = shmls_frontend::parse_kernel(&heat3d::source(n[0], n[1], n[2])).unwrap();
     let inputs = heat3d::Heat3dInputs::random(n[0], n[1], n[2], 3);
-    let data = KernelData::default()
-        .buffer("t", inputs.t.to_buffer())
-        .buffer("kz", inputs.kz.to_buffer())
-        .scalar("dt", inputs.dt);
+    let data = inputs.data();
     (kernel, data)
 }
 
@@ -48,20 +36,7 @@ fn tracer_data(n: [i64; 3]) -> (shmls_frontend::KernelDef, KernelData) {
     let source = tracer_advection::source(n[0], n[1], n[2]);
     let kernel = shmls_frontend::parse_kernel(&source).unwrap();
     let inputs = tracer_advection::TracerInputs::random(n[0], n[1], n[2], 7);
-    let data = KernelData::default()
-        .buffer("tsn", inputs.tsn.to_buffer())
-        .buffer("pun", inputs.pun.to_buffer())
-        .buffer("pvn", inputs.pvn.to_buffer())
-        .buffer("pwn", inputs.pwn.to_buffer())
-        .buffer("tmask", inputs.tmask.to_buffer())
-        .buffer("umask", inputs.umask.to_buffer())
-        .buffer("vmask", inputs.vmask.to_buffer())
-        .buffer("rnfmsk", inputs.rnfmsk.to_buffer())
-        .buffer("upsmsk", inputs.upsmsk.to_buffer())
-        .buffer("ztfreez", inputs.ztfreez.to_buffer())
-        .buffer("rnfmsk_z", inputs.rnfmsk_z.to_buffer())
-        .buffer("e3t", inputs.e3t.to_buffer())
-        .scalar("pdt", inputs.pdt);
+    let data = inputs.data();
     (kernel, data)
 }
 
