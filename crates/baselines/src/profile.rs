@@ -49,7 +49,7 @@ impl KernelProfile {
     /// Build the profile from a compiled kernel.
     pub fn from_compiled(compiled: &CompiledKernel) -> IrResult<Self> {
         let ctx = &compiled.ctx;
-        let design = DesignDescriptor::from_hls_func(ctx, compiled.hls_func)?;
+        let design = compiled.design.clone();
 
         let applies = ctx.find_ops(compiled.stencil_func, stencil::APPLY);
         let reads_per_point = applies

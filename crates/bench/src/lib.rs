@@ -474,13 +474,9 @@ fn cycle_rows(out: &mut String, rows: &[(&Kernel, [i64; 3], Option<usize>)]) {
             ..Default::default()
         };
         let compiled = compile(&kernel.source(grid), &opts).expect("compiles");
-        let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-            &compiled.ctx,
-            compiled.hls_func,
-        )
-        .expect("extracts");
-        let analytic = shmls_fpga_sim::perf::hmls_estimate(&design, &device, 1);
-        let simulated = shmls_fpga_sim::cycle::simulate(&design, depth)
+        let design = &compiled.design;
+        let analytic = shmls_fpga_sim::perf::hmls_estimate(design, &device, 1);
+        let simulated = shmls_fpga_sim::cycle::simulate(design, depth)
             .expect("generated designs are deadlock-free at declared depths");
         writeln!(
             out,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::json::Json;
-use shmls_fpga_sim::{cycle, design::DesignDescriptor};
+use shmls_fpga_sim::cycle;
 use shmls_kernels::catalogue::{Kernel, HEAT3D, PW_ADVECTION, TRACER_ADVECTION};
 use shmls_serve::{loadgen, router, server, shard};
 use stencil_hmls::autotune::{self, TuneOptions};
@@ -121,9 +121,7 @@ fn parse_at(kernel: &Kernel, grid: [i64; 3]) -> Result<shmls_frontend::KernelDef
 
 /// What the cycle simulator reports for one sweep of a design.
 fn sweep_report(compiled: &CompiledKernel, what: &str) -> Result<cycle::CycleReport, String> {
-    let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
-        .map_err(|e| format!("{what} design extraction: {e}"))?;
-    cycle::simulate(&design, None)
+    cycle::simulate(&compiled.design, None)
         .map_err(|report| format!("{what} cycle simulation deadlocked:\n{report}"))
 }
 

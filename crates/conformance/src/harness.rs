@@ -486,16 +486,7 @@ fn check_engine(
             }),
         },
         Engine::Cycle => {
-            let design = match DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func) {
-                Ok(d) => d,
-                Err(e) => {
-                    return Some(Failure::Engine {
-                        engine,
-                        error: e.to_string(),
-                    })
-                }
-            };
-            match simulate(&design, None) {
+            match simulate(&compiled.design, None) {
                 // `simulate` only returns Ok when every stage finished:
                 // the design drains completely at declared FIFO depths.
                 Ok(_report) => None,
@@ -657,9 +648,20 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
     key(a).abs_diff(key(b))
 }
 
-/// Inject `fault` into the compiled design's HLS function. Returns
-/// whether anything was mutated (the fault may be inapplicable).
+/// Inject `fault` into the compiled design's HLS function, and re-extract
+/// `compiled.design` from what it left, so the cycle engine simulates the
+/// design the other engines run. Returns whether anything was mutated (the
+/// fault may be inapplicable).
 pub fn inject_fault(compiled: &mut CompiledKernel, fault: Fault) -> bool {
+    let mutated = mutate(compiled, fault);
+    if mutated {
+        compiled.design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
+            .expect("a fault changes values, never the design's structure");
+    }
+    mutated
+}
+
+fn mutate(compiled: &mut CompiledKernel, fault: Fault) -> bool {
     match fault {
         Fault::OffsetFlip => {
             let window = compiled.report.window_elems as i64;

@@ -473,9 +473,7 @@ fn compile(
         };
         copts.hmls.temporal_depth = depth;
         let (compiled, _hit) = cache.get_or_compile(kernel, &copts)?;
-        let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
-            .map_err(|e| e.context(format!("autotune: depth-{depth} design extraction")))?;
-        designs.push(PlannedDesign::new(depth, design, device));
+        designs.push(PlannedDesign::new(depth, compiled.design.clone(), device));
     }
     let baseline = depths.iter().position(|&d| d == 1);
     Ok(Plan {

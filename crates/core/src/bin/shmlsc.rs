@@ -101,21 +101,20 @@ fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         kernel_section(&compiled, out)?;
     }
     if args.design || args.estimate || args.synthesis_report || args.connectivity.is_some() {
-        let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
-            .map_err(because("design extraction failed"))?;
+        let design = &compiled.design;
         if args.design {
-            design_section(&design, out)?;
+            design_section(design, out)?;
         }
         if args.estimate {
-            estimate_section(&design, args.cus, out)?;
+            estimate_section(design, args.cus, out)?;
         }
         if args.synthesis_report {
             let (device, costs) = (Device::u280(), CostTable::default_f64());
-            let report = stencil_hmls::synthesis_report::render(&design, &device, &costs, args.cus);
+            let report = stencil_hmls::synthesis_report::render(design, &device, &costs, args.cus);
             writeln!(out, "\n{report}")?;
         }
         if let Some(cus) = args.connectivity {
-            let banks = shmls_fpga_sim::memory::assign_banks(&design, &Device::u280(), cus)
+            let banks = shmls_fpga_sim::memory::assign_banks(design, &Device::u280(), cus)
                 .map_err(|e| Failure::failed(e.to_string()))?;
             let used = banks.banks_used();
             writeln!(out, "\n# HBM connectivity for {cus} CU(s) ({used} banks)")?;
@@ -347,8 +346,8 @@ mod tests {
              \x20 bundles         : [\"gmem0\", \"gmem1\", \"gmem_small\", \"control\"]\n\
              \x20 fpp round trip  : 9 markers, 4 dataflow regions, IIs {1: 1}\n"
         );
-        let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func).unwrap();
-        let text = printed(|out| design_section(&design, out));
+        let design = &compiled.design;
+        let text = printed(|out| design_section(design, out));
         let facts = "\ndesign:\n\
              \x20 interior points : 16384\n\
              \x20 bounded points  : 20808\n\
@@ -360,7 +359,7 @@ mod tests {
         assert!(text.starts_with(facts), "{text}");
         assert_eq!(text.lines().count(), 8 + design.stages.len());
         assert_eq!(
-            printed(|out| estimate_section(&design, 2, out)),
+            printed(|out| estimate_section(design, 2, out)),
             "\nestimate (2 CU(s) on Alveo U280):\n\
              \x20 throughput      : 461.1 MPt/s (10660 cycles, bottleneck load[0])\n\
              \x20 runtime         : 0.036 ms\n\

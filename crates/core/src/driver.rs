@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use shmls_dialects::builtin::{create_module, module_body};
+use shmls_fpga_sim::design::DesignDescriptor;
 use shmls_frontend::{lower_kernel, parse_kernel, KernelDef, KernelSignature};
 use shmls_ir::error::IrResult;
 use shmls_ir::pass::Pass;
@@ -83,6 +84,11 @@ pub struct CompiledKernel {
     pub llvm_func: Option<OpId>,
     /// Design summary from the stencil→HLS transformation.
     pub report: HmlsReport,
+    /// The HLS function's stages, streams and wiring, as the models and
+    /// the cycle engine read them. Like `apply_plans` below it describes
+    /// the module as compiled: whoever mutates `hls_func` afterwards
+    /// re-extracts it.
+    pub design: DesignDescriptor,
     /// Directives recovered by the fpp pass, when requested.
     pub directives: Option<DirectiveReport>,
     /// Per-pass wall-clock timings (`parse`, `frontend-lower`,
@@ -365,6 +371,7 @@ impl<'o> Pipeline<'o> {
             cpu_func,
             llvm_func,
             report: hls_out.report,
+            design: hls_out.design,
             directives,
             timings,
             snapshots: self.snapshots,

@@ -40,8 +40,9 @@
 //! `Analysis` and one `StepPlan` per temporal step, then the `Design`
 //! builder's — `open` (steps 2, 8, 9), per temporal step `feed`, `shift`,
 //! `dup` and `compute` (steps 3–5), and `write` (step 6) — each appending
-//! its stages to the end of the new function's entry block, and last the
-//! stream-graph check of [`crate::connectivity`]. The names and operand
+//! its stages to the end of the new function's entry block, and last
+//! `connectivity`: the design read back into its [`DesignDescriptor`],
+//! whose wiring check is the stream-graph check. The names and operand
 //! layouts of the runtime calls come from
 //! [`shmls_dialects::hls::RuntimeKind`]; nothing here spells them.
 
@@ -49,6 +50,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use shmls_dialects::hls::{RuntimeCall, RuntimeKind};
 use shmls_dialects::{arith, func, hls, llvm, memref, scf, stencil};
+use shmls_fpga_sim::design::DesignDescriptor;
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
@@ -140,8 +142,12 @@ pub struct HmlsOutput {
     pub func: OpId,
     /// Design summary.
     pub report: HmlsReport,
+    /// The design as every model and engine reads it — stages, streams and
+    /// their wiring — extracted from `func` once, here.
+    pub design: DesignDescriptor,
     /// Wall-clock telemetry: `"stencil-to-hls"` (analysis + dataflow
-    /// construction) and `"connectivity"` (stream-graph verification).
+    /// construction) and `"connectivity"` (the extraction, whose wiring
+    /// check is the stream-graph verification).
     pub timings: Timings,
 }
 
@@ -206,14 +212,17 @@ pub fn stencil_to_hls(
     let (hls_func, report) = (design.func, design.report);
 
     // The generated design must be a well-formed Kahn network: every
-    // stream fed and drained. Anything else would deadlock at runtime.
+    // stream fed and drained. Anything else would deadlock at runtime, so
+    // the extraction (`check_wiring`) refuses it.
     stopwatch.lap(&mut timings, "stencil-to-hls");
-    crate::connectivity::verify_connectivity(ctx, hls_func)?;
+    let descriptor =
+        DesignDescriptor::from_hls_func(ctx, hls_func).map_err(|e| e.context("connectivity"))?;
     stopwatch.lap(&mut timings, "connectivity");
 
     Ok(HmlsOutput {
         func: hls_func,
         report,
+        design: descriptor,
         timings,
     })
 }
@@ -1193,9 +1202,9 @@ kernel unused {
         // result).
         assert_eq!(r.dup_stages, 0);
         assert_eq!(r.streams, 3);
-        // The generated design passes the connectivity verifier (checked
-        // inside stencil_to_hls) and computes the right values.
-        crate::connectivity::verify_connectivity(&ctx, out.func).unwrap();
+        // The generated design passes the wiring check (made inside
+        // stencil_to_hls) and computes the right values.
+        out.design.check_wiring().unwrap();
     }
 
     #[test]
@@ -1514,22 +1523,10 @@ kernel masked {
         };
         let out = stencil_to_hls(&mut ctx, lowered.func, &opts).unwrap();
         verify_with(&ctx, module, &shmls_dialects::registry()).unwrap();
-        let entry = ctx.entry_block(out.func).unwrap();
-        let stages: Vec<&str> = ctx
-            .block_ops(entry)
-            .iter()
-            .filter(|&&op| ctx.op_name(op) == hls::DATAFLOW)
-            .map(|&op| hls::stage_role(&ctx, op))
-            .collect();
-        let step0 = ["load_data", "shift_buffer", "shift_buffer", "compute"];
-        let deeper = [
-            "halo_merge",
-            "load_data",
-            "shift_buffer",
-            "shift_buffer",
-            "compute",
-        ];
-        let expected: Vec<&str> = [&step0[..], &deeper, &deeper, &["write_data"]].concat();
+        let stages: Vec<&str> = out.design.stages.iter().map(|s| s.kind()).collect();
+        let step0 = ["load", "shift", "shift", "compute"];
+        let deeper = ["merge", "load", "shift", "shift", "compute"];
+        let expected: Vec<&str> = [&step0[..], &deeper, &deeper, &["write"]].concat();
         assert_eq!(stages, expected);
         // Step 0 loads both fields in its one call, deeper steps only `m`.
         let loads: Vec<usize> = ctx

@@ -14,9 +14,11 @@
 //! - [`shift_buffer`] — window geometry shared by transform, runtime and
 //!   resource model (steps 3/5, Figure 2).
 //! - [`hmls`] — the stencil→HLS dataflow construction (steps 2–9,
-//!   Figure 3), including dead compute-stage pruning.
-//! - [`connectivity`] — post-transform stream-graph verification: every
-//!   FIFO must have a producer and a consumer or the design deadlocks.
+//!   Figure 3), including dead compute-stage pruning. Its last phase
+//!   extracts the design's [`shmls_fpga_sim::design::DesignDescriptor`]
+//!   ([`HmlsOutput::design`], [`CompiledKernel::design`]), whose wiring
+//!   check is the stream-graph verification: every FIFO must have a
+//!   producer and a consumer or the design deadlocks.
 //! - [`cpu_lowering`] — the reference Von-Neumann lowering (baseline
 //!   structure, golden path).
 //! - [`llvm_lowering`] — HLS dialect → annotation-encoded LLVM dialect.
@@ -80,7 +82,6 @@ pub mod cache;
 pub mod canonicalize;
 pub mod classify;
 pub mod cli;
-pub mod connectivity;
 pub mod cpu_lowering;
 pub mod driver;
 pub mod engine;

@@ -386,14 +386,8 @@ pub fn run_time_marched_with(
             let device = Device::u280();
             estimates = plans
                 .iter()
-                .map(|p| {
-                    let design = shmls_fpga_sim::design::DesignDescriptor::from_hls_func(
-                        &p.compiled.ctx,
-                        p.compiled.hls_func,
-                    )?;
-                    Ok(hmls_estimate(&design, &device, 1))
-                })
-                .collect::<IrResult<_>>()?;
+                .map(|p| hmls_estimate(&p.compiled.design, &device, 1))
+                .collect();
         }
 
         let round_start = Instant::now();

@@ -184,8 +184,12 @@ mod tests {
             ..Default::default()
         };
         let compiled = compile(&shmls_kernels::pw_advection::source(16, 12, 8), &opts).unwrap();
-        let design = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func).unwrap();
-        let report = render(&design, &Device::u280(), &CostTable::default_f64(), 4);
+        let report = render(
+            &compiled.design,
+            &Device::u280(),
+            &CostTable::default_f64(),
+            4,
+        );
         for needle in [
             "Synthesis Report: pw_advection_hls",
             "Compute units : 4",
@@ -215,6 +219,6 @@ mod tests {
                 )
             })
             .count();
-        assert_eq!(stage_rows, design.stages.len());
+        assert_eq!(stage_rows, compiled.design.stages.len());
     }
 }

@@ -25,10 +25,10 @@
 //! of the paper's C++ runtime that a generated design calls
 //! ([`RuntimeKind`]), the operand and attribute layout of such a call
 //! ([`runtime_call`] writes it, [`decode_runtime_call`] reads it back into
-//! a [`RuntimeCall`]) and the role label of a dataflow stage
-//! ([`stage_role`]). The transform that emits the calls and every engine,
-//! verifier and model that consumes them go through these, so the format
-//! is spelled once.
+//! a [`RuntimeCall`]) and the runtime function a dataflow stage is built
+//! around ([`stage_kind`]). The transform that emits the calls and every
+//! engine and model that consumes them go through these, so the format is
+//! spelled once.
 
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
@@ -340,12 +340,6 @@ pub fn stage_kind(ctx: &Context, stage: OpId) -> Option<RuntimeKind> {
         .find(|&kind| kind != RuntimeKind::CopySmallData)
 }
 
-/// Role label of a dataflow stage for diagnostics: the runtime function it
-/// calls, `compute` for a loop stage.
-pub fn stage_role(ctx: &Context, stage: OpId) -> &'static str {
-    stage_kind(ctx, stage).map_or("compute", RuntimeKind::callee)
-}
-
 /// Verifier rules for the hls dialect.
 pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
     v.register(CREATE_STREAM, |ctx, op| {
@@ -536,12 +530,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(&decoded, call);
-        if call.kind == RuntimeKind::CopySmallData {
-            assert_eq!(stage_role(ctx, stage), "compute");
-        } else {
-            assert_eq!(stage_kind(ctx, stage), Some(call.kind));
-            assert_eq!(stage_role(ctx, stage), call.kind.callee());
-        }
+        let makes_a_stage = call.kind != RuntimeKind::CopySmallData;
+        assert_eq!(stage_kind(ctx, stage), makes_a_stage.then_some(call.kind));
         op
     }
 

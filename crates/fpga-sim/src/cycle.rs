@@ -208,8 +208,9 @@ enum Decision {
 ///
 /// # Panics
 ///
-/// If the design fails [`DesignDescriptor::check_wiring`] — descriptors
-/// from [`DesignDescriptor::from_hls_func`] never do.
+/// If the design has no [`DesignDescriptor::stream_ends`] — descriptors
+/// from [`DesignDescriptor::from_hls_func`] always do. A stream nobody
+/// pops, or nobody pushes, is simulated: that is a deadlock to report.
 pub fn simulate(
     design: &DesignDescriptor,
     depth_override: Option<usize>,
@@ -232,7 +233,7 @@ fn simulate_with(
     depth_override: Option<usize>,
     jump: bool,
 ) -> Result<CycleReport, Box<DeadlockReport>> {
-    if let Err(e) = design.check_wiring() {
+    if let Err(e) = design.stream_ends() {
         panic!("cannot simulate `{}`: {e}", design.name);
     }
     let n_stages = design.stages.len();
@@ -312,7 +313,7 @@ fn simulate_with(
                 decisions[i] = Decision::StalledFull;
                 continue;
             }
-            // Fire. `check_wiring` gave each stream one reading stage, so
+            // Fire. `stream_ends` gave each stream one reading stage, so
             // the tokens seen in `visible` are still there to pop.
             if consumes {
                 for &(s, k) in &state.reads {
@@ -378,18 +379,6 @@ fn overflows(fifo_len: &[usize], fifo_cap: &[usize], &(s, k): &(usize, usize)) -
     fifo_len[s] + k > fifo_cap[s]
 }
 
-/// Human-readable role of a stage, for deadlock snapshots.
-fn stage_kind(stage: &Stage) -> &'static str {
-    match stage {
-        Stage::Load { .. } => "load",
-        Stage::Shift { .. } => "shift",
-        Stage::Dup { .. } => "dup",
-        Stage::Compute { .. } => "compute",
-        Stage::Merge { .. } => "merge",
-        Stage::Write { .. } => "write",
-    }
-}
-
 /// Snapshot every stage's state and every FIFO's occupancy for a run that
 /// exceeded its cycle budget.
 fn diagnose(
@@ -404,7 +393,7 @@ fn diagnose(
         .iter()
         .enumerate()
         .map(|(i, state)| {
-            let stage = format!("stage{i}:{}", stage_kind(&design.stages[i]));
+            let stage = design.stages[i].label(i);
             let status = if state.remaining == 0 {
                 StageStatus::Finished
             } else {
@@ -1089,7 +1078,7 @@ mod tests {
     /// promised (a level of −1, which a release build used to report as a
     /// deadlock with 2⁶⁴−1 tokens queued): refused before the first cycle.
     #[test]
-    #[should_panic(expected = "stream 1 is read by stage 2 and by stage 3")]
+    #[should_panic(expected = "stream 1 is read by stage2:compute and by stage3:write")]
     fn a_stream_with_two_readers_is_refused() {
         let mut d = linear_design(100, 1, 1);
         d.wiring[3].reads = vec![1];

@@ -33,7 +33,8 @@ pub enum StageStatus {
 /// One stage's state at deadlock time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSnapshot {
-    /// Stage label (program order plus a role hint, e.g. `stage2:compute`).
+    /// Stage label ([`Stage::label`](crate::design::Stage::label), e.g.
+    /// `stage2:compute`).
     pub stage: String,
     /// What the stage was doing.
     pub status: StageStatus,
@@ -150,7 +151,7 @@ mod tests {
         DeadlockReport {
             stages: vec![
                 StageSnapshot {
-                    stage: "stage0:load_data".into(),
+                    stage: "stage0:load".into(),
                     status: StageStatus::Finished,
                 },
                 StageSnapshot {
@@ -158,7 +159,7 @@ mod tests {
                     status: StageStatus::BlockedOnPush { stream: 2 },
                 },
                 StageSnapshot {
-                    stage: "stage2:write_data".into(),
+                    stage: "stage2:write".into(),
                     status: StageStatus::BlockedOnPop { stream: 3 },
                 },
             ],
@@ -236,7 +237,7 @@ mod tests {
         assert!(s.is_full());
         let r = DeadlockReport {
             stages: vec![StageSnapshot {
-                stage: "stage0:load_data".into(),
+                stage: "stage0:load".into(),
                 status: StageStatus::BlockedOnPush { stream: 7 },
             }],
             streams: vec![s],

@@ -7,7 +7,9 @@
 //! [`DesignDescriptor`] extracted here. This keeps the models testable in
 //! isolation and mirrors how a real HLS report summarises a design.
 
-use std::collections::BTreeMap;
+#![deny(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use shmls_dialects::hls::RuntimeKind;
 use shmls_dialects::{arith, func, hls, memref, scf};
@@ -116,6 +118,28 @@ pub enum Stage {
     },
 }
 
+impl Stage {
+    /// The one name of the stage's kind — `load`, `shift`, `dup`,
+    /// `compute`, `merge` or `write` — in every label a report, a
+    /// deadlock snapshot or an error shows.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Stage::Load { .. } => "load",
+            Stage::Shift { .. } => "shift",
+            Stage::Dup { .. } => "dup",
+            Stage::Compute { .. } => "compute",
+            Stage::Merge { .. } => "merge",
+            Stage::Write { .. } => "write",
+        }
+    }
+
+    /// `stage{i}:{kind}`, the name stage `i` of a design carries in
+    /// deadlock snapshots and wiring errors.
+    pub fn label(&self, i: usize) -> String {
+        format!("stage{i}:{}", self.kind())
+    }
+}
+
 /// One FIFO stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamDesc {
@@ -136,7 +160,7 @@ pub struct StageWiring {
 }
 
 /// The extracted design.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesignDescriptor {
     /// Kernel name (the HLS function's symbol).
     pub name: String,
@@ -161,14 +185,8 @@ pub struct DesignDescriptor {
 impl DesignDescriptor {
     /// Number of distinct `m_axi` bundles (physical memory ports per CU).
     pub fn axi_ports(&self) -> usize {
-        let mut bundles: Vec<&str> = self
-            .interfaces
-            .iter()
-            .filter(|(p, _)| p == "m_axi")
-            .map(|(_, b)| b.as_str())
-            .collect();
-        bundles.sort_unstable();
-        bundles.dedup();
+        let m_axi = self.interfaces.iter().filter(|(p, _)| p == "m_axi");
+        let bundles: BTreeSet<&str> = m_axi.map(|(_, b)| b.as_str()).collect();
         bundles.len()
     }
 
@@ -230,68 +248,96 @@ impl DesignDescriptor {
 
     /// Length (in stages) of the longest producer→consumer chain through
     /// the dataflow graph — the depth that determines pipeline fill/drain.
-    /// Falls back to the stage count when no wiring was recorded.
     pub fn critical_path_stages(&self) -> u64 {
-        if self.wiring.len() != self.stages.len() || self.stages.is_empty() {
-            return self.stages.len() as u64;
-        }
-        // Producer stage per stream.
-        let mut producer = vec![usize::MAX; self.streams.len()];
-        for (i, w) in self.wiring.iter().enumerate() {
-            for &s in &w.writes {
-                if s < producer.len() {
-                    producer[s] = i;
+        // Stages appear in program (topological) order, so a stream's
+        // producer has its depth before any consumer asks for it.
+        let mut producer_depth = vec![0u64; self.streams.len()];
+        let mut longest = 0;
+        for wiring in &self.wiring {
+            let feeds = wiring.reads.iter().filter_map(|&s| producer_depth.get(s));
+            let depth = 1 + feeds.max().copied().unwrap_or(0);
+            for &s in &wiring.writes {
+                if let Some(slot) = producer_depth.get_mut(s) {
+                    *slot = depth;
                 }
             }
+            longest = longest.max(depth);
         }
-        // Stages appear in program (topological) order.
-        let mut depth = vec![1u64; self.stages.len()];
-        for (i, w) in self.wiring.iter().enumerate() {
-            for &s in &w.reads {
-                if s < producer.len() && producer[s] != usize::MAX && producer[s] < i {
-                    depth[i] = depth[i].max(depth[producer[s]] + 1);
-                }
-            }
-        }
-        depth.into_iter().max().unwrap_or(1)
+        longest
     }
 
-    /// The shape every engine that walks the wiring relies on: one wiring
-    /// entry per stage, every stream index in range, and each stream
-    /// popped by at most one stage and pushed by at most one (a stage may
-    /// list a stream several times). Two poppers would drain tokens the
-    /// other had been promised; the generated designs never have them.
-    pub fn check_wiring(&self) -> IrResult<()> {
+    /// The stream graph: `[pusher, popper]` stage of each stream. Refuses
+    /// what no engine can walk — a wiring entry missing for a stage, a
+    /// stream index out of range, or a stream popped (or pushed) by two
+    /// stages, which would drain tokens the other had been promised. A
+    /// stage may list a stream several times (an unrolled body).
+    pub fn stream_ends(&self) -> IrResult<Vec<[Option<usize>; 2]>> {
         ir_ensure!(
             self.wiring.len() == self.stages.len(),
             "{} stages but {} wiring entries",
             self.stages.len(),
             self.wiring.len()
         );
-        let mut reader = vec![None; self.streams.len()];
-        let mut writer = vec![None; self.streams.len()];
+        let label = |i: usize| self.stages[i].label(i);
+        let n = self.streams.len();
+        let mut ends = vec![[None; 2]; n];
         for (stage, wiring) in self.wiring.iter().enumerate() {
-            for (ends, owner, verb) in [
-                (&wiring.reads, &mut reader, "read"),
-                (&wiring.writes, &mut writer, "written"),
-            ] {
-                for &s in ends {
-                    let slot = owner.get_mut(s).ok_or_else(|| {
-                        ir_error!("stage {stage} names stream {s} of {}", self.streams.len())
-                    })?;
-                    let first = *slot.get_or_insert(stage);
+            for (side, streams, verb) in
+                [(0, &wiring.writes, "written"), (1, &wiring.reads, "read")]
+            {
+                for &s in streams {
+                    let end = ends
+                        .get_mut(s)
+                        .ok_or_else(|| ir_error!("{} names stream {s} of {n}", label(stage)))?;
+                    let first = *end[side].get_or_insert(stage);
                     ir_ensure!(
                         first == stage,
-                        "stream {s} is {verb} by stage {first} and by stage {stage}"
+                        "stream {s} is {verb} by {} and by {}",
+                        label(first),
+                        label(stage)
                     );
                 }
             }
         }
+        Ok(ends)
+    }
+
+    /// A well-formed Kahn network: [`Self::stream_ends`], and every stream
+    /// pushed by one stage and popped by one. A stream written but never
+    /// drained fills up and blocks its producer; one read but never fed
+    /// starves its consumer — certain deadlocks under bounded FIFOs (the
+    /// StencilFlow runs the paper reports as never finishing).
+    pub fn check_wiring(&self) -> IrResult<()> {
+        let label = |i: usize| self.stages[i].label(i);
+        for (s, ends) in self.stream_ends()?.into_iter().enumerate() {
+            let fault = match ends {
+                [Some(_), Some(_)] => continue,
+                [None, None] => "is created but no stage reads or writes it".to_string(),
+                [None, Some(reader)] => format!("has no producer but is read by {}", label(reader)),
+                [Some(writer), None] => format!(
+                    "has no consumer but is written by {} — an unconsumed producer \
+                     deadlocks under bounded FIFOs",
+                    label(writer)
+                ),
+            };
+            ir_bail!("`{}` stream {s} {fault}", self.name);
+        }
         Ok(())
     }
 
-    /// Extract the descriptor from an HLS-dialect `func.func`.
+    /// Extract the descriptor from an HLS-dialect `func.func` — the one
+    /// reader of a generated design, run once per compile
+    /// (`HmlsOutput::design`). What it returns passes
+    /// [`Self::check_wiring`].
     pub fn from_hls_func(ctx: &Context, hls_func: OpId) -> IrResult<Self> {
+        let design = Self::extract(ctx, hls_func)?;
+        design.check_wiring()?;
+        Ok(design)
+    }
+
+    /// [`Self::from_hls_func`] before the wiring check: what the threaded
+    /// engine names the stages of a deadlocked design from.
+    pub(crate) fn extract(ctx: &Context, hls_func: OpId) -> IrResult<Self> {
         ir_ensure!(
             ctx.op_name(hls_func) == func::FUNC,
             "expected func.func, got `{}`",
@@ -306,19 +352,9 @@ impl DesignDescriptor {
 
         let mut d = DesignDescriptor {
             name,
-            interior_points: 0,
-            bounded_points: 0,
-            stages: Vec::new(),
-            wiring: Vec::new(),
-            streams: Vec::new(),
-            interfaces: Vec::new(),
-            local_buffer_bytes: Vec::new(),
-            init_copy_elements: 0,
+            ..Default::default()
         };
-
-        // Stream handle (value) -> elem bytes, for dup width lookup.
-        let mut stream_width: BTreeMap<ValueId, u64> = BTreeMap::new();
-        // Stream handle (value) -> creation index, for stage wiring.
+        // Stream handle (value) -> index into `d.streams` (creation order).
         let mut stream_index: BTreeMap<ValueId, usize> = BTreeMap::new();
 
         for &op in ctx.block_ops(entry) {
@@ -335,7 +371,6 @@ impl DesignDescriptor {
                         .element_type()
                         .and_then(Type::byte_size)
                         .unwrap_or(8);
-                    stream_width.insert(ctx.result(op, 0), elem_bytes);
                     stream_index.insert(ctx.result(op, 0), d.streams.len());
                     d.streams.push(StreamDesc { depth, elem_bytes });
                 }
@@ -346,44 +381,91 @@ impl DesignDescriptor {
                         .ok_or_else(|| ir_error!("alloca of unsized type"))?;
                     d.local_buffer_bytes.push(bytes);
                 }
-                func::CALL => {
+                hls::DATAFLOW => d.push_stage(ctx, op, &stream_index)?,
+                name => {
+                    // Kernel init: the small-data copies. Stream traffic
+                    // belongs to the stages.
+                    if let Some(s) = ctx.operands(op).iter().find_map(|v| stream_index.get(v)) {
+                        ir_bail!("stream {s} is touched by `{name}` outside a dataflow stage");
+                    }
                     if let Some(call) = hls::decode_runtime_call(ctx, op, ctx.operands(op))? {
                         if call.kind == RuntimeKind::CopySmallData {
                             d.init_copy_elements += call.extents[0] as u64;
                         }
                     }
                 }
-                hls::DATAFLOW => {
-                    let stage = extract_stage(ctx, op, &stream_width)?;
-                    match &stage {
-                        Stage::Load {
-                            elements_per_field, ..
-                        } => {
-                            d.bounded_points = *elements_per_field;
-                        }
-                        Stage::Write {
-                            elements_per_field, ..
-                        } => {
-                            d.interior_points = *elements_per_field;
-                        }
-                        _ => {}
-                    }
-                    d.wiring.push(extract_wiring(ctx, op, &stream_index)?);
-                    d.stages.push(stage);
-                }
-                _ => {}
             }
         }
         ir_ensure!(!d.stages.is_empty(), "design has no dataflow stages");
-        d.check_wiring()?;
         Ok(d)
+    }
+
+    /// Read one `hls.dataflow` op into the next entry of `stages` and
+    /// `wiring`: one walk for its stream traffic and its operation mix.
+    fn push_stage(
+        &mut self,
+        ctx: &Context,
+        dataflow: OpId,
+        stream_index: &BTreeMap<ValueId, usize>,
+    ) -> IrResult<()> {
+        let idx = |v: &ValueId| stream_index.get(v).copied();
+        let mut wiring = StageWiring::default();
+        let mut ops = OpMix::default();
+        let mut foreign_call = None;
+        for op in ctx.walk_collect(dataflow) {
+            let operands = ctx.operands(op);
+            match ctx.op_name(op) {
+                hls::READ => wiring.reads.extend(idx(&operands[0])),
+                hls::WRITE => wiring.writes.extend(idx(&operands[1])),
+                func::CALL => match hls::decode_runtime_call(ctx, op, operands)? {
+                    Some(call) => {
+                        wiring.reads.extend(call.consumed.iter().filter_map(idx));
+                        wiring.writes.extend(call.produced.iter().filter_map(idx));
+                    }
+                    None => {
+                        foreign_call = foreign_call.or(operands.iter().find_map(idx).zip(Some(op)))
+                    }
+                },
+                name => {
+                    if let Some(cost) = scalar::lookup(name).and_then(|row| row.cost) {
+                        ops.count(cost);
+                    }
+                }
+            }
+        }
+        let stage = extract_stage(ctx, dataflow, &wiring, ops, &self.streams)?;
+        // Only the runtime functions may be handed a stream.
+        if let Some((s, call)) = foreign_call {
+            ir_bail!(
+                "{}: call to {:?} passes stream {s} but is not a runtime function",
+                stage.label(self.stages.len()),
+                func::callee(ctx, call).unwrap_or("<unknown>")
+            );
+        }
+        match stage {
+            Stage::Load {
+                elements_per_field: n,
+                ..
+            } => self.bounded_points = n,
+            Stage::Write {
+                elements_per_field: n,
+                ..
+            } => self.interior_points = n,
+            _ => {}
+        }
+        self.stages.push(stage);
+        self.wiring.push(wiring);
+        Ok(())
     }
 }
 
+/// The stage a `hls.dataflow` op with this wiring and operation mix is.
 fn extract_stage(
     ctx: &Context,
     dataflow: OpId,
-    stream_width: &BTreeMap<ValueId, u64>,
+    wiring: &StageWiring,
+    ops: OpMix,
+    streams: &[StreamDesc],
 ) -> IrResult<Stage> {
     let body = ctx
         .entry_block(dataflow)
@@ -421,110 +503,90 @@ fn extract_stage(
             RuntimeKind::CopySmallData => continue,
         });
     }
-    // Loop stages: dup or compute.
-    for &op in ctx.block_ops(body) {
-        if ctx.op_name(op) == scf::FOR {
-            return extract_loop_stage(ctx, op, stream_width);
-        }
-    }
-    ir_bail!("unrecognised dataflow stage")
-}
-
-fn extract_loop_stage(
-    ctx: &Context,
-    for_op: OpId,
-    stream_width: &BTreeMap<ValueId, u64>,
-) -> IrResult<Stage> {
-    let trips = loop_trip_count(ctx, for_op)?;
-    let mut ii = 1;
-    let mut reads = 0usize;
-    let mut writes = 0usize;
-    let mut written_streams: Vec<ValueId> = Vec::new();
-    let mut ops = OpMix::default();
-    for op in ctx.walk_collect(for_op) {
-        match ctx.op_name(op) {
-            hls::PIPELINE => {
-                ii = hls::pipeline_ii(ctx, op).unwrap_or(1);
-            }
-            hls::READ => reads += 1,
-            hls::WRITE => {
-                writes += 1;
-                written_streams.push(ctx.operands(op)[1]);
-            }
-            name => {
-                if let Some(cost) = scalar::lookup(name).and_then(|row| row.cost) {
-                    ops.count(cost);
-                }
-            }
-        }
-    }
-    // A dup stage is a loop with one read fanned out into N identical-width
-    // writes and no floating-point work.
-    if reads == 1 && writes >= 2 && ops.flops() == 0 {
-        let elem_bytes = written_streams
-            .first()
-            .and_then(|s| stream_width.get(s).copied())
-            .unwrap_or(8);
-        return Ok(Stage::Dup {
+    // Loop stages. A dup stage is a loop with one read fanned out into N
+    // identical-width writes and no floating-point work.
+    let LoopStage { trips, ii, .. } = LoopStage::read(ctx, dataflow)?;
+    let (reads, writes) = (wiring.reads.len(), wiring.writes.len());
+    Ok(if reads == 1 && writes >= 2 && ops.flops() == 0 {
+        Stage::Dup {
             copies: writes,
             trips,
-            elem_bytes,
-        });
-    }
-    Ok(Stage::Compute {
-        ii,
-        trips,
-        reads,
-        writes,
-        ops,
+            elem_bytes: streams[wiring.writes[0]].elem_bytes,
+        }
+    } else {
+        Stage::Compute {
+            ii,
+            trips,
+            reads,
+            writes,
+            ops,
+        }
     })
 }
 
-/// Determine which streams a stage reads/writes.
-fn extract_wiring(
-    ctx: &Context,
-    dataflow: OpId,
-    stream_index: &BTreeMap<ValueId, usize>,
-) -> IrResult<StageWiring> {
-    let mut wiring = StageWiring::default();
-    let idx = |v: &ValueId| stream_index.get(v).copied();
-    for op in ctx.walk_collect(dataflow) {
-        let operands = ctx.operands(op);
-        match ctx.op_name(op) {
-            hls::READ => wiring.reads.extend(idx(&operands[0])),
-            hls::WRITE => wiring.writes.extend(idx(&operands[1])),
-            func::CALL => {
-                if let Some(call) = hls::decode_runtime_call(ctx, op, operands)? {
-                    wiring.reads.extend(call.consumed.iter().filter_map(idx));
-                    wiring.writes.extend(call.produced.iter().filter_map(idx));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(wiring)
+/// A dataflow stage that is one pipelined loop, the shape the transform's
+/// `stage_loop` builds: index constants, then a single `scf.for` over
+/// `0..trips` by 1 carrying no values. Read once, for [`Stage::Dup`] /
+/// [`Stage::Compute`] and for the stage planner ([`crate::stageplan`]).
+pub(crate) struct LoopStage {
+    /// The loop's body.
+    pub body: BlockId,
+    /// The induction variable, counting `0..trips`.
+    pub induction: ValueId,
+    pub trips: u64,
+    /// Initiation interval the body's `hls.pipeline` asks for (else 1).
+    pub ii: i64,
 }
 
-/// Constant trip count of a normalised loop (`lb`, `ub`, `step` all
-/// `arith.constant`).
+impl LoopStage {
+    pub(crate) fn read(ctx: &Context, dataflow: OpId) -> IrResult<Self> {
+        let stage_body = ctx
+            .entry_block(dataflow)
+            .ok_or_else(|| ir_error!("dataflow without body"))?;
+        let index = |&op: &OpId| arith::constant_value(ctx, op).and_then(Attribute::as_int);
+        let for_op = match ctx.block_ops(stage_body).split_last() {
+            Some((&last, before))
+                if ctx.op_name(last) == scf::FOR && before.iter().all(|op| index(op).is_some()) =>
+            {
+                last
+            }
+            _ => ir_bail!("unrecognised dataflow stage"),
+        };
+        let body = ctx
+            .entry_block(for_op)
+            .ok_or_else(|| ir_error!("stage loop without body"))?;
+        let mut body_ops = ctx.block_ops(body).iter().copied();
+        let pipeline = body_ops.find(|&op| ctx.op_name(op) == hls::PIPELINE);
+        let ii = pipeline.and_then(|op| hls::pipeline_ii(ctx, op));
+        Ok(LoopStage {
+            body,
+            induction: scf::induction_var(ctx, for_op),
+            trips: loop_trip_count(ctx, for_op)?,
+            ii: ii.unwrap_or(1),
+        })
+    }
+}
+
+/// Constant trip count of a stage loop: `0..n by 1`, every bound an
+/// `arith.constant`.
 fn loop_trip_count(ctx: &Context, for_op: OpId) -> IrResult<u64> {
+    ir_ensure!(ctx.operands(for_op).len() == 3, "stage loop carries values");
     let (lb, ub, step) = scf::loop_bounds(ctx, for_op);
-    let read_const = |v: ValueId| -> IrResult<i64> {
-        let def = ctx
-            .defining_op(v)
-            .ok_or_else(|| ir_error!("loop bound is not a constant"))?;
-        arith::constant_value(ctx, def)
+    let constant = |v: ValueId| -> IrResult<i64> {
+        ctx.defining_op(v)
+            .and_then(|def| arith::constant_value(ctx, def))
             .and_then(Attribute::as_int)
             .ok_or_else(|| ir_error!("loop bound is not a constant integer"))
     };
-    let (lb, ub, step) = (read_const(lb)?, read_const(ub)?, read_const(step)?);
-    ir_ensure!(step > 0, "non-positive loop step");
-    Ok(((ub - lb).max(0) as u64).div_ceil(step as u64))
+    let (lb, step) = (constant(lb)?, constant(step)?);
+    ir_ensure!(lb == 0 && step == 1, "stage loop is not 0..n by 1");
+    Ok(constant(ub)?.max(0) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shmls_ir::builder::OpBuilder;
 
     // Descriptor extraction over real transformed kernels is covered by
     // integration tests in the `stencil-hmls` crate (which owns the
@@ -586,38 +648,225 @@ mod tests {
     fn check_wiring_accepts_one_reader_and_one_writer_per_stream() {
         let chain = vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![1], vec![])];
         wired(chain).check_wiring().unwrap();
-        // One stage may list a stream several times (an unrolled body),
-        // and a stream may go unread or unwritten.
-        let unrolled = vec![(vec![], vec![0, 0]), (vec![0, 0], vec![]), (vec![], vec![])];
+        // One stage may list a stream several times (an unrolled body).
+        let unrolled = vec![
+            (vec![], vec![0, 0]),
+            (vec![0, 0], vec![1]),
+            (vec![1], vec![]),
+        ];
         wired(unrolled).check_wiring().unwrap();
+    }
+
+    fn rejected(wiring: Vec<(Vec<usize>, Vec<usize>)>, needles: &[&str]) {
+        let e = wired(wiring).check_wiring().unwrap_err().to_string();
+        for needle in needles {
+            assert!(e.contains(needle), "`{e}` does not mention `{needle}`");
+        }
     }
 
     #[test]
     fn check_wiring_rejects_each_malformed_shape() {
-        let rejected = |wiring, needle: &str| {
-            let e = wired(wiring).check_wiring().unwrap_err().to_string();
-            assert!(e.contains(needle), "`{e}` does not mention `{needle}`");
-        };
         rejected(
             vec![(vec![], vec![0]), (vec![0], vec![])],
-            "3 stages but 2 wiring entries",
+            &["3 stages but 2 wiring entries"],
         );
         rejected(
             vec![(vec![], vec![0]), (vec![2], vec![1]), (vec![1], vec![])],
-            "stage 1 names stream 2 of 2",
+            &["stage1:compute names stream 2 of 2"],
         );
         rejected(
             vec![(vec![], vec![0]), (vec![0], vec![7]), (vec![1], vec![])],
-            "stage 1 names stream 7 of 2",
+            &["stage1:compute names stream 7 of 2"],
         );
         rejected(
             vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![0, 1], vec![])],
-            "stream 0 is read by stage 1 and by stage 2",
+            &["stream 0 is read by stage1:compute and by stage2:write"],
         );
         rejected(
             vec![(vec![], vec![0, 1]), (vec![0], vec![1]), (vec![1], vec![])],
-            "stream 1 is written by stage 0 and by stage 1",
+            &["stream 1 is written by stage0:load and by stage1:compute"],
         );
+    }
+
+    // The four cases of the stream-graph verifier this check replaced
+    // (`core/src/connectivity.rs`), on the wiring it now reads.
+
+    #[test]
+    fn balanced_stream_passes() {
+        let chain = vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![1], vec![])];
+        let d = wired(chain);
+        d.check_wiring().unwrap();
+        let ends = d.stream_ends().unwrap();
+        assert_eq!(ends, [[Some(0), Some(1)], [Some(1), Some(2)]]);
+    }
+
+    #[test]
+    fn unconsumed_producer_is_rejected_naming_stream_and_stage() {
+        // The compute stage pushes into stream 1 but nothing ever drains
+        // it — the exact shape a dead compute stage would leave behind.
+        rejected(
+            vec![(vec![], vec![0]), (vec![0], vec![1]), (vec![], vec![])],
+            &["`k` stream 1", "no consumer", "stage1:compute"],
+        );
+    }
+
+    #[test]
+    fn unfed_consumer_is_rejected() {
+        rejected(
+            vec![(vec![], vec![]), (vec![0], vec![1]), (vec![1], vec![])],
+            &["`k` stream 0", "no producer", "stage1:compute"],
+        );
+    }
+
+    #[test]
+    fn orphan_stream_is_rejected() {
+        rejected(
+            vec![(vec![], vec![0]), (vec![0], vec![]), (vec![], vec![])],
+            &["`k` stream 1", "no stage reads or writes"],
+        );
+    }
+
+    /// A function over three f64 streams whose stages `build` appends:
+    /// `loop_stage(ctx, entry, body)` is one `0..4` loop stage.
+    fn hls_func(build: impl FnOnce(&mut Context, BlockId, &[ValueId])) -> (Context, OpId) {
+        use shmls_dialects::builtin::create_module;
+        let mut ctx = Context::new();
+        let (_module, top) = create_module(&mut ctx);
+        let (f, entry) = func::create_func(&mut ctx, top, "k", vec![], vec![]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, entry);
+        let streams: Vec<ValueId> = (0..3)
+            .map(|_| hls::create_stream(&mut b, Type::F64, 4))
+            .collect();
+        build(&mut ctx, entry, &streams);
+        func::ret(&mut OpBuilder::at_block_end(&mut ctx, entry), vec![]);
+        (ctx, f)
+    }
+
+    fn loop_stage(ctx: &mut Context, entry: BlockId, body: impl FnOnce(&mut OpBuilder<'_>)) {
+        let (_stage, stage_body) = hls::dataflow(&mut OpBuilder::at_block_end(ctx, entry));
+        let mut b = OpBuilder::at_block_end(ctx, stage_body);
+        let lb = arith::constant_index(&mut b, 0);
+        let ub = arith::constant_index(&mut b, 4);
+        let step = arith::constant_index(&mut b, 1);
+        let (_for_op, loop_body) = scf::for_loop(&mut b, lb, ub, step, vec![]);
+        let mut b = OpBuilder::at_block_end(ctx, loop_body);
+        hls::pipeline(&mut b, 2);
+        body(&mut b);
+        scf::yield_op(&mut b, vec![]);
+    }
+
+    /// producer → dup → two consumers, read back stage by stage.
+    #[test]
+    fn loop_stages_extract_with_their_wiring() {
+        let (ctx, f) = hls_func(|ctx, entry, s| {
+            let s = s.to_vec();
+            loop_stage(ctx, entry, |b| {
+                let one = arith::constant_f64(b, 1.0);
+                let two = arith::addf(b, one, one);
+                hls::write(b, two, s[0]);
+            });
+            loop_stage(ctx, entry, |b| {
+                let v = hls::read(b, s[0]);
+                hls::write(b, v, s[1]);
+                hls::write(b, v, s[2]);
+            });
+            for i in [1, 2] {
+                loop_stage(ctx, entry, |b| {
+                    hls::read(b, s[i]);
+                });
+            }
+        });
+        let d = DesignDescriptor::from_hls_func(&ctx, f).unwrap();
+        let kinds: Vec<&str> = d.stages.iter().map(Stage::kind).collect();
+        assert_eq!(kinds, ["compute", "dup", "compute", "compute"]);
+        assert_eq!(d.stages[1].label(1), "stage1:dup");
+        let fadd = OpMix {
+            fadd: 1,
+            ..Default::default()
+        };
+        let producer = Stage::Compute {
+            ii: 2,
+            trips: 4,
+            reads: 0,
+            writes: 1,
+            ops: fadd,
+        };
+        assert_eq!(d.stages[0], producer);
+        let dup = Stage::Dup {
+            copies: 2,
+            trips: 4,
+            elem_bytes: 8,
+        };
+        assert_eq!(d.stages[1], dup);
+        assert_eq!(d.wiring[1].reads, [0]);
+        assert_eq!(d.wiring[1].writes, [1, 2]);
+        assert_eq!(d.critical_path_stages(), 3);
+    }
+
+    /// What only the deleted verifier refused: a call that is handed a
+    /// stream without being one of the runtime functions.
+    #[test]
+    fn a_non_runtime_call_with_a_stream_is_refused_naming_the_stage() {
+        let (ctx, f) = hls_func(|ctx, entry, s| {
+            let s = s.to_vec();
+            loop_stage(ctx, entry, |b| {
+                let one = arith::constant_f64(b, 1.0);
+                hls::write(b, one, s[0]);
+            });
+            loop_stage(ctx, entry, |b| {
+                func::call(b, "drain", vec![s[0]], vec![]);
+            });
+        });
+        let e = DesignDescriptor::from_hls_func(&ctx, f)
+            .unwrap_err()
+            .to_string();
+        for needle in [
+            "stage1:compute",
+            "\"drain\"",
+            "stream 0",
+            "not a runtime function",
+        ] {
+            assert!(e.contains(needle), "`{e}` does not mention `{needle}`");
+        }
+    }
+
+    /// A stream op in the entry block belongs to no stage: refused, not
+    /// counted against a pseudo-stage.
+    #[test]
+    fn a_stream_touched_outside_a_stage_is_refused() {
+        let (ctx, f) = hls_func(|ctx, entry, s| {
+            hls::read(&mut OpBuilder::at_block_end(ctx, entry), s[0]);
+            let s0 = s[0];
+            loop_stage(ctx, entry, |b| {
+                let one = arith::constant_f64(b, 1.0);
+                hls::write(b, one, s0);
+            });
+        });
+        let e = DesignDescriptor::from_hls_func(&ctx, f)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            e.contains("stream 0 is touched by `hls.read` outside"),
+            "{e}"
+        );
+    }
+
+    /// The one loop shape: anything but `0..n by 1` after index constants
+    /// is not a stage the descriptor (or the planner) reads.
+    #[test]
+    fn a_stage_loop_is_zero_to_n_by_one() {
+        let (ctx, f) = hls_func(|ctx, entry, _| {
+            let (_stage, stage_body) = hls::dataflow(&mut OpBuilder::at_block_end(ctx, entry));
+            let mut b = OpBuilder::at_block_end(ctx, stage_body);
+            let lb = arith::constant_index(&mut b, 1);
+            let ub = arith::constant_index(&mut b, 4);
+            let (_for_op, loop_body) = scf::for_loop(&mut b, lb, ub, lb, vec![]);
+            scf::yield_op(&mut OpBuilder::at_block_end(ctx, loop_body), vec![]);
+        });
+        let e = DesignDescriptor::from_hls_func(&ctx, f)
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("stage loop is not 0..n by 1"), "{e}");
     }
 
     #[test]

@@ -196,7 +196,7 @@ fn rt_shift_buffer(io: &mut dyn StreamIo, call: &Call<'_>) -> IrResult<()> {
     let lb: Vec<i64> = vec![-halo; rank];
     let interior_lb = vec![0i64; rank];
     let interior_ub: Vec<i64> = extents.iter().map(|&e| e - 2 * halo).collect();
-    let offsets = window_offsets_cached(rank, halo);
+    let offsets = shmls_dialects::window::window_offsets(rank, halo);
 
     // Ring buffer of exactly the hardware shift-register length.
     let ring_len = shmls_dialects::window::shift_register_len(extents, halo) as usize;
@@ -326,12 +326,6 @@ fn rt_copy_small_data(mem_beats: &mut u64, call: &Call<'_>, store: &mut Store<'_
     dst.data.copy_from_slice(&src.data);
     *mem_beats += (from as u64).div_ceil(8);
     Ok(())
-}
-
-fn window_offsets_cached(rank: usize, halo: i64) -> Vec<Vec<i64>> {
-    let lb = vec![-halo; rank];
-    let ub = vec![halo + 1; rank];
-    iter_box(&lb, &ub)
 }
 
 /// Execute the HLS kernel `func_name` in `module`.

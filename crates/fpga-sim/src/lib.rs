@@ -21,7 +21,9 @@
 //! - [`cycle`] — cycle-stepped token-level Kahn simulation used to
 //!   validate the analytic model against FIFO dynamics.
 //! - [`design`] — extraction of a [`design::DesignDescriptor`] from
-//!   HLS-dialect IR: the structural facts the models consume.
+//!   HLS-dialect IR: the structural facts the models and the cycle engine
+//!   consume, read once per compile and checked to be a well-formed
+//!   stream graph; the one source of stage names.
 //! - [`memory`] — HBM bank connectivity (Vitis-style `.cfg` generation)
 //!   and round-robin contention modelling.
 //! - [`device`] — the Alveo U280 description and calibration constants.

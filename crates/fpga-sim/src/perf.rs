@@ -86,7 +86,7 @@ pub fn hmls_estimate(design: &DesignDescriptor, device: &Device, cus: u32) -> Pe
         };
         if cycles > steady {
             steady = cycles;
-            bottleneck = stage_name(stage, i);
+            bottleneck = format!("{}[{i}]", stage.kind());
         }
     }
     // Fill/drain: one pipeline latency per stage along the longest
@@ -150,17 +150,6 @@ pub fn external_passes(steps: u64, depth: u64) -> u64 {
     steps.div_ceil(depth.max(1))
 }
 
-fn stage_name(stage: &Stage, index: usize) -> String {
-    match stage {
-        Stage::Load { .. } => format!("load[{index}]"),
-        Stage::Shift { .. } => format!("shift[{index}]"),
-        Stage::Dup { .. } => format!("dup[{index}]"),
-        Stage::Compute { .. } => format!("compute[{index}]"),
-        Stage::Merge { .. } => format!("merge[{index}]"),
-        Stage::Write { .. } => format!("write[{index}]"),
-    }
-}
-
 /// A generic single-pipeline (or fused-dataflow) execution model used for
 /// the comparator frameworks.
 #[derive(Debug, Clone)]
@@ -214,7 +203,7 @@ pub fn pipeline_estimate(model: &PipelineModel, device: &Device) -> PerfEstimate
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{OpMix, StreamDesc};
+    use crate::design::{OpMix, StageWiring, StreamDesc};
 
     #[test]
     fn external_passes_ceil_and_clamp() {
@@ -258,11 +247,20 @@ mod tests {
                     elements_per_field: points,
                 },
             ],
-            streams: vec![StreamDesc {
-                depth: 8,
-                elem_bytes: 8,
-            }],
-            wiring: Vec::new(),
+            streams: vec![
+                StreamDesc {
+                    depth: 8,
+                    elem_bytes: 8,
+                };
+                3
+            ],
+            // A chain: stage i pushes stream i, stage i + 1 pops it.
+            wiring: (0..4)
+                .map(|i| StageWiring {
+                    reads: (i > 0).then(|| i - 1).into_iter().collect(),
+                    writes: (i < 3).then_some(i).into_iter().collect(),
+                })
+                .collect(),
             interfaces: vec![("m_axi".into(), "gmem0".into())],
             local_buffer_bytes: vec![],
             init_copy_elements: 0,
@@ -303,8 +301,7 @@ mod tests {
         let device = Device::u280();
         let d = toy_design(1000, 1331);
         let e = hmls_estimate(&d, &device, 1);
-        // Four stages in a chain (no wiring recorded → stage-count
-        // fallback): 4 × STAGE_FILL_CYCLES.
+        // Four stages in a chain: 4 × STAGE_FILL_CYCLES.
         assert_eq!(e.fill_cycles, 4 * STAGE_FILL_CYCLES);
         assert_eq!(e.cycles, e.steady_cycles + e.fill_cycles);
     }

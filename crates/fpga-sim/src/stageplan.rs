@@ -30,19 +30,21 @@
 //! occupancy pattern the deadlock and cycle models are validating. The
 //! sharing is the opcode *semantics*, not the traversal schedule.
 
+#![deny(clippy::too_many_lines)]
+
 use std::collections::HashMap;
 
 use shmls_dialects::{hls, scf};
 use shmls_ir::attributes::Attribute;
-use shmls_ir::bytecode::{InputRef, Instr, Program, ProgramBuilder, VReg};
+use shmls_ir::bytecode::{InputRef, Program, ProgramBuilder, VReg};
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::{Buffer, RtValue, Store};
-use shmls_ir::ir::{Context, OpId, ValueId};
+use shmls_ir::ir::{BlockId, Context, OpId, ValueId};
 use shmls_ir::scalar::{self, int_op, Eval, IntOp};
 use shmls_ir::types::Type;
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
-use crate::design::OpMix;
+use crate::design::LoopStage;
 use crate::executor::StreamIo;
 
 /// One integer micro-instruction, evaluated once per loop iteration.
@@ -112,7 +114,7 @@ pub enum Action {
 }
 
 /// A compiled dataflow stage: `trips` iterations of a fixed action list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StagePlan {
     /// Loop trip count (`lb = 0`, `step = 1`).
     pub trips: i64,
@@ -143,283 +145,288 @@ pub struct StagePlan {
 /// nested control flow, non-canonical loop bounds, …) — the caller falls
 /// back to the tree-walking interpreter.
 pub fn plan_stage(ctx: &Context, stage: OpId) -> Option<StagePlan> {
-    try_plan_stage(ctx, stage).ok()
+    let stage = LoopStage::read(ctx, stage).ok()?;
+    let mut planner = Planner::new(ctx, &stage);
+    for &op in ctx.block_ops(stage.body) {
+        if ctx.op_name(op) == scf::YIELD {
+            break;
+        }
+        planner.op(op).ok()?;
+    }
+    Some(planner.plan)
 }
 
-fn try_plan_stage(ctx: &Context, stage: OpId) -> IrResult<StagePlan> {
-    ir_ensure!(
-        ctx.op_name(stage) == hls::DATAFLOW,
-        "stage plan: not a dataflow op"
-    );
-    let body = ctx
-        .entry_block(stage)
-        .ok_or_else(|| ir_error!("stage plan: dataflow without body"))?;
+/// `v`'s slot in the (short) environment table `table`, appended on first
+/// use.
+fn slot_of(table: &mut Vec<ValueId>, v: ValueId) -> usize {
+    table.iter().position(|&t| t == v).unwrap_or_else(|| {
+        table.push(v);
+        table.len() - 1
+    })
+}
 
-    // The stage body must be `constants…, one scf.for` — nothing else.
-    let mut consts: HashMap<ValueId, i64> = HashMap::new();
-    let mut for_op = None;
-    for &op in ctx.block_ops(body) {
-        match ctx.op_name(op) {
-            "arith.constant" => {
-                if let Some(Attribute::Int(v, _)) = ctx.attr(op, "value") {
-                    consts.insert(ctx.result(op, 0), *v);
-                } else {
-                    ir_bail!("stage plan: non-integer stage constant");
-                }
-            }
-            scf::FOR => {
-                ir_ensure!(for_op.is_none(), "stage plan: multiple loops");
-                for_op = Some(op);
-            }
-            other => ir_bail!("stage plan: unsupported stage op `{other}`"),
+/// The plan under construction, with where every SSA value of the loop
+/// body lives: an integer register, a read slot, the current float
+/// segment, or a slot of one of the plan's environment tables.
+struct Planner<'c> {
+    ctx: &'c Context,
+    loop_body: BlockId,
+    plan: StagePlan,
+    ints: HashMap<ValueId, usize>,
+    read_slot: HashMap<ValueId, usize>,
+    /// Current float segment (flushed into an `Eval` at each write).
+    builder: ProgramBuilder,
+    floats: HashMap<ValueId, VReg>,
+}
+
+/// Narrow a slot number to the width the bytecode's operands have.
+fn narrow<T: TryFrom<usize>>(slot: usize, what: &str) -> IrResult<T> {
+    T::try_from(slot).map_err(|_| ir_error!("stage plan: {what} overflow"))
+}
+
+impl<'c> Planner<'c> {
+    fn new(ctx: &'c Context, stage: &LoopStage) -> Self {
+        Planner {
+            ctx,
+            loop_body: stage.body,
+            plan: StagePlan {
+                trips: stage.trips as i64,
+                n_int_regs: 1, // register 0 = induction variable
+                ..Default::default()
+            },
+            ints: HashMap::from([(stage.induction, 0)]),
+            read_slot: HashMap::new(),
+            builder: ProgramBuilder::new(),
+            floats: HashMap::new(),
         }
     }
-    let for_op = for_op.ok_or_else(|| ir_error!("stage plan: no loop"))?;
-    let bounds = ctx.operands(for_op).to_vec();
-    ir_ensure!(bounds.len() == 3, "stage plan: non-canonical loop operands");
-    let c = |v: ValueId| consts.get(&v).copied();
-    let (lb, ub, step) = (c(bounds[0]), c(bounds[1]), c(bounds[2]));
-    ir_ensure!(
-        lb == Some(0) && step == Some(1),
-        "stage plan: loop is not 0..n by 1"
-    );
-    let trips = ub.ok_or_else(|| ir_error!("stage plan: non-constant trip count"))?;
-    ir_ensure!(trips >= 0, "stage plan: negative trip count");
 
-    let loop_body = ctx
-        .entry_block(for_op)
-        .ok_or_else(|| ir_error!("stage plan: loop without body"))?;
-    let induction = scf::induction_var(ctx, for_op);
-
-    let mut plan = StagePlan {
-        trips,
-        streams: Vec::new(),
-        scalars: Vec::new(),
-        params: Vec::new(),
-        int_prog: Vec::new(),
-        n_int_regs: 1, // register 0 = induction variable
-        actions: Vec::new(),
-        n_reads: 0,
-        n_evals: 0,
-    };
-
-    let mut ints: HashMap<ValueId, usize> = HashMap::new();
-    ints.insert(induction, 0);
-    let mut read_slot: HashMap<ValueId, usize> = HashMap::new();
-    let mut scalar_slot: HashMap<ValueId, usize> = HashMap::new();
-    let mut param_slot: HashMap<ValueId, usize> = HashMap::new();
-    let mut stream_slot: HashMap<ValueId, usize> = HashMap::new();
-
-    // Current float segment (flushed into an `Eval` at each write).
-    let mut builder = ProgramBuilder::new();
-    let mut floats: HashMap<ValueId, VReg> = HashMap::new();
-
-    fn slot_of(table: &mut Vec<ValueId>, map: &mut HashMap<ValueId, usize>, v: ValueId) -> usize {
-        *map.entry(v).or_insert_with(|| {
-            table.push(v);
-            table.len() - 1
-        })
+    /// Plan one op of the loop body, by family.
+    fn op(&mut self, op: OpId) -> IrResult<()> {
+        match self.ctx.op_name(op) {
+            hls::PIPELINE | hls::UNROLL => Ok(()),
+            hls::READ => self.read(op),
+            hls::WRITE => self.write(op),
+            "arith.constant" => self.constant(op),
+            "llvm.extractvalue" => self.pack_extract(op),
+            "memref.load" => self.param_load(op),
+            other => self.scalar_op(op, other),
+        }
     }
 
-    fn int_reg(plan: &mut StagePlan) -> usize {
-        let r = plan.n_int_regs;
-        plan.n_int_regs += 1;
-        r
+    fn int_reg(&mut self) -> usize {
+        self.plan.n_int_regs += 1;
+        self.plan.n_int_regs - 1
     }
 
-    for &op in ctx.block_ops(loop_body) {
-        let operands = ctx.operands(op).to_vec();
-        match ctx.op_name(op) {
-            n if n == hls::PIPELINE || n == hls::UNROLL => {}
-            n if n == scf::YIELD => break,
-            n if n == hls::READ => {
-                let s = slot_of(&mut plan.streams, &mut stream_slot, operands[0]);
-                let slot = plan.n_reads;
-                plan.n_reads += 1;
-                plan.actions.push(Action::Read { slot, stream: s });
-                read_slot.insert(ctx.result(op, 0), slot);
+    fn read(&mut self, op: OpId) -> IrResult<()> {
+        let s = slot_of(&mut self.plan.streams, self.ctx.operands(op)[0]);
+        let slot = self.plan.n_reads;
+        self.plan.n_reads += 1;
+        self.plan.actions.push(Action::Read { slot, stream: s });
+        self.read_slot.insert(self.ctx.result(op, 0), slot);
+        Ok(())
+    }
+
+    fn write(&mut self, op: OpId) -> IrResult<()> {
+        let (v, stream) = (self.ctx.operands(op)[0], self.ctx.operands(op)[1]);
+        let s = slot_of(&mut self.plan.streams, stream);
+        let src = if let Some(&r) = self.floats.get(&v) {
+            // Flush the pending float segment; its result is what this
+            // write sends.
+            let prog = std::mem::take(&mut self.builder).finish(&[r])?;
+            self.floats.clear();
+            let dst = self.plan.n_evals;
+            self.plan.n_evals += 1;
+            self.plan.actions.push(Action::Eval { prog, dst });
+            WriteSrc::Eval(dst)
+        } else if let Some(&slot) = self.read_slot.get(&v) {
+            WriteSrc::Read(slot)
+        } else if self.is_env_scalar(v) {
+            WriteSrc::Env(slot_of(&mut self.plan.scalars, v))
+        } else {
+            ir_bail!("stage plan: write of unsupported value");
+        };
+        self.plan.actions.push(Action::Write { src, stream: s });
+        Ok(())
+    }
+
+    fn constant(&mut self, op: OpId) -> IrResult<()> {
+        let attr = self
+            .ctx
+            .attr(op, "value")
+            .ok_or_else(|| ir_error!("arith.constant without value"))?;
+        match attr {
+            Attribute::Float(v, _) => {
+                let r = self.builder.constant(*v);
+                self.floats.insert(self.ctx.result(op, 0), r);
             }
-            n if n == hls::WRITE => {
-                let s = slot_of(&mut plan.streams, &mut stream_slot, operands[1]);
-                let v = operands[0];
-                let src = if let Some(&r) = floats.get(&v) {
-                    // Flush the pending float segment; its result is what
-                    // this write sends.
-                    let prog = std::mem::take(&mut builder).finish(&[r])?;
-                    floats.clear();
-                    let dst = plan.n_evals;
-                    plan.n_evals += 1;
-                    plan.actions.push(Action::Eval { prog, dst });
-                    WriteSrc::Eval(dst)
-                } else if let Some(&slot) = read_slot.get(&v) {
-                    WriteSrc::Read(slot)
-                } else if is_env_scalar(ctx, loop_body, &v) {
-                    WriteSrc::Env(slot_of(&mut plan.scalars, &mut scalar_slot, v))
-                } else {
-                    ir_bail!("stage plan: write of unsupported value");
+            Attribute::Int(v, _) => {
+                let dst = self.int_reg();
+                self.plan.int_prog.push(IntInstr::Const { dst, value: *v });
+                self.ints.insert(self.ctx.result(op, 0), dst);
+            }
+            other => ir_bail!("stage plan: unsupported constant {other}"),
+        }
+        Ok(())
+    }
+
+    fn pack_extract(&mut self, op: OpId) -> IrResult<()> {
+        let &slot = self
+            .read_slot
+            .get(&self.ctx.operands(op)[0])
+            .ok_or_else(|| ir_error!("stage plan: extract from non-read value"))?;
+        let position = self
+            .ctx
+            .attr(op, "position")
+            .and_then(Attribute::as_index_array)
+            .ok_or_else(|| ir_error!("llvm.extractvalue without position"))?;
+        let elem = *position
+            .last()
+            .ok_or_else(|| ir_error!("empty extractvalue position"))?;
+        ir_ensure!(elem >= 0, "stage plan: negative pack position");
+        let r = self.builder.input(InputRef::PackElem {
+            read: narrow(slot, "read slot")?,
+            elem: narrow(elem as usize, "pack position")?,
+        });
+        self.floats.insert(self.ctx.result(op, 0), r);
+        Ok(())
+    }
+
+    fn param_load(&mut self, op: OpId) -> IrResult<()> {
+        let operands = self.ctx.operands(op);
+        ir_ensure!(
+            operands.len() == 2,
+            "stage plan: only 1-D parameter loads supported"
+        );
+        ir_ensure!(
+            self.is_outside_loop(operands[0]),
+            "stage plan: load from loop-local memref"
+        );
+        let p = slot_of(&mut self.plan.params, operands[0]);
+        let &idx = self
+            .ints
+            .get(&operands[1])
+            .ok_or_else(|| ir_error!("stage plan: non-planned load index"))?;
+        let r = self.builder.input(InputRef::ParamLoad {
+            operand: narrow(p, "param slot")?,
+            dim: narrow(idx, "int register")?,
+            shift: 0,
+        });
+        self.floats.insert(self.ctx.result(op, 0), r);
+        Ok(())
+    }
+
+    /// An op of [`scalar::TABLE`]: integer ops join the per-iteration
+    /// integer program, float ops the current float segment.
+    fn scalar_op(&mut self, op: OpId, name: &str) -> IrResult<()> {
+        let unsupported = || ir_error!("stage plan: unsupported loop op `{name}`");
+        let operands = self.ctx.operands(op);
+        match scalar::lookup(name).ok_or_else(unsupported)?.eval {
+            Eval::Int(int) => {
+                let reg = |v: &ValueId| {
+                    self.ints
+                        .get(v)
+                        .copied()
+                        .ok_or_else(|| ir_error!("stage plan: non-planned integer operand"))
                 };
-                plan.actions.push(Action::Write { src, stream: s });
-            }
-            "arith.constant" => {
-                let attr = ctx
-                    .attr(op, "value")
-                    .ok_or_else(|| ir_error!("arith.constant without value"))?;
-                match attr {
-                    Attribute::Float(v, _) => {
-                        let r = builder.constant(*v);
-                        floats.insert(ctx.result(op, 0), r);
-                    }
-                    Attribute::Int(v, _) => {
-                        let dst = int_reg(&mut plan);
-                        plan.int_prog.push(IntInstr::Const { dst, value: *v });
-                        ints.insert(ctx.result(op, 0), dst);
-                    }
-                    other => ir_bail!("stage plan: unsupported constant {other}"),
-                }
-            }
-            "llvm.extractvalue" => {
-                let &slot = read_slot
-                    .get(&operands[0])
-                    .ok_or_else(|| ir_error!("stage plan: extract from non-read value"))?;
-                let position = ctx
-                    .attr(op, "position")
-                    .and_then(Attribute::as_index_array)
-                    .ok_or_else(|| ir_error!("llvm.extractvalue without position"))?;
-                let elem = *position
-                    .last()
-                    .ok_or_else(|| ir_error!("empty extractvalue position"))?;
-                ir_ensure!(elem >= 0, "stage plan: negative pack position");
-                let r = builder.input(InputRef::PackElem {
-                    read: u16::try_from(slot)
-                        .map_err(|_| ir_error!("stage plan: read slot overflow"))?,
-                    elem: u32::try_from(elem)
-                        .map_err(|_| ir_error!("stage plan: pack position overflow"))?,
+                let (lhs, rhs) = (reg(&operands[0])?, reg(&operands[1])?);
+                let dst = self.int_reg();
+                self.plan.int_prog.push(IntInstr::Bin {
+                    op: int,
+                    dst,
+                    lhs,
+                    rhs,
                 });
-                floats.insert(ctx.result(op, 0), r);
+                self.ints.insert(self.ctx.result(op, 0), dst);
             }
-            "memref.load" => {
-                ir_ensure!(
-                    operands.len() == 2,
-                    "stage plan: only 1-D parameter loads supported"
-                );
-                ir_ensure!(
-                    ctx.defining_op(operands[0])
-                        .map(|d| !op_in_block(ctx, d, loop_body))
-                        .unwrap_or(true),
-                    "stage plan: load from loop-local memref"
-                );
-                let p = slot_of(&mut plan.params, &mut param_slot, operands[0]);
-                let &idx = ints
-                    .get(&operands[1])
-                    .ok_or_else(|| ir_error!("stage plan: non-planned load index"))?;
-                let r = builder.input(InputRef::ParamLoad {
-                    operand: u16::try_from(p)
-                        .map_err(|_| ir_error!("stage plan: param slot overflow"))?,
-                    dim: u8::try_from(idx)
-                        .map_err(|_| ir_error!("stage plan: int register overflow"))?,
-                    shift: 0,
-                });
-                floats.insert(ctx.result(op, 0), r);
+            eval if eval.is_float() => {
+                let args = operands
+                    .iter()
+                    .map(|&v| self.float_use(v))
+                    .collect::<IrResult<Vec<_>>>()?;
+                let r = self.builder.emit(eval, &args).ok_or_else(unsupported)?;
+                self.floats.insert(self.ctx.result(op, 0), r);
             }
-            other => {
-                let unsupported = || ir_error!("stage plan: unsupported loop op `{other}`");
-                match scalar::lookup(other).ok_or_else(unsupported)?.eval {
-                    Eval::Int(int) => {
-                        let reg = |v: &ValueId| {
-                            ints.get(v)
-                                .copied()
-                                .ok_or_else(|| ir_error!("stage plan: non-planned integer operand"))
-                        };
-                        let (lhs, rhs) = (reg(&operands[0])?, reg(&operands[1])?);
-                        let dst = int_reg(&mut plan);
-                        plan.int_prog.push(IntInstr::Bin {
-                            op: int,
-                            dst,
-                            lhs,
-                            rhs,
-                        });
-                        ints.insert(ctx.result(op, 0), dst);
-                    }
-                    eval if eval.is_float() => {
-                        let args = operands
-                            .iter()
-                            .map(|&v| {
-                                float_use(
-                                    ctx,
-                                    loop_body,
-                                    &mut builder,
-                                    &mut floats,
-                                    &read_slot,
-                                    &mut plan.scalars,
-                                    &mut scalar_slot,
-                                    v,
-                                )
-                            })
-                            .collect::<IrResult<Vec<_>>>()?;
-                        let r = builder.emit(eval, &args).ok_or_else(unsupported)?;
-                        floats.insert(ctx.result(op, 0), r);
-                    }
-                    _ => return Err(unsupported()),
-                }
-            }
+            _ => return Err(unsupported()),
         }
+        Ok(())
     }
-    Ok(plan)
-}
 
-/// Is `v` a scalar `f64` defined outside `block` (a kernel constant or
-/// other environment value)?
-fn is_env_scalar(ctx: &Context, block: shmls_ir::ir::BlockId, v: &ValueId) -> bool {
-    matches!(ctx.value_type(*v), Type::F64)
-        && ctx
-            .defining_op(*v)
-            .map(|d| !op_in_block(ctx, d, block))
-            .unwrap_or(true)
-}
+    /// Resolve a float operand inside the current segment: a computed
+    /// value, a scalar stream read, or an environment scalar promoted to
+    /// an input.
+    fn float_use(&mut self, v: ValueId) -> IrResult<VReg> {
+        if let Some(&r) = self.floats.get(&v) {
+            return Ok(r);
+        }
+        let input = if let Some(&slot) = self.read_slot.get(&v) {
+            InputRef::ReadScalar {
+                read: narrow(slot, "read slot")?,
+            }
+        } else if self.is_env_scalar(v) {
+            let slot = slot_of(&mut self.plan.scalars, v);
+            InputRef::Scalar {
+                operand: narrow(slot, "scalar slot")?,
+            }
+        } else {
+            ir_bail!("stage plan: unresolvable float operand");
+        };
+        let r = self.builder.input(input);
+        self.floats.insert(v, r);
+        Ok(r)
+    }
 
-fn op_in_block(ctx: &Context, op: OpId, block: shmls_ir::ir::BlockId) -> bool {
-    ctx.block_ops(block).contains(&op)
-}
+    /// Is `v` defined outside the loop body (an environment value)?
+    fn is_outside_loop(&self, v: ValueId) -> bool {
+        let in_body = |def| self.ctx.block_ops(self.loop_body).contains(&def);
+        !self.ctx.defining_op(v).is_some_and(in_body)
+    }
 
-/// Resolve a float operand inside the current segment: a computed value,
-/// a scalar stream read, or an environment scalar promoted to an input.
-#[allow(clippy::too_many_arguments)]
-fn float_use(
-    ctx: &Context,
-    loop_body: shmls_ir::ir::BlockId,
-    builder: &mut ProgramBuilder,
-    floats: &mut HashMap<ValueId, VReg>,
-    read_slot: &HashMap<ValueId, usize>,
-    scalars: &mut Vec<ValueId>,
-    scalar_slot: &mut HashMap<ValueId, usize>,
-    v: ValueId,
-) -> IrResult<VReg> {
-    if let Some(&r) = floats.get(&v) {
-        return Ok(r);
+    /// Is `v` a scalar `f64` of the environment (a kernel constant)?
+    fn is_env_scalar(&self, v: ValueId) -> bool {
+        matches!(self.ctx.value_type(v), Type::F64) && self.is_outside_loop(v)
     }
-    if let Some(&slot) = read_slot.get(&v) {
-        let r = builder.input(InputRef::ReadScalar {
-            read: u16::try_from(slot).map_err(|_| ir_error!("stage plan: read slot overflow"))?,
-        });
-        floats.insert(v, r);
-        return Ok(r);
-    }
-    if is_env_scalar(ctx, loop_body, &v) {
-        let slot = *scalar_slot.entry(v).or_insert_with(|| {
-            scalars.push(v);
-            scalars.len() - 1
-        });
-        let r = builder.input(InputRef::Scalar {
-            operand: u16::try_from(slot)
-                .map_err(|_| ir_error!("stage plan: scalar slot overflow"))?,
-        });
-        floats.insert(v, r);
-        return Ok(r);
-    }
-    Err(ir_error!("stage plan: unresolvable float operand"))
 }
 
 // ---- execution -----------------------------------------------------------
+
+/// What input `input` of a float program reads this iteration.
+fn input_value(
+    input: &InputRef,
+    scalars: &[f64],
+    reads: &[RtValue],
+    params: &[&Buffer],
+    int_regs: &[i64],
+) -> IrResult<f64> {
+    Ok(match input {
+        InputRef::Scalar { operand } => scalars[*operand as usize],
+        InputRef::ReadScalar { read } => reads[*read as usize].as_f64()?,
+        InputRef::PackElem { read, elem } => {
+            let pack = reads[*read as usize].as_pack()?;
+            let at = *elem as usize;
+            ir_ensure!(
+                at < pack.len(),
+                "stage plan: pack position {at} out of range"
+            );
+            pack[at]
+        }
+        InputRef::ParamLoad {
+            operand,
+            dim,
+            shift,
+        } => {
+            let buf = params[*operand as usize];
+            let pos = int_regs[*dim as usize] + shift - buf.origin[0];
+            ir_ensure!(
+                pos >= 0 && pos < buf.shape[0],
+                "stage plan: parameter index out of bounds"
+            );
+            buf.data[pos as usize]
+        }
+        InputRef::Access { .. } => ir_bail!("stage plan: stencil access is not valid in a stage"),
+    })
+}
 
 /// Execute a [`StagePlan`] against the stage's environment and store,
 /// using `io` for all stream traffic (so the threaded engine's stall
@@ -455,16 +462,7 @@ pub fn run_stage_plan(
         .collect::<IrResult<Vec<_>>>()?;
 
     let mut int_regs = vec![0i64; plan.n_int_regs];
-    let max_regs = plan
-        .actions
-        .iter()
-        .map(|a| match a {
-            Action::Eval { prog, .. } => prog.n_regs as usize,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut regs = vec![0.0f64; max_regs];
+    let mut regs: Vec<f64> = Vec::new(); // grown to the widest program met
     let mut reads: Vec<RtValue> = vec![RtValue::Unit; plan.n_reads];
     let mut evals = vec![0.0f64; plan.n_evals];
 
@@ -484,36 +482,11 @@ pub fn run_stage_plan(
                     reads[*slot] = io.pop(streams[*stream])?;
                 }
                 Action::Eval { prog, dst } => {
-                    for (i, input) in prog.inputs.iter().enumerate() {
-                        regs[i] = match input {
-                            InputRef::Scalar { operand } => scalars[*operand as usize],
-                            InputRef::ReadScalar { read } => reads[*read as usize].as_f64()?,
-                            InputRef::PackElem { read, elem } => {
-                                let pack = reads[*read as usize].as_pack()?;
-                                let at = *elem as usize;
-                                ir_ensure!(
-                                    at < pack.len(),
-                                    "stage plan: pack position {at} out of range"
-                                );
-                                pack[at]
-                            }
-                            InputRef::ParamLoad {
-                                operand,
-                                dim,
-                                shift,
-                            } => {
-                                let buf = params[*operand as usize];
-                                let pos = int_regs[*dim as usize] + shift - buf.origin[0];
-                                ir_ensure!(
-                                    pos >= 0 && pos < buf.shape[0],
-                                    "stage plan: parameter index out of bounds"
-                                );
-                                buf.data[pos as usize]
-                            }
-                            InputRef::Access { .. } => {
-                                ir_bail!("stage plan: stencil access is not valid in a stage")
-                            }
-                        };
+                    if regs.len() < prog.n_regs as usize {
+                        regs.resize(prog.n_regs as usize, 0.0);
+                    }
+                    for (reg, input) in regs.iter_mut().zip(&prog.inputs) {
+                        *reg = input_value(input, &scalars, &reads, &params, &int_regs)?;
                     }
                     prog.run(&mut regs);
                     evals[*dst] = regs[prog.results[0] as usize];
@@ -530,40 +503,6 @@ pub fn run_stage_plan(
         }
     }
     Ok(())
-}
-
-/// The plan's operation mix: each executed opcode counted under the
-/// [`Cost`](scalar::Cost) its op's row in [`scalar::TABLE`] carries — the
-/// classification [`crate::design`] applies when it walks the IR for a
-/// [`Stage::Compute`](crate::design::Stage) descriptor. Two independent
-/// walks (IR there, compiled plan here) under one classification, so the
-/// cycle model's per-iteration work and the bytecode that actually
-/// executes can be cross-checked against each other.
-pub fn plan_op_mix(plan: &StagePlan) -> OpMix {
-    let mut mix = OpMix::default();
-    let mut count = |eval| {
-        if let Some(cost) = scalar::cost_of(eval) {
-            mix.count(cost);
-        }
-    };
-    for instr in &plan.int_prog {
-        if let IntInstr::Bin { op, .. } = instr {
-            count(Eval::Int(*op));
-        }
-    }
-    for action in &plan.actions {
-        if let Action::Eval { prog, .. } = action {
-            for instr in &prog.instrs {
-                match *instr {
-                    Instr::Unary { op, .. } => count(Eval::Un(op)),
-                    Instr::Binary { op, .. } => count(Eval::Bin(op)),
-                    Instr::Fma { .. } => count(Eval::Fma),
-                    Instr::Const { .. } => {}
-                }
-            }
-        }
-    }
-    mix
 }
 
 #[cfg(test)]
@@ -643,14 +582,6 @@ mod tests {
         run_stage_plan(&plan, &env, &store, &mut io).unwrap();
         let out: Vec<f64> = io.queues[1].iter().map(|v| v.as_f64().unwrap()).collect();
         assert_eq!(out, vec![1.25, 3.25, 5.25, 7.25]);
-    }
-
-    #[test]
-    fn plan_op_mix_matches_hand_count() {
-        let (ctx, _m, df, ..) = compute_stage_module();
-        let plan = plan_stage(&ctx, df).unwrap();
-        let mix = plan_op_mix(&plan);
-        assert_eq!((mix.fadd, mix.fmul, mix.fdiv, mix.ialu), (1, 1, 0, 0));
     }
 
     /// A module with one dataflow stage, `for i in 0..1 { body }`, over

@@ -345,36 +345,35 @@ pub fn execute_threaded<'d>(
 
     // Non-stall errors take precedence: a failing stage is a bug in the
     // program, not a deadlock, even if its failure starved the others.
-    let mut stalled = false;
     let mut mem_beats = init_beats;
     let mut written: Vec<Option<Buffer>> = Vec::new();
-    let mut stage_snaps: Vec<StageSnapshot> = Vec::new();
+    let mut statuses: Vec<StageStatus> = Vec::new();
     for (i, r) in results.into_iter().enumerate() {
-        let label = format!("stage{i}:{}", hls::stage_role(ctx, stages[i]));
         match r {
             StageResult::Done(owned, beats) => {
-                stage_snaps.push(StageSnapshot {
-                    stage: label,
-                    status: StageStatus::Finished,
-                });
+                statuses.push(StageStatus::Finished);
                 mem_beats += beats;
                 if write_stage == Some(i) {
                     written = owned;
                 }
             }
-            StageResult::Stalled(status) => {
-                stalled = true;
-                stage_snaps.push(StageSnapshot {
-                    stage: label,
-                    status,
-                });
-            }
+            StageResult::Stalled(status) => statuses.push(status),
             StageResult::Failed(e) => return Err(e),
         }
     }
-    if stalled {
+    if statuses.iter().any(|s| *s != StageStatus::Finished) {
+        // The labels every report carries: the descriptor's.
+        let design = crate::design::DesignDescriptor::extract(ctx, func);
+        let label = |i: usize| match &design {
+            Ok(design) => design.stages[i].label(i),
+            Err(_) => format!("stage{i}:unknown"),
+        };
+        let snapshot = |(i, status)| StageSnapshot {
+            stage: label(i),
+            status,
+        };
         let report = DeadlockReport {
-            stages: stage_snaps,
+            stages: statuses.into_iter().enumerate().map(snapshot).collect(),
             streams: table.snapshot(),
             cycles: None,
         };

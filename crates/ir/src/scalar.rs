@@ -251,12 +251,6 @@ scalar_ops![
     ("math.sqrt",        [FLOAT],               FLOAT, Un(UnOp::Sqrt),        Some(FMisc)),
 ];
 
-/// The operator class of the row that evaluates as `eval` — how a compiled
-/// opcode finds its way back to the cost its op was given.
-pub fn cost_of(eval: Eval) -> Option<Cost> {
-    TABLE.iter().find(|row| row.eval == eval)?.cost
-}
-
 /// Evaluate `row` on `args`, whose length the caller has checked against
 /// `row.operands`. `predicate` is the op's `predicate` attribute, read only
 /// by the two comparisons.

@@ -37,8 +37,13 @@ fn options(hmls: HmlsOptions) -> CompileOptions {
     }
 }
 
+/// A second reading of the function, which must be the one the compile
+/// kept.
 fn descriptor(compiled: &stencil_hmls::CompiledKernel) -> DesignDescriptor {
-    DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func).expect("design extracts")
+    let fresh = DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func);
+    let fresh = fresh.expect("design extracts");
+    assert_eq!(fresh, compiled.design, "{}", compiled.kernel.name);
+    fresh
 }
 
 /// One generated kernel compiled under drawn options: a third of the

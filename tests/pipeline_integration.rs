@@ -103,6 +103,8 @@ fn design_descriptor_extraction_matches_report() {
     let design =
         shmls_fpga_sim::design::DesignDescriptor::from_hls_func(&compiled.ctx, compiled.hls_func)
             .unwrap();
+    // The compile already made this extraction, and kept it.
+    assert_eq!(design, compiled.design);
     assert_eq!(design.interior_points, 144);
     assert_eq!(design.bounded_points, 14 * 14);
     assert_eq!(design.streams.len(), compiled.report.streams);
@@ -115,6 +117,42 @@ fn design_descriptor_extraction_matches_report() {
     // 2D window = 9 elements of 8 bytes.
     assert!(design.streams.iter().any(|s| s.elem_bytes == 72));
     assert_eq!(design.axi_ports(), 2);
+}
+
+/// `HmlsReport` is counted while the transform builds the design,
+/// `CompiledKernel::design` is read back from what it built: two summaries
+/// of one function, which must say the same.
+#[test]
+fn the_report_and_the_descriptor_of_one_compile_cannot_drift() {
+    use shmls_fpga_sim::design::Stage;
+    for kernel in shmls_kernels::catalogue::CATALOGUE {
+        for depth in [1, 2] {
+            let mut opts = CompileOptions::default();
+            opts.hmls.temporal_depth = depth;
+            let compiled = compile(&kernel.source([12, 10, 8]), &opts).unwrap();
+            let (report, design) = (&compiled.report, &compiled.design);
+            let what = format!("{} at depth {depth}", kernel.name);
+            let count = |kind: &str| design.stages.iter().filter(|s| s.kind() == kind).count();
+            assert_eq!(report.compute_stages, count("compute"), "{what}");
+            assert_eq!(report.dup_stages, count("dup"), "{what}");
+            assert_eq!(report.shift_buffers, count("shift"), "{what}");
+            assert_eq!(report.merge_stages, count("merge"), "{what}");
+            assert_eq!(count("write"), 1, "{what}");
+            assert_eq!(report.streams, design.streams.len(), "{what}");
+            let register_lens: Vec<i64> = design
+                .stages
+                .iter()
+                .filter_map(|s| match s {
+                    Stage::Shift { register_len, .. } => Some(*register_len),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(report.shift_register_lens, register_lens, "{what}");
+            let bundles: Vec<&str> = design.interfaces.iter().map(|(_, b)| b.as_str()).collect();
+            assert_eq!(report.bundles, bundles, "{what}");
+            assert_eq!(report.temporal_depth, depth, "{what}");
+        }
+    }
 }
 
 #[test]
