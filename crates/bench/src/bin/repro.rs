@@ -242,7 +242,7 @@ fn chaos(
     let victim = if who == "busiest" {
         let report = router.report();
         let live = report.shards.iter().filter(|s| s.alive);
-        live.max_by_key(|s| s.traffic.requests).map(|s| s.id)
+        live.max_by_key(|s| s.traffic.counts.requests).map(|s| s.id)
     } else {
         who.parse::<usize>().ok()
     };
@@ -342,16 +342,17 @@ fn loadgen_cmd(
 fn render_loadgen(report: &LoadgenReport) -> String {
     let mut out = String::new();
     for (name, phase) in [("cold", &report.cold), ("warm", &report.warm)] {
+        let counts = &phase.counts;
         out += &format!(
             "  {name}: {} ok / {} requests, {} miss {} hit {} disk-hit {} coalesced, \
              hit rate {:.3}, {:.1} req/s ({:.1} compiles/s), p50 {:.3} ms, p99 {:.3} ms\n",
-            phase.requests - phase.errors,
-            phase.requests,
-            phase.misses,
-            phase.memory_hits,
-            phase.disk_hits,
-            phase.coalesced,
-            phase.hit_rate(),
+            counts.requests - counts.errors,
+            counts.requests,
+            counts.misses,
+            counts.memory_hits,
+            counts.disk_hits,
+            counts.coalesced,
+            counts.hit_rate(),
             phase.requests_per_s(),
             phase.compiles_per_s(),
             phase.p50_us as f64 / 1e3,
@@ -369,7 +370,7 @@ fn render_loadgen(report: &LoadgenReport) -> String {
         router.deaths()
     );
     for shard in &router.shards {
-        let t = &shard.traffic;
+        let t = &shard.traffic.counts;
         out += &format!(
             "    shard {} [{}]: {} req, {} miss {} hit {} disk-hit {} coalesced, \
              {} errors, {} replays, {} deaths\n",
@@ -381,7 +382,7 @@ fn render_loadgen(report: &LoadgenReport) -> String {
             t.disk_hits,
             t.coalesced,
             t.errors,
-            t.replays,
+            shard.traffic.replays,
             shard.deaths,
         );
     }

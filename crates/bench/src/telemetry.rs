@@ -421,11 +421,12 @@ fn serve(rows: &mut Rows, routed: bool) -> Result<(), String> {
             report.gate_failures.join("; ")
         ));
     }
-    let requests = (report.cold.requests + report.warm.requests).max(1);
-    let errors = report.cold.errors + report.warm.errors;
+    let (cold, warm) = (&report.cold.counts, &report.warm.counts);
+    let requests = (cold.requests + warm.requests).max(1);
+    let errors = cold.errors + warm.errors;
     rows.insert(
         format!("{prefix}warm_hit_rate"),
-        higher(report.warm.hit_rate(), "ratio"),
+        higher(warm.hit_rate(), "ratio"),
     );
     rows.insert(
         format!("{prefix}error_rate"),

@@ -11,18 +11,16 @@
 //! [`CompileOptions`], so a hit is guaranteed to be the design an
 //! identical fresh compilation would produce — a property
 //! [`CompiledKernel::design_fingerprint`] makes checkable.
-//!
-//! The FNV-1a hasher here ([`Fnv64`]) is the same construction the
-//! conformance fuzzer uses for its kernel-source digest; the fuzzer now
-//! reuses this implementation.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use shmls_frontend::{kernel_to_source, KernelDef};
 use shmls_ir::error::IrResult;
 use shmls_ir::ir_error;
+use shmls_ir::json::Json;
 
 use crate::driver::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
 
@@ -82,9 +80,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub enum Disposition {
     /// Served from the in-memory tier.
     MemoryHit,
-    /// Served from the disk tier (a warm restart; see
-    /// [`crate::persist::PersistentCache`]). [`CompileCache`] itself never
-    /// returns this — only the persistent wrapper does.
+    /// Served from the disk tier (a warm restart): only
+    /// [`crate::persist::PersistentCache`] has one.
     DiskHit,
     /// Not cached anywhere: this request ran the compiler.
     Miss,
@@ -105,6 +102,14 @@ impl Disposition {
         }
     }
 
+    /// The disposition a wire name spells ([`Self::as_str`]'s inverse).
+    pub fn from_label(label: &str) -> Option<Disposition> {
+        use Disposition::*;
+        [MemoryHit, DiskHit, Miss, Coalesced]
+            .into_iter()
+            .find(|d| d.as_str() == label)
+    }
+
     /// Whether the request was served without waiting on a compilation
     /// it triggered (misses compile; coalesced followers wait on the
     /// leader's compile but do not run one).
@@ -118,9 +123,85 @@ impl Disposition {
     }
 }
 
-impl std::fmt::Display for Disposition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+/// The ledger of a stream of requests: how many, how many failed, and how
+/// each of the rest was served. The load generator's phases and per-key
+/// rows and the router's per-shard rows each hold one, written by
+/// [`Self::to_json`] under the same six names.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispositionCounts {
+    /// Requests observed.
+    pub requests: u64,
+    /// Requests that failed, or succeeded without a known disposition.
+    pub errors: u64,
+    /// Served as [`Disposition::MemoryHit`].
+    pub memory_hits: u64,
+    /// Served as [`Disposition::DiskHit`].
+    pub disk_hits: u64,
+    /// Served as [`Disposition::Miss`] (a compilation ran).
+    pub misses: u64,
+    /// Served as [`Disposition::Coalesced`].
+    pub coalesced: u64,
+}
+
+impl DispositionCounts {
+    /// Count one request: how it was served, or `None` for a failed one.
+    pub fn record(&mut self, served: Option<Disposition>) {
+        self.requests += 1;
+        *match served {
+            Some(Disposition::MemoryHit) => &mut self.memory_hits,
+            Some(Disposition::DiskHit) => &mut self.disk_hits,
+            Some(Disposition::Miss) => &mut self.misses,
+            Some(Disposition::Coalesced) => &mut self.coalesced,
+            None => &mut self.errors,
+        } += 1;
+    }
+
+    /// Add `other`'s counts into `self`.
+    pub fn absorb(&mut self, other: &DispositionCounts) {
+        self.requests += other.requests;
+        self.errors += other.errors;
+        self.memory_hits += other.memory_hits;
+        self.disk_hits += other.disk_hits;
+        self.misses += other.misses;
+        self.coalesced += other.coalesced;
+    }
+
+    /// Hit fraction of all requests: memory + disk hits, not coalesced ones.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.memory_hits + self.disk_hits, self.requests)
+    }
+
+    /// The six counts as the members of a JSON object, in declaration
+    /// order; an embedding document appends what is its own.
+    pub fn to_json(&self) -> Vec<(String, Json)> {
+        [
+            ("requests", self.requests),
+            ("errors", self.errors),
+            ("memory_hits", self.memory_hits),
+            ("disk_hits", self.disk_hits),
+            ("misses", self.misses),
+            ("coalesced", self.coalesced),
+        ]
+        .into_iter()
+        .map(|(name, n)| (name.to_string(), Json::Num(n as f64)))
+        .collect()
+    }
+
+    /// Read the counts back out of an object holding those six members.
+    pub fn from_json(doc: &Json) -> Result<DispositionCounts, String> {
+        let num = |name: &str| {
+            doc.get(name)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing numeric `{name}`"))
+        };
+        Ok(DispositionCounts {
+            requests: num("requests")?,
+            errors: num("errors")?,
+            memory_hits: num("memory_hits")?,
+            disk_hits: num("disk_hits")?,
+            misses: num("misses")?,
+            coalesced: num("coalesced")?,
+        })
     }
 }
 
@@ -136,140 +217,197 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit fraction in `[0, 1]`; `0.0` for an untouched cache. The
-    /// zero-lookup case must stay finite (and must not claim a perfect
-    /// hit rate): bench telemetry serialises this value, and a non-finite
-    /// number would serialise as `null` and silently drop the metric from
-    /// `repro compare`.
+    /// Hit fraction in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        ratio(self.hits, self.hits + self.misses)
     }
 }
 
-/// A bounded map of shared values, insert-if-absent, evicting in
-/// insertion order — the workload is "a handful of keys, reused heavily",
-/// not a scan, so recency tracking would buy nothing. Both cache tiers
-/// (compiled kernels here, design records in [`crate::persist`]) are one
-/// of these behind their own lock.
+/// `part / whole`, and 0 of nothing: an idle cache claims no perfect hit
+/// rate, and `repro compare` silently drops a non-finite row (`null`).
+pub(crate) fn ratio(part: u64, whole: u64) -> f64 {
+    match whole {
+        0 => 0.0,
+        _ => part as f64 / whole as f64,
+    }
+}
+
+/// Lock a mutex whose every critical section here leaves its data whole
+/// (a map probe, a whole insert, one assignment): a request that panicked
+/// holding it must not fail every later request with a poisoned lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A bounded map of shared values in which concurrent requests for one
+/// absent key make it exactly once: the first becomes the leader and runs
+/// `make`, everyone else blocks on the in-flight slot and receives the
+/// leader's value. Both caches are one: of compiled kernels
+/// ([`CompileCache`]), of design records ([`crate::persist`]). The lock is
+/// never held across a `make`, so misses on *different* keys run in parallel.
 #[derive(Debug)]
-pub(crate) struct FifoMap<V> {
-    map: HashMap<u64, Arc<V>>,
-    /// Keys in insertion order.
+pub(crate) struct SingleFlight<V> {
+    inner: Mutex<Flights<V>>,
+}
+
+/// The resident values — evicted in insertion order: "a handful of keys,
+/// reused heavily" gives recency nothing to track — and the flights.
+#[derive(Debug)]
+struct Flights<V> {
+    resident: HashMap<u64, Arc<V>>,
+    /// Resident keys in insertion order.
     order: VecDeque<u64>,
     capacity: usize,
+    /// Keys whose value is being made. A thread that misses while a key
+    /// is here waits on the slot instead of making the value again.
+    in_flight: HashMap<u64, Arc<Pending<V>>>,
 }
 
-impl<V> FifoMap<V> {
-    /// An empty map holding at most `capacity` values (min 1).
-    pub(crate) fn new(capacity: usize) -> Self {
-        FifoMap {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    pub(crate) fn get(&self, key: u64) -> Option<Arc<V>> {
-        self.map.get(&key).cloned()
-    }
-
-    /// Insert `value` (evicting the oldest entries when full). If the key
-    /// is already resident that value wins, so every holder shares one.
-    pub(crate) fn insert(&mut self, key: u64, value: Arc<V>) -> Arc<V> {
-        if let Some(existing) = self.map.get(&key) {
+impl<V> Flights<V> {
+    /// Make `value` resident (evicting the oldest entries when full). If
+    /// the key already is, that value wins, so every holder shares one.
+    fn insert(&mut self, key: u64, value: Arc<V>) -> Arc<V> {
+        if let Some(existing) = self.resident.get(&key) {
             return Arc::clone(existing);
         }
         while self.order.len() >= self.capacity {
-            let oldest = self.order.pop_front().expect("capacity is at least 1");
-            self.map.remove(&oldest);
+            if let Some(oldest) = self.order.pop_front() {
+                self.resident.remove(&oldest);
+            }
         }
         self.order.push_back(key);
-        self.map.insert(key, Arc::clone(&value));
+        self.resident.insert(key, Arc::clone(&value));
         value
     }
+}
 
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
+/// A single-flight slot: the leader's outcome, and the condition every
+/// follower that blocked on the same key waits on for it.
+#[derive(Debug)]
+struct Pending<V> {
+    done: Mutex<Option<IrResult<Arc<V>>>>,
+    cv: Condvar,
+}
+
+/// The leader's hold on its key; dropping it lands the flight, also when
+/// `make` unwinds (the compile server catches that per request and keeps
+/// serving): the followers are failed, where they would otherwise wait for
+/// ever and every later request for the key would join them.
+struct Leading<'c, V> {
+    flights: &'c SingleFlight<V>,
+    key: u64,
+    slot: Arc<Pending<V>>,
+    /// What the followers get: a panic report until `make` has returned.
+    outcome: IrResult<Arc<V>>,
+}
+
+impl<V> Drop for Leading<'_, V> {
+    fn drop(&mut self) {
+        // Resident and retired in one critical section: a thread that
+        // finds the flight gone is guaranteed to find the entry.
+        let mut inner = lock(&self.flights.inner);
+        inner.in_flight.remove(&self.key);
+        let outcome = self.outcome.clone();
+        let outcome = outcome.map(|value| inner.insert(self.key, value));
+        drop(inner);
+        // Neither the insert nor assigning the `Option` can panic, as a
+        // drop that may run while the leader unwinds must not.
+        *lock(&self.slot.done) = Some(outcome);
+        self.slot.cv.notify_all();
+    }
+}
+
+impl<V> SingleFlight<V> {
+    /// An empty map keeping at most `capacity` values resident (min 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        SingleFlight {
+            inner: Mutex::new(Flights {
+                resident: HashMap::new(),
+                order: VecDeque::new(),
+                capacity: capacity.max(1),
+                in_flight: HashMap::new(),
+            }),
+        }
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+    /// The resident value under `key`.
+    pub(crate) fn get(&self, key: u64) -> Option<Arc<V>> {
+        lock(&self.inner).resident.get(&key).cloned()
+    }
+
+    /// [`Flights::insert`] under the lock.
+    pub(crate) fn insert(&self, key: u64, value: Arc<V>) -> Arc<V> {
+        lock(&self.inner).insert(key, value)
+    }
+
+    /// The value under `key`: resident ([`Disposition::MemoryHit`]), from
+    /// the leader already making it ([`Disposition::Coalesced`]), or from
+    /// `make` with this caller as the leader ([`Disposition::Miss`]). A
+    /// failed `make` reaches its followers too (context added, kind kept)
+    /// and leaves nothing resident.
+    pub(crate) fn get_or_make(
+        &self,
+        key: u64,
+        make: impl FnOnce() -> IrResult<V>,
+    ) -> IrResult<(Arc<V>, Disposition)> {
+        let (slot, leads) = {
+            let mut inner = lock(&self.inner);
+            if let Some(hit) = inner.resident.get(&key) {
+                return Ok((Arc::clone(hit), Disposition::MemoryHit));
+            }
+            match inner.in_flight.entry(key) {
+                Entry::Occupied(joined) => (Arc::clone(joined.get()), false),
+                Entry::Vacant(free) => {
+                    let (done, cv) = (Mutex::new(None), Condvar::new());
+                    let slot = free.insert(Arc::new(Pending { done, cv }));
+                    (Arc::clone(slot), true)
+                }
+            }
+        };
+        if leads {
+            let mut leading = Leading {
+                flights: self,
+                key,
+                slot: Arc::clone(&slot),
+                outcome: Err(ir_error!("single-flight leader panicked")),
+            };
+            leading.outcome = make().map(Arc::new);
+        }
+        // The leader finds its own outcome landed; a follower waits.
+        let mut done = lock(&slot.done);
+        loop {
+            match done.as_ref() {
+                Some(Ok(value)) if leads => return Ok((Arc::clone(value), Disposition::Miss)),
+                Some(Ok(value)) => return Ok((Arc::clone(value), Disposition::Coalesced)),
+                Some(Err(e)) if leads => return Err(e.clone()),
+                Some(Err(e)) => return Err(e.clone().context("single-flight leader failed")),
+                None => done = slot.cv.wait(done).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+
+    /// Values currently resident.
+    pub(crate) fn len(&self) -> usize {
+        lock(&self.inner).resident.len()
+    }
+
+    /// Drop every resident value (flights in progress are not touched).
+    pub(crate) fn clear(&self) {
+        let mut inner = lock(&self.inner);
+        inner.resident.clear();
+        inner.order.clear();
     }
 }
 
 /// A bounded content-addressed cache of compiled kernels.
 ///
 /// Entries are shared as [`Arc`]s, so a cached design can be executed by
-/// several compute-unit workers concurrently while the cache itself stays
-/// lock-free on the hot read path (the lock is held only around the map
-/// probe, never across a compilation).
+/// several compute-unit workers concurrently.
 #[derive(Debug)]
 pub struct CompileCache {
-    inner: Mutex<CacheInner>,
+    designs: SingleFlight<CompiledKernel>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-#[derive(Debug)]
-struct CacheInner {
-    designs: FifoMap<CompiledKernel>,
-    /// Single-flight guards: keys whose compilation is in progress. A
-    /// thread that misses while a key is here waits on the slot instead
-    /// of compiling the same design a second time.
-    in_flight: HashMap<u64, Arc<Pending>>,
-}
-
-/// A single-flight slot: the leader publishes its outcome here and wakes
-/// every follower that blocked on the same key. Errors are carried as
-/// strings because [`shmls_ir::error::IrError`] is not `Clone` and each
-/// follower needs its own copy.
-#[derive(Debug, Default)]
-struct Pending {
-    done: Mutex<Option<Result<Arc<CompiledKernel>, String>>>,
-    cv: Condvar,
-}
-
-impl Pending {
-    /// Hand `outcome` to every follower, present and future. Runs in a
-    /// drop guard too, so it must not panic: a poisoned slot is taken as
-    /// it is (assigning the `Option` leaves it valid at every step).
-    fn publish(&self, outcome: Result<Arc<CompiledKernel>, String>) {
-        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-        self.cv.notify_all();
-    }
-}
-
-/// The leader's hold on its key. If the compilation unwinds — the compile
-/// server catches that per request and keeps serving — the drop retires
-/// the slot and fails the followers, where they would otherwise wait for
-/// ever and every later request for the key would join them.
-struct Leading<'c> {
-    cache: &'c CompileCache,
-    key: u64,
-    slot: Arc<Pending>,
-    published: bool,
-}
-
-impl Drop for Leading<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            let mut inner = self
-                .cache
-                .inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            inner.in_flight.remove(&self.key);
-            drop(inner);
-            self.slot
-                .publish(Err("single-flight leader panicked".to_string()));
-        }
-    }
 }
 
 /// Default capacity of [`CompileCache::new`] (also the global cache's).
@@ -284,10 +422,7 @@ impl CompileCache {
     /// An empty cache holding at most `capacity` designs (min 1).
     pub fn with_capacity(capacity: usize) -> Self {
         CompileCache {
-            inner: Mutex::new(CacheInner {
-                designs: FifoMap::new(capacity),
-                in_flight: HashMap::new(),
-            }),
+            designs: SingleFlight::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -302,8 +437,7 @@ impl CompileCache {
     /// destructuring — no `..` — so adding a field to [`CompileOptions`]
     /// or [`crate::hmls::HmlsOptions`] breaks this function at compile
     /// time instead of silently aliasing designs that differ in the new
-    /// field. (The previous fingerprint hashed `format!("{opts:?}")`,
-    /// which would also quietly change for cosmetic Debug-format edits.)
+    /// field.
     pub fn key(kernel: &KernelDef, opts: &CompileOptions) -> u64 {
         let CompileOptions {
             hmls:
@@ -346,7 +480,7 @@ impl CompileCache {
 
     /// Look up a design by key, counting the hit or miss.
     pub fn lookup(&self, key: u64) -> Option<Arc<CompiledKernel>> {
-        let found = self.inner.lock().expect("cache poisoned").designs.get(key);
+        let found = self.designs.get(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -358,19 +492,13 @@ impl CompileCache {
     /// thread inserted the same key first, the resident entry wins so
     /// every holder shares one design.
     pub fn insert(&self, key: u64, compiled: Arc<CompiledKernel>) -> Arc<CompiledKernel> {
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        inner.designs.insert(key, compiled)
+        self.designs.insert(key, compiled)
     }
 
     /// Fetch the design for `kernel` under `opts`, compiling on a miss.
-    /// Returns the design and whether it was a cache hit. The lock is
-    /// never held during compilation, so concurrent misses on *different*
-    /// kernels compile in parallel; concurrent requests for the *same*
-    /// key are single-flighted — the first becomes the leader and
-    /// compiles (the one miss), everyone else blocks on the in-flight
-    /// slot and receives the leader's design (a hit each). Before the
-    /// guard, N racing threads would each run the full pass pipeline and
-    /// dedup only at insertion, wasting N−1 compilations.
+    /// Returns the design and whether it was a cache hit. Of concurrent
+    /// requests for the *same* key the first compiles (the one miss) and
+    /// everyone else receives the leader's design (a hit each).
     pub fn get_or_compile(
         &self,
         kernel: &KernelDef,
@@ -382,84 +510,21 @@ impl CompileCache {
 
     /// [`Self::get_or_compile`], but reporting *how* the request was
     /// served: a memory hit, the compiling miss, or a coalesced
-    /// single-flight follower. The compile server uses this to attach a
-    /// cache disposition to every response; the boolean form above
-    /// collapses hit and coalesced (both "did not compile").
+    /// single-flight follower; the boolean form above collapses hit and
+    /// coalesced (both "did not compile").
     pub fn get_or_compile_traced(
         &self,
         kernel: &KernelDef,
         opts: &CompileOptions,
     ) -> IrResult<(Arc<CompiledKernel>, Disposition)> {
-        self.single_flight(Self::key(kernel, opts), || {
+        let served = self.designs.get_or_make(Self::key(kernel, opts), || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
             compile_kernel(kernel.clone(), opts)
-        })
-    }
-
-    /// The design under `key`, from the map, from the leader already
-    /// compiling it, or from `compile` with this caller as the leader.
-    fn single_flight(
-        &self,
-        key: u64,
-        compile: impl FnOnce() -> IrResult<CompiledKernel>,
-    ) -> IrResult<(Arc<CompiledKernel>, Disposition)> {
-        enum Role {
-            Leader(Arc<Pending>),
-            Follower(Arc<Pending>),
+        })?;
+        if !served.1.compiled() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        let role = {
-            let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(hit) = inner.designs.get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit, Disposition::MemoryHit));
-            }
-            match inner.in_flight.get(&key) {
-                Some(slot) => Role::Follower(Arc::clone(slot)),
-                None => {
-                    let slot = Arc::new(Pending::default());
-                    inner.in_flight.insert(key, Arc::clone(&slot));
-                    Role::Leader(slot)
-                }
-            }
-        };
-        match role {
-            Role::Leader(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut leading = Leading {
-                    cache: self,
-                    key,
-                    slot,
-                    published: false,
-                };
-                let outcome = compile().map(Arc::new);
-                let result = {
-                    // Publish to the map and retire the guard in one
-                    // critical section, so a thread that finds the guard
-                    // gone is guaranteed to find the entry.
-                    let mut inner = self.inner.lock().expect("cache poisoned");
-                    inner.in_flight.remove(&key);
-                    outcome.map(|compiled| inner.designs.insert(key, compiled))
-                };
-                leading.slot.publish(match &result {
-                    Ok(c) => Ok(Arc::clone(c)),
-                    Err(e) => Err(e.to_string()),
-                });
-                leading.published = true;
-                result.map(|c| (c, Disposition::Miss))
-            }
-            Role::Follower(slot) => {
-                let mut done = slot.done.lock().expect("pending slot poisoned");
-                while done.is_none() {
-                    done = slot.cv.wait(done).expect("pending slot poisoned");
-                }
-                match done.as_ref().expect("checked above") {
-                    Ok(compiled) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Ok((Arc::clone(compiled), Disposition::Coalesced))
-                    }
-                    Err(msg) => Err(ir_error!("single-flight leader failed: {msg}")),
-                }
-            }
-        }
+        Ok(served)
     }
 
     /// Traffic and occupancy counters.
@@ -467,13 +532,13 @@ impl CompileCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("cache poisoned").designs.len(),
+            entries: self.designs.len(),
         }
     }
 
     /// Drop every entry (counters are kept).
     pub fn clear(&self) {
-        self.inner.lock().expect("cache poisoned").designs.clear();
+        self.designs.clear();
     }
 }
 
@@ -491,20 +556,12 @@ pub fn global_cache() -> &'static CompileCache {
     GLOBAL.get_or_init(CompileCache::new)
 }
 
-// Cached designs are executed concurrently by compute-unit workers;
-// sharing them requires the compiled artifact to be thread-safe.
-#[allow(dead_code)]
-fn _assert_compiled_kernel_is_shareable() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CompiledKernel>();
-    assert_send_sync::<CompileCache>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::TargetPath;
     use shmls_frontend::parse_kernel;
+    use shmls_ir::error::IrError;
 
     fn kernel(n0: i64) -> KernelDef {
         parse_kernel(&format!(
@@ -733,42 +790,131 @@ mod tests {
         }
     }
 
+    /// Lead `key` with `make` while a second request for it is already
+    /// waiting on the slot; the leader's and the follower's outcomes.
+    fn lead_with_a_follower_waiting(
+        flights: &SingleFlight<u32>,
+        key: u64,
+        make: impl FnOnce() -> IrResult<u32> + Send,
+    ) -> (std::thread::Result<IrResult<u32>>, IrResult<u32>) {
+        let value = |served: IrResult<(Arc<u32>, Disposition)>| served.map(|(v, _)| *v);
+        std::thread::scope(|s| {
+            let (leading_tx, leading_rx) = std::sync::mpsc::channel();
+            let leader = s.spawn(move || {
+                value(flights.get_or_make(key, || {
+                    leading_tx.send(()).unwrap();
+                    // Finish only once the follower holds the slot too
+                    // (the map, this leader twice and the follower: four).
+                    while Arc::strong_count(&lock(&flights.inner).in_flight[&key]) < 4 {
+                        std::thread::yield_now();
+                    }
+                    make()
+                }))
+            });
+            leading_rx.recv().unwrap();
+            let follower = s.spawn(move || {
+                value(flights.get_or_make(key, || unreachable!("a follower never makes")))
+            });
+            (leader.join(), follower.join().unwrap())
+        })
+    }
+
     #[test]
     fn panicking_leader_fails_its_followers_and_frees_its_key() {
         // Regression: the slot was retired only on the leader's return
         // paths, so a compilation that unwound (the server catches that
         // per request) left its followers waiting for ever and turned
         // every later request for the key into one more of them.
-        let cache = CompileCache::new();
-        let key = CompileCache::key(&kernel(6), &opts());
-        std::thread::scope(|s| {
-            let (leading_tx, leading_rx) = std::sync::mpsc::channel();
-            let cache = &cache;
-            let leader = s.spawn(move || {
-                cache.single_flight(key, || {
-                    leading_tx.send(()).unwrap();
-                    // Unwind only once the follower holds the slot too
-                    // (the map, this leader and the follower: three).
-                    while Arc::strong_count(&cache.inner.lock().unwrap().in_flight[&key]) < 3 {
-                        std::thread::yield_now();
-                    }
-                    panic!("the compilation unwinds");
-                })
-            });
-            leading_rx.recv().unwrap();
-            let follower =
-                s.spawn(|| cache.single_flight(key, || unreachable!("a follower never compiles")));
-            assert!(
-                leader.join().is_err(),
-                "the leader's panic reaches its caller"
-            );
-            let err = follower.join().unwrap().unwrap_err().to_string();
-            assert!(err.contains("single-flight leader panicked"), "{err}");
+        let flights = SingleFlight::new(4);
+        let (leader, follower) =
+            lead_with_a_follower_waiting(&flights, 7, || panic!("the compilation unwinds"));
+        assert!(leader.is_err(), "the leader's panic reaches its caller");
+        let err = follower.unwrap_err().to_string();
+        assert!(err.contains("single-flight leader panicked"), "{err}");
+        let (value, disposition) = flights.get_or_make(7, || Ok(70)).unwrap();
+        assert_eq!((*value, disposition), (70, Disposition::Miss));
+    }
+
+    #[test]
+    fn a_failed_leaders_followers_keep_the_errors_kind() {
+        // Regression: the slot carried the leader's error as a string, so
+        // the follower of an unsupported kernel saw a `General` error
+        // where the leader saw `Unsupported`.
+        let flights = SingleFlight::new(4);
+        let (leader, follower) = lead_with_a_follower_waiting(&flights, 7, || {
+            Err(IrError::unsupported("f32 kernels are not executable"))
         });
-        let (_, disposition) = cache
-            .single_flight(key, || compile_kernel(kernel(6), &opts()))
-            .unwrap();
-        assert_eq!(disposition, Disposition::Miss);
+        let (leader, follower) = (leader.unwrap().unwrap_err(), follower.unwrap_err());
+        assert!(leader.is_unsupported() && follower.is_unsupported());
+        assert_eq!(
+            follower.to_string(),
+            format!("single-flight leader failed: {leader}")
+        );
+        // An error is not cached: the next request makes the value anew.
+        assert_eq!(*flights.get_or_make(7, || Ok(70)).unwrap().0, 70);
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_stop_the_cache() {
+        // A request that panics holding the lock (the server catches the
+        // panic and keeps serving) must not fail every request after it.
+        let cache = CompileCache::new();
+        cache.get_or_compile(&kernel(6), &opts()).unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = cache.designs.inner.lock().unwrap();
+                panic!("poison the cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.designs.inner.is_poisoned());
+        let (_, hit) = cache.get_or_compile(&kernel(6), &opts()).unwrap();
+        assert!(hit, "the resident design is still served");
+        let (_, hit) = cache.get_or_compile(&kernel(7), &opts()).unwrap();
+        assert!(!hit, "and a new key still compiles");
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn labels_and_dispositions_are_one_table() {
+        use Disposition::*;
+        for d in [MemoryHit, DiskHit, Miss, Coalesced] {
+            assert_eq!(Disposition::from_label(d.as_str()), Some(d));
+        }
+        for other in ["", "Hit", "hit ", "disk_hit", "error"] {
+            assert_eq!(Disposition::from_label(other), None, "`{other}`");
+        }
+    }
+
+    #[test]
+    fn the_ledger_counts_every_request_once_and_round_trips() {
+        let mut counts = DispositionCounts::default();
+        assert_eq!(counts.hit_rate(), 0.0);
+        let labels = ["hit", "hit", "disk-hit", "miss", "coalesced", "evicted"];
+        for label in labels {
+            counts.record(Disposition::from_label(label));
+        }
+        // An `ok` response without a disposition, and a failed request.
+        counts.record(None);
+        let want = DispositionCounts {
+            requests: 7,
+            errors: 2,
+            memory_hits: 2,
+            disk_hits: 1,
+            misses: 1,
+            coalesced: 1,
+        };
+        assert_eq!(counts, want);
+        assert_eq!(counts.hit_rate(), 3.0 / 7.0);
+        let doc = Json::Obj(counts.to_json());
+        let names: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| &**k).collect();
+        let schema = "requests errors memory_hits disk_hits misses coalesced";
+        assert_eq!(names.join(" "), schema);
+        assert_eq!(DispositionCounts::from_json(&doc), Ok(counts));
+        let err = DispositionCounts::from_json(&Json::Obj(counts.to_json()[..5].to_vec()));
+        assert_eq!(err, Err("missing numeric `coalesced`".to_string()));
+        counts.absorb(&want);
+        assert_eq!((counts.requests, counts.errors, counts.misses), (14, 4, 2));
     }
 
     #[test]

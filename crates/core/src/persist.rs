@@ -1,15 +1,14 @@
-//! Disk-persistent tier for the compile cache.
+//! The compile service's cache: design records, in memory and on disk.
 //!
-//! The in-memory [`CompileCache`] dies with its process, so every
-//! `repro` invocation — and every compile-server restart — starts cold.
-//! This module adds the tier that makes restarts warm: each compiled
-//! design is distilled into a small [`DesignRecord`] (content-addressed
-//! key, design fingerprint, structural summary, per-pass timings) and
-//! written to disk under a versioned, checksummed format. A restarted
-//! process answers repeat requests from these records without compiling,
-//! which is exactly what the compile server's response needs — the
-//! server ships fingerprints and telemetry over the wire, not the
-//! in-memory IR.
+//! A cache of compiled kernels dies with its process, so every
+//! compile-server restart would start cold. Here each compiled design is
+//! distilled into a small [`DesignRecord`] (content-addressed key, design
+//! fingerprint, structural summary, per-pass timings) and written to disk
+//! under a versioned, checksummed format. A restarted process answers
+//! repeat requests from these records without compiling. A record is all
+//! a response needs — the server ships fingerprints and telemetry over the
+//! wire, not the in-memory IR — so it is also all [`PersistentCache`]
+//! keeps in memory.
 //!
 //! Two properties the format guarantees:
 //!
@@ -27,13 +26,13 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shmls_frontend::{kernel_to_source, KernelDef};
 use shmls_ir::error::IrResult;
 
-use crate::cache::{fnv1a, CompileCache, Disposition, FifoMap};
-use crate::driver::{CompileOptions, CompiledKernel};
+use crate::cache::{fnv1a, ratio, Disposition, SingleFlight};
+use crate::driver::{compile_kernel, CompileOptions, CompiledKernel};
 
 /// On-disk format version. Bump on any change to the entry layout; a
 /// reader finding a different version discards the entry (recompiling is
@@ -65,7 +64,7 @@ pub struct DesignSummary {
 /// compile-service response needs, none of the in-memory IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignRecord {
-    /// Content-addressed cache key ([`CompileCache::key`]).
+    /// Content-addressed cache key ([`PersistentCache::key`]).
     pub key: u64,
     /// [`CompiledKernel::design_fingerprint`] of the compiled module.
     pub fingerprint: u64,
@@ -292,7 +291,7 @@ impl DiskStore {
 /// Traffic counters for a [`PersistentCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Requests served from the in-memory record tier.
+    /// Requests served from the memory tier.
     pub memory_hits: u64,
     /// Requests served from disk (warm restarts).
     pub disk_hits: u64,
@@ -311,21 +310,14 @@ impl ServeStats {
     }
 
     /// Plain-hit fraction in `[0, 1]` (memory + disk hits; coalesced
-    /// followers are counted in the denominator but are not hits). `0.0`
-    /// for an untouched cache, never non-finite.
+    /// followers are counted in the denominator but are not hits).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.memory_hits + self.disk_hits) as f64 / total as f64
-        }
+        ratio(self.memory_hits + self.disk_hits, self.total())
     }
 
-    /// Add `other`'s counters into `self`. Used to accumulate stats
-    /// across cache instances — e.g. the incarnations of a restarted
-    /// shard, or every shard of a ring. `records` sums residency, which
-    /// is meaningful only as "records held across the summed caches".
+    /// Add `other`'s counters into `self`: the incarnations of a
+    /// restarted shard, every shard of a ring. `records` then reads
+    /// "records held across the summed caches".
     pub fn absorb(&mut self, other: &ServeStats) {
         self.memory_hits += other.memory_hits;
         self.disk_hits += other.disk_hits;
@@ -336,37 +328,29 @@ impl ServeStats {
 }
 
 /// The two-tier (memory + optional disk) compile cache the server runs
-/// on. The unit of storage is the [`DesignRecord`]; full
-/// [`CompiledKernel`]s are held only transiently in the wrapped
-/// [`CompileCache`], which also provides the single-flight guarantee —
-/// concurrent requests for one key compile exactly once no matter how
-/// they interleave with eviction or persistence.
+/// on. Both tiers store [`DesignRecord`]s: a [`CompiledKernel`] lives only
+/// inside the request that compiles it, which distils and drops it before
+/// it publishes — no response reads it again, and it outweighs its record
+/// some thousandfold. The memory tier is single-flight: concurrent
+/// requests for one key compile exactly once however they interleave with
+/// eviction or persistence.
 #[derive(Debug)]
 pub struct PersistentCache {
-    mem: CompileCache,
-    /// FIFO-bounded: records are tiny, but a service that never evicts
-    /// grows without bound.
-    records: Mutex<FifoMap<DesignRecord>>,
+    /// Bounded: a record is tiny, a service that never evicts is not.
+    records: SingleFlight<DesignRecord>,
     disk: Option<DiskStore>,
-    memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    /// Requests served, by [`Disposition`] (`as usize`).
+    served: [AtomicU64; 4],
 }
 
 impl PersistentCache {
-    /// A memory-only cache (no persistence): `capacity` bounds the
-    /// compiled-kernel tier; the record tier keeps 8× as many entries
-    /// (records are ~a hundred bytes against a design's megabytes).
+    /// A memory-only cache (no persistence) keeping `8 × capacity`
+    /// records resident (a record is a few hundred bytes).
     pub fn in_memory(capacity: usize) -> Self {
         PersistentCache {
-            mem: CompileCache::with_capacity(capacity),
-            records: Mutex::new(FifoMap::new(capacity.max(1).saturating_mul(8))),
+            records: SingleFlight::new(capacity.max(1).saturating_mul(8)),
             disk: None,
-            memory_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            served: Default::default(),
         }
     }
 
@@ -384,94 +368,54 @@ impl PersistentCache {
         self.disk.as_ref()
     }
 
-    /// The content-addressed key (delegates to [`CompileCache::key`]).
+    /// The content-addressed key ([`crate::cache::CompileCache::key`]).
     pub fn key(kernel: &KernelDef, opts: &CompileOptions) -> u64 {
-        CompileCache::key(kernel, opts)
+        crate::cache::CompileCache::key(kernel, opts)
     }
 
     /// Serve the design record for `kernel` under `opts`: from the
-    /// memory record tier, then the disk tier, then by compiling (with
-    /// single-flight deduplication of concurrent same-key misses). The
-    /// returned [`Disposition`] says which of those happened.
+    /// memory tier, then the disk tier, then by compiling (concurrent
+    /// same-key misses single-flighted). The [`Disposition`] says which.
     pub fn get_or_compile_record(
         &self,
         kernel: &KernelDef,
         opts: &CompileOptions,
     ) -> IrResult<(Arc<DesignRecord>, Disposition)> {
         let key = Self::key(kernel, opts);
-        if let Some(record) = self.probe_records(key) {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((record, Disposition::MemoryHit));
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(record) = disk.load(key) {
-                let record = self.insert_record(key, Arc::new(record));
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((record, Disposition::DiskHit));
-            }
-        }
-        let (compiled, disposition) = self.mem.get_or_compile_traced(kernel, opts)?;
-        let record = match disposition {
-            Disposition::Miss => {
-                let record = Arc::new(DesignRecord::from_compiled(key, &compiled));
+        let (record, disposition) = if let Some(record) = self.records.get(key) {
+            (record, Disposition::MemoryHit)
+        } else if let Some(record) = self.disk.as_ref().and_then(|disk| disk.load(key)) {
+            // Outside the flight: racing loads of one key are a disk hit
+            // each, and share whichever record lands first.
+            let record = self.records.insert(key, Arc::new(record));
+            (record, Disposition::DiskHit)
+        } else {
+            self.records.get_or_make(key, || {
+                let compiled = compile_kernel(kernel.clone(), opts)?;
+                let record = DesignRecord::from_compiled(key, &compiled);
                 if let Some(disk) = &self.disk {
                     // Persistence is best-effort: a full disk degrades the
                     // next restart to cold, it must not fail the request.
                     let _ = disk.store(&record);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.insert_record(key, record)
-            }
-            Disposition::Coalesced | Disposition::MemoryHit => {
-                // The leader inserts the record, but this follower may
-                // get here first — build it from the shared design if so
-                // (cheap: no compilation, just a fingerprint).
-                let counter = if disposition == Disposition::Coalesced {
-                    &self.coalesced
-                } else {
-                    &self.memory_hits
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                match self.probe_records(key) {
-                    Some(record) => record,
-                    None => self
-                        .insert_record(key, Arc::new(DesignRecord::from_compiled(key, &compiled))),
-                }
-            }
-            Disposition::DiskHit => unreachable!("CompileCache has no disk tier"),
+                Ok(record)
+            })?
         };
+        self.served[disposition as usize].fetch_add(1, Ordering::Relaxed);
         Ok((record, disposition))
-    }
-
-    fn probe_records(&self, key: u64) -> Option<Arc<DesignRecord>> {
-        self.records.lock().expect("record tier poisoned").get(key)
-    }
-
-    /// Insert into the record tier; a concurrently inserted record for
-    /// the same key wins so all holders share one.
-    fn insert_record(&self, key: u64, record: Arc<DesignRecord>) -> Arc<DesignRecord> {
-        let mut tier = self.records.lock().expect("record tier poisoned");
-        tier.insert(key, record)
     }
 
     /// Traffic counters.
     pub fn stats(&self) -> ServeStats {
+        let served = |d: Disposition| self.served[d as usize].load(Ordering::Relaxed);
         ServeStats {
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            records: self.records.lock().expect("record tier poisoned").len(),
+            memory_hits: served(Disposition::MemoryHit),
+            disk_hits: served(Disposition::DiskHit),
+            misses: served(Disposition::Miss),
+            coalesced: served(Disposition::Coalesced),
+            records: self.records.len(),
         }
     }
-}
-
-// The server shares one cache across its worker threads.
-#[allow(dead_code)]
-fn _assert_persistent_cache_is_shareable() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<PersistentCache>();
-    assert_send_sync::<DesignRecord>();
 }
 
 #[cfg(test)]

@@ -1,13 +1,10 @@
 //! FIFO streams: the simulator's realisation of `hls.create_stream`.
 //!
-//! Two capacity regimes:
-//!
-//! - **Unbounded** — used by the sequential (Kahn-network) engine, where a
-//!   producer stage runs to completion before its consumers; occupancy
-//!   statistics are still recorded.
-//! - **Bounded** — used by the threaded engine, where `push` fails on a
-//!   full FIFO (the caller blocks/retries) exactly like a hardware FIFO
-//!   back-pressures its producer.
+//! These are the sequential (Kahn-network) engine's streams, where a
+//! producer stage runs to completion before its consumers: a FIFO records
+//! its declared depth and its occupancy statistics but never refuses a
+//! push. Back-pressure — a producer blocking on a full FIFO — is the
+//! threaded engine's (its own `Channel`) and the cycle engine's to model.
 
 use std::collections::VecDeque;
 
@@ -18,8 +15,6 @@ use shmls_ir::interp::RtValue;
 pub struct Fifo {
     /// Declared hardware depth (from `hls.create_stream`'s `depth` attr).
     pub depth: usize,
-    /// Whether `push` enforces `depth`.
-    pub bounded: bool,
     queue: VecDeque<RtValue>,
     /// Total elements ever pushed.
     pub total_pushed: u64,
@@ -29,10 +24,9 @@ pub struct Fifo {
 
 impl Fifo {
     /// A new FIFO with the given declared depth.
-    pub fn new(depth: usize, bounded: bool) -> Self {
+    pub fn new(depth: usize) -> Self {
         Self {
             depth,
-            bounded,
             queue: VecDeque::new(),
             total_pushed: 0,
             max_occupancy: 0,
@@ -49,21 +43,11 @@ impl Fifo {
         self.queue.is_empty()
     }
 
-    /// True when a bounded FIFO is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.bounded && self.queue.len() >= self.depth
-    }
-
-    /// Push an element. Returns `false` (without pushing) when bounded and
-    /// full — hardware back-pressure.
-    pub fn push(&mut self, value: RtValue) -> bool {
-        if self.is_full() {
-            return false;
-        }
+    /// Push an element.
+    pub fn push(&mut self, value: RtValue) {
         self.queue.push_back(value);
         self.total_pushed += 1;
         self.max_occupancy = self.max_occupancy.max(self.queue.len());
-        true
     }
 
     /// Pop the oldest element, if any.
@@ -76,27 +60,17 @@ impl Fifo {
 #[derive(Debug, Default)]
 pub struct StreamTable {
     fifos: Vec<Fifo>,
-    /// When true, new FIFOs enforce their declared depth.
-    pub bounded: bool,
 }
 
 impl StreamTable {
-    /// An empty table in unbounded (sequential) mode.
+    /// An empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty table in bounded (hardware back-pressure) mode.
-    pub fn bounded() -> Self {
-        Self {
-            fifos: Vec::new(),
-            bounded: true,
-        }
-    }
-
     /// Create a stream, returning its handle.
     pub fn create(&mut self, depth: usize) -> usize {
-        self.fifos.push(Fifo::new(depth, self.bounded));
+        self.fifos.push(Fifo::new(depth));
         self.fifos.len() - 1
     }
 
@@ -140,16 +114,16 @@ mod tests {
 
     #[test]
     fn fifo_order_and_stats() {
-        let mut f = Fifo::new(4, false);
+        let mut f = Fifo::new(4);
         assert!(f.is_empty());
         for i in 0..3 {
-            assert!(f.push(RtValue::I64(i)));
+            f.push(RtValue::I64(i));
         }
         assert_eq!(f.len(), 3);
         assert_eq!(f.max_occupancy, 3);
         assert_eq!(f.pop(), Some(RtValue::I64(0)));
         assert_eq!(f.pop(), Some(RtValue::I64(1)));
-        assert!(f.push(RtValue::I64(3)));
+        f.push(RtValue::I64(3));
         assert_eq!(f.pop(), Some(RtValue::I64(2)));
         assert_eq!(f.pop(), Some(RtValue::I64(3)));
         assert_eq!(f.pop(), None);
@@ -157,25 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backpressure() {
-        let mut f = Fifo::new(2, true);
-        assert!(f.push(RtValue::F64(1.0)));
-        assert!(f.push(RtValue::F64(2.0)));
-        assert!(f.is_full());
-        assert!(
-            !f.push(RtValue::F64(3.0)),
-            "push into a full FIFO must fail"
-        );
-        assert_eq!(f.len(), 2);
-        f.pop();
-        assert!(f.push(RtValue::F64(3.0)));
-    }
-
-    #[test]
     fn unbounded_ignores_depth() {
-        let mut f = Fifo::new(2, false);
+        let mut f = Fifo::new(2);
         for i in 0..100 {
-            assert!(f.push(RtValue::I64(i)));
+            f.push(RtValue::I64(i));
         }
         assert_eq!(f.max_occupancy, 100);
     }

@@ -178,11 +178,8 @@ impl StreamIo for ChannelIo {
     }
 }
 
-/// Marker prefix recognised when classifying stage failures as deadlock.
-const STALL_PREFIX: &str = "stalled:";
-
 fn stall_error(what: &str, handle: usize) -> IrError {
-    ir_error!("{STALL_PREFIX} blocking {what} on stream {handle} exceeded the watchdog")
+    ir_error!("stalled: blocking {what} on stream {handle} exceeded the watchdog")
 }
 
 /// Extern hook for stage threads and for the init phase.
@@ -328,11 +325,11 @@ pub fn execute_threaded<'d>(
                 };
                 match run {
                     Ok(()) => StageResult::Done(store.into_owned_buffers(), beats),
+                    // A stall fails its stage on the spot, so a stage that
+                    // recorded one failed of it.
                     Err(e) => match ext.io.last_stall {
-                        Some(status) if e.to_string().contains(STALL_PREFIX) => {
-                            StageResult::Stalled(status)
-                        }
-                        _ => StageResult::Failed(e),
+                        Some(status) => StageResult::Stalled(status),
+                        None => StageResult::Failed(e),
                     },
                 }
             }));

@@ -48,8 +48,8 @@
 //! })
 //! .unwrap();
 //! assert_eq!(report.gate_failures, Vec::<String>::new());
-//! assert_eq!(report.cold.misses, 2); // each unique key compiled once
-//! assert_eq!(report.warm.hit_rate(), 1.0);
+//! assert_eq!(report.cold.counts.misses, 2); // each unique key compiled once
+//! assert_eq!(report.warm.counts.hit_rate(), 1.0);
 //! handle.shutdown();
 //! ```
 //!

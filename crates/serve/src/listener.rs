@@ -15,13 +15,21 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 /// How long a worker blocks in a read before re-checking the shutdown
 /// flag. Bounds shutdown latency; invisible to clients.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Lock a mutex whose every critical section in this crate leaves its
+/// data whole (a queue `recv`, an integer increment, a membership update
+/// that ends in a ring rebuild): a thread that panicked holding it must
+/// not take the request path down with a poisoned lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A bound listener with its accept thread and worker pool. Dropping it
 /// stops accepting, closes open connections after at most one read-poll
@@ -61,10 +69,8 @@ impl Listener {
                 let answer = Arc::clone(&answer);
                 thread::spawn(move || loop {
                     // Holding the lock only for the recv keeps the other
-                    // workers free to pick up queued connections. A
-                    // worker that died holding it was inside `recv`,
-                    // which leaves the queue whole: keep serving.
-                    let conn = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    // workers free to pick up queued connections.
+                    let conn = lock(&rx).recv();
                     // Sender dropped: the accept loop has exited.
                     let Ok(stream) = conn else { return };
                     serve_connection(stream, &stop, &mut state(), answer.as_ref());

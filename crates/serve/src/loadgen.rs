@@ -31,15 +31,15 @@
 //! rather than panicking, so callers (the `repro loadgen` CLI, CI) can
 //! print all of them and exit nonzero.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::thread;
 use std::time::Instant;
 
 use shmls_ir::error::panic_reason;
 use shmls_ir::json::Json;
+use stencil_hmls::cache::{Disposition, DispositionCounts};
 
-use crate::protocol::{Request, RequestOptions, Response};
+use crate::protocol::{Client, Request, RequestOptions, Response};
 use crate::router::RouterReport;
 
 /// Load-generator configuration.
@@ -107,18 +107,9 @@ pub fn kernel_source(k: usize) -> String {
 /// One phase's aggregate counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseReport {
-    /// Requests sent.
-    pub requests: usize,
-    /// Requests that failed (transport, protocol, compile or internal).
-    pub errors: usize,
-    /// Responses with disposition `hit`.
-    pub memory_hits: usize,
-    /// Responses with disposition `disk-hit`.
-    pub disk_hits: usize,
-    /// Responses with disposition `miss` (a compilation ran).
-    pub misses: usize,
-    /// Responses with disposition `coalesced`.
-    pub coalesced: usize,
+    /// Requests sent and how they were served — the sum of the phase's
+    /// per-key ledgers, plus one error per client that panicked.
+    pub counts: DispositionCounts,
     /// Phase wall time, microseconds.
     pub elapsed_us: u64,
     /// Median request latency, microseconds.
@@ -128,53 +119,32 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
-    /// Hit fraction of all requests (memory + disk hits; coalesced
-    /// followers and misses are not hits). 0 for an empty phase.
-    pub fn hit_rate(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        (self.memory_hits + self.disk_hits) as f64 / self.requests as f64
-    }
-
     /// Requests served per second.
     pub fn requests_per_s(&self) -> f64 {
-        per_second(self.requests, self.elapsed_us)
+        per_second(self.counts.requests, self.elapsed_us)
     }
 
     /// Compilations (misses) per second — the cold phase's headline.
     pub fn compiles_per_s(&self) -> f64 {
-        per_second(self.misses, self.elapsed_us)
+        per_second(self.counts.misses, self.elapsed_us)
     }
 
     fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("requests".to_string(), Json::Num(self.requests as f64)),
-            ("errors".to_string(), Json::Num(self.errors as f64)),
-            (
-                "memory_hits".to_string(),
-                Json::Num(self.memory_hits as f64),
-            ),
-            ("disk_hits".to_string(), Json::Num(self.disk_hits as f64)),
-            ("misses".to_string(), Json::Num(self.misses as f64)),
-            ("coalesced".to_string(), Json::Num(self.coalesced as f64)),
-            ("elapsed_us".to_string(), Json::Num(self.elapsed_us as f64)),
-            ("p50_us".to_string(), Json::Num(self.p50_us as f64)),
-            ("p99_us".to_string(), Json::Num(self.p99_us as f64)),
-            ("hit_rate".to_string(), Json::Num(self.hit_rate())),
-            (
-                "requests_per_s".to_string(),
-                Json::Num(self.requests_per_s()),
-            ),
-            (
-                "compiles_per_s".to_string(),
-                Json::Num(self.compiles_per_s()),
-            ),
-        ])
+        let num = |name: &str, n: f64| (name.to_string(), Json::Num(n));
+        let mut pairs = self.counts.to_json();
+        pairs.extend([
+            num("elapsed_us", self.elapsed_us as f64),
+            num("p50_us", self.p50_us as f64),
+            num("p99_us", self.p99_us as f64),
+            num("hit_rate", self.counts.hit_rate()),
+            num("requests_per_s", self.requests_per_s()),
+            num("compiles_per_s", self.compiles_per_s()),
+        ]);
+        Json::Obj(pairs)
     }
 }
 
-fn per_second(count: usize, elapsed_us: u64) -> f64 {
+fn per_second(count: u64, elapsed_us: u64) -> f64 {
     if elapsed_us == 0 {
         return 0.0;
     }
@@ -182,37 +152,7 @@ fn per_second(count: usize, elapsed_us: u64) -> f64 {
 }
 
 /// One key's disposition counters within a single phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyPhase {
-    /// Requests sent for this key in this phase.
-    pub requests: usize,
-    /// Failed requests.
-    pub errors: usize,
-    /// `hit` responses.
-    pub memory_hits: usize,
-    /// `disk-hit` responses.
-    pub disk_hits: usize,
-    /// `miss` responses (a compilation ran for this key).
-    pub misses: usize,
-    /// `coalesced` responses.
-    pub coalesced: usize,
-}
-
-impl KeyPhase {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("requests".to_string(), Json::Num(self.requests as f64)),
-            ("errors".to_string(), Json::Num(self.errors as f64)),
-            (
-                "memory_hits".to_string(),
-                Json::Num(self.memory_hits as f64),
-            ),
-            ("disk_hits".to_string(), Json::Num(self.disk_hits as f64)),
-            ("misses".to_string(), Json::Num(self.misses as f64)),
-            ("coalesced".to_string(), Json::Num(self.coalesced as f64)),
-        ])
-    }
-}
+pub type KeyPhase = DispositionCounts;
 
 /// The per-key ledger: every disposition this key's requests produced,
 /// split by phase, plus the design fingerprint and the set of shards
@@ -237,7 +177,7 @@ pub struct KeyReport {
 impl KeyReport {
     /// Compilations this key triggered across both phases — the
     /// exactly-once gate requires this ≤ 1.
-    pub fn misses(&self) -> usize {
+    pub fn misses(&self) -> u64 {
         self.cold.misses + self.warm.misses
     }
 
@@ -255,8 +195,8 @@ impl KeyReport {
                 "shards".to_string(),
                 Json::Arr(self.shards.iter().map(|&s| Json::Num(s as f64)).collect()),
             ),
-            ("cold".to_string(), self.cold.to_json()),
-            ("warm".to_string(), self.warm.to_json()),
+            ("cold".to_string(), Json::Obj(self.cold.to_json())),
+            ("warm".to_string(), Json::Obj(self.warm.to_json())),
             ("misses".to_string(), Json::Num(self.misses() as f64)),
         ])
     }
@@ -335,7 +275,7 @@ impl LoadgenReport {
 /// A successful exchange, as decoded from the response.
 #[derive(Debug, Clone)]
 struct Served {
-    disposition: String,
+    disposition: Disposition,
     fingerprint: String,
     /// Router-stamped serving shard; `None` against a bare backend.
     shard: Option<u64>,
@@ -356,12 +296,12 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         unique_keys: config.unique_keys.max(1),
         ..config.clone()
     };
-    let (cold, cold_outcomes, cold_panics) = run_phase(&config)?;
-    let (warm, warm_outcomes, warm_panics) = run_phase(&config)?;
+    let cold_run = run_phase(&config)?;
+    let warm_run = run_phase(&config)?;
 
     let mut gate_failures = Vec::new();
-    for (phase, panics) in [("cold", &cold_panics), ("warm", &warm_panics)] {
-        for panic in panics {
+    for (phase, run) in [("cold", &cold_run), ("warm", &warm_run)] {
+        for panic in &run.panics {
             gate_failures.push(format!("{phase} phase: {panic}"));
         }
     }
@@ -373,51 +313,44 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             ..Default::default()
         })
         .collect();
-    for (outcomes, is_warm) in [(&cold_outcomes, false), (&warm_outcomes, true)] {
-        for outcome in outcomes.iter() {
+    for (run, is_warm) in [(&cold_run, false), (&warm_run, true)] {
+        for outcome in &run.outcomes {
             let entry = &mut keys[outcome.key];
-            let phase = if is_warm {
+            let counts = if is_warm {
                 &mut entry.warm
             } else {
                 &mut entry.cold
             };
-            phase.requests += 1;
-            match &outcome.result {
-                Ok(served) => {
-                    match served.disposition.as_str() {
-                        "hit" => phase.memory_hits += 1,
-                        "disk-hit" => phase.disk_hits += 1,
-                        "miss" => phase.misses += 1,
-                        "coalesced" => phase.coalesced += 1,
-                        _ => phase.errors += 1,
-                    }
-                    if let Some(shard) = served.shard {
-                        if !entry.shards.contains(&shard) {
-                            entry.shards.push(shard);
-                        }
-                    }
-                    match &entry.fingerprint {
-                        None => entry.fingerprint = Some(served.fingerprint.clone()),
-                        Some(seen) if *seen != served.fingerprint => gate_failures.push(format!(
-                            "key {}: fingerprint changed across responses ({seen} vs {})",
-                            outcome.key, served.fingerprint
-                        )),
-                        Some(_) => {}
-                    }
+            counts.record(outcome.result.as_ref().ok().map(|s| s.disposition));
+            let Ok(served) = &outcome.result else {
+                continue;
+            };
+            if let Some(shard) = served.shard {
+                if !entry.shards.contains(&shard) {
+                    entry.shards.push(shard);
                 }
-                Err(_) => phase.errors += 1,
+            }
+            match &entry.fingerprint {
+                None => entry.fingerprint = Some(served.fingerprint.clone()),
+                Some(seen) if *seen != served.fingerprint => gate_failures.push(format!(
+                    "key {}: fingerprint changed across responses ({seen} vs {})",
+                    outcome.key, served.fingerprint
+                )),
+                Some(_) => {}
             }
         }
     }
     for entry in &mut keys {
         entry.shards.sort_unstable();
     }
+    let cold = cold_run.report(keys.iter().map(|k| &k.cold));
+    let warm = warm_run.report(keys.iter().map(|k| &k.warm));
 
     for (phase, report) in [("cold", &cold), ("warm", &warm)] {
-        if report.errors > 0 {
+        if report.counts.errors > 0 {
             gate_failures.push(format!(
                 "{phase} phase: {} of {} requests failed",
-                report.errors, report.requests
+                report.counts.errors, report.counts.requests
             ));
         }
     }
@@ -438,24 +371,24 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         }
     }
 
-    if cold.hit_rate() < config.min_cold_hit_rate {
+    if cold.counts.hit_rate() < config.min_cold_hit_rate {
         gate_failures.push(format!(
             "cold hit rate {:.3} below required {:.3}",
-            cold.hit_rate(),
+            cold.counts.hit_rate(),
             config.min_cold_hit_rate
         ));
     }
-    if warm.hit_rate() < config.min_warm_hit_rate {
+    if warm.counts.hit_rate() < config.min_warm_hit_rate {
         gate_failures.push(format!(
             "warm hit rate {:.3} below required {:.3}",
-            warm.hit_rate(),
+            warm.counts.hit_rate(),
             config.min_warm_hit_rate
         ));
     }
-    if warm.disk_hits < config.min_warm_disk_hits {
+    if warm.counts.disk_hits < config.min_warm_disk_hits as u64 {
         gate_failures.push(format!(
             "warm phase served {} disk hits, required {} (shared-disk warming)",
-            warm.disk_hits, config.min_warm_disk_hits
+            warm.counts.disk_hits, config.min_warm_disk_hits
         ));
     }
 
@@ -491,27 +424,42 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
 
 /// Ask the front tier for its per-shard report over the control frame.
 pub fn fetch_router_report(addr: &str) -> io::Result<RouterReport> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(b"{\"control\": \"stats\"}\n")?;
-    writer.flush()?;
-    let mut line = String::new();
-    let mut reader = BufReader::new(stream);
-    if reader.read_line(&mut line)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "router closed the stats connection",
-        ));
+    let line = Client::connect(addr, None)?.roundtrip(r#"{"control": "stats"}"#)?;
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let doc = Json::parse(&line).map_err(|e| invalid(format!("bad stats JSON: {e}")))?;
+    RouterReport::from_json(&doc).map_err(invalid)
+}
+
+/// What one pass over the key set produced, before it is counted.
+struct PhaseRun {
+    outcomes: Vec<Outcome>,
+    /// One description per client thread that panicked.
+    panics: Vec<String>,
+    elapsed_us: u64,
+}
+
+impl PhaseRun {
+    /// The phase's aggregate, over the per-key ledgers of its outcomes.
+    fn report<'k>(&self, keys: impl Iterator<Item = &'k KeyPhase>) -> PhaseReport {
+        let mut counts = DispositionCounts::default();
+        keys.for_each(|key| counts.absorb(key));
+        // Each panicked client is one structured error in the phase
+        // report; its description rides alongside for the gate ledger.
+        counts.errors += self.panics.len() as u64;
+        let mut latencies: Vec<u64> = self.outcomes.iter().map(|o| o.latency_us).collect();
+        latencies.sort_unstable();
+        PhaseReport {
+            counts,
+            elapsed_us: self.elapsed_us,
+            p50_us: percentile(&latencies, 50),
+            p99_us: percentile(&latencies, 99),
+        }
     }
-    let doc = Json::parse(line.trim_end())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad stats JSON: {e}")))?;
-    RouterReport::from_json(&doc).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// One pass over the key set: `clients` threads, each owning one
 /// connection, round-robin over the request indices.
-fn run_phase(config: &LoadgenConfig) -> io::Result<(PhaseReport, Vec<Outcome>, Vec<String>)> {
+fn run_phase(config: &LoadgenConfig) -> io::Result<PhaseRun> {
     let started = Instant::now();
     let mut handles = Vec::new();
     for client in 0..config.clients {
@@ -547,50 +495,21 @@ fn run_phase(config: &LoadgenConfig) -> io::Result<(PhaseReport, Vec<Outcome>, V
         // measurement — surface it as an error rather than a gate entry.
         return Err(e);
     }
-    let elapsed_us = started.elapsed().as_micros() as u64;
-
-    let mut report = PhaseReport {
-        requests: outcomes.len(),
-        elapsed_us,
-        ..Default::default()
-    };
-    let mut latencies: Vec<u64> = Vec::with_capacity(outcomes.len());
-    for outcome in &outcomes {
-        latencies.push(outcome.latency_us);
-        match &outcome.result {
-            Ok(served) => match served.disposition.as_str() {
-                "hit" => report.memory_hits += 1,
-                "disk-hit" => report.disk_hits += 1,
-                "miss" => report.misses += 1,
-                "coalesced" => report.coalesced += 1,
-                _ => report.errors += 1,
-            },
-            Err(_) => report.errors += 1,
-        }
-    }
-    // Each panicked client is one structured error in the phase report;
-    // its description rides alongside for the gate ledger.
-    report.errors += panics.len();
-    latencies.sort_unstable();
-    report.p50_us = percentile(&latencies, 50);
-    report.p99_us = percentile(&latencies, 99);
-    Ok((report, outcomes, panics))
+    Ok(PhaseRun {
+        outcomes,
+        panics,
+        elapsed_us: started.elapsed().as_micros() as u64,
+    })
 }
 
 /// The requests client `c` owns: indices `c, c+clients, c+2·clients, …`
 /// mapped onto keys by `index % unique_keys`.
 fn client_run(config: &LoadgenConfig, client: usize) -> io::Result<Vec<Outcome>> {
-    let stream = TcpStream::connect(&config.addr)?;
+    let mut connection = Client::connect(&*config.addr, None)?;
     if config.panic_client == Some(client) {
         panic!("injected fault: panic_client = {client}");
     }
-    // Request/response over small frames: disable Nagle or every
-    // request pays a delayed-ACK round trip.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
     let mut outcomes = Vec::new();
-    let mut line = String::new();
     for index in (client..config.requests).step_by(config.clients) {
         let key = index % config.unique_keys;
         let request = Request {
@@ -602,7 +521,7 @@ fn client_run(config: &LoadgenConfig, client: usize) -> io::Result<Vec<Outcome>>
             },
         };
         let sent = Instant::now();
-        let result = exchange(&mut writer, &mut reader, &mut line, &request);
+        let result = exchange(&mut connection, &request);
         outcomes.push(Outcome {
             key,
             latency_us: sent.elapsed().as_micros() as u64,
@@ -613,45 +532,27 @@ fn client_run(config: &LoadgenConfig, client: usize) -> io::Result<Vec<Outcome>>
 }
 
 /// Send one request and read its response; classify the outcome.
-fn exchange(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-    request: &Request,
-) -> Result<Served, String> {
-    writer
-        .write_all(request.encode().as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send failed: {e}"))?;
-    line.clear();
-    match reader.read_line(line) {
-        Ok(0) => return Err("server closed the connection".to_string()),
-        Ok(_) => {}
-        Err(e) => return Err(format!("receive failed: {e}")),
-    }
-    let response =
-        Response::parse(line.trim_end()).map_err(|e| format!("unparseable response: {e}"))?;
+fn exchange(connection: &mut Client, request: &Request) -> Result<Served, String> {
+    let line = connection
+        .roundtrip(&request.encode())
+        .map_err(|e| format!("exchange failed: {e}"))?;
+    let response = Response::parse(&line).map_err(|e| format!("unparseable response: {e}"))?;
     if response.id != request.id {
         return Err(format!(
             "response id {:?} does not match request id {:?}",
             response.id, request.id
         ));
     }
-    if !response.ok {
-        let (kind, message) = response
-            .error
-            .as_ref()
-            .expect("parser enforces error on failures");
+    if let Some((kind, message)) = &response.error {
         return Err(format!("{} error: {message}", kind.as_str()));
     }
-    match (response.disposition, response.fingerprint) {
+    match (response.served(), response.fingerprint) {
         (Some(disposition), Some(fingerprint)) => Ok(Served {
             disposition,
             fingerprint,
             shard: response.shard,
         }),
-        _ => Err("success response missing disposition or fingerprint".to_string()),
+        _ => Err("success response without a known disposition or a fingerprint".to_string()),
     }
 }
 
@@ -691,7 +592,7 @@ mod tests {
     #[test]
     fn phase_report_rates_are_finite_on_empty_phases() {
         let empty = PhaseReport::default();
-        assert_eq!(empty.hit_rate(), 0.0);
+        assert_eq!(empty.counts.hit_rate(), 0.0);
         assert_eq!(empty.requests_per_s(), 0.0);
         assert_eq!(empty.compiles_per_s(), 0.0);
     }
@@ -700,9 +601,12 @@ mod tests {
         LoadgenReport {
             config: LoadgenConfig::default(),
             cold: PhaseReport {
-                requests: 4,
-                misses: 2,
-                memory_hits: 2,
+                counts: DispositionCounts {
+                    requests: 4,
+                    misses: 2,
+                    memory_hits: 2,
+                    ..Default::default()
+                },
                 elapsed_us: 1000,
                 ..Default::default()
             },
@@ -798,6 +702,22 @@ mod tests {
         let router = doc.get("router").expect("router section present");
         assert_eq!(router.get("forwarded").unwrap().as_u64(), Some(8));
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn phase_and_key_documents_keep_their_member_order() {
+        let doc = sample_report().to_json();
+        let members = |v: &Json| -> Vec<String> {
+            let pairs = v.as_obj().unwrap();
+            pairs.iter().map(|(name, _)| name.clone()).collect()
+        };
+        let counts = "requests errors memory_hits disk_hits misses coalesced";
+        assert_eq!(
+            members(doc.get("cold").unwrap()).join(" "),
+            format!("{counts} elapsed_us p50_us p99_us hit_rate requests_per_s compiles_per_s")
+        );
+        let key = &doc.get("keys").unwrap().as_arr().unwrap()[0];
+        assert_eq!(members(key.get("warm").unwrap()).join(" "), counts);
     }
 
     #[test]

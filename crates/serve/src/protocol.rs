@@ -13,6 +13,10 @@
 //! anything goes wrong. Unknown request fields are ignored, so older
 //! servers tolerate newer clients.
 
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
+
 use shmls_ir::json::Json;
 use stencil_hmls::persist::{DesignRecord, DesignSummary};
 use stencil_hmls::{CompileOptions, Disposition, TargetPath};
@@ -294,6 +298,14 @@ impl Response {
         }
     }
 
+    /// How the request was served: `None` for a failure, and for a
+    /// success whose disposition is missing or not one this build knows —
+    /// every ledger counts those as errors.
+    pub fn served(&self) -> Option<Disposition> {
+        let label = self.disposition.as_deref().filter(|_| self.ok)?;
+        Disposition::from_label(label)
+    }
+
     /// Encode as one compact JSON line (no trailing newline).
     pub fn encode(&self) -> String {
         let mut pairs = vec![
@@ -443,6 +455,42 @@ impl Response {
     }
 }
 
+/// One client connection of the line protocol, kept for as many
+/// exchanges as the peer stays up: the load generator's clients, its
+/// stats fetch and the router's backend connections.
+#[derive(Debug)]
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    /// Connect with Nagle off — small frames, one exchange at a time:
+    /// every request would pay a delayed-ACK round trip otherwise.
+    /// `read_timeout` bounds each wait for a reply.
+    pub fn connect(addr: impl ToSocketAddrs, read_timeout: Option<Duration>) -> io::Result<Client> {
+        let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
+        writer.set_read_timeout(read_timeout)?;
+        let reader = BufReader::new(writer.try_clone()?);
+        Ok(Client { reader, writer })
+    }
+
+    /// Send `frame` as one line and read the one line that answers it
+    /// (terminator stripped). A peer that closed the connection instead
+    /// is an error like any other transport failure.
+    pub fn roundtrip(&mut self, frame: &str) -> io::Result<String> {
+        self.writer.write_all(format!("{frame}\n").as_bytes())?;
+        let mut reply = String::new();
+        if self.reader.read_line(&mut reply)? == 0 {
+            let closed = "peer closed the connection";
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, closed));
+        }
+        reply.truncate(reply.trim_end_matches(['\r', '\n']).len());
+        Ok(reply)
+    }
+}
+
 /// Echo the client's id even on frames that fail full request parsing
 /// (or that an error is synthesized for), so a pipelined client can still
 /// correlate the error.
@@ -546,6 +594,52 @@ mod tests {
         assert_eq!(back.disposition.as_deref(), Some("disk-hit"));
         assert_eq!(back.key.as_deref(), Some("000000000000feed"));
         assert_eq!(back.timings_us.len(), 2);
+    }
+
+    #[test]
+    fn only_an_ok_response_with_a_known_label_was_served() {
+        let line = |ok: bool, label: &str| {
+            format!(
+                r#"{{"id": 1, "ok": {ok}, {label}"wall_us": 1, "error": {{"kind": "compile", "message": "m"}}}}"#
+            )
+        };
+        let served = |ok, label| Response::parse(&line(ok, label)).unwrap().served();
+        assert_eq!(
+            served(true, r#""disposition": "disk-hit", "#),
+            Some(Disposition::DiskHit)
+        );
+        // A failure, a success without a label, a label this build does
+        // not know: the ledger books each as an error.
+        assert_eq!(served(false, r#""disposition": "hit", "#), None);
+        assert_eq!(served(true, ""), None);
+        assert_eq!(served(true, r#""disposition": "evicted", "#), None);
+        let mut counts = stencil_hmls::cache::DispositionCounts::default();
+        counts.record(served(true, r#""disposition": "evicted", "#));
+        assert_eq!((counts.requests, counts.errors), (1, 1));
+    }
+
+    #[test]
+    fn client_keeps_one_connection_for_many_exchanges() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let echo = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut line = String::new();
+            for _ in 0..2 {
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                writer.write_all(format!("re: {line}").as_bytes()).unwrap();
+            }
+            // Dropping the stream closes the connection under the client.
+        });
+        let mut client = Client::connect(addr, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(client.roundtrip("one").unwrap(), "re: one");
+        assert_eq!(client.roundtrip("two").unwrap(), "re: two");
+        echo.join().unwrap();
+        let closed = client.roundtrip("three").unwrap_err();
+        assert_eq!(closed.kind(), io::ErrorKind::UnexpectedEof, "{closed}");
     }
 
     #[test]

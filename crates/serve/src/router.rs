@@ -38,21 +38,21 @@
 //! per-shard table and embed the report in its JSON output.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use shmls_frontend::parse_kernel;
 use shmls_ir::json::Json;
-use stencil_hmls::cache::fnv1a;
+use stencil_hmls::cache::{fnv1a, DispositionCounts};
 use stencil_hmls::persist::PersistentCache;
 
-use crate::listener::Listener;
-use crate::protocol::{best_effort_id, ErrorKind, Request, Response};
+use crate::listener::{lock, Listener};
+use crate::protocol::{best_effort_id, Client, ErrorKind, Request, Response};
 use crate::shard::Topology;
 
 /// Virtual nodes per shard on the ring. More vnodes smooth the load
@@ -127,42 +127,16 @@ pub fn routing_key(line: &str) -> u64 {
     fnv1a(line.as_bytes())
 }
 
-/// Per-shard traffic counters, as observed by the router (dispositions
-/// are read out of the relayed responses, so these work for out-of-
-/// process backends too).
+/// Per-shard traffic, as observed by the router (dispositions are read
+/// out of the relayed responses, so this works for out-of-process
+/// backends too).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardTraffic {
-    /// Responses relayed from this shard.
-    pub requests: u64,
-    /// Responses with disposition `hit`.
-    pub memory_hits: u64,
-    /// Responses with disposition `disk-hit`.
-    pub disk_hits: u64,
-    /// Responses with disposition `miss` (a compilation ran here).
-    pub misses: u64,
-    /// Responses with disposition `coalesced`.
-    pub coalesced: u64,
-    /// Typed-error responses (`ok: false`) relayed from this shard.
-    pub errors: u64,
+    /// Responses relayed from this shard: typed-error responses
+    /// (`ok: false`) are its `errors`.
+    pub counts: DispositionCounts,
     /// Requests that failed on this shard and were replayed elsewhere.
     pub replays: u64,
-}
-
-impl ShardTraffic {
-    fn count(&mut self, response: &Response) {
-        self.requests += 1;
-        if !response.ok {
-            self.errors += 1;
-            return;
-        }
-        match response.disposition.as_deref() {
-            Some("hit") => self.memory_hits += 1,
-            Some("disk-hit") => self.disk_hits += 1,
-            Some("miss") => self.misses += 1,
-            Some("coalesced") => self.coalesced += 1,
-            _ => self.errors += 1,
-        }
-    }
 }
 
 /// One shard's row in the [`RouterReport`].
@@ -201,58 +175,50 @@ impl RouterReport {
 
     /// Ring-wide compilations (sum of relayed `miss` dispositions).
     pub fn misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.traffic.misses).sum()
+        self.shards.iter().map(|s| s.traffic.counts.misses).sum()
     }
 
     /// Encode as a JSON document (one line via [`Json::compact`]).
     pub fn to_json(&self) -> Json {
+        let num = |name: &str, n: u64| (name.to_string(), Json::Num(n as f64));
+        let shard = |s: &ShardReport| {
+            let addr = s.addr.clone().map_or(Json::Null, Json::Str);
+            let mut row = vec![
+                num("id", s.id as u64),
+                ("addr".to_string(), addr),
+                ("alive".to_string(), Json::Bool(s.alive)),
+                num("deaths", s.deaths),
+            ];
+            // The document lists a shard's `errors` — second of the
+            // counts — after its dispositions.
+            let errors = row.len() + 1;
+            row.extend(s.traffic.counts.to_json());
+            row[errors..].rotate_left(1);
+            row.push(num("replays", s.traffic.replays));
+            Json::Obj(row)
+        };
         Json::Obj(vec![
-            ("forwarded".to_string(), Json::Num(self.forwarded as f64)),
-            ("replays".to_string(), Json::Num(self.replays as f64)),
-            ("unroutable".to_string(), Json::Num(self.unroutable as f64)),
+            num("forwarded", self.forwarded),
+            num("replays", self.replays),
+            num("unroutable", self.unroutable),
             (
                 "shards".to_string(),
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            let t = &s.traffic;
-                            Json::Obj(vec![
-                                ("id".to_string(), Json::Num(s.id as f64)),
-                                (
-                                    "addr".to_string(),
-                                    match &s.addr {
-                                        Some(a) => Json::Str(a.clone()),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                ("alive".to_string(), Json::Bool(s.alive)),
-                                ("deaths".to_string(), Json::Num(s.deaths as f64)),
-                                ("requests".to_string(), Json::Num(t.requests as f64)),
-                                ("memory_hits".to_string(), Json::Num(t.memory_hits as f64)),
-                                ("disk_hits".to_string(), Json::Num(t.disk_hits as f64)),
-                                ("misses".to_string(), Json::Num(t.misses as f64)),
-                                ("coalesced".to_string(), Json::Num(t.coalesced as f64)),
-                                ("errors".to_string(), Json::Num(t.errors as f64)),
-                                ("replays".to_string(), Json::Num(t.replays as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.shards.iter().map(shard).collect()),
             ),
         ])
     }
 
     /// Parse a report document (the `{"control": "stats"}` reply).
     pub fn from_json(doc: &Json) -> Result<RouterReport, String> {
-        let num = |v: Option<&Json>, what: &str| -> Result<u64, String> {
-            v.and_then(Json::as_u64)
+        let num = |v: &Json, what: &str| -> Result<u64, String> {
+            v.get(what)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("router report: missing numeric `{what}`"))
         };
         let mut report = RouterReport {
-            forwarded: num(doc.get("forwarded"), "forwarded")?,
-            replays: num(doc.get("replays"), "replays")?,
-            unroutable: num(doc.get("unroutable"), "unroutable")?,
+            forwarded: num(doc, "forwarded")?,
+            replays: num(doc, "replays")?,
+            unroutable: num(doc, "unroutable")?,
             shards: Vec::new(),
         };
         let shards = doc
@@ -260,20 +226,15 @@ impl RouterReport {
             .and_then(Json::as_arr)
             .ok_or("router report: missing `shards` array")?;
         for s in shards {
-            let field = |name: &str| num(s.get(name), name);
             report.shards.push(ShardReport {
-                id: field("id")? as usize,
+                id: num(s, "id")? as usize,
                 addr: s.get("addr").and_then(Json::as_str).map(str::to_string),
                 alive: matches!(s.get("alive"), Some(Json::Bool(true))),
-                deaths: field("deaths")?,
+                deaths: num(s, "deaths")?,
                 traffic: ShardTraffic {
-                    requests: field("requests")?,
-                    memory_hits: field("memory_hits")?,
-                    disk_hits: field("disk_hits")?,
-                    misses: field("misses")?,
-                    coalesced: field("coalesced")?,
-                    errors: field("errors")?,
-                    replays: field("replays")?,
+                    counts: DispositionCounts::from_json(s)
+                        .map_err(|e| format!("router report: {e}"))?,
+                    replays: num(s, "replays")?,
                 },
             });
         }
@@ -321,23 +282,17 @@ struct RouterStats {
 }
 
 impl RouterStats {
-    /// The per-shard counters. Every update is one whole integer
-    /// increment, so the map behind a poisoned lock is still valid: a
-    /// worker that panicked mid-request must not take the request path
-    /// (or the report) down with it.
-    fn per_shard(&self) -> MutexGuard<'_, HashMap<usize, ShardTraffic>> {
-        self.per_shard
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
+    /// Update shard `id`'s counters. Every update is one whole integer
+    /// increment, so the map behind a poisoned lock is still valid
+    /// ([`lock`]): a worker that panicked mid-request must not take the
+    /// request path (or the report) down with it.
     fn with_shard(&self, id: usize, f: impl FnOnce(&mut ShardTraffic)) {
-        f(self.per_shard().entry(id).or_default());
+        f(lock(&self.per_shard).entry(id).or_default());
     }
 
     /// The current aggregated report over `topology`'s shards.
     fn report(&self, topology: &Topology) -> RouterReport {
-        let per_shard = self.per_shard().clone();
+        let per_shard = lock(&self.per_shard).clone();
         let mut shards: Vec<ShardReport> = topology
             .snapshot()
             .into_iter()
@@ -421,7 +376,7 @@ pub fn start_router(config: RouterConfig, topology: Arc<Topology>) -> io::Result
 /// One backend connection in a worker's pool, keyed by `(shard, addr)`
 /// so a restarted shard (same id, new address) gets a fresh connection
 /// instead of the stale socket.
-type BackendPool = HashMap<(usize, String), TcpStream>;
+type BackendPool = HashMap<(usize, String), Client>;
 
 /// `{"control": "stats"}` — the one frame the router answers itself.
 fn is_stats_control(line: &str) -> bool {
@@ -480,29 +435,20 @@ fn relay_inner(
             thread::sleep(EMPTY_RING_BACKOFF);
             continue;
         };
-        match exchange(pool, shard, &addr, frame, config.backend_timeout) {
-            Ok(reply_line) => match Response::parse(&reply_line) {
-                Ok(mut response) => {
-                    response.shard = Some(shard as u64);
-                    stats.with_shard(shard, |t| t.count(&response));
-                    stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    if failed_over {
-                        stats.replays.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return response.encode();
+        let slot = (shard, addr);
+        match exchange(pool, &slot, frame, config.backend_timeout) {
+            Ok(mut response) => {
+                response.shard = Some(shard as u64);
+                stats.with_shard(shard, |t| t.counts.record(response.served()));
+                stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                if failed_over {
+                    stats.replays.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(_) => {
-                    // A backend that answers garbage is as dead as one
-                    // that answers nothing: fail it and replay.
-                    pool.remove(&(shard, addr.clone()));
-                    topology.mark_dead(shard, &addr);
-                    stats.with_shard(shard, |t| t.replays += 1);
-                    failed_over = true;
-                }
-            },
+                return response.encode();
+            }
             Err(_) => {
-                pool.remove(&(shard, addr.clone()));
-                topology.mark_dead(shard, &addr);
+                pool.remove(&slot);
+                topology.mark_dead(shard, &slot.1);
                 stats.with_shard(shard, |t| t.replays += 1);
                 failed_over = true;
             }
@@ -519,41 +465,22 @@ fn relay_inner(
 }
 
 /// Send `frame` to the shard over its pooled connection (connecting on
-/// first use) and read one response line. Any transport anomaly is an
-/// `Err` — the caller marks the shard dead and replays.
+/// first use) and read its response. Any transport anomaly is an `Err`,
+/// and so is a reply that does not parse — a backend that answers garbage
+/// is as dead as one that answers nothing: the caller drops the
+/// connection, marks the shard dead and replays.
 fn exchange(
     pool: &mut BackendPool,
-    shard: usize,
-    addr: &str,
+    slot: &(usize, String),
     frame: &str,
     timeout: Duration,
-) -> io::Result<String> {
-    let slot = (shard, addr.to_string());
-    if !pool.contains_key(&slot) {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        pool.insert(slot.clone(), stream);
+) -> io::Result<Response> {
+    if !pool.contains_key(slot) {
+        pool.insert(slot.clone(), Client::connect(&*slot.1, Some(timeout))?);
     }
-    let stream = pool.get_mut(&slot).expect("just inserted");
-    let result = (|| {
-        stream.write_all(frame.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-        let mut reply = String::new();
-        let mut reader = BufReader::new(stream.try_clone()?);
-        match reader.read_line(&mut reply)? {
-            0 => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            )),
-            _ => Ok(reply.trim_end_matches(['\r', '\n']).to_string()),
-        }
-    })();
-    if result.is_err() {
-        pool.remove(&slot);
-    }
-    result
+    let client = pool.get_mut(slot).expect("just inserted");
+    let reply = client.roundtrip(frame)?;
+    Response::parse(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -614,12 +541,14 @@ mod tests {
                 alive: true,
                 deaths: 1,
                 traffic: ShardTraffic {
-                    requests: 40,
-                    memory_hits: 20,
-                    disk_hits: 5,
-                    misses: 10,
-                    coalesced: 4,
-                    errors: 1,
+                    counts: DispositionCounts {
+                        requests: 40,
+                        memory_hits: 20,
+                        disk_hits: 5,
+                        misses: 10,
+                        coalesced: 4,
+                        errors: 1,
+                    },
                     replays: 2,
                 },
             }],
@@ -629,6 +558,26 @@ mod tests {
         assert_eq!(RouterReport::from_json(&doc).unwrap(), report);
         assert_eq!(report.deaths(), 1);
         assert_eq!(report.misses(), 10);
+    }
+
+    /// The stats frame's members, in the order schema 2 has always
+    /// written them: a shard's `errors` follow its dispositions there.
+    #[test]
+    fn router_report_document_keeps_its_member_order() {
+        let report = RouterReport {
+            shards: vec![ShardReport {
+                id: 0,
+                addr: None,
+                alive: false,
+                deaths: 0,
+                traffic: ShardTraffic::default(),
+            }],
+            ..Default::default()
+        };
+        assert_eq!(
+            report.to_json().compact(),
+            r#"{"forwarded":0,"replays":0,"unroutable":0,"shards":[{"id":0,"addr":null,"alive":false,"deaths":0,"requests":0,"memory_hits":0,"disk_hits":0,"misses":0,"coalesced":0,"errors":0,"replays":0}]}"#
+        );
     }
 
     /// A thread that panics while holding the per-shard counters poisons
@@ -661,20 +610,15 @@ mod tests {
                 ..Default::default()
             },
         };
-        let mut stream = TcpStream::connect(router.local_addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut exchange = |frame: String| {
-            stream.write_all(format!("{frame}\n").as_bytes()).unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            reply
-        };
-        let response = Response::parse(exchange(request.encode()).trim_end()).unwrap();
+        let mut client = Client::connect(router.local_addr(), None).unwrap();
+        let reply = client.roundtrip(&request.encode()).unwrap();
+        let response = Response::parse(&reply).unwrap();
         assert!(response.ok, "{:?}", response.error);
         assert_eq!(response.id, Some(11));
         assert_eq!(response.disposition.as_deref(), Some("miss"));
 
-        let over_the_wire = Json::parse(&exchange(r#"{"control": "stats"}"#.to_string())).unwrap();
+        let reply = client.roundtrip(r#"{"control": "stats"}"#).unwrap();
+        let over_the_wire = Json::parse(&reply).unwrap();
         let report = router.report();
         assert_eq!(RouterReport::from_json(&over_the_wire).unwrap(), report);
         assert_eq!(report.forwarded, 1);

@@ -44,8 +44,9 @@ pub struct ServerConfig {
     /// Cache directory for the disk-persistent tier; `None` serves from
     /// memory only and starts cold on every launch.
     pub cache_dir: Option<PathBuf>,
-    /// Capacity of the compiled-kernel cache tier (the record tier
-    /// keeps 8× as many entries).
+    /// Cache capacity: the server keeps `8 × capacity` design records
+    /// resident — the one thing this bounds. (Compiled kernels are not
+    /// kept at all.)
     pub capacity: usize,
 }
 

@@ -33,6 +33,7 @@ use std::sync::Mutex;
 
 use stencil_hmls::persist::ServeStats;
 
+use crate::listener::lock;
 use crate::router::Ring;
 use crate::server::{serve, ServerConfig, ServerHandle};
 
@@ -83,7 +84,7 @@ impl Topology {
     /// Add or revive shard `id` at `addr`. A known id is marked alive
     /// at its new address (a restart); a new id grows the ring.
     pub fn join(&self, id: usize, addr: String) {
-        let mut state = self.state.lock().expect("topology poisoned");
+        let mut state = lock(&self.state);
         match state.slots.iter_mut().find(|s| s.id == id) {
             Some(slot) => {
                 slot.addr = Some(addr);
@@ -104,7 +105,7 @@ impl Topology {
     /// worker that lost a request to the *old* incarnation cannot kill
     /// the restarted shard at its new address.
     pub fn mark_dead(&self, id: usize, addr: &str) {
-        let mut state = self.state.lock().expect("topology poisoned");
+        let mut state = lock(&self.state);
         if let Some(slot) = state
             .slots
             .iter_mut()
@@ -119,7 +120,7 @@ impl Topology {
     /// Route `key` on the live ring: `(shard id, address)`, or `None`
     /// when no shard is alive.
     pub fn route(&self, key: u64) -> Option<(usize, String)> {
-        let state = self.state.lock().expect("topology poisoned");
+        let state = lock(&self.state);
         let id = state.ring.route(key)?;
         let addr = state.slots.iter().find(|s| s.id == id)?.addr.clone()?;
         Some((id, addr))
@@ -127,7 +128,7 @@ impl Topology {
 
     /// Total shards ever joined (alive or dead).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("topology poisoned").slots.len()
+        lock(&self.state).slots.len()
     }
 
     /// Whether no shard has ever joined.
@@ -137,10 +138,7 @@ impl Topology {
 
     /// Live shard ids, ascending.
     pub fn alive(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self
-            .state
-            .lock()
-            .expect("topology poisoned")
+        let mut ids: Vec<usize> = lock(&self.state)
             .slots
             .iter()
             .filter(|s| s.alive)
@@ -152,7 +150,7 @@ impl Topology {
 
     /// A point-in-time copy of every slot.
     pub fn snapshot(&self) -> Vec<ShardSlot> {
-        self.state.lock().expect("topology poisoned").slots.clone()
+        lock(&self.state).slots.clone()
     }
 }
 
@@ -166,7 +164,7 @@ pub struct ShardSetConfig {
     pub cache_dir: Option<PathBuf>,
     /// Worker threads per shard.
     pub workers_per_shard: usize,
-    /// Kernel-tier cache capacity per shard.
+    /// Cache capacity per shard ([`ServerConfig::capacity`]).
     pub capacity: usize,
 }
 
@@ -242,7 +240,7 @@ impl ShardSet {
     /// they compiled is already persisted to the shared disk tier.
     /// Returns `false` if the shard is unknown or already dead.
     pub fn kill(&self, id: usize) -> bool {
-        let mut procs = self.procs.lock().expect("shard set poisoned");
+        let mut procs = lock(&self.procs);
         let Some(proc_) = procs.iter_mut().find(|p| p.id == id) else {
             return false;
         };
@@ -266,7 +264,7 @@ impl ShardSet {
     /// owned before — and warms them from the shared disk tier.
     /// Returns `false` if the shard is unknown or still alive.
     pub fn restart(&self, id: usize) -> io::Result<bool> {
-        let mut procs = self.procs.lock().expect("shard set poisoned");
+        let mut procs = lock(&self.procs);
         let Some(proc_) = procs.iter_mut().find(|p| p.id == id) else {
             return Ok(false);
         };
@@ -287,7 +285,7 @@ impl ShardSet {
     /// Current-incarnation cache stats for shard `id` (`None` while
     /// dead).
     pub fn stats(&self, id: usize) -> Option<ServeStats> {
-        let procs = self.procs.lock().expect("shard set poisoned");
+        let procs = lock(&self.procs);
         procs
             .iter()
             .find(|p| p.id == id)?
@@ -300,7 +298,7 @@ impl ShardSet {
     /// killed ones. This is the series the ring-wide exactly-once
     /// assertion sums: `Σ lifetime misses == unique keys compiled`.
     pub fn lifetime_stats(&self, id: usize) -> Option<ServeStats> {
-        let procs = self.procs.lock().expect("shard set poisoned");
+        let procs = lock(&self.procs);
         let proc_ = procs.iter().find(|p| p.id == id)?;
         let mut total = proc_.retired;
         if let Some(handle) = &proc_.handle {
@@ -311,7 +309,7 @@ impl ShardSet {
 
     /// Ring-wide lifetime stats, summed over all shards.
     pub fn total_lifetime_stats(&self) -> ServeStats {
-        let procs = self.procs.lock().expect("shard set poisoned");
+        let procs = lock(&self.procs);
         let mut total = ServeStats::default();
         for proc_ in procs.iter() {
             total.absorb(&proc_.retired);
@@ -330,7 +328,7 @@ impl ShardSet {
 
 impl Drop for ShardSet {
     fn drop(&mut self) {
-        let mut procs = self.procs.lock().expect("shard set poisoned");
+        let mut procs = lock(&self.procs);
         for proc_ in procs.iter_mut() {
             if let Some(handle) = proc_.handle.take() {
                 self.topology
@@ -375,6 +373,27 @@ mod tests {
         let slot = snapshot.iter().find(|s| s.id == id).unwrap();
         assert_eq!(slot.deaths, 1);
         assert_eq!(slot.addr.as_deref(), Some("127.0.0.1:9100"));
+    }
+
+    #[test]
+    fn a_poisoned_topology_still_routes() {
+        // `route` runs once per forwarded frame: a router worker that
+        // panicked holding the lock must not stop every other worker.
+        let topology = Topology::new();
+        topology.join(0, "127.0.0.1:9000".to_string());
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = topology.state.lock().unwrap();
+                panic!("poison the topology");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(topology.state.is_poisoned());
+        assert_eq!(topology.route(42), Some((0, "127.0.0.1:9000".to_string())));
+        topology.join(1, "127.0.0.1:9001".to_string());
+        topology.mark_dead(0, "127.0.0.1:9000");
+        assert_eq!(topology.alive(), vec![1]);
+        assert_eq!(topology.route(42).unwrap().0, 1);
     }
 
     #[test]

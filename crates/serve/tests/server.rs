@@ -114,17 +114,19 @@ fn loadgen_gate_passes_and_counts_exactly_once() {
 
     // Cold phase: every unique key compiled exactly once; hits and
     // coalesced followers account for every other response.
-    assert_eq!(report.cold.errors, 0);
-    assert_eq!(report.cold.misses, 6);
+    assert_eq!(report.cold.counts.errors, 0);
+    assert_eq!(report.cold.counts.misses, 6);
     assert_eq!(
-        report.cold.memory_hits + report.cold.coalesced + report.cold.disk_hits,
+        report.cold.counts.memory_hits
+            + report.cold.counts.coalesced
+            + report.cold.counts.disk_hits,
         48 - 6
     );
 
     // Warm phase: everything from cache, nothing recompiled.
-    assert_eq!(report.warm.errors, 0);
-    assert_eq!(report.warm.misses, 0);
-    assert_eq!(report.warm.hit_rate(), 1.0);
+    assert_eq!(report.warm.counts.errors, 0);
+    assert_eq!(report.warm.counts.misses, 0);
+    assert_eq!(report.warm.counts.hit_rate(), 1.0);
 
     // The server agrees with the client-side tally.
     let stats = handle.cache().stats();
@@ -165,10 +167,10 @@ fn panicking_client_surfaces_as_gate_failure_not_process_abort() {
     }
     // One structured error per phase, and the other three clients'
     // 12 requests per phase still measured.
-    assert_eq!(report.cold.errors, 1);
-    assert_eq!(report.warm.errors, 1);
-    assert_eq!(report.cold.requests, 12);
-    assert_eq!(report.warm.requests, 12);
+    assert_eq!(report.cold.counts.errors, 1);
+    assert_eq!(report.warm.counts.errors, 1);
+    assert_eq!(report.cold.counts.requests, 12);
+    assert_eq!(report.warm.counts.requests, 12);
     handle.shutdown();
 }
 
@@ -191,7 +193,7 @@ fn restarted_server_answers_from_persisted_cache() {
     .unwrap();
     let report = loadgen::run(&config(first.local_addr().to_string())).unwrap();
     assert!(report.passed(), "{:?}", report.gate_failures);
-    assert_eq!(report.cold.misses, 4);
+    assert_eq!(report.cold.counts.misses, 4);
     first.shutdown();
 
     // Second server, same directory: the cold pass must already be warm
@@ -207,9 +209,12 @@ fn restarted_server_answers_from_persisted_cache() {
     })
     .unwrap();
     assert!(report.passed(), "{:?}", report.gate_failures);
-    assert_eq!(report.cold.misses, 0);
-    assert_eq!(report.cold.disk_hits, 4, "one disk load per unique key");
-    assert_eq!(report.cold.hit_rate(), 1.0);
+    assert_eq!(report.cold.counts.misses, 0);
+    assert_eq!(
+        report.cold.counts.disk_hits, 4,
+        "one disk load per unique key"
+    );
+    assert_eq!(report.cold.counts.hit_rate(), 1.0);
     assert_eq!(second.cache().stats().misses, 0);
     second.shutdown();
 

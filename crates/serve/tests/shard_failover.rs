@@ -55,7 +55,7 @@ fn busiest_shard(router: &RouterHandle) -> usize {
         .shards
         .iter()
         .filter(|s| s.alive)
-        .max_by_key(|s| s.traffic.requests)
+        .max_by_key(|s| s.traffic.counts.requests)
         .expect("at least one live shard")
         .id
 }
@@ -112,7 +112,7 @@ fn killed_and_restarted_shard_is_invisible_to_clients() {
         "gate failures through the fault: {:?}",
         report.gate_failures
     );
-    assert_eq!(report.cold.errors + report.warm.errors, 0);
+    assert_eq!(report.cold.counts.errors + report.warm.counts.errors, 0);
 
     // Exactly-once, ring-wide: summing misses over every shard
     // *incarnation* (killed ones included) equals the key count.
