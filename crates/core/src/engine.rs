@@ -3,13 +3,14 @@
 //! A compiled kernel carries several executable forms of the same
 //! computation: the frontend's stencil-dialect function (tree-walked, or
 //! with each `stencil.apply` run as a bytecode program, scalar or
-//! chunked), the Von-Neumann loop nest, and the HLS dataflow design
-//! (sequential Kahn executor, or one thread per stage over bounded
-//! FIFOs). [`Engine`] is what they share — compiled kernel, bound data
-//! and a sweep depth in; the written fields, and whatever structural
-//! statistics only that tier can report, out — so a caller that wants
-//! values (the time march, the differential harness) is written once
-//! against the trait and picks a tier by passing a value.
+//! chunked), the Von-Neumann loop nest, and the HLS dataflow design (one
+//! executor, its stages run in program order over unbounded FIFOs or one
+//! thread each over bounded ones). [`Engine`] is what they share —
+//! compiled kernel, bound data and a sweep depth in; the written fields,
+//! and whatever structural statistics only that tier can report, out —
+//! so a caller that wants values (the time march, the differential
+//! harness) is written once against the trait and picks a tier by
+//! passing a value.
 //!
 //! A sweep of depth `d` advances `d` timesteps, each step's outputs fed
 //! to the next step's inputs by [`feedback_pairs`]. The interpreter tiers
@@ -25,11 +26,10 @@ use std::fmt::Debug;
 use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
-use shmls_fpga_sim::executor::execute_hls_kernel;
-use shmls_fpga_sim::threaded::{execute_threaded, ThreadedOutcome};
+use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
 use shmls_frontend::{FieldKind, KernelArg};
 use shmls_ir::bytecode::ApplyMode;
-use shmls_ir::error::IrResult;
+use shmls_ir::error::{IrError, IrResult};
 use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store, StoreWork};
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
@@ -37,8 +37,9 @@ use crate::driver::CompiledKernel;
 use crate::runner::KernelData;
 use crate::scale::feedback_pairs;
 
-/// Stream statistics from a sequential-engine run:
-/// `(streams created, elements pushed, 512-bit memory beats)`.
+/// Stream statistics from a dataflow run: `(streams created, elements
+/// pushed, 512-bit memory beats)` — the traffic of a completed Kahn
+/// network, the same on either schedule.
 pub type StreamStats = (usize, u64, u64);
 
 /// What one sweep produced.
@@ -47,7 +48,7 @@ pub struct Sweep {
     /// The externally written fields (`output` and `inout`), whole
     /// buffers, by name.
     pub outputs: BTreeMap<String, Buffer>,
-    /// Stream statistics, from the tiers that execute streams.
+    /// Stream statistics, from the dataflow engines.
     pub stats: Option<StreamStats>,
     /// Bytes the sweep allocated and copied after binding its arguments,
     /// from the tiers that run in one store (the interpreter tiers).
@@ -167,37 +168,10 @@ impl Engine for Interp {
     }
 }
 
-/// The HLS dataflow design on the sequential Kahn executor. Reports
-/// [`StreamStats`].
+/// The HLS dataflow design on the executor's sequential schedule: its
+/// stages in program order over unbounded FIFOs. Reports [`StreamStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stream;
-
-impl Stream {
-    /// Run the design once: the written fields and the run's stream
-    /// statistics.
-    pub fn run(
-        &self,
-        compiled: &CompiledKernel,
-        data: &KernelData,
-    ) -> IrResult<(BTreeMap<String, Buffer>, StreamStats)> {
-        let mut staged = Store::new();
-        let (args, handles) = bind_args(compiled, data, &mut staged)?;
-        let (mut store, runtime) = execute_hls_kernel(
-            &compiled.ctx,
-            compiled.module,
-            &compiled.hls_name(),
-            |store| {
-                *store = staged;
-                args
-            },
-        )?;
-        let (n_streams, pushed, _) = runtime.streams.stats();
-        Ok((
-            collect_outputs(compiled, &mut store, &handles)?,
-            (n_streams, pushed, runtime.mem_beats),
-        ))
-    }
-}
 
 impl Engine for Stream {
     fn name(&self) -> &'static str {
@@ -205,13 +179,7 @@ impl Engine for Stream {
     }
 
     fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
-        check_design_depth(compiled, depth)?;
-        let (outputs, stats) = self.run(compiled, data)?;
-        Ok(Sweep {
-            outputs,
-            stats: Some(stats),
-            work: None,
-        })
+        dataflow_sweep(self, compiled, data, depth, Schedule::Sequential)
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -220,42 +188,12 @@ impl Engine for Stream {
 }
 
 /// The HLS dataflow design with one OS thread per stage over bounded
-/// FIFOs.
+/// FIFOs. Reports [`StreamStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Threaded {
     /// How long one blocking stream operation may stall before the run is
     /// declared deadlocked.
     pub watchdog: Duration,
-}
-
-impl Threaded {
-    /// Run the design, keeping a deadlock (the inner `Err`, naming every
-    /// blocked stage and the stream it was blocked on) apart from an
-    /// execution error (the outer one).
-    pub fn run(
-        &self,
-        compiled: &CompiledKernel,
-        data: &KernelData,
-    ) -> IrResult<Result<BTreeMap<String, Buffer>, Box<DeadlockReport>>> {
-        let mut staged = Store::new();
-        let (args, handles) = bind_args(compiled, data, &mut staged)?;
-        let outcome = execute_threaded(
-            &compiled.ctx,
-            compiled.module,
-            &compiled.hls_name(),
-            |store| {
-                *store = staged;
-                args
-            },
-            self.watchdog,
-        )?;
-        match outcome {
-            ThreadedOutcome::Completed { mut store, .. } => {
-                Ok(Ok(collect_outputs(compiled, &mut store, &handles)?))
-            }
-            ThreadedOutcome::Deadlock { report } => Ok(Err(report)),
-        }
-    }
 }
 
 impl Engine for Threaded {
@@ -264,15 +202,10 @@ impl Engine for Threaded {
     }
 
     fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
-        check_design_depth(compiled, depth)?;
-        match self.run(compiled, data)? {
-            Ok(outputs) => Ok(Sweep {
-                outputs,
-                stats: None,
-                work: None,
-            }),
-            Err(report) => Err(ir_error!("the threaded engine deadlocked:\n{report}")),
-        }
+        let schedule = Schedule::Threaded {
+            watchdog: self.watchdog,
+        };
+        dataflow_sweep(self, compiled, data, depth, schedule)
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -280,14 +213,67 @@ impl Engine for Threaded {
     }
 }
 
-/// A dataflow design advances the depth it was compiled for, no other.
-fn check_design_depth(compiled: &CompiledKernel, depth: usize) -> IrResult<()> {
+/// A dataflow engine's sweep: the design advances the depth it was
+/// compiled for, no other, in one run; a deadlock is an error.
+fn dataflow_sweep(
+    engine: &dyn Engine,
+    compiled: &CompiledKernel,
+    data: &KernelData,
+    depth: usize,
+    schedule: Schedule,
+) -> IrResult<Sweep> {
     ir_ensure!(
         compiled.report.temporal_depth == depth,
         "a sweep of depth {depth} was asked of a dataflow design compiled at temporal depth {}",
         compiled.report.temporal_depth
     );
-    Ok(())
+    let (outputs, stats) =
+        run_design(compiled, data, schedule)?.map_err(|report| deadlocked(engine, &report))?;
+    Ok(Sweep {
+        outputs,
+        stats: Some(stats),
+        work: None,
+    })
+}
+
+/// The error a deadlocked run of `engine` is.
+pub(crate) fn deadlocked(engine: &dyn Engine, report: &DeadlockReport) -> IrError {
+    ir_error!("the {} engine deadlocked:\n{report}", engine.name())
+}
+
+/// A completed dataflow run: the written fields and its [`StreamStats`].
+pub(crate) type DesignRun = (BTreeMap<String, Buffer>, StreamStats);
+
+/// Run the dataflow design once under `schedule`: the written fields and
+/// the run's [`StreamStats`] — or the deadlock (the inner `Err`, naming
+/// every blocked stage and the stream it was blocked on) apart from an
+/// execution error (the outer one).
+pub(crate) fn run_design(
+    compiled: &CompiledKernel,
+    data: &KernelData,
+    schedule: Schedule,
+) -> IrResult<Result<DesignRun, Box<DeadlockReport>>> {
+    let mut staged = Store::new();
+    let (args, handles) = bind_args(compiled, data, &mut staged)?;
+    let setup = |store: &mut _| {
+        *store = staged;
+        args
+    };
+    let (ctx, name) = (&compiled.ctx, compiled.hls_name());
+    match execute(ctx, compiled.module, &name, setup, schedule)? {
+        Outcome::Completed {
+            mut store,
+            mem_beats,
+            streams,
+        } => {
+            let stats = (streams.len(), streams.iter().sum(), mem_beats);
+            Ok(Ok((
+                collect_outputs(compiled, &mut store, &handles)?,
+                stats,
+            )))
+        }
+        Outcome::Deadlock { report } => Ok(Err(report)),
+    }
 }
 
 /// Bind the kernel arguments in `store` and return `(args, name →
@@ -307,10 +293,19 @@ fn bind_args<'d>(
     let mut args = Vec::new();
     let mut handles = BTreeMap::new();
     let mut bind = |name: &String, what: &str, shape: Vec<i64>, origin: Vec<i64>| {
+        let len: i64 = shape.iter().product();
         let h = match data.buffers.get(name) {
             Some(buffer) if buffer.shape != shape => ir_bail!(
                 "{what} `{name}`: buffer shape {:?} does not match the expected {shape:?}",
                 buffer.shape
+            ),
+            Some(buffer) if buffer.origin != origin => ir_bail!(
+                "{what} `{name}`: buffer origin {:?} does not match the expected {origin:?}",
+                buffer.origin
+            ),
+            Some(buffer) if buffer.data.len() as i64 != len => ir_bail!(
+                "{what} `{name}`: buffer holds {} elements where its shape {shape:?} needs {len}",
+                buffer.data.len()
             ),
             Some(buffer) => store.lend(buffer),
             None => store.alloc(Buffer::zeroed(shape, origin)),
@@ -493,17 +488,47 @@ mod tests {
         assert_eq!(work.allocated_bytes, 0);
     }
 
-    /// A parameter buffer of the wrong extent or rank is refused when it
-    /// is bound, by name.
+    /// A supplied buffer the sweep would index out of range — a parameter
+    /// of the wrong extent, rank or origin, a field one element short of
+    /// its shape or with a shifted origin — is refused when it is bound,
+    /// by name, with what it got and what was expected.
     fn refuses_misshapen_parameters(engine: &dyn Engine) {
         let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
-        for shape in [vec![10], vec![11, 1]] {
+        let field = |origin: Vec<i64>| Buffer::zeroed(vec![8, 7, 11], origin);
+        let mut short = field(vec![-1, -1, -1]);
+        short.data.pop();
+        let cases = [
+            (
+                "kz",
+                Buffer::zeroed(vec![10], vec![0]),
+                ["parameter `kz`", "[10]", "[11]"],
+            ),
+            (
+                "kz",
+                Buffer::zeroed(vec![11, 1], vec![0, 0]),
+                ["parameter `kz`", "[11, 1]", "[11]"],
+            ),
+            (
+                "kz",
+                Buffer::zeroed(vec![11], vec![1]),
+                ["parameter `kz`", "[1]", "[0]"],
+            ),
+            ("a", short, ["field `a`", "615", "616"]),
+            (
+                "a",
+                field(vec![0, -1, -1]),
+                ["field `a`", "[0, -1, -1]", "[-1, -1, -1]"],
+            ),
+        ];
+        for (name, buffer, wanted) in cases {
             let mut data = relax_data();
-            let origin = vec![0; shape.len()];
-            data.buffers
-                .insert("kz".into(), Buffer::zeroed(shape, origin));
+            data.buffers.insert(name.into(), buffer);
             let e = engine.sweep(&compiled, &data, 1).unwrap_err().to_string();
-            assert!(e.contains("parameter `kz`") && e.contains("[11]"), "{e}");
+            assert!(
+                wanted.iter().all(|w| e.contains(w)),
+                "{}: {e}",
+                engine.name()
+            );
         }
     }
 
@@ -524,5 +549,63 @@ mod tests {
         refuses_misshapen_parameters(&Threaded {
             watchdog: Duration::from_secs(30),
         });
+    }
+
+    /// A stage that panics is an error naming it, on either schedule: a
+    /// field one element short of its shape, put straight into the store
+    /// past `bind_args`, runs the load stage off its end.
+    #[test]
+    fn a_panicking_stage_is_an_error_naming_it() {
+        let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
+        let stages = &compiled.design.stages;
+        let load = stages.iter().position(|s| s.kind() == "load").unwrap();
+        let label = stages[load].label(load);
+        let data = relax_data();
+        let watchdog = Duration::from_millis(500);
+        for schedule in [Schedule::Sequential, Schedule::Threaded { watchdog }] {
+            let setup = |store: &mut _| {
+                let (args, handles) = bind_args(&compiled, &data, store).unwrap();
+                let mut short = data.buffers["a"].clone();
+                short.data.pop();
+                store.put(handles["a"], short).unwrap();
+                args
+            };
+            let (ctx, name) = (&compiled.ctx, compiled.hls_name());
+            let e = execute(ctx, compiled.module, &name, setup, schedule).unwrap_err();
+            let e = e.to_string();
+            assert!(e.contains(&label), "{schedule:?}: {e}");
+            assert!(e.contains("index out of bounds"), "{schedule:?}: {e}");
+        }
+    }
+
+    /// Traffic does not depend on the schedule: for every catalogue
+    /// kernel — and heat3d two steps deep, through its merge stages — both
+    /// dataflow engines write the same bits and report the same
+    /// `(streams, pushed, mem_beats)`.
+    #[test]
+    fn both_schedules_move_the_same_traffic() {
+        use shmls_kernels::catalogue::{CATALOGUE, HEAT3D};
+        let mut deep = CompileOptions::default();
+        deep.hmls.temporal_depth = 2;
+        let cases = CATALOGUE.map(|k| (k, CompileOptions::default()));
+        let threaded = Threaded {
+            watchdog: Duration::from_secs(30),
+        };
+        for (kernel, options) in cases.into_iter().chain([(&HEAT3D, deep)]) {
+            let grid = [6, 5, 4];
+            let compiled = compile(&kernel.source(grid), &options).unwrap();
+            let (data, depth) = (kernel.data(grid), compiled.report.temporal_depth);
+            let sequential = Stream.sweep(&compiled, &data, depth).unwrap();
+            let concurrent = threaded.sweep(&compiled, &data, depth).unwrap();
+            let what = format!("{} at depth {depth}", kernel.name);
+            assert_eq!(
+                bits(&sequential.outputs),
+                bits(&concurrent.outputs),
+                "{what}"
+            );
+            assert_eq!(sequential.stats, concurrent.stats, "{what}");
+            let (_, pushed, beats) = sequential.stats.unwrap();
+            assert!(pushed > 0 && beats > 0, "{what}");
+        }
     }
 }

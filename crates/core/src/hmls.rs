@@ -199,8 +199,8 @@ pub fn stencil_to_hls(
     // Streams and stages, one step of the temporal chain at a time. Each
     // phase appends in program order (feed → shift → dup → compute), so
     // the entry block remains a topologically ordered Kahn network and the
-    // sequential engine can run stages to completion in order. Step 1 is
-    // exactly the single-step design.
+    // executor's sequential schedule can run stages to completion in
+    // order. Step 1 is exactly the single-step design.
     let mut design = Design::open(ctx, &kernel, &steps, opts)?;
     for step in 0..steps.len() {
         design.feed(step)?;
@@ -1044,9 +1044,28 @@ struct PointValues {
 mod tests {
     use super::*;
     use shmls_dialects::builtin::create_module;
+    use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
     use shmls_frontend::{lower_kernel, parse_kernel};
-    use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue};
+    use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store};
     use shmls_ir::verifier::verify_with;
+
+    /// Run `func` on the executor's sequential schedule: the final store,
+    /// the elements pushed into each stream and the beats moved.
+    fn run_sequential<'d>(
+        ctx: &'d Context,
+        module: OpId,
+        func: &str,
+        setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
+    ) -> (Store<'d>, Vec<u64>, u64) {
+        match execute(ctx, module, func, setup, Schedule::Sequential).unwrap() {
+            Outcome::Completed {
+                store,
+                streams,
+                mem_beats,
+            } => (store, streams, mem_beats),
+            Outcome::Deadlock { report } => panic!("{report}"),
+        }
+    }
 
     const LAPLACE: &str = r#"
 kernel laplace {
@@ -1294,30 +1313,28 @@ kernel nothing {
         drop(ref_machine);
 
         let hls_name = format!("{}_hls", sig.name);
-        let (hls_store, runtime) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&ctx, module, &hls_name, |store| {
-                let mut args = Vec::new();
-                let mut seeds = seed_values.iter();
-                for arg in &sig.args {
-                    match arg {
-                        shmls_frontend::KernelArg::Field(_, _) => {
-                            let mut buf = Buffer::zeroed(bounded.extents(), bounded.lb.clone());
-                            buf.data.copy_from_slice(seeds.next().unwrap());
-                            args.push(RtValue::MemRef(store.alloc(buf)));
-                        }
-                        shmls_frontend::KernelArg::Param(_, _, extent) => {
-                            let mut buf = Buffer::zeroed(vec![*extent], vec![0]);
-                            buf.data.copy_from_slice(seeds.next().unwrap());
-                            args.push(RtValue::MemRef(store.alloc(buf)));
-                        }
-                        shmls_frontend::KernelArg::Const(_) => {
-                            args.push(RtValue::F64(seeds.next().unwrap()[0]));
-                        }
+        let (hls_store, streams, mem_beats) = run_sequential(&ctx, module, &hls_name, |store| {
+            let mut args = Vec::new();
+            let mut seeds = seed_values.iter();
+            for arg in &sig.args {
+                match arg {
+                    shmls_frontend::KernelArg::Field(_, _) => {
+                        let mut buf = Buffer::zeroed(bounded.extents(), bounded.lb.clone());
+                        buf.data.copy_from_slice(seeds.next().unwrap());
+                        args.push(RtValue::MemRef(store.alloc(buf)));
+                    }
+                    shmls_frontend::KernelArg::Param(_, _, extent) => {
+                        let mut buf = Buffer::zeroed(vec![*extent], vec![0]);
+                        buf.data.copy_from_slice(seeds.next().unwrap());
+                        args.push(RtValue::MemRef(store.alloc(buf)));
+                    }
+                    shmls_frontend::KernelArg::Const(_) => {
+                        args.push(RtValue::F64(seeds.next().unwrap()[0]));
                     }
                 }
-                args
-            })
-            .unwrap();
+            }
+            args
+        });
 
         // Compare every output field buffer over the interior.
         let interior = StencilBounds::from_extents(&sig.grid);
@@ -1341,10 +1358,13 @@ kernel nothing {
             }
         }
         // Sanity: the HLS path actually moved data through streams.
-        let (n_streams, pushed, _) = runtime.streams.stats();
-        assert!(n_streams >= 3, "expected streams, got {n_streams}");
-        assert!(pushed > 0);
-        assert!(runtime.mem_beats > 0);
+        assert!(
+            streams.len() >= 3,
+            "expected streams, got {}",
+            streams.len()
+        );
+        assert!(streams.iter().sum::<u64>() > 0);
+        assert!(mem_beats > 0);
     }
 
     #[test]
@@ -1401,12 +1421,8 @@ kernel nothing {
                 RtValue::F64(0.2),
             ]
         };
-        let (unrolled_store, _) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&ctx, module, "laplace_hls", fill)
-                .unwrap();
-        let (ref_store, _) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&ref_ctx, ref_module, "laplace_hls", fill)
-                .unwrap();
+        let (unrolled_store, _, _) = run_sequential(&ctx, module, "laplace_hls", fill);
+        let (ref_store, _, _) = run_sequential(&ref_ctx, ref_module, "laplace_hls", fill);
         let a = unrolled_store.get(1).unwrap();
         let b = ref_store.get(1).unwrap();
         assert_eq!(
@@ -1663,11 +1679,7 @@ kernel masked {
         let mut cur = init.clone();
         let mut last = None;
         for _ in 0..depth {
-            let (store, _) =
-                shmls_fpga_sim::executor::execute_hls_kernel(&ctx1, module1, &hls_name, |st| {
-                    alloc(st, &cur)
-                })
-                .unwrap();
+            let (store, _, _) = run_sequential(&ctx1, module1, &hls_name, |st| alloc(st, &cur));
             let mut fed = init.clone();
             for (i, s) in cur.iter().enumerate() {
                 // Unpaired inputs/params/consts are constant across steps.
@@ -1685,12 +1697,9 @@ kernel masked {
         let oracle = last.unwrap();
 
         // One deep sweep from the same initial values.
-        let (deep_store, runtime) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&deep_ctx, deep_module, &hls_name, |st| {
-                alloc(st, &init)
-            })
-            .unwrap();
-        assert!(runtime.mem_beats > 0);
+        let (deep_store, _, mem_beats) =
+            run_sequential(&deep_ctx, deep_module, &hls_name, |st| alloc(st, &init));
+        assert!(mem_beats > 0);
 
         for (i, arg) in sig.args.iter().enumerate() {
             if let shmls_frontend::KernelArg::Field(name, kind) = arg {
@@ -1781,12 +1790,8 @@ kernel masked {
                 RtValue::F64(0.25),
             ]
         };
-        let (u, _) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&ctx, module, "laplace_hls", fill)
-                .unwrap();
-        let (r, _) =
-            shmls_fpga_sim::executor::execute_hls_kernel(&ref_ctx, ref_module, "laplace_hls", fill)
-                .unwrap();
+        let (u, _, _) = run_sequential(&ctx, module, "laplace_hls", fill);
+        let (r, _, _) = run_sequential(&ref_ctx, ref_module, "laplace_hls", fill);
         assert_eq!(u.get(1).unwrap().data, r.get(1).unwrap().data);
     }
 }

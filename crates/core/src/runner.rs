@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
+use shmls_fpga_sim::threaded::Schedule;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::Buffer;
@@ -14,7 +15,7 @@ use shmls_ir::ir_error;
 
 use crate::driver::CompiledKernel;
 pub use crate::engine::StreamStats;
-use crate::engine::{Engine, Interp, Stream, Threaded};
+use crate::engine::{deadlocked, run_design, Engine, Interp, Stream};
 
 /// Run the frontend's stencil-dialect function directly (reference
 /// semantics).
@@ -55,13 +56,14 @@ pub fn run_cpu(compiled: &CompiledKernel, data: &KernelData) -> IrResult<BTreeMa
     Ok(Interp::Cpu.sweep(compiled, data, 1)?.outputs)
 }
 
-/// Run the Stencil-HMLS dataflow design on the sequential (Kahn) engine,
-/// returning the written fields and the run's [`StreamStats`].
+/// Run the Stencil-HMLS dataflow design on the sequential schedule (its
+/// stages in program order over unbounded FIFOs), returning the written
+/// fields and the run's [`StreamStats`].
 pub fn run_hls(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<(BTreeMap<String, Buffer>, StreamStats)> {
-    Stream.run(compiled, data)
+    run_design(compiled, data, Schedule::Sequential)?.map_err(|report| deadlocked(&Stream, &report))
 }
 
 /// Run the Stencil-HMLS design on the threaded engine (bounded FIFOs, one
@@ -77,7 +79,8 @@ pub fn run_hls_threaded(
     data: &KernelData,
     watchdog: Duration,
 ) -> IrResult<Result<BTreeMap<String, Buffer>, Box<DeadlockReport>>> {
-    Threaded { watchdog }.run(compiled, data)
+    let outcome = run_design(compiled, data, Schedule::Threaded { watchdog })?;
+    Ok(outcome.map(|(outputs, _)| outputs))
 }
 
 /// Maximum absolute difference between two output maps over the interior;

@@ -11,7 +11,7 @@
 use std::fmt;
 
 /// What a stage was doing when the run was declared deadlocked.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageStatus {
     /// The stage ran to completion.
     Finished,

@@ -1,27 +1,19 @@
-//! Functional execution of HLS-dialect kernels (sequential Kahn engine).
-//!
-//! Implements the [`ExternOps`] hook for the `hls` dialect and for the
-//! runtime functions the paper links against the generated LLVM-IR
-//! (`load_data`, `shift_buffer`, `write_data`, `copy_small_data`): the Rust
-//! equivalent of the paper's C++ runtime.
-//!
-//! The sequential engine relies on Kahn-network determinism: dataflow
-//! stages execute in program order with unbounded FIFOs and produce exactly
-//! the values any concurrent schedule would. Use
-//! [`crate::threaded`] for true concurrency with bounded FIFOs and
-//! deadlock detection.
+//! The paper's linked C++ runtime, in Rust: the functions the generated
+//! LLVM-IR calls (`load_data`, `shift_buffer`, `halo_merge`, `write_data`,
+//! `copy_small_data`), written once against the [`StreamIo`] transport.
+//! The dataflow executor ([`crate::threaded`]) dispatches them from its
+//! `hls` op hook on either schedule.
+
+#![deny(clippy::too_many_lines)]
 
 use shmls_dialects::hls::{self, RuntimeCall, RuntimeKind};
 use shmls_ir::error::IrResult;
-use shmls_ir::interp::{iter_box, ExternOps, Machine, RtValue, Store};
+use shmls_ir::interp::{iter_box, RtValue, Store};
 use shmls_ir::prelude::*;
-use shmls_ir::{ir_bail, ir_ensure, ir_error};
+use shmls_ir::{ir_bail, ir_ensure};
 
-use crate::stream::StreamTable;
-
-/// Stream transport abstraction shared by the sequential engine (FIFO
-/// table) and the threaded engine (bounded channels): the runtime
-/// functions below are written against this trait.
+/// A stream transport: the dataflow executor's FIFOs, or a test's fake.
+/// The runtime functions below are written against this trait.
 pub trait StreamIo {
     /// Blocking pop from stream `handle`.
     fn pop(&mut self, handle: usize) -> IrResult<RtValue>;
@@ -29,116 +21,27 @@ pub trait StreamIo {
     fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()>;
 }
 
-/// Runtime + `hls` dialect semantics for the interpreter.
-#[derive(Debug, Default)]
-pub struct HlsRuntime {
-    /// The FIFO table (inspect after execution for stream statistics).
-    pub streams: StreamTable,
-    /// Total 512-bit memory beats moved by `load_data`/`write_data`
-    /// (for cross-checking the analytic memory model).
-    pub mem_beats: u64,
-}
-
-impl HlsRuntime {
-    /// A runtime with unbounded FIFOs (sequential engine).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StreamIo for HlsRuntime {
-    fn pop(&mut self, handle: usize) -> IrResult<RtValue> {
-        let fifo = self
-            .streams
-            .get_mut(handle)
-            .ok_or_else(|| ir_error!("invalid stream handle {handle}"))?;
-        fifo.pop().ok_or_else(|| {
-            ir_error!(
-                "read from empty stream {handle} — stage ordering violates \
-                 producer-before-consumer (sequential engine)"
-            )
-        })
-    }
-
-    fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()> {
-        let fifo = self
-            .streams
-            .get_mut(handle)
-            .ok_or_else(|| ir_error!("invalid stream handle {handle}"))?;
-        fifo.push(value);
-        Ok(())
-    }
-}
-
-impl ExternOps for HlsRuntime {
-    fn exec(
-        &mut self,
-        ctx: &Context,
-        op: OpId,
-        args: &[RtValue],
-        store: &mut Store<'_>,
-    ) -> IrResult<Option<Vec<RtValue>>> {
-        match ctx.op_name(op) {
-            hls::CREATE_STREAM => {
-                let depth = hls::stream_depth(ctx, op).max(1) as usize;
-                let handle = self.streams.create(depth);
-                Ok(Some(vec![RtValue::Stream(handle)]))
-            }
-            hls::READ => {
-                let v = self.pop(args[0].as_stream()?)?;
-                Ok(Some(vec![v]))
-            }
-            hls::WRITE => {
-                self.push(args[1].as_stream()?, args[0].clone())?;
-                Ok(Some(vec![]))
-            }
-            hls::EMPTY => {
-                let f = self
-                    .streams
-                    .get(args[0].as_stream()?)
-                    .ok_or_else(|| ir_error!("invalid stream handle"))?;
-                Ok(Some(vec![RtValue::Bool(f.is_empty())]))
-            }
-            // A FIFO of this engine never refuses a push (`stream.rs`).
-            hls::FULL => match self.streams.get(args[0].as_stream()?) {
-                Some(_) => Ok(Some(vec![RtValue::Bool(false)])),
-                None => Err(ir_error!("invalid stream handle")),
-            },
-            // Directive ops are structural no-ops at functional level.
-            hls::PIPELINE | hls::UNROLL | hls::ARRAY_PARTITION | hls::INTERFACE => Ok(Some(vec![])),
-            shmls_dialects::func::CALL => {
-                let mut beats = 0u64;
-                let result = dispatch_runtime_call(self, &mut beats, ctx, op, args, store);
-                self.mem_beats += beats;
-                result
-            }
-            _ => Ok(None),
-        }
-    }
-}
-
 /// Dispatch a runtime `func.call` (the paper's linked C++ runtime) over
-/// any stream transport. Returns `Ok(None)` when the callee is not a
-/// runtime function.
+/// any stream transport: the 512-bit memory beats it moved, or `Ok(None)`
+/// when the callee is not a runtime function.
 pub fn dispatch_runtime_call(
     io: &mut dyn StreamIo,
-    mem_beats: &mut u64,
     ctx: &Context,
     op: OpId,
     args: &[RtValue],
     store: &mut Store<'_>,
-) -> IrResult<Option<Vec<RtValue>>> {
+) -> IrResult<Option<u64>> {
     let Some(call) = hls::decode_runtime_call(ctx, op, args)? else {
         return Ok(None);
     };
-    match call.kind {
-        RuntimeKind::LoadData => rt_load_data(io, mem_beats, &call, store),
-        RuntimeKind::ShiftBuffer => rt_shift_buffer(io, &call),
-        RuntimeKind::HaloMerge => rt_halo_merge(io, mem_beats, &call, store),
-        RuntimeKind::WriteData => rt_write_data(io, mem_beats, &call, store),
-        RuntimeKind::CopySmallData => rt_copy_small_data(mem_beats, &call, store),
+    let beats = match call.kind {
+        RuntimeKind::LoadData => rt_load_data(io, &call, store),
+        RuntimeKind::ShiftBuffer => rt_shift_buffer(io, &call).map(|()| 0),
+        RuntimeKind::HaloMerge => rt_halo_merge(io, &call, store),
+        RuntimeKind::WriteData => rt_write_data(io, &call, store),
+        RuntimeKind::CopySmallData => rt_copy_small_data(&call, store),
     }?;
-    Ok(Some(vec![]))
+    Ok(Some(beats))
 }
 
 /// A decoded runtime call over runtime values.
@@ -150,12 +53,7 @@ fn stream_handles(values: &[RtValue]) -> IrResult<Vec<usize>> {
 
 /// `load_data` — stream every element of each (halo-padded) field,
 /// row-major, counting 512-bit beats for the memory model.
-fn rt_load_data(
-    io: &mut dyn StreamIo,
-    mem_beats: &mut u64,
-    call: &Call<'_>,
-    store: &mut Store<'_>,
-) -> IrResult<()> {
+fn rt_load_data(io: &mut dyn StreamIo, call: &Call<'_>, store: &mut Store<'_>) -> IrResult<u64> {
     let (extents, halo) = (&call.extents, call.halo);
     let lb: Vec<i64> = extents.iter().map(|_| -halo).collect();
     let ub: Vec<i64> = extents.iter().zip(&lb).map(|(&e, &l)| l + e).collect();
@@ -176,8 +74,7 @@ fn rt_load_data(
         }
         count += 1;
     }
-    *mem_beats += call.fields() as u64 * count.div_ceil(8);
-    Ok(())
+    Ok(call.fields() as u64 * count.div_ceil(8))
 }
 
 /// `shift_buffer` — the true streaming shift register (§3.3, Figure 2):
@@ -251,17 +148,11 @@ fn rt_shift_buffer(io: &mut dyn StreamIo, call: &Call<'_>) -> IrResult<()> {
 /// timesteps: streams the bounded box row-major into the next step's
 /// element stream, taking interior points from the previous step's result
 /// stream and the halo ring from the output field's buffer (constant
-/// during the sweep — `write_data` is the last stage in program order for
-/// the sequential engine, and the threaded engine hands every stage its
-/// own copy-on-write view of the initial store). Ring loads are real
+/// during the sweep: on either schedule every stage reads its own
+/// copy-on-write view of the initial store). Ring loads are real
 /// external-memory traffic and counted in 512-bit beats; the interior
 /// never leaves the chip.
-fn rt_halo_merge(
-    io: &mut dyn StreamIo,
-    mem_beats: &mut u64,
-    call: &Call<'_>,
-    store: &mut Store<'_>,
-) -> IrResult<()> {
+fn rt_halo_merge(io: &mut dyn StreamIo, call: &Call<'_>, store: &mut Store<'_>) -> IrResult<u64> {
     let (extents, halo) = (&call.extents, call.halo);
     let buffer = store.get(call.pointers[0].as_memref()?)?;
     let result_in = call.consumed[0].as_stream()?;
@@ -282,18 +173,12 @@ fn rt_halo_merge(
         };
         io.push(elem_out, RtValue::F64(v))?;
     }
-    *mem_beats += ring.div_ceil(8);
-    Ok(())
+    Ok(ring.div_ceil(8))
 }
 
 /// `write_data` — drain each result stream (interior, row-major) into its
 /// output buffer, counting 512-bit beats.
-fn rt_write_data(
-    io: &mut dyn StreamIo,
-    mem_beats: &mut u64,
-    call: &Call<'_>,
-    store: &mut Store<'_>,
-) -> IrResult<()> {
+fn rt_write_data(io: &mut dyn StreamIo, call: &Call<'_>, store: &mut Store<'_>) -> IrResult<u64> {
     let streams = stream_handles(call.consumed)?;
     let buffers: Vec<usize> = call
         .pointers
@@ -311,83 +196,64 @@ fn rt_write_data(
             store.get_mut(buffer)?.store(p, v)?;
         }
     }
-    *mem_beats += call.fields() as u64 * (points.len() as u64).div_ceil(8);
-    Ok(())
+    Ok(call.fields() as u64 * (points.len() as u64).div_ceil(8))
 }
 
 /// `copy_small_data` — the kernel-init BRAM copy of step 8.
-fn rt_copy_small_data(mem_beats: &mut u64, call: &Call<'_>, store: &mut Store<'_>) -> IrResult<()> {
+fn rt_copy_small_data(call: &Call<'_>, store: &mut Store<'_>) -> IrResult<u64> {
     let (src, dst) = (call.pointers[0].as_memref()?, call.pointers[1].as_memref()?);
     let (from, to) = (store.get(src)?.data.len(), store.get(dst)?.data.len());
     ir_ensure!(from == to, "small-data copy size mismatch: {from} vs {to}");
     let (src, dst) = store.pair_mut(src, dst)?;
     dst.data.copy_from_slice(&src.data);
-    *mem_beats += (from as u64).div_ceil(8);
-    Ok(())
-}
-
-/// Execute the HLS kernel `func_name` in `module`.
-///
-/// `setup` allocates the kernel's buffers in the store and returns the
-/// argument values in signature order. Returns the final [`Store`] plus the
-/// runtime (for stream/memory statistics).
-pub fn execute_hls_kernel<'d>(
-    ctx: &'d Context,
-    module: OpId,
-    func_name: &str,
-    setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
-) -> IrResult<(Store<'d>, HlsRuntime)> {
-    let mut runtime = HlsRuntime::new();
-    let mut machine = Machine::new(ctx, module, &mut runtime);
-    let args = setup(&mut machine.store);
-    machine.call(func_name, &args)?;
-    let store = std::mem::take(&mut machine.store);
-    drop(machine);
-    Ok((store, runtime))
+    Ok((from as u64).div_ceil(8))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+    use std::time::Duration;
+
     use super::*;
+    use shmls_dialects::{builtin, func};
     use shmls_ir::interp::Buffer;
+    use shmls_ir::ir_error;
 
-    /// Drive shift_buffer directly through a hand-built IR call.
+    use crate::deadlock::StageStatus;
+    use crate::threaded::{execute, Outcome, Schedule};
+
+    /// In-memory FIFOs: the transport as the runtime functions see it.
+    struct Queues(Vec<VecDeque<RtValue>>);
+
+    impl StreamIo for Queues {
+        fn pop(&mut self, handle: usize) -> IrResult<RtValue> {
+            self.0[handle]
+                .pop_front()
+                .ok_or_else(|| ir_error!("pop from empty test stream {handle}"))
+        }
+        fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()> {
+            self.0[handle].push_back(value);
+            Ok(())
+        }
+    }
+
+    /// The windows `shift_buffer` emits for a padded field streamed in.
     fn run_shift(extents: &[i64], halo: i64, data: &[f64]) -> Vec<Vec<f64>> {
-        let mut ctx = Context::new();
-        let (module, body) = shmls_dialects::builtin::create_module(&mut ctx);
-        let mut b = OpBuilder::at_block_end(&mut ctx, body);
-        let input = hls::create_stream(&mut b, Type::F64, 2);
-        let window_ty = Type::LlvmStruct(vec![Type::llvm_array(
-            (2 * halo + 1).pow(extents.len() as u32) as u64,
-            Type::F64,
-        )]);
-        let output = hls::create_stream(&mut b, window_ty, 2);
-        let call = shmls_dialects::func::call(&mut b, "shift_buffer", vec![input, output], vec![]);
-        ctx.set_attr(call, "extents", Attribute::IndexArray(extents.to_vec()));
-        ctx.set_attr(call, "halo", Attribute::int(halo));
-
-        // Pre-create the FIFOs on the runtime so the input can be preloaded
-        // before execution, then bind the IR stream values to the handles.
-        let mut runtime = HlsRuntime::new();
-        let in_handle = runtime.streams.create(2);
-        let out_handle = runtime.streams.create(2);
-        for &v in data {
-            runtime
-                .streams
-                .get_mut(in_handle)
-                .unwrap()
-                .push(RtValue::F64(v));
-        }
-        let mut machine = Machine::new(&ctx, module, &mut runtime);
-        machine.bind(input, RtValue::Stream(in_handle));
-        machine.bind(output, RtValue::Stream(out_handle));
-        machine.exec_op(call).unwrap();
-        drop(machine);
-        let mut out = Vec::new();
-        while let Some(v) = runtime.streams.get_mut(out_handle).unwrap().pop() {
-            out.push(v.as_pack().unwrap().to_vec());
-        }
-        out
+        let input = data.iter().map(|&v| RtValue::F64(v)).collect();
+        let mut io = Queues(vec![input, VecDeque::new()]);
+        let call = RuntimeCall {
+            kind: RuntimeKind::ShiftBuffer,
+            pointers: &[],
+            consumed: &[RtValue::Stream(0)],
+            produced: &[RtValue::Stream(1)],
+            extents: extents.to_vec(),
+            halo,
+        };
+        rt_shift_buffer(&mut io, &call).unwrap();
+        io.0[1]
+            .iter()
+            .map(|v| v.as_pack().unwrap().to_vec())
+            .collect()
     }
 
     #[test]
@@ -439,51 +305,90 @@ mod tests {
             extents: vec![4],
             halo: 0,
         };
-        let mut beats = 0u64;
-        rt_copy_small_data(&mut beats, &call, &mut store).unwrap();
+        assert_eq!(rt_copy_small_data(&call, &mut store).unwrap(), 1);
         assert_eq!(store.get(dst).unwrap().data, vec![1., 2., 3., 4.]);
-        assert_eq!(beats, 1);
     }
 
+    /// A kernel `k` that creates one stream per depth and runs `body`
+    /// over them as its one dataflow stage.
+    pub(super) fn one_stage(
+        depths: &[i64],
+        body: impl FnOnce(&mut OpBuilder<'_>, &[ValueId]),
+    ) -> (Context, OpId) {
+        let mut ctx = Context::new();
+        let (module, top) = builtin::create_module(&mut ctx);
+        let (_f, entry) = func::create_func(&mut ctx, top, "k", vec![], vec![]);
+        let mut b = OpBuilder::at_block_end(&mut ctx, entry);
+        let streams: Vec<ValueId> = depths
+            .iter()
+            .map(|&depth| hls::create_stream(&mut b, Type::F64, depth))
+            .collect();
+        let (_stage, stage_body) = hls::dataflow(&mut b);
+        body(&mut OpBuilder::at_block_end(&mut ctx, stage_body), &streams);
+        func::ret(&mut OpBuilder::at_block_end(&mut ctx, entry), vec![]);
+        (ctx, module)
+    }
+
+    pub(super) const SCHEDULES: [Schedule; 2] = [
+        Schedule::Sequential,
+        Schedule::Threaded {
+            watchdog: Duration::from_millis(100),
+        },
+    ];
+
+    /// A pop nothing will ever answer is a stall of the stage that made
+    /// it, reported as such on either schedule — at once on the
+    /// sequential one, where nothing else could push.
     #[test]
     fn read_from_empty_stream_is_error() {
-        let mut runtime = HlsRuntime::new();
-        let h = runtime.streams.create(2);
-        let e = runtime.pop(h).unwrap_err();
-        assert!(e.to_string().contains("empty stream"), "{e}");
+        let (ctx, module) = one_stage(&[2], |b, s| {
+            hls::read(b, s[0]);
+        });
+        for schedule in SCHEDULES {
+            let outcome = execute(&ctx, module, "k", |_| vec![], schedule).unwrap();
+            let Outcome::Deadlock { report } = outcome else {
+                panic!("{schedule:?}: a pop from an empty stream completed");
+            };
+            let blocked = StageStatus::BlockedOnPop { stream: 0 };
+            assert_eq!(report.stages[0].status, blocked, "{schedule:?}");
+        }
     }
 }
 
 #[cfg(test)]
 mod query_tests {
-    use super::*;
-    use shmls_dialects::builtin;
+    use super::tests::{one_stage, SCHEDULES};
+    use shmls_dialects::{arith, hls, scf};
     use shmls_ir::builder::OpBuilder;
-    use shmls_ir::types::Type;
 
-    /// `hls.empty` / `hls.full` observe FIFO state through the extern
-    /// hook; this engine's FIFOs are never full, however far past their
-    /// declared depth.
+    use crate::threaded::{execute, Outcome};
+
+    /// `hls.empty` / `hls.full` observe a FIFO through the executor's one
+    /// hook, with one answer on both schedules: `empty` from its
+    /// occupancy, `full` at the declared depth of a bounded FIFO — which
+    /// the sequential schedule's never are. Each query that answers true
+    /// pushes into a flag stream of its own.
     #[test]
     fn empty_and_full_queries() {
-        let mut ctx = Context::new();
-        let (module, body) = builtin::create_module(&mut ctx);
-        let mut b = OpBuilder::at_block_end(&mut ctx, body);
-        let s = hls::create_stream(&mut b, Type::F64, 1);
-        let v = shmls_dialects::arith::constant_f64(&mut b, 1.0);
-        let e0 = hls::empty(&mut b, s);
-        hls::write(&mut b, v, s);
-        hls::write(&mut b, v, s);
-        let e = hls::empty(&mut b, s);
-        let f = hls::full(&mut b, s);
-
-        let mut runtime = HlsRuntime::new();
-        let mut machine = Machine::new(&ctx, module, &mut runtime);
-        for op in ctx.block_ops(body).to_vec() {
-            machine.exec_op(op).unwrap();
+        let (ctx, module) = one_stage(&[1, 1, 1, 1], |b, s| {
+            let v = arith::constant_f64(b, 1.0);
+            let before = hls::empty(b, s[0]);
+            hls::write(b, v, s[0]);
+            let after = hls::empty(b, s[0]);
+            let full = hls::full(b, s[0]);
+            for (answer, flag) in [(before, s[1]), (after, s[2]), (full, s[3])] {
+                let (_if, then, _else) = scf::if_op(b, answer, vec![]);
+                let mut then = OpBuilder::at_block_end(b.ctx(), then);
+                hls::write(&mut then, v, flag);
+                scf::yield_op(&mut then, vec![]);
+            }
+        });
+        for (schedule, full) in SCHEDULES.into_iter().zip([0, 1]) {
+            let outcome = execute(&ctx, module, "k", |_| vec![], schedule).unwrap();
+            let Outcome::Completed { streams, .. } = outcome else {
+                panic!("{schedule:?} deadlocked");
+            };
+            assert_eq!(streams, [1, 1, 0, full], "{schedule:?}");
         }
-        assert_eq!(machine.lookup(e0).unwrap(), RtValue::Bool(true));
-        assert_eq!(machine.lookup(e).unwrap(), RtValue::Bool(false));
-        assert_eq!(machine.lookup(f).unwrap(), RtValue::Bool(false));
     }
 }

@@ -1,54 +1,97 @@
-//! Concurrent execution engine: one OS thread per dataflow stage, bounded
-//! channels as FIFOs, and a watchdog that converts stalls into deadlock
-//! reports.
+//! The dataflow executor: one stage loop, two schedules.
 //!
-//! The sequential engine ([`crate::executor`]) validates *values*; this
-//! engine validates *concurrency*: that the generated design really is a
-//! deadlock-free Kahn network under hardware-like bounded FIFOs. It is
-//! also how we reproduce the paper's StencilFlow observation — runs that
-//! "did not complete their execution under 10 minutes, a likely indicator
-//! of deadlock" — as a first-class outcome rather than a hang.
+//! An `hls.dataflow` region is a Kahn process network — stages joined by
+//! FIFOs, blocking reads, no peeking — so every schedule that completes
+//! it computes the same values and pushes the same elements. [`execute`]
+//! runs a kernel's init phase (everything outside its dataflow regions),
+//! then its stages under a [`Schedule`]: in program order over unbounded
+//! FIFOs, every stage tree-walked (the functional reference), or one OS
+//! thread each over FIFOs bounded at their declared depth, compute and dup
+//! stages as [`stageplan`](crate::stageplan) programs, with a watchdog
+//! that makes a stall — the paper's StencilFlow "likely indicator of
+//! deadlock" — a report, not a hang. Both share one transport, one
+//! [`ExternOps`] for the `hls` ops and the runtime calls, a copy-on-write
+//! view of the initial store per stage, the merge of what the writing
+//! stage wrote and one [`Outcome`]: a stall is a [`DeadlockReport`]
+//! naming the stage and the stream, and a stage that fails or panics is
+//! an error naming the stage.
 
-use std::collections::VecDeque;
+#![deny(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::iter::zip;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use shmls_dialects::hls;
-use shmls_ir::error::{IrError, IrResult};
+use shmls_dialects::func;
+use shmls_dialects::hls::{self, RuntimeKind};
+use shmls_ir::error::{panic_reason, IrError, IrResult};
 use shmls_ir::interp::{Buffer, ExternOps, Machine, RtValue, Store};
+use shmls_ir::ir_error;
 use shmls_ir::prelude::*;
-use shmls_ir::{ir_bail, ir_error};
 
 use crate::deadlock::{DeadlockReport, StageSnapshot, StageStatus, StreamSnapshot};
+use crate::design::DesignDescriptor;
 use crate::executor::{dispatch_runtime_call, StreamIo};
+use crate::stageplan::{plan_stage, run_stage_plan};
 
-/// Outcome of a threaded run.
+/// How the stages of a dataflow region are scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// The calling thread runs the stages in program order over unbounded
+    /// FIFOs; a pop from an empty FIFO stalls at once.
+    Sequential,
+    /// One OS thread per stage over FIFOs bounded at their declared depth.
+    Threaded {
+        /// How long one blocking stream operation may stall before the
+        /// run is declared deadlocked.
+        watchdog: Duration,
+    },
+}
+
+impl Schedule {
+    /// How long a blocked stream operation waits: not at all on the
+    /// sequential schedule, where nothing else runs to unblock it.
+    fn watchdog(self) -> Duration {
+        match self {
+            Schedule::Sequential => Duration::ZERO,
+            Schedule::Threaded { watchdog } => watchdog,
+        }
+    }
+}
+
+/// Outcome of a run.
 #[derive(Debug)]
-pub enum ThreadedOutcome<'d> {
-    /// All stages completed; the store contains the written outputs.
+pub enum Outcome<'d> {
+    /// All stages completed.
     Completed {
-        /// Final memory state: the initial store with the buffers the
-        /// writing stage wrote.
+        /// The initial store with the buffers the writing stage wrote.
         store: Store<'d>,
         /// Total 512-bit beats moved.
         mem_beats: u64,
+        /// Elements pushed into each stream, creation order.
+        streams: Vec<u64>,
     },
-    /// At least one stage stalled past the watchdog — a deadlock (or an
-    /// unbalanced producer/consumer pair). The report snapshots every
-    /// stage's state and every FIFO's occupancy vs. declared depth.
+    /// At least one stage stalled.
     Deadlock {
         /// Structured diagnosis naming the blocked stages and streams.
         report: Box<DeadlockReport>,
     },
 }
 
-/// One bounded FIFO: a queue that never holds more than `depth` values,
-/// with one condition per direction a stage can block in.
+/// One FIFO: a queue with one condition per direction a stage can block
+/// in, the count of values ever pushed, and — on the threaded schedule —
+/// its declared depth as the bound a push waits under.
 struct Channel {
     queue: Mutex<VecDeque<RtValue>>,
     not_empty: Condvar,
     not_full: Condvar,
     depth: usize,
+    bound: Option<usize>,
+    pushed: AtomicU64,
 }
 
 /// Lock a mutex whose data every critical section here leaves valid (a
@@ -58,7 +101,21 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Wake a stage blocked on `condition`. With a zero watchdog none ever
+/// blocks, and a wake is a system call on every push and pop.
+fn wake(condition: &Condvar, watchdog: Duration) {
+    if !watchdog.is_zero() {
+        condition.notify_one();
+    }
+}
+
 impl Channel {
+    /// At its bound: what `hls.full` answers and a push waits out. An
+    /// unbounded FIFO is never full.
+    fn full(&self, occupancy: usize) -> bool {
+        self.bound.is_some_and(|bound| occupancy >= bound)
+    }
+
     /// Block on `condition` until `ready(queue)` holds, for at most
     /// `watchdog` in total; `None` means the watchdog expired first.
     fn wait_until<'a>(
@@ -71,9 +128,9 @@ impl Channel {
         let mut deadline = None;
         while !ready(&queue) {
             let deadline = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
-            let left = deadline.checked_duration_since(Instant::now())?;
+            let left = deadline.checked_duration_since(Instant::now());
             queue = condition
-                .wait_timeout(queue, left)
+                .wait_timeout(queue, left.filter(|left| !left.is_zero())?)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
@@ -81,26 +138,34 @@ impl Channel {
     }
 }
 
-/// A channel-backed stream table shared by all stage threads.
-struct ChannelTable {
+/// The streams of one run, shared by all its stages.
+pub(crate) struct ChannelTable {
     channels: Mutex<Vec<Arc<Channel>>>,
-    watchdog: Duration,
+    schedule: Schedule,
 }
 
 impl ChannelTable {
-    fn create(&self, depth: usize) -> usize {
+    /// No streams yet; each FIFO created is bounded as `schedule` says.
+    pub(crate) fn new(schedule: Schedule) -> Arc<ChannelTable> {
+        let channels = Mutex::default();
+        Arc::new(ChannelTable { channels, schedule })
+    }
+
+    pub(crate) fn create(&self, depth: usize) -> usize {
         let mut guard = lock(&self.channels);
         guard.push(Arc::new(Channel {
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            depth: depth.max(1),
+            depth,
+            bound: matches!(self.schedule, Schedule::Threaded { .. }).then_some(depth),
+            pushed: AtomicU64::new(0),
         }));
         guard.len() - 1
     }
 
     /// Occupancy vs. declared depth for every FIFO, creation order.
-    fn snapshot(&self) -> Vec<StreamSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<StreamSnapshot> {
         lock(&self.channels)
             .iter()
             .enumerate()
@@ -112,26 +177,35 @@ impl ChannelTable {
             })
             .collect()
     }
+
+    /// Elements ever pushed into every FIFO, creation order.
+    pub(crate) fn pushed(&self) -> Vec<u64> {
+        let pushed = |c: &Arc<Channel>| c.pushed.load(Ordering::Relaxed);
+        lock(&self.channels).iter().map(pushed).collect()
+    }
 }
 
-/// Stream transport over bounded channels with stall detection. Records
-/// the last blocking operation that timed out so the deadlock report can
-/// name the stream the owning stage was stuck on.
-struct ChannelIo {
+/// One stage's side of the streams — the init phase's, too: its
+/// transport, the executor's one [`ExternOps`] for the `hls` ops and the
+/// runtime calls, the beats it moved, and the last operation that stalled,
+/// so the deadlock report can name the stream the stage was stuck on.
+pub(crate) struct ChannelIo {
     table: Arc<ChannelTable>,
     /// The table's channels as last seen. The table only ever grows, so
     /// a handle found here is current and the shared table is locked
     /// only for a handle this stage has not met yet.
     known: Vec<Arc<Channel>>,
     last_stall: Option<StageStatus>,
+    mem_beats: u64,
 }
 
 impl ChannelIo {
-    fn new(table: Arc<ChannelTable>) -> ChannelIo {
+    pub(crate) fn new(table: Arc<ChannelTable>) -> ChannelIo {
         ChannelIo {
             table,
             known: Vec::new(),
             last_stall: None,
+            mem_beats: 0,
         }
     }
 
@@ -144,51 +218,41 @@ impl ChannelIo {
             None => Err(ir_error!("invalid stream handle {handle}")),
         }
     }
+
+    /// Fail a blocked operation, keeping what blocked it for the report.
+    fn stall(&mut self, status: StageStatus) -> IrError {
+        self.last_stall = Some(status);
+        ir_error!("stalled past the watchdog: {status:?}")
+    }
 }
 
 impl StreamIo for ChannelIo {
     fn pop(&mut self, handle: usize) -> IrResult<RtValue> {
-        let watchdog = self.table.watchdog;
+        let watchdog = self.table.schedule.watchdog();
         let channel = self.channel(handle)?;
-        if let Some(mut queue) = channel.wait_until(&channel.not_empty, watchdog, |q| !q.is_empty())
-        {
-            let value = queue.pop_front().expect("waited for a non-empty queue");
-            drop(queue);
-            channel.not_full.notify_one();
+        let queue = channel.wait_until(&channel.not_empty, watchdog, |q| !q.is_empty());
+        if let Some(value) = queue.and_then(|mut queue| queue.pop_front()) {
+            wake(&channel.not_full, watchdog);
             return Ok(value);
         }
-        self.last_stall = Some(StageStatus::BlockedOnPop { stream: handle });
-        Err(stall_error("read", handle))
+        Err(self.stall(StageStatus::BlockedOnPop { stream: handle }))
     }
 
     fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()> {
-        let watchdog = self.table.watchdog;
+        let watchdog = self.table.schedule.watchdog();
         let channel = self.channel(handle)?;
-        let depth = channel.depth;
-        if let Some(mut queue) =
-            channel.wait_until(&channel.not_full, watchdog, |q| q.len() < depth)
-        {
-            queue.push_back(value);
-            drop(queue);
-            channel.not_empty.notify_one();
+        let not_full = |q: &VecDeque<RtValue>| !channel.full(q.len());
+        let queue = channel.wait_until(&channel.not_full, watchdog, not_full);
+        if queue.map(|mut queue| queue.push_back(value)).is_some() {
+            channel.pushed.fetch_add(1, Ordering::Relaxed);
+            wake(&channel.not_empty, watchdog);
             return Ok(());
         }
-        self.last_stall = Some(StageStatus::BlockedOnPush { stream: handle });
-        Err(stall_error("write", handle))
+        Err(self.stall(StageStatus::BlockedOnPush { stream: handle }))
     }
 }
 
-fn stall_error(what: &str, handle: usize) -> IrError {
-    ir_error!("stalled: blocking {what} on stream {handle} exceeded the watchdog")
-}
-
-/// Extern hook for stage threads and for the init phase.
-struct ChannelExtern {
-    io: ChannelIo,
-    mem_beats: u64,
-}
-
-impl ExternOps for ChannelExtern {
+impl ExternOps for ChannelIo {
     fn exec(
         &mut self,
         ctx: &Context,
@@ -196,197 +260,230 @@ impl ExternOps for ChannelExtern {
         args: &[RtValue],
         store: &mut Store<'_>,
     ) -> IrResult<Option<Vec<RtValue>>> {
-        match ctx.op_name(op) {
+        let name = ctx.op_name(op);
+        let results = match name {
             hls::CREATE_STREAM => {
                 let depth = hls::stream_depth(ctx, op).max(1) as usize;
-                Ok(Some(vec![RtValue::Stream(self.io.table.create(depth))]))
+                vec![RtValue::Stream(self.table.create(depth))]
             }
-            hls::READ => Ok(Some(vec![self.io.pop(args[0].as_stream()?)?])),
+            hls::READ => vec![self.pop(args[0].as_stream()?)?],
             hls::WRITE => {
-                self.io.push(args[1].as_stream()?, args[0].clone())?;
-                Ok(Some(vec![]))
+                self.push(args[1].as_stream()?, args[0].clone())?;
+                vec![]
             }
             hls::EMPTY | hls::FULL => {
-                ir_bail!("hls.empty/full are not supported by the threaded engine")
+                let channel = self.channel(args[0].as_stream()?)?;
+                let occupancy = lock(&channel.queue).len();
+                vec![RtValue::Bool(match name {
+                    hls::EMPTY => occupancy == 0,
+                    _ => channel.full(occupancy),
+                })]
             }
-            hls::PIPELINE | hls::UNROLL | hls::ARRAY_PARTITION | hls::INTERFACE => Ok(Some(vec![])),
-            shmls_dialects::func::CALL => {
-                let mut beats = 0u64;
-                let r = dispatch_runtime_call(&mut self.io, &mut beats, ctx, op, args, store);
-                self.mem_beats += beats;
-                r
+            // Directive ops are structural no-ops at functional level.
+            hls::PIPELINE | hls::UNROLL | hls::ARRAY_PARTITION | hls::INTERFACE => vec![],
+            func::CALL => {
+                let beats = dispatch_runtime_call(self, ctx, op, args, store)?;
+                self.mem_beats += beats.unwrap_or(0);
+                return Ok(beats.map(|_| vec![]));
             }
-            _ => Ok(None),
-        }
+            _ => return Ok(None),
+        };
+        Ok(Some(results))
     }
 }
 
-/// Execute the HLS kernel `func_name` with one thread per dataflow stage
-/// and bounded FIFOs. `setup` allocates buffers and returns the argument
-/// values; `watchdog` bounds how long any single blocking stream operation
-/// may stall before the run is declared deadlocked.
-pub fn execute_threaded<'d>(
+/// What one stage came to.
+enum StageResult {
+    /// The buffers the stage wrote or allocated, by handle, and its beats.
+    Done(Vec<Option<Buffer>>, u64),
+    /// The stage stalled on the named stream operation.
+    Stalled(StageStatus),
+    Failed(IrError),
+}
+
+/// A kernel after its init phase: the stages still to run and what they
+/// share — the SSA values and the memory the init phase left.
+struct Network<'d> {
+    ctx: &'d Context,
+    /// The module's functions by name, handed to each stage's machine
+    /// instead of its walking the whole module for them again.
+    functions: BTreeMap<String, OpId>,
+    func: OpId,
+    stages: Vec<OpId>,
+    env: HashMap<ValueId, RtValue>,
+    store: Store<'d>,
+    table: Arc<ChannelTable>,
+    mem_beats: u64,
+}
+
+impl<'d> Network<'d> {
+    /// Bind the arguments `setup` returns and run everything of
+    /// `func_name` but its dataflow regions, which are collected.
+    fn init(
+        ctx: &'d Context,
+        module: OpId,
+        func_name: &str,
+        setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
+        table: Arc<ChannelTable>,
+    ) -> IrResult<Self> {
+        let mut io = ChannelIo::new(Arc::clone(&table));
+        let mut machine = Machine::new(ctx, module, &mut io);
+        let func = *machine
+            .functions
+            .get(func_name)
+            .ok_or_else(|| ir_error!("unknown function `{func_name}`"))?;
+        let entry = ctx
+            .entry_block(func)
+            .ok_or_else(|| ir_error!("function `{func_name}` has no body"))?;
+        let args = setup(&mut machine.store);
+        for (&p, a) in ctx.block_args(entry).iter().zip(args) {
+            machine.bind(p, a);
+        }
+        let mut stages = Vec::new();
+        for &op in ctx.block_ops(entry) {
+            match ctx.op_name(op) {
+                hls::DATAFLOW => stages.push(op),
+                func::RETURN => break,
+                _ => {
+                    machine.exec_op(op)?;
+                }
+            }
+        }
+        let env = std::mem::take(&mut machine.env);
+        let store = std::mem::take(&mut machine.store);
+        let functions = std::mem::take(&mut machine.functions);
+        drop(machine);
+        Ok(Network {
+            ctx,
+            functions,
+            func,
+            stages,
+            env,
+            store,
+            table,
+            mem_beats: io.mem_beats,
+        })
+    }
+
+    /// Run stage `i` over its own view of the initial memory — it reads
+    /// in place and pays only for the buffers it writes — as a stage plan
+    /// if `planned` and it has one, tree-walked otherwise.
+    fn run_stage(&self, i: usize, planned: bool) -> StageResult {
+        let store = self.store.lend_all();
+        let mut io = ChannelIo::new(Arc::clone(&self.table));
+        let (run, store) = match planned.then(|| plan_stage(self.ctx, self.stages[i])) {
+            Some(Some(plan)) => (run_stage_plan(&plan, &self.env, &store, &mut io), store),
+            _ => {
+                let mut machine = Machine::new(self.ctx, self.stages[i], &mut io);
+                machine.functions = self.functions.clone();
+                machine.env = self.env.clone();
+                machine.store = store;
+                let run = match self.ctx.entry_block(self.stages[i]) {
+                    Some(body) => machine.run_block(body).map(|_| ()),
+                    None => Err(ir_error!("dataflow stage without body")),
+                };
+                (run, std::mem::take(&mut machine.store))
+            }
+        };
+        match (run, io.last_stall) {
+            (Ok(()), _) => StageResult::Done(store.into_owned_buffers(), io.mem_beats),
+            // A stall fails its stage on the spot, so a stage that
+            // recorded one failed of it.
+            (Err(_), Some(status)) => StageResult::Stalled(status),
+            (Err(e), None) => StageResult::Failed(e),
+        }
+    }
+
+    /// Run every stage under `schedule`, a panic contained to its stage.
+    fn run_stages(&self, schedule: Schedule) -> Vec<thread::Result<StageResult>> {
+        let stages = 0..self.stages.len();
+        match schedule {
+            Schedule::Sequential => stages
+                .map(|i| catch_unwind(AssertUnwindSafe(|| self.run_stage(i, false))))
+                .collect(),
+            Schedule::Threaded { .. } => thread::scope(|scope| {
+                let handles: Vec<_> = stages
+                    .map(|i| scope.spawn(move || self.run_stage(i, true)))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            }),
+        }
+    }
+
+    /// `stage{i}:{kind}` for every stage, from the design descriptor.
+    fn labels(&self) -> Vec<String> {
+        let design = DesignDescriptor::extract(self.ctx, self.func).ok();
+        let label = |i: usize| match design.as_ref().and_then(|d| d.stages.get(i)) {
+            Some(stage) => stage.label(i),
+            None => format!("stage{i}:unknown"),
+        };
+        (0..self.stages.len()).map(label).collect()
+    }
+
+    /// One outcome from every stage's result. The first failure in
+    /// program order is the error — a failing stage is a bug in the
+    /// program, not a deadlock, even if its failure starved the others.
+    fn finish(self, results: Vec<thread::Result<StageResult>>) -> IrResult<Outcome<'d>> {
+        let write_data = |&s: &OpId| hls::stage_kind(self.ctx, s) == Some(RuntimeKind::WriteData);
+        let writer = self.stages.iter().position(write_data);
+        let (mut mem_beats, mut written, mut statuses) = (self.mem_beats, Vec::new(), Vec::new());
+        for (i, result) in results.into_iter().enumerate() {
+            match result {
+                Ok(StageResult::Done(owned, beats)) => {
+                    statuses.push(StageStatus::Finished);
+                    mem_beats += beats;
+                    if writer == Some(i) {
+                        written = owned;
+                    }
+                }
+                Ok(StageResult::Stalled(status)) => statuses.push(status),
+                Ok(StageResult::Failed(e)) => return Err(e),
+                Err(payload) => {
+                    let (label, reason) = (&self.labels()[i], panic_reason(&*payload));
+                    return Err(ir_error!("dataflow stage {label} panicked: {reason}"));
+                }
+            }
+        }
+        if statuses.iter().any(|s| *s != StageStatus::Finished) {
+            let snapshot = |(stage, status)| StageSnapshot { stage, status };
+            let stages = zip(self.labels(), statuses).map(snapshot).collect();
+            let streams = self.table.snapshot();
+            let report = Box::new(DeadlockReport {
+                stages,
+                streams,
+                cycles: None,
+            });
+            return Ok(Outcome::Deadlock { report });
+        }
+        // What the writing stage came to own goes back behind its handle.
+        // (A buffer a stage allocated for itself has no handle outside it.)
+        let mut store = self.store;
+        for (handle, buffer) in written.into_iter().enumerate().take(store.len()) {
+            if let Some(buffer) = buffer {
+                store.put(handle, buffer)?;
+            }
+        }
+        Ok(Outcome::Completed {
+            store,
+            mem_beats,
+            streams: self.table.pushed(),
+        })
+    }
+}
+
+/// Execute the HLS kernel `func_name` in `module` under `schedule`.
+/// `setup` allocates the kernel's buffers in the store and returns the
+/// argument values in signature order.
+pub fn execute<'d>(
     ctx: &'d Context,
     module: OpId,
     func_name: &str,
     setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
-    watchdog: Duration,
-) -> IrResult<ThreadedOutcome<'d>> {
-    let table = Arc::new(ChannelTable {
-        channels: Mutex::new(Vec::new()),
-        watchdog,
-    });
-
-    // ---- init phase: run everything except dataflow regions -------------
-    let mut init_extern = ChannelExtern {
-        io: ChannelIo::new(Arc::clone(&table)),
-        mem_beats: 0,
-    };
-    let mut machine = Machine::new(ctx, module, &mut init_extern);
-    let func = *machine
-        .functions
-        .get(func_name)
-        .ok_or_else(|| ir_error!("unknown function `{func_name}`"))?;
-    let entry = ctx
-        .entry_block(func)
-        .ok_or_else(|| ir_error!("function `{func_name}` has no body"))?;
-    let params = ctx.block_args(entry).to_vec();
-    let args = setup(&mut machine.store);
-    for (p, a) in params.iter().zip(&args) {
-        machine.bind(*p, a.clone());
-    }
-
-    let mut stages: Vec<OpId> = Vec::new();
-    for &op in ctx.block_ops(entry) {
-        match ctx.op_name(op) {
-            hls::DATAFLOW => stages.push(op),
-            shmls_dialects::func::RETURN => break,
-            _ => {
-                machine.exec_op(op)?;
-            }
-        }
-    }
-    let env = machine.env.clone();
-    let init_store = std::mem::take(&mut machine.store);
-    drop(machine);
-    let init_beats = init_extern.mem_beats;
-
-    // Identify the stage doing external writes — what it wrote is the
-    // result.
-    let write_stage = stages
-        .iter()
-        .position(|&s| hls::stage_kind(ctx, s) == Some(hls::RuntimeKind::WriteData));
-
-    // ---- concurrent phase ------------------------------------------------
-    enum StageResult {
-        /// The buffers the stage wrote or allocated, by handle, and its
-        /// memory beats.
-        Done(Vec<Option<Buffer>>, u64),
-        /// The stage timed out blocking on the named stream operation.
-        Stalled(StageStatus),
-        Failed(IrError),
-    }
-
-    // Bytecode tier: stages matching the generated compute/dup shape run
-    // as flat register programs; everything else (runtime-call stages,
-    // unplanned shapes) keeps the tree-walking interpreter.
-    let plans: Vec<Option<crate::stageplan::StagePlan>> = stages
-        .iter()
-        .map(|&s| crate::stageplan::plan_stage(ctx, s))
-        .collect();
-
-    let results: Vec<StageResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (&stage, plan) in stages.iter().zip(plans) {
-            let env = env.clone();
-            // Every stage reads the initial memory in place and pays only
-            // for the buffers it writes.
-            let store = init_store.lend_all();
-            let table = Arc::clone(&table);
-            handles.push(scope.spawn(move || -> StageResult {
-                let mut ext = ChannelExtern {
-                    io: ChannelIo::new(table),
-                    mem_beats: 0,
-                };
-                let (run, store, beats) = if let Some(plan) = plan {
-                    let run = crate::stageplan::run_stage_plan(&plan, &env, &store, &mut ext.io);
-                    (run, store, 0)
-                } else {
-                    let mut m = Machine::new(ctx, module, &mut ext);
-                    m.env = env;
-                    m.store = store;
-                    let Some(body) = ctx.entry_block(stage) else {
-                        return StageResult::Failed(ir_error!("dataflow stage without body"));
-                    };
-                    let run = m.run_block(body).map(|_| ());
-                    let store = std::mem::take(&mut m.store);
-                    drop(m);
-                    (run, store, ext.mem_beats)
-                };
-                match run {
-                    Ok(()) => StageResult::Done(store.into_owned_buffers(), beats),
-                    // A stall fails its stage on the spot, so a stage that
-                    // recorded one failed of it.
-                    Err(e) => match ext.io.last_stall {
-                        Some(status) => StageResult::Stalled(status),
-                        None => StageResult::Failed(e),
-                    },
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stage thread panicked"))
-            .collect()
-    });
-
-    // Non-stall errors take precedence: a failing stage is a bug in the
-    // program, not a deadlock, even if its failure starved the others.
-    let mut mem_beats = init_beats;
-    let mut written: Vec<Option<Buffer>> = Vec::new();
-    let mut statuses: Vec<StageStatus> = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            StageResult::Done(owned, beats) => {
-                statuses.push(StageStatus::Finished);
-                mem_beats += beats;
-                if write_stage == Some(i) {
-                    written = owned;
-                }
-            }
-            StageResult::Stalled(status) => statuses.push(status),
-            StageResult::Failed(e) => return Err(e),
-        }
-    }
-    if statuses.iter().any(|s| *s != StageStatus::Finished) {
-        // The labels every report carries: the descriptor's.
-        let design = crate::design::DesignDescriptor::extract(ctx, func);
-        let label = |i: usize| match &design {
-            Ok(design) => design.stages[i].label(i),
-            Err(_) => format!("stage{i}:unknown"),
-        };
-        let snapshot = |(i, status)| StageSnapshot {
-            stage: label(i),
-            status,
-        };
-        let report = DeadlockReport {
-            stages: statuses.into_iter().enumerate().map(snapshot).collect(),
-            streams: table.snapshot(),
-            cycles: None,
-        };
-        return Ok(ThreadedOutcome::Deadlock {
-            report: Box::new(report),
-        });
-    }
-    // What the writing stage came to own goes back behind its handle. (A
-    // buffer a stage allocated for itself has no handle outside it.)
-    let mut store = init_store;
-    for (handle, buffer) in written.into_iter().enumerate().take(store.len()) {
-        if let Some(buffer) = buffer {
-            store.put(handle, buffer)?;
-        }
-    }
-    Ok(ThreadedOutcome::Completed { store, mem_beats })
+    schedule: Schedule,
+) -> IrResult<Outcome<'d>> {
+    let network = Network::init(ctx, module, func_name, setup, ChannelTable::new(schedule))?;
+    let results = network.run_stages(schedule);
+    network.finish(results)
 }
 
 #[cfg(test)]
@@ -395,6 +492,12 @@ mod tests {
     use shmls_dialects::builtin::create_module;
     use shmls_dialects::{arith, func as fdial, scf};
     use shmls_ir::builder::OpBuilder;
+
+    fn threaded(watchdog_ms: u64) -> Schedule {
+        Schedule::Threaded {
+            watchdog: Duration::from_millis(watchdog_ms),
+        }
+    }
 
     /// Build a module with one function containing `n` dataflow stages
     /// produced by `build`, for hand-made concurrency tests.
@@ -438,6 +541,10 @@ mod tests {
         })
     }
 
+    fn run(ctx: &Context, module: OpId, schedule: Schedule) -> Outcome<'_> {
+        execute(ctx, module, "k", |_| vec![], schedule).unwrap()
+    }
+
     /// The transport alone, two threads: values leave in the order they
     /// entered, and the queue never holds more than its declared depth —
     /// the consumer starts only once the producer has filled it.
@@ -445,10 +552,7 @@ mod tests {
     fn channel_is_fifo_and_never_exceeds_its_depth() {
         const DEPTH: usize = 3;
         const VALUES: i64 = 2000;
-        let table = Arc::new(ChannelTable {
-            channels: Mutex::new(Vec::new()),
-            watchdog: Duration::from_secs(5),
-        });
+        let table = ChannelTable::new(threaded(5000));
         let stream = table.create(DEPTH);
         let io = || ChannelIo::new(Arc::clone(&table));
         let occupancy = || table.snapshot()[stream].occupancy;
@@ -473,38 +577,41 @@ mod tests {
             }
         });
         assert_eq!(occupancy(), 0);
+        assert_eq!(table.pushed(), [VALUES as u64]);
     }
 
     #[test]
     fn balanced_pipeline_completes() {
         let (ctx, module) = producer_consumer(1000, 1000, 2);
-        let out = execute_threaded(&ctx, module, "k", |_| vec![], Duration::from_secs(5)).unwrap();
-        assert!(matches!(out, ThreadedOutcome::Completed { .. }));
+        for schedule in [Schedule::Sequential, threaded(5000)] {
+            match run(&ctx, module, schedule) {
+                Outcome::Completed { streams, .. } => assert_eq!(streams, [1000]),
+                other => panic!("{schedule:?}: expected completion, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn starved_consumer_is_deadlock() {
         // Consumer wants more than the producer sends: blocking read stalls.
         let (ctx, module) = producer_consumer(10, 11, 2);
-        let out =
-            execute_threaded(&ctx, module, "k", |_| vec![], Duration::from_millis(200)).unwrap();
-        match out {
-            ThreadedOutcome::Deadlock { report } => {
-                // The consumer (stage 1) is blocked popping the empty
-                // stream 0; the producer finished.
-                assert_eq!(report.stages.len(), 2);
-                assert_eq!(report.stages[0].status, StageStatus::Finished);
-                assert_eq!(
-                    report.stages[1].status,
-                    StageStatus::BlockedOnPop { stream: 0 }
-                );
-                assert_eq!(report.streams.len(), 1);
-                assert_eq!(report.streams[0].occupancy, 0);
-                assert_eq!(report.streams[0].depth, 2);
-                let text = report.to_string();
-                assert!(text.contains("blocked popping stream 0"), "{text}");
-            }
-            other => panic!("expected deadlock, got {other:?}"),
+        for schedule in [Schedule::Sequential, threaded(200)] {
+            let Outcome::Deadlock { report } = run(&ctx, module, schedule) else {
+                panic!("{schedule:?}: expected deadlock");
+            };
+            // The consumer (stage 1) is blocked popping the empty
+            // stream 0; the producer finished.
+            assert_eq!(report.stages.len(), 2);
+            assert_eq!(report.stages[0].status, StageStatus::Finished);
+            assert_eq!(
+                report.stages[1].status,
+                StageStatus::BlockedOnPop { stream: 0 }
+            );
+            assert_eq!(report.streams.len(), 1);
+            assert_eq!(report.streams[0].occupancy, 0);
+            assert_eq!(report.streams[0].depth, 2);
+            let text = report.to_string();
+            assert!(text.contains("blocked popping stream 0"), "{text}");
         }
     }
 
@@ -518,9 +625,10 @@ mod tests {
             let mut ib = OpBuilder::at_block_end(ctx, body);
             fdial::call(&mut ib, "does_not_exist", vec![], vec![]);
         });
-        let e = execute_threaded(&ctx, module, "k", |_| vec![], Duration::from_millis(200))
-            .unwrap_err();
-        assert!(e.to_string().contains("does_not_exist"), "{e}");
+        for schedule in [Schedule::Sequential, threaded(200)] {
+            let e = execute(&ctx, module, "k", |_| vec![], schedule).unwrap_err();
+            assert!(e.to_string().contains("does_not_exist"), "{e}");
+        }
     }
 
     #[test]
@@ -528,22 +636,53 @@ mod tests {
         // Producer sends more than the consumer drains: bounded FIFO fills,
         // the blocking write stalls — the StencilFlow failure mode.
         let (ctx, module) = producer_consumer(100, 10, 2);
-        let out =
-            execute_threaded(&ctx, module, "k", |_| vec![], Duration::from_millis(200)).unwrap();
-        match out {
-            ThreadedOutcome::Deadlock { report } => {
-                // The producer (stage 0) is blocked pushing the full
-                // stream 0; the consumer drained its 10 and finished.
-                assert_eq!(
-                    report.stages[0].status,
-                    StageStatus::BlockedOnPush { stream: 0 }
-                );
-                assert_eq!(report.stages[1].status, StageStatus::Finished);
-                let s0 = &report.streams[0];
-                assert_eq!((s0.occupancy, s0.depth), (2, 2), "FIFO must be full");
-                assert!(s0.is_full());
-            }
-            other => panic!("expected deadlock, got {other:?}"),
+        let Outcome::Deadlock { report } = run(&ctx, module, threaded(200)) else {
+            panic!("expected deadlock");
+        };
+        // The producer (stage 0) is blocked pushing the full stream 0; the
+        // consumer drained its 10 and finished.
+        assert_eq!(
+            report.stages[0].status,
+            StageStatus::BlockedOnPush { stream: 0 }
+        );
+        assert_eq!(report.stages[1].status, StageStatus::Finished);
+        let s0 = &report.streams[0];
+        assert_eq!((s0.occupancy, s0.depth), (2, 2), "FIFO must be full");
+        assert!(s0.is_full());
+        // Unbounded, the producer is never refused: the 90 undrained
+        // values stay queued and the run completes.
+        match run(&ctx, module, Schedule::Sequential) {
+            Outcome::Completed { streams, .. } => assert_eq!(streams, [100]),
+            other => panic!("expected completion, got {other:?}"),
         }
+    }
+
+    /// A consumer ahead of its producer in program order: the threaded
+    /// schedule runs them side by side and completes; the sequential one
+    /// runs the consumer first, whose pop stalls at once — a deadlock
+    /// report naming the stage and the stream, as the others give.
+    #[test]
+    fn a_consumer_before_its_producer_stalls_only_in_program_order() {
+        let (ctx, module) = stage_module(|ctx, entry| {
+            let mut b = OpBuilder::at_block_end(ctx, entry);
+            let s = hls::create_stream(&mut b, Type::F64, 2);
+            let (_consumer, consumer) = hls::dataflow(&mut b);
+            let (_producer, producer) = hls::dataflow(&mut OpBuilder::at_block_end(ctx, entry));
+            hls::read(&mut OpBuilder::at_block_end(ctx, consumer), s);
+            let mut b = OpBuilder::at_block_end(ctx, producer);
+            let v = arith::constant_f64(&mut b, 1.5);
+            hls::write(&mut b, v, s);
+        });
+        match run(&ctx, module, threaded(5000)) {
+            Outcome::Completed { streams, .. } => assert_eq!(streams, [1]),
+            other => panic!("expected completion, got {other:?}"),
+        }
+        let Outcome::Deadlock { report } = run(&ctx, module, Schedule::Sequential) else {
+            panic!("a pop ahead of its push completed");
+        };
+        let statuses: Vec<_> = report.stages.iter().map(|s| s.status).collect();
+        let popped_early = StageStatus::BlockedOnPop { stream: 0 };
+        assert_eq!(statuses, [popped_early, StageStatus::Finished]);
+        assert_eq!(report.streams[0].occupancy, 1, "the producer ran after");
     }
 }

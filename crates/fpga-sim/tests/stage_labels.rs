@@ -11,7 +11,7 @@ use shmls_dialects::{arith, func, hls, scf};
 use shmls_fpga_sim::cycle::simulate;
 use shmls_fpga_sim::deadlock::{DeadlockReport, StageStatus};
 use shmls_fpga_sim::design::DesignDescriptor;
-use shmls_fpga_sim::threaded::{execute_threaded, ThreadedOutcome};
+use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
 use shmls_ir::builder::OpBuilder;
 use shmls_ir::prelude::*;
 
@@ -67,9 +67,18 @@ fn fork_join(depth: i64) -> (Context, OpId, OpId) {
 }
 
 fn threaded(ctx: &Context, module: OpId) -> Option<Box<DeadlockReport>> {
-    match execute_threaded(ctx, module, "k", |_| vec![], Duration::from_millis(300)).unwrap() {
-        ThreadedOutcome::Completed { .. } => None,
-        ThreadedOutcome::Deadlock { report } => Some(report),
+    let watchdog = Duration::from_millis(300);
+    match execute(
+        ctx,
+        module,
+        "k",
+        |_| vec![],
+        Schedule::Threaded { watchdog },
+    )
+    .unwrap()
+    {
+        Outcome::Completed { .. } => None,
+        Outcome::Deadlock { report } => Some(report),
     }
 }
 

@@ -2,17 +2,12 @@
 //!
 //! The interpreter executes `builtin` / `func` / `arith` / `math` / `scf` /
 //! `memref` and the `stencil` dialect directly. Ops it does not know
-//! (notably the `hls` dialect and the runtime functions `load_data` /
-//! `shift_buffer` / `write_data`) are forwarded to a pluggable
-//! [`ExternOps`] hook — the pure interpreter rejects them, the FPGA
-//! simulator implements them with FIFO/stream semantics.
-//!
-//! Determinism note: `hls.dataflow` regions form a Kahn process network
-//! (blocking reads, no peeking), so executing the stages *sequentially in
-//! program order with unbounded FIFOs* yields the same values as any
-//! concurrent schedule. The interpreter exploits this for functional
-//! validation; the threaded engine in `shmls-fpga-sim` validates the
-//! concurrent behaviour (including deadlock detection).
+//! (every `hls` op and the runtime functions `load_data` / `shift_buffer`
+//! / `write_data`) are forwarded to a pluggable [`ExternOps`] hook — the
+//! pure interpreter rejects them, the FPGA simulator implements them with
+//! FIFO/stream semantics. A dataflow region is not run here: the
+//! simulator's executor schedules its stages, each of which it runs
+//! through a [`Machine`].
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -715,18 +710,6 @@ impl<'c, 'e> Machine<'c, 'e> {
             }
             "scf.for" => self.exec_scf_for(op)?,
             "scf.if" => self.exec_scf_if(op)?,
-            "hls.dataflow" => {
-                // Sequential KPN semantics: run the region inline. Blocking
-                // reads with unbounded FIFOs make this equivalent to any
-                // concurrent schedule (Kahn determinism); the threaded
-                // engine in the simulator exercises true concurrency.
-                if let Some(block) = self.ctx.entry_block(op) {
-                    match self.run_block(block)? {
-                        BlockExit::FellThrough | BlockExit::Yield(_) => {}
-                        other => ir_bail!("unexpected dataflow region exit: {other:?}"),
-                    }
-                }
-            }
             // ---- everything else: flat ops ------------------------------
             _ => {
                 let args = self.operand_values(op)?;
@@ -1529,5 +1512,29 @@ mod tests {
 }) : () -> ()"#;
         let e = run_main(src, &[]).unwrap_err();
         assert!(e.to_string().contains("no interpretation"), "{e}");
+    }
+
+    /// A dataflow region is the simulator's executor's to schedule: the
+    /// interpreter no longer runs one inline, so a machine without an
+    /// extern hook refuses it like any other op it does not know.
+    #[test]
+    fn dataflow_regions_are_not_interpreted() {
+        let src = r#""builtin.module"() ({
+^bb():
+  "func.func"() ({
+  ^bb():
+    "hls.dataflow"() ({
+    ^bb():
+      %a = "arith.constant"() {value = 1 : i64} : () -> (i64)
+    }) : () -> ()
+    "func.return"() : () -> ()
+  }) {sym_name = "main"} : () -> ()
+}) : () -> ()"#;
+        let e = run_main(src, &[]).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("no interpretation for op `hls.dataflow`"),
+            "{e}"
+        );
     }
 }

@@ -2,6 +2,7 @@
 //! checking structural invariants of every intermediate representation.
 
 use shmls_dialects::{hls, llvm, stencil};
+use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
 use shmls_ir::prelude::*;
 use shmls_ir::verifier::verify_with;
 use stencil_hmls::{compile, CompileOptions};
@@ -359,17 +360,20 @@ fn textual_stencil_ir_is_a_complete_interchange_format() {
     let hls_name = shmls_dialects::func::func_name(&ctx2, hls_func2)
         .unwrap()
         .to_string();
-    let (store, _) =
-        shmls_fpga_sim::executor::execute_hls_kernel(&ctx2, module2, &hls_name, |store| {
-            vec![
-                shmls_ir::interp::RtValue::MemRef(store.alloc(a.clone())),
-                shmls_ir::interp::RtValue::MemRef(
-                    store.alloc(shmls_ir::interp::Buffer::zeroed(vec![14, 14], vec![-1, -1])),
-                ),
-                shmls_ir::interp::RtValue::F64(0.25),
-            ]
-        })
-        .unwrap();
+    let setup = |store: &mut shmls_ir::interp::Store<'_>| {
+        vec![
+            shmls_ir::interp::RtValue::MemRef(store.alloc(a.clone())),
+            shmls_ir::interp::RtValue::MemRef(
+                store.alloc(shmls_ir::interp::Buffer::zeroed(vec![14, 14], vec![-1, -1])),
+            ),
+            shmls_ir::interp::RtValue::F64(0.25),
+        ]
+    };
+    let Outcome::Completed { store, .. } =
+        execute(&ctx2, module2, &hls_name, setup, Schedule::Sequential).unwrap()
+    else {
+        panic!("the re-parsed design deadlocked");
+    };
     let reparsed_out = store.get(1).unwrap();
     for p in shmls_ir::interp::iter_box(&[0, 0], &[12, 12]) {
         assert_eq!(
@@ -426,17 +430,20 @@ kernel pair {
     let hls_name = shmls_dialects::func::func_name(&ctx2, hls_func2)
         .unwrap()
         .to_string();
-    let (store, _) =
-        shmls_fpga_sim::executor::execute_hls_kernel(&ctx2, module2, &hls_name, |store| {
-            let out = || Buffer::zeroed(vec![10, 8], vec![-1, -1]);
-            vec![
-                RtValue::MemRef(store.alloc(a.clone())),
-                RtValue::MemRef(store.alloc(out())),
-                RtValue::MemRef(store.alloc(out())),
-                RtValue::F64(0.5),
-            ]
-        })
-        .unwrap();
+    let setup = |store: &mut shmls_ir::interp::Store<'_>| {
+        let out = || Buffer::zeroed(vec![10, 8], vec![-1, -1]);
+        vec![
+            RtValue::MemRef(store.alloc(a.clone())),
+            RtValue::MemRef(store.alloc(out())),
+            RtValue::MemRef(store.alloc(out())),
+            RtValue::F64(0.5),
+        ]
+    };
+    let Outcome::Completed { store, .. } =
+        execute(&ctx2, module2, &hls_name, setup, Schedule::Sequential).unwrap()
+    else {
+        panic!("the fused design deadlocked");
+    };
     for (arg, name) in [(1, "b"), (2, "c")] {
         assert_eq!(store.get(arg).unwrap().data, unfused[name].data, "{name}");
     }
