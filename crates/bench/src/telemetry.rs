@@ -183,8 +183,11 @@ fn sim(rows: &mut Rows) -> Result<(), String> {
 /// copied between buffers (lent inputs written, `stencil.store` copies).
 /// A reintroduced input clone or result temp fails the gate on any host.
 /// PW advection needs neither; tracer advection's chained stages keep
-/// their temps. Every apply must have compiled to bytecode: one that had
-/// not would fall back to the tree-walker and still sweep correctly.
+/// their temps. Beside them the instructions the sweep dispatched
+/// (instructions × blocks): the deterministic twin of the vector tier's
+/// wall clock, which a narrower block or a lost packing moves. Every
+/// apply must have compiled to bytecode: one that had not would fall back
+/// to the tree-walker and still sweep correctly.
 fn sweep_work(rows: &mut Rows) -> Result<(), String> {
     for (kernel, grid) in BENCH_KERNELS {
         let kname = kernel.name;
@@ -211,6 +214,10 @@ fn sweep_work(rows: &mut Rows) -> Result<(), String> {
         rows.insert(
             format!("interp/{kname}/sweep_copied_bytes"),
             lower(work.copied_bytes as f64, "bytes"),
+        );
+        rows.insert(
+            format!("interp/{kname}/sweep_dispatches"),
+            lower(work.dispatches as f64, "count"),
         );
     }
     Ok(())

@@ -36,10 +36,11 @@ pub enum Engine {
     /// is bitwise equality with the tree-walker.
     Bytecode,
     /// Bytecode tier, vector dispatch: the same register programs
-    /// executed over [`shmls_ir::bytecode::LANES`]-point chunks with the
-    /// interior/halo row split, threaded over the axis-0 slab partition.
-    /// Also checked at zero ULPs: chunking and threading are pure
-    /// scheduling — no reassociation, no cross-lane arithmetic.
+    /// executed a block of up to [`shmls_ir::bytecode::BLOCK`] points per
+    /// dispatch — long rows read in place, short ones packed several to a
+    /// block — threaded over the axis-0 slab partition. Also checked at
+    /// zero ULPs: blocking, packing and threading are pure scheduling —
+    /// no reassociation, no cross-lane arithmetic.
     Simd,
     /// Von-Neumann loop-nest lowering, interpreted.
     Cpu,
@@ -439,7 +440,7 @@ fn check_engine(
             // Bitwise contract: the bytecode tier is checked at zero
             // ULPs, whatever tolerance the other engines run under.
             // Scalar mode is pinned so this engine keeps covering the
-            // per-point dispatch path now that the default is chunked.
+            // per-point dispatch path now that the default is blocks.
             match run_stencil_bytecode_with(compiled, data, ApplyMode::Scalar) {
                 Ok(out) => compare_outputs(engine, &compiled.kernel, oracle, &out, 0),
                 Err(e) => Some(Failure::Engine {
@@ -450,7 +451,7 @@ fn check_engine(
         }
         Engine::Simd => {
             // The vector tier under its most adversarial schedule:
-            // chunked rows *and* a slab thread fan-out. Still zero ULPs —
+            // block rows *and* a slab thread fan-out. Still zero ULPs —
             // mode changes scheduling, never arithmetic.
             match run_stencil_bytecode_with(compiled, data, ApplyMode::Chunked { threads: 3 }) {
                 Ok(out) => compare_outputs(engine, &compiled.kernel, oracle, &out, 0),

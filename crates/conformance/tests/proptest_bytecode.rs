@@ -27,7 +27,7 @@ use std::time::Duration;
 use shmls_conformance::generator::generate;
 use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::GenOptions;
-use shmls_ir::bytecode::{ApplyMode, Instr, LANES};
+use shmls_ir::bytecode::{ApplyMode, Instr, BLOCK};
 use shmls_ir::interp::iter_box;
 use shmls_ir::scalar::{BinOp, UnOp};
 use stencil_hmls::runner::{
@@ -57,15 +57,15 @@ fn check_bytecode_bitwise(seed: u64, case: u64, data_seed: u64) -> usize {
     let fast = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Scalar)
         .expect("bytecode tier (scalar)");
     assert_bitwise(seed, case, "bytecode", &oracle, &fast, &kernel.grid);
-    // The vector tier, in both its serial-chunked and threaded schedules:
-    // still zero drift — chunking moves points between dispatches, never
+    // The vector tier, in both its serial and threaded schedules: still
+    // zero drift — blocking moves points between dispatches, never
     // operations between points.
     let simd = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads: 1 })
-        .expect("bytecode tier (chunked)");
+        .expect("bytecode tier (blocks)");
     assert_bitwise(seed, case, "simd", &oracle, &simd, &kernel.grid);
     let threaded_simd =
         run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads: 3 })
-            .expect("bytecode tier (chunked+threaded)");
+            .expect("bytecode tier (blocks+threaded)");
     assert_bitwise(
         seed,
         case,
@@ -127,10 +127,10 @@ fn bytecode_matches_tree_walker_sweep() {
     assert!(planned >= 24, "suspiciously low plan coverage: {planned}");
 }
 
-/// Run laplace over an inner extent of exactly `n` in every apply mode
-/// and require bitwise agreement with the tree-walker. `threads` also
-/// varies so the axis-0 slab split and the inner-axis chunk split are
-/// exercised together.
+/// Run a seam kernel in the block mode at every thread count up to
+/// `max_threads` and require bitwise agreement with the tree-walker, so
+/// the axis-0 slab split and the inner-axis block split are exercised
+/// together.
 fn check_chunk_seam(source: &str, label: &str, max_threads: usize) {
     let kernel = shmls_frontend::parse_kernel(source).expect("parse seam kernel");
     let compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
@@ -159,29 +159,34 @@ fn check_chunk_seam(source: &str, label: &str, max_threads: usize) {
     }
 }
 
-/// The chunk-grid seams, deterministically: inner extents of W−1 (tail
-/// only), W (one full chunk, no tail), W+1 and 2W+1 (full chunks plus a
-/// one-point tail) for the vector tier's chunk width W = [`LANES`] —
-/// plus a 3-D case where the seam runs along every row of a threaded
-/// slab split. These are exactly the off-by-one shapes a chunked
-/// interior/halo split gets wrong first.
+/// The block-grid seams, deterministically, for the vector tier's block
+/// width W = [`BLOCK`]. Rows read in place: inner extents of W−1 (one
+/// partial block), W (one full block), W+1 and 2W+1 (full blocks plus a
+/// one-lane block). Rows packed several to a block: 1, 3 and 16 points,
+/// and 48, which leaves rows straddling two blocks. Plus the 3-D cases
+/// where the seams run along every row of a threaded slab split with
+/// more threads than rows. These are exactly the off-by-one shapes a
+/// block split and a packing get wrong first.
 #[test]
 fn chunk_boundary_extents_are_bitwise_exact() {
-    let w = LANES as i64;
-    for n in [w - 1, w, w + 1, 2 * w + 1] {
+    let w = BLOCK as i64;
+    for n in [1, 3, 16, w - 1, w, w + 1, 2 * w + 1] {
         check_chunk_seam(
             &shmls_kernels::laplace::source_1d(n),
             &format!("laplace1d n={n}"),
             4,
         );
     }
-    // Rank 3: inner extent W+1, a handful of axis-0 rows to split across
-    // more threads than rows (the clamp path), and an interior halo.
-    check_chunk_seam(
-        &shmls_kernels::laplace::source_3d(3, 4, w + 1),
-        "laplace3d inner=W+1",
-        5,
-    );
+    // (axis-0 rows, middle, inner): in place with inner W+1; packed 16 to
+    // a block; packed with straddling rows and enough points that three
+    // workers spawn — a thread per row at most, so 4 and 5 clamp.
+    for [nx, ny, nz] in [[3, 4, w + 1], [4, 8, 16], [3, 96, 48]] {
+        check_chunk_seam(
+            &shmls_kernels::laplace::source_3d(nx, ny, nz),
+            &format!("laplace3d {nx}x{ny}x{nz}"),
+            5,
+        );
+    }
 }
 
 /// Flip one opcode in a compiled plan and require the differential to
@@ -273,27 +278,30 @@ fn bytecode_matches_tree_walker() {
     });
 }
 
-/// Interior/halo split property: for a random inner extent straddling
-/// the chunk grid and a random thread count, the chunked executor's
-/// full-chunk interior + per-point tail must partition the row with
-/// no gap, no overlap, and no arithmetic difference — checked by
-/// bitwise comparison against the tree-walker at every point.
+/// Block split property: for a random row length — short enough to be
+/// packed, or straddling the block grid — and a random thread count, the
+/// block executor's full blocks + partial last block must partition the
+/// row with no gap, no overlap, and no arithmetic difference — checked
+/// by bitwise comparison against the tree-walker at every point.
 #[test]
 fn interior_halo_split_is_exact() {
-    // `(extra, threads, data_seed) in (0..2·LANES+2, 1..5, 1..1_000)`
+    // `(n, threads, data_seed) in (1..80 ∪ W−1..3W+1, 1..5, 1..1_000)`
+    let w = BLOCK as i64;
     let gen = |r: &mut Rng| {
-        let extra = r.range_i64(0, 2 * LANES as i64 + 1);
-        (extra, r.range(1, 4), r.range(1, 999) as u64)
+        let n = match r.range(0, 1) {
+            0 => r.range_i64(1, 79),
+            _ => w - 1 + r.range_i64(0, 2 * w + 1),
+        };
+        (n, r.range(1, 4), r.range(1, 999) as u64)
     };
-    sweep(SEED, 32, gen, |&(extra, threads, data_seed)| {
-        let n = LANES as i64 - 1 + extra;
+    sweep(SEED, 32, gen, |&(n, threads, data_seed)| {
         let kernel =
             shmls_frontend::parse_kernel(&shmls_kernels::laplace::source_1d(n)).expect("parse");
         let compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
         let data = kernel.seeded_data(data_seed);
         let oracle = run_stencil(&compiled, &data).expect("oracle");
         let got = run_stencil_bytecode_with(&compiled, &data, ApplyMode::Chunked { threads })
-            .expect("chunked");
+            .expect("block mode");
         let lb = vec![0i64; kernel.grid.len()];
         for (name, expect) in &oracle {
             let out = &got[name];

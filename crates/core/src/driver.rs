@@ -109,7 +109,7 @@ pub struct CompiledKernel {
     /// fast. Applies that fail to compile are simply absent (the
     /// tree-walker remains the universal fallback).
     pub apply_plans: HashMap<OpId, Arc<shmls_ir::bytecode::Program>>,
-    /// The apply results of the stencil-dialect function that the chunked
+    /// The apply results of the stencil-dialect function that the block
     /// bytecode tier may compute straight into the field their
     /// `stencil.store` names, skipping the temp and the copy (see
     /// [`shmls_ir::bytecode::direct_stores`]).

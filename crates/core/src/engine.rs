@@ -3,7 +3,7 @@
 //! A compiled kernel carries several executable forms of the same
 //! computation: the frontend's stencil-dialect function (tree-walked, or
 //! with each `stencil.apply` run as a bytecode program, scalar or
-//! chunked), the Von-Neumann loop nest, and the HLS dataflow design (one
+//! in blocks), the Von-Neumann loop nest, and the HLS dataflow design (one
 //! executor, its stages run in program order over unbounded FIFOs or one
 //! thread each over bounded ones). [`Engine`] is what they share —
 //! compiled kernel, bound data and a sweep depth in; the written fields,
@@ -104,7 +104,7 @@ pub enum Interp {
     Cpu,
 }
 
-/// The vector tier: chunked SoA bytecode on the calling thread. What the
+/// The vector tier: block bytecode on the calling thread. What the
 /// time march runs by default — it already gives each compute unit a
 /// thread of its own.
 pub const VECTOR: Interp = Interp::Bytecode(ApplyMode::Chunked { threads: 1 });
@@ -422,6 +422,9 @@ mod tests {
         let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
         let data = relax_data();
         let (padded, interior) = (8 * 7 * 11 * 8, 6 * 5 * 9 * 8);
+        // Three instructions for `s`, two for `b`, each over its 270
+        // points in 9-point rows packed into three blocks (128 + 128 + 14).
+        const DISPATCHES: u64 = (3 + 2) * 3;
         // Tree: a temp per apply, a box copy per store, and each lent
         // destination copied on its first write.
         assert_eq!(
@@ -429,6 +432,7 @@ mod tests {
             Some(StoreWork {
                 allocated_bytes: 2 * interior,
                 copied_bytes: 2 * padded + 2 * interior,
+                dispatches: 0,
             })
         );
         // Vector: `b` is computed in place; `s` is loaded as well as
@@ -438,6 +442,7 @@ mod tests {
             Some(StoreWork {
                 allocated_bytes: interior,
                 copied_bytes: 2 * padded + interior,
+                dispatches: DISPATCHES,
             })
         );
         // With no output supplied, `b` is the store's own: nothing lent
@@ -449,6 +454,7 @@ mod tests {
             Some(StoreWork {
                 allocated_bytes: interior,
                 copied_bytes: padded + interior,
+                dispatches: DISPATCHES,
             })
         );
     }

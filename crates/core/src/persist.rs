@@ -384,22 +384,32 @@ impl PersistentCache {
         let key = Self::key(kernel, opts);
         let (record, disposition) = if let Some(record) = self.records.get(key) {
             (record, Disposition::MemoryHit)
-        } else if let Some(record) = self.disk.as_ref().and_then(|disk| disk.load(key)) {
-            // Outside the flight: racing loads of one key are a disk hit
-            // each, and share whichever record lands first.
-            let record = self.records.insert(key, Arc::new(record));
-            (record, Disposition::DiskHit)
+        } else if let Some(loaded) = self.disk.as_ref().and_then(|disk| disk.load(key)) {
+            // Outside the flight; racing loads share whichever record
+            // lands first. A record this cache compiled is resident before
+            // it is on disk, so one found resident by now was served from
+            // memory to whoever raced this load — and so is this request.
+            let loaded = Arc::new(loaded);
+            let record = self.records.insert(key, Arc::clone(&loaded));
+            let disposition = if Arc::ptr_eq(&record, &loaded) {
+                Disposition::DiskHit
+            } else {
+                Disposition::MemoryHit
+            };
+            (record, disposition)
         } else {
-            self.records.get_or_make(key, || {
+            let (record, disposition) = self.records.get_or_make(key, || {
                 let compiled = compile_kernel(kernel.clone(), opts)?;
-                let record = DesignRecord::from_compiled(key, &compiled);
-                if let Some(disk) = &self.disk {
-                    // Persistence is best-effort: a full disk degrades the
-                    // next restart to cold, it must not fail the request.
-                    let _ = disk.store(&record);
-                }
-                Ok(record)
-            })?
+                Ok(DesignRecord::from_compiled(key, &compiled))
+            })?;
+            // Persisted by the leader once the record is resident, never
+            // before: a request that misses memory cannot find the file.
+            // Persistence is best-effort: a full disk degrades the next
+            // restart to cold, it must not fail the request.
+            if let (Disposition::Miss, Some(disk)) = (disposition, &self.disk) {
+                let _ = disk.store(&record);
+            }
+            (record, disposition)
         };
         self.served[disposition as usize].fetch_add(1, Ordering::Relaxed);
         Ok((record, disposition))

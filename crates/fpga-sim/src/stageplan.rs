@@ -24,7 +24,7 @@
 //!
 //! Stage plans deliberately stay *scalar* (one loop iteration per
 //! [`Program::run`] dispatch) rather than borrowing the apply tier's
-//! [`LANES`](shmls_ir::bytecode::LANES)-wide chunking: a stage's reads
+//! [`BLOCK`](shmls_ir::bytecode::BLOCK)-wide blocks: a stage's reads
 //! and writes interleave with other stages through bounded FIFOs, and
 //! batching N iterations' pops before their pushes would change the
 //! occupancy pattern the deadlock and cycle models are validating. The
@@ -659,11 +659,12 @@ mod tests {
     }
 
     /// Every `Un` / `Bin` / `Fma` row of the scalar table, evaluated by the
-    /// tree-walker, `Program::run`, `Program::run_lanes` and a planned
-    /// stage over special and seeded operands, must agree to the bit.
+    /// tree-walker, `Program::run`, `Program::run_block` (in one lane of
+    /// a full block and one of a partial block) and a planned stage over
+    /// special and seeded operands, must agree to the bit.
     #[test]
     fn every_float_row_agrees_bitwise_across_the_four_evaluators() {
-        use shmls_ir::bytecode::LANES;
+        use shmls_ir::bytecode::BLOCK;
         use shmls_ir::interp::{Machine, NoExtern};
 
         let mut rng = shmls_ir::rng::Rng::new(19);
@@ -732,18 +733,24 @@ mod tests {
                 prog.run(&mut regs);
                 let run = regs[prog.results[0] as usize];
 
-                // The case's operands ride in one lane; the others carry
+                // The case's operands ride in one lane of a full block
+                // and one of a partial block; the other lanes carry
                 // different values, which must not leak across.
-                let lane = case % LANES;
-                let mut lanes = vec![[0.0; LANES]; prog.n_regs as usize];
-                for (i, reg) in lanes.iter_mut().enumerate().take(n) {
-                    for (l, slot) in reg.iter_mut().enumerate() {
-                        *slot = values[(case + i + l) % values.len()];
-                    }
-                    reg[lane] = args[i];
-                }
-                prog.run_lanes(&mut lanes);
-                let laned = lanes[prog.results[0] as usize][lane];
+                let blocked = [(BLOCK, case % BLOCK), (case % 7 + 1, case % (case % 7 + 1))].map(
+                    |(width, lane)| {
+                        let mut inputs = vec![0.0; n * BLOCK];
+                        for (i, reg) in inputs.chunks_mut(BLOCK).enumerate() {
+                            for (l, slot) in reg.iter_mut().enumerate() {
+                                *slot = values[(case + i + l) % values.len()];
+                            }
+                            reg[lane] = args[i];
+                        }
+                        let input = |i: usize| &inputs[i * BLOCK..][..width];
+                        let mut temps = vec![0.0; prog.block_temps()];
+                        prog.run_block(width, input, &mut temps);
+                        prog.block_lanes(prog.results[0], width, input, &temps)[lane]
+                    },
+                );
 
                 let staged = run_one_trip(&plan, &streams, &args)
                     .unwrap()
@@ -751,7 +758,12 @@ mod tests {
                     .as_f64()
                     .unwrap();
 
-                for (tier, got) in [("run", run), ("run_lanes", laned), ("stage plan", staged)] {
+                for (tier, got) in [
+                    ("run", run),
+                    ("run_block (full)", blocked[0]),
+                    ("run_block (partial)", blocked[1]),
+                    ("stage plan", staged),
+                ] {
                     assert_eq!(
                         got.to_bits(),
                         tree.to_bits(),

@@ -39,6 +39,7 @@
 //! recycled the moment its value dies. Kernels with dozens of ops
 //! typically fit in a handful of registers.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::attributes::Attribute;
@@ -153,11 +154,12 @@ pub struct Program {
     pub results: Vec<Reg>,
 }
 
-/// Chunk width of the vector tier: each register holds `LANES` grid
-/// points' worth of values in the chunked executor. 8 × f64 = one cache
-/// line / one AVX-512 register / two AVX2 registers — a fixed width the
-/// autovectoriser turns into straight SIMD without any reassociation.
-pub const LANES: usize = 8;
+/// Width `W` of the vector tier's blocks: the block executor dispatches
+/// each instruction once per block of up to `BLOCK` grid points, every
+/// register `BLOCK` lanes wide. 128 × f64 is 1 KiB a register: one
+/// dispatch is spread over enough points that its cost vanishes, while a
+/// program's temps — and the inputs a packed block gathers — stay in L1.
+pub const BLOCK: usize = 128;
 
 impl Program {
     /// Execute the straight-line code over a register file of at least
@@ -165,8 +167,8 @@ impl Program {
     /// `0..inputs.len()`; results are left in [`Program::results`].
     ///
     /// This is the one-point opcode loop shared by every per-point
-    /// executor: the tree-walker's fast path, the chunked executor's tail,
-    /// and the FPGA simulator's stage plans all dispatch through here.
+    /// executor: `ApplyMode::Scalar`, the tree-walker's fast path and the
+    /// FPGA simulator's stage plans all dispatch through here.
     #[inline]
     pub fn run(&self, regs: &mut [f64]) {
         for instr in &self.instrs {
@@ -186,33 +188,59 @@ impl Program {
         }
     }
 
-    /// Execute the program once over a structure-of-arrays register file:
-    /// `regs[r][l]` is register `r`'s value for lane (grid point) `l`.
+    /// Length of the temp half of a block register file: [`BLOCK`] lanes
+    /// for every register above the pinned inputs.
+    pub fn block_temps(&self) -> usize {
+        usize::from(self.n_regs).saturating_sub(self.inputs.len()) * BLOCK
+    }
+
+    /// Execute the straight-line code once over a block of `n <= BLOCK`
+    /// lanes (grid points), dispatching each instruction once.
+    ///
+    /// Input register `i` is `input(i)`, at least `n` lanes the caller
+    /// may hand over straight from a buffer: inputs are pinned, so no
+    /// instruction writes one ([`ProgramBuilder::finish`]). Every other
+    /// register `r` is the `BLOCK` lanes of `temps` from `(r −
+    /// inputs.len()) · BLOCK`; `temps` is at least
+    /// [`Program::block_temps`] long. [`Program::block_lanes`] reads the
+    /// results.
     ///
     /// Each opcode applies [`un_op`]/[`bin_op`]/`mul_add` *elementwise per
     /// lane* — the identical scalar expression [`Program::run`] uses, in
     /// the identical instruction order. Lanes never interact (no shuffles,
     /// no horizontal reductions, no reassociation across lanes), so lane
     /// `l`'s result is bitwise what a scalar run at that point produces.
-    /// Operand lane arrays are copied by value before the destination is
-    /// written, so `dst == src` aliasing is handled exactly as in the
+    /// An operand that is also the destination is copied before the
+    /// destination is written, so aliasing is handled exactly as in the
     /// scalar loop (reads happen before the write).
-    #[inline]
-    pub fn run_lanes(&self, regs: &mut [[f64; LANES]]) {
+    ///
+    /// # Panics
+    ///
+    /// When an instruction writes an input register, or `n` or `temps`
+    /// is short of the above.
+    #[deny(clippy::too_many_lines)]
+    pub fn run_block<'a>(&self, n: usize, input: impl Fn(usize) -> &'a [f64], temps: &mut [f64]) {
+        let n_in = self.inputs.len();
+        // Holds a destination's old lanes while an instruction that also
+        // reads it runs; never allocated for a program from the builder.
+        let mut stash = Vec::new();
         for instr in &self.instrs {
             match *instr {
-                Instr::Const { dst, value } => regs[dst as usize] = [value; LANES],
+                Instr::Const { dst, value } => {
+                    let (d, _) = split_at_dst(n_in, n, temps, &mut stash, dst, &[], &input);
+                    d.fill(value);
+                }
                 Instr::Unary { op, dst, src } => {
-                    let v = regs[src as usize];
-                    let d = &mut regs[dst as usize];
-                    // One dispatch per chunk, not per element: each arm
+                    let (d, regs) = split_at_dst(n_in, n, temps, &mut stash, dst, &[src], &input);
+                    let a = regs.lanes(src);
+                    // One dispatch per block, not per element: each arm
                     // re-enters `un_op` with the opcode constant-folded,
                     // so the lane loop vectorises without a per-lane
                     // branch while the semantics stay single-sourced.
                     macro_rules! lanes {
                         ($op:expr) => {
-                            for l in 0..LANES {
-                                d[l] = un_op($op, v[l]);
+                            for (d, &a) in d.iter_mut().zip(a) {
+                                *d = un_op($op, a);
                             }
                         };
                     }
@@ -224,13 +252,13 @@ impl Program {
                     }
                 }
                 Instr::Binary { op, dst, lhs, rhs } => {
-                    let a = regs[lhs as usize];
-                    let b = regs[rhs as usize];
-                    let d = &mut regs[dst as usize];
+                    let srcs = [lhs, rhs];
+                    let (d, regs) = split_at_dst(n_in, n, temps, &mut stash, dst, &srcs, &input);
+                    let (a, b) = (regs.lanes(lhs), regs.lanes(rhs));
                     macro_rules! lanes {
                         ($op:expr) => {
-                            for l in 0..LANES {
-                                d[l] = bin_op($op, a[l], b[l]);
+                            for (d, (&a, &b)) in d.iter_mut().zip(a.iter().zip(b)) {
+                                *d = bin_op($op, a, b);
                             }
                         };
                     }
@@ -246,17 +274,98 @@ impl Program {
                     }
                 }
                 Instr::Fma { dst, a, b, c } => {
-                    let x = regs[a as usize];
-                    let y = regs[b as usize];
-                    let z = regs[c as usize];
-                    let d = &mut regs[dst as usize];
-                    for l in 0..LANES {
-                        d[l] = x[l].mul_add(y[l], z[l]);
+                    let (d, regs) =
+                        split_at_dst(n_in, n, temps, &mut stash, dst, &[a, b, c], &input);
+                    let (x, y, z) = (regs.lanes(a), regs.lanes(b), regs.lanes(c));
+                    for (d, ((&x, &y), &z)) in d.iter_mut().zip(x.iter().zip(y).zip(z)) {
+                        *d = x.mul_add(y, z);
                     }
                 }
             }
         }
     }
+
+    /// Register `r`'s first `n` lanes after [`Program::run_block`] over
+    /// the same `input` and `temps`.
+    pub fn block_lanes<'a>(
+        &self,
+        r: Reg,
+        n: usize,
+        input: impl Fn(usize) -> &'a [f64],
+        temps: &'a [f64],
+    ) -> &'a [f64] {
+        let r = usize::from(r);
+        match r.checked_sub(self.inputs.len()) {
+            None => &input(r)[..n],
+            Some(t) => &temps[t * BLOCK..][..n],
+        }
+    }
+}
+
+/// A block's register file around one instruction's destination, which
+/// [`split_at_dst`] hands out writable: every register's first `n` lanes
+/// readable, the destination's as they were before the instruction.
+struct Around<'t, F> {
+    n_in: usize,
+    n: usize,
+    /// Where the destination's lanes start in the temps.
+    at: usize,
+    below: &'t [f64],
+    above: &'t [f64],
+    /// The destination's lanes, when the instruction reads them too.
+    stash: &'t [f64],
+    input: &'t F,
+}
+
+impl<'t, 'a: 't, F: Fn(usize) -> &'a [f64]> Around<'t, F> {
+    #[inline(always)]
+    fn lanes(&self, r: Reg) -> &'t [f64] {
+        let Some(t) = usize::from(r).checked_sub(self.n_in) else {
+            return &(self.input)(usize::from(r))[..self.n];
+        };
+        match (t * BLOCK).cmp(&self.at) {
+            Ordering::Less => &self.below[t * BLOCK..][..self.n],
+            Ordering::Greater => &self.above[t * BLOCK - self.at - BLOCK..][..self.n],
+            Ordering::Equal => self.stash,
+        }
+    }
+}
+
+/// Split `temps` at `dst`: its first `n` lanes writable, beside an
+/// [`Around`] that reads every other register. When one of `srcs` is
+/// `dst` itself, its lanes are copied to `stash` first, so the
+/// instruction reads them before it writes them.
+#[inline(always)]
+fn split_at_dst<'t, 'a: 't, F: Fn(usize) -> &'a [f64]>(
+    n_in: usize,
+    n: usize,
+    temps: &'t mut [f64],
+    stash: &'t mut Vec<f64>,
+    dst: Reg,
+    srcs: &[Reg],
+    input: &'t F,
+) -> (&'t mut [f64], Around<'t, F>) {
+    let at = usize::from(dst)
+        .checked_sub(n_in)
+        .expect("block executor: an instruction writes a pinned input register")
+        * BLOCK;
+    let (below, rest) = temps.split_at_mut(at);
+    let (d, above) = rest.split_at_mut(BLOCK);
+    let d = &mut d[..n];
+    if srcs.contains(&dst) {
+        stash.clear();
+        stash.extend_from_slice(d);
+    }
+    let regs = Around {
+        n_in,
+        n,
+        at,
+        below,
+        above,
+        stash,
+        input,
+    };
+    (d, regs)
 }
 
 // ---- builder -------------------------------------------------------------
@@ -681,10 +790,11 @@ pub enum ApplyMode {
     /// Kept measurable so the bench harness can report the vector tier's
     /// speedup over it (and CI can detect a silent fallback).
     Scalar,
-    /// The vector tier: chunked structure-of-arrays execution over the
-    /// inner axis ([`LANES`] points per dispatch), optionally threaded
-    /// over the axis-0 slab partition ([`slab_partition`]) when
-    /// `threads > 1`. Bitwise-identical to `Scalar` by construction.
+    /// The vector tier: block execution along the inner axis (up to
+    /// [`BLOCK`] points per dispatch, short rows packed several to a
+    /// block), optionally threaded over the axis-0 slab partition
+    /// ([`slab_partition`]) when `threads > 1`. Bitwise-identical to
+    /// `Scalar` by construction.
     Chunked {
         /// Worker threads for the axis-0 slab split (1 = run in place).
         threads: usize,
@@ -721,7 +831,7 @@ pub fn slab_partition(n0: i64, parts: usize) -> Vec<(i64, i64)> {
 struct Affine {
     /// Row-major strides of the buffer, one per grid dim. The inner
     /// (last) stride is always 1: buffers and the iteration box share
-    /// rank and layout, which is what makes interior chunk loads and
+    /// rank and layout, which is what makes in-row block loads and
     /// stores contiguous.
     stride: Vec<i64>,
     /// `point[d] + offset[d] - origin[d] = point[d] - sub[d]`.
@@ -764,7 +874,7 @@ struct BufLoad<'a> {
     map: Affine,
 }
 
-/// Where the chunked executor writes one result: a run of whole axis-0
+/// Where the block executor writes one result: a run of whole axis-0
 /// planes of the destination buffer — an apply's own temp, or the padded
 /// field its `stencil.store` names — addressed by grid point like an
 /// input, so a row lands inside the destination's halo ring without the
@@ -923,34 +1033,44 @@ fn resolve_inputs<'a>(
     Ok(resolved)
 }
 
+/// Step `point` to the next position of the row-major odometer over its
+/// first `end` dimensions (the last of them fastest, as `iter_box`
+/// orders), wrapping each back to `lb` — all but axis 0, which the caller
+/// stops before it runs out. Returns the dimension that stepped without
+/// wrapping.
+fn advance(point: &mut [i64], lb: &[i64], ub: &[i64], end: usize) -> usize {
+    let mut d = end;
+    while d > 0 {
+        d -= 1;
+        point[d] += 1;
+        if d > 0 && point[d] >= ub[d] {
+            point[d] = lb[d];
+        } else {
+            break;
+        }
+    }
+    d
+}
+
 /// The per-point path: dispatch the program once per grid point over the
-/// sub-box with axis 0 restricted to rows `[lb[0]+r0, lb[0]+r1)` (the
-/// full box when `rank == 0`; `r0`/`r1` are then ignored). `outs[o]` is
-/// the slice of result `o` covering exactly this sub-box, indexed by the
-/// sub-box's own row-major linear order.
+/// whole box. `outs[o]` is result `o`'s temp of exactly the box, indexed
+/// by its row-major linear order. Returns the instructions dispatched.
 ///
 /// A rank-0 box is one point (the empty index), matching the
 /// tree-walker's `iter_box(&[], &[])`, so the program runs exactly once.
 fn run_points(
     prog: &Program,
     inputs: &ResolvedInputs<'_>,
-    rank: usize,
     lb: &[i64],
     ub: &[i64],
-    (r0, r1): (i64, i64),
     outs: &mut [&mut [f64]],
-) {
+) -> u64 {
     let mut point = lb.to_vec();
-    let mut n_points: usize = 1;
-    if rank > 0 {
-        point[0] = lb[0] + r0;
-        n_points = ((r1 - r0).max(0) as usize)
-            * lb[1..]
-                .iter()
-                .zip(&ub[1..])
-                .map(|(&l, &u)| (u - l).max(0) as usize)
-                .product::<usize>();
-    }
+    let n_points: usize = lb
+        .iter()
+        .zip(ub)
+        .map(|(&l, &u)| (u - l).max(0) as usize)
+        .product();
     let mut regs = vec![0.0f64; prog.n_regs as usize];
     for &(r, v) in &inputs.scalars {
         regs[r] = v;
@@ -966,28 +1086,195 @@ fn run_points(
         for (o, &r) in outs.iter_mut().zip(&prog.results) {
             o[k] = regs[r as usize];
         }
-        // Row-major odometer, last dimension fastest — the same order
-        // as `iter_box`. (Axis 0 never wraps: `k` runs out first.)
-        let mut d = rank;
-        while d > 0 {
-            d -= 1;
-            point[d] += 1;
-            if d > 0 && point[d] >= ub[d] {
-                point[d] = lb[d];
-            } else {
-                break;
+        advance(&mut point, lb, ub, lb.len());
+    }
+    (n_points * prog.instrs.len()) as u64
+}
+
+/// Rows shorter than this are packed, several to a block: a block of one
+/// short row would spread each dispatch over a handful of lanes (the
+/// march's 16-point slab rows pay for 16). Longer rows are cut into
+/// blocks of their own and read in place.
+const PACK_BELOW: usize = 64;
+
+/// One worker's block register file — allocated once per apply, never per
+/// block — with the current row's read offsets and the row segments
+/// packed into the current block.
+struct Blocks<'p, 'a> {
+    prog: &'p Program,
+    inputs: &'p ResolvedInputs<'a>,
+    /// The inputs read along a row — every access, then every
+    /// inner-axis parameter — as `(register, data)`.
+    streamed: Vec<(usize, &'a [f64])>,
+    /// Where in its data the current row of each `streamed` input starts.
+    bases: Vec<usize>,
+    /// Per input register, its index in `streamed`, if it is one.
+    in_place: Vec<Option<usize>>,
+    /// Outer-axis parameters as `(register, value at the current row)`.
+    splats: Vec<(usize, f64)>,
+    /// Where the current row starts in each output.
+    out_rows: Vec<usize>,
+    /// How far each of `bases`, then each of `out_rows`, moves when the
+    /// row cursor steps along the axis next to the inner one — all a row
+    /// change does but where an outer axis wraps.
+    steps: Vec<usize>,
+    /// [`BLOCK`] lanes per input register, for what is not read in
+    /// place: scalars (filled once), splatted outer-axis parameters, and
+    /// everything a packed block gathers.
+    own: Vec<f64>,
+    /// [`BLOCK`] lanes per temp register.
+    temps: Vec<f64>,
+    /// Lanes of the current packed block filled so far.
+    filled: usize,
+    /// `(first lane, lanes)` of each row segment in the current packed
+    /// block, and where each lands in every output (`outs.len()` apiece).
+    segs: Vec<(usize, usize)>,
+    seg_rows: Vec<usize>,
+    dispatches: u64,
+}
+
+impl<'p, 'a> Blocks<'p, 'a> {
+    fn new(
+        prog: &'p Program,
+        inputs: &'p ResolvedInputs<'a>,
+        inner: usize,
+        outs: &[OutRows<'_>],
+    ) -> Self {
+        let inner_params = inputs.param_reads.iter().filter(|pr| pr.dim == inner);
+        // An inner-axis parameter's row starts at the same index on every
+        // row. (Rank 1 has one row and never steps.)
+        let step = |map: &Affine| map.stride[inner.saturating_sub(1)] as usize;
+        let steps = (inputs.buf_loads.iter().map(|bl| step(&bl.map)))
+            .chain(inner_params.clone().map(|_| 0))
+            .chain(outs.iter().map(|o| step(&o.map)))
+            .collect();
+        let streamed: Vec<(usize, &'a [f64])> =
+            (inputs.buf_loads.iter().map(|bl| (bl.reg, bl.data)))
+                .chain(inner_params.map(|pr| (pr.reg, pr.data)))
+                .collect();
+        let mut in_place = vec![None; prog.inputs.len()];
+        for (k, &(reg, _)) in streamed.iter().enumerate() {
+            in_place[reg] = Some(k);
+        }
+        let mut own = vec![0.0; prog.inputs.len() * BLOCK];
+        for &(reg, v) in &inputs.scalars {
+            own[reg * BLOCK..][..BLOCK].fill(v);
+        }
+        Blocks {
+            prog,
+            inputs,
+            bases: vec![0; streamed.len()],
+            streamed,
+            in_place,
+            splats: Vec::new(),
+            out_rows: vec![0; outs.len()],
+            steps,
+            own,
+            temps: vec![0.0; prog.block_temps()],
+            filled: 0,
+            segs: Vec::new(),
+            seg_rows: Vec::new(),
+            dispatches: 0,
+        }
+    }
+
+    /// Take the row starting at `point` (whose inner-axis coordinate is
+    /// the row's first) as the current one. `stepped`: it is the row
+    /// after the current one along the axis next to the inner one.
+    fn start_row(&mut self, point: &[i64], inner: usize, outs: &[OutRows<'_>], stepped: bool) {
+        let starts = self.bases.iter_mut().chain(&mut self.out_rows);
+        if stepped {
+            for (start, step) in starts.zip(&self.steps) {
+                *start += step;
+            }
+        } else {
+            let inner_params = self.inputs.param_reads.iter().filter(|pr| pr.dim == inner);
+            let loads = self
+                .inputs
+                .buf_loads
+                .iter()
+                .map(|bl| bl.map.lin(point) as usize);
+            let params = inner_params.map(|pr| (point[pr.dim] - pr.sub) as usize);
+            let rows = outs.iter().map(|o| o.row(point));
+            for (start, at) in starts.zip(loads.chain(params).chain(rows)) {
+                *start = at;
             }
         }
+        self.splats.clear();
+        for pr in self.inputs.param_reads.iter().filter(|pr| pr.dim != inner) {
+            self.splats
+                .push((pr.reg, pr.data[(point[pr.dim] - pr.sub) as usize]));
+        }
+    }
+
+    /// Fill lanes `at..at + len` of every outer-axis parameter register.
+    fn splat(&mut self, at: usize, len: usize) {
+        for &(reg, v) in &self.splats {
+            self.own[reg * BLOCK + at..][..len].fill(v);
+        }
+    }
+
+    /// Run lanes `j..j + n` of the current row as one block, every
+    /// streamed input read in place, and write them to every output.
+    fn run_in_row(&mut self, j: usize, n: usize, outs: &mut [OutRows<'_>]) {
+        let (own, streamed, bases, in_place) =
+            (&self.own, &self.streamed, &self.bases, &self.in_place);
+        let read = |i: usize| match in_place[i] {
+            Some(k) => &streamed[k].1[bases[k] + j..][..n],
+            None => &own[i * BLOCK..][..n],
+        };
+        self.prog.run_block(n, read, &mut self.temps);
+        for ((o, &row), &r) in outs.iter_mut().zip(&self.out_rows).zip(&self.prog.results) {
+            o.data[row + j..][..n].copy_from_slice(self.prog.block_lanes(r, n, read, &self.temps));
+        }
+        self.dispatches += self.prog.instrs.len() as u64;
+    }
+
+    /// Gather lanes `j..j + len` of the current row into the packed block
+    /// after what it holds.
+    fn gather(&mut self, j: usize, len: usize) {
+        let at = self.filled;
+        for (&(reg, data), &base) in self.streamed.iter().zip(&self.bases) {
+            self.own[reg * BLOCK + at..][..len].copy_from_slice(&data[base + j..][..len]);
+        }
+        self.splat(at, len);
+        self.segs.push((at, len));
+        self.seg_rows
+            .extend(self.out_rows.iter().map(|&row| row + j));
+        self.filled += len;
+    }
+
+    /// Run the packed block, if it holds anything, and scatter each
+    /// segment back to its row of every output.
+    fn flush(&mut self, outs: &mut [OutRows<'_>]) {
+        let n = std::mem::take(&mut self.filled);
+        if n == 0 {
+            return;
+        }
+        let own = &self.own;
+        let read = |i: usize| &own[i * BLOCK..][..n];
+        self.prog.run_block(n, read, &mut self.temps);
+        for (&(at, len), rows) in self.segs.iter().zip(self.seg_rows.chunks(outs.len())) {
+            for ((o, &row), &r) in outs.iter_mut().zip(rows).zip(&self.prog.results) {
+                let lanes = self.prog.block_lanes(r, n, read, &self.temps);
+                o.data[row..][..len].copy_from_slice(&lanes[at..at + len]);
+            }
+        }
+        self.segs.clear();
+        self.seg_rows.clear();
+        self.dispatches += self.prog.instrs.len() as u64;
     }
 }
 
-/// The chunked path over one axis-0 slab (`rank >= 1`): all odometer and
-/// index bookkeeping happens once per *row* (a maximal inner-axis run);
-/// inside a row the interior is executed [`LANES`] points at a time with
-/// contiguous, branch-free lane loads, and the partial chunk at the end
-/// of the row — the row's halo against the chunk grid — falls back to the
-/// per-point loop via [`Program::run`].
-fn run_slab_chunked(
+/// The block path over one axis-0 slab (`rank >= 1`), rows `[lb[0] + r0,
+/// lb[0] + r1)`: all odometer and index bookkeeping happens once per
+/// *row* (a maximal inner-axis run). A row of [`PACK_BELOW`] points or
+/// more is cut into blocks of up to [`BLOCK`] lanes whose inputs are
+/// read straight from their buffers; shorter rows are packed into full
+/// blocks, a row straddling two where it must. Returns the instructions
+/// dispatched.
+#[deny(clippy::too_many_lines)]
+fn run_slab_blocks(
     prog: &Program,
     inputs: &ResolvedInputs<'_>,
     rank: usize,
@@ -995,7 +1282,7 @@ fn run_slab_chunked(
     ub: &[i64],
     (r0, r1): (i64, i64),
     outs: &mut [OutRows<'_>],
-) {
+) -> u64 {
     debug_assert!(rank >= 1);
     // Inner-axis geometry. For rank 1 the slab itself is the inner run.
     let inner = rank - 1;
@@ -1005,7 +1292,7 @@ fn run_slab_chunked(
         (lb[inner], (ub[inner] - lb[inner]).max(0) as usize)
     };
     if inner_n == 0 {
-        return;
+        return 0;
     }
     let n_rows: usize = if rank == 1 {
         1
@@ -1017,88 +1304,35 @@ fn run_slab_chunked(
                 .map(|(&l, &u)| (u - l).max(0) as usize)
                 .product::<usize>()
     };
-
-    let n_regs = prog.n_regs as usize;
-    let mut lane_regs: Vec<[f64; LANES]> = vec![[0.0; LANES]; n_regs];
-    let mut tail_regs: Vec<f64> = vec![0.0; n_regs];
-    for &(r, v) in &inputs.scalars {
-        lane_regs[r] = [v; LANES];
-        tail_regs[r] = v;
-    }
-
+    let packed = inner_n < PACK_BELOW;
+    let mut blocks = Blocks::new(prog, inputs, inner, outs);
     // Row cursor: the first point of the current row.
     let mut point = lb.to_vec();
     point[0] = lb[0] + r0;
     point[inner] = inner_lo;
-    // Per-row linear base of every access (recomputed per row, constant
-    // +1 per inner step within the row).
-    let mut bases: Vec<i64> = vec![0; inputs.buf_loads.len()];
-    // Likewise where the row starts in every output.
-    let mut out_rows: Vec<usize> = vec![0; outs.len()];
-    let interior = inner_n - inner_n % LANES;
+    let mut stepped = false;
     for _row in 0..n_rows {
-        for (base, bl) in bases.iter_mut().zip(&inputs.buf_loads) {
-            *base = bl.map.lin(&point);
-        }
-        for (k, o) in out_rows.iter_mut().zip(outs.iter()) {
-            *k = o.row(&point);
-        }
-        // Row-invariant parameter lanes (axis != inner): splat once.
-        for pr in &inputs.param_reads {
-            if pr.dim != inner {
-                let v = pr.data[(point[pr.dim] - pr.sub) as usize];
-                lane_regs[pr.reg] = [v; LANES];
-                tail_regs[pr.reg] = v;
-            }
-        }
-        // Interior: whole chunks, contiguous loads, no per-point branches.
-        let mut j = 0usize;
-        while j < interior {
-            for (&base, bl) in bases.iter().zip(&inputs.buf_loads) {
-                let at = (base as usize) + j;
-                lane_regs[bl.reg].copy_from_slice(&bl.data[at..at + LANES]);
-            }
-            for pr in &inputs.param_reads {
-                if pr.dim == inner {
-                    let at = (inner_lo + j as i64 - pr.sub) as usize;
-                    lane_regs[pr.reg].copy_from_slice(&pr.data[at..at + LANES]);
+        blocks.start_row(&point, inner, outs, stepped);
+        if packed {
+            let mut j = 0;
+            while j < inner_n {
+                let len = (inner_n - j).min(BLOCK - blocks.filled);
+                blocks.gather(j, len);
+                if blocks.filled == BLOCK {
+                    blocks.flush(outs);
                 }
+                j += len;
             }
-            prog.run_lanes(&mut lane_regs);
-            for ((o, &k), &r) in outs.iter_mut().zip(&out_rows).zip(&prog.results) {
-                o.data[k + j..k + j + LANES].copy_from_slice(&lane_regs[r as usize]);
-            }
-            j += LANES;
-        }
-        // Halo of the chunk grid: the row's trailing partial chunk, one
-        // point at a time through the scalar opcode loop.
-        while j < inner_n {
-            for (&base, bl) in bases.iter().zip(&inputs.buf_loads) {
-                tail_regs[bl.reg] = bl.data[(base as usize) + j];
-            }
-            for pr in &inputs.param_reads {
-                if pr.dim == inner {
-                    tail_regs[pr.reg] = pr.data[(inner_lo + j as i64 - pr.sub) as usize];
-                }
-            }
-            prog.run(&mut tail_regs);
-            for ((o, &k), &r) in outs.iter_mut().zip(&out_rows).zip(&prog.results) {
-                o.data[k + j] = tail_regs[r as usize];
-            }
-            j += 1;
-        }
-        // Advance the row cursor: odometer over the outer dims only.
-        let mut d = inner;
-        while d > 0 {
-            d -= 1;
-            point[d] += 1;
-            if d > 0 && point[d] >= ub[d] {
-                point[d] = lb[d];
-            } else {
-                break;
+        } else {
+            blocks.splat(0, inner_n.min(BLOCK));
+            for j in (0..inner_n).step_by(BLOCK) {
+                blocks.run_in_row(j, (inner_n - j).min(BLOCK), outs);
             }
         }
+        stepped = advance(&mut point, lb, ub, inner) + 1 == inner;
     }
+    blocks.flush(outs);
+    blocks.dispatches
 }
 
 /// Execute a compiled `stencil.apply` over `store` with an explicit
@@ -1109,11 +1343,13 @@ fn run_slab_chunked(
 /// box is the result bounds, traversed row-major (last dimension fastest).
 /// Every mode produces bitwise-identical buffers; `Chunked` only changes
 /// how many points are in flight per opcode dispatch and which thread
-/// owns which axis-0 slab.
+/// owns which axis-0 slab. The instructions dispatched — instructions ×
+/// blocks, a block of one point on the per-point path — are added to the
+/// store's [`StoreWork::dispatches`](crate::interp::StoreWork).
 ///
 /// `dests[o]`, when present and `Some`, names a buffer of `store` that
 /// result `o` may be computed into directly (destination passing, see
-/// [`direct_stores`]): the chunked path writes the result box there, row
+/// [`direct_stores`]): the block path writes the result box there, row
 /// by row, touching nothing outside the box, and returns that handle
 /// instead of a fresh temp's — provided the box fits inside the buffer;
 /// otherwise, and on the per-point paths, the result gets a temp as if
@@ -1177,7 +1413,7 @@ pub fn exec_apply_with(
     let computed = if n_points > 0 {
         fill_targets(prog, args, store, mode, &bounds, &mut targets)
     } else {
-        Ok(())
+        Ok(0)
     };
     let mut handles = Vec::with_capacity(targets.len());
     for (dest, buffer) in targets {
@@ -1186,11 +1422,12 @@ pub fn exec_apply_with(
             None => store.alloc(buffer),
         });
     }
-    computed.map(|()| handles)
+    store.count_dispatches(computed?);
+    Ok(handles)
 }
 
 /// Run `prog` over the non-empty box `bounds`, result `o` into
-/// `targets[o]`'s buffer.
+/// `targets[o]`'s buffer. Returns the instructions dispatched.
 fn fill_targets(
     prog: &Program,
     args: &[RtValue],
@@ -1198,15 +1435,13 @@ fn fill_targets(
     mode: ApplyMode,
     bounds: &crate::types::StencilBounds,
     targets: &mut [(Option<usize>, Buffer)],
-) -> IrResult<()> {
+) -> IrResult<u64> {
     let rank = bounds.rank();
     let (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
     let inputs = resolve_inputs(prog, args, store, rank, lb, ub)?;
-    let rows = if rank == 0 { 0 } else { ub[0] - lb[0] };
-    let full = (0i64, rows);
     let threads = match mode {
         ApplyMode::Chunked { threads } if rank > 0 => threads,
-        // Scalar dispatch, or one point with nothing to chunk or split:
+        // Scalar dispatch, or one point with nothing to block or split:
         // the per-point path (which runs a rank-0 program exactly once,
         // like the tree-walker). Its targets are always temps of exactly
         // the box, so the k-th point is the k-th element.
@@ -1215,10 +1450,10 @@ fn fill_targets(
                 .iter_mut()
                 .map(|(_, buffer)| buffer.data.as_mut_slice())
                 .collect();
-            run_points(prog, &inputs, rank, lb, ub, full, &mut outs);
-            return Ok(());
+            return Ok(run_points(prog, &inputs, lb, ub, &mut outs));
         }
     };
+    let rows = ub[0] - lb[0];
     let mut outs: Vec<OutRows<'_>> = targets
         .iter_mut()
         .map(|(_, buffer)| OutRows::whole(buffer))
@@ -1229,27 +1464,40 @@ fn fill_targets(
     // slab's compute and threading makes small applies *slower*.
     let threads = threads.clamp(1, rows as usize).min(1 + n_points / 2048);
     if threads <= 1 {
-        run_slab_chunked(prog, &inputs, rank, lb, ub, full, &mut outs);
-        return Ok(());
+        return Ok(run_slab_blocks(
+            prog,
+            &inputs,
+            rank,
+            lb,
+            ub,
+            (0, rows),
+            &mut outs,
+        ));
     }
     // Give each worker the planes of its slab's axis-0 rows in every
     // target (axis 0 is outermost, so they are one contiguous range of
     // each, halo columns included). Inputs are shared read-only.
     let inputs = &inputs;
-    std::thread::scope(|scope| {
-        for (s, e) in slab_partition(rows, threads) {
-            if e > s {
+    Ok(std::thread::scope(|scope| {
+        let workers: Vec<_> = slab_partition(rows, threads)
+            .into_iter()
+            .filter(|&(s, e)| e > s)
+            .map(|(s, e)| {
                 let mut mine: Vec<OutRows<'_>> = outs
                     .iter_mut()
                     .map(|o| o.split_off_rows(lb[0] + s, lb[0] + e))
                     .collect();
-                scope.spawn(move || {
-                    run_slab_chunked(prog, inputs, rank, lb, ub, (s, e), &mut mine);
-                });
-            }
-        }
-    });
-    Ok(())
+                scope.spawn(move || run_slab_blocks(prog, inputs, rank, lb, ub, (s, e), &mut mine))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .sum()
+    }))
 }
 
 /// Apply results that may be computed straight into a field, each mapped
@@ -1548,12 +1796,25 @@ mod tests {
 
     #[test]
     fn every_mode_is_bitwise_identical_at_chunk_boundaries() {
-        // The chunk-grid seams: one short row (tail only), exactly one
-        // chunk (no tail), one chunk + 1, two chunks + 1, and a larger
-        // mixed case. Scalar, chunked, and chunked+threaded must all
-        // reproduce the tree-walker bit-for-bit at each of them.
-        let lanes = LANES as i64;
-        for n in [lanes - 1, lanes, lanes + 1, 2 * lanes + 1, 5 * lanes + 3] {
+        // The block-grid seams of one row: packed lengths (1, 3, 16 and
+        // either side of `PACK_BELOW`), one block less one lane, exactly
+        // one, one plus a one-lane block, two plus one, and a row long
+        // enough that the threaded schedule splits it between workers.
+        // Scalar, block, and block+threaded must all reproduce the
+        // tree-walker bit-for-bit at each of them.
+        let (w, pack) = (BLOCK as i64, PACK_BELOW as i64);
+        for n in [
+            1,
+            3,
+            16,
+            pack - 1,
+            pack,
+            w - 1,
+            w,
+            w + 1,
+            2 * w + 1,
+            17 * w + 3,
+        ] {
             let (ctx, module, apply) = build_sum_module_n(n);
             let prog = std::sync::Arc::new(compile_apply(&ctx, apply).unwrap());
             let tree = run_sum_n(&ctx, module, HashMap::new(), ApplyMode::Scalar, n);
@@ -1574,6 +1835,74 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Run `prog` over `n` lanes of seeded inputs as one block and point
+    /// by point through [`Program::run`], and require every result equal
+    /// to the bit in every lane.
+    fn assert_block_matches_points(prog: &Program, n: usize) {
+        let n_in = prog.inputs.len();
+        let mut rng = crate::rng::Rng::new(3);
+        let own: Vec<f64> = (0..n_in * BLOCK)
+            .map(|_| rng.coarse_f64(0.5, 4.0))
+            .collect();
+        let input = |i: usize| &own[i * BLOCK..][..n];
+        let mut temps = vec![f64::NAN; prog.block_temps()];
+        prog.run_block(n, input, &mut temps);
+        for l in 0..n {
+            let mut regs = vec![0.0; prog.n_regs as usize];
+            for (i, reg) in regs.iter_mut().enumerate().take(n_in) {
+                *reg = own[i * BLOCK + l];
+            }
+            prog.run(&mut regs);
+            for &r in &prog.results {
+                let (block, point) = (prog.block_lanes(r, n, input, &temps)[l], regs[r as usize]);
+                assert_eq!(
+                    block.to_bits(),
+                    point.to_bits(),
+                    "n={n} lane {l} register {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn aliased_registers_run_in_place_as_the_scalar_loop_does() {
+        // The builder never aliases a destination with its operands, but
+        // `Program`'s fields are public: every aliasing a hand-made
+        // program can spell must read before it writes, lane by lane.
+        let (x, y, t, u) = (0, 1, 2, 3);
+        let bin = |op, dst, lhs, rhs| Instr::Binary { op, dst, lhs, rhs };
+        let prog = Program {
+            inputs: vec![
+                InputRef::Scalar { operand: 0 },
+                InputRef::Scalar { operand: 1 },
+            ],
+            instrs: vec![
+                bin(BinOp::Mul, t, x, y),
+                bin(BinOp::Sub, t, t, x), // dst == lhs
+                bin(BinOp::Div, t, y, t), // dst == rhs
+                bin(BinOp::Add, u, t, t), // lhs == rhs, a temp
+                bin(BinOp::Mul, u, u, u), // all three equal
+                bin(BinOp::Max, t, x, x), // lhs == rhs, an input
+                Instr::Unary {
+                    op: UnOp::Sqrt,
+                    dst: u,
+                    src: u,
+                }, // unary in place
+                Instr::Fma {
+                    dst: t,
+                    a: t,
+                    b: u,
+                    c: t,
+                },
+            ],
+            n_regs: 4,
+            results: vec![t, u, x], // and a result that is an input
+        };
+        for n in [BLOCK, 5] {
+            assert_block_matches_points(&prog, n);
         }
     }
 
@@ -1959,13 +2288,14 @@ mod tests {
 
     #[test]
     fn destination_passing_equals_temp_and_copy_on_seeded_shapes() {
-        // (extents, halo, threads): inner extents on every side of the
-        // chunk grid, one to six axis-0 rows (so threads > rows occurs)
-        // and, at rank 3, enough points — a worker per 2048 — that the
-        // slab split really spawns up to three of them.
-        let lanes = LANES as i64;
+        // (extents, halo, threads): inner extents packed several to a
+        // block and cut into blocks of their own, one to six axis-0 rows
+        // (so threads > rows occurs) and, at rank 3, enough points — a
+        // worker per 2048 — that the slab split really spawns up to three
+        // of them.
+        let (w, pack) = (BLOCK as i64, PACK_BELOW as i64);
         let gen = |rng: &mut crate::rng::Rng| {
-            let inner = *rng.pick(&[lanes - 1, lanes, lanes + 1, 2 * lanes + 1]);
+            let inner = *rng.pick(&[1, 3, 16, pack, w + 1]);
             let extents = match rng.range(1, 4) {
                 1 => vec![inner],
                 2 => vec![rng.range_i64(1, 6), inner],

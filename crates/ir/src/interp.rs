@@ -292,9 +292,9 @@ impl KernelData {
     }
 }
 
-/// What a [`Store`] did besides the kernel's own loads and stores, in
-/// bytes — the deterministic work counters `repro bench` gates: the same
-/// kernel over the same shapes counts the same bytes on any host.
+/// What a [`Store`] did besides the kernel's own loads and stores — the
+/// deterministic work counters `repro bench` gates: the same kernel over
+/// the same shapes counts the same on any host.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StoreWork {
     /// Bytes of buffers allocated through [`Store::alloc`] (temps,
@@ -303,6 +303,11 @@ pub struct StoreWork {
     /// Bytes copied since then: the copy a lent buffer pays on its first
     /// write, and every box or whole-buffer copy between two buffers.
     pub copied_bytes: u64,
+    /// Bytecode instructions dispatched since then, instructions × blocks
+    /// summed over the applies run as compiled programs
+    /// ([`crate::bytecode::exec_apply_with`]); a tree-walked apply counts
+    /// none.
+    pub dispatches: u64,
 }
 
 fn bytes(elements: usize) -> u64 {
@@ -487,6 +492,11 @@ impl<'d> Store<'d> {
         self.work
     }
 
+    /// Count `n` bytecode instructions dispatched.
+    pub fn count_dispatches(&mut self, n: u64) {
+        self.work.dispatches += n;
+    }
+
     /// Start the work counters again from zero — called once the
     /// arguments are bound, so a sweep's counters are the sweep's own.
     pub fn reset_work(&mut self) {
@@ -554,8 +564,8 @@ pub struct Machine<'c, 'e> {
     /// plans (see [`crate::bytecode`]) installs them here and the machine
     /// uses them transparently, with identical (bitwise) results.
     pub apply_plans: HashMap<OpId, std::sync::Arc<crate::bytecode::Program>>,
-    /// How installed apply plans are executed (scalar vs chunked vs
-    /// chunked+threaded). Bitwise-identical results in every mode; see
+    /// How installed apply plans are executed (scalar vs blocks vs
+    /// blocks+threaded). Bitwise-identical results in every mode; see
     /// [`crate::bytecode::ApplyMode`].
     pub apply_mode: crate::bytecode::ApplyMode,
     /// Apply results a planned apply may compute straight into the field
@@ -1375,7 +1385,8 @@ mod tests {
             store.work(),
             StoreWork {
                 allocated_bytes: 16,
-                copied_bytes: 4 * 32 + 32 + 16
+                copied_bytes: 4 * 32 + 32 + 16,
+                dispatches: 0,
             }
         );
         store.reset_work();
