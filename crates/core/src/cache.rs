@@ -682,6 +682,29 @@ mod tests {
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
+    /// The key is over the printed source, byte for byte: every cached
+    /// design, persisted file name and `source_digest` depends on the
+    /// printer writing exactly this text.
+    #[test]
+    fn catalogue_keys_are_pinned() {
+        use shmls_kernels::catalogue::CATALOGUE;
+        let keys: Vec<(&str, String)> = CATALOGUE
+            .iter()
+            .map(|k| {
+                let kernel = parse_kernel(&k.source([16, 16, 16])).unwrap();
+                let key = CompileCache::key(&kernel, &CompileOptions::default());
+                (k.name, format!("{key:016x}"))
+            })
+            .collect();
+        let pinned = [
+            ("heat3d", "8a104ceef0904875"),
+            ("laplace", "f0ee4afb12c44ed7"),
+            ("pw_advection", "37d46dfcca26ff93"),
+            ("tracer_advection", "7c21b0c8105703bf"),
+        ];
+        assert_eq!(keys, pinned.map(|(k, v)| (k, v.to_string())));
+    }
+
     #[test]
     fn same_kernel_twice_compiles_once() {
         let cache = CompileCache::new();

@@ -122,11 +122,6 @@ impl CompiledKernel {
         format!("{}_hls", self.kernel.name)
     }
 
-    /// Name of the CPU reference function.
-    pub fn cpu_name(&self) -> String {
-        format!("{}_cpu", self.kernel.name)
-    }
-
     /// A stable fingerprint of the compiled module: FNV-1a over the
     /// printed IR. Compilation is deterministic, so two compilations of
     /// the same kernel under the same options produce the same

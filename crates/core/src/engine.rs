@@ -10,7 +10,12 @@
 //! and whatever structural statistics only that tier can report, out —
 //! so a caller that wants values (the time march, the differential
 //! harness) is written once against the trait and picks a tier by
-//! passing a value.
+//! passing a value. A caller that sweeps one kernel again and again
+//! prepares it once ([`Engine::prepare`]): the [`Prepared`] sweep keeps
+//! what does not depend on the data — the function to run, the
+//! arguments' binding, the bytecode tier's input layouts and register
+//! files — and a one-off [`Engine::sweep`] is a sweep of a kernel
+//! prepared for it.
 //!
 //! A sweep of depth `d` advances `d` timesteps, each step's outputs fed
 //! to the next step's inputs by [`feedback_pairs`]. The interpreter tiers
@@ -21,16 +26,20 @@
 //! halo ring from the output argument's buffer, which is what makes them
 //! bitwise interchangeable.
 
-use std::collections::BTreeMap;
+#![deny(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
+use std::sync::Arc;
 use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
 use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
 use shmls_frontend::{FieldKind, KernelArg};
-use shmls_ir::bytecode::ApplyMode;
+use shmls_ir::bytecode::{ApplyMode, DirectStores, PreparedApplies, Program};
 use shmls_ir::error::{IrError, IrResult};
 use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store, StoreWork};
+use shmls_ir::ir::{IdMap, OpId, ValueId};
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
 use crate::driver::CompiledKernel;
@@ -55,21 +64,37 @@ pub struct Sweep {
     pub work: Option<StoreWork>,
 }
 
+/// A compiled kernel made ready to sweep on one tier: whatever a sweep
+/// needs that does not depend on the data, worked out by
+/// [`Engine::prepare`] once and kept from one sweep to the next.
+pub trait Prepared {
+    /// Advance the kernel over `data` by `depth` timesteps.
+    fn sweep(&mut self, data: &KernelData, depth: usize) -> IrResult<Sweep>;
+}
+
 /// One execution tier.
 pub trait Engine: Debug + Sync {
     /// Name on the command line and in reports.
     fn name(&self) -> &'static str;
 
-    /// Advance `compiled` over `data` by `depth` timesteps.
-    fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep>;
+    /// Make `compiled` ready to sweep on this tier, as often as the
+    /// caller likes.
+    fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>>;
+
+    /// Advance `compiled` over `data` by `depth` timesteps: the one sweep
+    /// of a kernel prepared for it.
+    fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
+        self.prepare(compiled)?.sweep(data, depth)
+    }
 
     /// The least work (interior points × depth) for which one sweep is
     /// worth a thread of its own — the time march runs smaller slabs one
     /// after another on the calling thread. Spawning and joining a
     /// march's workers costs some 130 µs a round, so each engine names
-    /// what it sweeps in about a millisecond: 16k point-steps on the
-    /// bytecode tiers (12–16M a second), 16 on the dataflow engines and
-    /// 64 on the tree-walker (tens of thousands a second).
+    /// at most a millisecond of its sweeping: 16k point-steps on the
+    /// bytecode tiers (half a millisecond at the block executor's ≈ 31M
+    /// a second), 16 on the dataflow engines and 64 on the tree-walker
+    /// (tens of thousands a second).
     fn min_parallel_work(&self) -> u64;
 }
 
@@ -119,45 +144,31 @@ impl Engine for Interp {
         }
     }
 
-    fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
+    fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
         let func = match self {
-            Interp::Cpu if compiled.cpu_func.is_none() => {
-                ir_bail!("kernel was compiled without the CPU path")
-            }
-            Interp::Cpu => compiled.cpu_name(),
-            _ => compiled.kernel.name.clone(),
+            Interp::Cpu => compiled
+                .cpu_func
+                .ok_or_else(|| ir_error!("kernel was compiled without the CPU path"))?,
+            _ => compiled.stencil_func,
         };
-        let mut no = NoExtern;
-        let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
-        if let Interp::Bytecode(mode) = *self {
-            machine.apply_plans = compiled.apply_plans.clone();
-            machine.direct_stores = compiled.direct_stores.clone();
-            machine.apply_mode = mode;
-        }
-        let (args, handles) = bind_args(compiled, data, &mut machine.store)?;
-        machine.call(&func, &args)?;
-        if depth > 1 {
-            // A fed input becomes the whole buffer its output was written
-            // into: the new interior inside the output argument's ring.
-            // An `inout` field is its own feed.
-            let feeds: Vec<(usize, usize)> = feedback_pairs(&compiled.kernel)
-                .iter()
-                .filter(|(out_name, in_name)| out_name != in_name)
-                .map(|(out_name, in_name)| (handles[out_name], handles[in_name]))
-                .collect();
-            for _ in 1..depth {
-                for &(out, input) in &feeds {
-                    machine.store.copy_whole(out, input)?;
-                }
-                machine.call(&func, &args)?;
-            }
-        }
-        let work = machine.store.work();
-        Ok(Sweep {
-            outputs: collect_outputs(compiled, &mut machine.store, &handles)?,
-            stats: None,
-            work: Some(work),
-        })
+        let (mode, plans, direct_stores) = match *self {
+            Interp::Bytecode(mode) => (
+                mode,
+                compiled.apply_plans.clone(),
+                compiled.direct_stores.clone(),
+            ),
+            Interp::Tree | Interp::Cpu => Default::default(),
+        };
+        Ok(Box::new(Interpreted {
+            compiled,
+            func,
+            binding: Binding::new(compiled),
+            env: IdMap::default(),
+            mode,
+            plans,
+            direct_stores,
+            prepared: PreparedApplies::default(),
+        }))
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -165,6 +176,77 @@ impl Engine for Interp {
             Interp::Bytecode(_) => 16_384,
             Interp::Tree | Interp::Cpu => 64,
         }
+    }
+}
+
+/// An interpreter tier's prepared kernel: the function it calls by op —
+/// no walk of the module for its name — its arguments' binding, the value
+/// table each sweep's machine borrows, and what the machine runs planned
+/// applies with: on the bytecode tiers the plans and what their runs
+/// keep for the next, none on the others.
+struct Interpreted<'c> {
+    compiled: &'c CompiledKernel,
+    func: OpId,
+    binding: Binding,
+    env: IdMap<ValueId, RtValue>,
+    mode: ApplyMode,
+    plans: HashMap<OpId, Arc<Program>>,
+    direct_stores: DirectStores,
+    prepared: PreparedApplies,
+}
+
+impl Interpreted<'_> {
+    /// Trade places with `machine`: lend it the value table (emptied) and
+    /// the plans before a sweep, take them back after it, whatever it
+    /// came to.
+    fn swap(&mut self, machine: &mut Machine<'_, '_>) {
+        self.env.clear();
+        std::mem::swap(&mut machine.env, &mut self.env);
+        machine.apply_mode = self.mode;
+        std::mem::swap(&mut machine.apply_plans, &mut self.plans);
+        std::mem::swap(&mut machine.direct_stores, &mut self.direct_stores);
+        std::mem::swap(&mut machine.prepared, &mut self.prepared);
+    }
+
+    /// Bind `data` in `machine` and call the function `depth` times over
+    /// one store.
+    fn call_deep<'d>(
+        &self,
+        machine: &mut Machine<'d, '_>,
+        data: &'d KernelData,
+        depth: usize,
+    ) -> IrResult<Sweep> {
+        let args = self.binding.bind(data, &mut machine.store)?;
+        machine.call_func(self.func, &args)?;
+        for _ in 1..depth {
+            // A fed input becomes the whole buffer its output was
+            // written into: the new interior inside the output argument's
+            // ring. An `inout` field is its own feed.
+            for &(out, input) in &self.binding.feeds {
+                machine
+                    .store
+                    .copy_whole(args[out].as_memref()?, args[input].as_memref()?)?;
+            }
+            machine.call_func(self.func, &args)?;
+        }
+        let work = machine.store.work();
+        Ok(Sweep {
+            outputs: self.binding.collect(&args, &mut machine.store)?,
+            stats: None,
+            work: Some(work),
+        })
+    }
+}
+
+impl Prepared for Interpreted<'_> {
+    fn sweep(&mut self, data: &KernelData, depth: usize) -> IrResult<Sweep> {
+        let compiled = self.compiled;
+        let mut no = NoExtern;
+        let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
+        self.swap(&mut machine);
+        let swept = self.call_deep(&mut machine, data, depth);
+        self.swap(&mut machine);
+        swept
     }
 }
 
@@ -178,8 +260,9 @@ impl Engine for Stream {
         "stream"
     }
 
-    fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
-        dataflow_sweep(self, compiled, data, depth, Schedule::Sequential)
+    fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
+        let schedule = Schedule::Sequential;
+        Ok(Box::new(Design::new(self, compiled, schedule)))
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -201,11 +284,11 @@ impl Engine for Threaded {
         "threaded"
     }
 
-    fn sweep(&self, compiled: &CompiledKernel, data: &KernelData, depth: usize) -> IrResult<Sweep> {
+    fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
         let schedule = Schedule::Threaded {
             watchdog: self.watchdog,
         };
-        dataflow_sweep(self, compiled, data, depth, schedule)
+        Ok(Box::new(Design::new(self, compiled, schedule)))
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -213,137 +296,224 @@ impl Engine for Threaded {
     }
 }
 
-/// A dataflow engine's sweep: the design advances the depth it was
-/// compiled for, no other, in one run; a deadlock is an error.
-fn dataflow_sweep(
-    engine: &dyn Engine,
-    compiled: &CompiledKernel,
-    data: &KernelData,
-    depth: usize,
+/// A dataflow engine's prepared kernel: the design, its arguments'
+/// binding and its schedule.
+struct Design<'c> {
+    engine: &'static str,
+    compiled: &'c CompiledKernel,
+    binding: Binding,
     schedule: Schedule,
-) -> IrResult<Sweep> {
-    ir_ensure!(
-        compiled.report.temporal_depth == depth,
-        "a sweep of depth {depth} was asked of a dataflow design compiled at temporal depth {}",
-        compiled.report.temporal_depth
-    );
-    let (outputs, stats) =
-        run_design(compiled, data, schedule)?.map_err(|report| deadlocked(engine, &report))?;
-    Ok(Sweep {
-        outputs,
-        stats: Some(stats),
-        work: None,
-    })
 }
 
-/// The error a deadlocked run of `engine` is.
-pub(crate) fn deadlocked(engine: &dyn Engine, report: &DeadlockReport) -> IrError {
-    ir_error!("the {} engine deadlocked:\n{report}", engine.name())
+impl<'c> Design<'c> {
+    fn new(engine: &dyn Engine, compiled: &'c CompiledKernel, schedule: Schedule) -> Self {
+        Design {
+            engine: engine.name(),
+            compiled,
+            binding: Binding::new(compiled),
+            schedule,
+        }
+    }
+}
+
+impl Prepared for Design<'_> {
+    /// The design advances the depth it was compiled for, no other, in
+    /// one run; a deadlock is an error.
+    fn sweep(&mut self, data: &KernelData, depth: usize) -> IrResult<Sweep> {
+        let compiled = self.compiled;
+        ir_ensure!(
+            compiled.report.temporal_depth == depth,
+            "a sweep of depth {depth} was asked of a dataflow design compiled at temporal depth {}",
+            compiled.report.temporal_depth
+        );
+        let (outputs, stats) = run_design(compiled, &self.binding, data, self.schedule)?
+            .map_err(|report| deadlocked(self.engine, &report))?;
+        Ok(Sweep {
+            outputs,
+            stats: Some(stats),
+            work: None,
+        })
+    }
+}
+
+/// The error a deadlocked run of the engine called `engine` is.
+pub(crate) fn deadlocked(engine: &str, report: &DeadlockReport) -> IrError {
+    ir_error!("the {engine} engine deadlocked:\n{report}")
 }
 
 /// A completed dataflow run: the written fields and its [`StreamStats`].
 pub(crate) type DesignRun = (BTreeMap<String, Buffer>, StreamStats);
 
-/// Run the dataflow design once under `schedule`: the written fields and
-/// the run's [`StreamStats`] — or the deadlock (the inner `Err`, naming
-/// every blocked stage and the stream it was blocked on) apart from an
-/// execution error (the outer one).
+/// Run the dataflow design once under `schedule`, its arguments bound
+/// by `binding`: the written fields and the run's [`StreamStats`] — or
+/// the deadlock (the inner `Err`, naming every blocked stage and the
+/// stream it was blocked on) apart from an execution error (the outer
+/// one).
 pub(crate) fn run_design(
     compiled: &CompiledKernel,
+    binding: &Binding,
     data: &KernelData,
     schedule: Schedule,
 ) -> IrResult<Result<DesignRun, Box<DeadlockReport>>> {
     let mut staged = Store::new();
-    let (args, handles) = bind_args(compiled, data, &mut staged)?;
+    let args = binding.bind(data, &mut staged)?;
     let setup = |store: &mut _| {
         *store = staged;
-        args
+        args.clone()
     };
-    let (ctx, name) = (&compiled.ctx, compiled.hls_name());
-    match execute(ctx, compiled.module, &name, setup, schedule)? {
+    match execute(
+        &compiled.ctx,
+        compiled.module,
+        compiled.hls_func,
+        setup,
+        schedule,
+    )? {
         Outcome::Completed {
             mut store,
             mem_beats,
             streams,
         } => {
             let stats = (streams.len(), streams.iter().sum(), mem_beats);
-            Ok(Ok((
-                collect_outputs(compiled, &mut store, &handles)?,
-                stats,
-            )))
+            Ok(Ok((binding.collect(&args, &mut store)?, stats)))
         }
         Outcome::Deadlock { report } => Ok(Err(report)),
     }
 }
 
-/// Bind the kernel arguments in `store` and return `(args, name →
-/// handle)` in signature order. A buffer found in `data` is lent, not
-/// copied: the store reads it in place and copies it only if the kernel
-/// writes it (an `inout` field, a caller-supplied output), so the
-/// caller's data is never mutated. A buffer `data` leaves out is a zeroed
-/// one of the argument's shape. The store's work counters start from
-/// zero once everything is bound.
-fn bind_args<'d>(
-    compiled: &CompiledKernel,
-    data: &'d KernelData,
-    store: &mut Store<'d>,
-) -> IrResult<(Vec<RtValue>, BTreeMap<String, usize>)> {
-    let bounded = shmls_ir::types::StencilBounds::from_extents(&compiled.signature.grid)
-        .grown(compiled.signature.halo);
-    let mut args = Vec::new();
-    let mut handles = BTreeMap::new();
-    let mut bind = |name: &String, what: &str, shape: Vec<i64>, origin: Vec<i64>| {
-        let len: i64 = shape.iter().product();
-        let h = match data.buffers.get(name) {
-            Some(buffer) if buffer.shape != shape => ir_bail!(
-                "{what} `{name}`: buffer shape {:?} does not match the expected {shape:?}",
-                buffer.shape
-            ),
-            Some(buffer) if buffer.origin != origin => ir_bail!(
-                "{what} `{name}`: buffer origin {:?} does not match the expected {origin:?}",
-                buffer.origin
-            ),
-            Some(buffer) if buffer.data.len() as i64 != len => ir_bail!(
-                "{what} `{name}`: buffer holds {} elements where its shape {shape:?} needs {len}",
-                buffer.data.len()
-            ),
-            Some(buffer) => store.lend(buffer),
-            None => store.alloc(Buffer::zeroed(shape, origin)),
-        };
-        handles.insert(name.clone(), h);
-        Ok(RtValue::MemRef(h))
-    };
-    for arg in &compiled.signature.args {
-        args.push(match arg {
-            KernelArg::Field(name, _) => {
-                bind(name, "field", bounded.extents(), bounded.lb.clone())?
-            }
-            KernelArg::Param(name, _, extent) => bind(name, "parameter", vec![*extent], vec![0])?,
-            KernelArg::Const(name) => RtValue::F64(
-                *data
-                    .scalars
-                    .get(name)
-                    .ok_or_else(|| ir_error!("missing scalar constant `{name}`"))?,
-            ),
-        });
-    }
-    store.reset_work();
-    Ok((args, handles))
+/// How a kernel's arguments bind, worked out from its signature once per
+/// prepare: per argument the buffer it must be, or the scalar it names;
+/// where the written fields are, to collect them; and the fed pairs, for
+/// a deep sweep's feedback.
+pub(crate) struct Binding {
+    args: Vec<ArgSpec>,
+    /// Every written field (`output` and `inout`) and its argument.
+    outputs: Vec<(String, usize)>,
+    /// `(output, input)` arguments of every fed pair but an `inout`
+    /// field feeding itself.
+    feeds: Vec<(usize, usize)>,
 }
 
-/// Move the externally written fields out of a finished run's store.
-fn collect_outputs(
-    compiled: &CompiledKernel,
-    store: &mut Store<'_>,
-    handles: &BTreeMap<String, usize>,
-) -> IrResult<BTreeMap<String, Buffer>> {
-    let mut out = BTreeMap::new();
-    for arg in &compiled.signature.args {
-        if let KernelArg::Field(name, FieldKind::Output | FieldKind::InOut) = arg {
-            out.insert(name.clone(), store.take(handles[name])?);
+/// One argument of a [`Binding`].
+enum ArgSpec {
+    /// A field or an axis parameter (`what`), whose buffer has exactly
+    /// this shape and origin.
+    Buffer {
+        name: String,
+        what: &'static str,
+        shape: Vec<i64>,
+        origin: Vec<i64>,
+    },
+    /// A scalar constant.
+    Scalar(String),
+}
+
+impl Binding {
+    pub(crate) fn new(compiled: &CompiledKernel) -> Binding {
+        let sig = &compiled.signature;
+        let bounded = shmls_ir::types::StencilBounds::from_extents(&sig.grid).grown(sig.halo);
+        let args: Vec<ArgSpec> = (sig.args.iter())
+            .map(|arg| match arg {
+                KernelArg::Field(name, _) => ArgSpec::Buffer {
+                    name: name.clone(),
+                    what: "field",
+                    shape: bounded.extents(),
+                    origin: bounded.lb.clone(),
+                },
+                KernelArg::Param(name, _, extent) => ArgSpec::Buffer {
+                    name: name.clone(),
+                    what: "parameter",
+                    shape: vec![*extent],
+                    origin: vec![0],
+                },
+                KernelArg::Const(name) => ArgSpec::Scalar(name.clone()),
+            })
+            .collect();
+        let position = |name: &str| {
+            let named = |arg: &KernelArg| matches!(arg, KernelArg::Field(n, _) if n == name);
+            sig.args.iter().position(named)
+        };
+        let outputs = (sig.args.iter().enumerate())
+            .filter_map(|(i, arg)| match arg {
+                KernelArg::Field(name, FieldKind::Output | FieldKind::InOut) => {
+                    Some((name.clone(), i))
+                }
+                _ => None,
+            })
+            .collect();
+        let feeds = (feedback_pairs(&compiled.kernel).iter())
+            .filter(|(out_name, in_name)| out_name != in_name)
+            .filter_map(|(out_name, in_name)| Some((position(out_name)?, position(in_name)?)))
+            .collect();
+        Binding {
+            args,
+            outputs,
+            feeds,
         }
     }
-    Ok(out)
+
+    /// Bind the arguments in `store` and return them in signature order.
+    /// A buffer found in `data` is lent, not copied: the store reads it in
+    /// place and copies it only if the kernel writes it (an `inout` field,
+    /// a caller-supplied output), so the caller's data is never mutated.
+    /// A buffer `data` leaves out is a zeroed one of the argument's shape.
+    /// The store's work counters start from zero once everything is bound.
+    pub(crate) fn bind<'d>(
+        &self,
+        data: &'d KernelData,
+        store: &mut Store<'d>,
+    ) -> IrResult<Vec<RtValue>> {
+        let mut args = Vec::with_capacity(self.args.len());
+        for arg in &self.args {
+            args.push(match arg {
+                ArgSpec::Buffer {
+                    name,
+                    what,
+                    shape,
+                    origin,
+                } => {
+                    let len: i64 = shape.iter().product();
+                    RtValue::MemRef(match data.buffers.get(name) {
+                        Some(buffer) if buffer.shape != *shape => ir_bail!(
+                            "{what} `{name}`: buffer shape {:?} does not match the expected {shape:?}",
+                            buffer.shape
+                        ),
+                        Some(buffer) if buffer.origin != *origin => ir_bail!(
+                            "{what} `{name}`: buffer origin {:?} does not match the expected {origin:?}",
+                            buffer.origin
+                        ),
+                        Some(buffer) if buffer.data.len() as i64 != len => ir_bail!(
+                            "{what} `{name}`: buffer holds {} elements where its shape {shape:?} needs {len}",
+                            buffer.data.len()
+                        ),
+                        Some(buffer) => store.lend(buffer),
+                        None => store.alloc(Buffer::zeroed(shape.clone(), origin.clone())),
+                    })
+                }
+                ArgSpec::Scalar(name) => RtValue::F64(
+                    *data
+                        .scalars
+                        .get(name)
+                        .ok_or_else(|| ir_error!("missing scalar constant `{name}`"))?,
+                ),
+            });
+        }
+        store.reset_work();
+        Ok(args)
+    }
+
+    /// Move the written fields out of a finished run's store, `args` being
+    /// what [`Binding::bind`] returned.
+    fn collect(
+        &self,
+        args: &[RtValue],
+        store: &mut Store<'_>,
+    ) -> IrResult<BTreeMap<String, Buffer>> {
+        let mut out = BTreeMap::new();
+        for (name, arg) in &self.outputs {
+            out.insert(name.clone(), store.take(args[*arg].as_memref()?)?);
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -380,7 +550,12 @@ mod tests {
 
     /// RELAX's data, the output `b` supplied by the caller as well.
     fn relax_data() -> KernelData {
-        let mut rng = Rng::new(21);
+        relax_data_seeded(21)
+    }
+
+    /// [`relax_data`] drawn from `seed`.
+    fn relax_data_seeded(seed: u64) -> KernelData {
+        let mut rng = Rng::new(seed);
         let mut field = || seeded(vec![8, 7, 11], vec![-1, -1, -1], &mut rng);
         let (a, s, b) = (field(), field(), field());
         KernelData::default()
@@ -398,6 +573,8 @@ mod tests {
             .collect()
     }
 
+    /// Fresh or prepared — and a prepared kernel swept twice — no engine
+    /// writes the buffers it was lent.
     #[test]
     fn sweep_leaves_the_callers_data_untouched() {
         let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
@@ -405,15 +582,53 @@ mod tests {
         let before = data.clone();
         let oracle = Interp::Tree.sweep(&compiled, &data, 1).unwrap().outputs;
         for engine in every_engine() {
-            let sweep = engine.sweep(&compiled, &data, 1).unwrap();
-            assert_eq!(
-                bits(&data.buffers),
-                bits(&before.buffers),
-                "{} wrote the caller's buffers",
-                engine.name()
-            );
-            // Whole buffers: the supplied rings of `s` and `b` included.
-            assert_eq!(bits(&sweep.outputs), bits(&oracle), "{}", engine.name());
+            let fresh = engine.sweep(&compiled, &data, 1).unwrap();
+            let mut prepared = engine.prepare(&compiled).unwrap();
+            let sweeps = [fresh, prepared.sweep(&data, 1).unwrap()];
+            let again = prepared.sweep(&data, 1).unwrap();
+            for sweep in sweeps.iter().chain([&again]) {
+                assert_eq!(
+                    bits(&data.buffers),
+                    bits(&before.buffers),
+                    "{} wrote the caller's buffers",
+                    engine.name()
+                );
+                // Whole buffers: the supplied rings of `s` and `b` included.
+                assert_eq!(bits(&sweep.outputs), bits(&oracle), "{}", engine.name());
+            }
+        }
+    }
+
+    /// One kernel prepared and swept over three data sets — the third
+    /// leaving the output `b` to the store — gives each the bits and the
+    /// work a fresh sweep of it gives, on every engine. A misshapen
+    /// buffer swept between them is refused as a fresh sweep refuses it,
+    /// and leaves nothing behind that the next sweep would notice.
+    #[test]
+    fn prepared_sweeps_equal_fresh_sweeps() {
+        let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
+        let mut own = relax_data_seeded(23);
+        own.buffers.remove("b");
+        let sets = [relax_data_seeded(21), relax_data_seeded(22), own];
+        let mut short = relax_data_seeded(24);
+        short.buffers.get_mut("a").unwrap().data.pop();
+        for engine in every_engine() {
+            let name = engine.name();
+            let mut prepared = engine.prepare(&compiled).unwrap();
+            for (i, data) in sets.iter().enumerate() {
+                let fresh = engine.sweep(&compiled, data, 1).unwrap();
+                let swept = prepared.sweep(data, 1).unwrap();
+                assert_eq!(
+                    bits(&swept.outputs),
+                    bits(&fresh.outputs),
+                    "{name}, set {i}"
+                );
+                assert_eq!(swept.work, fresh.work, "{name}, set {i}");
+                assert_eq!(swept.stats, fresh.stats, "{name}, set {i}");
+                let e = prepared.sweep(&short, 1).unwrap_err().to_string();
+                let wanted = ["field `a`", "615", "616"];
+                assert!(wanted.iter().all(|w| e.contains(w)), "{name}: {e}");
+            }
         }
     }
 
@@ -559,7 +774,7 @@ mod tests {
 
     /// A stage that panics is an error naming it, on either schedule: a
     /// field one element short of its shape, put straight into the store
-    /// past `bind_args`, runs the load stage off its end.
+    /// past the binding's checks, runs the load stage off its end.
     #[test]
     fn a_panicking_stage_is_an_error_naming_it() {
         let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
@@ -570,14 +785,16 @@ mod tests {
         let watchdog = Duration::from_millis(500);
         for schedule in [Schedule::Sequential, Schedule::Threaded { watchdog }] {
             let setup = |store: &mut _| {
-                let (args, handles) = bind_args(&compiled, &data, store).unwrap();
+                let args = Binding::new(&compiled).bind(&data, store).unwrap();
                 let mut short = data.buffers["a"].clone();
                 short.data.pop();
-                store.put(handles["a"], short).unwrap();
+                let a = |arg: &_| matches!(arg, KernelArg::Field(name, _) if name == "a");
+                let a = compiled.signature.args.iter().position(a).unwrap();
+                store.put(args[a].as_memref().unwrap(), short).unwrap();
                 args
             };
-            let (ctx, name) = (&compiled.ctx, compiled.hls_name());
-            let e = execute(ctx, compiled.module, &name, setup, schedule).unwrap_err();
+            let (ctx, func) = (&compiled.ctx, compiled.hls_func);
+            let e = execute(ctx, compiled.module, func, setup, schedule).unwrap_err();
             let e = e.to_string();
             assert!(e.contains(&label), "{schedule:?}: {e}");
             assert!(e.contains("index out of bounds"), "{schedule:?}: {e}");

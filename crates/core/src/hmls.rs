@@ -46,6 +46,8 @@
 //! layouts of the runtime calls come from
 //! [`shmls_dialects::hls::RuntimeKind`]; nothing here spells them.
 
+#![deny(clippy::too_many_lines)]
+
 use std::collections::{BTreeMap, HashMap};
 
 use shmls_dialects::hls::{RuntimeCall, RuntimeKind};
@@ -1597,6 +1599,60 @@ kernel masked {
         pairs
     }
 
+    /// One argument's initial value in [`check_depth_equivalence`].
+    #[derive(Clone)]
+    enum Seed {
+        Field(Vec<f64>),
+        Param(Vec<f64>),
+        Const(f64),
+    }
+
+    /// Random initial values for every argument of `sig`. Every field
+    /// buffer (outputs included) gets random contents so the halo-ring
+    /// path is exercised with nonzero values, not just the zeroed-buffer
+    /// case.
+    fn random_seeds(sig: &shmls_frontend::KernelSignature, seed: u64) -> Vec<Seed> {
+        let bounded = StencilBounds::from_extents(&sig.grid).grown(sig.halo);
+        let mut next = seed;
+        let mut rnd = move || {
+            next ^= next << 13;
+            next ^= next >> 7;
+            next ^= next << 17;
+            (next % 1000) as f64 / 100.0 - 5.0
+        };
+        sig.args
+            .iter()
+            .map(|arg| match arg {
+                shmls_frontend::KernelArg::Field(_, _) => {
+                    let n = bounded.num_points();
+                    Seed::Field((0..n).map(|_| rnd()).collect())
+                }
+                shmls_frontend::KernelArg::Param(_, _, extent) => {
+                    Seed::Param((0..*extent).map(|_| rnd()).collect())
+                }
+                shmls_frontend::KernelArg::Const(_) => Seed::Const(rnd()),
+            })
+            .collect()
+    }
+
+    /// Allocate `seeds` in `store` as the arguments of a kernel over
+    /// `bounded`.
+    fn alloc_seeds(store: &mut Store, bounded: &StencilBounds, seeds: &[Seed]) -> Vec<RtValue> {
+        let mut filled = |shape: Vec<i64>, origin: Vec<i64>, v: &[f64]| {
+            let mut buf = Buffer::zeroed(shape, origin);
+            buf.data.copy_from_slice(v);
+            RtValue::MemRef(store.alloc(buf))
+        };
+        seeds
+            .iter()
+            .map(|s| match s {
+                Seed::Field(v) => filled(bounded.extents(), bounded.lb.clone(), v),
+                Seed::Param(v) => filled(vec![v.len() as i64], vec![0], v),
+                Seed::Const(v) => RtValue::F64(*v),
+            })
+            .collect()
+    }
+
     /// One sweep of a depth-D design must be bitwise-equal to D iterated
     /// sweeps of the depth-1 design with results fed back through the
     /// declaration-order pairing — the exact oracle the conformance
@@ -1622,83 +1678,34 @@ kernel masked {
         let sig = &deep_lowered.signature;
         let bounded = StencilBounds::from_extents(&sig.grid).grown(sig.halo);
         let pairs = signature_pairs(sig);
-        let mut next = seed;
-        let mut rnd = move || {
-            next ^= next << 13;
-            next ^= next >> 7;
-            next ^= next << 17;
-            (next % 1000) as f64 / 100.0 - 5.0
-        };
-
-        // Initial argument values. Every field buffer (outputs included)
-        // gets random contents so the halo-ring path is exercised with
-        // nonzero values, not just the zeroed-buffer case.
-        #[derive(Clone)]
-        enum Seed {
-            Field(Vec<f64>),
-            Param(Vec<f64>),
-            Const(f64),
-        }
-        let init: Vec<Seed> = sig
-            .args
-            .iter()
-            .map(|arg| match arg {
-                shmls_frontend::KernelArg::Field(_, _) => {
-                    let n = bounded.num_points();
-                    Seed::Field((0..n).map(|_| rnd()).collect())
-                }
-                shmls_frontend::KernelArg::Param(_, _, extent) => {
-                    Seed::Param((0..*extent).map(|_| rnd()).collect())
-                }
-                shmls_frontend::KernelArg::Const(_) => Seed::Const(rnd()),
-            })
-            .collect();
-        let alloc = |store: &mut shmls_ir::interp::Store, vals: &[Seed]| -> Vec<RtValue> {
-            vals.iter()
-                .map(|s| match s {
-                    Seed::Field(v) => {
-                        let mut buf = Buffer::zeroed(bounded.extents(), bounded.lb.clone());
-                        buf.data.copy_from_slice(v);
-                        RtValue::MemRef(store.alloc(buf))
-                    }
-                    Seed::Param(v) => {
-                        let mut buf = Buffer::zeroed(vec![v.len() as i64], vec![0]);
-                        buf.data.copy_from_slice(v);
-                        RtValue::MemRef(store.alloc(buf))
-                    }
-                    Seed::Const(v) => RtValue::F64(*v),
-                })
-                .collect()
-        };
+        let init = random_seeds(sig, seed);
 
         // Oracle: depth iterated single-step sweeps, outputs fed to their
         // paired inputs between sweeps (full buffers — write_data touches
         // the interior only, so the ring carries the initial values, which
-        // is exactly what the deep design's halo_merge reads).
+        // is exactly what the deep design's halo_merge reads). Unpaired
+        // inputs, params and consts are constant across steps.
         let hls_name = format!("{}_hls", sig.name);
         let mut cur = init.clone();
         let mut last = None;
         for _ in 0..depth {
-            let (store, _, _) = run_sequential(&ctx1, module1, &hls_name, |st| alloc(st, &cur));
-            let mut fed = init.clone();
-            for (i, s) in cur.iter().enumerate() {
-                // Unpaired inputs/params/consts are constant across steps.
-                fed[i] = s.clone();
-            }
+            let (store, _, _) = run_sequential(&ctx1, module1, &hls_name, |st| {
+                alloc_seeds(st, &bounded, &cur)
+            });
             for &(o, i) in &pairs {
-                fed[i] = Seed::Field(store.get(o).unwrap().data.clone());
+                cur[i] = Seed::Field(store.get(o).unwrap().data.clone());
                 if o != i {
-                    fed[o] = init[o].clone();
+                    cur[o] = init[o].clone();
                 }
             }
-            cur = fed;
             last = Some(store);
         }
         let oracle = last.unwrap();
 
         // One deep sweep from the same initial values.
-        let (deep_store, _, mem_beats) =
-            run_sequential(&deep_ctx, deep_module, &hls_name, |st| alloc(st, &init));
+        let (deep_store, _, mem_beats) = run_sequential(&deep_ctx, deep_module, &hls_name, |st| {
+            alloc_seeds(st, &bounded, &init)
+        });
         assert!(mem_beats > 0);
 
         for (i, arg) in sig.args.iter().enumerate() {

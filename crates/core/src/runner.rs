@@ -15,7 +15,7 @@ use shmls_ir::ir_error;
 
 use crate::driver::CompiledKernel;
 pub use crate::engine::StreamStats;
-use crate::engine::{deadlocked, run_design, Engine, Interp, Stream};
+use crate::engine::{deadlocked, run_design, Binding, Engine, Interp, Stream};
 
 /// Run the frontend's stencil-dialect function directly (reference
 /// semantics).
@@ -63,7 +63,13 @@ pub fn run_hls(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<(BTreeMap<String, Buffer>, StreamStats)> {
-    run_design(compiled, data, Schedule::Sequential)?.map_err(|report| deadlocked(&Stream, &report))
+    run_design(
+        compiled,
+        &Binding::new(compiled),
+        data,
+        Schedule::Sequential,
+    )?
+    .map_err(|report| deadlocked(Stream.name(), &report))
 }
 
 /// Run the Stencil-HMLS design on the threaded engine (bounded FIFOs, one
@@ -79,7 +85,8 @@ pub fn run_hls_threaded(
     data: &KernelData,
     watchdog: Duration,
 ) -> IrResult<Result<BTreeMap<String, Buffer>, Box<DeadlockReport>>> {
-    let outcome = run_design(compiled, data, Schedule::Threaded { watchdog })?;
+    let schedule = Schedule::Threaded { watchdog };
+    let outcome = run_design(compiled, &Binding::new(compiled), data, schedule)?;
     Ok(outcome.map(|(outputs, _)| outputs))
 }
 

@@ -35,7 +35,13 @@
 //!   elements, memory beats). Either way every slab's dataflow design is
 //!   compiled, once per distinct slab height and depth, through the
 //!   content-addressed [`CompileCache`]: the report's model columns are
-//!   read from it.
+//!   read from it. Each CU prepares its design once for the rounds of
+//!   one depth ([`Engine::prepare`]), so a sweep pays none of the set-up
+//!   that does not depend on the data.
+//!
+//! The scheduler is named phases over one `MarchPlan`: `validate` →
+//! `plan` → per run of rounds at one depth, `designs` and `prepare` →
+//! its `round`s → `report`.
 //!
 //! Feedback between steps follows a declaration-order pairing rule
 //! ([`feedback_pairs`]): an `inout` field feeds itself, and the *k*-th
@@ -43,6 +49,8 @@
 //! inputs stay constant across steps. [`time_march_reference`] applies
 //! the same rule to a monolithic (single-domain) runner and is the oracle
 //! the slab path is differentially tested against.
+
+#![deny(clippy::too_many_lines)]
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,14 +61,14 @@ use shmls_fpga_sim::device::Device;
 use shmls_fpga_sim::perf::{
     external_passes, hmls_estimate, scale_estimate, PerfEstimate, ScaleEstimate,
 };
-use shmls_frontend::{FieldKind, KernelDef};
+use shmls_frontend::{FieldDecl, FieldKind, KernelDef};
 use shmls_ir::error::{panic_reason, IrResult};
 use shmls_ir::interp::Buffer;
 use shmls_ir::{ir_bail, ir_error};
 
 use crate::cache::{global_cache, CompileCache};
 use crate::driver::{CompileOptions, CompiledKernel, TargetPath};
-use crate::engine::{Engine, StreamStats, Sweep, VECTOR};
+use crate::engine::{Engine, Prepared, StreamStats, Sweep, VECTOR};
 use crate::runner::KernelData;
 
 /// Split `n0` rows into `cus` contiguous `[start, end)` slabs; the
@@ -189,7 +197,7 @@ pub struct MultiCuReport {
     /// Per-CU records, in CU order.
     pub per_cu: Vec<CuReport>,
     /// End-to-end wall-clock time: every round's slice, sweep and gather
-    /// (design lookups and compiles excluded).
+    /// (design lookups, compiles and preparing excluded).
     pub wall: Duration,
     /// Aggregate interior elements produced per second of wall-clock
     /// (all CUs, all steps).
@@ -237,6 +245,248 @@ struct SlabPlan {
     ext: (i64, i64),
     /// The design for a slab of `ext.0 + (end - start) + ext.1` rows.
     compiled: Arc<CompiledKernel>,
+}
+
+/// One CU's prepared sweep, for the rounds of one depth.
+type SlabSweep<'c> = Box<dyn Prepared + Send + 'c>;
+
+/// A march worked out before any round runs: what it sweeps on, how the
+/// domain splits, which output feeds which input, and its rounds as runs
+/// of one depth — the whole ones, then a shallower remainder.
+struct MarchPlan<'a> {
+    kernel: &'a KernelDef,
+    data: &'a KernelData,
+    opts: &'a CompileOptions,
+    march: &'a MarchOptions<'a>,
+    engine: &'a dyn Engine,
+    cache: &'a CompileCache,
+    steps: usize,
+    /// Timesteps per round but the remainder.
+    depth: usize,
+    pairs: Vec<(String, String)>,
+    /// Each CU's owned rows.
+    slabs: Vec<(i64, i64)>,
+    /// `(depth, rounds)`: the whole rounds, then the remainder.
+    runs: Vec<(usize, usize)>,
+}
+
+/// What the rounds add up as they run: per CU its execution time and
+/// stream statistics, the model's estimates (from the first designs),
+/// and a report per round.
+struct Ledger {
+    walls: Vec<Duration>,
+    streams: Vec<Option<StreamStats>>,
+    estimates: Vec<PerfEstimate>,
+    rounds: Vec<RoundReport>,
+}
+
+/// Refuse a march that cannot run: no steps, no CUs, more CUs than rows,
+/// slabs too thin to exchange a full halo, or temporal depth 0.
+fn validate(kernel: &KernelDef, steps: usize, cus: usize, depth: usize) -> IrResult<()> {
+    if steps == 0 {
+        ir_bail!("at least one timestep required");
+    }
+    if cus == 0 {
+        ir_bail!("at least one compute unit required");
+    }
+    let (n0, halo) = (kernel.grid[0], kernel.halo);
+    if (cus as i64) > n0 {
+        ir_bail!("cannot split {n0} rows over {cus} compute units");
+    }
+    if steps > 1 && cus > 1 && n0 / (cus as i64) < halo {
+        ir_bail!(
+            "slab height {} is smaller than the halo {halo}: \
+             halo exchange cannot supply a full halo (use fewer compute \
+             units or a taller grid)",
+            n0 / (cus as i64)
+        );
+    }
+    if depth == 0 {
+        ir_bail!("temporal depth must be at least 1 (got 0)");
+    }
+    Ok(())
+}
+
+impl<'a> MarchPlan<'a> {
+    fn new(
+        kernel: &'a KernelDef,
+        data: &'a KernelData,
+        steps: usize,
+        cus: usize,
+        opts: &'a CompileOptions,
+        march: &'a MarchOptions<'a>,
+    ) -> Self {
+        let depth = opts.hmls.temporal_depth;
+        let runs = [(depth, steps / depth), (steps % depth, 1)]
+            .into_iter()
+            .filter(|&(d, rounds)| d > 0 && rounds > 0)
+            .collect();
+        MarchPlan {
+            kernel,
+            data,
+            opts,
+            march,
+            engine: march.engine.unwrap_or(&VECTOR),
+            cache: march.cache.unwrap_or_else(|| global_cache()),
+            steps,
+            depth,
+            pairs: feedback_pairs(kernel),
+            slabs: partition(kernel.grid[0], cus),
+            runs,
+        }
+    }
+
+    /// The rounds of the march.
+    fn rounds(&self) -> usize {
+        self.runs.iter().map(|&(_, rounds)| rounds).sum()
+    }
+
+    /// The global state of the written fields, which the rounds gather
+    /// into and slice the fed inputs out of, and which is the result.
+    /// Outside the rows the CUs write it keeps what it starts with — the
+    /// halo ring: the caller's for an `inout` field (a march input), zero
+    /// for a pure output (output buffers are not march inputs: no slab is
+    /// ever sliced one, so every sweep starts them zeroed). A sweep reads
+    /// its fed fields' rings from exactly these values, so the gathered
+    /// state is the whole buffer the monolithic oracle feeds back.
+    fn initial_state(&self) -> IrResult<BTreeMap<String, Buffer>> {
+        let kernel = self.kernel;
+        let bounded = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(kernel.halo);
+        let written = |f: &&FieldDecl| matches!(f.kind, FieldKind::Output | FieldKind::InOut);
+        let start = |f: &FieldDecl| match f.kind {
+            FieldKind::InOut => self
+                .data
+                .buffers
+                .get(&f.name)
+                .cloned()
+                .ok_or_else(|| ir_error!("missing input buffer `{}`", f.name)),
+            _ => Ok(Buffer::zeroed(bounded.extents(), bounded.lb.clone())),
+        };
+        kernel
+            .fields
+            .iter()
+            .filter(written)
+            .map(|f| Ok((f.name.clone(), start(f)?)))
+            .collect()
+    }
+
+    /// Every CU's slab design for rounds of depth `d`, through the cache:
+    /// the designs with the lookups' `(hits, misses)`.
+    fn designs(&self, d: usize) -> IrResult<(Vec<SlabPlan>, u64, u64)> {
+        let mut slab_opts = CompileOptions {
+            paths: TargetPath::HlsOnly,
+            ..self.opts.clone()
+        };
+        slab_opts.hmls.temporal_depth = d;
+        let (n0, margin) = (self.kernel.grid[0], (d as i64 - 1) * self.kernel.halo);
+        let (mut plans, mut hits, mut misses) = (Vec::new(), 0, 0);
+        let mut slab_kernel = self.kernel.clone();
+        for &(start, end) in &self.slabs {
+            let ext = (margin.min(start), margin.min(n0 - end));
+            slab_kernel.grid[0] = ext.0 + (end - start) + ext.1;
+            let (compiled, hit) = self.cache.get_or_compile(&slab_kernel, &slab_opts)?;
+            hits += u64::from(hit);
+            misses += u64::from(!hit);
+            plans.push(SlabPlan {
+                rows: (start, end),
+                ext,
+                compiled,
+            });
+        }
+        Ok((plans, hits, misses))
+    }
+
+    /// Round `round`, `d` steps deep: slice every CU's slab out of the
+    /// state, sweep it, and gather the owned rows back — the exchange.
+    fn round(
+        &self,
+        (round, d): (usize, usize),
+        plans: &[SlabPlan],
+        sweeps: &mut [SlabSweep<'_>],
+        state: &mut BTreeMap<String, Buffer>,
+        ledger: &mut Ledger,
+    ) -> IrResult<Duration> {
+        let round_start = Instant::now();
+        // After the first round a fed input is read from the state of the
+        // output that feeds it.
+        let fed: BTreeMap<&str, &Buffer> = self
+            .pairs
+            .iter()
+            .filter(|_| round > 0)
+            .filter_map(|(out_name, in_name)| Some((in_name.as_str(), state.get(out_name)?)))
+            .collect();
+        let swept = sweep_slabs(self.engine, plans, sweeps, d, self.march, |plan| {
+            slice_slab(self.kernel, self.data, &fed, plan)
+        })?;
+        let mut outputs = Vec::with_capacity(plans.len());
+        for (cu, (sweep, wall)) in swept.into_iter().enumerate() {
+            ledger.walls[cu] += wall;
+            if let Some((n_streams, pushed, beats)) = sweep.stats {
+                let (_, all_pushed, all_beats) = ledger.streams[cu].unwrap_or_default();
+                ledger.streams[cu] = Some((n_streams, all_pushed + pushed, all_beats + beats));
+            }
+            outputs.push(sweep.outputs);
+        }
+        // Gather — the exchange: every CU's owned rows go back into the
+        // state, where the next round's slices find their neighbours'.
+        // Only the last round's gather needs the fields nothing reads.
+        let last = round + 1 == self.rounds();
+        let steps_done = round * self.depth;
+        let mut drop_first = (self.march.fault)
+            .filter(|f| !last && (steps_done..steps_done + d).contains(&f.step))
+            .map(|f| f.cu);
+        for (name, whole) in state.iter_mut() {
+            if last || self.pairs.iter().any(|(out_name, _)| out_name == name) {
+                gather_owned(whole, plans, &outputs, name, drop_first.take())?;
+            }
+        }
+        Ok(round_start.elapsed())
+    }
+
+    /// The march's report from what its rounds added up.
+    fn report(&self, ledger: Ledger) -> MultiCuReport {
+        let Ledger {
+            walls,
+            streams,
+            estimates,
+            rounds,
+        } = ledger;
+        let cus = self.slabs.len();
+        let wall: Duration = rounds.iter().map(|r| r.wall).sum();
+        let off_axis: i64 = self.kernel.grid[1..].iter().product();
+        let per_cu: Vec<CuReport> = (self.slabs.iter().enumerate())
+            .map(|(cu, &(start, end))| CuReport {
+                cu,
+                rows: (start, end),
+                interior_elems: ((end - start) * off_axis) as u64,
+                stream: streams[cu],
+                model_cycles: estimates[cu].cycles,
+                wall: walls[cu],
+            })
+            .collect();
+        let total_elems = per_cu.iter().map(|c| c.interior_elems).sum::<u64>() * self.steps as u64;
+        let mean_wall = walls.iter().map(|w| w.as_secs_f64()).sum::<f64>() / cus as f64;
+        let max_wall = walls.iter().map(|w| w.as_secs_f64()).fold(0.0f64, f64::max);
+        MultiCuReport {
+            cus,
+            steps: self.steps,
+            engine: self.engine.name(),
+            per_cu,
+            wall,
+            elems_per_s: total_elems as f64 / wall.as_secs_f64().max(1e-9),
+            load_imbalance: if mean_wall > 0.0 {
+                max_wall / mean_wall
+            } else {
+                1.0
+            },
+            cache_hits: rounds.iter().map(|r| r.cache_hits).sum(),
+            cache_misses: rounds.iter().map(|r| r.cache_misses).sum(),
+            temporal_depth: self.depth,
+            model_passes: external_passes(self.steps as u64, self.depth as u64),
+            rounds,
+            model: scale_estimate(&estimates),
+        }
+    }
 }
 
 /// Run `kernel` over `cus` compute units for one application of the
@@ -289,188 +539,42 @@ pub fn run_time_marched_with(
     opts: &CompileOptions,
     march: &MarchOptions<'_>,
 ) -> IrResult<(BTreeMap<String, Buffer>, MultiCuReport)> {
-    if steps == 0 {
-        ir_bail!("at least one timestep required");
-    }
-    if cus == 0 {
-        ir_bail!("at least one compute unit required");
-    }
-    let n0 = kernel.grid[0];
-    if (cus as i64) > n0 {
-        ir_bail!("cannot split {n0} rows over {cus} compute units");
-    }
-    let halo = kernel.halo;
-    if steps > 1 && cus > 1 && n0 / (cus as i64) < halo {
-        ir_bail!(
-            "slab height {} is smaller than the halo {halo}: \
-             halo exchange cannot supply a full halo (use fewer compute \
-             units or a taller grid)",
-            n0 / (cus as i64)
-        );
-    }
-    let depth = opts.hmls.temporal_depth;
-    if depth == 0 {
-        ir_bail!("temporal depth must be at least 1 (got 0)");
-    }
-    let engine = march.engine.unwrap_or(&VECTOR);
-    let cache = match march.cache {
-        Some(cache) => cache,
-        None => global_cache(),
+    validate(kernel, steps, cus, opts.hmls.temporal_depth)?;
+    let plan = MarchPlan::new(kernel, data, steps, cus, opts, march);
+    let mut state = plan.initial_state()?;
+    let mut ledger = Ledger {
+        walls: vec![Duration::ZERO; cus],
+        streams: vec![None; cus],
+        estimates: Vec::new(),
+        rounds: Vec::with_capacity(plan.rounds()),
     };
-    let pairs = feedback_pairs(kernel);
-    let slabs = partition(n0, cus);
-
-    // Whole rounds of `depth` steps, then the remainder.
-    let mut round_depths = vec![depth; steps / depth];
-    if !steps.is_multiple_of(depth) {
-        round_depths.push(steps % depth);
-    }
-
-    // The global state of the written fields, which the rounds gather
-    // into and slice the fed inputs out of, and which is the result.
-    // Outside the rows the CUs write it keeps what it starts with — the
-    // halo ring: the caller's for an `inout` field (a march input), zero
-    // for a pure output (output buffers are not march inputs: no slab is
-    // ever sliced one, so every sweep starts them zeroed). A sweep reads
-    // its fed fields' rings from exactly these values, so the gathered
-    // state is the whole buffer the monolithic oracle feeds back.
-    let bounded = shmls_ir::types::StencilBounds::from_extents(&kernel.grid).grown(halo);
-    let mut state: BTreeMap<String, Buffer> = kernel
-        .fields
-        .iter()
-        .filter(|f| matches!(f.kind, FieldKind::Output | FieldKind::InOut))
-        .map(|f| {
-            let start = if matches!(f.kind, FieldKind::InOut) {
-                data.buffers
-                    .get(&f.name)
-                    .cloned()
-                    .ok_or_else(|| ir_error!("missing input buffer `{}`", f.name))?
-            } else {
-                Buffer::zeroed(bounded.extents(), bounded.lb.clone())
-            };
-            Ok((f.name.clone(), start))
-        })
-        .collect::<IrResult<_>>()?;
-
-    let mut plans: Vec<SlabPlan> = Vec::new();
-    let mut estimates: Vec<PerfEstimate> = Vec::new();
-    let mut walls = vec![Duration::ZERO; cus];
-    let mut streams: Vec<Option<StreamStats>> = vec![None; cus];
-    let mut rounds: Vec<RoundReport> = Vec::with_capacity(round_depths.len());
-    for (round, &d) in round_depths.iter().enumerate() {
-        // Designs: once per distinct round depth, never per round.
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        if round == 0 || d != depth {
-            plans.clear();
-            let mut slab_opts = CompileOptions {
-                paths: TargetPath::HlsOnly,
-                ..opts.clone()
-            };
-            slab_opts.hmls.temporal_depth = d;
-            let margin = (d as i64 - 1) * halo;
-            for &(start, end) in &slabs {
-                let ext = (margin.min(start), margin.min(n0 - end));
-                let mut slab_kernel = kernel.clone();
-                slab_kernel.grid[0] = ext.0 + (end - start) + ext.1;
-                let (compiled, hit) = cache.get_or_compile(&slab_kernel, &slab_opts)?;
-                cache_hits += u64::from(hit);
-                cache_misses += u64::from(!hit);
-                plans.push(SlabPlan {
-                    rows: (start, end),
-                    ext,
-                    compiled,
-                });
-            }
-        }
+    let mut round = 0;
+    for &(d, rounds) in &plan.runs {
+        // Designs, and each CU's sweep prepared on its design: once per
+        // distinct round depth, never per round.
+        let (designs, mut cache_hits, mut cache_misses) = plan.designs(d)?;
         if round == 0 {
             let device = Device::u280();
-            estimates = plans
-                .iter()
-                .map(|p| hmls_estimate(&p.compiled.design, &device, 1))
-                .collect();
+            let estimate = |p: &SlabPlan| hmls_estimate(&p.compiled.design, &device, 1);
+            ledger.estimates = designs.iter().map(estimate).collect();
         }
-
-        let round_start = Instant::now();
-        // Slice and sweep. After the first round a fed input is read from
-        // the state of the output that feeds it.
-        let fed: BTreeMap<&str, &Buffer> = pairs
-            .iter()
-            .filter(|_| round > 0)
-            .filter_map(|(out_name, in_name)| Some((in_name.as_str(), state.get(out_name)?)))
-            .collect();
-        let swept = sweep_slabs(engine, &plans, d, march, |plan| {
-            slice_slab(kernel, data, &fed, plan)
-        })?;
-        let mut outputs = Vec::with_capacity(cus);
-        for (cu, (sweep, wall)) in swept.into_iter().enumerate() {
-            walls[cu] += wall;
-            if let Some((n_streams, pushed, beats)) = sweep.stats {
-                let (_, all_pushed, all_beats) = streams[cu].unwrap_or_default();
-                streams[cu] = Some((n_streams, all_pushed + pushed, all_beats + beats));
-            }
-            outputs.push(sweep.outputs);
+        let mut sweeps = (designs.iter())
+            .map(|p| plan.engine.prepare(&p.compiled))
+            .collect::<IrResult<Vec<_>>>()?;
+        for _ in 0..rounds {
+            let wall = plan.round((round, d), &designs, &mut sweeps, &mut state, &mut ledger)?;
+            ledger.rounds.push(RoundReport {
+                round,
+                depth: d,
+                cache_hits: std::mem::take(&mut cache_hits),
+                cache_misses: std::mem::take(&mut cache_misses),
+                overlap_rows: designs.iter().map(|p| p.ext.0 + p.ext.1).sum(),
+                wall,
+            });
+            round += 1;
         }
-        // Gather — the exchange: every CU's owned rows go back into the
-        // state, where the next round's slices find their neighbours'.
-        // Only the last round's gather needs the fields nothing reads.
-        let last = round + 1 == round_depths.len();
-        let steps_done = round * depth;
-        let mut drop_first = march
-            .fault
-            .filter(|f| !last && (steps_done..steps_done + d).contains(&f.step))
-            .map(|f| f.cu);
-        for (name, whole) in state.iter_mut() {
-            if last || pairs.iter().any(|(out_name, _)| out_name == name) {
-                gather_owned(whole, &plans, &outputs, name, drop_first.take())?;
-            }
-        }
-        rounds.push(RoundReport {
-            round,
-            depth: d,
-            cache_hits,
-            cache_misses,
-            overlap_rows: plans.iter().map(|p| p.ext.0 + p.ext.1).sum(),
-            wall: round_start.elapsed(),
-        });
     }
-
-    let wall: Duration = rounds.iter().map(|r| r.wall).sum();
-    let off_axis: i64 = kernel.grid[1..].iter().product();
-    let per_cu: Vec<CuReport> = slabs
-        .iter()
-        .enumerate()
-        .map(|(cu, &(start, end))| CuReport {
-            cu,
-            rows: (start, end),
-            interior_elems: ((end - start) * off_axis) as u64,
-            stream: streams[cu],
-            model_cycles: estimates[cu].cycles,
-            wall: walls[cu],
-        })
-        .collect();
-    let total_elems: u64 = per_cu.iter().map(|c| c.interior_elems).sum::<u64>() * steps as u64;
-    let mean_wall = walls.iter().map(|w| w.as_secs_f64()).sum::<f64>() / cus as f64;
-    let max_wall = walls.iter().map(|w| w.as_secs_f64()).fold(0.0f64, f64::max);
-    let report = MultiCuReport {
-        cus,
-        steps,
-        engine: engine.name(),
-        per_cu,
-        wall,
-        elems_per_s: total_elems as f64 / wall.as_secs_f64().max(1e-9),
-        load_imbalance: if mean_wall > 0.0 {
-            max_wall / mean_wall
-        } else {
-            1.0
-        },
-        cache_hits: rounds.iter().map(|r| r.cache_hits).sum(),
-        cache_misses: rounds.iter().map(|r| r.cache_misses).sum(),
-        temporal_depth: depth,
-        model_passes: external_passes(steps as u64, depth as u64),
-        rounds,
-        model: scale_estimate(&estimates),
-    };
-    Ok((state, report))
+    Ok((state, plan.report(ledger)))
 }
 
 /// Monolithic time-marching oracle: apply `run_once` to the full domain
@@ -609,18 +713,19 @@ fn gather_owned(
 fn sweep_slabs(
     engine: &dyn Engine,
     plans: &[SlabPlan],
+    sweeps: &mut [SlabSweep<'_>],
     depth: usize,
     march: &MarchOptions<'_>,
     slice: impl Fn(&SlabPlan) -> IrResult<KernelData> + Sync,
 ) -> IrResult<Vec<(Sweep, Duration)>> {
     let panic_cu = march.panic_cu;
-    let run_one = |cu: usize| -> IrResult<(Sweep, Duration)> {
+    let run_one = |cu: usize, prepared: &mut SlabSweep<'_>| -> IrResult<(Sweep, Duration)> {
         if panic_cu == Some(cu) {
             panic!("injected fault in compute unit {cu}");
         }
         let slab_data = slice(&plans[cu])?;
         let t0 = Instant::now();
-        let sweep = engine.sweep(&plans[cu].compiled, &slab_data, depth)?;
+        let sweep = prepared.sweep(&slab_data, depth)?;
         Ok((sweep, t0.elapsed()))
     };
     // Slab heights differ by at most one row, so the tallest speaks for
@@ -633,14 +738,14 @@ fn sweep_slabs(
         * depth as u64;
     let inline = march.serial || plans.len() == 1 || work < engine.min_parallel_work();
     let joined: Vec<std::thread::Result<_>> = if inline {
-        (0..plans.len())
-            .map(|cu| catch_unwind(AssertUnwindSafe(|| run_one(cu))))
+        (sweeps.iter_mut().enumerate())
+            .map(|(cu, prepared)| catch_unwind(AssertUnwindSafe(|| run_one(cu, prepared))))
             .collect()
     } else {
         let run_one = &run_one;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..plans.len())
-                .map(|cu| scope.spawn(move || run_one(cu)))
+            let handles: Vec<_> = (sweeps.iter_mut().enumerate())
+                .map(|(cu, prepared)| scope.spawn(move || run_one(cu, prepared)))
                 .collect();
             // Join *every* handle here: a panicked handle left to the
             // scope's implicit join would re-raise the panic in the

@@ -39,7 +39,7 @@ use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::{InputRef, Program, ProgramBuilder, VReg};
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::{Buffer, RtValue, Store};
-use shmls_ir::ir::{BlockId, Context, OpId, ValueId};
+use shmls_ir::ir::{BlockId, Context, IdMap, OpId, ValueId};
 use shmls_ir::scalar::{self, int_op, Eval, IntOp};
 use shmls_ir::types::Type;
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
@@ -433,7 +433,7 @@ fn input_value(
 /// detection and deadlock reporting work unchanged).
 pub fn run_stage_plan(
     plan: &StagePlan,
-    env: &HashMap<ValueId, RtValue>,
+    env: &IdMap<ValueId, RtValue>,
     store: &Store,
     io: &mut impl StreamIo,
 ) -> IrResult<()> {
@@ -568,7 +568,7 @@ mod tests {
         assert_eq!(plan.n_reads, 1);
         assert_eq!(plan.n_evals, 1);
 
-        let mut env: HashMap<ValueId, RtValue> = HashMap::new();
+        let mut env: IdMap<ValueId, RtValue> = IdMap::default();
         env.insert(s0, RtValue::Stream(0));
         env.insert(s1, RtValue::Stream(1));
         env.insert(w, RtValue::F64(0.25));
@@ -814,7 +814,7 @@ mod tests {
         fdial::ret(&mut b, vec![]);
 
         let plan = plan_stage(&ctx, df).expect("dup stage should plan");
-        let mut env: HashMap<ValueId, RtValue> = HashMap::new();
+        let mut env: IdMap<ValueId, RtValue> = IdMap::default();
         env.insert(s0, RtValue::Stream(0));
         env.insert(s1, RtValue::Stream(1));
         env.insert(s2, RtValue::Stream(2));

@@ -18,7 +18,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::iter::zip;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +30,7 @@ use shmls_dialects::func;
 use shmls_dialects::hls::{self, RuntimeKind};
 use shmls_ir::error::{panic_reason, IrError, IrResult};
 use shmls_ir::interp::{Buffer, ExternOps, Machine, RtValue, Store};
+use shmls_ir::ir::IdMap;
 use shmls_ir::ir_error;
 use shmls_ir::prelude::*;
 
@@ -305,36 +306,34 @@ enum StageResult {
 /// share — the SSA values and the memory the init phase left.
 struct Network<'d> {
     ctx: &'d Context,
-    /// The module's functions by name, handed to each stage's machine
-    /// instead of its walking the whole module for them again.
-    functions: BTreeMap<String, OpId>,
+    /// Where a stage's machine looks for a function it calls by name —
+    /// walked only by a stage that calls one the runtime does not provide.
+    module: OpId,
     func: OpId,
     stages: Vec<OpId>,
-    env: HashMap<ValueId, RtValue>,
+    env: IdMap<ValueId, RtValue>,
     store: Store<'d>,
     table: Arc<ChannelTable>,
     mem_beats: u64,
 }
 
 impl<'d> Network<'d> {
-    /// Bind the arguments `setup` returns and run everything of
-    /// `func_name` but its dataflow regions, which are collected.
+    /// Bind the arguments `setup` returns and run everything of `func`
+    /// but its dataflow regions, which are collected.
     fn init(
         ctx: &'d Context,
         module: OpId,
-        func_name: &str,
+        func: impl Entry,
         setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
         table: Arc<ChannelTable>,
     ) -> IrResult<Self> {
         let mut io = ChannelIo::new(Arc::clone(&table));
         let mut machine = Machine::new(ctx, module, &mut io);
-        let func = *machine
-            .functions
-            .get(func_name)
-            .ok_or_else(|| ir_error!("unknown function `{func_name}`"))?;
-        let entry = ctx
-            .entry_block(func)
-            .ok_or_else(|| ir_error!("function `{func_name}` has no body"))?;
+        let func = func.resolve(&mut machine)?;
+        let entry = ctx.entry_block(func).ok_or_else(|| {
+            let name = func::func_name(ctx, func).unwrap_or("?");
+            ir_error!("function `{name}` has no body")
+        })?;
         let args = setup(&mut machine.store);
         for (&p, a) in ctx.block_args(entry).iter().zip(args) {
             machine.bind(p, a);
@@ -351,11 +350,10 @@ impl<'d> Network<'d> {
         }
         let env = std::mem::take(&mut machine.env);
         let store = std::mem::take(&mut machine.store);
-        let functions = std::mem::take(&mut machine.functions);
         drop(machine);
         Ok(Network {
             ctx,
-            functions,
+            module,
             func,
             stages,
             env,
@@ -374,8 +372,7 @@ impl<'d> Network<'d> {
         let (run, store) = match planned.then(|| plan_stage(self.ctx, self.stages[i])) {
             Some(Some(plan)) => (run_stage_plan(&plan, &self.env, &store, &mut io), store),
             _ => {
-                let mut machine = Machine::new(self.ctx, self.stages[i], &mut io);
-                machine.functions = self.functions.clone();
+                let mut machine = Machine::new(self.ctx, self.module, &mut io);
                 machine.env = self.env.clone();
                 machine.store = store;
                 let run = match self.ctx.entry_block(self.stages[i]) {
@@ -471,17 +468,36 @@ impl<'d> Network<'d> {
     }
 }
 
-/// Execute the HLS kernel `func_name` in `module` under `schedule`.
-/// `setup` allocates the kernel's buffers in the store and returns the
-/// argument values in signature order.
+/// The function [`execute`] runs: its `func.func` op, which a compiled
+/// kernel holds, or its name, found by one walk of the module.
+pub trait Entry {
+    /// The function's op, looked up through `machine`'s function table.
+    fn resolve(self, machine: &mut Machine<'_, '_>) -> IrResult<OpId>;
+}
+
+impl Entry for OpId {
+    fn resolve(self, _: &mut Machine<'_, '_>) -> IrResult<OpId> {
+        Ok(self)
+    }
+}
+
+impl Entry for &str {
+    fn resolve(self, machine: &mut Machine<'_, '_>) -> IrResult<OpId> {
+        machine.function(self)
+    }
+}
+
+/// Execute the HLS kernel `func` of `module` under `schedule`. `setup`
+/// allocates the kernel's buffers in the store and returns the argument
+/// values in signature order.
 pub fn execute<'d>(
     ctx: &'d Context,
     module: OpId,
-    func_name: &str,
+    func: impl Entry,
     setup: impl FnOnce(&mut Store<'d>) -> Vec<RtValue>,
     schedule: Schedule,
 ) -> IrResult<Outcome<'d>> {
-    let network = Network::init(ctx, module, func_name, setup, ChannelTable::new(schedule))?;
+    let network = Network::init(ctx, module, func, setup, ChannelTable::new(schedule))?;
     let results = network.run_stages(schedule);
     network.finish(results)
 }

@@ -4,38 +4,49 @@
 //! round-trip property (tested in `tests/proptest_dsl.rs`), and lets tools
 //! persist programmatically-built kernels in the human-readable format.
 
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 use crate::ast::{BinOp, Expr, Intrinsic, KernelDef};
 
 /// Render a kernel as DSL source text that re-parses to the same AST.
 pub fn kernel_to_source(k: &KernelDef) -> String {
     let mut out = String::new();
-    writeln!(out, "kernel {} {{", k.name).unwrap();
-    let dims: Vec<String> = k.grid.iter().map(i64::to_string).collect();
-    writeln!(out, "  grid({})", dims.join(", ")).unwrap();
-    writeln!(out, "  halo {}", k.halo).unwrap();
+    write_kernel(&mut out, k).expect("writing to a String cannot fail");
+    out
+}
+
+/// Render an expression in DSL syntax.
+pub fn expr_to_source(e: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`kernel_to_source`] into `out`, every node written in place.
+fn write_kernel(out: &mut impl Write, k: &KernelDef) -> fmt::Result {
+    writeln!(out, "kernel {} {{", k.name)?;
+    out.write_str("  grid(")?;
+    for (i, extent) in k.grid.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        write!(out, "{sep}{extent}")?;
+    }
+    out.write_str(")\n")?;
+    writeln!(out, "  halo {}", k.halo)?;
     for f in &k.fields {
-        writeln!(out, "  field {} : {}", f.name, f.kind).unwrap();
+        writeln!(out, "  field {} : {}", f.name, f.kind)?;
     }
     for p in &k.params {
-        writeln!(out, "  param {}[{}]", p.name, axis_name(p.axis)).unwrap();
+        writeln!(out, "  param {}[{}]", p.name, axis_name(p.axis))?;
     }
     for c in &k.consts {
-        writeln!(out, "  const {}", c.name).unwrap();
+        writeln!(out, "  const {}", c.name)?;
     }
     for c in &k.computes {
-        writeln!(
-            out,
-            "  compute {} {{ {} = {} }}",
-            c.target,
-            c.target,
-            expr_to_source(&c.expr)
-        )
-        .unwrap();
+        write!(out, "  compute {} {{ {} = ", c.target, c.target)?;
+        write_expr(out, &c.expr)?;
+        out.write_str(" }\n")?;
     }
-    writeln!(out, "}}").unwrap();
-    out
+    out.write_str("}\n")
 }
 
 fn axis_name(axis: usize) -> &'static str {
@@ -62,58 +73,56 @@ fn precedence(e: &Expr) -> u8 {
     }
 }
 
-/// Render an expression in DSL syntax.
-pub fn expr_to_source(e: &Expr) -> String {
+/// [`expr_to_source`] into `out`.
+fn write_expr(out: &mut impl Write, e: &Expr) -> fmt::Result {
     match e {
         Expr::Num(v) => {
             // Always float-looking so the parser keeps it a literal.
             if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                format!("{v:.1}")
+                write!(out, "{v:.1}")
             } else {
-                format!("{v}")
+                write!(out, "{v}")
             }
         }
-        Expr::ConstRef(name) => name.clone(),
+        Expr::ConstRef(name) => out.write_str(name),
         Expr::FieldRef { name, offsets } => {
-            let o: Vec<String> = offsets.iter().map(i64::to_string).collect();
-            format!("{name}[{}]", o.join(","))
+            write!(out, "{name}[")?;
+            for (i, o) in offsets.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                write!(out, "{sep}{o}")?;
+            }
+            out.write_str("]")
         }
         Expr::ParamRef { name, offset } => {
             // The frontend only supports axis-indexed params; the axis
             // letter is irrelevant to the AST (it is fixed per param), so
             // `k` is used generically and re-resolves on parse.
             match offset.cmp(&0) {
-                std::cmp::Ordering::Equal => format!("{name}[k]"),
-                std::cmp::Ordering::Greater => format!("{name}[k+{offset}]"),
-                std::cmp::Ordering::Less => format!("{name}[k-{}]", -offset),
+                std::cmp::Ordering::Equal => write!(out, "{name}[k]"),
+                std::cmp::Ordering::Greater => write!(out, "{name}[k+{offset}]"),
+                std::cmp::Ordering::Less => write!(out, "{name}[k-{}]", -offset),
             }
         }
         Expr::Neg(inner) => {
-            let body = expr_to_source(inner);
-            if precedence(inner) < 3 {
-                format!("-({body})")
-            } else {
-                format!("-{body}")
-            }
+            out.write_str("-")?;
+            write_wrapped(out, inner, precedence(inner) < 3)
         }
         Expr::Bin { op, lhs, rhs } => {
             let my_prec = precedence(e);
             let sym = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
+                BinOp::Add => " + ",
+                BinOp::Sub => " - ",
+                BinOp::Mul => " * ",
+                BinOp::Div => " / ",
             };
-            let l = wrap(lhs, precedence(lhs) < my_prec);
+            write_wrapped(out, lhs, precedence(lhs) < my_prec)?;
+            out.write_str(sym)?;
             // The grammar is left-associative: a right child at the same
             // precedence level needs parentheses to keep the tree shape
             // (both for non-associative `-`/`/` semantics and for exact
             // AST round-tripping of `+`/`*`).
-            let r = wrap(
-                rhs,
-                precedence(rhs) <= my_prec && matches!(rhs.as_ref(), Expr::Bin { .. }),
-            );
-            format!("{l} {sym} {r}")
+            let needs = precedence(rhs) <= my_prec && matches!(rhs.as_ref(), Expr::Bin { .. });
+            write_wrapped(out, rhs, needs)
         }
         Expr::Call { f, args } => {
             let name = match f {
@@ -123,18 +132,26 @@ pub fn expr_to_source(e: &Expr) -> String {
                 Intrinsic::Sign => "sign",
                 Intrinsic::Sqrt => "sqrt",
             };
-            let rendered: Vec<String> = args.iter().map(expr_to_source).collect();
-            format!("{name}({})", rendered.join(", "))
+            write!(out, "{name}(")?;
+            for (i, arg) in args.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write_expr(out, arg)?;
+            }
+            out.write_str(")")
         }
     }
 }
 
-fn wrap(e: &Expr, needs: bool) -> String {
-    let body = expr_to_source(e);
+/// `e`, in parentheses if it `needs` them.
+fn write_wrapped(out: &mut impl Write, e: &Expr, needs: bool) -> fmt::Result {
     if needs {
-        format!("({body})")
+        out.write_str("(")?;
+        write_expr(out, e)?;
+        out.write_str(")")
     } else {
-        body
+        write_expr(out, e)
     }
 }
 

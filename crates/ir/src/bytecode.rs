@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use crate::attributes::Attribute;
 use crate::error::IrResult;
 use crate::interp::{Buffer, RtValue, Store};
-use crate::ir::{Context, OpId, ValueId};
+use crate::ir::{Context, IdMap, OpId, ValueId};
 use crate::scalar::{self, bin_op, un_op, BinOp, Eval, UnOp};
 use crate::types::Type;
 use crate::{ir_bail, ir_ensure, ir_error};
@@ -827,7 +827,7 @@ pub fn slab_partition(n0: i64, parts: usize) -> Vec<(i64, i64)> {
 
 /// The affine map from grid point to linear element of one row-major
 /// buffer, shifted by a constant neighbour offset.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Affine {
     /// Row-major strides of the buffer, one per grid dim. The inner
     /// (last) stride is always 1: buffers and the iteration box share
@@ -864,14 +864,6 @@ impl Affine {
         }
         lin
     }
-}
-
-/// A stencil-access input resolved against the store: register to fill,
-/// borrowed data, and the map from grid point to linear element.
-struct BufLoad<'a> {
-    reg: usize,
-    data: &'a [f64],
-    map: Affine,
 }
 
 /// Where the block executor writes one result: a run of whole axis-0
@@ -923,114 +915,197 @@ impl<'a> OutRows<'a> {
     }
 }
 
-/// A 1-D parameter input resolved against the store.
-struct ParamRead<'a> {
-    reg: usize,
-    data: &'a [f64],
-    dim: usize,
-    /// `data index = point[dim] - sub`.
-    sub: i64,
-}
-
-/// Inputs of a program resolved against concrete apply arguments.
-/// Borrowed buffer data is shared read-only, so one resolution can be
+/// A program's inputs bound to one run's data ([`Layout::bind`]).
+/// Borrowed buffer data is shared read-only, so one binding can be
 /// executed from many threads.
 struct ResolvedInputs<'a> {
+    layout: &'a Layout,
     /// `(register, value)` for scalar operands — loop-invariant, filled
     /// into a register file once before any point runs (inputs are
     /// pinned, see [`ProgramBuilder::finish`]).
     scalars: Vec<(usize, f64)>,
-    buf_loads: Vec<BufLoad<'a>>,
-    param_reads: Vec<ParamRead<'a>>,
+    /// By apply operand, the data of the buffer it is bound to (empty
+    /// for a scalar).
+    data: Vec<&'a [f64]>,
 }
 
-/// Resolve and bounds-check every program input against the apply's
-/// arguments. The iteration box is a product of per-dim intervals, so
-/// checking both interval endpoints per dim bounds every point any
-/// executor will touch — all downstream loads are branch-free.
-fn resolve_inputs<'a>(
-    prog: &Program,
-    args: &[RtValue],
-    store: &'a Store,
-    rank: usize,
-    lb: &[i64],
-    ub: &[i64],
-) -> IrResult<ResolvedInputs<'a>> {
-    let mut resolved = ResolvedInputs {
-        scalars: Vec::new(),
-        buf_loads: Vec::new(),
-        param_reads: Vec::new(),
-    };
-    for (i, input) in prog.inputs.iter().enumerate() {
-        match input {
-            InputRef::Scalar { operand } => {
-                let v = args
-                    .get(*operand as usize)
-                    .ok_or_else(|| ir_error!("bytecode: operand index out of range"))?
-                    .as_f64()?;
-                resolved.scalars.push((i, v));
+/// A stencil-access input resolved against its operand's buffer:
+/// register to fill, apply operand, and the map from grid point to
+/// linear element.
+#[derive(Debug)]
+struct BufLoad {
+    reg: usize,
+    operand: usize,
+    map: Affine,
+}
+
+/// A 1-D parameter input resolved against its operand's buffer:
+/// register, apply operand, grid axis, and `data index = point[dim] -
+/// sub`.
+#[derive(Debug)]
+struct ParamRead {
+    reg: usize,
+    operand: usize,
+    dim: usize,
+    sub: i64,
+}
+
+/// A program's inputs resolved against the shapes and origins of the
+/// buffers its memref operands are bound to: every bounds check made and
+/// every map built, no data borrowed. What it holds depends on nothing
+/// else — the iteration box is the apply's own — so a later run whose
+/// operands have the same geometry reuses it with no check left out
+/// ([`PreparedApplies`]).
+#[derive(Debug)]
+struct Layout {
+    /// `(operand, shape, origin)` of every memref operand resolved against.
+    geometry: Vec<(usize, Vec<i64>, Vec<i64>)>,
+    /// `(register, operand)` of every scalar input.
+    scalars: Vec<(usize, usize)>,
+    buf_loads: Vec<BufLoad>,
+    param_reads: Vec<ParamRead>,
+}
+
+/// Apply operand `operand` of `args`.
+fn arg(args: &[RtValue], operand: usize) -> IrResult<&RtValue> {
+    args.get(operand)
+        .ok_or_else(|| ir_error!("bytecode: operand index out of range"))
+}
+
+/// The buffer memref operand `operand` of `args` is bound to in `store`.
+fn operand_buffer<'a>(args: &[RtValue], store: &'a Store, operand: usize) -> IrResult<&'a Buffer> {
+    store.get(arg(args, operand)?.as_memref()?)
+}
+
+impl Layout {
+    /// Resolve and bounds-check every program input against the apply's
+    /// arguments. The iteration box is a product of per-dim intervals, so
+    /// checking both interval endpoints per dim bounds every point any
+    /// executor will touch — all downstream loads are branch-free.
+    fn resolve(
+        prog: &Program,
+        args: &[RtValue],
+        store: &Store,
+        rank: usize,
+        lb: &[i64],
+        ub: &[i64],
+    ) -> IrResult<Layout> {
+        let mut layout = Layout {
+            geometry: Vec::new(),
+            scalars: Vec::new(),
+            buf_loads: Vec::new(),
+            param_reads: Vec::new(),
+        };
+        // The buffer behind memref operand `operand`, its geometry
+        // recorded the first time it is met.
+        let buffer = |geometry: &mut Vec<(usize, _, _)>, operand: u16| -> IrResult<&Buffer> {
+            let operand = usize::from(operand);
+            let buf = operand_buffer(args, store, operand)?;
+            if geometry.iter().all(|&(o, ..)| o != operand) {
+                geometry.push((operand, buf.shape.clone(), buf.origin.clone()));
             }
-            InputRef::Access { operand, offset } => {
-                let handle = args
-                    .get(*operand as usize)
-                    .ok_or_else(|| ir_error!("bytecode: operand index out of range"))?
-                    .as_memref()?;
-                let buf: &Buffer = store.get(handle)?;
-                ir_ensure!(
-                    buf.shape.len() == rank && offset.len() == rank,
-                    "bytecode: access rank mismatch"
-                );
-                for d in 0..rank {
-                    let lo = lb[d] + offset[d] - buf.origin[d];
-                    let hi = (ub[d] - 1) + offset[d] - buf.origin[d];
-                    ir_ensure!(
-                        lo >= 0 && hi < buf.shape[d],
-                        "bytecode: access offset {offset:?} out of bounds \
-                         (dim {d}, shape {:?}, origin {:?})",
-                        buf.shape,
-                        buf.origin
-                    );
+            Ok(buf)
+        };
+        for (i, input) in prog.inputs.iter().enumerate() {
+            match input {
+                InputRef::Scalar { operand } => {
+                    let operand = usize::from(*operand);
+                    arg(args, operand)?.as_f64()?;
+                    layout.scalars.push((i, operand));
                 }
-                resolved.buf_loads.push(BufLoad {
-                    reg: i,
-                    data: &buf.data,
-                    map: Affine::new(&buf.shape, &buf.origin, offset),
-                });
-            }
-            InputRef::ParamLoad {
-                operand,
-                dim,
-                shift,
-            } => {
-                let handle = args
-                    .get(*operand as usize)
-                    .ok_or_else(|| ir_error!("bytecode: operand index out of range"))?
-                    .as_memref()?;
-                let buf: &Buffer = store.get(handle)?;
-                let dim = *dim as usize;
-                ir_ensure!(
-                    buf.shape.len() == 1 && dim < rank,
-                    "bytecode: parameter load shape mismatch"
-                );
-                let lo = lb[dim] + shift - buf.origin[0];
-                let hi = (ub[dim] - 1) + shift - buf.origin[0];
-                ir_ensure!(
-                    lo >= 0 && hi < buf.shape[0],
-                    "bytecode: parameter index out of bounds (dim {dim}, shift {shift})"
-                );
-                resolved.param_reads.push(ParamRead {
-                    reg: i,
-                    data: &buf.data,
+                InputRef::Access { operand, offset } => {
+                    let buf = buffer(&mut layout.geometry, *operand)?;
+                    ir_ensure!(
+                        buf.shape.len() == rank && offset.len() == rank,
+                        "bytecode: access rank mismatch"
+                    );
+                    for d in 0..rank {
+                        let lo = lb[d] + offset[d] - buf.origin[d];
+                        let hi = (ub[d] - 1) + offset[d] - buf.origin[d];
+                        ir_ensure!(
+                            lo >= 0 && hi < buf.shape[d],
+                            "bytecode: access offset {offset:?} out of bounds \
+                             (dim {d}, shape {:?}, origin {:?})",
+                            buf.shape,
+                            buf.origin
+                        );
+                    }
+                    layout.buf_loads.push(BufLoad {
+                        reg: i,
+                        operand: usize::from(*operand),
+                        map: Affine::new(&buf.shape, &buf.origin, offset),
+                    });
+                }
+                InputRef::ParamLoad {
+                    operand,
                     dim,
-                    sub: buf.origin[0] - shift,
-                });
-            }
-            InputRef::PackElem { .. } | InputRef::ReadScalar { .. } => {
-                ir_bail!("bytecode: stream inputs are not valid in a stencil.apply plan")
+                    shift,
+                } => {
+                    let buf = buffer(&mut layout.geometry, *operand)?;
+                    let dim = *dim as usize;
+                    ir_ensure!(
+                        buf.shape.len() == 1 && dim < rank,
+                        "bytecode: parameter load shape mismatch"
+                    );
+                    let lo = lb[dim] + shift - buf.origin[0];
+                    let hi = (ub[dim] - 1) + shift - buf.origin[0];
+                    ir_ensure!(
+                        lo >= 0 && hi < buf.shape[0],
+                        "bytecode: parameter index out of bounds (dim {dim}, shift {shift})"
+                    );
+                    layout.param_reads.push(ParamRead {
+                        reg: i,
+                        operand: usize::from(*operand),
+                        dim,
+                        sub: buf.origin[0] - shift,
+                    });
+                }
+                InputRef::PackElem { .. } | InputRef::ReadScalar { .. } => {
+                    ir_bail!("bytecode: stream inputs are not valid in a stencil.apply plan")
+                }
             }
         }
+        Ok(layout)
     }
-    Ok(resolved)
+
+    /// Whether every memref operand of `args` is bound to a buffer of the
+    /// shape and origin this layout was resolved against.
+    fn holds(&self, args: &[RtValue], store: &Store) -> bool {
+        self.geometry.iter().all(|(operand, shape, origin)| {
+            operand_buffer(args, store, *operand)
+                .is_ok_and(|buf| buf.shape == *shape && buf.origin == *origin)
+        })
+    }
+
+    /// The inputs over this run's data: the scalars' values and the
+    /// buffers' elements, under the maps resolved before.
+    fn bind<'a>(&'a self, args: &[RtValue], store: &'a Store) -> IrResult<ResolvedInputs<'a>> {
+        let scalars = self.scalars.iter().map(|&(reg, operand)| {
+            let value = arg(args, operand)?.as_f64()?;
+            Ok((reg, value))
+        });
+        let mut data = vec![&[][..]; args.len()];
+        for &(operand, ..) in &self.geometry {
+            data[operand] = &operand_buffer(args, store, operand)?.data;
+        }
+        Ok(ResolvedInputs {
+            layout: self,
+            scalars: scalars.collect::<IrResult<_>>()?,
+            data,
+        })
+    }
+}
+
+/// What a caller that runs the same planned applies again and again keeps
+/// between runs: each apply's inputs' `Layout`, resolved again only
+/// when an operand's buffer changes shape or origin, and one block
+/// register file per worker, which the applies — run one after another —
+/// share. Empty until the first run fills it; a caller with nothing to
+/// keep passes a fresh one.
+#[derive(Debug, Default)]
+pub struct PreparedApplies {
+    layouts: IdMap<OpId, Layout>,
+    workers: Vec<Registers>,
 }
 
 /// Step `point` to the next position of the row-major odometer over its
@@ -1076,11 +1151,11 @@ fn run_points(
         regs[r] = v;
     }
     for k in 0..n_points {
-        for bl in &inputs.buf_loads {
-            regs[bl.reg] = bl.data[bl.map.lin(&point) as usize];
+        for bl in &inputs.layout.buf_loads {
+            regs[bl.reg] = inputs.data[bl.operand][bl.map.lin(&point) as usize];
         }
-        for pr in &inputs.param_reads {
-            regs[pr.reg] = pr.data[(point[pr.dim] - pr.sub) as usize];
+        for pr in &inputs.layout.param_reads {
+            regs[pr.reg] = inputs.data[pr.operand][(point[pr.dim] - pr.sub) as usize];
         }
         prog.run(&mut regs);
         for (o, &r) in outs.iter_mut().zip(&prog.results) {
@@ -1097,18 +1172,17 @@ fn run_points(
 /// blocks of their own and read in place.
 const PACK_BELOW: usize = 64;
 
-/// One worker's block register file — allocated once per apply, never per
-/// block — with the current row's read offsets and the row segments
-/// packed into the current block.
-struct Blocks<'p, 'a> {
-    prog: &'p Program,
-    inputs: &'p ResolvedInputs<'a>,
-    /// The inputs read along a row — every access, then every
-    /// inner-axis parameter — as `(register, data)`.
-    streamed: Vec<(usize, &'a [f64])>,
-    /// Where in its data the current row of each `streamed` input starts.
+/// One worker's block register file and row bookkeeping: grown to the
+/// largest apply that has run on it, never per block, and kept for the
+/// next run by [`PreparedApplies`]. Aligned so that no two workers' files
+/// share a cache line: each writes its own every row.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Registers {
+    /// Where in its data the current row of each streamed input starts.
     bases: Vec<usize>,
-    /// Per input register, its index in `streamed`, if it is one.
+    /// Per input register, its index among the streamed inputs, if it is
+    /// one.
     in_place: Vec<Option<usize>>,
     /// Outer-axis parameters as `(register, value at the current row)`.
     splats: Vec<(usize, f64)>,
@@ -1119,61 +1193,87 @@ struct Blocks<'p, 'a> {
     /// change does but where an outer axis wraps.
     steps: Vec<usize>,
     /// [`BLOCK`] lanes per input register, for what is not read in
-    /// place: scalars (filled once), splatted outer-axis parameters, and
-    /// everything a packed block gathers.
+    /// place: scalars (filled once a run), splatted outer-axis
+    /// parameters, and everything a packed block gathers.
     own: Vec<f64>,
     /// [`BLOCK`] lanes per temp register.
     temps: Vec<f64>,
-    /// Lanes of the current packed block filled so far.
-    filled: usize,
     /// `(first lane, lanes)` of each row segment in the current packed
     /// block, and where each lands in every output (`outs.len()` apiece).
     segs: Vec<(usize, usize)>,
     seg_rows: Vec<usize>,
+}
+
+/// Make `lanes` at least `len` long.
+fn grow(lanes: &mut Vec<f64>, len: usize) {
+    if lanes.len() < len {
+        lanes.resize(len, 0.0);
+    }
+}
+
+/// One worker's run of an apply: its register file, the inputs it
+/// streams along a row, and the lanes of the current packed block.
+struct Blocks<'p, 'a> {
+    prog: &'p Program,
+    inputs: &'p ResolvedInputs<'a>,
+    /// The inputs read along a row — every access, then every
+    /// inner-axis parameter — as `(register, data)`.
+    streamed: Vec<(usize, &'a [f64])>,
+    regs: &'p mut Registers,
+    /// Lanes of the current packed block filled so far.
+    filled: usize,
     dispatches: u64,
 }
 
 impl<'p, 'a> Blocks<'p, 'a> {
+    /// Set `regs` up for a run of `prog` over `inputs` into `outs`. Every
+    /// lane a block reads is written first in the run — scalars here,
+    /// parameters and gathered inputs per row, temps by the program —
+    /// so what a register file holds from an earlier run is never read;
+    /// and every run ends with its packed block flushed, which leaves no
+    /// segment behind.
     fn new(
         prog: &'p Program,
         inputs: &'p ResolvedInputs<'a>,
         inner: usize,
         outs: &[OutRows<'_>],
+        regs: &'p mut Registers,
     ) -> Self {
-        let inner_params = inputs.param_reads.iter().filter(|pr| pr.dim == inner);
+        let layout = inputs.layout;
+        let inner_params = layout.param_reads.iter().filter(|pr| pr.dim == inner);
         // An inner-axis parameter's row starts at the same index on every
         // row. (Rank 1 has one row and never steps.)
         let step = |map: &Affine| map.stride[inner.saturating_sub(1)] as usize;
-        let steps = (inputs.buf_loads.iter().map(|bl| step(&bl.map)))
-            .chain(inner_params.clone().map(|_| 0))
-            .chain(outs.iter().map(|o| step(&o.map)))
+        regs.steps.clear();
+        regs.steps.extend(
+            (layout.buf_loads.iter().map(|bl| step(&bl.map)))
+                .chain(inner_params.clone().map(|_| 0))
+                .chain(outs.iter().map(|o| step(&o.map))),
+        );
+        let streamed: Vec<(usize, &'a [f64])> = (layout.buf_loads.iter())
+            .map(|bl| (bl.reg, inputs.data[bl.operand]))
+            .chain(inner_params.map(|pr| (pr.reg, inputs.data[pr.operand])))
             .collect();
-        let streamed: Vec<(usize, &'a [f64])> =
-            (inputs.buf_loads.iter().map(|bl| (bl.reg, bl.data)))
-                .chain(inner_params.map(|pr| (pr.reg, pr.data)))
-                .collect();
-        let mut in_place = vec![None; prog.inputs.len()];
+        regs.in_place.clear();
+        regs.in_place.resize(prog.inputs.len(), None);
         for (k, &(reg, _)) in streamed.iter().enumerate() {
-            in_place[reg] = Some(k);
+            regs.in_place[reg] = Some(k);
         }
-        let mut own = vec![0.0; prog.inputs.len() * BLOCK];
+        grow(&mut regs.own, prog.inputs.len() * BLOCK);
         for &(reg, v) in &inputs.scalars {
-            own[reg * BLOCK..][..BLOCK].fill(v);
+            regs.own[reg * BLOCK..][..BLOCK].fill(v);
         }
+        grow(&mut regs.temps, prog.block_temps());
+        regs.bases.clear();
+        regs.bases.resize(streamed.len(), 0);
+        regs.out_rows.clear();
+        regs.out_rows.resize(outs.len(), 0);
         Blocks {
             prog,
             inputs,
-            bases: vec![0; streamed.len()],
             streamed,
-            in_place,
-            splats: Vec::new(),
-            out_rows: vec![0; outs.len()],
-            steps,
-            own,
-            temps: vec![0.0; prog.block_temps()],
+            regs,
             filled: 0,
-            segs: Vec::new(),
-            seg_rows: Vec::new(),
             dispatches: 0,
         }
     }
@@ -1182,50 +1282,57 @@ impl<'p, 'a> Blocks<'p, 'a> {
     /// the row's first) as the current one. `stepped`: it is the row
     /// after the current one along the axis next to the inner one.
     fn start_row(&mut self, point: &[i64], inner: usize, outs: &[OutRows<'_>], stepped: bool) {
-        let starts = self.bases.iter_mut().chain(&mut self.out_rows);
+        let regs = &mut *self.regs;
+        let starts = regs.bases.iter_mut().chain(&mut regs.out_rows);
         if stepped {
-            for (start, step) in starts.zip(&self.steps) {
+            for (start, step) in starts.zip(&regs.steps) {
                 *start += step;
             }
         } else {
-            let inner_params = self.inputs.param_reads.iter().filter(|pr| pr.dim == inner);
-            let loads = self
-                .inputs
-                .buf_loads
-                .iter()
-                .map(|bl| bl.map.lin(point) as usize);
+            let layout = self.inputs.layout;
+            let inner_params = layout.param_reads.iter().filter(|pr| pr.dim == inner);
+            let loads = layout.buf_loads.iter().map(|bl| bl.map.lin(point) as usize);
             let params = inner_params.map(|pr| (point[pr.dim] - pr.sub) as usize);
             let rows = outs.iter().map(|o| o.row(point));
             for (start, at) in starts.zip(loads.chain(params).chain(rows)) {
                 *start = at;
             }
         }
-        self.splats.clear();
-        for pr in self.inputs.param_reads.iter().filter(|pr| pr.dim != inner) {
-            self.splats
-                .push((pr.reg, pr.data[(point[pr.dim] - pr.sub) as usize]));
+        regs.splats.clear();
+        let outer_params = self
+            .inputs
+            .layout
+            .param_reads
+            .iter()
+            .filter(|pr| pr.dim != inner);
+        for pr in outer_params {
+            let data = self.inputs.data[pr.operand];
+            regs.splats
+                .push((pr.reg, data[(point[pr.dim] - pr.sub) as usize]));
         }
     }
 
     /// Fill lanes `at..at + len` of every outer-axis parameter register.
     fn splat(&mut self, at: usize, len: usize) {
-        for &(reg, v) in &self.splats {
-            self.own[reg * BLOCK + at..][..len].fill(v);
+        let regs = &mut *self.regs;
+        for &(reg, v) in &regs.splats {
+            regs.own[reg * BLOCK + at..][..len].fill(v);
         }
     }
 
     /// Run lanes `j..j + n` of the current row as one block, every
     /// streamed input read in place, and write them to every output.
     fn run_in_row(&mut self, j: usize, n: usize, outs: &mut [OutRows<'_>]) {
+        let regs = &mut *self.regs;
         let (own, streamed, bases, in_place) =
-            (&self.own, &self.streamed, &self.bases, &self.in_place);
+            (&regs.own, &self.streamed, &regs.bases, &regs.in_place);
         let read = |i: usize| match in_place[i] {
             Some(k) => &streamed[k].1[bases[k] + j..][..n],
             None => &own[i * BLOCK..][..n],
         };
-        self.prog.run_block(n, read, &mut self.temps);
-        for ((o, &row), &r) in outs.iter_mut().zip(&self.out_rows).zip(&self.prog.results) {
-            o.data[row + j..][..n].copy_from_slice(self.prog.block_lanes(r, n, read, &self.temps));
+        self.prog.run_block(n, read, &mut regs.temps);
+        for ((o, &row), &r) in outs.iter_mut().zip(&regs.out_rows).zip(&self.prog.results) {
+            o.data[row + j..][..n].copy_from_slice(self.prog.block_lanes(r, n, read, &regs.temps));
         }
         self.dispatches += self.prog.instrs.len() as u64;
     }
@@ -1234,13 +1341,15 @@ impl<'p, 'a> Blocks<'p, 'a> {
     /// after what it holds.
     fn gather(&mut self, j: usize, len: usize) {
         let at = self.filled;
-        for (&(reg, data), &base) in self.streamed.iter().zip(&self.bases) {
-            self.own[reg * BLOCK + at..][..len].copy_from_slice(&data[base + j..][..len]);
+        let regs = &mut *self.regs;
+        for (&(reg, data), &base) in self.streamed.iter().zip(&regs.bases) {
+            regs.own[reg * BLOCK + at..][..len].copy_from_slice(&data[base + j..][..len]);
         }
         self.splat(at, len);
-        self.segs.push((at, len));
-        self.seg_rows
-            .extend(self.out_rows.iter().map(|&row| row + j));
+        let regs = &mut *self.regs;
+        regs.segs.push((at, len));
+        regs.seg_rows
+            .extend(regs.out_rows.iter().map(|&row| row + j));
         self.filled += len;
     }
 
@@ -1251,17 +1360,18 @@ impl<'p, 'a> Blocks<'p, 'a> {
         if n == 0 {
             return;
         }
-        let own = &self.own;
+        let regs = &mut *self.regs;
+        let own = &regs.own;
         let read = |i: usize| &own[i * BLOCK..][..n];
-        self.prog.run_block(n, read, &mut self.temps);
-        for (&(at, len), rows) in self.segs.iter().zip(self.seg_rows.chunks(outs.len())) {
+        self.prog.run_block(n, read, &mut regs.temps);
+        for (&(at, len), rows) in regs.segs.iter().zip(regs.seg_rows.chunks(outs.len())) {
             for ((o, &row), &r) in outs.iter_mut().zip(rows).zip(&self.prog.results) {
-                let lanes = self.prog.block_lanes(r, n, read, &self.temps);
+                let lanes = self.prog.block_lanes(r, n, read, &regs.temps);
                 o.data[row..][..len].copy_from_slice(&lanes[at..at + len]);
             }
         }
-        self.segs.clear();
-        self.seg_rows.clear();
+        regs.segs.clear();
+        regs.seg_rows.clear();
         self.dispatches += self.prog.instrs.len() as u64;
     }
 }
@@ -1277,12 +1387,13 @@ impl<'p, 'a> Blocks<'p, 'a> {
 fn run_slab_blocks(
     prog: &Program,
     inputs: &ResolvedInputs<'_>,
-    rank: usize,
     lb: &[i64],
     ub: &[i64],
     (r0, r1): (i64, i64),
     outs: &mut [OutRows<'_>],
+    regs: &mut Registers,
 ) -> u64 {
+    let rank = lb.len();
     debug_assert!(rank >= 1);
     // Inner-axis geometry. For rank 1 the slab itself is the inner run.
     let inner = rank - 1;
@@ -1305,7 +1416,7 @@ fn run_slab_blocks(
                 .product::<usize>()
     };
     let packed = inner_n < PACK_BELOW;
-    let mut blocks = Blocks::new(prog, inputs, inner, outs);
+    let mut blocks = Blocks::new(prog, inputs, inner, outs, regs);
     // Row cursor: the first point of the current row.
     let mut point = lb.to_vec();
     point[0] = lb[0] + r0;
@@ -1356,6 +1467,11 @@ fn run_slab_blocks(
 /// no destination had been named. A destination must be a different
 /// buffer from every memref operand and every other destination: it is
 /// out of the store while the apply runs.
+///
+/// `prepared` is what earlier runs left — the apply's input layout, kept
+/// while its operands keep their shapes and origins, and register
+/// files — and what this run leaves for the next.
+#[allow(clippy::too_many_arguments)]
 pub fn exec_apply_with(
     ctx: &Context,
     apply: OpId,
@@ -1364,21 +1480,21 @@ pub fn exec_apply_with(
     prog: &Program,
     mode: ApplyMode,
     dests: &[Option<usize>],
+    prepared: &mut PreparedApplies,
 ) -> IrResult<Vec<usize>> {
-    let results = ctx.results(apply).to_vec();
+    let results = ctx.results(apply);
     ir_ensure!(!results.is_empty(), "stencil.apply without results");
     let bounds = ctx
         .value_type(results[0])
         .stencil_bounds()
-        .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))?
-        .clone();
-    for &r in &results {
+        .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))?;
+    for &r in results {
         let rb = ctx
             .value_type(r)
             .stencil_bounds()
             .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))?;
         ir_ensure!(
-            *rb == bounds,
+            rb == bounds,
             "bytecode: apply results with differing bounds"
         );
     }
@@ -1411,7 +1527,15 @@ pub fn exec_apply_with(
         });
     }
     let computed = if n_points > 0 {
-        fill_targets(prog, args, store, mode, &bounds, &mut targets)
+        fill_targets(
+            prog,
+            (apply, args),
+            store,
+            mode,
+            bounds,
+            &mut targets,
+            prepared,
+        )
     } else {
         Ok(0)
     };
@@ -1430,15 +1554,24 @@ pub fn exec_apply_with(
 /// `targets[o]`'s buffer. Returns the instructions dispatched.
 fn fill_targets(
     prog: &Program,
-    args: &[RtValue],
+    (apply, args): (OpId, &[RtValue]),
     store: &Store<'_>,
     mode: ApplyMode,
     bounds: &crate::types::StencilBounds,
     targets: &mut [(Option<usize>, Buffer)],
+    prepared: &mut PreparedApplies,
 ) -> IrResult<u64> {
     let rank = bounds.rank();
     let (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
-    let inputs = resolve_inputs(prog, args, store, rank, lb, ub)?;
+    let PreparedApplies { layouts, workers } = prepared;
+    if !layouts
+        .get(&apply)
+        .is_some_and(|kept| kept.holds(args, store))
+    {
+        let layout = Layout::resolve(prog, args, store, rank, lb, ub)?;
+        layouts.insert(apply, layout);
+    }
+    let inputs = layouts[&apply].bind(args, store)?;
     let threads = match mode {
         ApplyMode::Chunked { threads } if rank > 0 => threads,
         // Scalar dispatch, or one point with nothing to block or split:
@@ -1463,31 +1596,33 @@ fn fill_targets(
     // points per worker — below that, spawn and join cost more than the
     // slab's compute and threading makes small applies *slower*.
     let threads = threads.clamp(1, rows as usize).min(1 + n_points / 2048);
+    if workers.len() < threads {
+        workers.resize_with(threads, Registers::default);
+    }
     if threads <= 1 {
+        let regs = &mut workers[0];
+        let rows = (0, rows);
         return Ok(run_slab_blocks(
-            prog,
-            &inputs,
-            rank,
-            lb,
-            ub,
-            (0, rows),
-            &mut outs,
+            prog, &inputs, lb, ub, rows, &mut outs, regs,
         ));
     }
     // Give each worker the planes of its slab's axis-0 rows in every
     // target (axis 0 is outermost, so they are one contiguous range of
-    // each, halo columns included). Inputs are shared read-only.
+    // each, halo columns included), and a register file of its own.
+    // Inputs are shared read-only.
     let inputs = &inputs;
     Ok(std::thread::scope(|scope| {
         let workers: Vec<_> = slab_partition(rows, threads)
             .into_iter()
             .filter(|&(s, e)| e > s)
-            .map(|(s, e)| {
+            .zip(workers.iter_mut())
+            .map(|((s, e), regs)| {
                 let mut mine: Vec<OutRows<'_>> = outs
                     .iter_mut()
                     .map(|o| o.split_off_rows(lb[0] + s, lb[0] + e))
                     .collect();
-                scope.spawn(move || run_slab_blocks(prog, inputs, rank, lb, ub, (s, e), &mut mine))
+                let rows = (s, e);
+                scope.spawn(move || run_slab_blocks(prog, inputs, lb, ub, rows, &mut mine, regs))
             })
             .collect();
         workers
@@ -1934,6 +2069,55 @@ mod tests {
         (ctx, apply)
     }
 
+    /// A kept layout holds only for operands of the geometry it was
+    /// resolved against: one run after another over the same
+    /// `PreparedApplies`, an input buffer that moves its origin is
+    /// resolved again (a stale map would read the wrong elements), one too
+    /// short for the box is refused as a fresh run would refuse it, and
+    /// the first geometry is taken back up after both.
+    #[test]
+    fn a_kept_layout_is_resolved_again_when_an_operand_moves() {
+        let (ctx, _, apply) = build_sum_module_n(8);
+        let prog = compile_apply(&ctx, apply).unwrap();
+        let mut prepared = PreparedApplies::default();
+        let w = 0.7;
+        for (shape, origin) in [(10, -1), (12, -2), (9, -1), (10, -1)] {
+            let mut input = Buffer::zeroed(vec![shape], vec![origin]);
+            input.data.fill_with({
+                let mut v = shape as f64;
+                move || {
+                    v += 0.25;
+                    v * v
+                }
+            });
+            let mut store = Store::new();
+            let h = store.alloc(input.clone());
+            let args = [RtValue::MemRef(h), RtValue::F64(w)];
+            let mode = ApplyMode::Chunked { threads: 1 };
+            let ran = exec_apply_with(
+                &ctx,
+                apply,
+                &args,
+                &mut store,
+                &prog,
+                mode,
+                &[],
+                &mut prepared,
+            );
+            if shape == 9 {
+                let e = ran.unwrap_err().to_string();
+                assert!(e.contains("out of bounds"), "{e}");
+                continue;
+            }
+            let out = store.get(ran.unwrap()[0]).unwrap();
+            for i in 0..8 {
+                let want = (input.load(&[i - 1]).unwrap() + input.load(&[i + 1]).unwrap()) * w;
+                let got = out.load(&[i]).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{shape}@{origin}, point {i}");
+            }
+        }
+    }
+
     #[test]
     fn rank0_apply_runs_the_program_once() {
         // Regression: a rank-0 iteration box is *one* point (the empty
@@ -1958,6 +2142,7 @@ mod tests {
                 &prog,
                 mode,
                 &[],
+                &mut PreparedApplies::default(),
             )
             .unwrap();
             assert_eq!(handles.len(), 1);
@@ -2020,6 +2205,7 @@ mod tests {
                 &prog,
                 mode,
                 &[],
+                &mut PreparedApplies::default(),
             )
             .unwrap();
             let buf = store.get(handles[0]).unwrap();

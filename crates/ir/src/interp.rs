@@ -10,11 +10,11 @@
 //! through a [`Machine`].
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::attributes::Attribute;
 use crate::error::IrResult;
-use crate::ir::{BlockId, Context, OpId, ValueId};
+use crate::ir::{BlockId, Context, IdMap, IdSet, OpId, ValueId};
 use crate::scalar;
 use crate::types::Type;
 use crate::{ir_bail, ir_ensure, ir_error};
@@ -548,11 +548,16 @@ pub struct Machine<'c, 'e> {
     /// The IR being executed.
     pub ctx: &'c Context,
     /// SSA value bindings.
-    pub env: HashMap<ValueId, RtValue>,
+    pub env: IdMap<ValueId, RtValue>,
     /// Memory.
     pub store: Store<'c>,
-    /// Symbol table: function name → `func.func` op.
-    pub functions: BTreeMap<String, OpId>,
+    /// Symbol table: function name → `func.func` op, filled on demand.
+    functions: BTreeMap<String, OpId>,
+    /// Where a name the table lacks is looked for: the root, walked once
+    /// for every `func.func` under it on the first miss (`None` after).
+    /// A caller that holds the function's op calls it by op
+    /// ([`Machine::call_func`]) and never pays the walk.
+    unwalked: Option<OpId>,
     extern_ops: &'e mut dyn ExternOps,
     /// Current stencil apply index (set while evaluating a `stencil.apply`
     /// region, consumed by `stencil.access`/`stencil.index`).
@@ -572,33 +577,35 @@ pub struct Machine<'c, 'e> {
     /// their `stencil.store` names (see
     /// [`crate::bytecode::direct_stores`]). Empty by default.
     pub direct_stores: crate::bytecode::DirectStores,
+    /// What the planned applies' runs leave for the next: their inputs'
+    /// layouts and the register files. Empty by default; a caller that
+    /// runs the same function again over same-shaped buffers keeps it
+    /// from one machine to the next.
+    pub prepared: crate::bytecode::PreparedApplies,
     /// The `stencil.store` ops whose copy the apply before them already
     /// made, each removed again when it executes.
-    stored_in_place: HashSet<OpId>,
+    stored_in_place: IdSet<OpId>,
 }
 
 impl<'c, 'e> Machine<'c, 'e> {
-    /// A machine over `ctx` with the given extern hook. `root` is scanned
-    /// for `func.func` symbols.
+    /// A machine over `ctx` with the given extern hook. A function called
+    /// by name is looked for among the `func.func` ops under `root`, which
+    /// are collected the first time a name is asked for.
     pub fn new(ctx: &'c Context, root: OpId, extern_ops: &'e mut dyn ExternOps) -> Self {
-        let mut functions = BTreeMap::new();
-        for f in ctx.find_ops(root, "func.func") {
-            if let Some(name) = ctx.attr(f, "sym_name").and_then(Attribute::as_str) {
-                functions.insert(name.to_string(), f);
-            }
-        }
         Self {
             ctx,
-            env: HashMap::new(),
+            env: IdMap::default(),
             store: Store::new(),
-            functions,
+            functions: BTreeMap::new(),
+            unwalked: Some(root),
             extern_ops,
             stencil_index: Vec::new(),
             fuel: u64::MAX,
             apply_plans: HashMap::new(),
             apply_mode: crate::bytecode::ApplyMode::default(),
             direct_stores: HashMap::new(),
-            stored_in_place: HashSet::new(),
+            prepared: Default::default(),
+            stored_in_place: IdSet::default(),
         }
     }
 
@@ -615,20 +622,41 @@ impl<'c, 'e> Machine<'c, 'e> {
             .ok_or_else(|| ir_error!("unbound SSA value (type {})", self.ctx.value_type(value)))
     }
 
+    /// The `func.func` called `name`: from the table, or from the one walk
+    /// of the root the first name it lacks sets off.
+    pub fn function(&mut self, name: &str) -> IrResult<OpId> {
+        let miss = !self.functions.contains_key(name);
+        if let Some(root) = self.unwalked.take_if(|_| miss) {
+            for f in self.ctx.find_ops(root, "func.func") {
+                if let Some(sym) = self.ctx.attr(f, "sym_name").and_then(Attribute::as_str) {
+                    self.functions.entry(sym.to_string()).or_insert(f);
+                }
+            }
+        }
+        self.functions
+            .get(name)
+            .copied()
+            .ok_or_else(|| ir_error!("call to unknown function `{name}`"))
+    }
+
     /// Call function `name` with `args`, returning its results.
     pub fn call(&mut self, name: &str, args: &[RtValue]) -> IrResult<Vec<RtValue>> {
-        let f = *self
-            .functions
-            .get(name)
-            .ok_or_else(|| ir_error!("call to unknown function `{name}`"))?;
-        let block = self
-            .ctx
+        let f = self.function(name)?;
+        self.call_func(f, args)
+    }
+
+    /// Call the `func.func` op `f` with `args`, returning its results.
+    pub fn call_func(&mut self, f: OpId, args: &[RtValue]) -> IrResult<Vec<RtValue>> {
+        let ctx = self.ctx;
+        let name = || ctx.attr(f, "sym_name").and_then(Attribute::as_str);
+        let block = ctx
             .entry_block(f)
-            .ok_or_else(|| ir_error!("function `{name}` has no body"))?;
-        let params = self.ctx.block_args(block).to_vec();
+            .ok_or_else(|| ir_error!("function `{}` has no body", name().unwrap_or("?")))?;
+        let params = ctx.block_args(block);
         ir_ensure!(
             params.len() == args.len(),
-            "function `{name}` takes {} args, got {}",
+            "function `{}` takes {} args, got {}",
+            name().unwrap_or("?"),
             params.len(),
             args.len()
         );
@@ -1010,7 +1038,8 @@ impl<'c, 'e> Machine<'c, 'e> {
         // point. Bitwise-identical by construction (same ops, same order).
         if !self.apply_plans.is_empty() {
             if let Some(plan) = self.apply_plans.get(&op).cloned() {
-                let results = self.ctx.results(op).to_vec();
+                let ctx = self.ctx;
+                let results = ctx.results(op);
                 // Where each result may be computed in place: the buffer
                 // bound to the field its one `stencil.store` names — if
                 // this call bound that buffer to no other argument of the
@@ -1042,6 +1071,7 @@ impl<'c, 'e> Machine<'c, 'e> {
                     &plan,
                     self.apply_mode,
                     &dests,
+                    &mut self.prepared,
                 )?;
                 ir_ensure!(
                     results.len() == handles.len(),
@@ -1189,6 +1219,53 @@ mod tests {
 }) : () -> ()"#;
         let out = run_main(src, &[RtValue::F64(3.0), RtValue::F64(4.0)]).unwrap();
         assert_eq!(out, vec![RtValue::F64(15.0)]);
+    }
+
+    /// A module of `main`, which calls the function named for `CALLEE`,
+    /// and `twice`.
+    const CALLS: &str = r#""builtin.module"() ({
+^bb():
+  "func.func"() ({
+  ^bb(%a: f64):
+    %0 = "func.call"(%a) {callee = "CALLEE"} : (f64) -> (f64)
+    "func.return"(%0) : (f64) -> ()
+  }) {sym_name = "main"} : () -> ()
+  "func.func"() ({
+  ^bb(%x: f64):
+    %1 = "arith.addf"(%x, %x) : (f64, f64) -> (f64)
+    "func.return"(%1) : (f64) -> ()
+  }) {sym_name = "twice"} : () -> ()
+}) : () -> ()"#;
+
+    /// The function table is filled on the first name asked for — a
+    /// `func.call` inside a function called by op resolves like one
+    /// called by name — and a name the module lacks is an error.
+    #[test]
+    fn calls_resolve_module_functions_on_demand() {
+        let (ctx, module) = parse_op(&CALLS.replace("CALLEE", "twice")).unwrap();
+        let main = ctx.find_ops(module, "func.func")[0];
+        let mut no = NoExtern;
+        let mut m = Machine::new(&ctx, module, &mut no);
+        assert_eq!(
+            m.call_func(main, &[RtValue::F64(1.5)]).unwrap(),
+            [RtValue::F64(3.0)]
+        );
+        let by_name = run_main(&CALLS.replace("CALLEE", "twice"), &[RtValue::F64(2.0)]);
+        assert_eq!(by_name.unwrap(), [RtValue::F64(4.0)]);
+
+        let (ctx, module) = parse_op(&CALLS.replace("CALLEE", "thrice")).unwrap();
+        let main = ctx.find_ops(module, "func.func")[0];
+        let mut m = Machine::new(&ctx, module, &mut no);
+        let e = m.call_func(main, &[RtValue::F64(1.5)]).unwrap_err();
+        assert!(
+            e.to_string().contains("call to unknown function `thrice`"),
+            "{e}"
+        );
+        let e = m.call("nowhere", &[]).unwrap_err();
+        assert!(
+            e.to_string().contains("call to unknown function `nowhere`"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! panic on access with a descriptive message, which turns use-after-erase
 //! bugs in transforms into immediate failures instead of silent corruption.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::attributes::Attribute;
 use crate::types::Type;
@@ -65,6 +66,39 @@ define_id!(
     /// Identifier of an SSA value (op result or block argument).
     ValueId
 );
+
+/// The hasher of [`IdMap`]: arena ids are indices this program makes,
+/// never input from outside, so a multiply-and-rotate mix spreads them
+/// well enough, at a fraction of SipHash's cost — the interpreter looks
+/// one up for every operand it reads.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A hash map keyed by arena ids.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of arena ids.
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// One slot of a generational arena: the generation survives vacancy so a
 /// reused slot invalidates outstanding ids.

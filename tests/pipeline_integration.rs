@@ -357,9 +357,6 @@ fn textual_stencil_ir_is_a_complete_interchange_format() {
         .scalar("w", 0.25);
     let (direct, _) = stencil_hmls::runner::run_hls(&compiled, &data).unwrap();
 
-    let hls_name = shmls_dialects::func::func_name(&ctx2, hls_func2)
-        .unwrap()
-        .to_string();
     let setup = |store: &mut shmls_ir::interp::Store<'_>| {
         vec![
             shmls_ir::interp::RtValue::MemRef(store.alloc(a.clone())),
@@ -370,7 +367,7 @@ fn textual_stencil_ir_is_a_complete_interchange_format() {
         ]
     };
     let Outcome::Completed { store, .. } =
-        execute(&ctx2, module2, &hls_name, setup, Schedule::Sequential).unwrap()
+        execute(&ctx2, module2, hls_func2, setup, Schedule::Sequential).unwrap()
     else {
         panic!("the re-parsed design deadlocked");
     };
@@ -427,9 +424,6 @@ kernel pair {
         .scalar("w", 0.5);
     let (unfused, _) = stencil_hmls::runner::run_hls(&compiled, &data).unwrap();
 
-    let hls_name = shmls_dialects::func::func_name(&ctx2, hls_func2)
-        .unwrap()
-        .to_string();
     let setup = |store: &mut shmls_ir::interp::Store<'_>| {
         let out = || Buffer::zeroed(vec![10, 8], vec![-1, -1]);
         vec![
@@ -440,7 +434,7 @@ kernel pair {
         ]
     };
     let Outcome::Completed { store, .. } =
-        execute(&ctx2, module2, &hls_name, setup, Schedule::Sequential).unwrap()
+        execute(&ctx2, module2, hls_func2, setup, Schedule::Sequential).unwrap()
     else {
         panic!("the fused design deadlocked");
     };
