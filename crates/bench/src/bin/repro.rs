@@ -363,10 +363,11 @@ fn render_loadgen(report: &LoadgenReport) -> String {
         return out;
     };
     out += &format!(
-        "  router: {} forwarded, {} replays, {} unroutable, {} shard deaths\n",
+        "  router: {} forwarded, {} replays, {} unroutable, {} frontend runs, {} shard deaths\n",
         router.forwarded,
         router.replays,
         router.unroutable,
+        router.frontend_runs,
         router.deaths()
     );
     for shard in &router.shards {

@@ -189,7 +189,7 @@ fn reject_f32_types(ctx: &Context, func: OpId) -> IrResult<()> {
                     .any(|&v| ctx.value_type(v).contains_f32())
             })
         });
-        let attr_f32 = ctx.attrs(op).values().any(attr_has_f32);
+        let attr_f32 = ctx.attrs(op).iter().any(|(_, a)| attr_has_f32(a));
         if result_f32 || block_arg_f32 || attr_f32 {
             offender = Some(ctx.op_name(op).to_string());
         }

@@ -148,7 +148,7 @@ pub fn hls_to_llvm(ctx: &mut Context, hls_func: OpId) -> IrResult<OpId> {
                     .entry_block(op)
                     .ok_or_else(|| ir_error!("dataflow without a body"))?;
                 let first = ctx.block_ops(body).first().copied();
-                let marker = ctx.create_op("llvm.call", vec![], vec![], Default::default());
+                let marker = ctx.create_op("llvm.call", vec![], vec![], []);
                 ctx.set_attr(marker, "callee", Attribute::symbol("_shmls_dataflow"));
                 match first {
                     Some(anchor) => {

@@ -12,24 +12,21 @@ pub const CONSTANT: &str = "arith.constant";
 
 /// Build an f64 constant.
 pub fn constant_f64(b: &mut OpBuilder<'_>, v: f64) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("value".to_string(), Attribute::f64(v));
+    let attrs = [("value".to_string(), Attribute::f64(v))];
     let op = b.build_with_attrs(CONSTANT, vec![], vec![Type::F64], attrs);
     b.ctx_ref().result(op, 0)
 }
 
 /// Build an index constant.
 pub fn constant_index(b: &mut OpBuilder<'_>, v: i64) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("value".to_string(), Attribute::index(v));
+    let attrs = [("value".to_string(), Attribute::index(v))];
     let op = b.build_with_attrs(CONSTANT, vec![], vec![Type::Index], attrs);
     b.ctx_ref().result(op, 0)
 }
 
 /// Build an i64 constant.
 pub fn constant_i64(b: &mut OpBuilder<'_>, v: i64) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("value".to_string(), Attribute::int(v));
+    let attrs = [("value".to_string(), Attribute::int(v))];
     let op = b.build_with_attrs(CONSTANT, vec![], vec![Type::I64], attrs);
     b.ctx_ref().result(op, 0)
 }
@@ -106,16 +103,14 @@ int_binop!(
 
 /// Signed integer comparison; `pred` is one of eq/ne/slt/sle/sgt/sge.
 pub fn cmpi(b: &mut OpBuilder<'_>, pred: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("predicate".to_string(), Attribute::string(pred));
+    let attrs = [("predicate".to_string(), Attribute::string(pred))];
     let op = b.build_with_attrs("arith.cmpi", vec![lhs, rhs], vec![Type::I1], attrs);
     b.ctx_ref().result(op, 0)
 }
 
 /// Ordered float comparison; `pred` is one of oeq/one/olt/ole/ogt/oge.
 pub fn cmpf(b: &mut OpBuilder<'_>, pred: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("predicate".to_string(), Attribute::string(pred));
+    let attrs = [("predicate".to_string(), Attribute::string(pred))];
     let op = b.build_with_attrs("arith.cmpf", vec![lhs, rhs], vec![Type::I1], attrs);
     b.ctx_ref().result(op, 0)
 }

@@ -8,7 +8,7 @@ pub const MODULE: &str = "builtin.module";
 /// Create an empty `builtin.module` with one region and one block,
 /// returning `(module_op, body_block)`.
 pub fn create_module(ctx: &mut Context) -> (OpId, BlockId) {
-    let module = ctx.create_op(MODULE, vec![], vec![], Default::default());
+    let module = ctx.create_op(MODULE, vec![], vec![], []);
     let region = ctx.add_region(module);
     let block = ctx.add_block(region, vec![]);
     (module, block)
@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn module_with_results_rejected() {
         let mut ctx = Context::new();
-        let module = ctx.create_op(MODULE, vec![], vec![Type::I64], Default::default());
+        let module = ctx.create_op(MODULE, vec![], vec![Type::I64], []);
         ctx.add_region(module);
         let mut v = OpVerifiers::new();
         register_verifiers(&mut v);

@@ -21,7 +21,7 @@ pub fn create_func(
     inputs: Vec<Type>,
     results: Vec<Type>,
 ) -> (OpId, BlockId) {
-    let f = ctx.create_op(FUNC, vec![], vec![], Default::default());
+    let f = ctx.create_op(FUNC, vec![], vec![], []);
     ctx.set_attr(f, "sym_name", Attribute::string(name));
     ctx.set_attr(
         f,
@@ -36,8 +36,7 @@ pub fn create_func(
 
 /// Build a `func.call` to `callee` with `args`, returning the op.
 pub fn call(b: &mut OpBuilder<'_>, callee: &str, args: Vec<ValueId>, results: Vec<Type>) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("callee".to_string(), Attribute::symbol(callee));
+    let attrs = [("callee".to_string(), Attribute::symbol(callee))];
     b.build_with_attrs(CALL, args, results, attrs)
 }
 

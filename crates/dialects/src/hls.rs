@@ -67,8 +67,7 @@ pub const AXI4: &str = "m_axi";
 
 /// Build `hls.create_stream` carrying elements of `elem` with FIFO `depth`.
 pub fn create_stream(b: &mut OpBuilder<'_>, elem: Type, depth: i64) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("depth".to_string(), Attribute::int(depth));
+    let attrs = [("depth".to_string(), Attribute::int(depth))];
     let op = b.build_with_attrs(CREATE_STREAM, vec![], vec![Type::hls_stream(elem)], attrs);
     b.ctx_ref().result(op, 0)
 }
@@ -102,16 +101,14 @@ pub fn full(b: &mut OpBuilder<'_>, stream: ValueId) -> ValueId {
 /// Build `hls.pipeline` requesting initiation interval `ii` for the
 /// enclosing loop.
 pub fn pipeline(b: &mut OpBuilder<'_>, ii: i64) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("ii".to_string(), Attribute::int(ii));
+    let attrs = [("ii".to_string(), Attribute::int(ii))];
     b.build_with_attrs(PIPELINE, vec![], vec![], attrs)
 }
 
 /// Build `hls.unroll` requesting the given unroll factor (0 = full unroll)
 /// for the enclosing loop.
 pub fn unroll(b: &mut OpBuilder<'_>, factor: i64) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("factor".to_string(), Attribute::int(factor));
+    let attrs = [("factor".to_string(), Attribute::int(factor))];
     b.build_with_attrs(UNROLL, vec![], vec![], attrs)
 }
 
@@ -124,10 +121,11 @@ pub fn array_partition(
     factor: i64,
     dim: i64,
 ) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("kind".to_string(), Attribute::string(kind));
-    attrs.insert("factor".to_string(), Attribute::int(factor));
-    attrs.insert("dim".to_string(), Attribute::int(dim));
+    let attrs = [
+        ("kind".to_string(), Attribute::string(kind)),
+        ("factor".to_string(), Attribute::int(factor)),
+        ("dim".to_string(), Attribute::int(dim)),
+    ];
     b.build_with_attrs(ARRAY_PARTITION, vec![memref], vec![], attrs)
 }
 
@@ -135,14 +133,15 @@ pub fn array_partition(
 /// All function calls / loops at the top level of the body are separate
 /// concurrent dataflow stages connected by streams.
 pub fn dataflow(b: &mut OpBuilder<'_>) -> (OpId, BlockId) {
-    b.build_with_region(DATAFLOW, vec![], vec![], Default::default(), vec![])
+    b.build_with_region(DATAFLOW, vec![], vec![], [], vec![])
 }
 
 /// Build `hls.interface` binding kernel argument `value` to an AXI bundle.
 pub fn interface(b: &mut OpBuilder<'_>, value: ValueId, protocol: &str, bundle: &str) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("protocol".to_string(), Attribute::string(protocol));
-    attrs.insert("bundle".to_string(), Attribute::string(bundle));
+    let attrs = [
+        ("protocol".to_string(), Attribute::string(protocol)),
+        ("bundle".to_string(), Attribute::string(bundle)),
+    ];
     b.build_with_attrs(INTERFACE, vec![value], vec![], attrs)
 }
 

@@ -45,8 +45,7 @@ pub const MARKER_PREFIX: &str = "_shmls_";
 
 /// Build an `llvm.call` to `callee`.
 pub fn call(b: &mut OpBuilder<'_>, callee: &str, args: Vec<ValueId>, results: Vec<Type>) -> OpId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("callee".to_string(), Attribute::symbol(callee));
+    let attrs = [("callee".to_string(), Attribute::symbol(callee))];
     b.build_with_attrs(CALL, args, results, attrs)
 }
 
@@ -57,11 +56,10 @@ pub fn alloca(b: &mut OpBuilder<'_>, pointee: Type) -> ValueId {
 
 /// Build a constant-index `llvm.getelementptr`.
 pub fn gep(b: &mut OpBuilder<'_>, ptr: ValueId, indices: &[i64], result: Type) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert(
+    let attrs = [(
         "indices".to_string(),
         Attribute::IndexArray(indices.to_vec()),
-    );
+    )];
     let op = b.build_with_attrs(GEP, vec![ptr], vec![result], attrs);
     b.ctx_ref().result(op, 0)
 }
@@ -87,11 +85,10 @@ pub fn extractvalue(
     position: &[i64],
     result: Type,
 ) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert(
+    let attrs = [(
         "position".to_string(),
         Attribute::IndexArray(position.to_vec()),
-    );
+    )];
     let op = b.build_with_attrs(EXTRACTVALUE, vec![agg], vec![result], attrs);
     b.ctx_ref().result(op, 0)
 }
@@ -104,11 +101,10 @@ pub fn insertvalue(
     position: &[i64],
 ) -> ValueId {
     let ty = b.ctx_ref().value_type(agg).clone();
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert(
+    let attrs = [(
         "position".to_string(),
         Attribute::IndexArray(position.to_vec()),
-    );
+    )];
     let op = b.build_with_attrs(INSERTVALUE, vec![agg, value], vec![ty], attrs);
     b.ctx_ref().result(op, 0)
 }

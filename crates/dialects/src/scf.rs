@@ -29,7 +29,7 @@ pub fn for_loop(
     block_args.extend(result_types.clone());
     let mut operands = vec![lb, ub, step];
     operands.extend(iter_init);
-    b.build_with_region(FOR, operands, result_types, Default::default(), block_args)
+    b.build_with_region(FOR, operands, result_types, [], block_args)
 }
 
 /// Build an `scf.yield`.
@@ -44,8 +44,7 @@ pub fn if_op(
     cond: ValueId,
     result_types: Vec<Type>,
 ) -> (OpId, BlockId, BlockId) {
-    let (op, then_block) =
-        b.build_with_region(IF, vec![cond], result_types, Default::default(), vec![]);
+    let (op, then_block) = b.build_with_region(IF, vec![cond], result_types, [], vec![]);
     let else_region = b.ctx().add_region(op);
     let else_block = b.ctx().add_block(else_region, vec![]);
     (op, then_block, else_block)
@@ -170,8 +169,7 @@ mod tests {
         let (module, body) = create_module(&mut ctx);
         let mut b = OpBuilder::at_block_end(&mut ctx, body);
         let c = b.build_value("arith.constant", vec![], Type::I1);
-        let (op, then_b) =
-            b.build_with_region(IF, vec![c], vec![Type::F64], Default::default(), vec![]);
+        let (op, then_b) = b.build_with_region(IF, vec![c], vec![Type::F64], [], vec![]);
         let mut ib = OpBuilder::at_block_end(&mut ctx, then_b);
         let v = constant_f64(&mut ib, 1.0);
         yield_op(&mut ib, vec![v]);

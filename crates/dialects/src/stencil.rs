@@ -63,7 +63,7 @@ pub fn apply(
         .iter()
         .map(|&v| b.ctx_ref().value_type(v).clone())
         .collect();
-    b.build_with_region(APPLY, inputs, result_types, Default::default(), arg_types)
+    b.build_with_region(APPLY, inputs, result_types, [], arg_types)
 }
 
 /// Build `stencil.access` at a relative `offset`.
@@ -74,16 +74,14 @@ pub fn access(b: &mut OpBuilder<'_>, temp: ValueId, offset: &[i64]) -> ValueId {
         .element_type()
         .expect("stencil.access on non-temp")
         .clone();
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("offset".to_string(), Attribute::IndexArray(offset.to_vec()));
+    let attrs = [("offset".to_string(), Attribute::IndexArray(offset.to_vec()))];
     let op = b.build_with_attrs(ACCESS, vec![temp], vec![elem], attrs);
     b.ctx_ref().result(op, 0)
 }
 
 /// Build `stencil.index` for dimension `dim`.
 pub fn index(b: &mut OpBuilder<'_>, dim: i64) -> ValueId {
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("dim".to_string(), Attribute::int(dim));
+    let attrs = [("dim".to_string(), Attribute::int(dim))];
     let op = b.build_with_attrs(INDEX, vec![], vec![Type::Index], attrs);
     b.ctx_ref().result(op, 0)
 }
@@ -97,8 +95,7 @@ pub fn return_op(b: &mut OpBuilder<'_>, values: Vec<ValueId>) -> OpId {
 pub fn store(b: &mut OpBuilder<'_>, temp: ValueId, field: ValueId, lb: &[i64], ub: &[i64]) -> OpId {
     let mut flat = lb.to_vec();
     flat.extend_from_slice(ub);
-    let mut attrs = std::collections::BTreeMap::new();
-    attrs.insert("bounds".to_string(), Attribute::IndexArray(flat));
+    let attrs = [("bounds".to_string(), Attribute::IndexArray(flat))];
     b.build_with_attrs(STORE, vec![temp, field], vec![], attrs)
 }
 

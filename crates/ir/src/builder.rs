@@ -1,7 +1,5 @@
 //! Insertion-point based IR construction, mirroring MLIR's `OpBuilder`.
 
-use std::collections::BTreeMap;
-
 use crate::attributes::Attribute;
 use crate::ir::{BlockId, Context, OpId, ValueId};
 use crate::types::Type;
@@ -73,7 +71,7 @@ impl<'c> OpBuilder<'c> {
 
     /// Build an op with no attributes.
     pub fn build(&mut self, name: &str, operands: Vec<ValueId>, result_types: Vec<Type>) -> OpId {
-        self.build_with_attrs(name, operands, result_types, BTreeMap::new())
+        self.build_with_attrs(name, operands, result_types, [])
     }
 
     /// Build an op with attributes and insert it at the insertion point.
@@ -83,7 +81,7 @@ impl<'c> OpBuilder<'c> {
         name: &str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: impl IntoIterator<Item = (String, Attribute)>,
     ) -> OpId {
         let op = self.ctx.create_op(name, operands, result_types, attrs);
         self.insert(op);
@@ -124,7 +122,7 @@ impl<'c> OpBuilder<'c> {
         name: &str,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: impl IntoIterator<Item = (String, Attribute)>,
         block_arg_types: Vec<Type>,
     ) -> (OpId, BlockId) {
         let op = self.build_with_attrs(name, operands, result_types, attrs);
@@ -147,6 +145,8 @@ impl<'c> OpBuilder<'c> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn module_block(ctx: &mut Context) -> BlockId {

@@ -1781,7 +1781,7 @@ mod tests {
     /// bitwise-identical to the tree-walker.
     fn build_sum_module_n(n: i64) -> (Context, OpId, OpId) {
         let mut ctx = Context::new();
-        let module = ctx.create_op("builtin.module", vec![], vec![], Default::default());
+        let module = ctx.create_op("builtin.module", vec![], vec![], []);
         let mr = ctx.add_region(module);
         let mb = ctx.add_block(mr, vec![]);
         let field_ty = Type::stencil_field(StencilBounds::new(vec![-1], vec![n + 1]), Type::F64);
@@ -1807,7 +1807,7 @@ mod tests {
             "stencil.apply",
             vec![loaded, w],
             vec![temp_out.clone()],
-            Default::default(),
+            [],
             vec![temp_in, Type::F64],
         );
         let arg = ctx.block_args(ab)[0];
@@ -2045,7 +2045,7 @@ mod tests {
     /// `[] → []`, body `out = w * w` from one scalar operand.
     fn build_rank0_apply() -> (Context, OpId) {
         let mut ctx = Context::new();
-        let module = ctx.create_op("builtin.module", vec![], vec![], Default::default());
+        let module = ctx.create_op("builtin.module", vec![], vec![], []);
         let mr = ctx.add_region(module);
         let mb = ctx.add_block(mr, vec![]);
         let temp_out = Type::stencil_temp(StencilBounds::new(vec![], vec![]), Type::F64);
@@ -2059,7 +2059,7 @@ mod tests {
             "stencil.apply",
             vec![w],
             vec![temp_out],
-            Default::default(),
+            [],
             vec![Type::F64],
         );
         let warg = ctx.block_args(ab)[0];
@@ -2162,7 +2162,7 @@ mod tests {
     /// bounds-check against the degenerate box.
     fn build_empty_box_apply() -> (Context, OpId) {
         let mut ctx = Context::new();
-        let module = ctx.create_op("builtin.module", vec![], vec![], Default::default());
+        let module = ctx.create_op("builtin.module", vec![], vec![], []);
         let mr = ctx.add_region(module);
         let mb = ctx.add_block(mr, vec![]);
         let temp_out = Type::stencil_temp(StencilBounds::new(vec![5], vec![2]), Type::F64);
@@ -2176,7 +2176,7 @@ mod tests {
             "stencil.apply",
             vec![w],
             vec![temp_out],
-            Default::default(),
+            [],
             vec![Type::F64],
         );
         let warg = ctx.block_args(ab)[0];

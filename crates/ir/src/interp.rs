@@ -1492,7 +1492,7 @@ mod tests {
     fn stencil_apply_one_dimensional_sum() {
         // The paper's Listing 1: out[i] = in[i-1] + in[i+1] over [0, 8).
         let mut ctx = Context::new();
-        let module = ctx.create_op("builtin.module", vec![], vec![], Default::default());
+        let module = ctx.create_op("builtin.module", vec![], vec![], []);
         let mr = ctx.add_region(module);
         let mb = ctx.add_block(mr, vec![]);
         let field_ty = Type::stencil_field(StencilBounds::new(vec![-1], vec![9]), Type::F64);
@@ -1517,7 +1517,7 @@ mod tests {
             "stencil.apply",
             vec![loaded],
             vec![temp_out.clone()],
-            Default::default(),
+            [],
             vec![temp_in.clone()],
         );
         let arg = ctx.block_args(ab)[0];

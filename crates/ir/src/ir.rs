@@ -16,7 +16,7 @@
 //! panic on access with a descriptive message, which turns use-after-erase
 //! bugs in transforms into immediate failures instead of silent corruption.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -249,7 +249,10 @@ pub(crate) struct OpData {
     pub name: String,
     pub operands: Vec<ValueId>,
     pub results: Vec<ValueId>,
-    pub attrs: BTreeMap<String, Attribute>,
+    /// Sorted by name, in one exactly sized allocation: most ops carry
+    /// one or two attributes, where a `BTreeMap` allocates a node for
+    /// eleven (1.2 KB) — half a compiled kernel's heap.
+    pub attrs: Vec<(String, Attribute)>,
     pub regions: Vec<RegionId>,
     pub parent: Option<BlockId>,
 }
@@ -299,17 +302,38 @@ impl Context {
     // ---- creation -------------------------------------------------------
 
     /// Create a detached operation with the given name, operands, result
-    /// types and attributes. Regions can be added afterwards with
-    /// [`Context::add_region`].
+    /// types and attributes — a map, or name/value pairs in any order (of
+    /// a repeated name the last value stands, as in a map). Regions can be
+    /// added afterwards with [`Context::add_region`].
     pub fn create_op(
         &mut self,
         name: impl Into<String>,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attrs: BTreeMap<String, Attribute>,
+        attrs: impl IntoIterator<Item = (String, Attribute)>,
+    ) -> OpId {
+        let mut attrs: Vec<_> = attrs.into_iter().collect();
+        attrs.sort_by(|a, b| a.0.cmp(&b.0));
+        attrs.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                std::mem::swap(later, kept);
+            }
+            repeated
+        });
+        self.new_op(name.into(), operands, result_types, attrs)
+    }
+
+    /// [`Context::create_op`] over attributes already sorted by name.
+    fn new_op(
+        &mut self,
+        name: String,
+        operands: Vec<ValueId>,
+        result_types: Vec<Type>,
+        attrs: Vec<(String, Attribute)>,
     ) -> OpId {
         let id = OpId(self.ops.insert(OpData {
-            name: name.into(),
+            name,
             operands: Vec::new(),
             results: Vec::new(),
             attrs,
@@ -595,24 +619,33 @@ impl Context {
         &self.ops.get(op.0, "op").regions
     }
 
-    /// The operation's attribute dictionary.
-    pub fn attrs(&self, op: OpId) -> &BTreeMap<String, Attribute> {
+    /// The operation's attributes, sorted by name.
+    pub fn attrs(&self, op: OpId) -> &[(String, Attribute)] {
         &self.ops.get(op.0, "op").attrs
     }
 
     /// Attribute `name` of `op`, if present.
     pub fn attr(&self, op: OpId, name: &str) -> Option<&Attribute> {
-        self.ops.get(op.0, "op").attrs.get(name)
+        let attrs = self.attrs(op);
+        let at = attrs.binary_search_by(|(k, _)| k.as_str().cmp(name));
+        at.ok().map(|i| &attrs[i].1)
     }
 
     /// Set attribute `name` on `op`.
     pub fn set_attr(&mut self, op: OpId, name: impl Into<String>, attr: Attribute) {
-        self.ops.get_mut(op.0, "op").attrs.insert(name.into(), attr);
+        let name = name.into();
+        let attrs = &mut self.ops.get_mut(op.0, "op").attrs;
+        match attrs.binary_search_by(|(k, _)| k.cmp(&name)) {
+            Ok(i) => attrs[i].1 = attr,
+            Err(i) => attrs.insert(i, (name, attr)),
+        }
     }
 
     /// Remove attribute `name` from `op`, returning it if it was present.
     pub fn remove_attr(&mut self, op: OpId, name: &str) -> Option<Attribute> {
-        self.ops.get_mut(op.0, "op").attrs.remove(name)
+        let attrs = &mut self.ops.get_mut(op.0, "op").attrs;
+        let at = attrs.binary_search_by(|(k, _)| k.as_str().cmp(name));
+        at.ok().map(|i| attrs.remove(i).1)
     }
 
     /// Parent block of `op` (None when detached or top-level module).
@@ -714,7 +747,7 @@ impl Context {
         value_map: &mut std::collections::HashMap<ValueId, ValueId>,
     ) -> OpId {
         let name = self.op_name(op).to_string();
-        let attrs = self.attrs(op).clone();
+        let attrs = self.attrs(op).to_vec();
         let operands: Vec<ValueId> = self
             .operands(op)
             .iter()
@@ -727,7 +760,7 @@ impl Context {
             .collect();
         let old_results = self.results(op).to_vec();
         let regions = self.regions(op).to_vec();
-        let new_op = self.create_op(name, operands, result_types, attrs);
+        let new_op = self.new_op(name, operands, result_types, attrs);
         for (old, new) in old_results.into_iter().zip(self.results(new_op).to_vec()) {
             value_map.insert(old, new);
         }
@@ -803,12 +836,45 @@ impl Context {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn ctx_with_op(ctx: &mut Context) -> (OpId, ValueId) {
         let op = ctx.create_op("test.def", vec![], vec![Type::F64], BTreeMap::new());
         let v = ctx.result(op, 0);
         (op, v)
+    }
+
+    /// Attributes stay sorted by name through creation from unordered
+    /// pairs (the last of a repeated name standing), inserts,
+    /// replacements, removals and clones, and every lookup finds what was
+    /// set.
+    #[test]
+    fn attributes_stay_sorted_by_name() {
+        let mut ctx = Context::new();
+        let pair = |name: &str, attr| (name.to_string(), attr);
+        let attrs = [
+            pair("m", Attribute::Unit),
+            pair("b", Attribute::IndexArray(vec![1])),
+            pair("b", Attribute::IndexArray(vec![2])),
+        ];
+        let op = ctx.create_op("test.op", vec![], vec![], attrs);
+        assert_eq!(ctx.attr(op, "b"), Some(&Attribute::IndexArray(vec![2])));
+        for name in ["z", "a", "q"] {
+            ctx.set_attr(op, name, Attribute::Unit);
+        }
+        ctx.set_attr(op, "q", Attribute::IndexArray(vec![1]));
+        assert_eq!(ctx.remove_attr(op, "m"), Some(Attribute::Unit));
+        assert_eq!(ctx.remove_attr(op, "m"), None);
+        let names = |ctx: &Context, op| -> Vec<String> {
+            ctx.attrs(op).iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(names(&ctx, op), ["a", "b", "q", "z"]);
+        assert_eq!(ctx.attr(op, "q"), Some(&Attribute::IndexArray(vec![1])));
+        assert_eq!(ctx.attr(op, "c"), None);
+        let copy = ctx.clone_op(op, &mut std::collections::HashMap::new());
+        assert_eq!(ctx.attrs(copy), ctx.attrs(op));
     }
 
     #[test]

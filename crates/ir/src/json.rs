@@ -9,8 +9,13 @@
 //! workspace's control and their crates free of any serialisation
 //! dependency. It lives in `shmls-ir` because that is the dependency
 //! root every consumer already shares.
+//!
+//! Reading and writing are linear in the document: a string is copied a
+//! run of plain bytes at a time, never re-validated byte by byte.
 
-use std::fmt;
+#![deny(clippy::too_many_lines)]
+
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order so emitted files diff
 /// cleanly across runs.
@@ -114,6 +119,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -245,25 +251,35 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// Write `s` as a JSON string. Runs of characters that need no escape
+/// are copied whole: every byte that does is ASCII, so a run always ends
+/// on a char boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -373,64 +389,65 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one go: both are
+            // ASCII, so the run ends on a char boundary of `text`.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                            // hex4 leaves pos after the digits; continue
-                            // without the shared `pos += 1` below.
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push(self.escape()?);
                 }
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the
+    /// backslash and ends just past the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("lone high surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                // hex4 leaves pos after the digits.
+                return char::from_u32(c).ok_or_else(|| self.err("invalid unicode escape"));
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -568,6 +585,164 @@ mod tests {
         assert!(!line.contains('\n'), "{line}");
         assert_eq!(Json::parse(&line).unwrap(), v);
         assert_eq!(line, r#"{"id":7,"msg":"two\nlines","xs":[1,null],"o":{}}"#);
+    }
+
+    /// A document holding one 4 MiB string parses and round-trips. A
+    /// reader that re-validates the rest of the document per byte makes
+    /// ~10¹³ byte checks here and never finishes.
+    #[test]
+    fn a_four_mib_string_parses_in_linear_time() {
+        const PIECES: [(&str, &str); 7] = [
+            ("plain ascii run, ", "plain ascii run, "),
+            ("é£ ", "é£ "),
+            ("€ह ", "€ह "),
+            ("😀𝄞", "😀𝄞"),
+            (r#"\"\\\/\b\f\n\r\t"#, "\"\\/\u{8}\u{c}\n\r\t"),
+            (r"Aé€", "Aé€"),
+            (r"😀", "😀"),
+        ];
+        let (mut text, mut value) = (String::from('"'), String::new());
+        while text.len() < 4 << 20 {
+            for (wire, decoded) in PIECES {
+                text.push_str(wire);
+                value.push_str(decoded);
+            }
+        }
+        text.push('"');
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.as_str(), Some(value.as_str()));
+        assert_eq!(Json::parse(&doc.compact()).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    /// The reader's string scan before it copied runs: one char at a time,
+    /// each escape decoded in place. Parses a document that is one string.
+    fn reference_string_document(text: &str) -> Result<Json, JsonError> {
+        let bytes = text.as_bytes();
+        fn fail<T>(offset: usize, message: &str) -> Result<T, JsonError> {
+            Err(JsonError {
+                offset,
+                message: message.to_string(),
+            })
+        }
+        let hex4 = |pos: usize| -> Result<u32, JsonError> {
+            if pos + 4 > bytes.len() {
+                return fail(pos, "truncated \\u escape");
+            }
+            let digits = text.get(pos..pos + 4);
+            match digits.and_then(|d| u32::from_str_radix(d, 16).ok()) {
+                Some(v) => Ok(v),
+                None => fail(pos, "invalid \\u escape"),
+            }
+        };
+        if bytes.first() != Some(&b'"') {
+            return fail(0, "expected `\"`");
+        }
+        let (mut pos, mut out) = (1, String::new());
+        loop {
+            let Some(c) = text[pos..].chars().next() else {
+                return fail(pos, "unterminated string");
+            };
+            pos += c.len_utf8();
+            match c {
+                '"' => break,
+                '\\' => {
+                    let simple = match bytes.get(pos) {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{8}'),
+                        Some(b'f') => Some('\u{c}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
+                        _ => return fail(pos, "invalid escape"),
+                    };
+                    if let Some(c) = simple {
+                        out.push(c);
+                        pos += 1;
+                        continue;
+                    }
+                    let hi = hex4(pos + 1)?;
+                    pos += 5;
+                    let mut code = hi;
+                    if (0xD800..0xDC00).contains(&hi) {
+                        if !bytes[pos..].starts_with(b"\\u") {
+                            return fail(pos, "lone high surrogate");
+                        }
+                        let lo = hex4(pos + 2)?;
+                        pos += 6;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return fail(pos, "invalid low surrogate");
+                        }
+                        code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    }
+                    match char::from_u32(code) {
+                        Some(c) => out.push(c),
+                        None => return fail(pos, "invalid unicode escape"),
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        if pos != bytes.len() {
+            return fail(pos, "trailing characters after document");
+        }
+        Ok(Json::Str(out))
+    }
+
+    /// Pieces of generated string documents: plain and multi-byte text,
+    /// every escape, good and broken surrogates, broken `\u` escapes and
+    /// the raw control bytes the reader accepts.
+    const STRING_PIECES: [&str; 24] = [
+        "abc",
+        "x",
+        "é",
+        "€",
+        "😀",
+        r#"\""#,
+        r"\\",
+        r"\/",
+        r"\b\f\n\r\t",
+        r"A",
+        r"é",
+        r"😀",
+        r"\ud83d",
+        r"\ud83dA",
+        r"\ud83dx",
+        r"\udc00",
+        r"\u12",
+        r"\u12G4",
+        r"\u+123",
+        r"\ué12",
+        r"\x",
+        "\u{1}\u{1f}",
+        "\n\t",
+        "\u{7f}",
+    ];
+
+    #[test]
+    fn the_run_copying_reader_agrees_with_a_char_at_a_time_reference() {
+        crate::rng::sweep(
+            0x4a50,
+            2_000,
+            |rng| {
+                let mut doc = String::from('"');
+                for _ in 0..rng.range(0, 12) {
+                    let piece: &&str = rng.pick(&STRING_PIECES);
+                    doc.push_str(piece);
+                }
+                match rng.range(0, 9) {
+                    0 => {} // unterminated
+                    1 => doc.push_str("\"x"),
+                    2 => doc.push('\\'),
+                    _ => doc.push('"'),
+                }
+                doc
+            },
+            |doc| assert_eq!(Json::parse(doc), reference_string_document(doc)),
+        );
     }
 
     #[test]

@@ -161,10 +161,10 @@ fn gen_recipes(rng: &mut Rng) -> Vec<OpRecipe> {
 
 fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
     let mut ctx = Context::new();
-    let module = ctx.create_op("builtin.module", vec![], vec![], Default::default());
+    let module = ctx.create_op("builtin.module", vec![], vec![], []);
     let mregion = ctx.add_region(module);
     let mblock = ctx.add_block(mregion, vec![]);
-    let f = ctx.create_op("func.func", vec![], vec![], Default::default());
+    let f = ctx.create_op("func.func", vec![], vec![], []);
     ctx.set_attr(f, "sym_name", Attribute::string("random"));
     let fregion = ctx.add_region(f);
     let fblock = ctx.add_block(fregion, vec![Type::F64]);
@@ -203,13 +203,8 @@ fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
                 let lb_op = ctx.defining_op(lb).unwrap();
                 ctx.set_attr(lb_op, "value", Attribute::index(0));
                 let mut b = OpBuilder::at_block_end(&mut ctx, fblock);
-                let (for_op, body) = b.build_with_region(
-                    "scf.for",
-                    vec![lb, lb, lb],
-                    vec![],
-                    Default::default(),
-                    vec![Type::Index],
-                );
+                let (for_op, body) =
+                    b.build_with_region("scf.for", vec![lb, lb, lb], vec![], [], vec![Type::Index]);
                 let _ = for_op;
                 let mut ib = OpBuilder::at_block_end(&mut ctx, body);
                 let doubled = ib.build_value("arith.addf", vec![used, used], Type::F64);
@@ -238,19 +233,14 @@ fn build_module(recipes: &[OpRecipe]) -> (Context, OpId) {
                 let lb_op = ctx.defining_op(lb).unwrap();
                 ctx.set_attr(lb_op, "value", Attribute::index(0));
                 let mut b = OpBuilder::at_block_end(&mut ctx, fblock);
-                let (_outer, obody) = b.build_with_region(
-                    "scf.for",
-                    vec![lb, lb, lb],
-                    vec![],
-                    Default::default(),
-                    vec![Type::Index],
-                );
+                let (_outer, obody) =
+                    b.build_with_region("scf.for", vec![lb, lb, lb], vec![], [], vec![Type::Index]);
                 let mut ob = OpBuilder::at_block_end(&mut ctx, obody);
                 let (_inner, ibody) = ob.build_with_region(
                     "scf.for",
                     vec![lb, lb, lb],
                     vec![],
-                    Default::default(),
+                    [],
                     vec![Type::Index],
                 );
                 let mut ib = OpBuilder::at_block_end(&mut ctx, ibody);

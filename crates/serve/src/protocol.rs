@@ -13,6 +13,8 @@
 //! anything goes wrong. Unknown request fields are ignored, so older
 //! servers tolerate newer clients.
 
+#![deny(clippy::too_many_lines)]
+
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -57,7 +59,7 @@ impl ErrorKind {
 /// Compile-option overrides carried by a request. Every field is
 /// optional; an absent field keeps the server-side default
 /// ([`CompileOptions::default`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RequestOptions {
     /// FIFO depth for element/result streams.
     pub stream_depth: Option<i64>,
@@ -125,6 +127,12 @@ impl Request {
     /// diagnostic suitable for an [`ErrorKind::Protocol`] response.
     pub fn parse(line: &str) -> Result<Request, String> {
         let doc = Json::parse(line).map_err(|e| e.to_string())?;
+        Request::from_json(&doc)
+    }
+
+    /// Read a request out of an already parsed frame — for a caller that
+    /// reads the document for more than the request (the router).
+    pub fn from_json(doc: &Json) -> Result<Request, String> {
         if doc.as_obj().is_none() {
             return Err("request must be a JSON object".to_string());
         }
@@ -170,27 +178,33 @@ impl Request {
 
     /// Resolve the overrides against the server defaults.
     pub fn compile_options(&self) -> Result<CompileOptions, String> {
+        self.options.compile_options()
+    }
+}
+
+impl RequestOptions {
+    /// Resolve the overrides against the server defaults.
+    pub fn compile_options(&self) -> Result<CompileOptions, String> {
         let mut co = CompileOptions::default();
-        let o = &self.options;
-        if let Some(v) = o.stream_depth {
+        if let Some(v) = self.stream_depth {
             co.hmls.stream_depth = v;
         }
-        if let Some(v) = o.window_stream_depth {
+        if let Some(v) = self.window_stream_depth {
             co.hmls.window_stream_depth = v;
         }
-        if let Some(v) = o.ii {
+        if let Some(v) = self.ii {
             co.hmls.ii = v;
         }
-        if let Some(v) = o.unroll {
+        if let Some(v) = self.unroll {
             co.hmls.unroll = v;
         }
-        if let Some(paths) = &o.paths {
+        if let Some(paths) = &self.paths {
             co.paths = parse_paths(paths)?;
         }
-        if let Some(b) = o.optimize {
+        if let Some(b) = self.optimize {
             co.optimize = b;
         }
-        if let Some(b) = o.verify {
+        if let Some(b) = self.verify {
             co.verify = b;
         }
         Ok(co)

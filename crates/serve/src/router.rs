@@ -32,10 +32,17 @@
 //! the router — produces the typed `protocol`/`compile` error, keeping
 //! router-vs-direct behaviour identical.
 //!
+//! The router reads each frame once: one JSON parse answers the stats
+//! check below and yields the request. Keys already computed are kept
+//! in a router-wide memo by exact `(source, options)`, so a repeated
+//! kernel skips the DSL frontend the key is otherwise computed by.
+//!
 //! The router answers one control frame itself: `{"control": "stats"}`
 //! returns the [`RouterReport`] (per-shard traffic, replays, deaths) as
 //! a single JSON line. `repro loadgen --router` uses it to print the
 //! per-shard table and embed the report in its JSON output.
+
+#![deny(clippy::too_many_lines)]
 
 use std::collections::HashMap;
 use std::io;
@@ -52,7 +59,7 @@ use stencil_hmls::cache::{fnv1a, DispositionCounts};
 use stencil_hmls::persist::PersistentCache;
 
 use crate::listener::{lock, Listener};
-use crate::protocol::{best_effort_id, Client, ErrorKind, Request, Response};
+use crate::protocol::{Client, ErrorKind, Request, RequestOptions, Response};
 use crate::shard::Topology;
 
 /// Virtual nodes per shard on the ring. More vnodes smooth the load
@@ -114,17 +121,105 @@ impl Ring {
 /// The routing key for one raw request line: the content-addressed
 /// compile key when the frame parses all the way down to a kernel, and
 /// a deterministic fallback hash otherwise (so malformed frames still
-/// have a stable owner to produce their typed error).
+/// have a stable owner to produce their typed error). This is the
+/// router's path for a frame its memo has not seen.
 pub fn routing_key(line: &str) -> u64 {
-    if let Ok(request) = Request::parse(line) {
-        if let Ok(opts) = request.compile_options() {
-            if let Ok(kernel) = parse_kernel(&request.source) {
-                return PersistentCache::key(&kernel, &opts);
-            }
-        }
-        return fnv1a(request.source.as_bytes());
+    let frame = Frame::read(line);
+    match frame.request() {
+        Some(request) => compile_key(&request.source, &request.options).0,
+        None => frame.fallback_key(),
     }
-    fnv1a(line.as_bytes())
+}
+
+/// The routing key of a request: the compile key when its kernel parses,
+/// FNV-1a over its source otherwise. The flag says whether the DSL
+/// frontend ran (it does whenever the options resolve).
+fn compile_key(source: &str, options: &RequestOptions) -> (u64, bool) {
+    let Ok(opts) = options.compile_options() else {
+        return (fnv1a(source.as_bytes()), false);
+    };
+    let key = match parse_kernel(source) {
+        Ok(kernel) => PersistentCache::key(&kernel, &opts),
+        Err(_) => fnv1a(source.as_bytes()),
+    };
+    (key, true)
+}
+
+/// One request line, read once: its document when it is JSON. The stats
+/// check, the request and the id echoed on a synthesized error all read
+/// this one parse.
+struct Frame<'a> {
+    line: &'a str,
+    doc: Option<Json>,
+}
+
+impl<'a> Frame<'a> {
+    fn read(line: &'a str) -> Frame<'a> {
+        Frame {
+            line,
+            doc: Json::parse(line).ok(),
+        }
+    }
+
+    /// `{"control": "stats"}` — the one frame the router answers itself.
+    fn is_stats_control(&self) -> bool {
+        self.member("control").and_then(Json::as_str) == Some("stats")
+    }
+
+    /// The client's id, when the frame carries one it could read — echoed
+    /// even on the errors the router synthesizes.
+    fn id(&self) -> Option<u64> {
+        self.member("id").and_then(Json::as_u64)
+    }
+
+    fn member(&self, name: &str) -> Option<&Json> {
+        self.doc.as_ref().and_then(|doc| doc.get(name))
+    }
+
+    /// The frame as a protocol request, when it is one.
+    fn request(&self) -> Option<Request> {
+        Request::from_json(self.doc.as_ref()?).ok()
+    }
+
+    /// The key of a frame that is no request: FNV-1a over its bytes.
+    fn fallback_key(&self) -> u64 {
+        fnv1a(self.line.as_bytes())
+    }
+}
+
+/// Entries the routing-key memo holds before it starts over.
+const KEY_MEMO_ENTRIES: usize = 1024;
+
+/// Routing keys already computed, by the exact `(source, options)` pair
+/// they were computed from — the id is not part of it. A hit skips the
+/// DSL frontend and compares both fields in full, so a memoized key is
+/// the compile key [`routing_key`] gives, and "which shard owns a key"
+/// still equals "which cache entry answers it". At
+/// [`KEY_MEMO_ENTRIES`] the memo is cleared.
+#[derive(Debug, Default)]
+struct KeyMemo(Mutex<HashMap<(String, RequestOptions), u64>>);
+
+impl KeyMemo {
+    /// The routing key of a request, counting each frontend run in
+    /// `stats`. The lock is not held while the frontend runs: two workers
+    /// that miss on one pair both compute the same key.
+    fn key(&self, request: Request, stats: &RouterStats) -> u64 {
+        let entry = (request.source, request.options);
+        let hit = lock(&self.0).get(&entry).copied();
+        if let Some(key) = hit {
+            return key;
+        }
+        let (key, ran_frontend) = compile_key(&entry.0, &entry.1);
+        if ran_frontend {
+            stats.frontend_runs.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut keys = lock(&self.0);
+        if keys.len() >= KEY_MEMO_ENTRIES {
+            keys.clear();
+        }
+        keys.insert(entry, key);
+        key
+    }
 }
 
 /// Per-shard traffic, as observed by the router (dispositions are read
@@ -163,6 +258,9 @@ pub struct RouterReport {
     pub replays: u64,
     /// Requests that exhausted every replay (synthesized errors).
     pub unroutable: u64,
+    /// Frames whose routing key ran the DSL frontend (`parse_kernel`):
+    /// the routing-key memo's misses on well-formed requests.
+    pub frontend_runs: u64,
     /// Per-shard rows, ordered by id.
     pub shards: Vec<ShardReport>,
 }
@@ -201,6 +299,7 @@ impl RouterReport {
             num("forwarded", self.forwarded),
             num("replays", self.replays),
             num("unroutable", self.unroutable),
+            num("frontend_runs", self.frontend_runs),
             (
                 "shards".to_string(),
                 Json::Arr(self.shards.iter().map(shard).collect()),
@@ -219,6 +318,7 @@ impl RouterReport {
             forwarded: num(doc, "forwarded")?,
             replays: num(doc, "replays")?,
             unroutable: num(doc, "unroutable")?,
+            frontend_runs: num(doc, "frontend_runs")?,
             shards: Vec::new(),
         };
         let shards = doc
@@ -278,6 +378,7 @@ struct RouterStats {
     forwarded: AtomicU64,
     replays: AtomicU64,
     unroutable: AtomicU64,
+    frontend_runs: AtomicU64,
     per_shard: Mutex<HashMap<usize, ShardTraffic>>,
 }
 
@@ -309,8 +410,25 @@ impl RouterStats {
             forwarded: self.forwarded.load(Ordering::Relaxed),
             replays: self.replays.load(Ordering::Relaxed),
             unroutable: self.unroutable.load(Ordering::Relaxed),
+            frontend_runs: self.frontend_runs.load(Ordering::Relaxed),
             shards,
         }
+    }
+}
+
+/// What the router's workers share: the ring they route over, the
+/// counters they keep and the routing-key memo.
+#[derive(Debug)]
+struct Shared {
+    config: RouterConfig,
+    topology: Arc<Topology>,
+    stats: RouterStats,
+    keys: KeyMemo,
+}
+
+impl Shared {
+    fn report(&self) -> RouterReport {
+        self.stats.report(&self.topology)
     }
 }
 
@@ -319,8 +437,7 @@ impl RouterStats {
 #[derive(Debug)]
 pub struct RouterHandle {
     listener: Listener,
-    stats: Arc<RouterStats>,
-    topology: Arc<Topology>,
+    shared: Arc<Shared>,
 }
 
 impl RouterHandle {
@@ -332,12 +449,12 @@ impl RouterHandle {
     /// Responses relayed so far — the chaos hooks in `repro route` poll
     /// this to time their kill/restart against real traffic.
     pub fn forwarded(&self) -> u64 {
-        self.stats.forwarded.load(Ordering::Relaxed)
+        self.shared.stats.forwarded.load(Ordering::Relaxed)
     }
 
     /// The current aggregated report.
     pub fn report(&self) -> RouterReport {
-        self.stats.report(&self.topology)
+        self.shared.report()
     }
 
     /// Stop accepting and join every thread.
@@ -349,28 +466,25 @@ impl RouterHandle {
 /// Bind the router in front of the shards in `topology` and start
 /// serving the NDJSON protocol. Returns once the listener is live.
 pub fn start_router(config: RouterConfig, topology: Arc<Topology>) -> io::Result<RouterHandle> {
-    let stats = Arc::new(RouterStats::default());
-    let listener = {
-        let (stats, topology) = (Arc::clone(&stats), Arc::clone(&topology));
-        let addr = config.addr.clone();
-        Listener::start(
-            &addr,
-            config.workers,
-            BackendPool::new,
-            move |pool, frame| {
-                if is_stats_control(frame) {
-                    stats.report(&topology).to_json().compact()
-                } else {
-                    relay(frame, &config, &topology, &stats, pool)
-                }
-            },
-        )?
-    };
-    Ok(RouterHandle {
-        listener,
-        stats,
+    let (addr, workers) = (config.addr.clone(), config.workers);
+    let shared = Arc::new(Shared {
+        config,
         topology,
-    })
+        stats: RouterStats::default(),
+        keys: KeyMemo::default(),
+    });
+    let listener = {
+        let shared = Arc::clone(&shared);
+        Listener::start(&addr, workers, BackendPool::new, move |pool, line| {
+            let frame = Frame::read(line);
+            if frame.is_stats_control() {
+                shared.report().to_json().compact()
+            } else {
+                relay(&frame, &shared, pool)
+            }
+        })?
+    };
+    Ok(RouterHandle { listener, shared })
 }
 
 /// One backend connection in a worker's pool, keyed by `(shard, addr)`
@@ -378,37 +492,16 @@ pub fn start_router(config: RouterConfig, topology: Arc<Topology>) -> io::Result
 /// instead of the stale socket.
 type BackendPool = HashMap<(usize, String), Client>;
 
-/// `{"control": "stats"}` — the one frame the router answers itself.
-fn is_stats_control(line: &str) -> bool {
-    Json::parse(line)
-        .ok()
-        .and_then(|doc| {
-            doc.get("control")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-        })
-        .as_deref()
-        == Some("stats")
-}
-
 /// Forward one raw frame to the key's owner, replaying across the
 /// surviving ring on failure. Always returns exactly one response line.
 /// Panics inside routing (parser bugs on hostile frames) are caught and
 /// answered as `internal` errors, matching the backend's discipline.
-fn relay(
-    frame: &str,
-    config: &RouterConfig,
-    topology: &Topology,
-    stats: &RouterStats,
-    pool: &mut BackendPool,
-) -> String {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        relay_inner(frame, config, topology, stats, pool)
-    }));
+fn relay(frame: &Frame, shared: &Shared, pool: &mut BackendPool) -> String {
+    let attempt = catch_unwind(AssertUnwindSafe(|| relay_inner(frame, shared, pool)));
     match attempt {
         Ok(reply) => reply,
         Err(_) => Response::failure(
-            best_effort_id(frame),
+            frame.id(),
             ErrorKind::Internal,
             "panic while routing request".to_string(),
             0,
@@ -417,14 +510,12 @@ fn relay(
     }
 }
 
-fn relay_inner(
-    frame: &str,
-    config: &RouterConfig,
-    topology: &Topology,
-    stats: &RouterStats,
-    pool: &mut BackendPool,
-) -> String {
-    let key = routing_key(frame);
+fn relay_inner(frame: &Frame, shared: &Shared, pool: &mut BackendPool) -> String {
+    let (config, topology, stats) = (&shared.config, &shared.topology, &shared.stats);
+    let key = match frame.request() {
+        Some(request) => shared.keys.key(request, stats),
+        None => frame.fallback_key(),
+    };
     let start = Instant::now();
     let attempts = topology.len().max(1) + config.max_replays;
     let mut failed_over = false;
@@ -436,7 +527,7 @@ fn relay_inner(
             continue;
         };
         let slot = (shard, addr);
-        match exchange(pool, &slot, frame, config.backend_timeout) {
+        match exchange(pool, &slot, frame.line, config.backend_timeout) {
             Ok(mut response) => {
                 response.shard = Some(shard as u64);
                 stats.with_shard(shard, |t| t.counts.record(response.served()));
@@ -456,7 +547,7 @@ fn relay_inner(
     }
     stats.unroutable.fetch_add(1, Ordering::Relaxed);
     Response::failure(
-        best_effort_id(frame),
+        frame.id(),
         ErrorKind::Internal,
         "no live shard could serve the request".to_string(),
         start.elapsed().as_micros() as u64,
@@ -535,6 +626,7 @@ mod tests {
             forwarded: 96,
             replays: 3,
             unroutable: 0,
+            frontend_runs: 7,
             shards: vec![ShardReport {
                 id: 1,
                 addr: Some("127.0.0.1:9000".to_string()),
@@ -576,7 +668,7 @@ mod tests {
         };
         assert_eq!(
             report.to_json().compact(),
-            r#"{"forwarded":0,"replays":0,"unroutable":0,"shards":[{"id":0,"addr":null,"alive":false,"deaths":0,"requests":0,"memory_hits":0,"disk_hits":0,"misses":0,"coalesced":0,"errors":0,"replays":0}]}"#
+            r#"{"forwarded":0,"replays":0,"unroutable":0,"frontend_runs":0,"shards":[{"id":0,"addr":null,"alive":false,"deaths":0,"requests":0,"memory_hits":0,"disk_hits":0,"misses":0,"coalesced":0,"errors":0,"replays":0}]}"#
         );
     }
 
@@ -593,14 +685,14 @@ mod tests {
         .unwrap();
         let router = start_router(RouterConfig::default(), shards.topology()).unwrap();
         let poisoner = {
-            let stats = Arc::clone(&router.stats);
+            let shared = Arc::clone(&router.shared);
             thread::spawn(move || {
-                let _held = stats.per_shard.lock().unwrap();
+                let _held = shared.stats.per_shard.lock().unwrap();
                 panic!("poison the router stats");
             })
         };
         assert!(poisoner.join().is_err());
-        assert!(router.stats.per_shard.is_poisoned());
+        assert!(router.shared.stats.per_shard.is_poisoned());
 
         let request = Request {
             id: Some(11),
@@ -627,8 +719,135 @@ mod tests {
         shards.shutdown();
     }
 
+    fn hls_request(id: u64, source: String) -> Request {
+        Request {
+            id: Some(id),
+            source,
+            options: crate::protocol::RequestOptions {
+                paths: Some("hls".to_string()),
+                ..Default::default()
+            },
+        }
+    }
+
+    /// One sequential client sends every one of K sources under two ids,
+    /// three times over, and one source again under a second option set:
+    /// the frontend runs once per distinct `(source, options)` pair, and
+    /// every frame lands on the shard `routing_key` picks.
+    #[test]
+    fn frontend_runs_once_per_source_and_option_set() {
+        const K: usize = 4;
+        let shards = crate::shard::ShardSet::start(crate::shard::ShardSetConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let topology = shards.topology();
+        let router = start_router(RouterConfig::default(), Arc::clone(&topology)).unwrap();
+        let mut frames = Vec::new();
+        for _ in 0..3 {
+            for k in 0..K {
+                for id in [2 * k as u64, 2 * k as u64 + 1] {
+                    frames.push(hls_request(id, crate::loadgen::kernel_source(k)).encode());
+                }
+            }
+        }
+        let mut deeper = hls_request(99, crate::loadgen::kernel_source(0));
+        deeper.options.stream_depth = Some(8);
+        frames.push(deeper.encode());
+
+        let mut client = Client::connect(router.local_addr(), None).unwrap();
+        for frame in &frames {
+            let response = Response::parse(&client.roundtrip(frame).unwrap()).unwrap();
+            assert!(response.ok, "{:?}", response.error);
+            let owner = topology.route(routing_key(frame)).unwrap().0;
+            assert_eq!(response.shard, Some(owner as u64), "{frame}");
+        }
+        let report = router.report();
+        assert_eq!(report.forwarded, frames.len() as u64);
+        assert_eq!(report.frontend_runs, K as u64 + 1);
+        router.shutdown();
+        shards.shutdown();
+    }
+
+    /// Up to three byte mutations of `frame`: a truncation, a flipped
+    /// bit or an inserted `"`, `\`, `{` or multi-byte char. Bytes that
+    /// stop being UTF-8 are read as a connection would hand them on.
+    fn mutate(frame: &str, rng: &mut shmls_ir::rng::Rng) -> String {
+        const INSERTS: [&str; 5] = ["\"", "\\", "{", "é", "😀"];
+        let mut bytes = frame.as_bytes().to_vec();
+        for _ in 0..rng.range(1, 3) {
+            let at = rng.range(0, bytes.len());
+            match rng.range(0, 2) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << rng.range(0, 6),
+                _ => {
+                    let insert = rng.pick(&INSERTS).bytes();
+                    bytes.splice(at..at, insert);
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Mutated request and response frames through every reader on the
+    /// request path: the codecs, `routing_key`, the server's `respond`
+    /// and the router's relay. None panics; each answers `Ok` or a typed
+    /// error; a key asked for twice is the same key.
+    #[test]
+    fn mutated_frames_get_typed_answers_on_the_request_path() {
+        let shards = crate::shard::ShardSet::start(crate::shard::ShardSetConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let shared = Shared {
+            config: RouterConfig::default(),
+            topology: shards.topology(),
+            stats: RouterStats::default(),
+            keys: KeyMemo::default(),
+        };
+        let cache = PersistentCache::in_memory(8);
+        let request = hls_request(5, crate::loadgen::kernel_source(1));
+        let mut seeds = vec![request.encode()];
+        seeds.push(crate::server::respond(&cache, &seeds[0]).encode());
+        seeds.push(crate::server::respond(&cache, r#"{"id": 6, "source": "k"}"#).encode());
+        let pool = std::cell::RefCell::new(BackendPool::new());
+        let outcomes = std::cell::RefCell::new(std::collections::BTreeSet::new());
+        let typed = |r: &Response| r.ok || r.error.as_ref().unwrap().0 != ErrorKind::Internal;
+        shmls_ir::rng::sweep(
+            0x6d75,
+            240,
+            |rng| {
+                let seed: &String = rng.pick(&seeds);
+                mutate(seed, rng)
+            },
+            |frame| {
+                let _ = (Request::parse(frame), Response::parse(frame));
+                assert_eq!(routing_key(frame), routing_key(frame));
+                let served = crate::server::respond(&cache, frame);
+                assert!(typed(&served), "{served:?}");
+                let relayed = relay(&Frame::read(frame), &shared, &mut pool.borrow_mut());
+                let relayed = Response::parse(&relayed).unwrap();
+                assert!(typed(&relayed), "{relayed:?}");
+                let kind = served.error.map(|e| e.0.as_str());
+                assert_eq!(relayed.error.map(|e| e.0.as_str()), kind);
+                outcomes.borrow_mut().insert(kind);
+            },
+        );
+        // The mutations reach every layer: some frames still compile,
+        // some fail in the codec, some in the frontend.
+        let reached = [None, Some("protocol"), Some("compile")];
+        assert_eq!(outcomes.into_inner(), reached.into());
+        assert_eq!(shared.report().unroutable, 0);
+        shards.shutdown();
+    }
+
     #[test]
     fn stats_control_frame_is_recognised() {
+        let is_stats_control = |line| Frame::read(line).is_stats_control();
         assert!(is_stats_control(r#"{"control": "stats"}"#));
         assert!(!is_stats_control(r#"{"control": "other"}"#));
         assert!(!is_stats_control(r#"{"source": "k"}"#));

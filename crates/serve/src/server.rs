@@ -111,7 +111,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
 
 /// Answer one request line. Never panics out: compiler panics become
 /// `internal` error responses.
-fn respond(cache: &PersistentCache, line: &str) -> Response {
+pub(crate) fn respond(cache: &PersistentCache, line: &str) -> Response {
     let start = Instant::now();
     match catch_unwind(AssertUnwindSafe(|| handle(cache, line, &start))) {
         Ok(response) => response,
