@@ -13,7 +13,7 @@
 //!    the direct `stencil.apply` interpretation and the HLS dataflow path
 //!    are cross-checked.
 
-use std::collections::HashMap;
+#![deny(clippy::too_many_lines)]
 
 use shmls_dialects::{arith, func, memref, scf, stencil};
 use shmls_ir::error::IrResult;
@@ -47,13 +47,14 @@ pub fn stencil_to_cpu(ctx: &mut Context, stencil_func: OpId) -> IrResult<OpId> {
     let new_args = ctx.block_args(cpu_entry).to_vec();
 
     // Old value -> new value (args, casts, temp buffers).
-    let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
-    for (&o, &n) in old_args.iter().zip(&new_args) {
-        vmap.insert(o, n);
-    }
+    let vmap: IdMap<ValueId, ValueId> = old_args
+        .iter()
+        .copied()
+        .zip(new_args.iter().copied())
+        .collect();
 
     // Cast each field argument to a buffer view.
-    let mut buffer_of_field: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut buffer_of_field: IdMap<ValueId, ValueId> = IdMap::default();
     for (&old_arg, &new_arg) in old_args.iter().zip(&new_args) {
         if let Type::StencilField { bounds, elem } = ctx.value_type(old_arg).clone() {
             let mut b = OpBuilder::at_block_end(ctx, cpu_entry);
@@ -68,7 +69,7 @@ pub fn stencil_to_cpu(ctx: &mut Context, stencil_func: OpId) -> IrResult<OpId> {
 
     // Buffers backing each temp (stencil.load results share the field's
     // buffer; apply results get fresh interior-sized allocations).
-    let mut buffer_of_temp: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut buffer_of_temp: IdMap<ValueId, ValueId> = IdMap::default();
 
     for op in ctx.block_ops(entry).to_vec() {
         let op_name = ctx.op_name(op).to_string();
@@ -111,8 +112,8 @@ fn lower_apply(
     ctx: &mut Context,
     cpu_entry: BlockId,
     apply: OpId,
-    buffer_of_temp: &mut HashMap<ValueId, ValueId>,
-    arg_map: &HashMap<ValueId, ValueId>,
+    buffer_of_temp: &mut IdMap<ValueId, ValueId>,
+    arg_map: &IdMap<ValueId, ValueId>,
 ) -> IrResult<()> {
     ir_ensure!(
         ctx.results(apply).len() == 1,
@@ -124,7 +125,6 @@ fn lower_apply(
         .stencil_bounds()
         .ok_or_else(|| ir_error!("apply result is not a temp"))?
         .clone();
-    let rank = bounds.rank();
 
     let out_buf = {
         let mut b = OpBuilder::at_block_end(ctx, cpu_entry);
@@ -133,58 +133,73 @@ fn lower_apply(
     buffer_of_temp.insert(result, out_buf);
 
     // Nested loops over the interior.
-    let mut ivs: Vec<ValueId> = Vec::with_capacity(rank);
-    let mut current_block = cpu_entry;
-    for d in 0..rank {
-        let mut b = OpBuilder::at_block_end(ctx, current_block);
-        let lb = arith::constant_index(&mut b, bounds.lb[d]);
-        let ub = arith::constant_index(&mut b, bounds.ub[d]);
-        let step = arith::constant_index(&mut b, 1);
-        let (for_op, body) = scf::for_loop(&mut b, lb, ub, step, vec![]);
-        ivs.push(scf::induction_var(ctx, for_op));
-        current_block = body;
-    }
-
+    let (ivs, body) = open_loops(ctx, cpu_entry, &bounds.lb, &bounds.ub);
+    let mut point = Point {
+        ivs,
+        body,
+        out_buf,
+        vmap: IdMap::default(),
+        temp_operand: IdMap::default(),
+    };
     // Map apply block args to the caller-side values backing them.
     let src_block = ctx.entry_block(apply).expect("apply body");
-    let src_args = ctx.block_args(src_block).to_vec();
-    let operands = ctx.operands(apply).to_vec();
-    let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
-    let mut temp_operand: HashMap<ValueId, ValueId> = HashMap::new();
-    for (&src_arg, &operand) in src_args.iter().zip(&operands) {
-        if let Some(&buf) = buffer_of_temp.get(&operand) {
-            temp_operand.insert(src_arg, buf);
-        } else if let Some(&mapped) = arg_map.get(&operand) {
-            vmap.insert(src_arg, mapped);
+    for (&src_arg, operand) in ctx.block_args(src_block).iter().zip(ctx.operands(apply)) {
+        if let Some(&buf) = buffer_of_temp.get(operand) {
+            point.temp_operand.insert(src_arg, buf);
+        } else if let Some(&mapped) = arg_map.get(operand) {
+            point.vmap.insert(src_arg, mapped);
         } else {
             ir_bail!("apply operand not traceable during cpu lowering");
         }
     }
-
     for op in ctx.block_ops(src_block).to_vec() {
-        let op_name = ctx.op_name(op).to_string();
-        match op_name.as_str() {
+        point.lower_op(ctx, op)?;
+    }
+    close_loops(ctx, point.body, bounds.rank());
+    Ok(())
+}
+
+/// One grid point of an apply's loop nest, as its body ops are lowered
+/// into the innermost loop.
+struct Point {
+    /// Induction variables, outermost first.
+    ivs: Vec<ValueId>,
+    /// The innermost loop body.
+    body: BlockId,
+    /// The buffer the apply's result is stored to.
+    out_buf: ValueId,
+    /// Apply body value -> its value in the loop body.
+    vmap: IdMap<ValueId, ValueId>,
+    /// Apply block argument of a temp operand -> the buffer backing it.
+    temp_operand: IdMap<ValueId, ValueId>,
+}
+
+impl Point {
+    /// Lower one op of the apply body into the innermost loop.
+    fn lower_op(&mut self, ctx: &mut Context, op: OpId) -> IrResult<()> {
+        match ctx.op_name(op) {
             stencil::ACCESS => {
                 let operand = ctx.operands(op)[0];
                 let offset = stencil::access_offset(ctx, op)
                     .ok_or_else(|| ir_error!("access without offset"))?
                     .to_vec();
-                let buf = *temp_operand
+                let buf = *self
+                    .temp_operand
                     .get(&operand)
                     .ok_or_else(|| ir_error!("access to unmapped temp"))?;
-                let mut b = OpBuilder::at_block_end(ctx, current_block);
-                let mut indices = Vec::with_capacity(rank);
-                for d in 0..rank {
-                    let idx = if offset[d] == 0 {
-                        ivs[d]
+                let mut b = OpBuilder::at_block_end(ctx, self.body);
+                let mut indices = Vec::with_capacity(self.ivs.len());
+                for (&iv, &offset) in self.ivs.iter().zip(&offset) {
+                    let idx = if offset == 0 {
+                        iv
                     } else {
-                        let c = arith::constant_index(&mut b, offset[d]);
-                        arith::addi(&mut b, ivs[d], c)
+                        let c = arith::constant_index(&mut b, offset);
+                        arith::addi(&mut b, iv, c)
                     };
                     indices.push(idx);
                 }
                 let v = memref::load(&mut b, buf, indices);
-                vmap.insert(ctx.result(op, 0), v);
+                self.vmap.insert(ctx.result(op, 0), v);
             }
             stencil::INDEX => {
                 let dim = ctx
@@ -192,32 +207,50 @@ fn lower_apply(
                     .and_then(Attribute::as_int)
                     .ok_or_else(|| ir_error!("stencil.index without dim"))?
                     as usize;
-                vmap.insert(ctx.result(op, 0), ivs[dim]);
+                self.vmap.insert(ctx.result(op, 0), self.ivs[dim]);
             }
             stencil::RETURN => {
                 let v = ctx.operands(op)[0];
-                let mapped = vmap.get(&v).copied().unwrap_or(v);
-                let mut b = OpBuilder::at_block_end(ctx, current_block);
-                memref::store(&mut b, mapped, out_buf, ivs.clone());
+                let mapped = self.vmap.get(&v).copied().unwrap_or(v);
+                let mut b = OpBuilder::at_block_end(ctx, self.body);
+                memref::store(&mut b, mapped, self.out_buf, self.ivs.clone());
             }
             _ => {
-                let mut m: HashMap<ValueId, ValueId> = vmap.clone();
-                let cloned = ctx.clone_op(op, &mut m);
-                ctx.append_op(current_block, cloned);
-                for (&old_r, &new_r) in ctx
-                    .results(op)
-                    .to_vec()
-                    .iter()
-                    .zip(ctx.results(cloned).to_vec().iter())
-                {
-                    vmap.insert(old_r, new_r);
-                }
+                // `clone_op` records the clone's results in `vmap`.
+                let cloned = ctx.clone_op(op, &mut self.vmap);
+                ctx.append_op(self.body, cloned);
             }
         }
+        Ok(())
     }
+}
 
-    // Close the loop nest with yields, innermost outwards.
-    let mut block = current_block;
+/// Open a nest of unit-step `scf.for` loops over `[lb, ub)` at the end of
+/// `block`: the induction variables, outermost first, and the innermost
+/// body.
+fn open_loops(
+    ctx: &mut Context,
+    block: BlockId,
+    lb: &[i64],
+    ub: &[i64],
+) -> (Vec<ValueId>, BlockId) {
+    let mut ivs = Vec::with_capacity(lb.len());
+    let mut current = block;
+    for (&l, &u) in lb.iter().zip(ub) {
+        let mut b = OpBuilder::at_block_end(ctx, current);
+        let l = arith::constant_index(&mut b, l);
+        let u = arith::constant_index(&mut b, u);
+        let s = arith::constant_index(&mut b, 1);
+        let (for_op, body) = scf::for_loop(&mut b, l, u, s, vec![]);
+        ivs.push(scf::induction_var(ctx, for_op));
+        current = body;
+    }
+    (ivs, current)
+}
+
+/// Close a nest of `rank` loops with yields, innermost outwards.
+fn close_loops(ctx: &mut Context, innermost: BlockId, rank: usize) {
+    let mut block = innermost;
     for _ in 0..rank {
         let mut b = OpBuilder::at_block_end(ctx, block);
         scf::yield_op(&mut b, vec![]);
@@ -225,7 +258,6 @@ fn lower_apply(
         let for_op = ctx.parent_op(terminator).expect("loop body has parent");
         block = ctx.parent_block(for_op).expect("loop has parent block");
     }
-    Ok(())
 }
 
 /// `dst[p] = src[p]` for every `p` in `[lb, ub)`.
@@ -237,29 +269,11 @@ fn build_copy_loops(
     lb: &[i64],
     ub: &[i64],
 ) -> IrResult<()> {
-    let rank = lb.len();
-    let mut ivs = Vec::with_capacity(rank);
-    let mut current = entry;
-    for d in 0..rank {
-        let mut b = OpBuilder::at_block_end(ctx, current);
-        let l = arith::constant_index(&mut b, lb[d]);
-        let u = arith::constant_index(&mut b, ub[d]);
-        let s = arith::constant_index(&mut b, 1);
-        let (for_op, body) = scf::for_loop(&mut b, l, u, s, vec![]);
-        ivs.push(scf::induction_var(ctx, for_op));
-        current = body;
-    }
-    let mut b = OpBuilder::at_block_end(ctx, current);
+    let (ivs, body) = open_loops(ctx, entry, lb, ub);
+    let mut b = OpBuilder::at_block_end(ctx, body);
     let v = memref::load(&mut b, src, ivs.clone());
-    memref::store(&mut b, v, dst, ivs.clone());
-    let mut block = current;
-    for _ in 0..rank {
-        let mut b = OpBuilder::at_block_end(ctx, block);
-        scf::yield_op(&mut b, vec![]);
-        let terminator = ctx.terminator(block).expect("just built");
-        let for_op = ctx.parent_op(terminator).expect("loop body has parent");
-        block = ctx.parent_block(for_op).expect("loop has parent block");
-    }
+    memref::store(&mut b, v, dst, ivs);
+    close_loops(ctx, body, lb.len());
     Ok(())
 }
 

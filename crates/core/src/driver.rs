@@ -1,7 +1,6 @@
 //! End-to-end compilation driver: DSL text → stencil IR → {HLS dataflow,
 //! CPU loops, annotated LLVM} — the whole Figure-1 flow in one call.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,7 +107,7 @@ pub struct CompiledKernel {
     /// tree walk with a flat register program — bitwise-identical, just
     /// fast. Applies that fail to compile are simply absent (the
     /// tree-walker remains the universal fallback).
-    pub apply_plans: HashMap<OpId, Arc<shmls_ir::bytecode::Program>>,
+    pub apply_plans: IdMap<OpId, Arc<shmls_ir::bytecode::Program>>,
     /// The apply results of the stencil-dialect function that the block
     /// bytecode tier may compute straight into the field their
     /// `stencil.store` names, skipping the temp and the copy (see
@@ -381,7 +380,7 @@ impl<'o> Pipeline<'o> {
 pub fn compile_apply_plans(
     ctx: &Context,
     func: OpId,
-) -> HashMap<OpId, Arc<shmls_ir::bytecode::Program>> {
+) -> IdMap<OpId, Arc<shmls_ir::bytecode::Program>> {
     ctx.find_ops(func, "stencil.apply")
         .into_iter()
         .filter_map(|apply| {

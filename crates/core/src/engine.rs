@@ -28,7 +28,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Duration;
@@ -190,7 +190,7 @@ struct Interpreted<'c> {
     binding: Binding,
     env: IdMap<ValueId, RtValue>,
     mode: ApplyMode,
-    plans: HashMap<OpId, Arc<Program>>,
+    plans: IdMap<OpId, Arc<Program>>,
     direct_stores: DirectStores,
     prepared: PreparedApplies,
 }

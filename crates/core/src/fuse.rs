@@ -13,8 +13,6 @@
 //! consumer reads the produced temp only at offset 0 (the frontend enforces
 //! this); fusion replaces such reads with the producer's yielded SSA value.
 
-use std::collections::HashMap;
-
 use shmls_dialects::stencil;
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
@@ -67,19 +65,19 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
     let body_args = ctx.block_args(body).to_vec();
 
     // external operand value -> fused block arg
-    let arg_for: HashMap<ValueId, ValueId> = operands
+    let arg_for: IdMap<ValueId, ValueId> = operands
         .iter()
         .copied()
         .zip(body_args.iter().copied())
         .collect();
     // old apply result -> per-point SSA value inside the fused body
-    let mut produced: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut produced: IdMap<ValueId, ValueId> = IdMap::default();
     let mut yielded: Vec<ValueId> = Vec::new();
 
     for &a in &applies {
         let src_block = ctx.entry_block(a).expect("apply has a body");
         // old body block arg -> value in the fused body
-        let mut vmap: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut vmap: IdMap<ValueId, ValueId> = IdMap::default();
         for (i, &src_arg) in ctx.block_args(src_block).to_vec().iter().enumerate() {
             let operand = ctx.operands(a)[i];
             if let Some(&fused_arg) = arg_for.get(&operand) {
@@ -116,18 +114,9 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
                     continue;
                 }
             }
-            let mut clone_map = vmap.clone();
-            let cloned = ctx.clone_op(op, &mut clone_map);
+            // `clone_op` records the clone's results in `vmap`.
+            let cloned = ctx.clone_op(op, &mut vmap);
             ctx.append_op(body, cloned);
-            // Carry over new result bindings.
-            for (&old_r, &new_r) in ctx
-                .results(op)
-                .to_vec()
-                .iter()
-                .zip(ctx.results(cloned).to_vec().iter())
-            {
-                vmap.insert(old_r, new_r);
-            }
         }
         // Record this apply's per-point values for later consumers.
         let n_results = ctx.results(a).len();

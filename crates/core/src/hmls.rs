@@ -48,7 +48,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use shmls_dialects::hls::{RuntimeCall, RuntimeKind};
 use shmls_dialects::{arith, func, hls, llvm, memref, scf, stencil};
@@ -893,7 +893,7 @@ impl<'a> Design<'a> {
             // `subst` maps the apply body's values to the stage's.
             let mut window_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
             let mut scalar_value: BTreeMap<ValueId, ValueId> = BTreeMap::new();
-            let mut subst: HashMap<ValueId, ValueId> = HashMap::new();
+            let mut subst: IdMap<ValueId, ValueId> = IdMap::default();
             let mut b = OpBuilder::at_block_end(self.ctx, loop_body);
             for ((src, &stream), &src_arg) in
                 info.sources.iter().zip(&operand_stream).zip(&src_args)
@@ -979,7 +979,7 @@ impl<'a> Design<'a> {
         loop_body: BlockId,
         out: ValueId,
         point: &PointValues,
-        mut subst: HashMap<ValueId, ValueId>,
+        mut subst: IdMap<ValueId, ValueId>,
     ) -> IrResult<()> {
         let ctx = &mut *self.ctx;
         for op in ctx.block_ops(src_block).to_vec() {

@@ -14,6 +14,8 @@
 //! that the [`crate::fpp`] pass later pattern-matches, exactly as the
 //! paper's `f++` tool does on real LLVM-IR.
 
+#![deny(clippy::too_many_lines)]
+
 use shmls_dialects::{func, hls, llvm};
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
@@ -26,142 +28,113 @@ pub const LLVM_REGION: &str = "llvm.region";
 /// Clone the HLS function `hls_func` as `<name>_llvm` and lower every HLS
 /// op in the clone to the annotation encoding. Returns the new function.
 pub fn hls_to_llvm(ctx: &mut Context, hls_func: OpId) -> IrResult<OpId> {
-    let name = func::func_name(ctx, hls_func)
-        .ok_or_else(|| ir_error!("hls function has no name"))?
-        .to_string();
-    let module_body = ctx
-        .parent_block(hls_func)
-        .ok_or_else(|| ir_error!("hls function is detached"))?;
-
-    // Deep-clone the function, then rewrite the clone in place.
-    let mut vmap = std::collections::HashMap::new();
-    let clone = ctx.clone_op(hls_func, &mut vmap);
-    ctx.append_op(module_body, clone);
-    let base = name.strip_suffix("_hls").unwrap_or(&name);
-    ctx.set_attr(clone, "sym_name", Attribute::string(format!("{base}_llvm")));
-
+    let clone = clone_as_llvm(ctx, hls_func)?;
     // Process ops innermost-last is unnecessary; a single pre-order pass
     // collecting then rewriting suffices because rewrites are local.
-    let ops = ctx.walk_collect(clone);
-    for op in ops {
-        if !ctx.is_live_op(op) {
-            continue;
-        }
-        let op_name = ctx.op_name(op).to_string();
-        match op_name.as_str() {
-            hls::CREATE_STREAM => lower_create_stream(ctx, op)?,
-            hls::READ => {
-                let result_ty = ctx.value_type(ctx.result(op, 0)).clone();
-                let stream = ctx.operands(op)[0];
-                let mut b = OpBuilder::before(ctx, op);
-                let call = llvm::call(&mut b, "_shmls_stream_read", vec![stream], vec![result_ty]);
-                let new = ctx.result(call, 0);
-                let old = ctx.result(op, 0);
-                ctx.replace_all_uses(old, new);
-                ctx.erase_op(op);
-            }
-            hls::WRITE => {
-                let operands = ctx.operands(op).to_vec();
-                let mut b = OpBuilder::before(ctx, op);
-                llvm::call(&mut b, "_shmls_stream_write", operands, vec![]);
-                ctx.erase_op(op);
-            }
-            hls::EMPTY | hls::FULL => {
-                let suffix = if op_name == hls::EMPTY {
-                    "empty"
-                } else {
-                    "full"
-                };
-                let stream = ctx.operands(op)[0];
-                let mut b = OpBuilder::before(ctx, op);
-                let c = llvm::call(
-                    &mut b,
-                    &format!("_shmls_stream_{suffix}"),
-                    vec![stream],
-                    vec![Type::I1],
-                );
-                let old = ctx.result(op, 0);
-                let new = ctx.result(c, 0);
-                ctx.replace_all_uses(old, new);
-                ctx.erase_op(op);
-            }
-            hls::PIPELINE => {
-                let ii =
-                    hls::pipeline_ii(ctx, op).ok_or_else(|| ir_error!("pipeline without ii"))?;
-                let mut b = OpBuilder::before(ctx, op);
-                llvm::call(&mut b, &format!("_shmls_pipeline_ii_{ii}"), vec![], vec![]);
-                ctx.erase_op(op);
-            }
-            hls::UNROLL => {
-                let factor = ctx
-                    .attr(op, "factor")
-                    .and_then(Attribute::as_int)
-                    .ok_or_else(|| ir_error!("unroll without factor"))?;
-                let mut b = OpBuilder::before(ctx, op);
-                llvm::call(
-                    &mut b,
-                    &format!("_shmls_unroll_factor_{factor}"),
-                    vec![],
-                    vec![],
-                );
-                ctx.erase_op(op);
-            }
-            hls::ARRAY_PARTITION => {
-                let kind = ctx
-                    .attr(op, "kind")
-                    .and_then(Attribute::as_str)
-                    .ok_or_else(|| ir_error!("array_partition without kind"))?
-                    .to_string();
-                let factor = ctx
-                    .attr(op, "factor")
-                    .and_then(Attribute::as_int)
-                    .unwrap_or(0);
-                let dim = ctx.attr(op, "dim").and_then(Attribute::as_int).unwrap_or(0);
-                let target = ctx.operands(op)[0];
-                let mut b = OpBuilder::before(ctx, op);
-                llvm::call(
-                    &mut b,
-                    &format!("_shmls_array_partition_{kind}_{factor}_{dim}"),
-                    vec![target],
-                    vec![],
-                );
-                ctx.erase_op(op);
-            }
-            hls::INTERFACE => {
-                let (protocol, bundle) = hls::interface_binding(ctx, op)
-                    .map(|(p, b)| (p.to_string(), b.to_string()))
-                    .ok_or_else(|| ir_error!("interface without binding"))?;
-                let target = ctx.operands(op)[0];
-                let mut b = OpBuilder::before(ctx, op);
-                llvm::call(
-                    &mut b,
-                    &format!("_shmls_interface_{protocol}_{bundle}"),
-                    vec![target],
-                    vec![],
-                );
-                ctx.erase_op(op);
-            }
-            hls::DATAFLOW => {
-                // Keep the region structure; mark it with a dataflow call.
-                ctx.set_op_name(op, LLVM_REGION);
-                let body = ctx
-                    .entry_block(op)
-                    .ok_or_else(|| ir_error!("dataflow without a body"))?;
-                let first = ctx.block_ops(body).first().copied();
-                let marker = ctx.create_op("llvm.call", vec![], vec![], []);
-                ctx.set_attr(marker, "callee", Attribute::symbol("_shmls_dataflow"));
-                match first {
-                    Some(anchor) => {
-                        let (block, pos) = ctx.op_position(anchor).expect("anchored");
-                        ctx.insert_op(block, pos, marker);
-                    }
-                    None => ctx.append_op(body, marker),
-                }
-            }
-            _ => {}
+    for op in ctx.walk_collect(clone) {
+        if ctx.is_live_op(op) {
+            lower_op(ctx, op)?;
         }
     }
     Ok(clone)
+}
+
+/// Deep-clone `hls_func` beside it as `<base>_llvm`, where `<base>` is its
+/// name without the `_hls` suffix.
+fn clone_as_llvm(ctx: &mut Context, hls_func: OpId) -> IrResult<OpId> {
+    let name =
+        func::func_name(ctx, hls_func).ok_or_else(|| ir_error!("hls function has no name"))?;
+    let base = name.strip_suffix("_hls").unwrap_or(name);
+    let llvm_name = Attribute::string(format!("{base}_llvm"));
+    let module_body = ctx
+        .parent_block(hls_func)
+        .ok_or_else(|| ir_error!("hls function is detached"))?;
+    let clone = ctx.clone_op(hls_func, &mut IdMap::default());
+    ctx.append_op(module_body, clone);
+    ctx.set_attr(clone, "sym_name", llvm_name);
+    Ok(clone)
+}
+
+/// Lower one op of the clone: an HLS op becomes real `llvm` ops or a
+/// `_shmls_*` marker call; anything else stays.
+fn lower_op(ctx: &mut Context, op: OpId) -> IrResult<()> {
+    let int = |name: &str| ctx.attr(op, name).and_then(Attribute::as_int);
+    let operand = |i: usize| ctx.operands(op)[i];
+    // The marker call replacing `op`: callee, arguments, result types.
+    let (callee, args, results) = match ctx.op_name(op) {
+        hls::CREATE_STREAM => return lower_create_stream(ctx, op),
+        hls::DATAFLOW => return lower_dataflow(ctx, op),
+        hls::READ => {
+            let result_ty = ctx.value_type(ctx.result(op, 0)).clone();
+            let callee = "_shmls_stream_read".to_string();
+            (callee, vec![operand(0)], vec![result_ty])
+        }
+        hls::WRITE => {
+            let callee = "_shmls_stream_write".to_string();
+            (callee, ctx.operands(op).to_vec(), vec![])
+        }
+        hls::EMPTY => (
+            "_shmls_stream_empty".to_string(),
+            vec![operand(0)],
+            vec![Type::I1],
+        ),
+        hls::FULL => (
+            "_shmls_stream_full".to_string(),
+            vec![operand(0)],
+            vec![Type::I1],
+        ),
+        hls::PIPELINE => {
+            let ii = hls::pipeline_ii(ctx, op).ok_or_else(|| ir_error!("pipeline without ii"))?;
+            (format!("_shmls_pipeline_ii_{ii}"), vec![], vec![])
+        }
+        hls::UNROLL => {
+            let factor = int("factor").ok_or_else(|| ir_error!("unroll without factor"))?;
+            (format!("_shmls_unroll_factor_{factor}"), vec![], vec![])
+        }
+        hls::ARRAY_PARTITION => {
+            let kind = ctx
+                .attr(op, "kind")
+                .and_then(Attribute::as_str)
+                .ok_or_else(|| ir_error!("array_partition without kind"))?;
+            let (factor, dim) = (int("factor").unwrap_or(0), int("dim").unwrap_or(0));
+            let callee = format!("_shmls_array_partition_{kind}_{factor}_{dim}");
+            (callee, vec![operand(0)], vec![])
+        }
+        hls::INTERFACE => {
+            let (protocol, bundle) = hls::interface_binding(ctx, op)
+                .ok_or_else(|| ir_error!("interface without binding"))?;
+            let callee = format!("_shmls_interface_{protocol}_{bundle}");
+            (callee, vec![operand(0)], vec![])
+        }
+        _ => return Ok(()),
+    };
+    let call = llvm::call(&mut OpBuilder::before(ctx, op), &callee, args, results);
+    for i in 0..ctx.results(call).len() {
+        let (old, new) = (ctx.result(op, i), ctx.result(call, i));
+        ctx.replace_all_uses(old, new);
+    }
+    ctx.erase_op(op);
+    Ok(())
+}
+
+/// `hls.dataflow` keeps its region structure as an `llvm.region`, marked
+/// with a `_shmls_dataflow` call at its head.
+fn lower_dataflow(ctx: &mut Context, op: OpId) -> IrResult<()> {
+    ctx.set_op_name(op, LLVM_REGION);
+    let body = ctx
+        .entry_block(op)
+        .ok_or_else(|| ir_error!("dataflow without a body"))?;
+    let first = ctx.block_ops(body).first().copied();
+    let marker = ctx.create_op("llvm.call", vec![], vec![], []);
+    ctx.set_attr(marker, "callee", Attribute::symbol("_shmls_dataflow"));
+    match first {
+        Some(anchor) => {
+            let (block, pos) = ctx.op_position(anchor).expect("anchored");
+            ctx.insert_op(block, pos, marker);
+        }
+        None => ctx.append_op(body, marker),
+    }
+    Ok(())
 }
 
 /// `hls.create_stream` → `llvm.alloca` of the wrapped struct type, a GEP to

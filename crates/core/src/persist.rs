@@ -131,8 +131,11 @@ impl DesignRecord {
     }
 
     /// Parse an on-disk entry. Returns `None` on *any* anomaly — wrong
-    /// magic or version, missing or malformed fields, truncation, or a
-    /// checksum mismatch. Callers treat `None` as "not cached".
+    /// magic or version, missing, malformed or non-canonical fields,
+    /// truncation, or a checksum mismatch: what it accepts, [`encode`]
+    /// writes byte for byte. Callers treat `None` as "not cached".
+    ///
+    /// [`encode`]: DesignRecord::encode
     pub fn decode(text: &str) -> Option<DesignRecord> {
         // The checksum line must be the final line and must match the
         // digest of everything before it.
@@ -180,13 +183,17 @@ impl DesignRecord {
             }
             timings_us.push((name.to_string(), us.parse().ok()?));
         }
-        Some(DesignRecord {
+        let record = DesignRecord {
             key,
             fingerprint,
             source_digest,
             summary,
             timings_us,
-        })
+        };
+        // Only the very text `encode` writes: a field spelled another way
+        // that parses to the same number (upper-case hex, a `+` or leading
+        // zero, a `\r` before the newline) is an anomaly too.
+        (record.encode() == text).then_some(record)
     }
 }
 
@@ -510,6 +517,63 @@ mod tests {
         // A future format version is rejected rather than misread.
         let future = text.replace("shmls-design v1", "shmls-design v2");
         assert_eq!(DesignRecord::decode(&future), None);
+    }
+
+    /// One to three byte mutations: a truncation, a flipped bit, or an
+    /// inserted `"`, `\\`, newline or multi-byte char.
+    fn mutate(text: &str, rng: &mut shmls_ir::rng::Rng) -> String {
+        const INSERTS: [&str; 5] = ["\"", "\\", "\n", "é", "😀"];
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..rng.range(1, 3) {
+            let at = rng.range(0, bytes.len());
+            match rng.range(0, 2) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << rng.range(0, 7),
+                _ => {
+                    let insert = rng.pick(&INSERTS).bytes();
+                    bytes.splice(at..at, insert);
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Real records, byte-mutated, once with the checksum line as it was
+    /// and once re-stamped over the mutated body (so the strict parse, not
+    /// the checksum, has to catch the damage): `decode` never panics, and
+    /// a text it accepts is the very text its record encodes to.
+    #[test]
+    fn mutated_records_decode_to_nothing_or_to_their_own_text() {
+        let compiled = compile_kernel(kernel(6), &opts()).unwrap();
+        let mut real =
+            DesignRecord::from_compiled(PersistentCache::key(&kernel(6), &opts()), &compiled);
+        // Clock readings would make the cases differ from run to run.
+        for (i, (_, us)) in real.timings_us.iter_mut().enumerate() {
+            *us = 37 * i as u64 + 5;
+        }
+        let records = [sample_record(7), real];
+        let accepted = AtomicU32::new(0);
+        shmls_ir::rng::sweep(
+            0x7265,
+            2000,
+            |rng| {
+                let text = rng.pick(&records).encode();
+                if rng.chance(1, 2) {
+                    return mutate(&text, rng);
+                }
+                let body = mutate(&text[..text.rfind("checksum ").unwrap()], rng);
+                let sum = fnv1a(body.as_bytes());
+                format!("{body}checksum {sum:016x}\n")
+            },
+            |text| {
+                if let Some(record) = DesignRecord::decode(text) {
+                    assert_eq!(record.encode(), *text);
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
+        // Some re-stamped mutations are records still (a changed digit).
+        assert!(accepted.into_inner() > 0);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! per-copy bodies with dead-code elimination so each stage keeps only the
 //! calculation feeding its own field.
 
-use std::collections::HashMap;
-
 use shmls_dialects::stencil;
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;
@@ -45,7 +43,7 @@ fn split_one(ctx: &mut Context, apply: OpId) -> IrResult<usize> {
         let (new_apply, new_block) = stencil::apply(&mut b, operands.clone(), vec![result_ty]);
         // Clone the whole body, then retarget the terminator to yield only
         // result `i`, and DCE the rest.
-        let mut vmap: HashMap<ValueId, ValueId> = src_args
+        let mut vmap: IdMap<ValueId, ValueId> = src_args
             .iter()
             .copied()
             .zip(ctx.block_args(new_block).to_vec())

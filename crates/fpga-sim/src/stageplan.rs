@@ -32,8 +32,6 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::collections::HashMap;
-
 use shmls_dialects::{hls, scf};
 use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::{InputRef, Program, ProgramBuilder, VReg};
@@ -172,11 +170,11 @@ struct Planner<'c> {
     ctx: &'c Context,
     loop_body: BlockId,
     plan: StagePlan,
-    ints: HashMap<ValueId, usize>,
-    read_slot: HashMap<ValueId, usize>,
+    ints: IdMap<ValueId, usize>,
+    read_slot: IdMap<ValueId, usize>,
     /// Current float segment (flushed into an `Eval` at each write).
     builder: ProgramBuilder,
-    floats: HashMap<ValueId, VReg>,
+    floats: IdMap<ValueId, VReg>,
 }
 
 /// Narrow a slot number to the width the bytecode's operands have.
@@ -194,10 +192,10 @@ impl<'c> Planner<'c> {
                 n_int_regs: 1, // register 0 = induction variable
                 ..Default::default()
             },
-            ints: HashMap::from([(stage.induction, 0)]),
-            read_slot: HashMap::new(),
+            ints: IdMap::from_iter([(stage.induction, 0)]),
+            read_slot: IdMap::default(),
             builder: ProgramBuilder::new(),
-            floats: HashMap::new(),
+            floats: IdMap::default(),
         }
     }
 

@@ -40,7 +40,6 @@
 //! typically fit in a handful of registers.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use crate::attributes::Attribute;
 use crate::error::IrResult;
@@ -636,20 +635,20 @@ pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
         .entry_block(apply)
         .ok_or_else(|| ir_error!("stencil.apply without body"))?;
     let params = ctx.block_args(block).to_vec();
-    let param_pos: HashMap<ValueId, usize> =
+    let param_pos: IdMap<ValueId, usize> =
         params.iter().enumerate().map(|(i, &p)| (p, i)).collect();
 
     let mut b = ProgramBuilder::new();
-    let mut floats: HashMap<ValueId, VReg> = HashMap::new();
-    let mut ints: HashMap<ValueId, IntExpr> = HashMap::new();
+    let mut floats: IdMap<ValueId, VReg> = IdMap::default();
+    let mut ints: IdMap<ValueId, IntExpr> = IdMap::default();
 
     // Resolve an SSA value to a float register: a computed value, or a
     // scalar block argument (kernel constant) promoted to an input.
     fn float_of(
         ctx: &Context,
         b: &mut ProgramBuilder,
-        floats: &mut HashMap<ValueId, VReg>,
-        param_pos: &HashMap<ValueId, usize>,
+        floats: &mut IdMap<ValueId, VReg>,
+        param_pos: &IdMap<ValueId, usize>,
         v: ValueId,
     ) -> IrResult<VReg> {
         if let Some(&r) = floats.get(&v) {
@@ -1637,7 +1636,7 @@ fn fill_targets(
 
 /// Apply results that may be computed straight into a field, each mapped
 /// to the `stencil.store` that would otherwise copy it there.
-pub type DirectStores = HashMap<ValueId, OpId>;
+pub type DirectStores = IdMap<ValueId, OpId>;
 
 /// Decide, from the IR alone, which `stencil.apply` results under `func`
 /// need no temp (destination passing). A result qualifies when
@@ -1655,7 +1654,7 @@ pub type DirectStores = HashMap<ValueId, OpId>;
 /// caller bound the field's buffer to no other argument — the
 /// [`Machine`](crate::interp::Machine) checks per call.
 pub fn direct_stores(ctx: &Context, func: OpId) -> DirectStores {
-    let mut direct = HashMap::new();
+    let mut direct = DirectStores::default();
     let Some(entry) = ctx.entry_block(func) else {
         return direct;
     };
@@ -1846,7 +1845,7 @@ mod tests {
     fn run_sum_n(
         ctx: &Context,
         module: OpId,
-        plans: HashMap<OpId, std::sync::Arc<Program>>,
+        plans: IdMap<OpId, std::sync::Arc<Program>>,
         mode: ApplyMode,
         n: i64,
     ) -> Vec<f64> {
@@ -1875,7 +1874,7 @@ mod tests {
     fn run_sum(
         ctx: &Context,
         module: OpId,
-        plans: HashMap<OpId, std::sync::Arc<Program>>,
+        plans: IdMap<OpId, std::sync::Arc<Program>>,
     ) -> Vec<f64> {
         run_sum_n(ctx, module, plans, ApplyMode::default(), 8)
     }
@@ -1885,8 +1884,8 @@ mod tests {
         let (ctx, module, apply) = build_sum_module();
         let prog = compile_apply(&ctx, apply).unwrap();
         assert_eq!(prog.inputs.len(), 3); // two accesses + one scalar
-        let tree = run_sum(&ctx, module, HashMap::new());
-        let mut plans = HashMap::new();
+        let tree = run_sum(&ctx, module, IdMap::default());
+        let mut plans = IdMap::default();
         plans.insert(apply, std::sync::Arc::new(prog));
         let fast = run_sum(&ctx, module, plans);
         assert_eq!(tree.len(), fast.len());
@@ -1922,8 +1921,8 @@ mod tests {
         if let Instr::Binary { op, .. } = &mut prog.instrs[pos] {
             *op = BinOp::Sub;
         }
-        let tree = run_sum(&ctx, module, HashMap::new());
-        let mut plans = HashMap::new();
+        let tree = run_sum(&ctx, module, IdMap::default());
+        let mut plans = IdMap::default();
         plans.insert(apply, std::sync::Arc::new(prog));
         let mutated = run_sum(&ctx, module, plans);
         assert_ne!(tree, mutated);
@@ -1952,13 +1951,13 @@ mod tests {
         ] {
             let (ctx, module, apply) = build_sum_module_n(n);
             let prog = std::sync::Arc::new(compile_apply(&ctx, apply).unwrap());
-            let tree = run_sum_n(&ctx, module, HashMap::new(), ApplyMode::Scalar, n);
+            let tree = run_sum_n(&ctx, module, IdMap::default(), ApplyMode::Scalar, n);
             for mode in [
                 ApplyMode::Scalar,
                 ApplyMode::Chunked { threads: 1 },
                 ApplyMode::Chunked { threads: 3 },
             ] {
-                let mut plans = HashMap::new();
+                let mut plans = IdMap::default();
                 plans.insert(apply, std::sync::Arc::clone(&prog));
                 let got = run_sum_n(&ctx, module, plans, mode, n);
                 assert_eq!(tree.len(), got.len());

@@ -10,7 +10,7 @@
 //! through a [`Machine`].
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::attributes::Attribute;
 use crate::error::IrResult;
@@ -568,7 +568,7 @@ pub struct Machine<'c, 'e> {
     /// default — the tree-walker is the oracle; a driver that has compiled
     /// plans (see [`crate::bytecode`]) installs them here and the machine
     /// uses them transparently, with identical (bitwise) results.
-    pub apply_plans: HashMap<OpId, std::sync::Arc<crate::bytecode::Program>>,
+    pub apply_plans: IdMap<OpId, std::sync::Arc<crate::bytecode::Program>>,
     /// How installed apply plans are executed (scalar vs blocks vs
     /// blocks+threaded). Bitwise-identical results in every mode; see
     /// [`crate::bytecode::ApplyMode`].
@@ -601,9 +601,9 @@ impl<'c, 'e> Machine<'c, 'e> {
             extern_ops,
             stencil_index: Vec::new(),
             fuel: u64::MAX,
-            apply_plans: HashMap::new(),
+            apply_plans: IdMap::default(),
             apply_mode: crate::bytecode::ApplyMode::default(),
-            direct_stores: HashMap::new(),
+            direct_stores: IdMap::default(),
             prepared: Default::default(),
             stored_in_place: IdSet::default(),
         }

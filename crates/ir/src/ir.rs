@@ -67,10 +67,18 @@ define_id!(
     ValueId
 );
 
+impl ValueId {
+    /// The value's arena slot and the generation it holds that slot in.
+    pub(crate) fn slot(self) -> (usize, u32) {
+        (self.0.index as usize, self.0.generation)
+    }
+}
+
 /// The hasher of [`IdMap`]: arena ids are indices this program makes,
 /// never input from outside, so a multiply-and-rotate mix spreads them
 /// well enough, at a fraction of SipHash's cost — the interpreter looks
-/// one up for every operand it reads.
+/// one up for every operand it reads. The verifier's rule registry keys
+/// op names with it too: the dialects' own names, never input either.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -321,20 +329,9 @@ impl Context {
             }
             repeated
         });
-        self.new_op(name.into(), operands, result_types, attrs)
-    }
-
-    /// [`Context::create_op`] over attributes already sorted by name.
-    fn new_op(
-        &mut self,
-        name: String,
-        operands: Vec<ValueId>,
-        result_types: Vec<Type>,
-        attrs: Vec<(String, Attribute)>,
-    ) -> OpId {
         let id = OpId(self.ops.insert(OpData {
-            name,
-            operands: Vec::new(),
+            name: name.into(),
+            operands: Vec::with_capacity(operands.len()),
             results: Vec::new(),
             attrs,
             regions: Vec::new(),
@@ -540,20 +537,21 @@ impl Context {
     /// Erase `op`, its results, and (recursively) its regions. Panics if any
     /// result still has uses.
     pub fn erase_op(&mut self, op: OpId) {
-        for &r in &self.ops.get(op.0, "op").results.clone() {
+        let data = self.ops.get(op.0, "op");
+        for &r in &data.results {
             let uses = &self.values.get(r.0, "value").uses;
             assert!(
                 uses.is_empty(),
                 "erase_op: result {r} of op {} still has {} use(s)",
-                self.ops.get(op.0, "op").name,
+                data.name,
                 uses.len()
             );
         }
         self.detach_op(op);
         self.clear_operands(op);
-        let data = self.ops.get(op.0, "op");
-        let results = data.results.clone();
-        let regions = data.regions.clone();
+        let data = self.ops.get_mut(op.0, "op");
+        let results = std::mem::take(&mut data.results);
+        let regions = std::mem::take(&mut data.regions);
         for r in results {
             self.values.remove(r.0, "value");
         }
@@ -565,26 +563,27 @@ impl Context {
     }
 
     fn erase_region_contents(&mut self, region: RegionId) {
-        let blocks = self.regions.get(region.0, "region").blocks.clone();
+        let blocks = std::mem::take(&mut self.regions.get_mut(region.0, "region").blocks);
         for block in blocks {
             // Erase ops in reverse so later uses disappear before defs.
-            let ops = self.blocks.get(block.0, "block").ops.clone();
+            let ops = std::mem::take(&mut self.blocks.get_mut(block.0, "block").ops);
             for op in ops.into_iter().rev() {
+                // The block goes too: no need to find the op in it.
+                let data = self.ops.get_mut(op.0, "op");
+                data.parent = None;
                 // Force-drop uses of results (we are deleting the whole
                 // region; intra-region uses are fine to sever).
-                let results = self.ops.get(op.0, "op").results.clone();
-                for r in results {
+                for &r in &data.results {
                     self.values.get_mut(r.0, "value").uses.clear();
                 }
                 self.erase_op(op);
             }
-            let args = self.blocks.get(block.0, "block").args.clone();
+            let args = std::mem::take(&mut self.blocks.get_mut(block.0, "block").args);
             for a in args {
                 self.values.remove(a.0, "value");
             }
             self.blocks.remove(block.0, "block");
         }
-        self.regions.get_mut(region.0, "region").blocks.clear();
     }
 
     // ---- accessors --------------------------------------------------------
@@ -729,6 +728,22 @@ impl Context {
         self.ops.len()
     }
 
+    /// Number of value slots the arena has ever used: every live value's
+    /// slot is below it.
+    pub(crate) fn value_slots(&self) -> usize {
+        self.values.slots.len()
+    }
+
+    /// Everything `op` holds, for a walk that reads several parts of it.
+    pub(crate) fn op_data(&self, op: OpId) -> &OpData {
+        self.ops.get(op.0, "op")
+    }
+
+    /// Everything `block` holds.
+    pub(crate) fn block_data(&self, block: BlockId) -> &BlockData {
+        self.blocks.get(block.0, "block")
+    }
+
     /// Iterate all live operation ids (unordered).
     pub fn all_ops(&self) -> impl Iterator<Item = OpId> + '_ {
         self.ops.iter_ids().map(OpId)
@@ -740,53 +755,65 @@ impl Context {
     /// detached operation. Operands are remapped through `value_map`;
     /// operands not present in the map are used as-is (references to values
     /// defined outside the cloned subtree). The clone's results and nested
-    /// block arguments are registered in `value_map`.
-    pub fn clone_op(
-        &mut self,
-        op: OpId,
-        value_map: &mut std::collections::HashMap<ValueId, ValueId>,
-    ) -> OpId {
-        let name = self.op_name(op).to_string();
-        let attrs = self.attrs(op).to_vec();
-        let operands: Vec<ValueId> = self
-            .operands(op)
-            .iter()
-            .map(|v| value_map.get(v).copied().unwrap_or(*v))
-            .collect();
-        let result_types: Vec<Type> = self
-            .results(op)
-            .iter()
-            .map(|&r| self.value_type(r).clone())
-            .collect();
-        let old_results = self.results(op).to_vec();
-        let regions = self.regions(op).to_vec();
-        let new_op = self.new_op(name, operands, result_types, attrs);
-        for (old, new) in old_results.into_iter().zip(self.results(new_op).to_vec()) {
+    /// block arguments are registered in `value_map`, and nothing else is
+    /// added to it, so a caller can keep one map across the ops it clones.
+    pub fn clone_op(&mut self, op: OpId, value_map: &mut IdMap<ValueId, ValueId>) -> OpId {
+        let data = self.ops.get(op.0, "op");
+        let (operands, results, regions) =
+            (data.operands.len(), data.results.len(), data.regions.len());
+        let new_op = OpId(self.ops.insert(OpData {
+            name: data.name.clone(),
+            operands: Vec::with_capacity(operands),
+            results: Vec::with_capacity(results),
+            attrs: data.attrs.clone(),
+            regions: Vec::with_capacity(regions),
+            parent: None,
+        }));
+        for index in 0..operands {
+            let old = self.ops.get(op.0, "op").operands[index];
+            let new = value_map.get(&old).copied().unwrap_or(old);
+            self.push_operand(new_op, new);
+        }
+        for index in 0..results {
+            let old = self.ops.get(op.0, "op").results[index];
+            let def = ValueDef::OpResult { op: new_op, index };
+            let new = self.clone_value(old, def);
+            self.ops.get_mut(new_op.0, "op").results.push(new);
             value_map.insert(old, new);
         }
-        for region in regions {
+        for index in 0..regions {
+            let region = self.ops.get(op.0, "op").regions[index];
             let new_region = self.add_region(new_op);
-            for block in self.region_blocks(region).to_vec() {
-                let arg_types: Vec<Type> = self
-                    .block_args(block)
-                    .iter()
-                    .map(|&a| self.value_type(a).clone())
-                    .collect();
-                let old_args = self.block_args(block).to_vec();
-                let new_block = self.add_block(new_region, arg_types);
-                for (old, new) in old_args
-                    .into_iter()
-                    .zip(self.block_args(new_block).to_vec())
-                {
+            for b in 0..self.region_blocks(region).len() {
+                let block = self.region_blocks(region)[b];
+                let new_block = self.add_block(new_region, Vec::new());
+                for index in 0..self.block_args(block).len() {
+                    let old = self.block_args(block)[index];
+                    let def = ValueDef::BlockArg {
+                        block: new_block,
+                        index,
+                    };
+                    let new = self.clone_value(old, def);
+                    self.blocks.get_mut(new_block.0, "block").args.push(new);
                     value_map.insert(old, new);
                 }
-                for inner in self.block_ops(block).to_vec() {
-                    let cloned = self.clone_op(inner, value_map);
+                for o in 0..self.block_ops(block).len() {
+                    let cloned = self.clone_op(self.block_ops(block)[o], value_map);
                     self.append_op(new_block, cloned);
                 }
             }
         }
         new_op
+    }
+
+    /// A new, unused value of `value`'s type, defined by `def`.
+    fn clone_value(&mut self, value: ValueId, def: ValueDef) -> ValueId {
+        let ty = self.values.get(value.0, "value").ty.clone();
+        ValueId(self.values.insert(ValueData {
+            ty,
+            def,
+            uses: Vec::new(),
+        }))
     }
 
     // ---- traversal helpers -------------------------------------------------
@@ -834,6 +861,27 @@ impl Context {
     }
 }
 
+/// Raw write access for tests that corrupt the IR on purpose, to check
+/// that the verifier catches each kind of damage.
+#[cfg(test)]
+impl Context {
+    pub(crate) fn op_data_mut(&mut self, op: OpId) -> &mut OpData {
+        self.ops.get_mut(op.0, "op")
+    }
+
+    pub(crate) fn block_data_mut(&mut self, block: BlockId) -> &mut BlockData {
+        self.blocks.get_mut(block.0, "block")
+    }
+
+    pub(crate) fn region_data_mut(&mut self, region: RegionId) -> &mut RegionData {
+        self.regions.get_mut(region.0, "region")
+    }
+
+    pub(crate) fn value_uses_mut(&mut self, value: ValueId) -> &mut Vec<Use> {
+        &mut self.values.get_mut(value.0, "value").uses
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -873,7 +921,7 @@ mod tests {
         assert_eq!(names(&ctx, op), ["a", "b", "q", "z"]);
         assert_eq!(ctx.attr(op, "q"), Some(&Attribute::IndexArray(vec![1])));
         assert_eq!(ctx.attr(op, "c"), None);
-        let copy = ctx.clone_op(op, &mut std::collections::HashMap::new());
+        let copy = ctx.clone_op(op, &mut IdMap::default());
         assert_eq!(ctx.attrs(copy), ctx.attrs(op));
     }
 

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::attributes::Attribute;
     pub use crate::builder::{InsertPoint, OpBuilder};
     pub use crate::error::{IrError, IrResult};
-    pub use crate::ir::{BlockId, Context, OpId, RegionId, Use, ValueDef, ValueId};
+    pub use crate::ir::{BlockId, Context, IdMap, IdSet, OpId, RegionId, Use, ValueDef, ValueId};
     pub use crate::parser::{parse_attribute, parse_op, parse_op_into, parse_type};
     pub use crate::printer::print_op;
     pub use crate::timing::{Stopwatch, TimingRecord, Timings};

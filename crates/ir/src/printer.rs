@@ -13,10 +13,9 @@
 //! Values are numbered per top-level printed op in definition order; block
 //! arguments print as `%argN` unless numbered globally.
 
-use std::collections::HashMap;
 use std::fmt::Write;
 
-use crate::ir::{BlockId, Context, OpId, RegionId, ValueId};
+use crate::ir::{BlockId, Context, IdMap, OpId, RegionId, ValueId};
 
 /// Print `op` (and everything nested in it) to a string.
 pub fn print_op(ctx: &Context, op: OpId) -> String {
@@ -29,7 +28,7 @@ pub fn print_op(ctx: &Context, op: OpId) -> String {
 struct Printer<'c> {
     ctx: &'c Context,
     out: String,
-    names: HashMap<ValueId, String>,
+    names: IdMap<ValueId, String>,
     next: usize,
 }
 
@@ -38,7 +37,7 @@ impl<'c> Printer<'c> {
         Self {
             ctx,
             out: String::new(),
-            names: HashMap::new(),
+            names: IdMap::default(),
             next: 0,
         }
     }

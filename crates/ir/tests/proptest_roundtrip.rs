@@ -312,7 +312,7 @@ fn check_module_round_trip_is_idempotent(recipes: &[OpRecipe]) {
 fn check_clone_preserves_structure(recipes: &[OpRecipe]) {
     let (mut ctx, module) = build_module(recipes);
     let before = print_op(&ctx, module);
-    let mut map = std::collections::HashMap::new();
+    let mut map = shmls_ir::ir::IdMap::default();
     let clone = ctx.clone_op(module, &mut map);
     // Original unchanged, clone prints identically.
     assert_eq!(&print_op(&ctx, module), &before);
