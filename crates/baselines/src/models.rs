@@ -15,7 +15,6 @@
 //!
 //! Calibration notes live in EXPERIMENTS.md.
 
-use shmls_fpga_sim::design::Stage;
 use shmls_fpga_sim::device::{CostTable, Device, PowerCoefficients};
 use shmls_fpga_sim::perf::{hmls_estimate, pipeline_estimate, PerfEstimate, PipelineModel};
 use shmls_fpga_sim::power;
@@ -478,25 +477,10 @@ impl FrameworkModel for StencilFlowModel {
     }
 }
 
-/// Small-data (param) reads per point: `memref.load` count inside the
-/// compute stages.
+/// Small-data (param) reads per point, approximated as one per local
+/// copy of a parameter array.
 fn small_data_reads(profile: &KernelProfile) -> u64 {
-    profile
-        .design
-        .stages
-        .iter()
-        .map(|s| match s {
-            Stage::Compute { ops, .. } => {
-                // Each param read contributed index arithmetic; the load
-                // itself is not in OpMix, so approximate from the local
-                // copies: one read per consuming stage.
-                let _ = ops;
-                0
-            }
-            _ => 0,
-        })
-        .sum::<u64>()
-        + profile.design.local_buffer_bytes.len() as u64
+    profile.design.local_buffer_bytes.len() as u64
 }
 
 /// All framework models in the paper's comparison order.

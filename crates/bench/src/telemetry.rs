@@ -17,8 +17,6 @@
 //! measured by `sysbench/` at the paper's sizes (DESIGN.md §10 names the
 //! owner of each).
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 

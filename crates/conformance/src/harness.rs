@@ -812,111 +812,26 @@ kernel h {
     #[test]
     fn scale_configs_are_clamped_to_the_grid() {
         let k = parse_kernel(SRC).unwrap(); // grid(6, 5), halo 1
-        let c = clamp_scale(
-            &k,
-            ScaleConfig {
-                cus: 9,
-                steps: 0,
-                depth: 1,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 6,
-                steps: 1,
-                depth: 1
-            }
-        );
-        // Multi-step: 6 rows over 4 CUs gives 1-row slabs — fine at halo
-        // 1; a halo-2 kernel would need the CU count reduced.
-        let c = clamp_scale(
-            &k,
-            ScaleConfig {
-                cus: 4,
-                steps: 2,
-                depth: 1,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 4,
-                steps: 2,
-                depth: 1
-            }
-        );
         let deep = parse_kernel(
             "kernel d { grid(5, 6) halo 2 field a : input field b : output \
              compute b { b = a[-2,0] + a[0,2] } }",
         )
         .unwrap();
-        let c = clamp_scale(
-            &deep,
-            ScaleConfig {
-                cus: 3,
-                steps: 2,
-                depth: 1,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 2,
-                steps: 2,
-                depth: 1
-            }
-        );
-        let c = clamp_scale(
-            &deep,
-            ScaleConfig {
-                cus: 3,
-                steps: 1,
-                depth: 1,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 3,
-                steps: 1,
-                depth: 1
-            },
-            "one step needs no exchange"
-        );
-        // Depth clamps to >= 1; depth > steps survives clamping.
-        let c = clamp_scale(
-            &k,
-            ScaleConfig {
-                cus: 2,
-                steps: 3,
-                depth: 0,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 2,
-                steps: 3,
-                depth: 1
-            }
-        );
-        let c = clamp_scale(
-            &k,
-            ScaleConfig {
-                cus: 2,
-                steps: 2,
-                depth: 8,
-            },
-        );
-        assert_eq!(
-            c,
-            ScaleConfig {
-                cus: 2,
-                steps: 2,
-                depth: 8
-            }
-        );
+        let cfg = |cus, steps, depth| ScaleConfig { cus, steps, depth };
+        for (kernel, input, expected) in [
+            (&k, cfg(9, 0, 1), cfg(6, 1, 1)),
+            // Multi-step: 6 rows over 4 CUs gives 1-row slabs — fine at
+            // halo 1; a halo-2 kernel needs the CU count reduced, unless
+            // one step needs no exchange.
+            (&k, cfg(4, 2, 1), cfg(4, 2, 1)),
+            (&deep, cfg(3, 2, 1), cfg(2, 2, 1)),
+            (&deep, cfg(3, 1, 1), cfg(3, 1, 1)),
+            // Depth clamps to >= 1; depth > steps survives clamping.
+            (&k, cfg(2, 3, 0), cfg(2, 3, 1)),
+            (&k, cfg(2, 2, 8), cfg(2, 2, 8)),
+        ] {
+            assert_eq!(clamp_scale(kernel, input), expected, "{input}");
+        }
     }
 
     #[test]

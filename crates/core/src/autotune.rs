@@ -35,8 +35,6 @@
 //! `repro dse`'s two tables are views of the same phases: [`bundling_view`]
 //! of cost, [`depth_view`] of simulate.
 
-#![deny(clippy::too_many_lines)]
-
 use shmls_fpga_sim::cycle;
 use shmls_fpga_sim::design::{DesignDescriptor, Stage, StreamDesc};
 use shmls_fpga_sim::device::{CostTable, Device, PowerCoefficients};

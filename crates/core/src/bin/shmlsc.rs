@@ -4,8 +4,6 @@
 #![doc = include_str!("shmlsc_usage.txt")]
 //! ```
 
-#![deny(clippy::too_many_lines)]
-
 use std::io::Write;
 use std::process::ExitCode;
 

@@ -116,11 +116,6 @@ impl Disposition {
     pub fn compiled(&self) -> bool {
         matches!(self, Disposition::Miss)
     }
-
-    /// Whether this was a plain cache hit (memory or disk).
-    pub fn is_hit(&self) -> bool {
-        matches!(self, Disposition::MemoryHit | Disposition::DiskHit)
-    }
 }
 
 /// The ledger of a stream of requests: how many, how many failed, and how
@@ -948,7 +943,6 @@ mod tests {
         assert_eq!(d1, Disposition::Miss);
         assert_eq!(d2, Disposition::MemoryHit);
         assert!(d1.compiled() && !d2.compiled());
-        assert!(!d1.is_hit() && d2.is_hit());
         assert_eq!(d1.as_str(), "miss");
         assert_eq!(Disposition::Coalesced.as_str(), "coalesced");
         assert_eq!(Disposition::DiskHit.as_str(), "disk-hit");

@@ -92,11 +92,6 @@ impl Classification {
             .collect()
     }
 
-    /// Argument indices of small-data arrays.
-    pub fn small_data(&self) -> Vec<usize> {
-        self.indices_of(ArgClass::SmallData)
-    }
-
     /// Argument indices of scalar constants.
     pub fn scalars(&self) -> Vec<usize> {
         self.indices_of(ArgClass::Scalar)
@@ -194,7 +189,6 @@ kernel k {
         assert_eq!(c.read_fields(), vec![0, 2]);
         assert_eq!(c.written_fields(), vec![1, 2]);
         assert_eq!(c.fields(), vec![0, 1, 2]);
-        assert_eq!(c.small_data(), vec![3]);
         assert_eq!(c.scalars(), vec![4]);
     }
 

@@ -13,8 +13,6 @@
 //!    the direct `stencil.apply` interpretation and the HLS dataflow path
 //!    are cross-checked.
 
-#![deny(clippy::too_many_lines)]
-
 use shmls_dialects::{arith, func, memref, scf, stencil};
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;

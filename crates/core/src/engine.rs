@@ -26,8 +26,6 @@
 //! halo ring from the output argument's buffer, which is what makes them
 //! bitwise interchangeable.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;

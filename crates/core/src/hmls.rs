@@ -46,8 +46,6 @@
 //! layouts of the runtime calls come from
 //! [`shmls_dialects::hls::RuntimeKind`]; nothing here spells them.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::BTreeMap;
 
 use shmls_dialects::hls::{RuntimeCall, RuntimeKind};

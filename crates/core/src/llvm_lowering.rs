@@ -14,8 +14,6 @@
 //! that the [`crate::fpp`] pass later pattern-matches, exactly as the
 //! paper's `f++` tool does on real LLVM-IR.
 
-#![deny(clippy::too_many_lines)]
-
 use shmls_dialects::{func, hls, llvm};
 use shmls_ir::error::IrResult;
 use shmls_ir::prelude::*;

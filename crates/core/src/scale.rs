@@ -50,8 +50,6 @@
 //! the same rule to a monolithic (single-domain) runner and is the oracle
 //! the slab path is differentially tested against.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -24,13 +24,6 @@ pub fn constant_index(b: &mut OpBuilder<'_>, v: i64) -> ValueId {
     b.ctx_ref().result(op, 0)
 }
 
-/// Build an i64 constant.
-pub fn constant_i64(b: &mut OpBuilder<'_>, v: i64) -> ValueId {
-    let attrs = [("value".to_string(), Attribute::int(v))];
-    let op = b.build_with_attrs(CONSTANT, vec![], vec![Type::I64], attrs);
-    b.ctx_ref().result(op, 0)
-}
-
 macro_rules! float_binop {
     ($(#[$doc:meta])* $fn_name:ident, $op_name:expr) => {
         $(#[$doc])*

@@ -341,111 +341,129 @@ pub fn stage_kind(ctx: &Context, stage: OpId) -> Option<RuntimeKind> {
 
 /// Verifier rules for the hls dialect.
 pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
-    v.register(CREATE_STREAM, |ctx, op| {
-        ir_ensure!(
-            ctx.results(op).len() == 1,
-            "hls.create_stream has one result"
-        );
-        let ty = ctx.value_type(ctx.result(op, 0));
-        ir_ensure!(
-            matches!(ty, Type::HlsStream(_)),
-            "hls.create_stream result must be !hls.stream, got {ty}"
-        );
-        let depth = stream_depth(ctx, op);
-        ir_ensure!(depth >= 1, "stream depth must be >= 1, got {depth}");
-        Ok(())
-    });
-    v.register(READ, |ctx, op| {
-        shmls_ir::verifier::expect_counts(ctx, op, 1, 1)?;
-        let ty = ctx.value_type(ctx.operands(op)[0]);
-        let Type::HlsStream(elem) = ty else {
-            shmls_ir::ir_bail!("hls.read operand must be a stream, got {ty}");
-        };
-        ir_ensure!(
-            ctx.value_type(ctx.result(op, 0)) == elem.as_ref(),
-            "hls.read result type must equal stream element type"
-        );
-        Ok(())
-    });
-    v.register(WRITE, |ctx, op| {
-        ir_ensure!(
-            ctx.operands(op).len() == 2,
-            "hls.write takes value and stream"
-        );
-        let vty = ctx.value_type(ctx.operands(op)[0]);
-        let sty = ctx.value_type(ctx.operands(op)[1]);
-        let Type::HlsStream(elem) = sty else {
-            shmls_ir::ir_bail!("hls.write target must be a stream, got {sty}");
-        };
-        ir_ensure!(
-            vty == elem.as_ref(),
-            "hls.write value type {vty} does not match stream element type {elem}"
-        );
-        Ok(())
-    });
-    for name in [EMPTY, FULL] {
-        v.register(name, |ctx, op| {
-            shmls_ir::verifier::expect_counts(ctx, op, 1, 1)?;
-            ir_ensure!(
-                matches!(ctx.value_type(ctx.operands(op)[0]), Type::HlsStream(_)),
-                "stream query operand must be a stream"
-            );
-            ir_ensure!(
-                ctx.value_type(ctx.result(op, 0)) == &Type::I1,
-                "stream query result must be i1"
-            );
-            Ok(())
-        });
-    }
-    v.register(PIPELINE, |ctx, op| {
-        let ii = pipeline_ii(ctx, op)
-            .ok_or_else(|| shmls_ir::ir_error!("hls.pipeline needs an ii attribute"))?;
-        ir_ensure!(ii >= 1, "pipeline II must be >= 1, got {ii}");
-        Ok(())
-    });
-    v.register(UNROLL, |ctx, op| {
-        let f = ctx
-            .attr(op, "factor")
-            .and_then(Attribute::as_int)
-            .ok_or_else(|| shmls_ir::ir_error!("hls.unroll needs a factor attribute"))?;
-        ir_ensure!(f >= 0, "unroll factor must be >= 0, got {f}");
-        Ok(())
-    });
-    v.register(ARRAY_PARTITION, |ctx, op| {
-        shmls_ir::verifier::expect_counts(ctx, op, 1, 0)?;
-        let kind = ctx
-            .attr(op, "kind")
-            .and_then(Attribute::as_str)
-            .ok_or_else(|| shmls_ir::ir_error!("hls.array_partition needs a kind"))?;
-        ir_ensure!(
-            matches!(kind, "cyclic" | "block" | "complete"),
-            "unknown array_partition kind `{kind}`"
-        );
-        ir_ensure!(
-            matches!(ctx.value_type(ctx.operands(op)[0]), Type::MemRef { .. }),
-            "hls.array_partition operates on a memref"
-        );
-        Ok(())
-    });
-    v.register(DATAFLOW, |ctx, op| {
-        ir_ensure!(ctx.regions(op).len() == 1, "hls.dataflow has one region");
-        ir_ensure!(ctx.results(op).is_empty(), "hls.dataflow has no results");
-        Ok(())
-    });
-    v.register(INTERFACE, |ctx, op| {
-        ir_ensure!(ctx.operands(op).len() == 1, "hls.interface binds one value");
-        let (protocol, bundle) = interface_binding(ctx, op)
-            .ok_or_else(|| shmls_ir::ir_error!("hls.interface needs protocol and bundle"))?;
-        ir_ensure!(
-            !bundle.is_empty(),
-            "hls.interface bundle name must not be empty"
-        );
-        ir_ensure!(
-            protocol == AXI4 || protocol == "s_axilite",
-            "unknown interface protocol `{protocol}`"
-        );
-        Ok(())
-    });
+    v.register(CREATE_STREAM, verify_create_stream);
+    v.register(READ, verify_read);
+    v.register(WRITE, verify_write);
+    v.register(EMPTY, verify_stream_query);
+    v.register(FULL, verify_stream_query);
+    v.register(PIPELINE, verify_pipeline);
+    v.register(UNROLL, verify_unroll);
+    v.register(ARRAY_PARTITION, verify_array_partition);
+    v.register(DATAFLOW, verify_dataflow);
+    v.register(INTERFACE, verify_interface);
+}
+
+fn verify_create_stream(ctx: &Context, op: OpId) -> IrResult<()> {
+    ir_ensure!(
+        ctx.results(op).len() == 1,
+        "hls.create_stream has one result"
+    );
+    let ty = ctx.value_type(ctx.result(op, 0));
+    ir_ensure!(
+        matches!(ty, Type::HlsStream(_)),
+        "hls.create_stream result must be !hls.stream, got {ty}"
+    );
+    let depth = stream_depth(ctx, op);
+    ir_ensure!(depth >= 1, "stream depth must be >= 1, got {depth}");
+    Ok(())
+}
+
+fn verify_read(ctx: &Context, op: OpId) -> IrResult<()> {
+    shmls_ir::verifier::expect_counts(ctx, op, 1, 1)?;
+    let ty = ctx.value_type(ctx.operands(op)[0]);
+    let Type::HlsStream(elem) = ty else {
+        shmls_ir::ir_bail!("hls.read operand must be a stream, got {ty}");
+    };
+    ir_ensure!(
+        ctx.value_type(ctx.result(op, 0)) == elem.as_ref(),
+        "hls.read result type must equal stream element type"
+    );
+    Ok(())
+}
+
+fn verify_write(ctx: &Context, op: OpId) -> IrResult<()> {
+    ir_ensure!(
+        ctx.operands(op).len() == 2,
+        "hls.write takes value and stream"
+    );
+    let vty = ctx.value_type(ctx.operands(op)[0]);
+    let sty = ctx.value_type(ctx.operands(op)[1]);
+    let Type::HlsStream(elem) = sty else {
+        shmls_ir::ir_bail!("hls.write target must be a stream, got {sty}");
+    };
+    ir_ensure!(
+        vty == elem.as_ref(),
+        "hls.write value type {vty} does not match stream element type {elem}"
+    );
+    Ok(())
+}
+
+/// `hls.empty` and `hls.full`.
+fn verify_stream_query(ctx: &Context, op: OpId) -> IrResult<()> {
+    shmls_ir::verifier::expect_counts(ctx, op, 1, 1)?;
+    ir_ensure!(
+        matches!(ctx.value_type(ctx.operands(op)[0]), Type::HlsStream(_)),
+        "stream query operand must be a stream"
+    );
+    ir_ensure!(
+        ctx.value_type(ctx.result(op, 0)) == &Type::I1,
+        "stream query result must be i1"
+    );
+    Ok(())
+}
+
+fn verify_pipeline(ctx: &Context, op: OpId) -> IrResult<()> {
+    let ii = pipeline_ii(ctx, op)
+        .ok_or_else(|| shmls_ir::ir_error!("hls.pipeline needs an ii attribute"))?;
+    ir_ensure!(ii >= 1, "pipeline II must be >= 1, got {ii}");
+    Ok(())
+}
+
+fn verify_unroll(ctx: &Context, op: OpId) -> IrResult<()> {
+    let f = ctx
+        .attr(op, "factor")
+        .and_then(Attribute::as_int)
+        .ok_or_else(|| shmls_ir::ir_error!("hls.unroll needs a factor attribute"))?;
+    ir_ensure!(f >= 0, "unroll factor must be >= 0, got {f}");
+    Ok(())
+}
+
+fn verify_array_partition(ctx: &Context, op: OpId) -> IrResult<()> {
+    shmls_ir::verifier::expect_counts(ctx, op, 1, 0)?;
+    let kind = ctx
+        .attr(op, "kind")
+        .and_then(Attribute::as_str)
+        .ok_or_else(|| shmls_ir::ir_error!("hls.array_partition needs a kind"))?;
+    ir_ensure!(
+        matches!(kind, "cyclic" | "block" | "complete"),
+        "unknown array_partition kind `{kind}`"
+    );
+    ir_ensure!(
+        matches!(ctx.value_type(ctx.operands(op)[0]), Type::MemRef { .. }),
+        "hls.array_partition operates on a memref"
+    );
+    Ok(())
+}
+
+fn verify_dataflow(ctx: &Context, op: OpId) -> IrResult<()> {
+    ir_ensure!(ctx.regions(op).len() == 1, "hls.dataflow has one region");
+    ir_ensure!(ctx.results(op).is_empty(), "hls.dataflow has no results");
+    Ok(())
+}
+
+fn verify_interface(ctx: &Context, op: OpId) -> IrResult<()> {
+    ir_ensure!(ctx.operands(op).len() == 1, "hls.interface binds one value");
+    let (protocol, bundle) = interface_binding(ctx, op)
+        .ok_or_else(|| shmls_ir::ir_error!("hls.interface needs protocol and bundle"))?;
+    ir_ensure!(
+        !bundle.is_empty(),
+        "hls.interface bundle name must not be empty"
+    );
+    ir_ensure!(
+        protocol == AXI4 || protocol == "s_axilite",
+        "unknown interface protocol `{protocol}`"
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -124,13 +124,6 @@ pub fn is_marker_call(ctx: &Context, op: OpId) -> bool {
     ctx.op_name(op) == CALL && callee(ctx, op).is_some_and(|c| c.starts_with(MARKER_PREFIX))
 }
 
-/// The canonical *legal stream type* required by the AMD Xilinx HLS
-/// backend: a pointer to a struct wrapping the element type
-/// (`!llvm.ptr<!llvm.struct<(T)>>`).
-pub fn legal_stream_type(elem: Type) -> Type {
-    Type::llvm_ptr(Type::LlvmStruct(vec![elem]))
-}
-
 /// Verifier rules for the llvm dialect subset.
 pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
     v.register(CALL, |ctx, op| {
@@ -196,13 +189,12 @@ mod tests {
         let mut ctx = Context::new();
         let (module, body) = create_module(&mut ctx);
         let mut b = OpBuilder::at_block_end(&mut ctx, body);
-        let stream_ty = legal_stream_type(Type::F64);
-        assert_eq!(stream_ty.to_string(), "!llvm.ptr<!llvm.struct<(f64)>>");
         let s = alloca(&mut b, Type::LlvmStruct(vec![Type::F64]));
         let first = gep(&mut b, s, &[0, 0], Type::llvm_ptr(Type::F64));
         call(&mut b, SET_STREAM_DEPTH, vec![first], vec![]);
         verify_with(&ctx, module, &verifiers()).unwrap();
-        assert_eq!(ctx.value_type(s), &stream_ty);
+        let stream_ty = ctx.value_type(s).to_string();
+        assert_eq!(stream_ty, "!llvm.ptr<!llvm.struct<(f64)>>");
     }
 
     #[test]

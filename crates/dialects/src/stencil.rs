@@ -115,22 +115,6 @@ pub fn store_bounds(ctx: &Context, op: OpId) -> Option<(Vec<i64>, Vec<i64>)> {
     shmls_ir::interp::split_bounds(flat).ok()
 }
 
-/// Maximum absolute access offset (halo radius) used by all
-/// `stencil.access` ops nested under `op`, per dimension.
-pub fn halo_radius(ctx: &Context, op: OpId, rank: usize) -> Vec<i64> {
-    let mut radius = vec![0i64; rank];
-    for a in ctx.find_ops(op, ACCESS) {
-        if let Some(offset) = access_offset(ctx, a) {
-            for (d, &o) in offset.iter().enumerate() {
-                if d < rank {
-                    radius[d] = radius[d].max(o.abs());
-                }
-            }
-        }
-    }
-    radius
-}
-
 /// Verifier rules for the stencil dialect.
 pub fn register_verifiers(v: &mut shmls_ir::verifier::OpVerifiers) {
     v.register(APPLY, |ctx, op| {
@@ -278,13 +262,6 @@ mod tests {
         let mut v = verifiers();
         crate::func::register_verifiers(&mut v);
         verify_with(&ctx, module, &v).unwrap();
-    }
-
-    #[test]
-    fn halo_radius_computed() {
-        let mut ctx = Context::new();
-        let module = build_listing1(&mut ctx);
-        assert_eq!(halo_radius(&ctx, module, 1), vec![1]);
     }
 
     #[test]

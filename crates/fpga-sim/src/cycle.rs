@@ -236,119 +236,154 @@ fn simulate_with(
     if let Err(e) = design.stream_ends() {
         panic!("cannot simulate `{}`: {e}", design.name);
     }
-    let n_stages = design.stages.len();
-    let fifo_cap: Vec<usize> = design
-        .streams
-        .iter()
-        .map(|s| depth_override.unwrap_or(s.depth.max(1) as usize))
-        .collect();
-    // Fires see `visible`, last cycle's levels, and move `fifo_len`.
-    let mut fifo_len: Vec<usize> = vec![0; design.streams.len()];
-    let mut visible = fifo_len.clone();
+    Sim::new(design, depth_override).run(jump)
+}
 
-    let mut states: Vec<StageState> = design
-        .stages
-        .iter()
-        .zip(&design.wiring)
-        .map(|(stage, wiring)| StageState::new(stage, wiring))
-        .collect();
-    let mut decisions = vec![Decision::Idle; n_stages];
+/// One simulation's state between cycles.
+struct Sim<'d> {
+    design: &'d DesignDescriptor,
+    fifo_cap: Vec<usize>,
+    /// Fires see `visible`, last cycle's levels, and move `fifo_len`.
+    fifo_len: Vec<usize>,
+    visible: Vec<usize>,
+    states: Vec<StageState>,
+    /// What each stage did in the cycle just stepped.
+    decisions: Vec<Decision>,
+    report: CycleReport,
+    /// Per-stream back-pressure accounting: cycles a producer spent
+    /// unable to push because this stream was full.
+    stream_full_stalls: Vec<u64>,
+    /// Safety valve: no legal design needs this many cycles.
+    budget: u64,
+}
 
-    let mut report = CycleReport {
-        cycles: 0,
-        fires: vec![0; n_stages],
-        stalled_empty: vec![0; n_stages],
-        stalled_full: vec![0; n_stages],
-        done_at: vec![0; n_stages],
-        stepped_cycles: 0,
-    };
-
-    // Safety valve: no legal design needs more than this.
-    let budget: u64 = 64 + 4 * states.iter().map(|s| s.remaining * s.ii).sum::<u64>();
-
-    // Per-stream back-pressure accounting: cycles a producer spent unable
-    // to push because this stream was full.
-    let mut stream_full_stalls: Vec<u64> = vec![0; design.streams.len()];
-
-    let mut live = states.iter().filter(|s| s.remaining > 0).count();
-    let mut cycle: u64 = 0;
-    while live > 0 {
-        cycle += 1;
-        if cycle >= budget {
-            return Err(Box::new(diagnose(
-                design,
-                &states,
-                &fifo_len,
-                &fifo_cap,
-                &stream_full_stalls,
-                cycle,
-            )));
+impl<'d> Sim<'d> {
+    fn new(design: &'d DesignDescriptor, depth_override: Option<usize>) -> Self {
+        let n_stages = design.stages.len();
+        let states: Vec<StageState> = design
+            .stages
+            .iter()
+            .zip(&design.wiring)
+            .map(|(stage, wiring)| StageState::new(stage, wiring))
+            .collect();
+        Sim {
+            design,
+            fifo_cap: design
+                .streams
+                .iter()
+                .map(|s| depth_override.unwrap_or(s.depth.max(1) as usize))
+                .collect(),
+            fifo_len: vec![0; design.streams.len()],
+            visible: vec![0; design.streams.len()],
+            budget: 64 + 4 * states.iter().map(|s| s.remaining * s.ii).sum::<u64>(),
+            states,
+            decisions: vec![Decision::Idle; n_stages],
+            report: CycleReport {
+                cycles: 0,
+                fires: vec![0; n_stages],
+                stalled_empty: vec![0; n_stages],
+                stalled_full: vec![0; n_stages],
+                done_at: vec![0; n_stages],
+                stepped_cycles: 0,
+            },
+            stream_full_stalls: vec![0; design.streams.len()],
         }
-        report.stepped_cycles += 1;
-        visible.copy_from_slice(&fifo_len);
-        // Can the next cycle differ from this one only through a gate?
-        let mut repeats = jump;
-        for (i, state) in states.iter_mut().enumerate() {
-            decisions[i] = Decision::Idle;
-            if state.remaining == 0 {
-                continue;
+    }
+
+    /// Step cycles until every stage finished, jumping stationary runs
+    /// when `jump` is set.
+    fn run(mut self, jump: bool) -> Result<CycleReport, Box<DeadlockReport>> {
+        let mut live = self.states.iter().filter(|s| s.remaining > 0).count();
+        let mut cycle: u64 = 0;
+        while live > 0 {
+            cycle += 1;
+            if cycle >= self.budget {
+                return Err(Box::new(diagnose(
+                    self.design,
+                    &self.states,
+                    &self.fifo_len,
+                    &self.fifo_cap,
+                    &self.stream_full_stalls,
+                    cycle,
+                )));
             }
-            if state.ready_at > cycle {
-                repeats = false;
-                continue;
-            }
-            let consumes = state.consumes();
-            if consumes && state.reads.iter().any(|&(s, k)| visible[s] < k) {
-                report.stalled_empty[i] += 1;
-                decisions[i] = Decision::StalledEmpty;
-                continue;
-            }
-            let emits = state.emits();
-            let full = |w: &(usize, usize)| overflows(&visible, &fifo_cap, w);
-            if emits && state.writes.iter().any(full) {
-                report.stalled_full[i] += 1;
-                for &(s, _) in state.writes.iter().filter(|w| full(w)) {
-                    stream_full_stalls[s] += 1;
+            self.report.stepped_cycles += 1;
+            self.visible.copy_from_slice(&self.fifo_len);
+            let (visible, fifo_cap) = (&self.visible, &self.fifo_cap);
+            let report = &mut self.report;
+            // Can the next cycle differ from this one only through a gate?
+            let mut repeats = jump;
+            for (i, state) in self.states.iter_mut().enumerate() {
+                self.decisions[i] = Decision::Idle;
+                if state.remaining == 0 {
+                    continue;
                 }
-                decisions[i] = Decision::StalledFull;
-                continue;
-            }
-            // Fire. `stream_ends` gave each stream one reading stage, so
-            // the tokens seen in `visible` are still there to pop.
-            if consumes {
-                for &(s, k) in &state.reads {
-                    fifo_len[s] -= k;
+                if state.ready_at > cycle {
+                    repeats = false;
+                    continue;
                 }
-                state.consumed += 1;
-            }
-            if emits {
-                for &(s, k) in &state.writes {
-                    fifo_len[s] += k;
+                let consumes = state.consumes();
+                if consumes && state.reads.iter().any(|&(s, k)| visible[s] < k) {
+                    report.stalled_empty[i] += 1;
+                    self.decisions[i] = Decision::StalledEmpty;
+                    continue;
                 }
-                state.produced += 1;
+                let emits = state.emits();
+                let full = |w: &(usize, usize)| overflows(visible, fifo_cap, w);
+                if emits && state.writes.iter().any(full) {
+                    report.stalled_full[i] += 1;
+                    for &(s, _) in state.writes.iter().filter(|w| full(w)) {
+                        self.stream_full_stalls[s] += 1;
+                    }
+                    self.decisions[i] = Decision::StalledFull;
+                    continue;
+                }
+                // Fire. `stream_ends` gave each stream one reading stage,
+                // so the tokens seen in `visible` are still there to pop.
+                if consumes {
+                    for &(s, k) in &state.reads {
+                        self.fifo_len[s] -= k;
+                    }
+                    state.consumed += 1;
+                }
+                if emits {
+                    for &(s, k) in &state.writes {
+                        self.fifo_len[s] += k;
+                    }
+                    state.produced += 1;
+                }
+                state.remaining -= 1;
+                state.ready_at = cycle + state.ii;
+                report.fires[i] += 1;
+                self.decisions[i] = Decision::Fired { consumes, emits };
+                if state.remaining == 0 {
+                    report.done_at[i] = cycle;
+                    live -= 1;
+                }
+                repeats &= state.remaining > 0 && state.ii == 1;
             }
-            state.remaining -= 1;
-            state.ready_at = cycle + state.ii;
-            report.fires[i] += 1;
-            decisions[i] = Decision::Fired { consumes, emits };
-            if state.remaining == 0 {
-                report.done_at[i] = cycle;
-                live -= 1;
+            if repeats && self.fifo_len == self.visible {
+                cycle += self.stationary_run(cycle);
             }
-            repeats &= state.remaining > 0 && state.ii == 1;
         }
-        if !(repeats && fifo_len == visible) {
-            continue;
-        }
-        // Stationary: every following cycle repeats this one until a
-        // firing stage's gate flips or it is one fire from finishing. With
-        // nothing firing the design is stuck, and the run is the budget's.
-        let fired = states.iter().zip(&decisions).filter_map(|(s, d)| match *d {
+        self.report.cycles = cycle;
+        Ok(self.report)
+    }
+
+    /// `cycle` left the design stationary: every following cycle repeats
+    /// it until a firing stage's gate flips or it is one fire from
+    /// finishing. Count that run of cycles at once and return its length.
+    /// With nothing firing the design is stuck, and the run is the
+    /// budget's.
+    fn stationary_run(&mut self, cycle: u64) -> u64 {
+        let fired = self.states.iter().zip(&self.decisions);
+        let fired = fired.filter_map(|(s, d)| match *d {
             Decision::Fired { consumes, emits } => Some(s.repeatable_fires(consumes, emits)),
             _ => None,
         });
-        let run = fired.min().unwrap_or(u64::MAX).min(budget - 1 - cycle);
-        for (i, (state, decision)) in states.iter_mut().zip(&decisions).enumerate() {
+        let run = fired.min().unwrap_or(u64::MAX).min(self.budget - 1 - cycle);
+        let report = &mut self.report;
+        for (i, (state, decision)) in self.states.iter_mut().zip(&self.decisions).enumerate() {
             match *decision {
                 Decision::Idle => {}
                 Decision::Fired { consumes, emits } => {
@@ -361,17 +396,15 @@ fn simulate_with(
                 Decision::StalledFull => {
                     report.stalled_full[i] += run;
                     for w in &state.writes {
-                        if overflows(&visible, &fifo_cap, w) {
-                            stream_full_stalls[w.0] += run;
+                        if overflows(&self.visible, &self.fifo_cap, w) {
+                            self.stream_full_stalls[w.0] += run;
                         }
                     }
                 }
             }
         }
-        cycle += run;
+        run
     }
-    report.cycles = cycle;
-    Ok(report)
 }
 
 /// Would pushing `(stream, tokens)` overfill the stream?

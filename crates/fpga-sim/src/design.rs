@@ -7,8 +7,6 @@
 //! [`DesignDescriptor`] extracted here. This keeps the models testable in
 //! isolation and mirrors how a real HLS report summarises a design.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::{BTreeMap, BTreeSet};
 
 use shmls_dialects::hls::RuntimeKind;

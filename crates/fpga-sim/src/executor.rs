@@ -4,8 +4,6 @@
 //! The dataflow executor ([`crate::threaded`]) dispatches them from its
 //! `hls` op hook on either schedule.
 
-#![deny(clippy::too_many_lines)]
-
 use shmls_dialects::hls::{self, RuntimeCall, RuntimeKind};
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::{iter_box, RtValue, Store};

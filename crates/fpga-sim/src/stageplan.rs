@@ -30,8 +30,6 @@
 //! occupancy pattern the deadlock and cycle models are validating. The
 //! sharing is the opcode *semantics*, not the traversal schedule.
 
-#![deny(clippy::too_many_lines)]
-
 use shmls_dialects::{hls, scf};
 use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::{InputRef, Program, ProgramBuilder, VReg};

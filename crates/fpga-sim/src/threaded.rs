@@ -16,8 +16,6 @@
 //! naming the stage and the stream, and a stage that fails or panics is
 //! an error naming the stage.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::VecDeque;
 use std::iter::zip;
 use std::panic::{catch_unwind, AssertUnwindSafe};

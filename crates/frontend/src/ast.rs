@@ -219,11 +219,6 @@ impl KernelDef {
         self.params.iter().find(|p| p.name == name)
     }
 
-    /// Fields of a given kind, in declaration order.
-    pub fn fields_of(&self, kind: FieldKind) -> Vec<&FieldDecl> {
-        self.fields.iter().filter(|f| f.kind == kind).collect()
-    }
-
     /// Externally visible fields (everything but temps), in order.
     pub fn external_fields(&self) -> Vec<&FieldDecl> {
         self.fields
@@ -396,16 +391,14 @@ impl KernelDef {
                 Ok(())
             }
             Expr::ParamRef { name, offset } => {
-                let Some(p) = self.param(name) else {
+                if self.param(name).is_none() {
                     ir_bail!("kernel `{}`: unknown param `{name}`", self.name);
-                };
-                let extent = self.grid[p.axis];
+                }
                 ir_ensure!(
                     offset.abs() <= self.halo,
                     "kernel `{}`: param `{name}` offset {offset} exceeds halo",
                     self.name
                 );
-                let _ = extent;
                 Ok(())
             }
             Expr::Neg(e) => self.validate_expr(e, written),

@@ -47,14 +47,6 @@ pub struct KernelSignature {
 }
 
 impl KernelSignature {
-    /// Number of external field arguments.
-    pub fn num_fields(&self) -> usize {
-        self.args
-            .iter()
-            .filter(|a| matches!(a, KernelArg::Field(..)))
-            .count()
-    }
-
     /// Index of the argument with the given name.
     pub fn arg_index(&self, name: &str) -> Option<usize> {
         self.args.iter().position(|a| match a {
@@ -79,7 +71,6 @@ pub fn lower_kernel(
     kernel: &KernelDef,
 ) -> IrResult<LoweredKernel> {
     kernel.validate()?;
-    let rank = kernel.rank();
     let field_bounds = StencilBounds::from_extents(&kernel.grid).grown(kernel.halo);
     let interior = StencilBounds::from_extents(&kernel.grid);
 
@@ -191,7 +182,6 @@ pub fn lower_kernel(
         }
     }
     func::ret(&mut b, vec![]);
-    let _ = rank;
 
     Ok(LoweredKernel { func: f, signature })
 }
@@ -316,7 +306,6 @@ kernel laplace {
         let (module, body) = create_module(&mut ctx);
         let lowered = lower_kernel(&mut ctx, body, &k).unwrap();
         verify_with(&ctx, module, &shmls_dialects::registry()).unwrap();
-        assert_eq!(lowered.signature.num_fields(), 2);
         assert_eq!(lowered.signature.args.len(), 3);
         assert_eq!(ctx.find_ops(module, stencil::APPLY).len(), 1);
         assert_eq!(ctx.find_ops(module, stencil::STORE).len(), 1);

@@ -113,14 +113,6 @@ impl Attribute {
             _ => None,
         }
     }
-
-    /// The contained attribute array, if this is an array attribute.
-    pub fn as_array(&self) -> Option<&[Attribute]> {
-        match self {
-            Attribute::Array(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Attribute {

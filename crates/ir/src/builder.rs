@@ -59,16 +59,6 @@ impl<'c> OpBuilder<'c> {
         self.ctx
     }
 
-    /// Current insertion point.
-    pub fn insert_point(&self) -> InsertPoint {
-        self.ip
-    }
-
-    /// Move the insertion point.
-    pub fn set_insert_point(&mut self, ip: InsertPoint) {
-        self.ip = ip;
-    }
-
     /// Build an op with no attributes.
     pub fn build(&mut self, name: &str, operands: Vec<ValueId>, result_types: Vec<Type>) -> OpId {
         self.build_with_attrs(name, operands, result_types, [])

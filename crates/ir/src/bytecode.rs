@@ -217,7 +217,6 @@ impl Program {
     ///
     /// When an instruction writes an input register, or `n` or `temps`
     /// is short of the above.
-    #[deny(clippy::too_many_lines)]
     pub fn run_block<'a>(&self, n: usize, input: impl Fn(usize) -> &'a [f64], temps: &mut [f64]) {
         let n_in = self.inputs.len();
         // Holds a destination's old lanes while an instruction that also
@@ -436,119 +435,42 @@ impl ProgramBuilder {
     /// Allocate physical registers (inputs pinned to `0..n_inputs`, temps
     /// via a last-use free list) and produce the runnable program.
     pub fn finish(self, results: &[VReg]) -> IrResult<Program> {
-        let n_in = self.inputs.len();
-        let n_temp = self.code.len();
-        let id = |v: VReg| match v.0 {
-            Slot::Input(i) => i as usize,
-            Slot::Temp(j) => n_in + j as usize,
-        };
-
-        // Last instruction index using each value (results count as one
-        // past the end, so they are never recycled).
-        let mut last_use: Vec<Option<usize>> = vec![None; n_in + n_temp];
-        {
-            let mut touch = |v: VReg, at: usize| {
-                let slot = &mut last_use[id(v)];
-                *slot = Some(slot.map_or(at, |p| p.max(at)));
-            };
-            for (j, instr) in self.code.iter().enumerate() {
-                match *instr {
-                    VInstr::Const { .. } => {}
-                    VInstr::Unary { src, .. } => touch(src, j),
-                    VInstr::Binary { lhs, rhs, .. } => {
-                        touch(lhs, j);
-                        touch(rhs, j);
-                    }
-                    VInstr::Fma { a, b, c } => {
-                        touch(a, j);
-                        touch(b, j);
-                        touch(c, j);
-                    }
-                }
-            }
-            for &r in results {
-                touch(r, n_temp);
-            }
-        }
-        // A dead temp dies at its own definition.
-        for j in 0..n_temp {
-            let slot = &mut last_use[n_in + j];
-            if slot.is_none() {
-                *slot = Some(j);
-            }
-        }
-
-        // Inputs are never recycled: executors are allowed to fill
-        // loop-invariant inputs (scalars) once and run the program many
-        // times, so an input register must still hold its value after
-        // every run. Only temps expire.
-        let mut expire: Vec<Vec<usize>> = vec![Vec::new(); n_temp];
-        for (v, lu) in last_use.iter().enumerate().skip(n_in) {
-            if let Some(at) = *lu {
-                if at < n_temp {
-                    expire[at].push(v);
-                }
-            }
-        }
-
         const NONE: Reg = Reg::MAX;
-        let mut phys: Vec<Reg> = vec![NONE; n_in + n_temp];
-        for (i, p) in phys.iter_mut().enumerate().take(n_in) {
-            *p = Reg::try_from(i).map_err(|_| ir_error!("bytecode: too many inputs"))?;
-        }
-        let mut next: usize = n_in;
-        let mut free: Vec<Reg> = Vec::new();
-        let mut instrs = Vec::with_capacity(n_temp);
+        let n_in = self.inputs.len();
+        let expire = self.expiry_lists(results);
+        let overflow =
+            |n: usize| Reg::try_from(n).map_err(|_| ir_error!("bytecode: register file overflow"));
+        let mut phys: Vec<Reg> = (0..n_in)
+            .map(|i| Reg::try_from(i).map_err(|_| ir_error!("bytecode: too many inputs")))
+            .collect::<IrResult<_>>()?;
+        phys.resize(n_in + self.code.len(), NONE);
         let reg_of = |phys: &[Reg], v: VReg| -> IrResult<Reg> {
-            let r = phys[id(v)];
+            let r = phys[self.value_index(v)];
             ir_ensure!(r != NONE, "bytecode: use of undefined virtual register");
             Ok(r)
         };
+        let mut next: usize = n_in;
+        let mut free: Vec<Reg> = Vec::new();
+        let mut instrs = Vec::with_capacity(self.code.len());
         for (j, instr) in self.code.iter().enumerate() {
             // Operands are read before the destination is allocated, and
             // operand registers are only recycled after this instruction,
             // so a destination never aliases its own operands.
-            let emitted = match *instr {
-                VInstr::Const { value } => Instr::Const { dst: NONE, value },
-                VInstr::Unary { op, src } => Instr::Unary {
-                    op,
-                    dst: NONE,
-                    src: reg_of(&phys, src)?,
-                },
-                VInstr::Binary { op, lhs, rhs } => Instr::Binary {
-                    op,
-                    dst: NONE,
-                    lhs: reg_of(&phys, lhs)?,
-                    rhs: reg_of(&phys, rhs)?,
-                },
-                VInstr::Fma { a, b, c } => Instr::Fma {
-                    dst: NONE,
-                    a: reg_of(&phys, a)?,
-                    b: reg_of(&phys, b)?,
-                    c: reg_of(&phys, c)?,
-                },
-            };
+            let mut srcs = [NONE; 3];
+            for (src, v) in srcs.iter_mut().zip(instr.operands()) {
+                *src = reg_of(&phys, v)?;
+            }
             let dst = match free.pop() {
                 Some(r) => r,
                 None => {
-                    let r = Reg::try_from(next)
-                        .map_err(|_| ir_error!("bytecode: register file overflow"))?;
+                    let r = overflow(next)?;
                     next += 1;
                     r
                 }
             };
             phys[n_in + j] = dst;
-            instrs.push(match emitted {
-                Instr::Const { value, .. } => Instr::Const { dst, value },
-                Instr::Unary { op, src, .. } => Instr::Unary { op, dst, src },
-                Instr::Binary { op, lhs, rhs, .. } => Instr::Binary { op, dst, lhs, rhs },
-                Instr::Fma { a, b, c, .. } => Instr::Fma { dst, a, b, c },
-            });
-            for &v in &expire[j] {
-                if phys[v] != NONE {
-                    free.push(phys[v]);
-                }
-            }
+            instrs.push(instr.lower(dst, srcs));
+            free.extend(expire[j].iter().map(|&t| phys[n_in + t]));
         }
         let results = results
             .iter()
@@ -557,10 +479,83 @@ impl ProgramBuilder {
         Ok(Program {
             inputs: self.inputs,
             instrs,
-            n_regs: Reg::try_from(next.max(n_in))
-                .map_err(|_| ir_error!("bytecode: register file overflow"))?,
+            n_regs: overflow(next.max(n_in))?,
             results,
         })
+    }
+
+    /// `v`'s index among all values: inputs first, then temps.
+    fn value_index(&self, v: VReg) -> usize {
+        match v.0 {
+            Slot::Input(i) => i as usize,
+            Slot::Temp(j) => self.inputs.len() + j as usize,
+        }
+    }
+
+    /// For each temp, the last instruction that reads it: results count
+    /// as one past the end, so they are never recycled, and a dead temp
+    /// dies at its own definition.
+    fn last_uses(&self, results: &[VReg]) -> Vec<usize> {
+        let n_temp = self.code.len();
+        let mut last_use: Vec<usize> = (0..n_temp).collect();
+        let reads = self.code.iter().enumerate();
+        let reads = reads.flat_map(|(j, instr)| instr.operands().map(move |v| (v, j)));
+        for (v, at) in reads.chain(results.iter().map(|&r| (r, n_temp))) {
+            if let Slot::Temp(t) = v.0 {
+                let slot = &mut last_use[t as usize];
+                *slot = (*slot).max(at);
+            }
+        }
+        last_use
+    }
+
+    /// For each instruction, the temps whose registers it frees. Inputs
+    /// are never recycled: executors are allowed to fill loop-invariant
+    /// inputs (scalars) once and run the program many times, so an input
+    /// register must still hold its value after every run.
+    fn expiry_lists(&self, results: &[VReg]) -> Vec<Vec<usize>> {
+        let mut expire: Vec<Vec<usize>> = vec![Vec::new(); self.code.len()];
+        for (t, at) in self.last_uses(results).into_iter().enumerate() {
+            if let Some(list) = expire.get_mut(at) {
+                list.push(t);
+            }
+        }
+        expire
+    }
+}
+
+impl VInstr {
+    /// The registers the instruction reads, in operand order.
+    fn operands(&self) -> impl Iterator<Item = VReg> {
+        let (a, b, c) = match *self {
+            VInstr::Const { .. } => (None, None, None),
+            VInstr::Unary { src, .. } => (Some(src), None, None),
+            VInstr::Binary { lhs, rhs, .. } => (Some(lhs), Some(rhs), None),
+            VInstr::Fma { a, b, c } => (Some(a), Some(b), Some(c)),
+        };
+        [a, b, c].into_iter().flatten()
+    }
+
+    /// The instruction over physical registers: `dst`, and `srcs` in
+    /// [`VInstr::operands`] order.
+    fn lower(&self, dst: Reg, srcs: [Reg; 3]) -> Instr {
+        let [x, y, z] = srcs;
+        match *self {
+            VInstr::Const { value } => Instr::Const { dst, value },
+            VInstr::Unary { op, .. } => Instr::Unary { op, dst, src: x },
+            VInstr::Binary { op, .. } => Instr::Binary {
+                op,
+                dst,
+                lhs: x,
+                rhs: y,
+            },
+            VInstr::Fma { .. } => Instr::Fma {
+                dst,
+                a: x,
+                b: y,
+                c: z,
+            },
+        }
     }
 }
 
@@ -583,6 +578,41 @@ enum IntExpr {
 /// applies whose results do not share identical bounds (the fast path
 /// writes results by linear element index).
 pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
+    let rank = check_apply(ctx, apply)?;
+    let block = ctx
+        .entry_block(apply)
+        .ok_or_else(|| ir_error!("stencil.apply without body"))?;
+    let mut lower = Lowering {
+        ctx,
+        b: ProgramBuilder::new(),
+        floats: IdMap::default(),
+        ints: IdMap::default(),
+        param_pos: ctx
+            .block_args(block)
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i))
+            .collect(),
+        rank,
+    };
+    for &op in ctx.block_ops(block) {
+        if ctx.op_name(op) == "stencil.return" {
+            let outs = ctx
+                .operands(op)
+                .iter()
+                .map(|&v| lower.float_of(v))
+                .collect::<IrResult<Vec<_>>>()?;
+            return lower.b.finish(&outs);
+        }
+        lower.op(op)?;
+    }
+    ir_bail!("stencil.apply body has no stencil.return")
+}
+
+/// What [`compile_apply`] requires of the apply itself: the op's name, no
+/// `f32` anywhere, and results that share their bounds, whose rank it
+/// returns.
+fn check_apply(ctx: &Context, apply: OpId) -> IrResult<usize> {
     ir_ensure!(
         ctx.op_name(apply) == "stencil.apply",
         "compile_apply expects a stencil.apply, got `{}`",
@@ -614,153 +644,71 @@ pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
             "bytecode tier computes in f64 only; f32 applies are unsupported",
         ));
     }
-    let bounds = ctx
-        .value_type(results[0])
-        .stencil_bounds()
-        .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))?
-        .clone();
-    for &r in results {
-        let b = ctx
-            .value_type(r)
+    let bounds_of = |r: ValueId| {
+        ctx.value_type(r)
             .stencil_bounds()
-            .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))?;
+            .ok_or_else(|| ir_error!("stencil.apply result is not a stencil.temp"))
+    };
+    let bounds = bounds_of(results[0])?;
+    for &r in results {
         ir_ensure!(
-            *b == bounds,
+            bounds_of(r)? == bounds,
             "bytecode: apply results with differing bounds"
         );
     }
-    let rank = bounds.rank();
+    Ok(bounds.rank())
+}
 
-    let block = ctx
-        .entry_block(apply)
-        .ok_or_else(|| ir_error!("stencil.apply without body"))?;
-    let params = ctx.block_args(block).to_vec();
-    let param_pos: IdMap<ValueId, usize> =
-        params.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+/// The state of lowering one apply body: the builder, which SSA values
+/// are float registers and which symbolic integers, and where each block
+/// argument sits among the apply's operands.
+struct Lowering<'c> {
+    ctx: &'c Context,
+    b: ProgramBuilder,
+    floats: IdMap<ValueId, VReg>,
+    ints: IdMap<ValueId, IntExpr>,
+    param_pos: IdMap<ValueId, usize>,
+    rank: usize,
+}
 
-    let mut b = ProgramBuilder::new();
-    let mut floats: IdMap<ValueId, VReg> = IdMap::default();
-    let mut ints: IdMap<ValueId, IntExpr> = IdMap::default();
-
-    // Resolve an SSA value to a float register: a computed value, or a
-    // scalar block argument (kernel constant) promoted to an input.
-    fn float_of(
-        ctx: &Context,
-        b: &mut ProgramBuilder,
-        floats: &mut IdMap<ValueId, VReg>,
-        param_pos: &IdMap<ValueId, usize>,
-        v: ValueId,
-    ) -> IrResult<VReg> {
-        if let Some(&r) = floats.get(&v) {
-            return Ok(r);
-        }
-        if let Some(&pos) = param_pos.get(&v) {
-            if matches!(ctx.value_type(v), Type::F64) {
-                let r = b.input(InputRef::Scalar {
-                    operand: u16::try_from(pos)
-                        .map_err(|_| ir_error!("bytecode: operand index overflow"))?,
-                });
-                floats.insert(v, r);
-                return Ok(r);
-            }
-        }
-        Err(ir_error!("bytecode: value is not a float register"))
-    }
-
-    for &op in ctx.block_ops(block) {
-        let name = ctx.op_name(op);
-        let operands = ctx.operands(op).to_vec();
-        match name {
-            "arith.constant" => {
-                let attr = ctx
-                    .attr(op, "value")
-                    .ok_or_else(|| ir_error!("arith.constant without value"))?;
-                match attr {
-                    Attribute::Float(v, _) => {
-                        let r = b.constant(*v);
-                        floats.insert(ctx.result(op, 0), r);
-                    }
-                    Attribute::Int(v, _) => {
-                        ints.insert(ctx.result(op, 0), IntExpr::Const(*v));
-                    }
-                    other => ir_bail!("bytecode: unsupported constant {other}"),
-                }
-            }
+impl Lowering<'_> {
+    /// Lower one body op other than `stencil.return`.
+    fn op(&mut self, op: OpId) -> IrResult<()> {
+        let ctx = self.ctx;
+        let operands = ctx.operands(op);
+        let result = || ctx.result(op, 0);
+        match ctx.op_name(op) {
+            "arith.constant" => self.constant(op)?,
             "stencil.index" => {
                 let dim = ctx
                     .attr(op, "dim")
                     .and_then(Attribute::as_int)
                     .ok_or_else(|| ir_error!("stencil.index without dim"))?
                     as usize;
-                ir_ensure!(dim < rank, "stencil.index dim {dim} out of range");
-                ints.insert(ctx.result(op, 0), IntExpr::Index(dim));
+                ir_ensure!(dim < self.rank, "stencil.index dim {dim} out of range");
+                self.ints.insert(result(), IntExpr::Index(dim));
             }
             "arith.addi" => {
-                let a = *ints
-                    .get(&operands[0])
-                    .ok_or_else(|| ir_error!("bytecode: non-symbolic integer operand"))?;
-                let c = *ints
-                    .get(&operands[1])
-                    .ok_or_else(|| ir_error!("bytecode: non-symbolic integer operand"))?;
-                let sum = match (a, c) {
-                    (IntExpr::Const(x), IntExpr::Const(y)) => IntExpr::Const(x.wrapping_add(y)),
-                    (IntExpr::Index(d), IntExpr::Const(s))
-                    | (IntExpr::Const(s), IntExpr::Index(d)) => IntExpr::IndexPlus(d, s),
-                    (IntExpr::IndexPlus(d, s), IntExpr::Const(t))
-                    | (IntExpr::Const(t), IntExpr::IndexPlus(d, s)) => {
-                        IntExpr::IndexPlus(d, s.wrapping_add(t))
-                    }
-                    _ => ir_bail!("bytecode: unsupported integer addition shape"),
-                };
-                ints.insert(ctx.result(op, 0), sum);
+                let sum = self.int_sum(operands[0], operands[1])?;
+                self.ints.insert(result(), sum);
             }
             "memref.load" => {
-                let &pos = param_pos
-                    .get(&operands[0])
-                    .ok_or_else(|| ir_error!("bytecode: load from non-operand memref"))?;
-                ir_ensure!(
-                    operands.len() == 2,
-                    "bytecode: only 1-D parameter loads supported"
-                );
-                let (dim, shift) = match ints
-                    .get(&operands[1])
-                    .ok_or_else(|| ir_error!("bytecode: non-symbolic load index"))?
-                {
-                    IntExpr::Index(d) => (*d, 0),
-                    IntExpr::IndexPlus(d, s) => (*d, *s),
-                    IntExpr::Const(_) => ir_bail!("bytecode: constant-index load unsupported"),
-                };
-                let r = b.input(InputRef::ParamLoad {
-                    operand: u16::try_from(pos)
-                        .map_err(|_| ir_error!("bytecode: operand index overflow"))?,
-                    dim: u8::try_from(dim).map_err(|_| ir_error!("bytecode: dim overflow"))?,
-                    shift,
-                });
-                floats.insert(ctx.result(op, 0), r);
+                let r = self.param_load(operands)?;
+                self.floats.insert(result(), r);
             }
             "stencil.access" => {
-                let &pos = param_pos
-                    .get(&operands[0])
-                    .ok_or_else(|| ir_error!("bytecode: access to non-operand temp"))?;
+                let operand = self.operand(operands[0], "access to non-operand temp")?;
                 let offset = ctx
                     .attr(op, "offset")
                     .and_then(Attribute::as_index_array)
                     .ok_or_else(|| ir_error!("stencil.access without offset"))?
                     .to_vec();
-                ir_ensure!(offset.len() == rank, "stencil.access offset rank mismatch");
-                let r = b.input(InputRef::Access {
-                    operand: u16::try_from(pos)
-                        .map_err(|_| ir_error!("bytecode: operand index overflow"))?,
-                    offset,
-                });
-                floats.insert(ctx.result(op, 0), r);
-            }
-            "stencil.return" => {
-                let outs = operands
-                    .iter()
-                    .map(|&v| float_of(ctx, &mut b, &mut floats, &param_pos, v))
-                    .collect::<IrResult<Vec<_>>>()?;
-                return b.finish(&outs);
+                ir_ensure!(
+                    offset.len() == self.rank,
+                    "stencil.access offset rank mismatch"
+                );
+                let r = self.b.input(InputRef::Access { operand, offset });
+                self.floats.insert(result(), r);
             }
             other => {
                 let unsupported = || ir_error!("bytecode: unsupported op `{other}` in apply body");
@@ -770,14 +718,104 @@ pub fn compile_apply(ctx: &Context, apply: OpId) -> IrResult<Program> {
                     .ok_or_else(unsupported)?;
                 let args = operands
                     .iter()
-                    .map(|&v| float_of(ctx, &mut b, &mut floats, &param_pos, v))
+                    .map(|&v| self.float_of(v))
                     .collect::<IrResult<Vec<_>>>()?;
-                let r = b.emit(eval, &args).ok_or_else(unsupported)?;
-                floats.insert(ctx.result(op, 0), r);
+                let r = self.b.emit(eval, &args).ok_or_else(unsupported)?;
+                self.floats.insert(result(), r);
             }
         }
+        Ok(())
     }
-    ir_bail!("stencil.apply body has no stencil.return")
+
+    /// `arith.constant`: a float immediate or a symbolic integer.
+    fn constant(&mut self, op: OpId) -> IrResult<()> {
+        let attr = self
+            .ctx
+            .attr(op, "value")
+            .ok_or_else(|| ir_error!("arith.constant without value"))?;
+        let result = self.ctx.result(op, 0);
+        match attr {
+            Attribute::Float(v, _) => {
+                let r = self.b.constant(*v);
+                self.floats.insert(result, r);
+            }
+            Attribute::Int(v, _) => {
+                self.ints.insert(result, IntExpr::Const(*v));
+            }
+            other => ir_bail!("bytecode: unsupported constant {other}"),
+        }
+        Ok(())
+    }
+
+    /// `arith.addi` over two symbolic integers, kept to the shapes the
+    /// parameter pattern needs.
+    fn int_sum(&self, lhs: ValueId, rhs: ValueId) -> IrResult<IntExpr> {
+        let int = |v: ValueId| {
+            self.ints
+                .get(&v)
+                .copied()
+                .ok_or_else(|| ir_error!("bytecode: non-symbolic integer operand"))
+        };
+        Ok(match (int(lhs)?, int(rhs)?) {
+            (IntExpr::Const(x), IntExpr::Const(y)) => IntExpr::Const(x.wrapping_add(y)),
+            (IntExpr::Index(d), IntExpr::Const(s)) | (IntExpr::Const(s), IntExpr::Index(d)) => {
+                IntExpr::IndexPlus(d, s)
+            }
+            (IntExpr::IndexPlus(d, s), IntExpr::Const(t))
+            | (IntExpr::Const(t), IntExpr::IndexPlus(d, s)) => {
+                IntExpr::IndexPlus(d, s.wrapping_add(t))
+            }
+            _ => ir_bail!("bytecode: unsupported integer addition shape"),
+        })
+    }
+
+    /// `memref.load` of a 1-D parameter at `index[dim] + shift`.
+    fn param_load(&mut self, operands: &[ValueId]) -> IrResult<VReg> {
+        let operand = self.operand(operands[0], "load from non-operand memref")?;
+        ir_ensure!(
+            operands.len() == 2,
+            "bytecode: only 1-D parameter loads supported"
+        );
+        let (dim, shift) = match self
+            .ints
+            .get(&operands[1])
+            .ok_or_else(|| ir_error!("bytecode: non-symbolic load index"))?
+        {
+            IntExpr::Index(d) => (*d, 0),
+            IntExpr::IndexPlus(d, s) => (*d, *s),
+            IntExpr::Const(_) => ir_bail!("bytecode: constant-index load unsupported"),
+        };
+        Ok(self.b.input(InputRef::ParamLoad {
+            operand,
+            dim: u8::try_from(dim).map_err(|_| ir_error!("bytecode: dim overflow"))?,
+            shift,
+        }))
+    }
+
+    /// The apply-operand index of block argument `v`; `what` names the
+    /// read when `v` is not one.
+    fn operand(&self, v: ValueId, what: &str) -> IrResult<u16> {
+        let &pos = self
+            .param_pos
+            .get(&v)
+            .ok_or_else(|| ir_error!("bytecode: {what}"))?;
+        u16::try_from(pos).map_err(|_| ir_error!("bytecode: operand index overflow"))
+    }
+
+    /// Resolve an SSA value to a float register: a computed value, or a
+    /// scalar block argument (kernel constant) promoted to an input.
+    fn float_of(&mut self, v: ValueId) -> IrResult<VReg> {
+        if let Some(&r) = self.floats.get(&v) {
+            return Ok(r);
+        }
+        if self.param_pos.contains_key(&v) && matches!(self.ctx.value_type(v), Type::F64) {
+            let operand = self.operand(v, "value is not a float register")?;
+            let r = self.b.input(InputRef::Scalar { operand });
+            self.floats.insert(v, r);
+            return Ok(r);
+        }
+        Err(ir_error!("bytecode: value is not a float register"))
+    }
 }
 
 // ---- executing a compiled apply -----------------------------------------
@@ -1382,7 +1420,6 @@ impl<'p, 'a> Blocks<'p, 'a> {
 /// read straight from their buffers; shorter rows are packed into full
 /// blocks, a row straddling two where it must. Returns the instructions
 /// dispatched.
-#[deny(clippy::too_many_lines)]
 fn run_slab_blocks(
     prog: &Program,
     inputs: &ResolvedInputs<'_>,

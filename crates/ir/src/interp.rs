@@ -865,68 +865,87 @@ impl<'c, 'e> Machine<'c, 'e> {
                 args.len()
             );
         }
-        let one = |v: RtValue| Ok(Some(vec![v]));
         if let Some(row) = row {
             let predicate = ctx.attr(op, "predicate").and_then(Attribute::as_str);
-            return one(scalar::eval(row, predicate, args)?);
+            return Ok(Some(vec![scalar::eval(row, predicate, args)?]));
         }
         match name {
-            "arith.constant" => {
-                let attr = ctx
-                    .attr(op, "value")
-                    .ok_or_else(|| ir_error!("arith.constant without value attribute"))?;
-                match attr {
-                    Attribute::Int(v, _) => one(RtValue::I64(*v)),
-                    Attribute::Float(v, _) => one(RtValue::F64(*v)),
-                    Attribute::Bool(b) => one(RtValue::Bool(*b)),
-                    other => ir_bail!("unsupported constant attribute {other}"),
-                }
-            }
-            // ---- llvm (packed aggregates & annotations) -----------------
-            "llvm.mlir.constant" => {
-                let attr = ctx
-                    .attr(op, "value")
-                    .ok_or_else(|| ir_error!("llvm.mlir.constant without value"))?;
-                match attr {
-                    Attribute::Int(v, _) => one(RtValue::I64(*v)),
-                    Attribute::Float(v, _) => one(RtValue::F64(*v)),
-                    other => ir_bail!("unsupported llvm constant {other}"),
-                }
-            }
+            "arith.constant" | "llvm.mlir.constant" => Ok(Some(vec![self.constant(op, name)?])),
+            _ if name.starts_with("llvm.") => self.exec_llvm(op, args),
+            _ if name.starts_with("memref.") => self.exec_memref(op, args),
+            _ if name.starts_with("stencil.") => self.exec_stencil(op, args),
+            _ => Ok(None),
+        }
+    }
+
+    /// `arith.constant` or `llvm.mlir.constant`: the `value` attribute.
+    /// Only `arith.constant` takes a `Bool`.
+    fn constant(&self, op: OpId, name: &str) -> IrResult<RtValue> {
+        let arith = name == "arith.constant";
+        let Some(attr) = self.ctx.attr(op, "value") else {
+            ir_bail!(
+                "{name} without value{}",
+                if arith { " attribute" } else { "" }
+            );
+        };
+        match attr {
+            Attribute::Int(v, _) => Ok(RtValue::I64(*v)),
+            Attribute::Float(v, _) => Ok(RtValue::F64(*v)),
+            Attribute::Bool(b) if arith => Ok(RtValue::Bool(*b)),
+            other if arith => ir_bail!("unsupported constant attribute {other}"),
+            other => ir_bail!("unsupported llvm constant {other}"),
+        }
+    }
+
+    /// The llvm ops on packed aggregates.
+    fn exec_llvm(&mut self, op: OpId, args: &[RtValue]) -> IrResult<Option<Vec<RtValue>>> {
+        let ctx = self.ctx;
+        let name = ctx.op_name(op);
+        let position = || -> IrResult<i64> {
+            let position = ctx
+                .attr(op, "position")
+                .and_then(Attribute::as_index_array)
+                .ok_or_else(|| ir_error!("{name} without position"))?;
+            Ok(*position.last().ok_or_else(|| ir_error!("empty position"))?)
+        };
+        let value = match name {
             "llvm.mlir.undef" => {
                 // Packed aggregates start zeroed; size from the result type.
                 let ty = ctx.value_type(ctx.result(op, 0));
                 let n = (ty.byte_size().unwrap_or(8) / 8) as usize;
-                one(RtValue::pack(vec![0.0; n]))
+                RtValue::pack(vec![0.0; n])
             }
             "llvm.extractvalue" => {
-                let position = ctx
-                    .attr(op, "position")
-                    .and_then(Attribute::as_index_array)
-                    .ok_or_else(|| ir_error!("llvm.extractvalue without position"))?;
-                let flat = *position.last().ok_or_else(|| ir_error!("empty position"))?;
+                let flat = position()?;
                 let pack = args[0].as_pack()?;
                 ir_ensure!(
                     (flat as usize) < pack.len(),
                     "extractvalue position {flat} out of range for pack of {}",
                     pack.len()
                 );
-                one(RtValue::F64(pack[flat as usize]))
+                RtValue::F64(pack[flat as usize])
             }
             "llvm.insertvalue" => {
-                let position = ctx
-                    .attr(op, "position")
-                    .and_then(Attribute::as_index_array)
-                    .ok_or_else(|| ir_error!("llvm.insertvalue without position"))?;
-                let flat = *position.last().ok_or_else(|| ir_error!("empty position"))? as usize;
+                let flat = position()? as usize;
                 let mut pack = args[0].as_pack()?.to_vec();
                 ir_ensure!(flat < pack.len(), "insertvalue position out of range");
                 pack[flat] = args[1].as_f64()?;
-                one(RtValue::pack(pack))
+                RtValue::pack(pack)
             }
-            // ---- memref ------------------------------------------------
+            _ => return Ok(None),
+        };
+        Ok(Some(vec![value]))
+    }
+
+    fn exec_memref(&mut self, op: OpId, args: &[RtValue]) -> IrResult<Option<Vec<RtValue>>> {
+        let index = |args: &[RtValue]| {
+            args.iter()
+                .map(RtValue::as_i64)
+                .collect::<IrResult<Vec<_>>>()
+        };
+        let value = match self.ctx.op_name(op) {
             "memref.alloc" | "memref.alloca" => {
-                let Type::MemRef { shape, .. } = ctx.value_type(ctx.result(op, 0)) else {
+                let Type::MemRef { shape, .. } = self.ctx.value_type(self.ctx.result(op, 0)) else {
                     ir_bail!("memref.alloc result is not a memref");
                 };
                 ir_ensure!(
@@ -936,39 +955,37 @@ impl<'c, 'e> Machine<'c, 'e> {
                 let handle = self
                     .store
                     .alloc(Buffer::zeroed(shape.clone(), vec![0; shape.len()]));
-                one(RtValue::MemRef(handle))
+                RtValue::MemRef(handle)
             }
-            "memref.dealloc" => Ok(Some(vec![])),
+            "memref.dealloc" => return Ok(Some(vec![])),
             "memref.load" => {
                 let handle = args[0].as_memref()?;
-                let index: Vec<i64> = args[1..]
-                    .iter()
-                    .map(RtValue::as_i64)
-                    .collect::<IrResult<_>>()?;
-                let v = self.store.get(handle)?.load(&index)?;
-                one(RtValue::F64(v))
+                let index = index(&args[1..])?;
+                RtValue::F64(self.store.get(handle)?.load(&index)?)
             }
             "memref.store" => {
                 let value = args[0].as_f64()?;
                 let handle = args[1].as_memref()?;
-                let index: Vec<i64> = args[2..]
-                    .iter()
-                    .map(RtValue::as_i64)
-                    .collect::<IrResult<_>>()?;
+                let index = index(&args[2..])?;
                 self.store.get_mut(handle)?.store(&index, value)?;
-                Ok(Some(vec![]))
+                return Ok(Some(vec![]));
             }
-            // ---- stencil -------------------------------------------------
-            "stencil.external_load" | "stencil.cast" | "stencil.buffer_cast" => {
-                // Reinterpret the underlying buffer handle with another type.
-                one(args[0].clone())
+            _ => return Ok(None),
+        };
+        Ok(Some(vec![value]))
+    }
+
+    fn exec_stencil(&mut self, op: OpId, args: &[RtValue]) -> IrResult<Option<Vec<RtValue>>> {
+        let ctx = self.ctx;
+        let value = match ctx.op_name(op) {
+            // Reinterpret the underlying buffer handle with another type;
+            // `stencil.load` (field -> temp) keeps the same buffer, value
+            // semantics preserved by our transforms never writing through
+            // temps.
+            "stencil.external_load" | "stencil.cast" | "stencil.buffer_cast" | "stencil.load" => {
+                args[0].clone()
             }
-            "stencil.external_store" => Ok(Some(vec![])),
-            "stencil.load" => {
-                // field -> temp; same buffer, value semantics preserved by
-                // our transforms never writing through temps.
-                one(args[0].clone())
-            }
+            "stencil.external_store" => return Ok(Some(vec![])),
             "stencil.store" => {
                 // temp -> field region copy, unless the apply computed
                 // the temp into the field to begin with.
@@ -984,17 +1001,13 @@ impl<'c, 'e> Machine<'c, 'e> {
                     .to_vec();
                 let (lb, ub) = split_bounds(&bounds)?;
                 self.store.copy_box(src, dst, &lb, &ub)?;
-                Ok(Some(vec![]))
+                return Ok(Some(vec![]));
             }
             "stencil.apply" => {
                 self.exec_stencil_apply(op, args)?;
-                Ok(Some(
-                    // results already bound inside; signal by re-reading.
-                    ctx.results(op)
-                        .iter()
-                        .map(|&r| self.lookup(r))
-                        .collect::<IrResult<Vec<_>>>()?,
-                ))
+                // Results already bound inside; signal by re-reading.
+                let results = ctx.results(op).iter().map(|&r| self.lookup(r));
+                return Ok(Some(results.collect::<IrResult<Vec<_>>>()?));
             }
             "stencil.access" => {
                 let handle = args[0].as_memref()?;
@@ -1012,8 +1025,7 @@ impl<'c, 'e> Machine<'c, 'e> {
                     .zip(offset)
                     .map(|(&i, &o)| i + o)
                     .collect();
-                let v = self.store.get(handle)?.load(&index)?;
-                one(RtValue::F64(v))
+                RtValue::F64(self.store.get(handle)?.load(&index)?)
             }
             "stencil.index" => {
                 let dim = ctx
@@ -1025,10 +1037,11 @@ impl<'c, 'e> Machine<'c, 'e> {
                     dim < self.stencil_index.len(),
                     "stencil.index dim {dim} out of range"
                 );
-                one(RtValue::I64(self.stencil_index[dim]))
+                RtValue::I64(self.stencil_index[dim])
             }
-            _ => Ok(None),
-        }
+            _ => return Ok(None),
+        };
+        Ok(Some(vec![value]))
     }
 
     /// `stencil.apply`: run the region once per point of the result bounds.

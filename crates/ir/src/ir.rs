@@ -207,16 +207,6 @@ impl<T> Arena<T> {
     fn len(&self) -> usize {
         self.live
     }
-
-    fn iter_ids(&self) -> impl Iterator<Item = RawId> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Occupied { generation, .. } => Some(RawId {
-                index: i as u32,
-                generation: *generation,
-            }),
-            Slot::Vacant { .. } => None,
-        })
-    }
 }
 
 /// What defines an SSA value.
@@ -640,13 +630,6 @@ impl Context {
         }
     }
 
-    /// Remove attribute `name` from `op`, returning it if it was present.
-    pub fn remove_attr(&mut self, op: OpId, name: &str) -> Option<Attribute> {
-        let attrs = &mut self.ops.get_mut(op.0, "op").attrs;
-        let at = attrs.binary_search_by(|(k, _)| k.as_str().cmp(name));
-        at.ok().map(|i| attrs.remove(i).1)
-    }
-
     /// Parent block of `op` (None when detached or top-level module).
     pub fn parent_block(&self, op: OpId) -> Option<BlockId> {
         self.ops.get(op.0, "op").parent
@@ -679,25 +662,9 @@ impl Context {
         &self.blocks.get(block.0, "block").ops
     }
 
-    /// The region that owns `block`.
-    pub fn block_parent(&self, block: BlockId) -> Option<RegionId> {
-        self.blocks.get(block.0, "block").parent
-    }
-
     /// The type of `value`.
     pub fn value_type(&self, value: ValueId) -> &Type {
         &self.values.get(value.0, "value").ty
-    }
-
-    /// Overwrite the type of `value` (used by type-propagation transforms,
-    /// e.g. the 512-bit packing step).
-    pub fn set_value_type(&mut self, value: ValueId, ty: Type) {
-        self.values.get_mut(value.0, "value").ty = ty;
-    }
-
-    /// What defines `value`.
-    pub fn value_def(&self, value: ValueId) -> ValueDef {
-        self.values.get(value.0, "value").def
     }
 
     /// All uses of `value`.
@@ -742,11 +709,6 @@ impl Context {
     /// Everything `block` holds.
     pub(crate) fn block_data(&self, block: BlockId) -> &BlockData {
         self.blocks.get(block.0, "block")
-    }
-
-    /// Iterate all live operation ids (unordered).
-    pub fn all_ops(&self) -> impl Iterator<Item = OpId> + '_ {
-        self.ops.iter_ids().map(OpId)
     }
 
     // ---- cloning -----------------------------------------------------------
@@ -896,8 +858,7 @@ mod tests {
 
     /// Attributes stay sorted by name through creation from unordered
     /// pairs (the last of a repeated name standing), inserts,
-    /// replacements, removals and clones, and every lookup finds what was
-    /// set.
+    /// replacements and clones, and every lookup finds what was set.
     #[test]
     fn attributes_stay_sorted_by_name() {
         let mut ctx = Context::new();
@@ -913,12 +874,10 @@ mod tests {
             ctx.set_attr(op, name, Attribute::Unit);
         }
         ctx.set_attr(op, "q", Attribute::IndexArray(vec![1]));
-        assert_eq!(ctx.remove_attr(op, "m"), Some(Attribute::Unit));
-        assert_eq!(ctx.remove_attr(op, "m"), None);
         let names = |ctx: &Context, op| -> Vec<String> {
             ctx.attrs(op).iter().map(|(k, _)| k.clone()).collect()
         };
-        assert_eq!(names(&ctx, op), ["a", "b", "q", "z"]);
+        assert_eq!(names(&ctx, op), ["a", "b", "m", "q", "z"]);
         assert_eq!(ctx.attr(op, "q"), Some(&Attribute::IndexArray(vec![1])));
         assert_eq!(ctx.attr(op, "c"), None);
         let copy = ctx.clone_op(op, &mut IdMap::default());
@@ -932,7 +891,7 @@ mod tests {
         assert_eq!(ctx.op_name(op), "test.def");
         assert_eq!(ctx.results(op), &[v]);
         assert_eq!(ctx.value_type(v), &Type::F64);
-        assert_eq!(ctx.value_def(v), ValueDef::OpResult { op, index: 0 });
+        assert_eq!(ctx.defining_op(v), Some(op));
         assert!(ctx.value_unused(v));
     }
 

@@ -13,8 +13,6 @@
 //! Reading and writing are linear in the document: a string is copied a
 //! run of plain bytes at a time, never re-validated byte by byte.
 
-#![deny(clippy::too_many_lines)]
-
 use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order so emitted files diff

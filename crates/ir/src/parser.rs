@@ -155,6 +155,27 @@ impl<'s> Cursor<'s> {
         self.src[self.pos..].starts_with(lit)
     }
 
+    /// Parse a comma-separated list of `item`s, then consume `close`. The
+    /// list is empty when `close`'s first character comes next, so `)>`
+    /// ends an empty `()` as well as a non-empty one.
+    fn list<T>(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> IrResult<T>,
+    ) -> IrResult<Vec<T>> {
+        let mut items = Vec::new();
+        if !self.looking_at(&close[..1]) {
+            loop {
+                items.push(item(self)?);
+                if !self.eat(",") {
+                    break;
+                }
+            }
+        }
+        self.expect(close)?;
+        Ok(items)
+    }
+
     /// Parse an identifier: `[A-Za-z_][A-Za-z0-9_.$-]*`.
     fn parse_ident(&mut self) -> IrResult<String> {
         self.skip_ws();
@@ -316,17 +337,7 @@ impl<'s> Cursor<'s> {
             return Ok(Type::llvm_ptr(t));
         }
         if self.eat("!llvm.struct<(") {
-            let mut fields = Vec::new();
-            if !self.looking_at(")") {
-                loop {
-                    fields.push(self.parse_type()?);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-            }
-            self.expect(")>")?;
-            return Ok(Type::LlvmStruct(fields));
+            return Ok(Type::LlvmStruct(self.list(")>", Self::parse_type)?));
         }
         if self.eat("!llvm.array<") {
             let n = self.parse_int()?;
@@ -355,29 +366,7 @@ impl<'s> Cursor<'s> {
             return Ok(Type::hls_stream(t));
         }
         if self.looking_at("(") {
-            self.expect("(")?;
-            let mut inputs = Vec::new();
-            if !self.looking_at(")") {
-                loop {
-                    inputs.push(self.parse_type()?);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-            }
-            self.expect(")")?;
-            self.expect("->")?;
-            self.expect("(")?;
-            let mut results = Vec::new();
-            if !self.looking_at(")") {
-                loop {
-                    results.push(self.parse_type()?);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-            }
-            self.expect(")")?;
+            let (inputs, results) = self.parse_signature()?;
             return Ok(Type::function(inputs, results));
         }
         for (lit, ty) in [
@@ -400,6 +389,15 @@ impl<'s> Cursor<'s> {
             }
         }
         Err(self.err("expected type"))
+    }
+
+    /// `(ins) -> (outs)`: a function type, or an op's trailing signature.
+    fn parse_signature(&mut self) -> IrResult<(Vec<Type>, Vec<Type>)> {
+        self.expect("(")?;
+        let inputs = self.list(")", Self::parse_type)?;
+        self.expect("->")?;
+        self.expect("(")?;
+        Ok((inputs, self.list(")", Self::parse_type)?))
     }
 
     fn parse_stencil_bounds_and_elem(&mut self) -> IrResult<(StencilBounds, Type)> {
@@ -429,48 +427,20 @@ impl<'s> Cursor<'s> {
             }
             Some(b'[') => {
                 self.pos += 1;
-                let mut items = Vec::new();
-                if !self.looking_at("]") {
-                    loop {
-                        items.push(self.parse_attribute()?);
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                }
-                self.expect("]")?;
-                Ok(Attribute::Array(items))
+                Ok(Attribute::Array(self.list("]", Self::parse_attribute)?))
             }
             Some(b'<') => {
                 self.expect("<[")?;
-                let mut items = Vec::new();
-                if !self.looking_at("]") {
-                    loop {
-                        items.push(self.parse_int()?);
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                }
-                self.expect("]>")?;
-                Ok(Attribute::IndexArray(items))
+                Ok(Attribute::IndexArray(self.list("]>", Self::parse_int)?))
             }
             Some(b'{') => {
                 self.pos += 1;
-                let mut map = BTreeMap::new();
-                if !self.looking_at("}") {
-                    loop {
-                        let key = self.parse_ident()?;
-                        self.expect("=")?;
-                        let value = self.parse_attribute()?;
-                        map.insert(key, value);
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                }
-                self.expect("}")?;
-                Ok(Attribute::Dict(map))
+                let entries = self.list("}", |c| {
+                    let key = c.parse_ident()?;
+                    c.expect("=")?;
+                    Ok((key, c.parse_attribute()?))
+                })?;
+                Ok(Attribute::Dict(entries.into_iter().collect()))
             }
             Some(c)
                 if c.is_ascii_digit()
@@ -517,28 +487,14 @@ impl<'s> Cursor<'s> {
     ) -> IrResult<OpId> {
         self.skip_ws();
         // Optional result list.
-        let mut result_names = Vec::new();
-        if self.looking_at("%") {
-            loop {
-                result_names.push(self.parse_value_name()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.expect("=")?;
-        }
+        let result_names = if self.looking_at("%") {
+            self.list("=", Self::parse_value_name)?
+        } else {
+            Vec::new()
+        };
         let name = self.parse_string()?;
         self.expect("(")?;
-        let mut operand_names = Vec::new();
-        if !self.looking_at(")") {
-            loop {
-                operand_names.push(self.parse_value_name()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-        }
-        self.expect(")")?;
+        let operand_names = self.list(")", Self::parse_value_name)?;
         let operands: Vec<ValueId> = operand_names
             .iter()
             .map(|n| {
@@ -554,13 +510,7 @@ impl<'s> Cursor<'s> {
         // Optional regions: `({ ... }, { ... })`.
         if self.looking_at("({") {
             self.expect("(")?;
-            loop {
-                self.parse_region(ctx, scope, op)?;
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.expect(")")?;
+            self.list(")", |c| c.parse_region(ctx, scope, op))?;
         }
 
         // Optional attribute dict.
@@ -578,29 +528,7 @@ impl<'s> Cursor<'s> {
 
         // Trailing function type.
         self.expect(":")?;
-        self.expect("(")?;
-        let mut operand_types = Vec::new();
-        if !self.looking_at(")") {
-            loop {
-                operand_types.push(self.parse_type()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-        }
-        self.expect(")")?;
-        self.expect("->")?;
-        self.expect("(")?;
-        let mut result_types = Vec::new();
-        if !self.looking_at(")") {
-            loop {
-                result_types.push(self.parse_type()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-        }
-        self.expect(")")?;
+        let (operand_types, result_types) = self.parse_signature()?;
 
         ir_ensure!(
             operand_types.len() == ctx.operands(op).len(),
@@ -646,23 +574,17 @@ impl<'s> Cursor<'s> {
         while self.looking_at("^") {
             self.expect("^bb(")?;
             let block = ctx.add_block(region, vec![]);
-            if !self.looking_at(")") {
-                loop {
-                    let arg_name = self.parse_value_name()?;
-                    self.expect(":")?;
-                    let ty = self.parse_type()?;
-                    let arg = ctx.add_block_arg(block, ty);
-                    ir_ensure!(
-                        scope.insert(arg_name.clone(), arg).is_none(),
-                        "redefinition of block arg %{arg_name} at {}",
-                        self.location()
-                    );
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-            }
-            self.expect("):")?;
+            self.list("):", |c| {
+                let arg_name = c.parse_value_name()?;
+                c.expect(":")?;
+                let arg = ctx.add_block_arg(block, c.parse_type()?);
+                ir_ensure!(
+                    scope.insert(arg_name.clone(), arg).is_none(),
+                    "redefinition of block arg %{arg_name} at {}",
+                    c.location()
+                );
+                Ok(())
+            })?;
             loop {
                 self.skip_ws();
                 if self.looking_at("}") || self.looking_at("^") {
@@ -767,6 +689,72 @@ mod tests {
         let block = ctx.entry_block(op).unwrap();
         assert_eq!(ctx.block_args(block).len(), 2);
         assert_eq!(ctx.value_type(ctx.block_args(block)[1]), &Type::F64);
+    }
+
+    enum Parsed {
+        Op,
+        Ty,
+        Attr,
+    }
+
+    /// Every comma list — operands, results, signature types, struct
+    /// fields, attribute and index arrays, dicts, block arguments and
+    /// regions — with a trailing comma, without its close, and empty (a
+    /// two-character close split by a space is refused): what is parsed,
+    /// the source, and the printed round trip or the exact error.
+    #[rustfmt::skip]
+    const LISTS: &[(Parsed, &str, Result<&str, &str>)] = {
+        use Parsed::{Attr, Op, Ty};
+        &[
+            (Op, r#""test.u"(%0,) : (i64) -> ()"#, Err("expected `%`, found `) : (i64) ->` at line 1, column 13")),
+            (Op, r#""test.u"(%0 : (i64) -> ()"#, Err("expected `)`, found `: (i64) -> (` at line 1, column 13")),
+            (Op, r#""test.u"() : () -> ()"#, Ok(r#""test.u"() : () -> ()"#)),
+            (Op, r#"%0, = "test.c"() : () -> (i64)"#, Err(r#"expected `%`, found `= "test.c"()` at line 1, column 5"#)),
+            (Op, r#"%0 "test.c"() : () -> (i64)"#, Err(r#"expected `=`, found `"test.c"() :` at line 1, column 4"#)),
+            (Op, r#""test.c"() : () -> (i64,)"#, Err("expected type at line 1, column 25")),
+            (Op, r#""test.c"() : () -> (i64"#, Err("expected `)`, found `` at line 1, column 24")),
+            (Op, r#""test.c"() : (i64, -> ()"#, Err("expected type at line 1, column 20")),
+            (Op, r#""test.c"() : ( -> ()"#, Err("expected type at line 1, column 16")),
+            (Op, "\"test.h\"() ({\n^bb(%0: index,):\n}) : () -> ()", Err("expected `%`, found `):\n}) : () -` at line 2, column 15")),
+            (Op, "\"test.h\"() ({\n^bb(%0: index:\n}) : () -> ()", Err("expected `):`, found `:\n}) : () ->` at line 2, column 14")),
+            (Op, "\"test.h\"() ({\n^bb():\n}) : () -> ()", Ok("\"test.h\"() ({\n  ^bb():\n}) : () -> ()")),
+            (Op, "\"test.h\"() ({\n^bb() :\n}) : () -> ()", Err("expected `):`, found `) :\n}) : () ` at line 2, column 5")),
+            (Op, "\"test.h\"() ({\n^bb():\n}, ) : () -> ()", Err("expected `{`, found `) : () -> ()` at line 3, column 4")),
+            (Op, "\"test.h\"() ({\n^bb():\n} : () -> ()", Err("expected `)`, found `: () -> ()` at line 3, column 3")),
+            (Op, r#""test.c"() {} : () -> ()"#, Ok(r#""test.c"() : () -> ()"#)),
+            (Op, r#""test.c"() {a = unit,} : () -> ()"#, Err("expected identifier at line 1, column 22")),
+            (Ty, "(i64,) -> ()", Err("expected type at line 1, column 6")),
+            (Ty, "(i64 -> ()", Err("expected `)`, found `-> ()` at line 1, column 6")),
+            (Ty, "() -> (f64,)", Err("expected type at line 1, column 12")),
+            (Ty, "() -> ()", Ok("() -> ()")),
+            (Ty, "!llvm.struct<(f64,)>", Err("expected type at line 1, column 19")),
+            (Ty, "!llvm.struct<(f64>", Err("expected `)>`, found `>` at line 1, column 18")),
+            (Ty, "!llvm.struct<()>", Ok("!llvm.struct<()>")),
+            (Ty, "!llvm.struct<() >", Err("expected `)>`, found `) >` at line 1, column 15")),
+            (Attr, "[1 : i64,]", Err("expected type at line 1, column 10")),
+            (Attr, "[1 : i64", Err("expected `]`, found `` at line 1, column 9")),
+            (Attr, "[]", Ok("[]")),
+            (Attr, "<[1,]>", Err("bad integer: cannot parse integer from empty string at line 1, column 5")),
+            (Attr, "<[1, 2>", Err("expected `]>`, found `>` at line 1, column 7")),
+            (Attr, "<[]>", Ok("<[]>")),
+            (Attr, "<[] >", Err("expected `]>`, found `] >` at line 1, column 3")),
+            (Attr, "{a = unit,}", Err("expected identifier at line 1, column 11")),
+            (Attr, "{a = unit", Err("expected `}`, found `` at line 1, column 10")),
+            (Attr, "{}", Ok("{}")),
+        ]
+    };
+
+    #[test]
+    fn malformed_and_empty_lists() {
+        for (parsed, src, want) in LISTS {
+            let got = match parsed {
+                Parsed::Op => parse_op(src).map(|(ctx, op)| print_op(&ctx, op)),
+                Parsed::Ty => parse_type(src).map(|t| t.to_string()),
+                Parsed::Attr => parse_attribute(src).map(|a| a.to_string()),
+            };
+            let got = got.as_deref().map_err(ToString::to_string);
+            assert_eq!(got, want.map_err(str::to_string), "{src:?}");
+        }
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl PassManager {
         self
     }
 
-    /// Names of the registered passes, in order.
-    pub fn pass_names(&self) -> Vec<&str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
     /// Run the pipeline, returning per-pass timings.
     pub fn run(&self, ctx: &mut Context, root: OpId) -> IrResult<Vec<PassTiming>> {
         let mut timings = Vec::with_capacity(self.passes.len());
@@ -138,7 +133,6 @@ mod tests {
             ctx.set_attr(root, "second", crate::attributes::Attribute::Unit);
             Ok(())
         }));
-        assert_eq!(pm.pass_names(), vec!["first", "second"]);
         let timings = pm.run(&mut ctx, m).unwrap();
         assert_eq!(timings.len(), 2);
         assert!(ctx.attr(m, "second").is_some());

@@ -219,16 +219,6 @@ impl Type {
         matches!(self, Type::F32 | Type::F64)
     }
 
-    /// Bit width of a scalar type, if it has one.
-    pub fn bit_width(&self) -> Option<u32> {
-        match self {
-            Type::I1 => Some(1),
-            Type::I32 | Type::F32 => Some(32),
-            Type::I64 | Type::F64 | Type::Index => Some(64),
-            _ => None,
-        }
-    }
-
     /// Byte size of a type when laid out naively (no padding), if computable.
     /// Used by the resource estimator and the 512-bit packing transform.
     pub fn byte_size(&self) -> Option<u64> {
@@ -367,8 +357,6 @@ mod tests {
         assert!(Type::Index.is_integer());
         assert!(!Type::F64.is_integer());
         assert!(Type::F32.is_float());
-        assert_eq!(Type::F64.bit_width(), Some(64));
-        assert_eq!(Type::I1.bit_width(), Some(1));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! the `shmls-dialects` crate (e.g. "`stencil.apply`'s terminator must be
 //! `stencil.return`").
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 

@@ -305,15 +305,40 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             gate_failures.push(format!("{phase} phase: {panic}"));
         }
     }
+    let keys = key_ledger(config.unique_keys, &cold_run, &warm_run, &mut gate_failures);
+    let cold = cold_run.report(keys.iter().map(|k| &k.cold));
+    let warm = warm_run.report(keys.iter().map(|k| &k.warm));
+    gate(&config, [&cold, &warm], &keys, &mut gate_failures);
+    let router = if config.router {
+        router_stats(&config.addr, &mut gate_failures)
+    } else {
+        None
+    };
+    Ok(LoadgenReport {
+        config,
+        cold,
+        warm,
+        keys,
+        router,
+        gate_failures,
+    })
+}
 
-    // Build the per-key ledger from the raw outcomes.
-    let mut keys: Vec<KeyReport> = (0..config.unique_keys)
+/// The per-key ledger, built from the raw outcomes of both phases. A key
+/// whose design fingerprint changes between responses fails the gate.
+fn key_ledger(
+    unique_keys: usize,
+    cold_run: &PhaseRun,
+    warm_run: &PhaseRun,
+    gate_failures: &mut Vec<String>,
+) -> Vec<KeyReport> {
+    let mut keys: Vec<KeyReport> = (0..unique_keys)
         .map(|key| KeyReport {
             key,
             ..Default::default()
         })
         .collect();
-    for (run, is_warm) in [(&cold_run, false), (&warm_run, true)] {
+    for (run, is_warm) in [(cold_run, false), (warm_run, true)] {
         for outcome in &run.outcomes {
             let entry = &mut keys[outcome.key];
             let counts = if is_warm {
@@ -343,10 +368,18 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     for entry in &mut keys {
         entry.shards.sort_unstable();
     }
-    let cold = cold_run.report(keys.iter().map(|k| &k.cold));
-    let warm = warm_run.report(keys.iter().map(|k| &k.warm));
+    keys
+}
 
-    for (phase, report) in [("cold", &cold), ("warm", &warm)] {
+/// The gates over the two phases' aggregates and the per-key ledger:
+/// zero errors, exactly-once compilation and the hit-rate floors.
+fn gate(
+    config: &LoadgenConfig,
+    [cold, warm]: [&PhaseReport; 2],
+    keys: &[KeyReport],
+    gate_failures: &mut Vec<String>,
+) {
+    for (phase, report) in [("cold", cold), ("warm", warm)] {
         if report.counts.errors > 0 {
             gate_failures.push(format!(
                 "{phase} phase: {} of {} requests failed",
@@ -361,7 +394,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     // recompiled instead of reading the shared disk tier. (With
     // eviction-sized key sets callers lower `requests` instead; the
     // loadgen key set is sized to fit.)
-    for entry in &keys {
+    for entry in keys {
         if entry.misses() > 1 {
             gate_failures.push(format!(
                 "key {}: compiled {} times (expected once)",
@@ -391,35 +424,26 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             warm.counts.disk_hits, config.min_warm_disk_hits
         ));
     }
+}
 
-    let router = if config.router {
-        match fetch_router_report(&config.addr) {
-            Ok(report) => {
-                if report.unroutable > 0 {
-                    gate_failures.push(format!(
-                        "router reported {} unroutable requests",
-                        report.unroutable
-                    ));
-                }
-                Some(report)
+/// The router's per-shard report; an unreachable report or any
+/// unroutable request fails the gate.
+fn router_stats(addr: &str, gate_failures: &mut Vec<String>) -> Option<RouterReport> {
+    match fetch_router_report(addr) {
+        Ok(report) => {
+            if report.unroutable > 0 {
+                gate_failures.push(format!(
+                    "router reported {} unroutable requests",
+                    report.unroutable
+                ));
             }
-            Err(e) => {
-                gate_failures.push(format!("router stats unavailable: {e}"));
-                None
-            }
+            Some(report)
         }
-    } else {
-        None
-    };
-
-    Ok(LoadgenReport {
-        config,
-        cold,
-        warm,
-        keys,
-        router,
-        gate_failures,
-    })
+        Err(e) => {
+            gate_failures.push(format!("router stats unavailable: {e}"));
+            None
+        }
+    }
 }
 
 /// Ask the front tier for its per-shard report over the control frame.

@@ -13,8 +13,6 @@
 //! anything goes wrong. Unknown request fields are ignored, so older
 //! servers tolerate newer clients.
 
-#![deny(clippy::too_many_lines)]
-
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

@@ -42,8 +42,6 @@
 //! a single JSON line. `repro loadgen --router` uses it to print the
 //! per-shard table and embed the report in its JSON output.
 
-#![deny(clippy::too_many_lines)]
-
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
