@@ -582,6 +582,7 @@ fn run_cmd(args: RunArgs, out: &mut dyn Write) -> Result<(), Failure> {
     let kname = args.kernel.name;
     let kernel = shmls_frontend::parse_kernel(&args.kernel.source(args.grid))
         .map_err(because(format!("parsing {kname}")))?;
+    check_fields_fit(&kernel, args.grid)?;
     let data = args.kernel.data(args.grid);
     let mut opts = stencil_hmls::CompileOptions::default();
     opts.hmls.temporal_depth = args.depth;
@@ -613,6 +614,31 @@ fn run_cmd(args: RunArgs, out: &mut dyn Write) -> Result<(), Failure> {
     out.write_all(render_march(&report).as_bytes())?;
     if args.check_parallel {
         check_parallel(march, out)?;
+    }
+    Ok(())
+}
+
+/// Refuse a `--grid` whose padded fields cannot be allocated, before any
+/// is built: their bytes in checked 64-bit arithmetic, then one reservation
+/// of that many, released at once.
+fn check_fields_fit(kernel: &shmls_frontend::KernelDef, grid: [i64; 3]) -> Result<(), Failure> {
+    let fields = kernel.external_fields().len();
+    let bytes = grid.iter().try_fold(8 * fields as i64, |bytes, &n| {
+        bytes.checked_mul(n.checked_add(kernel.halo.checked_mul(2)?)?)
+    });
+    let flag = format!("`--grid {},{},{}`", grid[0], grid[1], grid[2]);
+    let Some(bytes) = bytes else {
+        return Err(Failure::usage(format!(
+            "{flag}: the bytes of its {fields} padded fields overflow 64 bits"
+        )));
+    };
+    let reserved = usize::try_from(bytes)
+        .ok()
+        .is_some_and(|b| Vec::<u8>::new().try_reserve_exact(b).is_ok());
+    if !reserved {
+        return Err(Failure::usage(format!(
+            "{flag}: cannot allocate the {bytes} bytes of its {fields} padded fields"
+        )));
     }
     Ok(())
 }

@@ -106,6 +106,16 @@ fn a_refused_command_line_exits_2_naming_the_flag() {
             "repro route: `--chaos-restart` needs `--chaos-kill`",
         ),
         (
+            &["run", "--grid", "100000,100000,100000"],
+            "repro run: `--grid 100000,100000,100000`: cannot allocate the \
+             48002880057600384 bytes of its 6 padded fields",
+        ),
+        (
+            &["run", "--grid", "4294967296,4294967296,2"],
+            "repro run: `--grid 4294967296,4294967296,2`: the bytes of its 6 padded \
+             fields overflow 64 bits",
+        ),
+        (
             &["compare"],
             "repro compare: needs <baseline.json> and <new.json>",
         ),

@@ -6,6 +6,10 @@
 //! `#[global_allocator]` needs a test binary of its own; it counts per
 //! thread, and the single-threaded vector tier sweeps on the caller's.
 
+// The counting allocator is one of the workspace's four `unsafe` sites
+// (scripts/unsafe-sites.sh).
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -5,6 +5,10 @@
 //! whole process (the single-flight race below allocates on its own
 //! threads), so the tests here take turns.
 
+// The counting allocator is one of the workspace's four `unsafe` sites
+// (scripts/unsafe-sites.sh).
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};

@@ -5,6 +5,10 @@
 //! only the thread that asked (the harness's main thread allocates while
 //! the test runs, more often the busier the host).
 
+// The counting allocator is one of the workspace's four `unsafe` sites
+// (scripts/unsafe-sites.sh).
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -19,6 +19,8 @@ use crate::scalar;
 use crate::types::Type;
 use crate::{ir_bail, ir_ensure, ir_error};
 
+pub mod storage;
+
 /// A runtime scalar, aggregate, or handle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RtValue {
@@ -98,8 +100,9 @@ impl RtValue {
     }
 }
 
-/// A dense row-major buffer backing a `memref` or stencil field/temp.
-#[derive(Debug, Clone, PartialEq)]
+/// A dense row-major buffer backing a `memref` or stencil field/temp. Its
+/// elements are allocated by [`storage`], a clone's included.
+#[derive(Debug, PartialEq)]
 pub struct Buffer {
     /// Logical shape. For stencil fields this is the *bounded* shape
     /// including halo; `origin` maps logical indices to storage offsets.
@@ -109,6 +112,16 @@ pub struct Buffer {
     pub origin: Vec<i64>,
     /// Element storage.
     pub data: Vec<f64>,
+}
+
+impl Clone for Buffer {
+    fn clone(&self) -> Self {
+        Self {
+            shape: self.shape.clone(),
+            origin: self.origin.clone(),
+            data: storage::copied(&self.data),
+        }
+    }
 }
 
 impl Buffer {
@@ -121,7 +134,7 @@ impl Buffer {
         let shape: Vec<i64> = shape.iter().map(|&e| e.max(0)).collect();
         let n: usize = shape.iter().map(|&e| e as usize).product();
         Self {
-            data: vec![0.0; n],
+            data: storage::zeroed(n),
             shape,
             origin,
         }

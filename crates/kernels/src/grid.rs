@@ -1,5 +1,8 @@
 //! Halo-padded 3D grid storage shared by the native golden
-//! implementations and the test harnesses.
+//! implementations and the test harnesses. Their storage is allocated as
+//! a [`Buffer`](shmls_ir::interp::Buffer)'s is, by [`storage`].
+
+use shmls_ir::interp::storage;
 
 /// A dense 3D field with a halo, indexed by logical coordinates where the
 /// interior is `[0, n)` per axis and the halo extends `[-halo, n+halo)`.
@@ -20,7 +23,7 @@ impl Grid3 {
         Self {
             n,
             halo,
-            data: vec![0.0; len],
+            data: storage::zeroed(len),
         }
     }
 
@@ -105,7 +108,7 @@ impl Grid3 {
         shmls_ir::interp::Buffer {
             shape: self.padded().to_vec(),
             origin: vec![-self.halo; 3],
-            data: self.data.clone(),
+            data: storage::copied(&self.data),
         }
     }
 
@@ -126,7 +129,7 @@ impl Grid3 {
         Self {
             n,
             halo,
-            data: buffer.data.clone(),
+            data: storage::copied(&buffer.data),
         }
     }
 }
@@ -150,7 +153,7 @@ impl Param1 {
         shmls_ir::interp::Buffer {
             shape: vec![self.n + 2 * self.halo],
             origin: vec![0],
-            data: self.data.clone(),
+            data: storage::copied(&self.data),
         }
     }
 
@@ -159,7 +162,7 @@ impl Param1 {
         Self {
             n,
             halo,
-            data: vec![0.0; (n + 2 * halo) as usize],
+            data: storage::zeroed((n + 2 * halo) as usize),
         }
     }
 
