@@ -600,15 +600,17 @@ fn run_cmd(args: RunArgs, out: &mut dyn Write) -> Result<(), Failure> {
     };
 
     let report = march(args.serial)?;
+    let lanes = (report.engine == engine::VECTOR.name()).then(shmls_ir::bytecode::host_lanes);
     writeln!(
         out,
         "{kname} {:?}: {} step(s) over {} compute unit(s) at temporal depth {} \
-         on the {} engine ({})",
+         on the {} engine ({}{})",
         args.grid,
         report.steps,
         report.cus,
         report.temporal_depth,
         report.engine,
+        lanes.map(|l| format!("{l} lanes, ")).unwrap_or_default(),
         if args.serial { "serial" } else { "parallel" }
     )?;
     out.write_all(render_march(&report).as_bytes())?;

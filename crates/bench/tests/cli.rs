@@ -38,14 +38,30 @@ fn ledger(dir: &std::path::Path, name: &str, cycles: f64) -> String {
 fn a_successful_command_exits_0_with_its_report_on_stdout() {
     let out = repro(&["run", "--kernel", "heat3d", "--cus", "2", "--steps", "2"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    // The header names the lanes the vector engine ran at, one of the
+    // two copies of its block path.
     let first = "heat3d [16, 14, 10]: 2 step(s) over 2 compute unit(s) at temporal depth 1 \
-                 on the vector engine (parallel)\n";
+                 on the vector engine (";
+    let stdout = text(&out.stdout);
+    let lanes = stdout
+        .strip_prefix(first)
+        .and_then(|rest| rest.split_once('\n'));
     assert!(
-        text(&out.stdout).starts_with(first),
-        "{}",
-        text(&out.stdout)
+        matches!(
+            lanes,
+            Some(("avx2+fma lanes, parallel)" | "baseline lanes, parallel)", _))
+        ),
+        "{stdout}"
     );
     assert!(out.stderr.is_empty());
+    let stream = repro(&[
+        "run", "--kernel", "heat3d", "--steps", "1", "--engine", "stream",
+    ]);
+    assert!(
+        text(&stream.stdout).contains(" on the stream engine (parallel)\n"),
+        "{}",
+        text(&stream.stdout)
+    );
 
     let help = repro(&["help"]);
     assert_eq!(help.status.code(), Some(0));

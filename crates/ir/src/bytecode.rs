@@ -27,9 +27,9 @@
 //!
 //! Every opcode executes through the functions the tree-walker calls
 //! ([`un_op`], [`bin_op`], `f64::mul_add`), so a compiled program is
-//! bitwise-identical to interpretation — including NaN propagation and
-//! signed zeros. The conformance suite enforces this with
-//! differential fuzzing; the interpreter stays the oracle.
+//! bitwise-identical to interpretation at either lane width — signed zeros
+//! and NaNs included, bar whose payload wins when two NaNs meet (IEEE 754
+//! leaves it open). Differential fuzzing enforces it; the interpreter stays the oracle.
 //!
 //! ## Register allocation
 //!
@@ -217,6 +217,7 @@ impl Program {
     ///
     /// When an instruction writes an input register, or `n` or `temps`
     /// is short of the above.
+    #[inline(always)]
     pub fn run_block<'a>(&self, n: usize, input: impl Fn(usize) -> &'a [f64], temps: &mut [f64]) {
         let n_in = self.inputs.len();
         // Holds a destination's old lanes while an instruction that also
@@ -1138,11 +1139,12 @@ impl Layout {
 /// when an operand's buffer changes shape or origin, and one block
 /// register file per worker, which the applies — run one after another —
 /// share. Empty until the first run fills it; a caller with nothing to
-/// keep passes a fresh one.
+/// keep passes a fresh one; its `Default` probes the host for its lanes.
 #[derive(Debug, Default)]
 pub struct PreparedApplies {
     layouts: IdMap<OpId, Layout>,
     workers: Vec<Registers>,
+    lanes: Lanes,
 }
 
 /// Step `point` to the next position of the row-major odometer over its
@@ -1318,6 +1320,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
     /// Take the row starting at `point` (whose inner-axis coordinate is
     /// the row's first) as the current one. `stepped`: it is the row
     /// after the current one along the axis next to the inner one.
+    #[inline(always)]
     fn start_row(&mut self, point: &[i64], inner: usize, outs: &[OutRows<'_>], stepped: bool) {
         let regs = &mut *self.regs;
         let starts = regs.bases.iter_mut().chain(&mut regs.out_rows);
@@ -1350,6 +1353,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
     }
 
     /// Fill lanes `at..at + len` of every outer-axis parameter register.
+    #[inline(always)]
     fn splat(&mut self, at: usize, len: usize) {
         let regs = &mut *self.regs;
         for &(reg, v) in &regs.splats {
@@ -1359,6 +1363,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
 
     /// Run lanes `j..j + n` of the current row as one block, every
     /// streamed input read in place, and write them to every output.
+    #[inline(always)]
     fn run_in_row(&mut self, j: usize, n: usize, outs: &mut [OutRows<'_>]) {
         let regs = &mut *self.regs;
         let (own, streamed, bases, in_place) =
@@ -1376,6 +1381,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
 
     /// Gather lanes `j..j + len` of the current row into the packed block
     /// after what it holds.
+    #[inline(always)]
     fn gather(&mut self, j: usize, len: usize) {
         let at = self.filled;
         let regs = &mut *self.regs;
@@ -1392,6 +1398,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
 
     /// Run the packed block, if it holds anything, and scatter each
     /// segment back to its row of every output.
+    #[inline(always)]
     fn flush(&mut self, outs: &mut [OutRows<'_>]) {
         let n = std::mem::take(&mut self.filled);
         if n == 0 {
@@ -1413,6 +1420,58 @@ impl<'p, 'a> Blocks<'p, 'a> {
     }
 }
 
+/// The copy of the block path a slab runs; only `Default`, probing the host, makes `Avx2Fma`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lanes {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+}
+
+impl Default for Lanes {
+    fn default() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return Lanes::Avx2Fma;
+        }
+        Lanes::Baseline
+    }
+}
+
+/// The lanes the block executor runs at on this host: a property of the host, not a setting.
+pub fn host_lanes() -> &'static str {
+    ["baseline", "avx2+fma"][Lanes::default() as usize]
+}
+
+/// [`slab_blocks`] through the copy `lanes` names: inlined here, or in an AVX2+FMA wrapper.
+#[allow(unsafe_code)]
+fn run_slab_blocks(
+    lanes: Lanes,
+    prog: &Program,
+    inputs: &ResolvedInputs<'_>,
+    corners: (&[i64], &[i64]),
+    rows: (i64, i64),
+    outs: &mut [OutRows<'_>],
+    regs: &mut Registers,
+) -> u64 {
+    let blocks = Blocks::new(prog, inputs, corners.0.len() - 1, outs, regs);
+    #[cfg(target_arch = "x86_64")]
+    if lanes == Lanes::Avx2Fma {
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2_fma(
+            blocks: Blocks<'_, '_>,
+            corners: (&[i64], &[i64]),
+            rows: (i64, i64),
+            outs: &mut [OutRows<'_>],
+        ) -> u64 {
+            slab_blocks(blocks, corners, rows, outs)
+        }
+        // SAFETY: `Avx2Fma` is made only where `is_x86_feature_detected!` found AVX2 and FMA.
+        return unsafe { avx2_fma(blocks, corners, rows, outs) };
+    }
+    slab_blocks(blocks, corners, rows, outs)
+}
+
 /// The block path over one axis-0 slab (`rank >= 1`), rows `[lb[0] + r0,
 /// lb[0] + r1)`: all odometer and index bookkeeping happens once per
 /// *row* (a maximal inner-axis run). A row of [`PACK_BELOW`] points or
@@ -1420,14 +1479,12 @@ impl<'p, 'a> Blocks<'p, 'a> {
 /// read straight from their buffers; shorter rows are packed into full
 /// blocks, a row straddling two where it must. Returns the instructions
 /// dispatched.
-fn run_slab_blocks(
-    prog: &Program,
-    inputs: &ResolvedInputs<'_>,
-    lb: &[i64],
-    ub: &[i64],
+#[inline(always)]
+fn slab_blocks(
+    mut blocks: Blocks<'_, '_>,
+    (lb, ub): (&[i64], &[i64]),
     (r0, r1): (i64, i64),
     outs: &mut [OutRows<'_>],
-    regs: &mut Registers,
 ) -> u64 {
     let rank = lb.len();
     debug_assert!(rank >= 1);
@@ -1452,7 +1509,6 @@ fn run_slab_blocks(
                 .product::<usize>()
     };
     let packed = inner_n < PACK_BELOW;
-    let mut blocks = Blocks::new(prog, inputs, inner, outs, regs);
     // Row cursor: the first point of the current row.
     let mut point = lb.to_vec();
     point[0] = lb[0] + r0;
@@ -1598,8 +1654,8 @@ fn fill_targets(
     prepared: &mut PreparedApplies,
 ) -> IrResult<u64> {
     let rank = bounds.rank();
-    let (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
-    let PreparedApplies { layouts, workers } = prepared;
+    let corners @ (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
+    let (layouts, workers, lanes) = (&mut prepared.layouts, &mut prepared.workers, prepared.lanes);
     if !layouts
         .get(&apply)
         .is_some_and(|kept| kept.holds(args, store))
@@ -1639,7 +1695,7 @@ fn fill_targets(
         let regs = &mut workers[0];
         let rows = (0, rows);
         return Ok(run_slab_blocks(
-            prog, &inputs, lb, ub, rows, &mut outs, regs,
+            lanes, prog, &inputs, corners, rows, &mut outs, regs,
         ));
     }
     // Give each worker the planes of its slab's axis-0 rows in every
@@ -1658,7 +1714,9 @@ fn fill_targets(
                     .map(|o| o.split_off_rows(lb[0] + s, lb[0] + e))
                     .collect();
                 let rows = (s, e);
-                scope.spawn(move || run_slab_blocks(prog, inputs, lb, ub, rows, &mut mine, regs))
+                scope.spawn(move || {
+                    run_slab_blocks(lanes, prog, inputs, corners, rows, &mut mine, regs)
+                })
             })
             .collect();
         workers
@@ -1734,6 +1792,17 @@ mod tests {
     use crate::builder::OpBuilder;
     use crate::interp::{Machine, NoExtern};
     use crate::prelude::*;
+
+    impl PreparedApplies {
+        /// Prepared applies at `lanes` instead of the host's probe: how
+        /// the tests force the baseline copy on a host with the wide one.
+        fn with_lanes(lanes: Lanes) -> Self {
+            PreparedApplies {
+                lanes,
+                ..PreparedApplies::default()
+            }
+        }
+    }
 
     #[test]
     fn builder_runs_and_reuses_registers() {
@@ -1883,13 +1952,14 @@ mod tests {
         ctx: &Context,
         module: OpId,
         plans: IdMap<OpId, std::sync::Arc<Program>>,
-        mode: ApplyMode,
+        (mode, lanes): (ApplyMode, Lanes),
         n: i64,
     ) -> Vec<f64> {
         let mut no = NoExtern;
         let mut m = Machine::new(ctx, module, &mut no);
         m.apply_plans = plans;
         m.apply_mode = mode;
+        m.prepared = PreparedApplies::with_lanes(lanes);
         let mut in_buf = Buffer::zeroed(vec![n + 2], vec![-1]);
         for i in -1..n + 1 {
             in_buf.store(&[i], 0.1 * i as f64 + 0.3).unwrap();
@@ -1913,7 +1983,13 @@ mod tests {
         module: OpId,
         plans: IdMap<OpId, std::sync::Arc<Program>>,
     ) -> Vec<f64> {
-        run_sum_n(ctx, module, plans, ApplyMode::default(), 8)
+        run_sum_n(
+            ctx,
+            module,
+            plans,
+            (ApplyMode::default(), Lanes::default()),
+            8,
+        )
     }
 
     #[test]
@@ -1972,7 +2048,8 @@ mod tests {
         // one, one plus a one-lane block, two plus one, and a row long
         // enough that the threaded schedule splits it between workers.
         // Scalar, block, and block+threaded must all reproduce the
-        // tree-walker bit-for-bit at each of them.
+        // tree-walker bit-for-bit at each of them, on every copy of the
+        // block path the host can run.
         let (w, pack) = (BLOCK as i64, PACK_BELOW as i64);
         for n in [
             1,
@@ -1988,22 +2065,196 @@ mod tests {
         ] {
             let (ctx, module, apply) = build_sum_module_n(n);
             let prog = std::sync::Arc::new(compile_apply(&ctx, apply).unwrap());
-            let tree = run_sum_n(&ctx, module, IdMap::default(), ApplyMode::Scalar, n);
-            for mode in [
+            let tree = run_sum_n(
+                &ctx,
+                module,
+                IdMap::default(),
+                (ApplyMode::Scalar, Lanes::Baseline),
+                n,
+            );
+            let modes = [
                 ApplyMode::Scalar,
                 ApplyMode::Chunked { threads: 1 },
                 ApplyMode::Chunked { threads: 3 },
-            ] {
+            ];
+            let runs = host_copies().flat_map(|lanes| modes.map(|mode| (mode, lanes)));
+            for (mode, lanes) in runs {
                 let mut plans = IdMap::default();
                 plans.insert(apply, std::sync::Arc::clone(&prog));
-                let got = run_sum_n(&ctx, module, plans, mode, n);
+                let got = run_sum_n(&ctx, module, plans, (mode, lanes), n);
                 assert_eq!(tree.len(), got.len());
                 for (i, (a, b)) in tree.iter().zip(&got).enumerate() {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "n={n} mode={mode:?} element {i}: {a} vs {b}"
+                        "n={n} mode={mode:?} {lanes:?} element {i}: {a} vs {b}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The copies of the block path this host can run: the baseline, and
+    /// the wide one where the host has AVX2 and FMA — else skipped, saying
+    /// why.
+    fn host_copies() -> impl Iterator<Item = Lanes> {
+        let host = Lanes::default();
+        if host == Lanes::Baseline {
+            eprintln!("the wide copy of the block path is skipped: this host lacks AVX2 or FMA");
+        }
+        std::iter::once(Lanes::Baseline).chain((host != Lanes::Baseline).then_some(host))
+    }
+
+    /// Operands no opcode may treat differently at another width: both
+    /// zeros and infinities, NaNs of distinct payloads and signs, the
+    /// smallest subnormals, the largest finite, and 1 − ε.
+    const EDGES: [f64; 13] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_dead_beef),
+        f64::from_bits(0x7ff4_0000_0000_0002),
+        f64::from_bits(1),
+        -f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MAX,
+        1.0 - f64::EPSILON,
+        -1.0,
+        3.0,
+    ];
+
+    /// Every unary opcode on `x`, every binary one on `(x, y)` and `fma`
+    /// on `(x, y, z)`, each into a result of its own.
+    fn every_opcode() -> Program {
+        let (x, y, z) = (0, 1, 2);
+        let mut instrs = Vec::new();
+        for op in [UnOp::Neg, UnOp::Abs, UnOp::Sqrt, UnOp::Exp] {
+            let dst = 3 + instrs.len() as Reg;
+            instrs.push(Instr::Unary { op, dst, src: x });
+        }
+        for op in [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Max,
+            BinOp::Min,
+            BinOp::Pow,
+            BinOp::Copysign,
+        ] {
+            let dst = 3 + instrs.len() as Reg;
+            instrs.push(Instr::Binary {
+                op,
+                dst,
+                lhs: x,
+                rhs: y,
+            });
+        }
+        let dst = 3 + instrs.len() as Reg;
+        instrs.push(Instr::Fma {
+            dst,
+            a: x,
+            b: y,
+            c: z,
+        });
+        let access = |operand| InputRef::Access {
+            operand,
+            offset: vec![0],
+        };
+        Program {
+            inputs: vec![access(0), access(1), access(2)],
+            results: (3..3 + instrs.len() as Reg).collect(),
+            n_regs: 3 + instrs.len() as Reg,
+            instrs,
+        }
+    }
+
+    /// Run `prog` over one rank-1 row of `n` points through
+    /// [`run_slab_blocks`] at `lanes`, operand `o`'s point `l` being
+    /// `EDGES` at digit `o` of `l` in base `EDGES.len()`, so a long row
+    /// meets every pair of edges. Returns the operands and the results.
+    fn run_edges(prog: &Program, n: usize, lanes: Lanes) -> (Vec<Vec<f64>>, Vec<Buffer>) {
+        let k = EDGES.len();
+        let mut store = Store::new();
+        let operands: Vec<Vec<f64>> = [1, k, k * k]
+            .iter()
+            .map(|&digit| (0..n).map(|l| EDGES[l / digit % k]).collect())
+            .collect();
+        let args: Vec<RtValue> = operands
+            .iter()
+            .map(|data| {
+                let mut buf = Buffer::zeroed(vec![n as i64], vec![0]);
+                buf.data.copy_from_slice(data);
+                RtValue::MemRef(store.alloc(buf))
+            })
+            .collect();
+        let (lb, ub) = ([0], [n as i64]);
+        let layout = Layout::resolve(prog, &args, &store, 1, &lb, &ub).unwrap();
+        let inputs = layout.bind(&args, &store).unwrap();
+        let mut results: Vec<Buffer> = (prog.results.iter())
+            .map(|_| Buffer::zeroed(vec![n as i64], vec![0]))
+            .collect();
+        let mut outs: Vec<OutRows<'_>> = results.iter_mut().map(OutRows::whole).collect();
+        let mut regs = Registers::default();
+        let corners = (&lb[..], &ub[..]);
+        run_slab_blocks(
+            lanes,
+            prog,
+            &inputs,
+            corners,
+            (0, n as i64),
+            &mut outs,
+            &mut regs,
+        );
+        drop(outs);
+        (operands, results)
+    }
+
+    /// Whether a block lane holding `got` agrees with the per-point loop's
+    /// `want` for an instruction over `operands`: the same bits — unless
+    /// two or more operands are NaNs of differing bits, where IEEE 754
+    /// leaves open whose payload propagates and each copy of the block
+    /// path, like the per-point loop, returns one of them, quieted.
+    fn lane_agrees(got: f64, want: f64, operands: &[f64]) -> bool {
+        const QUIET: u64 = 1 << 51;
+        let nans: Vec<u64> = (operands.iter().filter(|v| v.is_nan()))
+            .map(|v| v.to_bits() | QUIET)
+            .collect();
+        got.to_bits() == want.to_bits()
+            || (nans.iter().any(|&b| b != nans[0]) && nans.contains(&got.to_bits()))
+    }
+
+    #[test]
+    fn every_opcode_is_bitwise_identical_at_both_widths() {
+        // Each copy of the block path against the per-point loop, at
+        // every row geometry: packed rows (1, 3, either side of
+        // `PACK_BELOW`) and in-row blocks either side of `BLOCK`, and a
+        // row long enough to meet every triple of edges.
+        let (w, pack) = (BLOCK, PACK_BELOW);
+        let prog = every_opcode();
+        let mut regs = vec![0.0; prog.n_regs as usize];
+        for n in [1, 3, pack - 1, pack, w - 1, w, w + 1, 17 * w + 3] {
+            for lanes in host_copies() {
+                let (operands, results) = run_edges(&prog, n, lanes);
+                for l in 0..n {
+                    for (reg, data) in regs.iter_mut().zip(&operands) {
+                        *reg = data[l];
+                    }
+                    prog.run(&mut regs);
+                    for ((instr, &r), got) in prog.instrs.iter().zip(&prog.results).zip(&results) {
+                        let (got, want) = (got.data[l], regs[r as usize]);
+                        let read = match *instr {
+                            Instr::Unary { .. } => 1,
+                            Instr::Binary { .. } => 2,
+                            Instr::Fma { .. } | Instr::Const { .. } => 3,
+                        };
+                        assert!(
+                            lane_agrees(got, want, &regs[..read]),
+                            "{lanes:?} n={n} lane {l} {instr:?} on {:?}: {got:?} vs {want:?}",
+                            &regs[..read]
+                        );
+                    }
                 }
             }
         }
