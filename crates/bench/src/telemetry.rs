@@ -183,7 +183,9 @@ fn sim(rows: &mut Rows) -> Result<(), String> {
 /// PW advection needs neither; tracer advection's chained stages keep
 /// their temps. Beside them the instructions the sweep dispatched
 /// (instructions × blocks): the deterministic twin of the vector tier's
-/// wall clock, which a narrower block or a lost packing moves. Every
+/// wall clock, which a narrower block or a lost packing moves, and the
+/// applies the vector tier runs a sweep: 1 where it runs the fused host
+/// form, which a silent fall-back to the split form would raise. Every
 /// apply must have compiled to bytecode: one that had not would fall back
 /// to the tree-walker and still sweep correctly.
 fn sweep_work(rows: &mut Rows) -> Result<(), String> {
@@ -216,6 +218,13 @@ fn sweep_work(rows: &mut Rows) -> Result<(), String> {
         rows.insert(
             format!("interp/{kname}/sweep_dispatches"),
             lower(work.dispatches as f64, "count"),
+        );
+        let host_applies = compiled.host_form().map_or(applies, |host| {
+            host.ctx.find_ops(host.func, "stencil.apply").len()
+        });
+        rows.insert(
+            format!("interp/{kname}/host_applies"),
+            lower(host_applies as f64, "count"),
         );
     }
     Ok(())

@@ -253,7 +253,12 @@ fn ledger_rows_and_units_are_pinned() {
         for size in sizes {
             expected.extend(DESIGN.map(|row| format!("design/{kernel}/{size}/{row}")));
         }
-        for row in ["sweep_copied_bytes", "sweep_dispatches", "sweep_temp_bytes"] {
+        for row in [
+            "host_applies",
+            "sweep_copied_bytes",
+            "sweep_dispatches",
+            "sweep_temp_bytes",
+        ] {
             expected.push(format!("interp/{kernel}/{row}"));
         }
         for row in ["cycles", "mem_beats", "stepped_cycles", "stream_elements"] {

@@ -27,13 +27,12 @@ use std::time::Duration;
 use shmls_conformance::generator::generate;
 use shmls_conformance::rng::{sweep, Rng};
 use shmls_conformance::GenOptions;
-use shmls_ir::bytecode::{ApplyMode, Instr, BLOCK};
+use shmls_ir::bytecode::{ApplyMode, Instr, Program, BLOCK};
 use shmls_ir::interp::iter_box;
+use shmls_ir::ir::{IdMap, OpId};
 use shmls_ir::scalar::{BinOp, UnOp};
-use stencil_hmls::runner::{
-    run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode, run_stencil_bytecode_with,
-};
-use stencil_hmls::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
+use stencil_hmls::runner::{run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with};
+use stencil_hmls::{compile_kernel, CompileOptions, TargetPath};
 
 fn compile_opts() -> CompileOptions {
     CompileOptions {
@@ -190,42 +189,56 @@ fn chunk_boundary_extents_are_bitwise_exact() {
 }
 
 /// Flip one opcode in a compiled plan and require the differential to
-/// notice. If this test ever passes with the mutation in place, the
-/// bitwise harness has lost its teeth.
+/// notice, on both forms a kernel's plans come in: the split form's,
+/// which the scalar bytecode tier runs, and the fused host form's, which
+/// the vector tier runs. If this test ever passes with the mutation in
+/// place, the bitwise harness has lost its teeth.
 #[test]
 fn mutated_opcode_is_detected() {
-    let kernel = shmls_frontend::parse_kernel(&shmls_kernels::laplace::source_1d(24))
-        .expect("parse laplace");
+    let kernel = shmls_frontend::parse_kernel(&shmls_kernels::pw_advection::source(6, 5, 4))
+        .expect("parse pw_advection");
     let mut compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
     assert!(
         !compiled.apply_plans.is_empty(),
-        "laplace must compile to bytecode for this test to mean anything"
+        "pw_advection must compile to bytecode for this test to mean anything"
+    );
+    assert!(
+        compiled.host_form().is_some(),
+        "pw_advection must have a host form"
     );
 
-    let mutated = mutate_one_opcode(&mut compiled);
+    let mutated = mutate_one_opcode(&mut compiled.apply_plans);
     assert!(mutated, "no mutable instruction found in any plan");
+    let host = compiled.host.get_mut().and_then(Option::as_mut);
+    let host_mutated = host.is_some_and(|host| mutate_one_opcode(&mut host.apply_plans));
+    assert!(
+        host_mutated,
+        "no mutable instruction found in the host form's plan"
+    );
 
     let data = kernel.seeded_data(3);
     let oracle = run_stencil(&compiled, &data).expect("oracle");
-    let fast = run_stencil_bytecode(&compiled, &data).expect("mutated bytecode");
     let lb = vec![0i64; kernel.grid.len()];
-    let detected = oracle.iter().any(|(name, expect)| {
-        let out = &fast[name];
-        iter_box(&lb, &kernel.grid)
-            .into_iter()
-            .any(|p| expect.load(&p).unwrap().to_bits() != out.load(&p).unwrap().to_bits())
-    });
-    assert!(
-        detected,
-        "flipped opcode produced bitwise-identical output; the differential is blind"
-    );
+    for mode in [ApplyMode::Scalar, ApplyMode::default()] {
+        let fast = run_stencil_bytecode_with(&compiled, &data, mode).expect("mutated bytecode");
+        let detected = oracle.iter().any(|(name, expect)| {
+            let out = &fast[name];
+            iter_box(&lb, &kernel.grid)
+                .into_iter()
+                .any(|p| expect.load(&p).unwrap().to_bits() != out.load(&p).unwrap().to_bits())
+        });
+        assert!(
+            detected,
+            "{mode:?}: flipped opcode produced bitwise-identical output; the differential is blind"
+        );
+    }
 }
 
-/// Flip the first flippable opcode in the first plan that has one:
+/// Flip the first flippable opcode in the first of `plans` that has one:
 /// `Add<->Sub`, `Mul<->Div`, `Max<->Min`, `Abs->Neg`. Returns whether a
 /// mutation was applied.
-fn mutate_one_opcode(compiled: &mut CompiledKernel) -> bool {
-    for plan in compiled.apply_plans.values_mut() {
+fn mutate_one_opcode(plans: &mut IdMap<OpId, Arc<Program>>) -> bool {
+    for plan in plans.values_mut() {
         let mut prog = (**plan).clone();
         for instr in &mut prog.instrs {
             let flipped = match instr {

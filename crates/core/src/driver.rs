@@ -1,12 +1,13 @@
 //! End-to-end compilation driver: DSL text → stencil IR → {HLS dataflow,
 //! CPU loops, annotated LLVM} — the whole Figure-1 flow in one call.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use shmls_dialects::builtin::{create_module, module_body};
 use shmls_fpga_sim::design::DesignDescriptor;
 use shmls_frontend::{lower_kernel, parse_kernel, KernelDef, KernelSignature};
+use shmls_ir::bytecode::{DirectStores, Program};
 use shmls_ir::error::IrResult;
 use shmls_ir::pass::Pass;
 use shmls_ir::prelude::*;
@@ -14,6 +15,7 @@ use shmls_ir::verifier::{verify_with, OpVerifiers};
 
 use crate::canonicalize::CanonicalizePass;
 use crate::fpp::{run_fpp, DirectiveReport};
+use crate::fuse::fuse_applies;
 use crate::hmls::{stencil_to_hls, HmlsOptions, HmlsOutput, HmlsReport};
 use crate::llvm_lowering::hls_to_llvm;
 use crate::split::SplitPass;
@@ -107,12 +109,89 @@ pub struct CompiledKernel {
     /// tree walk with a flat register program — bitwise-identical, just
     /// fast. Applies that fail to compile are simply absent (the
     /// tree-walker remains the universal fallback).
-    pub apply_plans: IdMap<OpId, Arc<shmls_ir::bytecode::Program>>,
+    pub apply_plans: IdMap<OpId, Arc<Program>>,
     /// The apply results of the stencil-dialect function that the block
     /// bytecode tier may compute straight into the field their
     /// `stencil.store` names, skipping the temp and the copy (see
     /// [`shmls_ir::bytecode::direct_stores`]).
-    pub direct_stores: shmls_ir::bytecode::DirectStores,
+    pub direct_stores: DirectStores,
+    /// Whether the compile canonicalized the stencil-dialect function
+    /// ([`CompileOptions::optimize`]); the host form is lowered the same.
+    canonicalized: bool,
+    /// The host form, built by the first [`CompiledKernel::host_form`]
+    /// (`None` inside when it cannot be served). Public like
+    /// `apply_plans`, so a fault-injection test can reach its program.
+    pub host: OnceLock<Option<Box<HostForm>>>,
+}
+
+/// The vector tier's form of a compiled kernel: the stencil-dialect
+/// function with all its applies fused into one multi-result apply — the
+/// form §3.3 step 4 says CPU targets favour, where the split form is the
+/// FPGA's — and that apply's bytecode program. A point's inputs are then
+/// read once for all the fields it computes, and a temp that only later
+/// applies read lives in a register instead of a buffer.
+///
+/// It lives in a context of its own that holds only that function, so the
+/// compiled module, its fingerprint, the design and every model stay the
+/// split form's. The tree-walker and the scalar bytecode tier run the
+/// split form too: they are the oracle the fused program is held to, bit
+/// for bit — each point evaluates the same expressions in the same order,
+/// fusion only replacing an offset-0 read of a produced temp with the
+/// value that produced it.
+#[derive(Debug)]
+pub struct HostForm {
+    /// The context holding the fused function alone.
+    pub ctx: Context,
+    /// Its `builtin.module`.
+    pub module: OpId,
+    /// The fused stencil-dialect function.
+    pub func: OpId,
+    /// The fused apply's bytecode program, keyed by the apply.
+    pub apply_plans: IdMap<OpId, Arc<Program>>,
+    /// The fused results the block tier computes straight into their
+    /// fields ([`shmls_ir::bytecode::direct_stores`]).
+    pub direct_stores: DirectStores,
+}
+
+impl HostForm {
+    /// `kernel` lowered by the frontend, canonicalized when `canonicalize`
+    /// (as its compile was), and fused; `None` for a kernel of one compute
+    /// — its split form is already its fused form, which a copy would
+    /// only make every first prepare pay for — and wherever
+    /// [`HostForm::fused`] refuses it.
+    fn build(kernel: &KernelDef, canonicalize: bool) -> Option<HostForm> {
+        if kernel.computes.len() < 2 {
+            return None;
+        }
+        let mut ctx = Context::new();
+        let (module, body) = create_module(&mut ctx);
+        let func = lower_kernel(&mut ctx, body, kernel).ok()?.func;
+        if canonicalize {
+            CanonicalizePass.run(&mut ctx, module).ok()?;
+        }
+        Self::fused(ctx, module, func)
+    }
+
+    /// `func`'s applies fused, if the fused function verifies and its one
+    /// apply compiles to a [`Program`] — which also means its results
+    /// share one bounds box. `None` otherwise: the vector tier then runs
+    /// the split plans, so no sweep fails that the split form runs.
+    pub(crate) fn fused(mut ctx: Context, module: OpId, func: OpId) -> Option<HostForm> {
+        let apply = fuse_applies(&mut ctx, func).ok()?;
+        verify_with(&ctx, module, &shmls_dialects::registry()).ok()?;
+        let apply_plans = compile_apply_plans(&ctx, func);
+        if !apply_plans.contains_key(&apply) {
+            return None;
+        }
+        let direct_stores = shmls_ir::bytecode::direct_stores(&ctx, func);
+        Some(HostForm {
+            ctx,
+            module,
+            func,
+            apply_plans,
+            direct_stores,
+        })
+    }
 }
 
 impl CompiledKernel {
@@ -128,6 +207,14 @@ impl CompiledKernel {
     /// determinism test checks.
     pub fn design_fingerprint(&self) -> u64 {
         crate::cache::fnv1a(shmls_ir::printer::print_op(&self.ctx, self.module).as_bytes())
+    }
+
+    /// The form the vector tier runs: fused on the first call and kept,
+    /// or `None` (and the split form runs) for a kernel of one compute
+    /// and for one whose fused form cannot be served.
+    pub fn host_form(&self) -> Option<&HostForm> {
+        let build = || HostForm::build(&self.kernel, self.canonicalized).map(Box::new);
+        self.host.get_or_init(build).as_deref()
     }
 }
 
@@ -371,16 +458,15 @@ impl<'o> Pipeline<'o> {
             snapshots: self.snapshots,
             apply_plans,
             direct_stores,
+            canonicalized: self.opts.optimize,
+            host: OnceLock::new(),
         })
     }
 }
 
-/// Compile a bytecode [`Program`](shmls_ir::bytecode::Program) for every
+/// Compile a bytecode [`Program`] for every
 /// `stencil.apply` under `func` whose body supports it.
-pub fn compile_apply_plans(
-    ctx: &Context,
-    func: OpId,
-) -> IdMap<OpId, Arc<shmls_ir::bytecode::Program>> {
+pub fn compile_apply_plans(ctx: &Context, func: OpId) -> IdMap<OpId, Arc<Program>> {
     ctx.find_ops(func, "stencil.apply")
         .into_iter()
         .filter_map(|apply| {

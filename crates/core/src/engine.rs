@@ -37,7 +37,7 @@ use shmls_frontend::{FieldKind, KernelArg};
 use shmls_ir::bytecode::{ApplyMode, DirectStores, PreparedApplies, Program};
 use shmls_ir::error::{IrError, IrResult};
 use shmls_ir::interp::{Buffer, Machine, NoExtern, RtValue, Store, StoreWork};
-use shmls_ir::ir::{IdMap, OpId, ValueId};
+use shmls_ir::ir::{Context, IdMap, OpId, ValueId};
 use shmls_ir::{ir_bail, ir_ensure, ir_error};
 
 use crate::driver::CompiledKernel;
@@ -143,22 +143,44 @@ impl Engine for Interp {
     }
 
     fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
-        let func = match self {
-            Interp::Cpu => compiled
-                .cpu_func
-                .ok_or_else(|| ir_error!("kernel was compiled without the CPU path"))?,
-            _ => compiled.stencil_func,
-        };
-        let (mode, plans, direct_stores) = match *self {
-            Interp::Bytecode(mode) => (
-                mode,
+        // The vector tier runs the fused host form where there is one.
+        let chunked = matches!(self, Interp::Bytecode(ApplyMode::Chunked { .. }));
+        let host = chunked.then(|| compiled.host_form()).flatten();
+        let split = (&compiled.ctx, compiled.module);
+        let (form, func, plans, direct_stores) = match (*self, host) {
+            (Interp::Cpu, _) => (
+                split,
+                compiled
+                    .cpu_func
+                    .ok_or_else(|| ir_error!("kernel was compiled without the CPU path"))?,
+                Default::default(),
+                Default::default(),
+            ),
+            (Interp::Tree, _) => (
+                split,
+                compiled.stencil_func,
+                Default::default(),
+                Default::default(),
+            ),
+            (Interp::Bytecode(_), Some(host)) => (
+                (&host.ctx, host.module),
+                host.func,
+                host.apply_plans.clone(),
+                host.direct_stores.clone(),
+            ),
+            (Interp::Bytecode(_), None) => (
+                split,
+                compiled.stencil_func,
                 compiled.apply_plans.clone(),
                 compiled.direct_stores.clone(),
             ),
-            Interp::Tree | Interp::Cpu => Default::default(),
+        };
+        let mode = match *self {
+            Interp::Bytecode(mode) => mode,
+            Interp::Tree | Interp::Cpu => ApplyMode::default(),
         };
         Ok(Box::new(Interpreted {
-            compiled,
+            form,
             func,
             binding: Binding::new(compiled),
             env: IdMap::default(),
@@ -177,13 +199,14 @@ impl Engine for Interp {
     }
 }
 
-/// An interpreter tier's prepared kernel: the function it calls by op —
-/// no walk of the module for its name — its arguments' binding, the value
-/// table each sweep's machine borrows, and what the machine runs planned
-/// applies with: on the bytecode tiers the plans and what their runs
-/// keep for the next, none on the others.
+/// An interpreter tier's prepared kernel: the context and module of the
+/// form it runs (the compiled module, or the vector tier's host form),
+/// the function it calls by op — no walk of the module for its name — its
+/// arguments' binding, the value table each sweep's machine borrows, and
+/// what the machine runs planned applies with: on the bytecode tiers the
+/// plans and what their runs keep for the next, none on the others.
 struct Interpreted<'c> {
-    compiled: &'c CompiledKernel,
+    form: (&'c Context, OpId),
     func: OpId,
     binding: Binding,
     env: IdMap<ValueId, RtValue>,
@@ -238,9 +261,9 @@ impl Interpreted<'_> {
 
 impl Prepared for Interpreted<'_> {
     fn sweep(&mut self, data: &KernelData, depth: usize) -> IrResult<Sweep> {
-        let compiled = self.compiled;
+        let (ctx, module) = self.form;
         let mut no = NoExtern;
-        let mut machine = Machine::new(&compiled.ctx, compiled.module, &mut no);
+        let mut machine = Machine::new(ctx, module, &mut no);
         self.swap(&mut machine);
         let swept = self.call_deep(&mut machine, data, depth);
         self.swap(&mut machine);
@@ -670,6 +693,88 @@ mod tests {
                 dispatches: DISPATCHES,
             })
         );
+    }
+
+    /// A temp `t` that only the output `c`'s compute reads.
+    const CHAIN: &str = "kernel chain { grid(6, 5, 9) halo 1 \
+         field a : input field t : temp field c : output \
+         compute t { t = 2.0 * a[1,0,0] } \
+         compute c { c = t[0,0,0] + a[-1,0,0] } }";
+
+    /// CHAIN's data, the output left to the store.
+    fn chain_data() -> KernelData {
+        let mut rng = Rng::new(31);
+        KernelData::default().buffer("a", seeded(vec![8, 7, 11], vec![-1, -1, -1], &mut rng))
+    }
+
+    /// The vector tier sweeps the fused host form: one apply, `t` a
+    /// register and `c` computed into its field, no temp at all. The
+    /// tree-walker and the scalar bytecode tier sweep the split form —
+    /// a temp per apply — and all three agree bit for bit. A kernel of
+    /// one compute is its own fused form: it keeps no copy.
+    #[test]
+    fn the_vector_tier_runs_the_fused_form_and_the_oracles_the_split_one() {
+        let heat = compile(
+            &shmls_kernels::heat3d::source(4, 4, 4),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        assert!(heat.host_form().is_none());
+        let compiled = compile(CHAIN, &CompileOptions::default()).unwrap();
+        let host = compiled.host_form().expect("CHAIN fuses");
+        assert_eq!(host.ctx.find_ops(host.func, "stencil.apply").len(), 1);
+        let applies = compiled
+            .ctx
+            .find_ops(compiled.stencil_func, "stencil.apply");
+        assert_eq!(applies.len(), 2, "the compiled module stays split");
+        let data = chain_data();
+        let interior = 6 * 5 * 9 * 8;
+        let oracle = Interp::Tree.sweep(&compiled, &data, 1).unwrap();
+        let scalar = Interp::Bytecode(ApplyMode::Scalar)
+            .sweep(&compiled, &data, 1)
+            .unwrap();
+        for split in [&oracle, &scalar] {
+            assert_eq!(split.work.unwrap().allocated_bytes, 2 * interior);
+        }
+        assert_eq!(bits(&scalar.outputs), bits(&oracle.outputs));
+        for threads in [1, 3] {
+            let vector = Interp::Bytecode(ApplyMode::Chunked { threads });
+            let fused = vector.sweep(&compiled, &data, 1).unwrap();
+            assert_eq!(bits(&fused.outputs), bits(&oracle.outputs), "{threads}");
+            assert_eq!(fused.work.unwrap().allocated_bytes, 0, "{threads}");
+        }
+    }
+
+    /// A kernel whose fused apply has no bytecode program keeps no host
+    /// form, and the vector tier sweeps the split plans instead — bit for
+    /// bit the tree-walker's, `t` in a temp of its own again.
+    #[test]
+    fn a_fused_apply_without_a_program_leaves_the_split_form() {
+        use crate::driver::HostForm;
+        use shmls_dialects::builtin::create_module;
+
+        let mut compiled = compile(CHAIN, &CompileOptions::default()).unwrap();
+        // CHAIN lowered again, one op of `c`'s body renamed to one the
+        // tree-walker would look up and no program can run.
+        let mut ctx = Context::new();
+        let (module, body) = create_module(&mut ctx);
+        let func = shmls_frontend::lower_kernel(&mut ctx, body, &compiled.kernel)
+            .unwrap()
+            .func;
+        let consumer = ctx.find_ops(func, "stencil.apply")[1];
+        let add = ctx.find_ops(consumer, "arith.addf")[0];
+        ctx.set_op_name(add, "test.opaque");
+        shmls_ir::verifier::verify_with(&ctx, module, &shmls_dialects::registry()).unwrap();
+        let refused = HostForm::fused(ctx, module, func).map(Box::new);
+        assert!(refused.is_none());
+        compiled.host = refused.into();
+        assert!(compiled.host_form().is_none());
+
+        let data = chain_data();
+        let oracle = Interp::Tree.sweep(&compiled, &data, 1).unwrap().outputs;
+        let split = VECTOR.sweep(&compiled, &data, 1).unwrap();
+        assert_eq!(bits(&split.outputs), bits(&oracle));
+        assert_eq!(split.work.unwrap().allocated_bytes, 6 * 5 * 9 * 8);
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //!
 //! §3.3 step 4 of the paper observes that *"the stencil transformations for
 //! the CPU or GPU favour fusing stencils together for fewer, larger stencil
-//! regions"* — this pass is that CPU/GPU-favoured form. It is the input
-//! situation that the FPGA-specific *split* transformation
-//! ([`crate::split`]) undoes, so the pair lets us express both ends of the
-//! paper's trade-off and benchmark the difference (the `3(split)` factor of
-//! the paper's §4 speed-up decomposition).
+//! regions"* — this is that CPU/GPU-favoured form. Its production caller is
+//! the host form ([`crate::driver::HostForm`]): the vector tier runs each
+//! kernel fused, so a point's inputs are read once for all its fields. It
+//! is also the input situation that the FPGA-specific *split*
+//! transformation ([`crate::split`]) undoes, so the pair expresses both
+//! ends of the paper's trade-off.
 //!
 //! Producer→consumer dependencies between applies are legal as long as the
 //! consumer reads the produced temp only at offset 0 (the frontend enforces
-//! this); fusion replaces such reads with the producer's yielded SSA value.
+//! this); fusion replaces such reads with the producer's yielded SSA value,
+//! and a produced temp nothing outside the fused applies reads is no
+//! longer a result at all.
 
 use shmls_dialects::stencil;
 use shmls_ir::error::IrResult;
@@ -39,10 +42,18 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
     }
 
     // Results of the applies being fused (they become internal values).
-    let mut fused_results: Vec<ValueId> = Vec::new();
-    for &a in &applies {
-        fused_results.extend(ctx.results(a).iter().copied());
-    }
+    // One stays a result of the fused apply when anything else reads it,
+    // or when nothing does at all (a dead compute keeps its result); one
+    // that only later applies read is computed and consumed per point.
+    let fused_results: Vec<ValueId> = (applies.iter())
+        .flat_map(|&a| ctx.results(a).iter().copied())
+        .collect();
+    let kept: Vec<ValueId> = (fused_results.iter().copied())
+        .filter(|&r| {
+            let uses = ctx.value_uses(r);
+            uses.is_empty() || uses.iter().any(|u| !applies.contains(&u.op))
+        })
+        .collect();
 
     // Combined external operands, in first-use order, deduplicated.
     let mut operands: Vec<ValueId> = Vec::new();
@@ -54,10 +65,7 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
         }
     }
 
-    let result_types: Vec<Type> = applies
-        .iter()
-        .flat_map(|&a| ctx.results(a).iter().map(|&r| ctx.value_type(r).clone()))
-        .collect();
+    let result_types: Vec<Type> = kept.iter().map(|&r| ctx.value_type(r).clone()).collect();
 
     // Build the fused apply before the first original apply.
     let mut b = OpBuilder::before(ctx, applies[0]);
@@ -72,37 +80,37 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
         .collect();
     // old apply result -> per-point SSA value inside the fused body
     let mut produced: IdMap<ValueId, ValueId> = IdMap::default();
-    let mut yielded: Vec<ValueId> = Vec::new();
 
     for &a in &applies {
         let src_block = ctx.entry_block(a).expect("apply has a body");
-        // old body block arg -> value in the fused body
-        let mut vmap: IdMap<ValueId, ValueId> = IdMap::default();
+        // The body's arguments become the fused apply's; one bound to an
+        // earlier apply's result maps to that result, whose accesses are
+        // rewritten below.
+        let mut temp_of: IdMap<ValueId, ValueId> = IdMap::default();
         for (i, &src_arg) in ctx.block_args(src_block).to_vec().iter().enumerate() {
             let operand = ctx.operands(a)[i];
-            if let Some(&fused_arg) = arg_for.get(&operand) {
-                vmap.insert(src_arg, fused_arg);
-            } else {
-                // Operand is an earlier apply's result; accesses to it are
-                // rewritten below, so map the arg to a placeholder that we
-                // must never materialise as an operand.
-                vmap.insert(src_arg, operand);
+            match arg_for.get(&operand) {
+                Some(&fused_arg) => ctx.replace_all_uses(src_arg, fused_arg),
+                None => {
+                    temp_of.insert(src_arg, operand);
+                }
             }
         }
-        let src_ops = ctx.block_ops(src_block).to_vec();
-        for op in src_ops {
-            let name = ctx.op_name(op).to_string();
-            if name == stencil::RETURN {
-                for &v in &ctx.operands(op).to_vec() {
-                    let mapped = vmap.get(&v).copied().unwrap_or(v);
-                    yielded.push(mapped);
+        // The body's ops move into the fused body as they are, keeping
+        // their values; the return and the rewritten accesses stay behind
+        // and go with the apply.
+        for op in ctx.block_ops(src_block).to_vec() {
+            if ctx.op_name(op) == stencil::RETURN {
+                // This apply's per-point values, for later consumers and
+                // the fused return.
+                for (&r, &v) in ctx.results(a).iter().zip(ctx.operands(op)) {
+                    let v = temp_of.get(&v).map_or(v, |t| produced[t]);
+                    produced.insert(r, v);
                 }
                 continue;
             }
-            if name == stencil::ACCESS {
-                let operand = ctx.operands(op)[0];
-                let mapped = vmap.get(&operand).copied().unwrap_or(operand);
-                if let Some(&inline_value) = produced.get(&mapped) {
+            if ctx.op_name(op) == stencil::ACCESS {
+                if let Some(temp) = temp_of.get(&ctx.operands(op)[0]) {
                     // Access to a fused producer: must be the centre point.
                     let offset = stencil::access_offset(ctx, op)
                         .ok_or_else(|| shmls_ir::ir_error!("access without offset"))?;
@@ -110,67 +118,29 @@ pub fn fuse_applies(ctx: &mut Context, func: OpId) -> IrResult<OpId> {
                         offset.iter().all(|&o| o == 0),
                         "fuse: access to a produced temp at non-zero offset {offset:?}"
                     );
-                    vmap.insert(ctx.result(op, 0), inline_value);
+                    let inline_value = produced[temp];
+                    ctx.replace_all_uses(ctx.result(op, 0), inline_value);
                     continue;
                 }
             }
-            // `clone_op` records the clone's results in `vmap`.
-            let cloned = ctx.clone_op(op, &mut vmap);
-            ctx.append_op(body, cloned);
-        }
-        // Record this apply's per-point values for later consumers.
-        let n_results = ctx.results(a).len();
-        let start = yielded.len() - n_results;
-        for (i, &r) in ctx.results(a).to_vec().iter().enumerate() {
-            produced.insert(r, yielded[start + i]);
+            ctx.detach_op(op);
+            ctx.append_op(body, op);
         }
     }
 
     let mut eb = OpBuilder::at_block_end(ctx, body);
-    stencil::return_op(&mut eb, yielded);
+    stencil::return_op(&mut eb, kept.iter().map(|r| produced[r]).collect());
 
-    // Rewire external uses (stencil.store etc.) and erase the originals.
-    let mut out_idx = 0;
-    for &a in &applies {
-        for i in 0..ctx.results(a).len() {
-            let old = ctx.result(a, i);
-            let new = ctx.result(fused, out_idx);
-            out_idx += 1;
-            ctx.replace_all_uses(old, new);
-        }
+    // Rewire external uses (stencil.store etc.) and erase the originals,
+    // consumers first.
+    for (i, &old) in kept.iter().enumerate() {
+        let new = ctx.result(fused, i);
+        ctx.replace_all_uses(old, new);
     }
     for &a in applies.iter().rev() {
         ctx.erase_op(a);
     }
-    // Some fused results may now be unused (pure intermediates); that is
-    // fine — stencil.apply may yield values nobody stores.
     Ok(fused)
-}
-
-/// [`shmls_ir::pass::Pass`] wrapper for pipeline use (named `"fuse"`):
-/// fuses the applies of every function that contains any, skipping
-/// stencil-free functions instead of erroring like [`fuse_applies`].
-///
-/// This is the CPU/GPU-favoured form; the FPGA pipeline follows it with
-/// [`crate::split::SplitPass`] only in experiments that measure the
-/// paper's `3 (split)` ablation factor — splitting a fused apply
-/// duplicates each consumer's producer cone, which is exactly the
-/// trade-off being measured.
-pub struct FusePass;
-
-impl shmls_ir::pass::Pass for FusePass {
-    fn name(&self) -> &str {
-        "fuse"
-    }
-
-    fn run(&self, ctx: &mut Context, root: OpId) -> IrResult<()> {
-        for func in ctx.find_ops(root, shmls_dialects::func::FUNC) {
-            if !ctx.find_ops(func, stencil::APPLY).is_empty() {
-                fuse_applies(ctx, func)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +177,8 @@ kernel chain {
         assert_eq!(ctx.find_ops(module, stencil::APPLY).len(), 2);
         let fused = fuse_applies(&mut ctx, func).unwrap();
         assert_eq!(ctx.find_ops(module, stencil::APPLY).len(), 1);
-        assert_eq!(ctx.results(fused).len(), 2);
+        // `t` is read by `b`'s compute alone: no longer a result.
+        assert_eq!(ctx.results(fused).len(), 1);
         verify_with(&ctx, module, &shmls_dialects::registry()).unwrap();
     }
 

@@ -9,8 +9,9 @@
 //! Pipeline stages (see DESIGN.md for the per-experiment map):
 //!
 //! - [`classify`] — step 1: kernel-argument classification.
-//! - [`fuse`] / [`split`] — the CPU-favoured fusion and the FPGA-favoured
-//!   per-field split (step 4).
+//! - [`fuse`] / [`split`] — the CPU-favoured fusion, which the vector
+//!   tier runs ([`driver::HostForm`]), and the FPGA-favoured per-field
+//!   split (step 4).
 //! - [`shift_buffer`] — window geometry shared by transform, runtime and
 //!   resource model (steps 3/5, Figure 2).
 //! - [`hmls`] — the stencil→HLS dataflow construction (steps 2–9,
@@ -100,7 +101,6 @@ pub use autotune::{tune, Constraint, SplitStrategy, TuneOptions, TuneReport, Tun
 pub use cache::{fnv1a, global_cache, CacheStats, CompileCache, Disposition, Fnv64};
 pub use canonicalize::CanonicalizePass;
 pub use driver::{compile, compile_kernel, CompileOptions, CompiledKernel, TargetPath};
-pub use fuse::FusePass;
 pub use hmls::{stencil_to_hls, HmlsOptions, HmlsOutput, HmlsReport};
 pub use persist::{DesignRecord, DesignSummary, DiskStore, PersistentCache, ServeStats};
 pub use scale::{

@@ -63,8 +63,8 @@ const GRID: [i64; 3] = [4, 16, 16];
 /// argument list, the three output fields it hands back, the store's
 /// handle table, each op's operand list and each apply's views of the
 /// buffers it reads and writes — nothing that depends on the kernel
-/// alone. A fresh sweep makes 306.
-const STEADY: u64 = 96;
+/// alone. A fresh sweep makes 214.
+const STEADY: u64 = 67;
 
 #[test]
 fn a_prepared_sweep_allocates_at_most_half_of_a_fresh_one() {

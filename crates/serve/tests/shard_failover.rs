@@ -14,12 +14,15 @@
 //!   tier: its second incarnation records disk hits and **zero**
 //!   compilations, and the warm pass shows disk-hit responses.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use shmls_serve::loadgen::{self, LoadgenConfig};
-use shmls_serve::router::{start_router, RouterConfig, RouterHandle};
+use shmls_serve::protocol::{Request, RequestOptions, Response};
+use shmls_serve::router::{routing_key, start_router, RouterConfig, RouterHandle};
 use shmls_serve::shard::{ShardSet, ShardSetConfig};
 
 /// A unique scratch directory per test invocation.
@@ -58,6 +61,29 @@ fn busiest_shard(router: &RouterHandle) -> usize {
         .max_by_key(|s| s.traffic.counts.requests)
         .expect("at least one live shard")
         .id
+}
+
+/// Key `key`'s request exactly as the loadgen frames it.
+fn loadgen_request(key: usize) -> String {
+    Request {
+        id: Some(key as u64),
+        source: loadgen::kernel_source(key),
+        options: RequestOptions {
+            paths: Some("hls".to_string()),
+            ..Default::default()
+        },
+    }
+    .encode()
+}
+
+/// Send one request line through the router on a connection of its own
+/// and read the response.
+fn exchange(router: &RouterHandle, line: &str) -> Response {
+    let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    Response::parse(reply.trim_end()).unwrap()
 }
 
 #[test]
@@ -129,6 +155,22 @@ fn killed_and_restarted_shard_is_invisible_to_clients() {
     let victim_row = routed.shards.iter().find(|s| s.id == victim).unwrap();
     assert!(victim_row.alive, "victim rejoined the ring");
 
+    // Whether the warm pass still reached the victim after its restart
+    // races the load generator, so ask for every key the victim owns
+    // once more: each is a hit of its second incarnation, from memory if
+    // the warm pass brought it there and from the shared disk otherwise.
+    let topology = shards.topology();
+    let owned: Vec<String> = (0..UNIQUE_KEYS)
+        .map(loadgen_request)
+        .filter(|line| topology.route(routing_key(line)).map(|(id, _)| id) == Some(victim))
+        .collect();
+    assert!(!owned.is_empty(), "the victim owns no key");
+    for line in &owned {
+        let response = exchange(&router, line);
+        assert!(response.ok, "{line}: {response:?}");
+        assert_eq!(response.shard, Some(victim as u64), "{line}");
+    }
+
     // The restarted incarnation warmed from the shared disk tier: it
     // served at least one disk hit and never compiled anything.
     let second_life = shards.stats(victim).expect("victim is alive");
@@ -168,9 +210,7 @@ fn empty_ring_degrades_to_typed_errors_and_heals_on_rejoin() {
     )
     .unwrap();
 
-    use shmls_serve::protocol::{ErrorKind, Response};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
+    use shmls_serve::protocol::ErrorKind;
 
     let stream = TcpStream::connect(router.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
