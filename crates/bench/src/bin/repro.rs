@@ -14,7 +14,7 @@ use shmls_bench::{
     ii_report, table1, table2,
 };
 use shmls_conformance::harness::Fault;
-use shmls_conformance::{run_fuzz, FuzzOptions};
+use shmls_conformance::{check_names, run_fuzz, FuzzOptions};
 use shmls_kernels::catalogue::{self, Kernel, CATALOGUE, HEAT3D, PW_ADVECTION, TRACER_ADVECTION};
 use shmls_kernels::{pw_advection, tracer_advection, Grid3};
 use shmls_serve::loadgen::{LoadgenConfig, LoadgenReport};
@@ -457,7 +457,6 @@ fn compare_cmd(args: CompareArgs, out: &mut dyn Write) -> Result<(), Failure> {
 }
 
 fn parse_fuzz(argv: &[String]) -> Result<FuzzOptions, Failure> {
-    use shmls_conformance::Engine;
     let mut f = Flags::new(argv);
     let mut opts = FuzzOptions::default();
     f.set(&mut opts.cases, "--cases", COUNT, within(..))?;
@@ -470,8 +469,9 @@ fn parse_fuzz(argv: &[String]) -> Result<FuzzOptions, Failure> {
         COUNT,
         within(..),
     )?;
-    let names = one_of(Engine::ALL.iter().map(Engine::name));
-    let engines = f.values("--engine", &names, Engine::parse)?;
+    let engines = f.values("--engine", &one_of(check_names()), |name| {
+        check_names().find(|check| *check == name)
+    })?;
     if !engines.is_empty() {
         opts.check.engines = engines;
     }
@@ -484,14 +484,13 @@ fn parse_fuzz(argv: &[String]) -> Result<FuzzOptions, Failure> {
 }
 
 fn fuzz_cmd(opts: FuzzOptions, out: &mut dyn Write) -> Result<(), Failure> {
-    let engines: Vec<&str> = opts.check.engines.iter().map(|e| e.name()).collect();
     let injecting = opts.check.inject.map(|f| format!(", injecting {f}"));
     writeln!(
         out,
         "fuzzing {} cases, seed {}, engines [{}]{}",
         opts.cases,
         opts.seed,
-        engines.join(", "),
+        opts.check.engines.join(", "),
         injecting.unwrap_or_default()
     )?;
     let mut written = Ok(());
@@ -934,22 +933,21 @@ mod tests {
 
     #[test]
     fn fuzz_flags_land_in_the_fuzz_options() {
-        use shmls_conformance::Engine;
         let opts = parse_fuzz(&[]).unwrap();
         let d = FuzzOptions::default();
         assert_eq!((opts.cases, opts.seed, opts.scale), (d.cases, d.seed, true));
-        assert_eq!(opts.check.engines, Engine::ALL);
-        let line = "--cases 9 --seed 4 --engine cpu --ulp 2 --engine simd --inject op-swap \
+        assert_eq!(opts.check.engines, Vec::from_iter(check_names()));
+        let line = "--cases 9 --seed 4 --engine cpu --ulp 2 --engine vector --inject op-swap \
                     --corpus out --max-failures 1 --shrink-budget 10 --no-scale";
         let opts = parse_fuzz(&argv(line)).unwrap();
         assert_eq!((opts.cases, opts.seed, opts.check.max_ulps), (9, 4, 2));
-        assert_eq!(opts.check.engines, [Engine::Cpu, Engine::Simd]);
+        assert_eq!(opts.check.engines, ["cpu", "vector"]);
         assert_eq!(opts.check.inject, Some(Fault::OpSwap));
         assert_eq!(opts.corpus_dir, Some("out".into()));
         assert_eq!((opts.max_failures, opts.shrink_budget), (1, 10));
         assert!(!opts.scale);
         // Every name either registry holds is accepted.
-        for engine in Engine::ALL {
+        for engine in check_names() {
             assert!(parse_fuzz(&argv(&format!("--engine {engine}"))).is_ok());
         }
         for fault in Fault::ALL {
@@ -1115,7 +1113,7 @@ mod tests {
         (
             "fuzz",
             "--engine",
-            "`--engine` needs one of bytecode|simd|cpu|hls|threaded|cycle",
+            "`--engine` needs one of bytecode|vector|cpu|stream|threaded|cycle",
         ),
         ("fuzz", "--engine gpu", "`--engine` needs one of"),
         (

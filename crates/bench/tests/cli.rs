@@ -111,7 +111,17 @@ fn a_refused_command_line_exits_2_naming_the_flag() {
         ),
         (
             &["fuzz", "--engine", "gpu"],
-            "repro fuzz: `--engine` needs one of bytecode|simd|cpu|hls|threaded|cycle",
+            "repro fuzz: `--engine` needs one of bytecode|vector|cpu|stream|threaded|cycle",
+        ),
+        // The executor's schedules and the vector tier are called what
+        // `repro run` calls them.
+        (
+            &["fuzz", "--engine", "hls"],
+            "repro fuzz: `--engine` needs one of bytecode|vector|cpu|stream|threaded|cycle",
+        ),
+        (
+            &["fuzz", "--engine", "simd"],
+            "repro fuzz: `--engine` needs one of bytecode|vector|cpu|stream|threaded|cycle",
         ),
         (
             &["tune", "--kernel", "nope"],
@@ -147,6 +157,29 @@ fn a_refused_command_line_exits_2_naming_the_flag() {
             text(&out.stderr).starts_with(named),
             "{args:?}: {}",
             text(&out.stderr)
+        );
+    }
+}
+
+/// One list of tiers: every engine `repro run` marches on, `repro fuzz`
+/// checks under the same name, and both headers name it so.
+#[test]
+fn every_run_engine_is_a_fuzz_engine_of_the_same_name() {
+    for engine in stencil_hmls::engine::NAMED {
+        let name = engine.name();
+        let run = repro(&[
+            "run", "--kernel", "heat3d", "--steps", "1", "--engine", name,
+        ]);
+        assert_eq!(run.status.code(), Some(0), "{}", text(&run.stderr));
+        let on = format!(" on the {name} engine (");
+        assert!(text(&run.stdout).contains(&on), "{}", text(&run.stdout));
+        let fuzz = repro(&["fuzz", "--cases", "1", "--no-scale", "--engine", name]);
+        assert_eq!(fuzz.status.code(), Some(0), "{}", text(&fuzz.stderr));
+        let header = format!("fuzzing 1 cases, seed 1, engines [{name}]\n");
+        assert!(
+            text(&fuzz.stdout).starts_with(&header),
+            "{}",
+            text(&fuzz.stdout)
         );
     }
 }

@@ -168,13 +168,7 @@ pub fn run_fuzz(opts: &FuzzOptions, log: &mut dyn FnMut(&str)) -> FuzzSummary {
                 case,
                 kind: kind.to_string(),
                 detail: shrunk_failure.to_string(),
-                engines: opts
-                    .check
-                    .engines
-                    .iter()
-                    .map(|e| e.name())
-                    .collect::<Vec<_>>()
-                    .join(","),
+                engines: opts.check.engines.join(","),
                 inject: opts.check.inject,
                 data_seed: opts.check.data_seed,
                 scale: shrunk_failure.scale().map(|s| (s.cus, s.steps, s.depth)),
@@ -316,7 +310,7 @@ mod tests {
             cases: 24, // one full rotation of (cus, steps, depth)
             seed: 3,
             check: CheckOptions {
-                engines: vec![crate::harness::Engine::Hls],
+                engines: vec!["stream"],
                 ..Default::default()
             },
             ..Default::default()

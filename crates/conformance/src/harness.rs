@@ -18,74 +18,43 @@ use shmls_fpga_sim::design::DesignDescriptor;
 use shmls_frontend::KernelDef;
 use shmls_ir::attributes::Attribute;
 use shmls_ir::bytecode::ApplyMode;
+use shmls_ir::error::{IrErrorKind, IrResult};
 use shmls_ir::interp::Buffer;
-use stencil_hmls::engine::{Engine as MarchEngine, Stream, VECTOR};
-use stencil_hmls::runner::{
-    run_cpu, run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with, KernelData,
-};
+use stencil_hmls::engine::{deadlocked, Engine, Interp, Stream, Threaded, VECTOR};
+use stencil_hmls::runner::KernelData;
 use stencil_hmls::scale::{run_time_marched_with, time_march_reference, MarchOptions};
 use stencil_hmls::{compile_kernel, CompileOptions, CompiledKernel, TargetPath};
 
-/// One engine under test (the oracle itself is not listed: every check is
-/// *against* it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Bytecode tier, scalar dispatch: the stencil function with every
-    /// `stencil.apply` executed as a compiled register program, one point
-    /// per program dispatch. Checked at zero ULPs — the tier's contract
-    /// is bitwise equality with the tree-walker.
-    Bytecode,
-    /// Bytecode tier, vector dispatch: the same register programs
-    /// executed a block of up to [`shmls_ir::bytecode::BLOCK`] points per
-    /// dispatch — long rows read in place, short ones packed several to a
-    /// block — threaded over the axis-0 slab partition. Also checked at
-    /// zero ULPs: blocking, packing and threading are pure scheduling —
-    /// no reassociation, no cross-lane arithmetic.
-    Simd,
-    /// Von-Neumann loop-nest lowering, interpreted.
-    Cpu,
-    /// Sequential Kahn executor over the HLS dataflow design.
-    Hls,
-    /// Threaded engine: one OS thread per stage, bounded FIFOs.
-    Threaded,
-    /// Cycle-stepped token simulator (checked for deadlock-free
-    /// completion and full drain — it models time, not values).
-    Cycle,
-}
+/// The value tiers checked against the oracle (which is not listed: every
+/// check is *against* it), in check order, each with whether it is held
+/// bitwise. The bytecode tiers' contract is bitwise equality with the
+/// tree-walker, so `bytecode` (scalar dispatch, the per-point path) and
+/// `vector` (under its most adversarial schedule: block rows *and* a slab
+/// thread fan-out) are checked at zero ULPs whatever
+/// [`CheckOptions::max_ulps`] says — blocking, packing and threading are
+/// pure scheduling, no reassociation.
+pub const TIERS: [(&dyn Engine, bool); 5] = [
+    (&Interp::Bytecode(ApplyMode::Scalar), true),
+    (&Interp::Bytecode(ApplyMode::Chunked { threads: 3 }), true),
+    (&Interp::Cpu, false),
+    (&Stream, false),
+    (&Threaded { watchdog: WATCHDOG }, false),
+];
 
-impl Engine {
-    /// Every engine, in check order.
-    pub const ALL: [Engine; 6] = [
-        Engine::Bytecode,
-        Engine::Simd,
-        Engine::Cpu,
-        Engine::Hls,
-        Engine::Threaded,
-        Engine::Cycle,
-    ];
+/// How long one stream operation of the threaded tier may stall before
+/// the run is declared deadlocked.
+const WATCHDOG: Duration = Duration::from_secs(20);
 
-    /// CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Bytecode => "bytecode",
-            Engine::Simd => "simd",
-            Engine::Cpu => "cpu",
-            Engine::Hls => "hls",
-            Engine::Threaded => "threaded",
-            Engine::Cycle => "cycle",
-        }
-    }
+/// The one check that is not a value tier: the cycle-stepped simulator
+/// must drain the extracted design at its declared FIFO depths (it models
+/// time, not values).
+pub const CYCLE: &str = "cycle";
 
-    /// Parse a CLI name.
-    pub fn parse(name: &str) -> Option<Engine> {
-        Engine::ALL.iter().copied().find(|e| e.name() == name)
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
+/// Every check's name, in check order: the [`TIERS`], then [`CYCLE`] —
+/// what [`CheckOptions::engines`] selects from.
+pub fn check_names() -> impl Iterator<Item = &'static str> {
+    let tiers = TIERS.map(|(tier, _)| tier.name());
+    tiers.into_iter().chain([CYCLE])
 }
 
 /// A deliberate miscompile, injected into the *compiled* design after the
@@ -183,15 +152,22 @@ pub enum Failure {
     Oracle(String),
     /// An engine returned an error.
     Engine {
-        /// Which engine.
-        engine: Engine,
+        /// Which engine (`"oracle"`: the iterated oracle failed before
+        /// any march).
+        engine: &'static str,
+        /// The (clamped) configuration, when the error came from
+        /// time-marching the kernel over parallel CU slabs.
+        scale: Option<ScaleConfig>,
         /// Its error text.
         error: String,
     },
-    /// An engine completed with values disagreeing with the oracle.
+    /// An engine completed with values disagreeing with the oracle (on
+    /// the scale path: with the oracle iterated as many steps).
     Mismatch {
         /// Which engine.
-        engine: Engine,
+        engine: &'static str,
+        /// The (clamped) configuration of a scale run.
+        scale: Option<ScaleConfig>,
         /// Output field with the worst disagreement.
         field: String,
         /// Interior point of the worst disagreement.
@@ -203,39 +179,14 @@ pub enum Failure {
         /// ULP distance (`u64::MAX` when only one side is NaN).
         ulps: u64,
     },
-    /// An engine deadlocked.
+    /// An engine deadlocked, on either dataflow schedule or in the cycle
+    /// simulator.
     Deadlock {
         /// Which engine.
-        engine: Engine,
-        /// The engine's structured report, rendered.
+        engine: &'static str,
+        /// Its error: the structured report, naming every blocked stage
+        /// and the stream it was blocked on.
         report: String,
-    },
-    /// The scale-out path (multi-CU time-marching) returned an error.
-    ScaleError {
-        /// The (clamped) configuration that failed.
-        scale: ScaleConfig,
-        /// The engine the march ran on (`"oracle"`: the iterated oracle
-        /// failed before any march).
-        engine: &'static str,
-        /// Its error text.
-        error: String,
-    },
-    /// The scale-out path disagrees with the iterated sequential oracle.
-    ScaleMismatch {
-        /// The (clamped) configuration that failed.
-        scale: ScaleConfig,
-        /// The engine the march ran on.
-        engine: &'static str,
-        /// Output field with the worst disagreement.
-        field: String,
-        /// Interior point of the worst disagreement.
-        point: Vec<i64>,
-        /// Oracle value there.
-        expect: f64,
-        /// Scale-path value there.
-        got: f64,
-        /// ULP distance (`u64::MAX` when only one side is NaN).
-        ulps: u64,
     },
 }
 
@@ -246,20 +197,18 @@ impl Failure {
         match self {
             Failure::Compile(_) => "compile-error",
             Failure::Oracle(_) => "oracle-error",
-            Failure::Engine { .. } => "engine-error",
-            Failure::Mismatch { .. } => "mismatch",
+            Failure::Engine { scale: None, .. } => "engine-error",
+            Failure::Engine { scale: Some(_), .. } => "scale-error",
+            Failure::Mismatch { scale: None, .. } => "mismatch",
+            Failure::Mismatch { scale: Some(_), .. } => "scale-mismatch",
             Failure::Deadlock { .. } => "deadlock",
-            Failure::ScaleError { .. } => "scale-error",
-            Failure::ScaleMismatch { .. } => "scale-mismatch",
         }
     }
 
     /// The scale configuration involved, for scale failures.
     pub fn scale(&self) -> Option<ScaleConfig> {
         match self {
-            Failure::ScaleError { scale, .. } | Failure::ScaleMismatch { scale, .. } => {
-                Some(*scale)
-            }
+            Failure::Engine { scale, .. } | Failure::Mismatch { scale, .. } => *scale,
             _ => None,
         }
     }
@@ -267,43 +216,39 @@ impl Failure {
 
 impl fmt::Display for Failure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let run = |engine: &str, scale: &Option<ScaleConfig>| match scale {
+            None => format!("engine `{engine}`"),
+            Some(scale) => format!("scale run ({scale}, engine `{engine}`)"),
+        };
         match self {
             Failure::Compile(e) => write!(f, "compile error: {e}"),
             Failure::Oracle(e) => write!(f, "oracle error: {e}"),
-            Failure::Engine { engine, error } => write!(f, "engine `{engine}` error: {error}"),
+            Failure::Engine {
+                engine,
+                scale,
+                error,
+            } => write!(f, "{} error: {error}", run(engine, scale)),
             Failure::Mismatch {
                 engine,
+                scale,
                 field,
                 point,
                 expect,
                 got,
                 ulps,
-            } => write!(
-                f,
-                "engine `{engine}` disagrees with oracle on `{field}` at {point:?}: \
-                 expected {expect:e}, got {got:e} ({ulps} ulps)"
-            ),
-            Failure::Deadlock { engine, report } => {
-                write!(f, "engine `{engine}` deadlocked:\n{report}")
+            } => {
+                let oracle = match scale {
+                    None => "oracle",
+                    Some(_) => "the iterated oracle",
+                };
+                write!(
+                    f,
+                    "{} disagrees with {oracle} on `{field}` at {point:?}: \
+                     expected {expect:e}, got {got:e} ({ulps} ulps)",
+                    run(engine, scale)
+                )
             }
-            Failure::ScaleError {
-                scale,
-                engine,
-                error,
-            } => write!(f, "scale run ({scale}, engine `{engine}`) error: {error}"),
-            Failure::ScaleMismatch {
-                scale,
-                engine,
-                field,
-                point,
-                expect,
-                got,
-                ulps,
-            } => write!(
-                f,
-                "scale run ({scale}, engine `{engine}`) disagrees with the iterated oracle on `{field}` \
-                 at {point:?}: expected {expect:e}, got {got:e} ({ulps} ulps)"
-            ),
+            Failure::Deadlock { report, .. } => f.write_str(report),
         }
     }
 }
@@ -311,13 +256,12 @@ impl fmt::Display for Failure {
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
-    /// Engines to check (the oracle always runs).
-    pub engines: Vec<Engine>,
+    /// Checks to run, by name (of [`check_names`]; they run in check
+    /// order, however listed). The oracle always runs.
+    pub engines: Vec<&'static str>,
     /// Largest tolerated ULP distance per point. The engines execute the
     /// same f64 operation sequence, so the default is exact agreement.
     pub max_ulps: u64,
-    /// Threaded-engine watchdog before a run is declared deadlocked.
-    pub watchdog: Duration,
     /// Inject this fault into the compiled design before the engine runs.
     pub inject: Option<Fault>,
     /// Seed for the generated input data.
@@ -334,9 +278,8 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            engines: Engine::ALL.to_vec(),
+            engines: check_names().collect(),
             max_ulps: 0,
-            watchdog: Duration::from_secs(20),
             inject: None,
             data_seed: 1,
             snapshots: false,
@@ -359,9 +302,8 @@ pub struct CheckReport {
 
 /// Compile `kernel` and check every configured engine against the oracle.
 pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
-    let needs_cpu = opts.engines.contains(&Engine::Cpu);
     let compile_opts = CompileOptions {
-        paths: if needs_cpu {
+        paths: if opts.engines.contains(&Interp::Cpu.name()) {
             TargetPath::HlsAndCpu
         } else {
             TargetPath::HlsOnly
@@ -369,22 +311,28 @@ pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
         snapshots: opts.snapshots,
         ..Default::default()
     };
-    let mut compiled = match compile_kernel(kernel.clone(), &compile_opts) {
-        Ok(c) => c,
-        Err(e) => {
-            return CheckReport {
-                failure: Some(Failure::Compile(e.to_string())),
-                injected: false,
-                snapshots: Vec::new(),
-            }
-        }
-    };
+    match compile_kernel(kernel.clone(), &compile_opts) {
+        Ok(compiled) => check_compiled(kernel, compiled, opts),
+        Err(e) => CheckReport {
+            failure: Some(Failure::Compile(e.to_string())),
+            injected: false,
+            snapshots: Vec::new(),
+        },
+    }
+}
 
+/// Check `compiled`, `kernel` as compiled, against the oracle: each
+/// selected tier, the cycle check, then each scale configuration, up to
+/// the first failure.
+fn check_compiled(
+    kernel: &KernelDef,
+    mut compiled: CompiledKernel,
+    opts: &CheckOptions,
+) -> CheckReport {
     let data = kernel.seeded_data(opts.data_seed);
-
     // The oracle runs on the pristine design; faults are injected after,
     // so only the engines see the miscompile.
-    let oracle = match run_stencil(&compiled, &data) {
+    let oracle = match run_oracle(&compiled, &data) {
         Ok(o) => o,
         Err(e) => {
             return CheckReport {
@@ -394,30 +342,25 @@ pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
             }
         }
     };
+    let injected = opts
+        .inject
+        .is_some_and(|fault| inject_fault(&mut compiled, fault));
 
-    let injected = match opts.inject {
-        Some(fault) => inject_fault(&mut compiled, fault),
-        None => false,
-    };
-
-    let mut failure = None;
-    for &engine in &opts.engines {
-        if let Some(f) = check_engine(engine, &compiled, &data, &oracle, opts) {
-            failure = Some(f);
-            break;
-        }
-    }
-    if failure.is_none() {
-        for &cfg in &opts.scale {
-            // The scale path compiles its own pristine slab designs, so
-            // an injected engine fault cannot leak in here; the oracle
-            // side iterates the unmutated stencil function.
-            if let Some(f) = check_scale(kernel, &compiled, &data, cfg, opts.max_ulps) {
-                failure = Some(f);
-                break;
-            }
-        }
-    }
+    let selected = |name| opts.engines.contains(&name);
+    let failure = (TIERS.into_iter())
+        .filter(|(tier, _)| selected(tier.name()))
+        .find_map(|(tier, bitwise)| {
+            let max_ulps = if bitwise { 0 } else { opts.max_ulps };
+            check_tier(tier, kernel, &compiled, &data, &oracle, max_ulps)
+        })
+        .or_else(|| selected(CYCLE).then(|| check_cycle(&compiled)).flatten())
+        // The scale path compiles its own pristine slab designs, so an
+        // injected engine fault cannot leak in here; the oracle side
+        // iterates the unmutated stencil function.
+        .or_else(|| {
+            (opts.scale.iter())
+                .find_map(|&cfg| check_scale(kernel, &compiled, &data, cfg, opts.max_ulps))
+        });
     CheckReport {
         failure,
         injected,
@@ -425,86 +368,51 @@ pub fn check_kernel(kernel: &KernelDef, opts: &CheckOptions) -> CheckReport {
     }
 }
 
-fn check_engine(
-    engine: Engine,
+/// The oracle: the stencil-dialect function, tree-walked in program order.
+fn run_oracle(compiled: &CompiledKernel, data: &KernelData) -> IrResult<BTreeMap<String, Buffer>> {
+    Ok(Interp::Tree.sweep(compiled, data, 1)?.outputs)
+}
+
+/// Sweep `compiled` (`kernel` as compiled) once on `tier` and compare what
+/// it wrote with the oracle. A stall, on either dataflow schedule, is a deadlock.
+fn check_tier(
+    tier: &dyn Engine,
+    kernel: &KernelDef,
     compiled: &CompiledKernel,
     data: &KernelData,
     oracle: &BTreeMap<String, Buffer>,
-    opts: &CheckOptions,
+    max_ulps: u64,
 ) -> Option<Failure> {
-    let compare = |out: &BTreeMap<String, Buffer>| {
-        compare_outputs(engine, &compiled.kernel, oracle, out, opts.max_ulps)
-    };
-    match engine {
-        Engine::Bytecode => {
-            // Bitwise contract: the bytecode tier is checked at zero
-            // ULPs, whatever tolerance the other engines run under.
-            // Scalar mode is pinned so this engine keeps covering the
-            // per-point dispatch path now that the default is blocks.
-            match run_stencil_bytecode_with(compiled, data, ApplyMode::Scalar) {
-                Ok(out) => compare_outputs(engine, &compiled.kernel, oracle, &out, 0),
-                Err(e) => Some(Failure::Engine {
-                    engine,
-                    error: e.to_string(),
-                }),
-            }
-        }
-        Engine::Simd => {
-            // The vector tier under its most adversarial schedule:
-            // block rows *and* a slab thread fan-out. Still zero ULPs —
-            // mode changes scheduling, never arithmetic.
-            match run_stencil_bytecode_with(compiled, data, ApplyMode::Chunked { threads: 3 }) {
-                Ok(out) => compare_outputs(engine, &compiled.kernel, oracle, &out, 0),
-                Err(e) => Some(Failure::Engine {
-                    engine,
-                    error: e.to_string(),
-                }),
-            }
-        }
-        Engine::Cpu => match run_cpu(compiled, data) {
-            Ok(out) => compare(&out),
-            Err(e) => Some(Failure::Engine {
-                engine,
-                error: e.to_string(),
-            }),
-        },
-        Engine::Hls => match run_hls(compiled, data) {
-            Ok((out, _stats)) => compare(&out),
-            Err(e) => Some(Failure::Engine {
-                engine,
-                error: e.to_string(),
-            }),
-        },
-        Engine::Threaded => match run_hls_threaded(compiled, data, opts.watchdog) {
-            Ok(Ok(out)) => compare(&out),
-            Ok(Err(report)) => Some(Failure::Deadlock {
-                engine,
-                report: report.to_string(),
-            }),
-            Err(e) => Some(Failure::Engine {
-                engine,
-                error: e.to_string(),
-            }),
-        },
-        Engine::Cycle => {
-            match simulate(&compiled.design, None) {
-                // `simulate` only returns Ok when every stage finished:
-                // the design drains completely at declared FIFO depths.
-                Ok(_report) => None,
-                Err(report) => Some(Failure::Deadlock {
-                    engine,
-                    report: report.to_string(),
-                }),
-            }
-        }
+    let engine = tier.name();
+    match tier.sweep(compiled, data, 1) {
+        Ok(sweep) => compare(engine, None, kernel, oracle, &sweep.outputs, max_ulps),
+        Err(e) if e.kind() == IrErrorKind::Deadlock => Some(Failure::Deadlock {
+            engine,
+            report: e.to_string(),
+        }),
+        Err(e) => Some(Failure::Engine {
+            engine,
+            scale: None,
+            error: e.to_string(),
+        }),
     }
+}
+
+/// The cycle check: `simulate` only returns `Ok` when every stage
+/// finished, the design drained completely at its declared FIFO depths.
+fn check_cycle(compiled: &CompiledKernel) -> Option<Failure> {
+    let report = simulate(&compiled.design, None).err()?;
+    Some(Failure::Deadlock {
+        engine: CYCLE,
+        report: deadlocked(CYCLE, &report).to_string(),
+    })
 }
 
 /// The engines every scale configuration is marched on: the vector tier
 /// the march defaults to, and the stream executor, whose slab designs —
 /// deep ones with their halo-merge seam stages over overlapping slabs
 /// above all — nothing else would run.
-const MARCH_ENGINES: [&dyn MarchEngine; 2] = [&VECTOR, &Stream];
+const MARCH_ENGINES: [&dyn Engine; 2] = [&VECTOR, &Stream];
 
 /// Check one (clamped) scale configuration: time-march the kernel over
 /// parallel CU slabs on each of [`MARCH_ENGINES`] and compare against the
@@ -517,75 +425,40 @@ fn check_scale(
     cfg: ScaleConfig,
     max_ulps: u64,
 ) -> Option<Failure> {
-    let scale = clamp_scale(kernel, cfg);
-    let oracle = match time_march_reference(kernel, data, scale.steps, |d| run_stencil(compiled, d))
-    {
+    let clamped = clamp_scale(kernel, cfg);
+    let (scale, steps) = (Some(clamped), clamped.steps);
+    let failed = |engine, error: String| Failure::Engine {
+        engine,
+        scale,
+        error,
+    };
+    let oracle = match time_march_reference(kernel, data, steps, |d| run_oracle(compiled, d)) {
         Ok(o) => o,
-        Err(e) => {
-            return Some(Failure::ScaleError {
-                scale,
-                engine: "oracle",
-                error: e.to_string(),
-            })
-        }
+        Err(e) => return Some(failed("oracle", e.to_string())),
     };
     let mut slab_opts = CompileOptions {
         paths: TargetPath::HlsOnly,
         ..Default::default()
     };
-    slab_opts.hmls.temporal_depth = scale.depth;
-    MARCH_ENGINES.into_iter().find_map(|march_engine| {
-        let engine = march_engine.name();
+    slab_opts.hmls.temporal_depth = clamped.depth;
+    MARCH_ENGINES.into_iter().find_map(|engine| {
         let march = MarchOptions {
-            engine: Some(march_engine),
+            engine: Some(engine),
             ..Default::default()
         };
-        let marched =
-            match run_time_marched_with(kernel, data, scale.steps, scale.cus, &slab_opts, &march) {
-                Ok((out, _report)) => out,
-                Err(e) => {
-                    return Some(Failure::ScaleError {
-                        scale,
-                        engine,
-                        error: e.to_string(),
-                    })
-                }
-            };
-        let lb = vec![0i64; kernel.rank()];
-        let mut worst: Option<(u64, String, Vec<i64>, f64, f64)> = None;
-        for (name, expect_buf) in &oracle {
-            let Some(got_buf) = marched.get(name) else {
-                return Some(Failure::ScaleError {
-                    scale,
-                    engine,
-                    error: format!("output `{name}` missing from scale-run results"),
-                });
-            };
-            for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
-                let expect = expect_buf.load(&p).unwrap_or(f64::NAN);
-                let got = got_buf.load(&p).unwrap_or(f64::NAN);
-                let d = ulp_distance(expect, got);
-                if d > max_ulps && worst.as_ref().is_none_or(|(w, ..)| d > *w) {
-                    worst = Some((d, name.clone(), p, expect, got));
-                }
-            }
+        match run_time_marched_with(kernel, data, steps, clamped.cus, &slab_opts, &march) {
+            Ok((out, _report)) => compare(engine.name(), scale, kernel, &oracle, &out, max_ulps),
+            Err(e) => Some(failed(engine.name(), e.to_string())),
         }
-        worst.map(|(ulps, field, point, expect, got)| Failure::ScaleMismatch {
-            scale,
-            engine,
-            field,
-            point,
-            expect,
-            got,
-            ulps,
-        })
     })
 }
 
-/// Compare engine outputs to the oracle over the grid interior (neither
-/// side produces halo values). Returns the worst-offending point.
-fn compare_outputs(
-    engine: Engine,
+/// Compare `engine`'s outputs (on the scale path at `scale`) to the
+/// oracle's over the grid interior — neither side produces halo values.
+/// Returns the worst point further than `max_ulps` from the oracle.
+fn compare(
+    engine: &'static str,
+    scale: Option<ScaleConfig>,
     kernel: &KernelDef,
     oracle: &BTreeMap<String, Buffer>,
     out: &BTreeMap<String, Buffer>,
@@ -595,9 +468,11 @@ fn compare_outputs(
     let mut worst: Option<(u64, String, Vec<i64>, f64, f64)> = None;
     for (name, expect_buf) in oracle {
         let Some(got_buf) = out.get(name) else {
+            let error = format!("output `{name}` missing from engine results");
             return Some(Failure::Engine {
                 engine,
-                error: format!("output `{name}` missing from engine results"),
+                scale,
+                error,
             });
         };
         for p in shmls_ir::interp::iter_box(&lb, &kernel.grid) {
@@ -611,6 +486,7 @@ fn compare_outputs(
     }
     worst.map(|(ulps, field, point, expect, got)| Failure::Mismatch {
         engine,
+        scale,
         field,
         point,
         expect,
@@ -757,7 +633,7 @@ kernel h {
         // still agree with the oracle, localising the blame.
         let k = parse_kernel(SRC).unwrap();
         let opts = CheckOptions {
-            engines: vec![Engine::Cpu],
+            engines: vec!["cpu"],
             inject: Some(Fault::OffsetFlip),
             ..Default::default()
         };
@@ -770,7 +646,7 @@ kernel h {
     fn clean_kernel_passes_scale_configs() {
         let k = parse_kernel(SRC).unwrap();
         let opts = CheckOptions {
-            engines: vec![Engine::Hls],
+            engines: vec!["stream"],
             scale: vec![
                 ScaleConfig {
                     cus: 1,
@@ -841,7 +717,7 @@ kernel h {
         // function, so neither side sees it and the check still passes.
         let k = parse_kernel(SRC).unwrap();
         let opts = CheckOptions {
-            engines: vec![Engine::Cpu],
+            engines: vec!["cpu"],
             inject: Some(Fault::OffsetFlip),
             scale: vec![ScaleConfig {
                 cus: 2,
@@ -853,6 +729,44 @@ kernel h {
         let report = check_kernel(&k, &opts);
         assert!(report.injected);
         assert!(report.failure.is_none(), "{}", report.failure.unwrap());
+    }
+
+    /// A design whose compute stage pops one element more than its
+    /// producer pushes stalls on either schedule: the sweep is an error of
+    /// kind `Deadlock`, and the harness reports a deadlock on both.
+    #[test]
+    fn a_stalled_design_is_a_deadlock_on_either_schedule() {
+        let k = parse_kernel(SRC).unwrap();
+        let stalled = || {
+            let mut compiled = compile_kernel(k.clone(), &CompileOptions::default()).unwrap();
+            // One more trip of the compute stage's loop than the shift
+            // buffer has windows for.
+            let ctx = &mut compiled.ctx;
+            let stage_loop = ctx.find_ops(compiled.hls_func, "scf.for")[0];
+            let trips = ctx.defining_op(ctx.operands(stage_loop)[1]).unwrap();
+            let Some(Attribute::Int(n, ty)) = ctx.attr(trips, "value").cloned() else {
+                panic!("the loop's trip count is a constant");
+            };
+            ctx.set_attr(trips, "value", Attribute::Int(n + 1, ty));
+            compiled
+        };
+        let (compiled, data) = (stalled(), k.seeded_data(1));
+        let quick = Threaded {
+            watchdog: Duration::from_millis(300),
+        };
+        for tier in [&Stream as &dyn Engine, &quick] {
+            let e = tier.sweep(&compiled, &data, 1).unwrap_err();
+            assert_eq!(e.kind(), IrErrorKind::Deadlock, "{}: {e}", tier.name());
+        }
+        for engine in ["stream", "threaded"] {
+            let opts = CheckOptions {
+                engines: vec![engine],
+                ..Default::default()
+            };
+            let failure = check_compiled(&k, stalled(), &opts).failure.unwrap();
+            assert_eq!(failure.kind(), "deadlock", "{engine}: {failure}");
+            assert!(failure.to_string().contains("blocked"), "{failure}");
+        }
     }
 
     #[test]

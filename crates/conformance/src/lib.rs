@@ -1,9 +1,11 @@
 //! # shmls-conformance — cross-engine differential conformance
 //!
-//! The pipeline can execute one stencil program four ways: the pure IR
-//! interpreter on the stencil dialect (the **oracle**), the CPU loop-nest
-//! lowering, the sequential Kahn executor and the threaded engine on the
-//! HLS dataflow design, and the cycle-stepped simulator on the extracted
+//! The pipeline can execute one stencil program many ways: the pure IR
+//! interpreter on the stencil dialect (the **oracle**), the execution
+//! tiers of `stencil_hmls::engine` — the bytecode tier scalar and in
+//! blocks, the CPU loop-nest lowering, the HLS dataflow design on the
+//! executor's sequential and threaded schedules — and the cycle-stepped
+//! simulator on the extracted
 //! [`DesignDescriptor`](shmls_fpga_sim::design::DesignDescriptor). The
 //! paper's claim is that the stencil→HLS restructuring is
 //! semantics-preserving; this crate checks that claim on *generated*
@@ -12,7 +14,8 @@
 //! - [`generator`] — a seeded structured generator emitting
 //!   random-but-valid frontend kernels (1–3 fields, star/box
 //!   neighbourhoods, temporaries, params/consts, 1–3D grids),
-//! - [`harness`] — compiles each kernel once and compares every engine
+//! - [`harness`] — compiles each kernel once and sweeps its one list of
+//!   tiers ([`harness::TIERS`]) through the `Engine` trait, comparing each
 //!   against the oracle with a configurable ULP tolerance, with a
 //!   fault-injection hook ([`harness::Fault`]) that proves the harness
 //!   detects real miscompiles; a scale dimension
@@ -39,7 +42,9 @@ pub mod shrink;
 
 pub use fuzz::{rotated_scale, run_fuzz, FuzzOptions, FuzzSummary};
 pub use generator::{generate, GenOptions};
-pub use harness::{check_kernel, clamp_scale, CheckOptions, Engine, Failure, Fault, ScaleConfig};
+pub use harness::{
+    check_kernel, check_names, clamp_scale, CheckOptions, Failure, Fault, ScaleConfig,
+};
 pub use shrink::shrink;
 
 /// The workspace's SplitMix64 generator, which lives in `shmls-ir` so every

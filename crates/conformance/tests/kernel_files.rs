@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use shmls_conformance::{check_kernel, CheckOptions, Engine, ScaleConfig};
+use shmls_conformance::{check_kernel, CheckOptions, ScaleConfig};
 
 fn check_kernel_file(name: &str, scale: Vec<ScaleConfig>) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -21,10 +21,10 @@ fn check_kernel_file(name: &str, scale: Vec<ScaleConfig>) {
         .unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()));
     let opts = CheckOptions {
         // The full grids are large for the cycle-level engines in debug
-        // builds; the functional HLS engine plus the scale dimension is
+        // builds; the stream executor plus the scale dimension is
         // the coverage this test is after (the corpus copies run every
         // engine at reduced grids).
-        engines: vec![Engine::Hls],
+        engines: vec!["stream"],
         scale,
         ..Default::default()
     };

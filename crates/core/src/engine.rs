@@ -10,12 +10,16 @@
 //! and whatever structural statistics only that tier can report, out —
 //! so a caller that wants values (the time march, the differential
 //! harness) is written once against the trait and picks a tier by
-//! passing a value. A caller that sweeps one kernel again and again
-//! prepares it once ([`Engine::prepare`]): the [`Prepared`] sweep keeps
-//! what does not depend on the data — the function to run, the
-//! arguments' binding, the bytecode tier's input layouts and register
-//! files — and a one-off [`Engine::sweep`] is a sweep of a kernel
-//! prepared for it.
+//! passing a value — the harness's whole list of tiers is five such
+//! values, and a tier has one name, the same to `repro run --engine` and
+//! `repro fuzz --engine`. A dataflow run that stalls is an error of kind
+//! [`IrErrorKind::Deadlock`](shmls_ir::error::IrErrorKind::Deadlock) on
+//! either schedule ([`deadlocked`]). A caller that sweeps one kernel
+//! again and again prepares it once ([`Engine::prepare`]): the
+//! [`Prepared`] sweep keeps what does not depend on the data — the
+//! function to run, the arguments' binding, the bytecode tier's input
+//! layouts and register files — and a one-off [`Engine::sweep`] is a
+//! sweep of a kernel prepared for it.
 //!
 //! A sweep of depth `d` advances `d` timesteps, each step's outputs fed
 //! to the next step's inputs by [`feedback_pairs`]. The interpreter tiers
@@ -357,9 +361,12 @@ impl Prepared for Design<'_> {
     }
 }
 
-/// The error a deadlocked run of the engine called `engine` is.
-pub(crate) fn deadlocked(engine: &str, report: &DeadlockReport) -> IrError {
-    ir_error!("the {engine} engine deadlocked:\n{report}")
+/// The error a deadlocked run of the engine called `engine` is: of kind
+/// [`IrErrorKind::Deadlock`](shmls_ir::error::IrErrorKind::Deadlock),
+/// whichever schedule stalled, its message naming the engine and holding
+/// the report.
+pub fn deadlocked(engine: &str, report: &DeadlockReport) -> IrError {
+    IrError::deadlock(format!("the {engine} engine deadlocked:\n{report}"))
 }
 
 /// A completed dataflow run: the written fields and its [`StreamStats`].

@@ -26,20 +26,12 @@ pub fn run_stencil(
     Ok(Interp::Tree.sweep(compiled, data, 1)?.outputs)
 }
 
-/// Run the stencil-dialect function through the bytecode tier: each
-/// `stencil.apply` with a compiled plan executes as a flat register
+/// Run the stencil-dialect function through the bytecode tier in `mode`:
+/// each `stencil.apply` with a compiled plan executes as a flat register
 /// program instead of a per-point tree walk. Everything outside the
 /// applies (loads, stores, calls) still interprets normally, and applies
 /// without a plan fall back to the tree-walker — so this always produces
-/// results bitwise-identical to [`run_stencil`], just faster.
-pub fn run_stencil_bytecode(
-    compiled: &CompiledKernel,
-    data: &KernelData,
-) -> IrResult<BTreeMap<String, Buffer>> {
-    run_stencil_bytecode_with(compiled, data, ApplyMode::default())
-}
-
-/// [`run_stencil_bytecode`] with an explicit [`ApplyMode`]: `Scalar` is
+/// results bitwise-identical to [`run_stencil`], just faster. `Scalar` is
 /// the per-point dispatch the bench harness measures speedups against;
 /// `Chunked` is the vector tier (optionally threaded over the axis-0
 /// slab partition). Results are bitwise-identical in every mode.

@@ -27,7 +27,7 @@
 //!   consume, read once per compile and checked to be a well-formed
 //!   stream graph; the one source of stage names.
 //! - [`memory`] — HBM bank connectivity (Vitis-style `.cfg` generation)
-//!   and round-robin contention modelling.
+//!   under the device's bank budget.
 //! - [`device`] — the Alveo U280 description and calibration constants.
 //! - [`perf`] — the analytic cycle/throughput model.
 //! - [`resources`] — LUT/FF/BRAM/DSP estimation (Tables 1 and 2).

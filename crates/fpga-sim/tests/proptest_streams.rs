@@ -1,5 +1,5 @@
-//! Property tests for the FIFO streams of the dataflow executor, the
-//! streaming shift buffer and the HBM arbitration model, as seeded sweeps
+//! Property tests for the FIFO streams of the dataflow executor and the
+//! streaming shift buffer, as seeded sweeps
 //! ([`shmls_ir::rng::sweep`]): a failure prints the `(seed, case)` pair
 //! that reproduces it.
 
@@ -295,35 +295,4 @@ fn shift_buffer_equals_direct_gather_3d() {
         (interior, 1, r.next_u64())
     };
     sweep(SEED, 48, gen, check_gather);
-}
-
-// ---- HBM arbitration: analytic bound vs exact simulation ----------------
-
-#[test]
-fn arbitration_analytic_matches_stepped() {
-    use shmls_fpga_sim::memory::{contention_cycles_analytic, simulate_arbitration, Traffic};
-    // `demands in vec((bank 0..4, beats 1..300), 1..8), rate_milli in 100..1500`
-    let gen = |rng: &mut Rng| {
-        let traffic = rng.vec(1, 7, |r| Traffic {
-            bank: r.range(0, 3) as u32,
-            beats: r.range(1, 299) as u64,
-        });
-        (traffic, rng.range(100, 1499) as f64 / 1000.0)
-    };
-    sweep(SEED, 128, gen, |(traffic, rate)| {
-        let rate = *rate;
-        let analytic = contention_cycles_analytic(traffic, rate);
-        let (stepped, done) = simulate_arbitration(traffic, rate);
-        // Exact arbitration can round up by at most one cycle per bank's
-        // fractional credit; with integer beats the gap stays ≤ 1.
-        assert!(stepped >= analytic, "{stepped} < {analytic}");
-        assert!(stepped <= analytic + 1, "{stepped} > {analytic}+1");
-        // Every port finishes by the end, none after it.
-        assert_eq!(done.iter().copied().max().unwrap(), stepped);
-        // Conservation: total service time ≥ total beats / rate.
-        let total: u64 = traffic.iter().map(|t| t.beats).sum();
-        let banks: std::collections::BTreeSet<u32> = traffic.iter().map(|t| t.bank).collect();
-        let lower = (total as f64 / (rate * banks.len() as f64)).floor() as u64;
-        assert!(stepped >= lower);
-    });
 }

@@ -15,6 +15,9 @@ pub enum IrErrorKind {
     /// on the f64-only execution tiers). Callers reject these up front
     /// instead of producing answers in the wrong precision.
     Unsupported,
+    /// A dataflow run stalled: some stage waits forever on a stream. The
+    /// message is the deadlock report, whichever schedule ran it.
+    Deadlock,
 }
 
 /// An error produced by IR construction, verification, parsing, rewriting or
@@ -23,9 +26,9 @@ pub enum IrErrorKind {
 /// The IR layer deliberately uses a single string-carrying error type: errors
 /// here are programmer- or input-facing diagnostics, not values that callers
 /// dispatch on. Pass pipelines wrap these with pass names, the parser wraps
-/// them with line/column information. The one dispatchable distinction is
-/// the [`IrErrorKind`]: *unsupported* inputs (well-formed, deliberately
-/// rejected) versus everything else.
+/// them with line/column information. The dispatchable distinctions are
+/// the [`IrErrorKind`]s: *unsupported* inputs (well-formed, deliberately
+/// rejected) and *deadlocked* runs versus everything else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrError {
     message: String,
@@ -47,6 +50,15 @@ impl IrError {
         Self {
             message: message.into(),
             kind: IrErrorKind::Unsupported,
+        }
+    }
+
+    /// Create an [`IrErrorKind::Deadlock`] error: a run that stalled,
+    /// `message` its report.
+    pub fn deadlock(message: impl Into<String>) -> Self {
+        Self {
+            message: message.into(),
+            kind: IrErrorKind::Deadlock,
         }
     }
 
