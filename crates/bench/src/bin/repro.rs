@@ -54,7 +54,8 @@ const SECTIONS: [(&str, Section); 10] = [
 /// Functional validation: the shipped kernels on the dataflow engines
 /// against their hand-written goldens.
 fn validate(_: &EvalContext) -> String {
-    use stencil_hmls::runner::{run_hls, run_hls_threaded, run_stencil};
+    use stencil_hmls::engine::Threaded;
+    use stencil_hmls::runner::{run_hls, run_stencil};
     use stencil_hmls::{compile, CompileOptions};
 
     let check = |ok: bool| if ok { "PASS" } else { "FAIL" };
@@ -73,7 +74,6 @@ fn validate(_: &EvalContext) -> String {
         let runs = "benchmark kernel must run";
         let stencil_out = run_stencil(&compiled, &data).expect(runs);
         let (hls_out, (streams, pushed, beats)) = run_hls(&compiled, &data).expect(runs);
-        let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(30)).expect(runs);
         let diff = Grid3::from_buffer(&hls_out["su"]).max_diff(&su);
         out += &format!(
             "  PW advection {n:?}: stencil==golden: {}, dataflow==golden: {} \
@@ -84,9 +84,9 @@ fn validate(_: &EvalContext) -> String {
         out += &format!(
             "    sequential engine: {streams} streams, {pushed} elements, {beats} mem beats\n"
         );
-        match &threaded {
+        match Threaded.sweep(&compiled, &data, 1) {
             Ok(_) => out.push_str("    threaded engine (bounded FIFOs): PASS\n"),
-            Err(report) => out += &format!("    threaded engine (bounded FIFOs): FAIL\n{report}"),
+            Err(e) => out += &format!("    threaded engine (bounded FIFOs): FAIL\n{e}\n"),
         }
     }
     // Tracer advection.

@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use shmls_fpga_sim::cycle::simulate;
 use shmls_fpga_sim::design::DesignDescriptor;
@@ -38,12 +37,8 @@ pub const TIERS: [(&dyn Engine, bool); 5] = [
     (&Interp::Bytecode(ApplyMode::Chunked { threads: 3 }), true),
     (&Interp::Cpu, false),
     (&Stream, false),
-    (&Threaded { watchdog: WATCHDOG }, false),
+    (&Threaded, false),
 ];
-
-/// How long one stream operation of the threaded tier may stall before
-/// the run is declared deadlocked.
-const WATCHDOG: Duration = Duration::from_secs(20);
 
 /// The one check that is not a value tier: the cycle-stepped simulator
 /// must drain the extracted design at its declared FIFO depths (it models
@@ -751,10 +746,7 @@ kernel h {
             compiled
         };
         let (compiled, data) = (stalled(), k.seeded_data(1));
-        let quick = Threaded {
-            watchdog: Duration::from_millis(300),
-        };
-        for tier in [&Stream as &dyn Engine, &quick] {
+        for tier in [&Stream as &dyn Engine, &Threaded] {
             let e = tier.sweep(&compiled, &data, 1).unwrap_err();
             assert_eq!(e.kind(), IrErrorKind::Deadlock, "{}: {e}", tier.name());
         }

@@ -22,7 +22,6 @@
 //! in `shmls_ir::bytecode`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use shmls_conformance::generator::generate;
 use shmls_conformance::rng::{sweep, Rng};
@@ -31,7 +30,8 @@ use shmls_ir::bytecode::{ApplyMode, Instr, Program, BLOCK};
 use shmls_ir::interp::iter_box;
 use shmls_ir::ir::{IdMap, OpId};
 use shmls_ir::scalar::{BinOp, UnOp};
-use stencil_hmls::runner::{run_hls, run_hls_threaded, run_stencil, run_stencil_bytecode_with};
+use stencil_hmls::engine::{Engine, Threaded};
+use stencil_hmls::runner::{run_hls, run_stencil, run_stencil_bytecode_with};
 use stencil_hmls::{compile_kernel, CompileOptions, TargetPath};
 
 fn compile_opts() -> CompileOptions {
@@ -77,10 +77,16 @@ fn check_bytecode_bitwise(seed: u64, case: u64, data_seed: u64) -> usize {
     // One layer down: sequential Kahn engine (tree-walks stage bodies)
     // vs the threaded engine (executes planned stages as bytecode).
     let (kahn, _) = run_hls(&compiled, &data).expect("sequential engine");
-    let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(20))
-        .expect("threaded engine")
-        .unwrap_or_else(|report| panic!("seed {seed} case {case}: deadlock: {report}"));
-    assert_bitwise(seed, case, "threaded", &kahn, &threaded, &kernel.grid);
+    let threaded = Threaded.sweep(&compiled, &data, 1);
+    let threaded = threaded.unwrap_or_else(|e| panic!("seed {seed} case {case}: {e}"));
+    assert_bitwise(
+        seed,
+        case,
+        "threaded",
+        &kahn,
+        &threaded.outputs,
+        &kernel.grid,
+    );
 
     compiled.apply_plans.len()
 }

@@ -12,9 +12,12 @@
 //! harness) is written once against the trait and picks a tier by
 //! passing a value — the harness's whole list of tiers is five such
 //! values, and a tier has one name, the same to `repro run --engine` and
-//! `repro fuzz --engine`. A dataflow run that stalls is an error of kind
+//! `repro fuzz --engine`. The two dataflow tiers are the executor's two
+//! schedules, [`Stream`] and [`Threaded`], and take no option: a run
+//! that stalls — on the threaded one, the moment every running stage
+//! waits on a FIFO — is an error of kind
 //! [`IrErrorKind::Deadlock`](shmls_ir::error::IrErrorKind::Deadlock) on
-//! either schedule ([`deadlocked`]). A caller that sweeps one kernel
+//! either ([`deadlocked`]). A caller that sweeps one kernel
 //! again and again prepares it once ([`Engine::prepare`]): the
 //! [`Prepared`] sweep keeps what does not depend on the data — the
 //! function to run, the arguments' binding, the bytecode tier's input
@@ -33,7 +36,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
-use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
 use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
@@ -101,14 +103,8 @@ pub trait Engine: Debug + Sync {
 }
 
 /// The engines a command line can name: `vector`, `stream` and
-/// `threaded` (with a 30-second watchdog).
-pub const NAMED: [&dyn Engine; 3] = [
-    &VECTOR,
-    &Stream,
-    &Threaded {
-        watchdog: Duration::from_secs(30),
-    },
-];
+/// `threaded`.
+pub const NAMED: [&dyn Engine; 3] = [&VECTOR, &Stream, &Threaded];
 
 /// The engine of [`NAMED`] called `name`.
 pub fn by_name(name: &str) -> Option<&'static dyn Engine> {
@@ -277,43 +273,27 @@ impl Prepared for Interpreted<'_> {
 
 /// The HLS dataflow design on the executor's sequential schedule: its
 /// stages in program order over unbounded FIFOs. Reports [`StreamStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stream;
-
-impl Engine for Stream {
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
-        let schedule = Schedule::Sequential;
-        Ok(Box::new(Design::new(self, compiled, schedule)))
-    }
-
-    fn min_parallel_work(&self) -> u64 {
-        16
-    }
-}
-
+pub use shmls_fpga_sim::threaded::Schedule::Sequential as Stream;
 /// The HLS dataflow design with one OS thread per stage over bounded
-/// FIFOs. Reports [`StreamStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Threaded {
-    /// How long one blocking stream operation may stall before the run is
-    /// declared deadlocked.
-    pub watchdog: Duration,
-}
+/// FIFOs; it stalls once every running stage waits on a FIFO. Reports
+/// [`StreamStats`].
+pub use shmls_fpga_sim::threaded::Schedule::Threaded;
 
-impl Engine for Threaded {
+/// The two dataflow engines are the executor's two schedules.
+impl Engine for Schedule {
     fn name(&self) -> &'static str {
-        "threaded"
+        match self {
+            Stream => "stream",
+            Threaded => "threaded",
+        }
     }
 
     fn prepare<'c>(&self, compiled: &'c CompiledKernel) -> IrResult<Box<dyn Prepared + Send + 'c>> {
-        let schedule = Schedule::Threaded {
-            watchdog: self.watchdog,
-        };
-        Ok(Box::new(Design::new(self, compiled, schedule)))
+        Ok(Box::new(Design {
+            compiled,
+            binding: Binding::new(compiled),
+            schedule: *self,
+        }))
     }
 
     fn min_parallel_work(&self) -> u64 {
@@ -324,21 +304,9 @@ impl Engine for Threaded {
 /// A dataflow engine's prepared kernel: the design, its arguments'
 /// binding and its schedule.
 struct Design<'c> {
-    engine: &'static str,
     compiled: &'c CompiledKernel,
     binding: Binding,
     schedule: Schedule,
-}
-
-impl<'c> Design<'c> {
-    fn new(engine: &dyn Engine, compiled: &'c CompiledKernel, schedule: Schedule) -> Self {
-        Design {
-            engine: engine.name(),
-            compiled,
-            binding: Binding::new(compiled),
-            schedule,
-        }
-    }
 }
 
 impl Prepared for Design<'_> {
@@ -352,7 +320,7 @@ impl Prepared for Design<'_> {
             compiled.report.temporal_depth
         );
         let (outputs, stats) = run_design(compiled, &self.binding, data, self.schedule)?
-            .map_err(|report| deadlocked(self.engine, &report))?;
+            .map_err(|report| deadlocked(self.schedule.name(), &report))?;
         Ok(Sweep {
             outputs,
             stats: Some(stats),
@@ -564,9 +532,7 @@ mod tests {
             Box::new(Interp::Bytecode(ApplyMode::Chunked { threads: 3 })),
             Box::new(Interp::Cpu),
             Box::new(Stream),
-            Box::new(Threaded {
-                watchdog: Duration::from_secs(30),
-            }),
+            Box::new(Threaded),
         ]
     }
 
@@ -877,9 +843,7 @@ mod tests {
 
     #[test]
     fn threaded_refuses_misshapen_parameters() {
-        refuses_misshapen_parameters(&Threaded {
-            watchdog: Duration::from_secs(30),
-        });
+        refuses_misshapen_parameters(&Threaded);
     }
 
     /// A stage that panics is an error naming it, on either schedule: a
@@ -892,8 +856,7 @@ mod tests {
         let load = stages.iter().position(|s| s.kind() == "load").unwrap();
         let label = stages[load].label(load);
         let data = relax_data();
-        let watchdog = Duration::from_millis(500);
-        for schedule in [Schedule::Sequential, Schedule::Threaded { watchdog }] {
+        for schedule in [Stream, Threaded] {
             let setup = |store: &mut _| {
                 let args = Binding::new(&compiled).bind(&data, store).unwrap();
                 let mut short = data.buffers["a"].clone();
@@ -921,15 +884,12 @@ mod tests {
         let mut deep = CompileOptions::default();
         deep.hmls.temporal_depth = 2;
         let cases = CATALOGUE.map(|k| (k, CompileOptions::default()));
-        let threaded = Threaded {
-            watchdog: Duration::from_secs(30),
-        };
         for (kernel, options) in cases.into_iter().chain([(&HEAT3D, deep)]) {
             let grid = [6, 5, 4];
             let compiled = compile(&kernel.source(grid), &options).unwrap();
             let (data, depth) = (kernel.data(grid), compiled.report.temporal_depth);
             let sequential = Stream.sweep(&compiled, &data, depth).unwrap();
-            let concurrent = threaded.sweep(&compiled, &data, depth).unwrap();
+            let concurrent = Threaded.sweep(&compiled, &data, depth).unwrap();
             let what = format!("{} at depth {depth}", kernel.name);
             assert_eq!(
                 bits(&sequential.outputs),

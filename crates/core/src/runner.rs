@@ -6,7 +6,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use shmls_fpga_sim::deadlock::DeadlockReport;
-use shmls_fpga_sim::threaded::Schedule;
 use shmls_ir::bytecode::ApplyMode;
 use shmls_ir::error::IrResult;
 use shmls_ir::interp::Buffer;
@@ -15,7 +14,7 @@ use shmls_ir::ir_error;
 
 use crate::driver::CompiledKernel;
 pub use crate::engine::StreamStats;
-use crate::engine::{deadlocked, run_design, Binding, Engine, Interp, Stream};
+use crate::engine::{deadlocked, run_design, Binding, Engine, Interp, Stream, Threaded};
 
 /// Run the frontend's stencil-dialect function directly (reference
 /// semantics).
@@ -55,17 +54,13 @@ pub fn run_hls(
     compiled: &CompiledKernel,
     data: &KernelData,
 ) -> IrResult<(BTreeMap<String, Buffer>, StreamStats)> {
-    run_design(
-        compiled,
-        &Binding::new(compiled),
-        data,
-        Schedule::Sequential,
-    )?
-    .map_err(|report| deadlocked(Stream.name(), &report))
+    run_design(compiled, &Binding::new(compiled), data, Stream)?
+        .map_err(|report| deadlocked(Stream.name(), &report))
 }
 
 /// Run the Stencil-HMLS design on the threaded engine (bounded FIFOs, one
-/// thread per stage).
+/// thread per stage). The `Duration` is ignored: a stall is detected the
+/// moment every running stage waits on a FIFO, not timed out.
 ///
 /// The outer `IrResult` is for execution *errors* (bad IR, failed calls);
 /// the inner `Result` distinguishes a completed run (the written fields)
@@ -75,10 +70,9 @@ pub fn run_hls(
 pub fn run_hls_threaded(
     compiled: &CompiledKernel,
     data: &KernelData,
-    watchdog: Duration,
+    _watchdog: Duration,
 ) -> IrResult<Result<BTreeMap<String, Buffer>, Box<DeadlockReport>>> {
-    let schedule = Schedule::Threaded { watchdog };
-    let outcome = run_design(compiled, &Binding::new(compiled), data, schedule)?;
+    let outcome = run_design(compiled, &Binding::new(compiled), data, Threaded)?;
     Ok(outcome.map(|(outputs, _)| outputs))
 }
 

@@ -1096,10 +1096,7 @@ mod tests {
         .unwrap();
         let compiled = crate::compile_kernel(kernel, &opts_depth(2)).unwrap();
         let data = KernelData::default();
-        let threaded = Threaded {
-            watchdog: Duration::from_secs(5),
-        };
-        for engine in [&Stream as &dyn Engine, &threaded] {
+        for engine in [&Stream as &dyn Engine, &Threaded] {
             assert!(engine.sweep(&compiled, &data, 2).is_ok());
             let e = engine.sweep(&compiled, &data, 1).unwrap_err();
             assert!(

@@ -5,13 +5,12 @@
 //! prunes dead stages, so the design is well-formed by construction and
 //! all three engines complete and agree.
 
-use std::time::Duration;
-
 use shmls_fpga_sim::cycle;
 use shmls_fpga_sim::design::DesignDescriptor;
 use shmls_ir::interp::Buffer;
 use shmls_ir::types::StencilBounds;
-use stencil_hmls::runner::{run_hls, run_hls_threaded, run_stencil, KernelData};
+use stencil_hmls::engine::{Engine, Threaded};
+use stencil_hmls::runner::{run_hls, run_stencil, KernelData};
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
 const SRC: &str = r#"
@@ -48,9 +47,9 @@ fn unused_temp_completes_on_all_engines() {
     // Reference semantics, sequential Kahn engine, threaded engine.
     let reference = run_stencil(&compiled, &data).unwrap();
     let (sequential, _) = run_hls(&compiled, &data).unwrap();
-    let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(10))
-        .unwrap()
-        .unwrap_or_else(|report| panic!("pruned design must not deadlock:\n{report}"));
+    let threaded = Threaded.sweep(&compiled, &data, 1);
+    let threaded = threaded.unwrap_or_else(|e| panic!("pruned design must not deadlock:\n{e}"));
+    let threaded = threaded.outputs;
 
     for p in 0..64 {
         let r = reference["b"].load(&[p]).unwrap();

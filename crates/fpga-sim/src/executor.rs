@@ -210,7 +210,6 @@ fn rt_copy_small_data(call: &Call<'_>, store: &mut Store<'_>) -> IrResult<u64> {
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
-    use std::time::Duration;
 
     use super::*;
     use shmls_dialects::{builtin, func};
@@ -327,16 +326,11 @@ mod tests {
         (ctx, module)
     }
 
-    pub(super) const SCHEDULES: [Schedule; 2] = [
-        Schedule::Sequential,
-        Schedule::Threaded {
-            watchdog: Duration::from_millis(100),
-        },
-    ];
+    pub(super) const SCHEDULES: [Schedule; 2] = [Schedule::Sequential, Schedule::Threaded];
 
     /// A pop nothing will ever answer is a stall of the stage that made
-    /// it, reported as such on either schedule — at once on the
-    /// sequential one, where nothing else could push.
+    /// it, reported as such and at once on either schedule: no other
+    /// stage runs that could push.
     #[test]
     fn read_from_empty_stream_is_error() {
         let (ctx, module) = one_stage(&[2], |b, s| {

@@ -7,22 +7,21 @@
 //! then its stages under a [`Schedule`]: in program order over unbounded
 //! FIFOs, every stage tree-walked (the functional reference), or one OS
 //! thread each over FIFOs bounded at their declared depth, compute and dup
-//! stages as [`stageplan`](crate::stageplan) programs, with a watchdog
-//! that makes a stall — the paper's StencilFlow "likely indicator of
-//! deadlock" — a report, not a hang. Both share one transport, one
-//! [`ExternOps`] for the `hls` ops and the runtime calls, a copy-on-write
-//! view of the initial store per stage, the merge of what the writing
-//! stage wrote and one [`Outcome`]: a stall is a [`DeadlockReport`]
-//! naming the stage and the stream, and a stage that fails or panics is
-//! an error naming the stage.
+//! stages as [`stageplan`](crate::stageplan) programs. A run has stalled —
+//! the paper's StencilFlow "likely indicator of deadlock" — exactly when
+//! every stage still running waits on a FIFO, which it counts, not times.
+//! Both share one transport, one [`ExternOps`] for the `hls` ops and the
+//! runtime calls, a copy-on-write view of the initial store per stage, the
+//! merge of what the writing stage wrote and one [`Outcome`]: a stall is a
+//! [`DeadlockReport`] naming the stage and the stream, and a stage that
+//! fails or panics is an error naming the stage.
 
 use std::collections::VecDeque;
 use std::iter::zip;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
 
 use shmls_dialects::func;
 use shmls_dialects::hls::{self, RuntimeKind};
@@ -43,23 +42,9 @@ pub enum Schedule {
     /// The calling thread runs the stages in program order over unbounded
     /// FIFOs; a pop from an empty FIFO stalls at once.
     Sequential,
-    /// One OS thread per stage over FIFOs bounded at their declared depth.
-    Threaded {
-        /// How long one blocking stream operation may stall before the
-        /// run is declared deadlocked.
-        watchdog: Duration,
-    },
-}
-
-impl Schedule {
-    /// How long a blocked stream operation waits: not at all on the
-    /// sequential schedule, where nothing else runs to unblock it.
-    fn watchdog(self) -> Duration {
-        match self {
-            Schedule::Sequential => Duration::ZERO,
-            Schedule::Threaded { watchdog } => watchdog,
-        }
-    }
+    /// One OS thread per stage over FIFOs bounded at their declared depth;
+    /// the run stalls once every stage still running is parked on one.
+    Threaded,
 }
 
 /// Outcome of a run.
@@ -81,16 +66,26 @@ pub enum Outcome<'d> {
     },
 }
 
-/// One FIFO: a queue with one condition per direction a stage can block
-/// in, the count of values ever pushed, and — on the threaded schedule —
+/// One FIFO: its state under one lock, the one condition the stages
+/// parked on it wait for — a bound is at least 1, so pushers and poppers
+/// never wait on the same FIFO at once — and, on the threaded schedule,
 /// its declared depth as the bound a push waits under.
 struct Channel {
-    queue: Mutex<VecDeque<RtValue>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    fifo: Mutex<Fifo>,
+    released: Condvar,
     depth: usize,
     bound: Option<usize>,
-    pushed: AtomicU64,
+}
+
+/// What a FIFO's lock guards: its values, the count of values ever
+/// pushed, the stages parked on it, and the ticket each release of them
+/// draws.
+#[derive(Default)]
+struct Fifo {
+    queue: VecDeque<RtValue>,
+    pushed: u64,
+    parked: usize,
+    ticket: u64,
 }
 
 /// Lock a mutex whose data every critical section here leaves valid (a
@@ -100,67 +95,113 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Wake a stage blocked on `condition`. With a zero watchdog none ever
-/// blocks, and a wake is a system call on every push and pop.
-fn wake(condition: &Condvar, watchdog: Duration) {
-    if !watchdog.is_zero() {
-        condition.notify_one();
-    }
-}
-
 impl Channel {
     /// At its bound: what `hls.full` answers and a push waits out. An
     /// unbounded FIFO is never full.
     fn full(&self, occupancy: usize) -> bool {
         self.bound.is_some_and(|bound| occupancy >= bound)
     }
-
-    /// Block on `condition` until `ready(queue)` holds, for at most
-    /// `watchdog` in total; `None` means the watchdog expired first.
-    fn wait_until<'a>(
-        &'a self,
-        condition: &Condvar,
-        watchdog: Duration,
-        ready: impl Fn(&VecDeque<RtValue>) -> bool,
-    ) -> Option<MutexGuard<'a, VecDeque<RtValue>>> {
-        let mut queue = lock(&self.queue);
-        let mut deadline = None;
-        while !ready(&queue) {
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
-            let left = deadline.checked_duration_since(Instant::now());
-            queue = condition
-                .wait_timeout(queue, left.filter(|left| !left.is_zero())?)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        Some(queue)
-    }
 }
 
-/// The streams of one run, shared by all its stages.
+/// The streams of one run, shared by all its stages, whether they are
+/// bounded, and the counts `(running, parked)`: the stages counted in and
+/// not yet exited, and those of them parked on a FIFO. The sequential
+/// schedule and the init phase count none running, so they stall at once.
+#[derive(Default)]
 pub(crate) struct ChannelTable {
     channels: Mutex<Vec<Arc<Channel>>>,
-    schedule: Schedule,
+    bounded: bool,
+    counts: Mutex<(usize, usize)>,
+    stalled: AtomicBool,
+}
+
+/// A stage counted running, held by its thread: dropped as the thread
+/// exits, by return or by panic, it counts the stage out again.
+struct Exit<'t>(&'t ChannelTable);
+
+impl Drop for Exit<'_> {
+    fn drop(&mut self) {
+        if self.0.recount(|(running, _)| *running -= 1) {
+            self.0.wake_all();
+        }
+    }
 }
 
 impl ChannelTable {
     /// No streams yet; each FIFO created is bounded as `schedule` says.
     pub(crate) fn new(schedule: Schedule) -> Arc<ChannelTable> {
-        let channels = Mutex::default();
-        Arc::new(ChannelTable { channels, schedule })
+        let bounded = schedule == Schedule::Threaded;
+        Arc::new(ChannelTable {
+            bounded,
+            ..Default::default()
+        })
     }
 
     pub(crate) fn create(&self, depth: usize) -> usize {
         let mut guard = lock(&self.channels);
         guard.push(Arc::new(Channel {
-            queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            fifo: Mutex::default(),
+            released: Condvar::new(),
             depth,
-            bound: matches!(self.schedule, Schedule::Threaded { .. }).then_some(depth),
-            pushed: AtomicU64::new(0),
+            bound: self.bounded.then_some(depth),
         }));
         guard.len() - 1
+    }
+
+    /// Count `stages` more stages running, one [`Exit`] each to hold.
+    fn start(&self, stages: usize) -> Vec<Exit<'_>> {
+        lock(&self.counts).0 += stages;
+        (0..stages).map(|_| Exit(self)).collect()
+    }
+
+    /// Apply `change` to the counts: true if the run has stalled, whose
+    /// parked stages the caller then wakes with [`ChannelTable::wake_all`].
+    fn recount(&self, change: impl FnOnce(&mut (usize, usize))) -> bool {
+        let mut counts = lock(&self.counts);
+        change(&mut counts);
+        let (running, parked) = *counts;
+        let stalled = parked > 0 && parked >= running;
+        self.stalled.fetch_or(stalled, Ordering::SeqCst) || stalled
+    }
+
+    /// Wake the stages parked on every FIFO to find the run stalled, each
+    /// FIFO locked to notify it: a stage parking there sees or hears it.
+    fn wake_all(&self) {
+        for channel in lock(&self.channels).iter() {
+            let _fifo = lock(&channel.fifo);
+            channel.released.notify_all();
+        }
+    }
+
+    /// Apply `op` to `channel` once it can (answers `Some`), parked while it
+    /// cannot, then release the stages parked there, counted out before
+    /// they wake. `None` once the run has stalled.
+    fn transfer<T>(
+        &self,
+        channel: &Channel,
+        mut op: impl FnMut(&mut Fifo) -> Option<T>,
+    ) -> Option<T> {
+        let (mut fifo, released) = (lock(&channel.fifo), &channel.released);
+        loop {
+            if let Some(done) = op(&mut fifo) {
+                if fifo.parked > 0 {
+                    lock(&self.counts).1 -= std::mem::take(&mut fifo.parked);
+                    fifo.ticket += 1;
+                    released.notify_all();
+                }
+                return Some(done);
+            }
+            if self.recount(|(_, parked)| *parked += 1) {
+                drop(fifo);
+                self.wake_all();
+                return None;
+            }
+            fifo.parked += 1;
+            let ticket = fifo.ticket;
+            while fifo.ticket == ticket && !self.stalled.load(Ordering::SeqCst) {
+                fifo = released.wait(fifo).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
     }
 
     /// Occupancy vs. declared depth for every FIFO, creation order.
@@ -170,7 +211,7 @@ impl ChannelTable {
             .enumerate()
             .map(|(i, c)| StreamSnapshot {
                 stream: i,
-                occupancy: lock(&c.queue).len(),
+                occupancy: lock(&c.fifo).queue.len(),
                 depth: c.depth,
                 full_stall_cycles: None,
             })
@@ -179,7 +220,7 @@ impl ChannelTable {
 
     /// Elements ever pushed into every FIFO, creation order.
     pub(crate) fn pushed(&self) -> Vec<u64> {
-        let pushed = |c: &Arc<Channel>| c.pushed.load(Ordering::Relaxed);
+        let pushed = |c: &Arc<Channel>| lock(&c.fifo).pushed;
         lock(&self.channels).iter().map(pushed).collect()
     }
 }
@@ -208,12 +249,13 @@ impl ChannelIo {
         }
     }
 
-    fn channel(&mut self, handle: usize) -> IrResult<&Channel> {
+    /// The run's table and the FIFO behind `handle`.
+    fn channel(&mut self, handle: usize) -> IrResult<(&ChannelTable, &Channel)> {
         if handle >= self.known.len() {
             self.known = lock(&self.table.channels).clone();
         }
         match self.known.get(handle) {
-            Some(channel) => Ok(channel),
+            Some(channel) => Ok((&self.table, channel)),
             None => Err(ir_error!("invalid stream handle {handle}")),
         }
     }
@@ -221,33 +263,27 @@ impl ChannelIo {
     /// Fail a blocked operation, keeping what blocked it for the report.
     fn stall(&mut self, status: StageStatus) -> IrError {
         self.last_stall = Some(status);
-        ir_error!("stalled past the watchdog: {status:?}")
+        ir_error!("stalled: {status:?}")
     }
 }
 
 impl StreamIo for ChannelIo {
     fn pop(&mut self, handle: usize) -> IrResult<RtValue> {
-        let watchdog = self.table.schedule.watchdog();
-        let channel = self.channel(handle)?;
-        let queue = channel.wait_until(&channel.not_empty, watchdog, |q| !q.is_empty());
-        if let Some(value) = queue.and_then(|mut queue| queue.pop_front()) {
-            wake(&channel.not_full, watchdog);
-            return Ok(value);
-        }
-        Err(self.stall(StageStatus::BlockedOnPop { stream: handle }))
+        let (table, channel) = self.channel(handle)?;
+        let popped = table.transfer(channel, |fifo| fifo.queue.pop_front());
+        popped.ok_or_else(|| self.stall(StageStatus::BlockedOnPop { stream: handle }))
     }
 
     fn push(&mut self, handle: usize, value: RtValue) -> IrResult<()> {
-        let watchdog = self.table.schedule.watchdog();
-        let channel = self.channel(handle)?;
-        let not_full = |q: &VecDeque<RtValue>| !channel.full(q.len());
-        let queue = channel.wait_until(&channel.not_full, watchdog, not_full);
-        if queue.map(|mut queue| queue.push_back(value)).is_some() {
-            channel.pushed.fetch_add(1, Ordering::Relaxed);
-            wake(&channel.not_empty, watchdog);
-            return Ok(());
-        }
-        Err(self.stall(StageStatus::BlockedOnPush { stream: handle }))
+        let (table, channel) = self.channel(handle)?;
+        let mut value = Some(value);
+        let pushed = table.transfer(channel, |fifo| {
+            (!channel.full(fifo.queue.len())).then(|| {
+                fifo.queue.extend(value.take());
+                fifo.pushed += 1;
+            })
+        });
+        pushed.ok_or_else(|| self.stall(StageStatus::BlockedOnPush { stream: handle }))
     }
 }
 
@@ -271,8 +307,8 @@ impl ExternOps for ChannelIo {
                 vec![]
             }
             hls::EMPTY | hls::FULL => {
-                let channel = self.channel(args[0].as_stream()?)?;
-                let occupancy = lock(&channel.queue).len();
+                let (_, channel) = self.channel(args[0].as_stream()?)?;
+                let occupancy = lock(&channel.fifo).queue.len();
                 vec![RtValue::Bool(match name {
                     hls::EMPTY => occupancy == 0,
                     _ => channel.full(occupancy),
@@ -396,9 +432,16 @@ impl<'d> Network<'d> {
             Schedule::Sequential => stages
                 .map(|i| catch_unwind(AssertUnwindSafe(|| self.run_stage(i, false))))
                 .collect(),
-            Schedule::Threaded { .. } => thread::scope(|scope| {
-                let handles: Vec<_> = stages
-                    .map(|i| scope.spawn(move || self.run_stage(i, true)))
+            // Every stage is counted running before any can park.
+            Schedule::Threaded => thread::scope(|scope| {
+                let exits = self.table.start(self.stages.len());
+                let handles: Vec<_> = zip(stages, exits)
+                    .map(|(i, exit)| {
+                        scope.spawn(move || {
+                            let _exit = exit;
+                            self.run_stage(i, true)
+                        })
+                    })
                     .collect();
                 handles.into_iter().map(|h| h.join()).collect()
             }),
@@ -507,12 +550,6 @@ mod tests {
     use shmls_dialects::{arith, func as fdial, scf};
     use shmls_ir::builder::OpBuilder;
 
-    fn threaded(watchdog_ms: u64) -> Schedule {
-        Schedule::Threaded {
-            watchdog: Duration::from_millis(watchdog_ms),
-        }
-    }
-
     /// Build a module with one function containing `n` dataflow stages
     /// produced by `build`, for hand-made concurrency tests.
     fn stage_module(build: impl FnOnce(&mut Context, BlockId)) -> (Context, OpId) {
@@ -559,20 +596,24 @@ mod tests {
         execute(ctx, module, "k", |_| vec![], schedule).unwrap()
     }
 
-    /// The transport alone, two threads: values leave in the order they
-    /// entered, and the queue never holds more than its declared depth —
-    /// the consumer starts only once the producer has filled it.
+    /// The transport alone, two threads counted as the run's stages:
+    /// values leave in the order they entered, and the queue never holds
+    /// more than its declared depth — the consumer starts only once the
+    /// producer has filled it.
     #[test]
     fn channel_is_fifo_and_never_exceeds_its_depth() {
         const DEPTH: usize = 3;
         const VALUES: i64 = 2000;
-        let table = ChannelTable::new(threaded(5000));
+        let table = ChannelTable::new(Schedule::Threaded);
         let stream = table.create(DEPTH);
         let io = || ChannelIo::new(Arc::clone(&table));
         let occupancy = || table.snapshot()[stream].occupancy;
         let filled = std::sync::Barrier::new(2);
+        let mut exits = table.start(2);
+        let producer_exit = exits.pop();
         std::thread::scope(|scope| {
             scope.spawn(|| {
+                let _exit = producer_exit;
                 let mut producer = io();
                 for v in 0..VALUES {
                     producer.push(stream, RtValue::I64(v)).unwrap();
@@ -589,15 +630,43 @@ mod tests {
                 assert_eq!(consumer.pop(stream).unwrap(), RtValue::I64(v));
                 assert!(occupancy() <= DEPTH);
             }
+            drop(exits);
         });
         assert_eq!(occupancy(), 0);
         assert_eq!(table.pushed(), [VALUES as u64]);
+        assert_eq!(*lock(&table.counts), (0, 0));
+    }
+
+    /// However long the other running stage takes, a stage parked on a
+    /// FIFO it will fill is waiting, not deadlocked: once the consumer has
+    /// parked, the producer sleeps 600 ms — longer than any stall timeout
+    /// these tests ever gave — and the pop returns what it then pushes.
+    #[test]
+    fn a_slow_producer_is_not_a_deadlock() {
+        let table = ChannelTable::new(Schedule::Threaded);
+        let stream = table.create(1);
+        let io = || ChannelIo::new(Arc::clone(&table));
+        let mut exits = table.start(2);
+        let producer_exit = exits.pop();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _exit = producer_exit;
+                while lock(&table.counts).1 == 0 {
+                    thread::yield_now();
+                }
+                thread::sleep(std::time::Duration::from_millis(600));
+                io().push(stream, RtValue::I64(7)).unwrap();
+            });
+            assert_eq!(io().pop(stream).unwrap(), RtValue::I64(7));
+            drop(exits);
+        });
+        assert!(!table.stalled.load(Ordering::SeqCst));
     }
 
     #[test]
     fn balanced_pipeline_completes() {
         let (ctx, module) = producer_consumer(1000, 1000, 2);
-        for schedule in [Schedule::Sequential, threaded(5000)] {
+        for schedule in [Schedule::Sequential, Schedule::Threaded] {
             match run(&ctx, module, schedule) {
                 Outcome::Completed { streams, .. } => assert_eq!(streams, [1000]),
                 other => panic!("{schedule:?}: expected completion, got {other:?}"),
@@ -609,7 +678,7 @@ mod tests {
     fn starved_consumer_is_deadlock() {
         // Consumer wants more than the producer sends: blocking read stalls.
         let (ctx, module) = producer_consumer(10, 11, 2);
-        for schedule in [Schedule::Sequential, threaded(200)] {
+        for schedule in [Schedule::Sequential, Schedule::Threaded] {
             let Outcome::Deadlock { report } = run(&ctx, module, schedule) else {
                 panic!("{schedule:?}: expected deadlock");
             };
@@ -629,19 +698,37 @@ mod tests {
         }
     }
 
+    /// A stage that *fails* (unknown function) surfaces as an error, not
+    /// misclassified as a deadlock — alone, or beside a consumer it leaves
+    /// waiting on a stream it never fills, which stalls the moment the
+    /// failing stage exits.
     #[test]
     fn stage_errors_propagate_as_errors_not_deadlock() {
-        // A stage that *fails* (unknown function) must surface as an
-        // error, not be misclassified as a deadlock.
-        let (ctx, module) = stage_module(|ctx, entry| {
+        let alone = stage_module(|ctx, entry| {
             let mut b = OpBuilder::at_block_end(ctx, entry);
             let (_df, body) = hls::dataflow(&mut b);
             let mut ib = OpBuilder::at_block_end(ctx, body);
             fdial::call(&mut ib, "does_not_exist", vec![], vec![]);
         });
-        for schedule in [Schedule::Sequential, threaded(200)] {
-            let e = execute(&ctx, module, "k", |_| vec![], schedule).unwrap_err();
-            assert!(e.to_string().contains("does_not_exist"), "{e}");
+        let starving = stage_module(|ctx, entry| {
+            let mut b = OpBuilder::at_block_end(ctx, entry);
+            let s = hls::create_stream(&mut b, Type::F64, 2);
+            let (_failing, failing) = hls::dataflow(&mut b);
+            let (_consumer, consumer) = hls::dataflow(&mut OpBuilder::at_block_end(ctx, entry));
+            let mut fb = OpBuilder::at_block_end(ctx, failing);
+            fdial::call(&mut fb, "does_not_exist", vec![], vec![]);
+            let v = arith::constant_f64(&mut fb, 1.5);
+            hls::write(&mut fb, v, s);
+            hls::read(&mut OpBuilder::at_block_end(ctx, consumer), s);
+        });
+        for (ctx, module) in [&alone, &starving] {
+            for schedule in [Schedule::Sequential, Schedule::Threaded] {
+                let started = std::time::Instant::now();
+                let e = execute(ctx, *module, "k", |_| vec![], schedule).unwrap_err();
+                assert!(e.to_string().contains("does_not_exist"), "{e}");
+                let waited = started.elapsed();
+                assert!(waited.as_secs() < 5, "{schedule:?} waited {waited:?}");
+            }
         }
     }
 
@@ -650,7 +737,7 @@ mod tests {
         // Producer sends more than the consumer drains: bounded FIFO fills,
         // the blocking write stalls — the StencilFlow failure mode.
         let (ctx, module) = producer_consumer(100, 10, 2);
-        let Outcome::Deadlock { report } = run(&ctx, module, threaded(200)) else {
+        let Outcome::Deadlock { report } = run(&ctx, module, Schedule::Threaded) else {
             panic!("expected deadlock");
         };
         // The producer (stage 0) is blocked pushing the full stream 0; the
@@ -687,7 +774,7 @@ mod tests {
             let v = arith::constant_f64(&mut b, 1.5);
             hls::write(&mut b, v, s);
         });
-        match run(&ctx, module, threaded(5000)) {
+        match run(&ctx, module, Schedule::Threaded) {
             Outcome::Completed { streams, .. } => assert_eq!(streams, [1]),
             other => panic!("expected completion, got {other:?}"),
         }

@@ -4,8 +4,6 @@
 //! both read [`Stage::label`](shmls_fpga_sim::design::Stage::label) — and a
 //! dup stage is `dup` to both.
 
-use std::time::Duration;
-
 use shmls_dialects::builtin::create_module;
 use shmls_dialects::{arith, func, hls, scf};
 use shmls_fpga_sim::cycle::simulate;
@@ -67,16 +65,7 @@ fn fork_join(depth: i64) -> (Context, OpId, OpId) {
 }
 
 fn threaded(ctx: &Context, module: OpId) -> Option<Box<DeadlockReport>> {
-    let watchdog = Duration::from_millis(300);
-    match execute(
-        ctx,
-        module,
-        "k",
-        |_| vec![],
-        Schedule::Threaded { watchdog },
-    )
-    .unwrap()
-    {
+    match execute(ctx, module, "k", |_| vec![], Schedule::Threaded).unwrap() {
         Outcome::Completed { .. } => None,
         Outcome::Deadlock { report } => Some(report),
     }

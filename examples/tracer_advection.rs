@@ -9,11 +9,10 @@
 //! cargo run --example tracer_advection
 //! ```
 
-use std::time::Duration;
-
 use shmls_baselines::{DaceModel, EvalContext, FrameworkModel, KernelProfile, StencilHmlsModel};
 use shmls_kernels::tracer_advection;
-use stencil_hmls::runner::{run_hls, run_hls_threaded};
+use stencil_hmls::engine::{Engine, Threaded};
+use stencil_hmls::runner::run_hls;
 use stencil_hmls::{compile, CompileOptions, TargetPath};
 
 fn main() {
@@ -77,10 +76,11 @@ fn main() {
 
     // The 24-stage design is a deadlock-free Kahn network under bounded
     // FIFOs (one thread per dataflow stage).
-    let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(60))
-        .expect("threaded engine runs")
-        .expect("design must not deadlock");
-    let diff = shmls_kernels::Grid3::from_buffer(&threaded["mydomain"]).max_diff(&golden.mydomain);
+    let threaded = Threaded
+        .sweep(&compiled, &data, 1)
+        .expect("design runs, no deadlock");
+    let diff =
+        shmls_kernels::Grid3::from_buffer(&threaded.outputs["mydomain"]).max_diff(&golden.mydomain);
     println!("threaded engine (bounded FIFOs): max |diff| = {diff:.2e}");
 
     // Paper-scale headline: single CU, ~14-21x over DaCe.

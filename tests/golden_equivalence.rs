@@ -8,11 +8,11 @@
 //! `shmls-kernels`, written independently of the compiler.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use shmls_ir::interp::Buffer;
 use shmls_kernels::{pw_advection, tracer_advection};
-use stencil_hmls::runner::{run_cpu, run_hls, run_hls_threaded, run_stencil, KernelData};
+use stencil_hmls::engine::{Engine, Threaded};
+use stencil_hmls::runner::{run_cpu, run_hls, run_stencil, KernelData};
 use stencil_hmls::{compile, CompileOptions};
 
 const TOL: f64 = 1e-12;
@@ -69,9 +69,10 @@ fn pw_advection_all_paths_match_golden() {
     assert!(streams >= 9, "PW should create many streams, got {streams}");
     assert!(pushed > 0 && beats > 0);
 
-    let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(20))
-        .unwrap()
-        .expect("PW advection dataflow design must not deadlock");
+    let threaded = Threaded.sweep(&compiled, &data, 1);
+    let threaded = threaded
+        .expect("PW advection dataflow design must not deadlock")
+        .outputs;
     assert_matches_golden(&threaded, &golden, "hls-threaded");
 }
 
@@ -127,9 +128,10 @@ fn tracer_advection_all_paths_match_golden() {
     let (hls, _) = run_hls(&compiled, &data).unwrap();
     assert_matches_golden(&hls, &golden, "hls-sequential");
 
-    let threaded = run_hls_threaded(&compiled, &data, Duration::from_secs(30))
-        .unwrap()
-        .expect("tracer advection dataflow design must not deadlock");
+    let threaded = Threaded.sweep(&compiled, &data, 1);
+    let threaded = threaded
+        .expect("tracer advection dataflow design must not deadlock")
+        .outputs;
     assert_matches_golden(&threaded, &golden, "hls-threaded");
 }
 

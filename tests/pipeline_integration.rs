@@ -5,6 +5,7 @@ use shmls_dialects::{hls, llvm, stencil};
 use shmls_fpga_sim::threaded::{execute, Outcome, Schedule};
 use shmls_ir::prelude::*;
 use shmls_ir::verifier::verify_with;
+use stencil_hmls::engine::{Engine, Threaded};
 use stencil_hmls::{compile, CompileOptions};
 
 const SIMPLE_2D: &str = r#"
@@ -262,13 +263,8 @@ kernel wide {
     let reference = stencil_hmls::runner::run_stencil(&compiled, &data).unwrap();
     let cpu = stencil_hmls::runner::run_cpu(&compiled, &data).unwrap();
     let (hls, _) = stencil_hmls::runner::run_hls(&compiled, &data).unwrap();
-    let threaded = stencil_hmls::runner::run_hls_threaded(
-        &compiled,
-        &data,
-        std::time::Duration::from_secs(20),
-    )
-    .unwrap()
-    .expect("halo-2 design must not deadlock");
+    let threaded = Threaded.sweep(&compiled, &data, 1);
+    let threaded = threaded.expect("halo-2 design must not deadlock").outputs;
 
     for p in shmls_ir::interp::iter_box(&[0, 0], &[9, 7]) {
         let want = a.load(&[p[0] - 2, p[1]]).unwrap()

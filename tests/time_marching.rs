@@ -6,7 +6,6 @@
 //! error paths and the fault-injection self-test must all fire.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use shmls_ir::interp::Buffer;
 use shmls_kernels::{heat3d, pw_advection, tracer_advection};
@@ -96,10 +95,7 @@ fn engines_march_to_the_oracles_bits_at_every_cus_steps_depth() {
     // whole buffers, halo ring included, over a grid that covers the
     // single sweep, whole rounds, the shallower remainder round and a
     // depth beyond the step count.
-    let threaded = Threaded {
-        watchdog: Duration::from_secs(60),
-    };
-    let engines: [&dyn Engine; 3] = [&VECTOR, &Stream, &threaded];
+    let engines: [&dyn Engine; 3] = [&VECTOR, &Stream, &Threaded];
     let n = [6, 4, 3];
     for (kernel, data) in [pw_data(n), heat_data(n), tracer_data(n)] {
         let monolithic = compile_kernel(kernel.clone(), &opts()).unwrap();
