@@ -182,14 +182,16 @@ fn sim(rows: &mut Rows) -> Result<(), String> {
 /// A reintroduced input clone or result temp fails the gate on any host.
 /// PW advection needs neither; tracer advection's chained stages keep
 /// their temps. Beside them the instructions the sweep dispatched
-/// (instructions × blocks): the deterministic twin of the vector tier's
-/// wall clock, which a narrower block or a lost packing moves, and the
-/// applies the vector tier runs a sweep: 1 where it runs the fused host
-/// form, which a silent fall-back to the split form would raise. Every
-/// apply must have compiled to bytecode: one that had not would fall back
-/// to the tree-walker and still sweep correctly.
+/// (instructions × blocks) and the input elements it gathered into packed
+/// blocks: the deterministic twins of the vector tier's wall clock, which
+/// a narrower block or a change of geometry — a strip read in place, or
+/// rows packed — moves; and the applies the vector tier runs a sweep: 1
+/// where it runs the fused host form, which a silent fall-back to the
+/// split form would raise. heat3d at `HEAT_GRID` is the march's kernel.
+/// Every apply must have compiled to bytecode: one that had not would
+/// fall back to the tree-walker and still sweep correctly.
 fn sweep_work(rows: &mut Rows) -> Result<(), String> {
-    for (kernel, grid) in BENCH_KERNELS {
+    for (kernel, grid) in BENCH_KERNELS.into_iter().chain([(&HEAT3D, HEAT_GRID)]) {
         let kname = kernel.name;
         let compiled = compile_at(kernel, grid, &CompileOptions::default())?;
         let applies = compiled
@@ -218,6 +220,10 @@ fn sweep_work(rows: &mut Rows) -> Result<(), String> {
         rows.insert(
             format!("interp/{kname}/sweep_dispatches"),
             lower(work.dispatches as f64, "count"),
+        );
+        rows.insert(
+            format!("interp/{kname}/sweep_gathered"),
+            lower(work.gathered as f64, "elems"),
         );
         let host_applies = compiled.host_form().map_or(applies, |host| {
             host.ctx.find_ops(host.func, "stencil.apply").len()

@@ -253,16 +253,19 @@ fn ledger_rows_and_units_are_pinned() {
         for size in sizes {
             expected.extend(DESIGN.map(|row| format!("design/{kernel}/{size}/{row}")));
         }
+        for row in ["cycles", "mem_beats", "stepped_cycles", "stream_elements"] {
+            expected.push(format!("sim/{kernel}/{row}"));
+        }
+    }
+    for kernel in ["heat3d", "pw_advection", "tracer_advection"] {
         for row in [
             "host_applies",
             "sweep_copied_bytes",
             "sweep_dispatches",
+            "sweep_gathered",
             "sweep_temp_bytes",
         ] {
             expected.push(format!("interp/{kernel}/{row}"));
-        }
-        for row in ["cycles", "mem_beats", "stepped_cycles", "stream_elements"] {
-            expected.push(format!("sim/{kernel}/{row}"));
         }
     }
     expected.extend(

@@ -167,11 +167,14 @@ fn check_chunk_seam(source: &str, label: &str, max_threads: usize) {
 /// The block-grid seams, deterministically, for the vector tier's block
 /// width W = [`BLOCK`]. Rows read in place: inner extents of W−1 (one
 /// partial block), W (one full block), W+1 and 2W+1 (full blocks plus a
-/// one-lane block). Rows packed several to a block: 1, 3 and 16 points,
-/// and 48, which leaves rows straddling two blocks. Plus the 3-D cases
-/// where the seams run along every row of a threaded slab split with
-/// more threads than rows. These are exactly the off-by-one shapes a
-/// block split and a packing get wrong first.
+/// one-lane block). Short rows of a 1-D grid, which has no strips, packed
+/// several to a block: 1, 3 and 16 points. Plus the 3-D cases where the
+/// seams run along every row of a threaded slab split with more threads
+/// than rows: laplace's 16- and 48-point rows run as strips read in place
+/// (its 10 instructions × 2 halo lanes a row cost less than the 7
+/// elements a point it would gather), and its 2-point rows are packed.
+/// These are exactly the off-by-one shapes a block split, a strip and a
+/// packing get wrong first.
 #[test]
 fn chunk_boundary_extents_are_bitwise_exact() {
     let w = BLOCK as i64;
@@ -182,10 +185,11 @@ fn chunk_boundary_extents_are_bitwise_exact() {
             4,
         );
     }
-    // (axis-0 rows, middle, inner): in place with inner W+1; packed 16 to
-    // a block; packed with straddling rows and enough points that three
-    // workers spawn — a thread per row at most, so 4 and 5 clamp.
-    for [nx, ny, nz] in [[3, 4, w + 1], [4, 8, 16], [3, 96, 48]] {
+    // (axis-0 rows, middle, inner): in place with inner W+1; a strip of
+    // eight 16-point rows a plane; strips of 96 rows of 48, and packed
+    // 2-point rows, each over enough points that three workers spawn — a
+    // thread per row at most, so 4 and 5 clamp.
+    for [nx, ny, nz] in [[3, 4, w + 1], [4, 8, 16], [3, 96, 48], [3, 700, 2]] {
         check_chunk_seam(
             &shmls_kernels::laplace::source_3d(nx, ny, nz),
             &format!("laplace3d {nx}x{ny}x{nz}"),
@@ -297,11 +301,12 @@ fn bytecode_matches_tree_walker() {
     });
 }
 
-/// Block split property: for a random row length — short enough to be
-/// packed, or straddling the block grid — and a random thread count, the
-/// block executor's full blocks + partial last block must partition the
-/// row with no gap, no overlap, and no arithmetic difference — checked
-/// by bitwise comparison against the tree-walker at every point.
+/// Block split property: for a random row length of a 1-D grid — short
+/// enough to be packed, or straddling the block grid — and a random
+/// thread count, the block executor's full blocks + partial last block
+/// must partition the row with no gap, no overlap, and no arithmetic
+/// difference — checked by bitwise comparison against the tree-walker at
+/// every point.
 #[test]
 fn interior_halo_split_is_exact() {
     // `(n, threads, data_seed) in (1..80 ∪ W−1..3W+1, 1..5, 1..1_000)`

@@ -632,8 +632,10 @@ mod tests {
         let data = relax_data();
         let (padded, interior) = (8 * 7 * 11 * 8, 6 * 5 * 9 * 8);
         // Three instructions for `s`, two for `b`, each over its 270
-        // points in 9-point rows packed into three blocks (128 + 128 + 14).
-        const DISPATCHES: u64 = (3 + 2) * 3;
+        // points: a strip per axis-0 plane, its five 9-point rows at the
+        // padded pitch of 11 one block of 4 · 11 + 9 = 53 lanes, read in
+        // place — six blocks, nothing gathered.
+        const DISPATCHES: u64 = (3 + 2) * 6;
         // Tree: a temp per apply, a box copy per store, and each lent
         // destination copied on its first write.
         assert_eq!(
@@ -642,6 +644,7 @@ mod tests {
                 allocated_bytes: 2 * interior,
                 copied_bytes: 2 * padded + 2 * interior,
                 dispatches: 0,
+                gathered: 0,
             })
         );
         // Vector: `b` is computed in place; `s` is loaded as well as
@@ -652,6 +655,7 @@ mod tests {
                 allocated_bytes: interior,
                 copied_bytes: 2 * padded + interior,
                 dispatches: DISPATCHES,
+                gathered: 0,
             })
         );
         // With no output supplied, `b` is the store's own: nothing lent
@@ -664,6 +668,7 @@ mod tests {
                 allocated_bytes: interior,
                 copied_bytes: padded + interior,
                 dispatches: DISPATCHES,
+                gathered: 0,
             })
         );
     }

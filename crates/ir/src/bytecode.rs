@@ -829,10 +829,10 @@ pub enum ApplyMode {
     /// speedup over it (and CI can detect a silent fallback).
     Scalar,
     /// The vector tier: block execution along the inner axis (up to
-    /// [`BLOCK`] points per dispatch, short rows packed several to a
-    /// block), optionally threaded over the axis-0 slab partition
-    /// ([`slab_partition`]) when `threads > 1`. Bitwise-identical to
-    /// `Scalar` by construction.
+    /// [`BLOCK`] points per dispatch, short rows run several to a block,
+    /// as a strip read in place or packed), optionally threaded over the
+    /// axis-0 slab partition ([`slab_partition`]) when `threads > 1`.
+    /// Bitwise-identical to `Scalar` by construction.
     Chunked {
         /// Worker threads for the axis-0 slab split (1 = run in place).
         threads: usize,
@@ -1002,6 +1002,9 @@ struct Layout {
     scalars: Vec<(usize, usize)>,
     buf_loads: Vec<BufLoad>,
     param_reads: Vec<ParamRead>,
+    /// The row pitch of the strips the block path runs, when it runs the
+    /// apply's short rows as strips ([`Layout::strip_pitch`]).
+    strip: Option<usize>,
 }
 
 /// Apply operand `operand` of `args`.
@@ -1033,6 +1036,7 @@ impl Layout {
             scalars: Vec::new(),
             buf_loads: Vec::new(),
             param_reads: Vec::new(),
+            strip: None,
         };
         // The buffer behind memref operand `operand`, its geometry
         // recorded the first time it is met.
@@ -1103,7 +1107,28 @@ impl Layout {
                 }
             }
         }
+        layout.strip = layout.strip_pitch(prog.instrs.len(), lb, ub);
         Ok(layout)
+    }
+
+    /// The pitch `P` every access shares along the axis next to the inner
+    /// one, when the block path runs the box's short rows as strips: rank
+    /// 2 or more, rows shorter than [`PACK_BELOW`], no parameter indexed
+    /// by that axis, and the lanes a strip computes and throws away — `P −
+    /// n` a row, under every instruction — fewer than the elements a
+    /// packed block would gather, `n` a row from every streamed input.
+    fn strip_pitch(&self, instrs: usize, lb: &[i64], ub: &[i64]) -> Option<usize> {
+        let rank = lb.len();
+        let (inner, across) = (rank.checked_sub(1)?, rank.checked_sub(2)?);
+        let n = (ub[inner] - lb[inner]).max(0) as usize;
+        let pitch = self.buf_loads.first()?.map.stride[across] as usize;
+        let streamed =
+            self.buf_loads.len() + self.param_reads.iter().filter(|pr| pr.dim == inner).count();
+        let strips = n < PACK_BELOW
+            && (self.buf_loads.iter()).all(|bl| bl.map.stride[across] as usize == pitch)
+            && self.param_reads.iter().all(|pr| pr.dim != across)
+            && instrs * pitch.saturating_sub(n) < streamed * n;
+        strips.then_some(pitch)
     }
 
     /// Whether every memref operand of `args` is bound to a buffer of the
@@ -1166,6 +1191,24 @@ fn advance(point: &mut [i64], lb: &[i64], ub: &[i64], end: usize) -> usize {
     d
 }
 
+/// What a run of the block executor did, counted into the store's
+/// [`StoreWork`](crate::interp::StoreWork): instructions dispatched, and
+/// input elements copied into packed blocks.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    dispatches: u64,
+    gathered: u64,
+}
+
+impl std::iter::Sum for Tally {
+    fn sum<I: Iterator<Item = Tally>>(iter: I) -> Tally {
+        iter.fold(Tally::default(), |a, b| Tally {
+            dispatches: a.dispatches + b.dispatches,
+            gathered: a.gathered + b.gathered,
+        })
+    }
+}
+
 /// The per-point path: dispatch the program once per grid point over the
 /// whole box. `outs[o]` is result `o`'s temp of exactly the box, indexed
 /// by its row-major linear order. Returns the instructions dispatched.
@@ -1205,7 +1248,8 @@ fn run_points(
     (n_points * prog.instrs.len()) as u64
 }
 
-/// Rows shorter than this are packed, several to a block: a block of one
+/// Rows shorter than this run several to a block — as a strip read in
+/// place where [`Layout::strip_pitch`] allows, else packed: a block of one
 /// short row would spread each dispatch over a handful of lanes (the
 /// march's 16-point slab rows pay for 16). Longer rows are cut into
 /// blocks of their own and read in place.
@@ -1237,6 +1281,10 @@ struct Registers {
     own: Vec<f64>,
     /// [`BLOCK`] lanes per temp register.
     temps: Vec<f64>,
+    /// Per inner-axis parameter, a strip's worth of its row repeated at
+    /// the strip's pitch: `pitch + BLOCK` lanes, so that every block of a
+    /// strip reads its lanes in one slice.
+    tile: Vec<f64>,
     /// `(first lane, lanes)` of each row segment in the current packed
     /// block, and where each lands in every output (`outs.len()` apiece).
     segs: Vec<(usize, usize)>,
@@ -1261,16 +1309,16 @@ struct Blocks<'p, 'a> {
     regs: &'p mut Registers,
     /// Lanes of the current packed block filled so far.
     filled: usize,
-    dispatches: u64,
+    tally: Tally,
 }
 
 impl<'p, 'a> Blocks<'p, 'a> {
     /// Set `regs` up for a run of `prog` over `inputs` into `outs`. Every
     /// lane a block reads is written first in the run — scalars here,
-    /// parameters and gathered inputs per row, temps by the program —
-    /// so what a register file holds from an earlier run is never read;
-    /// and every run ends with its packed block flushed, which leaves no
-    /// segment behind.
+    /// parameters and gathered inputs per row, a strip's tiled parameters
+    /// once, temps by the program — so what a register file holds from
+    /// an earlier run is never read; and every run ends with its packed
+    /// block flushed, which leaves no segment behind.
     fn new(
         prog: &'p Program,
         inputs: &'p ResolvedInputs<'a>,
@@ -1313,7 +1361,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
             streamed,
             regs,
             filled: 0,
-            dispatches: 0,
+            tally: Tally::default(),
         }
     }
 
@@ -1376,7 +1424,64 @@ impl<'p, 'a> Blocks<'p, 'a> {
         for ((o, &row), &r) in outs.iter_mut().zip(&regs.out_rows).zip(&self.prog.results) {
             o.data[row + j..][..n].copy_from_slice(self.prog.block_lanes(r, n, read, &regs.temps));
         }
-        self.dispatches += self.prog.instrs.len() as u64;
+        self.tally.dispatches += self.prog.instrs.len() as u64;
+    }
+
+    /// Repeat each inner-axis parameter's row, `n` values from `first`,
+    /// at `pitch` into [`Registers::tile`], the lanes between rows zero.
+    fn tile_params(&mut self, first: i64, (n, pitch): (usize, usize), inner: usize) {
+        let (layout, data) = (self.inputs.layout, &self.inputs.data);
+        let inner_params = layout.param_reads.iter().filter(|pr| pr.dim == inner);
+        let tile = &mut self.regs.tile;
+        tile.clear();
+        for pr in inner_params {
+            let row = &data[pr.operand][(first - pr.sub) as usize..][..n];
+            tile.extend((0..pitch + BLOCK).map(|l| row.get(l % pitch).copied().unwrap_or(0.0)));
+        }
+    }
+
+    /// Run lanes `j..j + len` of the current strip — rows `pitch` lanes
+    /// apart from the current row on, the first `n` lanes of each the
+    /// row's points — as one block, every access read in place, and copy
+    /// each row's points to its row of every output.
+    #[inline(always)]
+    fn run_strip(
+        &mut self,
+        j: usize,
+        len: usize,
+        (n, pitch): (usize, usize),
+        outs: &mut [OutRows<'_>],
+    ) {
+        let regs = &mut *self.regs;
+        let loads = self.inputs.layout.buf_loads.len();
+        let (own, tile, streamed, bases, in_place) = (
+            &regs.own,
+            &regs.tile,
+            &self.streamed,
+            &regs.bases,
+            &regs.in_place,
+        );
+        let read = |i: usize| match in_place[i] {
+            Some(k) if k < loads => &streamed[k].1[bases[k] + j..][..len],
+            Some(k) => &tile[(k - loads) * (pitch + BLOCK) + j % pitch..][..len],
+            None => &own[i * BLOCK..][..len],
+        };
+        self.prog.run_block(len, read, &mut regs.temps);
+        let out_steps = &regs.steps[streamed.len()..];
+        for (((o, &start), &step), &r) in (outs.iter_mut().zip(&regs.out_rows))
+            .zip(out_steps)
+            .zip(&self.prog.results)
+        {
+            let lanes = self.prog.block_lanes(r, len, read, &regs.temps);
+            for row in j / pitch..(j + len).div_ceil(pitch) {
+                let (lo, hi) = ((row * pitch).max(j), (row * pitch + n).min(j + len));
+                if lo < hi {
+                    let at = start + row * step + lo - row * pitch;
+                    o.data[at..][..hi - lo].copy_from_slice(&lanes[lo - j..hi - j]);
+                }
+            }
+        }
+        self.tally.dispatches += self.prog.instrs.len() as u64;
     }
 
     /// Gather lanes `j..j + len` of the current row into the packed block
@@ -1388,6 +1493,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
         for (&(reg, data), &base) in self.streamed.iter().zip(&regs.bases) {
             regs.own[reg * BLOCK + at..][..len].copy_from_slice(&data[base + j..][..len]);
         }
+        self.tally.gathered += (self.streamed.len() * len) as u64;
         self.splat(at, len);
         let regs = &mut *self.regs;
         regs.segs.push((at, len));
@@ -1416,7 +1522,7 @@ impl<'p, 'a> Blocks<'p, 'a> {
         }
         regs.segs.clear();
         regs.seg_rows.clear();
-        self.dispatches += self.prog.instrs.len() as u64;
+        self.tally.dispatches += self.prog.instrs.len() as u64;
     }
 }
 
@@ -1443,7 +1549,7 @@ pub fn host_lanes() -> &'static str {
     ["baseline", "avx2+fma"][Lanes::default() as usize]
 }
 
-/// [`slab_blocks`] through the copy `lanes` names: inlined here, or in an AVX2+FMA wrapper.
+/// [`slab_or_strips`] through the copy `lanes` names: inlined here, or in an AVX2+FMA wrapper.
 #[allow(unsafe_code)]
 fn run_slab_blocks(
     lanes: Lanes,
@@ -1453,7 +1559,7 @@ fn run_slab_blocks(
     rows: (i64, i64),
     outs: &mut [OutRows<'_>],
     regs: &mut Registers,
-) -> u64 {
+) -> Tally {
     let blocks = Blocks::new(prog, inputs, corners.0.len() - 1, outs, regs);
     #[cfg(target_arch = "x86_64")]
     if lanes == Lanes::Avx2Fma {
@@ -1463,29 +1569,94 @@ fn run_slab_blocks(
             corners: (&[i64], &[i64]),
             rows: (i64, i64),
             outs: &mut [OutRows<'_>],
-        ) -> u64 {
-            slab_blocks(blocks, corners, rows, outs)
+        ) -> Tally {
+            slab_or_strips(blocks, corners, rows, outs)
         }
         // SAFETY: `Avx2Fma` is made only where `is_x86_feature_detected!` found AVX2 and FMA.
         return unsafe { avx2_fma(blocks, corners, rows, outs) };
     }
-    slab_blocks(blocks, corners, rows, outs)
+    slab_or_strips(blocks, corners, rows, outs)
+}
+
+/// [`strip_blocks`] where the layout runs strips, else [`slab_blocks`]:
+/// the branch is taken before either loop, so the in-row loop compiles
+/// as it would alone.
+#[inline(always)]
+fn slab_or_strips(
+    blocks: Blocks<'_, '_>,
+    corners: (&[i64], &[i64]),
+    rows: (i64, i64),
+    outs: &mut [OutRows<'_>],
+) -> Tally {
+    match blocks.inputs.layout.strip {
+        Some(pitch) => strip_blocks(blocks, pitch, corners, rows, outs),
+        None => slab_blocks(blocks, corners, rows, outs),
+    }
+}
+
+/// The strip path over one axis-0 slab (`rank >= 2`, every access of row
+/// pitch `pitch` along the axis next to the inner one, `across`): each
+/// plane's rows along `across` — at rank 2, the slab's rows — run as one
+/// strip of `(m − 1) · pitch + n` lanes from the first row's first point,
+/// cut into blocks of up to [`BLOCK`] lanes and read straight from the
+/// buffers. Every lane between two rows' points lies between two points'
+/// elements under the same affine map, so `Layout::resolve`'s bounds
+/// check holds for it; its results are thrown away, and nothing outside
+/// the box is written. Returns what it did.
+#[inline(always)]
+fn strip_blocks(
+    mut blocks: Blocks<'_, '_>,
+    pitch: usize,
+    (lb, ub): (&[i64], &[i64]),
+    (r0, r1): (i64, i64),
+    outs: &mut [OutRows<'_>],
+) -> Tally {
+    let rank = lb.len();
+    let (inner, across) = (rank - 1, rank - 2);
+    let extent = |d: usize| (ub[d] - lb[d]).max(0) as usize;
+    let rows = (r1 - r0).max(0) as usize;
+    let n = extent(inner);
+    // Rows per strip, and strips: one per point of the axes before `across`.
+    let (m, planes) = if across == 0 {
+        (rows, 1)
+    } else {
+        (
+            extent(across),
+            rows * (1..across).map(extent).product::<usize>(),
+        )
+    };
+    if n == 0 || m == 0 {
+        return blocks.tally;
+    }
+    let lanes = (m - 1) * pitch + n;
+    blocks.tile_params(lb[inner], (n, pitch), inner);
+    let mut point = lb.to_vec();
+    point[0] = lb[0] + r0;
+    for _ in 0..planes {
+        blocks.start_row(&point, inner, outs, false);
+        blocks.splat(0, lanes.min(BLOCK));
+        for j in (0..lanes).step_by(BLOCK) {
+            blocks.run_strip(j, (lanes - j).min(BLOCK), (n, pitch), outs);
+        }
+        advance(&mut point, lb, ub, across);
+    }
+    blocks.tally
 }
 
 /// The block path over one axis-0 slab (`rank >= 1`), rows `[lb[0] + r0,
 /// lb[0] + r1)`: all odometer and index bookkeeping happens once per
 /// *row* (a maximal inner-axis run). A row of [`PACK_BELOW`] points or
 /// more is cut into blocks of up to [`BLOCK`] lanes whose inputs are
-/// read straight from their buffers; shorter rows are packed into full
-/// blocks, a row straddling two where it must. Returns the instructions
-/// dispatched.
+/// read straight from their buffers; shorter rows — where the layout
+/// runs no strips — are packed into full blocks, a row straddling two
+/// where it must. Returns what it did.
 #[inline(always)]
 fn slab_blocks(
     mut blocks: Blocks<'_, '_>,
     (lb, ub): (&[i64], &[i64]),
     (r0, r1): (i64, i64),
     outs: &mut [OutRows<'_>],
-) -> u64 {
+) -> Tally {
     let rank = lb.len();
     debug_assert!(rank >= 1);
     // Inner-axis geometry. For rank 1 the slab itself is the inner run.
@@ -1496,7 +1667,7 @@ fn slab_blocks(
         (lb[inner], (ub[inner] - lb[inner]).max(0) as usize)
     };
     if inner_n == 0 {
-        return 0;
+        return blocks.tally;
     }
     let n_rows: usize = if rank == 1 {
         1
@@ -1535,7 +1706,7 @@ fn slab_blocks(
         stepped = advance(&mut point, lb, ub, inner) + 1 == inner;
     }
     blocks.flush(outs);
-    blocks.dispatches
+    blocks.tally
 }
 
 /// Execute a compiled `stencil.apply` over `store` with an explicit
@@ -1618,7 +1789,7 @@ pub fn exec_apply_with(
             None => (None, Buffer::zeroed(extents.clone(), bounds.lb.clone())),
         });
     }
-    let computed = if n_points > 0 {
+    let tally = if n_points > 0 {
         fill_targets(
             prog,
             (apply, args),
@@ -1629,7 +1800,7 @@ pub fn exec_apply_with(
             prepared,
         )
     } else {
-        Ok(0)
+        Ok(Tally::default())
     };
     let mut handles = Vec::with_capacity(targets.len());
     for (dest, buffer) in targets {
@@ -1638,12 +1809,13 @@ pub fn exec_apply_with(
             None => store.alloc(buffer),
         });
     }
-    store.count_dispatches(computed?);
+    let tally = tally?;
+    store.count_blocks(tally.dispatches, tally.gathered);
     Ok(handles)
 }
 
 /// Run `prog` over the non-empty box `bounds`, result `o` into
-/// `targets[o]`'s buffer. Returns the instructions dispatched.
+/// `targets[o]`'s buffer. Returns what the executor did.
 fn fill_targets(
     prog: &Program,
     (apply, args): (OpId, &[RtValue]),
@@ -1652,7 +1824,7 @@ fn fill_targets(
     bounds: &crate::types::StencilBounds,
     targets: &mut [(Option<usize>, Buffer)],
     prepared: &mut PreparedApplies,
-) -> IrResult<u64> {
+) -> IrResult<Tally> {
     let rank = bounds.rank();
     let corners @ (lb, ub) = (&bounds.lb[..], &bounds.ub[..]);
     let (layouts, workers, lanes) = (&mut prepared.layouts, &mut prepared.workers, prepared.lanes);
@@ -1675,7 +1847,11 @@ fn fill_targets(
                 .iter_mut()
                 .map(|(_, buffer)| buffer.data.as_mut_slice())
                 .collect();
-            return Ok(run_points(prog, &inputs, lb, ub, &mut outs));
+            let dispatches = run_points(prog, &inputs, lb, ub, &mut outs);
+            return Ok(Tally {
+                dispatches,
+                gathered: 0,
+            });
         }
     };
     let rows = ub[0] - lb[0];
@@ -2761,11 +2937,12 @@ mod tests {
 
     #[test]
     fn destination_passing_equals_temp_and_copy_on_seeded_shapes() {
-        // (extents, halo, threads): inner extents packed several to a
-        // block and cut into blocks of their own, one to six axis-0 rows
-        // (so threads > rows occurs) and, at rank 3, enough points — a
-        // worker per 2048 — that the slab split really spawns up to three
-        // of them.
+        // (extents, halo, threads): short inner extents run as strips or
+        // packed several to a block (rows of 1, of 3 at halo 2 and of a
+        // 1-D grid are packed), long ones cut into blocks of their own;
+        // one to six axis-0 rows (so threads > rows occurs) and, at rank
+        // 3, enough points — a worker per 2048 — that the slab split
+        // really spawns up to three of them.
         let (w, pack) = (BLOCK as i64, PACK_BELOW as i64);
         let gen = |rng: &mut crate::rng::Rng| {
             let inner = *rng.pick(&[1, 3, 16, pack, w + 1]);
@@ -2800,6 +2977,251 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// What [`strip_module`] varies beside its grid: how much wider field
+    /// `b`'s inner-axis halo is than the others' (so its row pitch), the
+    /// axis parameter `p` is indexed by, and how many additions the last
+    /// result chains after its product.
+    struct StripCase {
+        wider: i64,
+        param_axis: usize,
+        extra: usize,
+    }
+
+    /// `main(%fa, %fb, %o0 .. %o4, %fp)` over an interior of `extents` with
+    /// `halo`: five results, each stored to its field — `a` a halo along
+    /// axis 0 and along the inner axis, `b` a halo along the axis next to
+    /// the inner one and back along the inner one, all four as they are,
+    /// and `b[0] · p[index[param_axis] + halo]`. Five accesses, a parameter
+    /// and one instruction: strips at every inner extent and halo.
+    fn strip_module(extents: &[i64], halo: i64, case: &StripCase) -> (Context, OpId) {
+        let rank = extents.len();
+        let (inner, across) = (rank - 1, rank - 2);
+        let ty = |kind: &str, pad: i64, wider: i64| {
+            let dims: Vec<String> = (extents.iter().enumerate())
+                .map(|(d, &n)| {
+                    let w = if d == inner { pad + wider } else { pad };
+                    format!("[{},{}]", -w, n + w)
+                })
+                .collect();
+            format!("!stencil.{kind}<{}xf64>", dims.join("x"))
+        };
+        let (fa, fb) = (ty("field", halo, 0), ty("field", halo, case.wider));
+        let (ta, tb) = (ty("temp", halo, 0), ty("temp", halo, case.wider));
+        let interior = ty("temp", 0, 0);
+        let offset = |axis: usize, by: i64| {
+            let o: Vec<String> = (0..rank)
+                .map(|d| if d == axis { by } else { 0 }.to_string())
+                .collect();
+            o.join(", ")
+        };
+        let param = format!("memref<{}xf64>", extents[case.param_axis] + 2 * halo);
+        let access = |v: &str, field: &str, ty: &str, axis: usize, by: i64| {
+            format!(
+                "      %{v} = \"stencil.access\"(%{field}) {{offset = <[{}]>}} : ({ty}) -> (f64)\n",
+                offset(axis, by)
+            )
+        };
+        let mut body = [
+            access("x0", "a", &ta, 0, -halo),
+            access("x1", "a", &ta, inner, halo),
+            access("x2", "b", &tb, across, halo),
+            access("x3", "b", &tb, inner, -halo),
+            access("x4", "b", &tb, 0, 0),
+        ]
+        .concat();
+        body += &format!(
+            "      %i = \"stencil.index\"() {{dim = {} : i64}} : () -> (index)
+      %h = \"arith.constant\"() {{value = {halo} : index}} : () -> (index)
+      %j = \"arith.addi\"(%i, %h) : (index, index) -> (index)
+      %q = \"memref.load\"(%p, %j) : ({param}, index) -> (f64)
+      %v0 = \"arith.mulf\"(%x4, %q) : (f64, f64) -> (f64)\n",
+            case.param_axis
+        );
+        for k in 0..case.extra {
+            body += &format!(
+                "      %v{} = \"arith.addf\"(%v{k}, %x4) : (f64, f64) -> (f64)\n",
+                k + 1
+            );
+        }
+        let whole: Vec<String> = (vec![0; rank].into_iter().chain(extents.iter().copied()))
+            .map(|b| b.to_string())
+            .collect();
+        let stores: String = (0..5)
+            .map(|o| {
+                format!(
+                    "    \"stencil.store\"(%r{o}, %o{o}) {{bounds = <[{}]>}} : ({interior}, {fa}) -> ()\n",
+                    whole.join(", ")
+                )
+            })
+            .collect();
+        let outs: Vec<String> = (0..5).map(|o| format!("%o{o}: {fa}")).collect();
+        let text = format!(
+            r#""builtin.module"() ({{
+^bb():
+  "func.func"() ({{
+  ^bb(%fa: {fa}, %fb: {fb}, {outs}, %fp: {param}):
+    %ta = "stencil.load"(%fa) : ({fa}) -> ({ta})
+    %tb = "stencil.load"(%fb) : ({fb}) -> ({tb})
+    %r0, %r1, %r2, %r3, %r4 = "stencil.apply"(%ta, %tb, %fp) ({{
+    ^bb(%a: {ta}, %b: {tb}, %p: {param}):
+{body}      "stencil.return"(%x0, %x1, %x2, %x3, %v{last}) : (f64, f64, f64, f64, f64) -> ()
+    }}) : ({ta}, {tb}, {param}) -> ({interiors})
+{stores}    "func.return"() : () -> ()
+  }}) {{sym_name = "main"}} : () -> ()
+}}) : () -> ()"#,
+            outs = outs.join(", "),
+            last = case.extra,
+            interiors = [interior.as_str(); 5].join(", "),
+        );
+        parse_op(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
+    }
+
+    /// Run `main` of a [`strip_module`] — on the tree-walker where `mode`
+    /// is `None` — with `a` and `b` seeded inside their interiors and
+    /// poisoned everywhere else (NaN, ±∞, ±`f64::MAX` in turn), the
+    /// outputs zero. Returns the five outputs and the elements the run
+    /// gathered into packed blocks.
+    fn run_strips(
+        (ctx, module): &(Context, OpId),
+        (extents, halo, case): (&[i64], i64, &StripCase),
+        mode: Option<(ApplyMode, Lanes)>,
+    ) -> (Vec<Buffer>, u64) {
+        const POISON: [f64; 5] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let inner = extents.len() - 1;
+        let padded = |wider: i64| {
+            let pad = |d: usize| halo + if d == inner { wider } else { 0 };
+            let shape = (0..extents.len())
+                .map(|d| extents[d] + 2 * pad(d))
+                .collect();
+            Buffer::zeroed(shape, (0..extents.len()).map(|d| -pad(d)).collect())
+        };
+        let mut rng = crate::rng::Rng::new(17);
+        let mut seeded = |mut buf: Buffer| {
+            let ub: Vec<i64> = buf
+                .origin
+                .iter()
+                .zip(&buf.shape)
+                .map(|(o, s)| o + s)
+                .collect();
+            for (k, p) in crate::interp::iter_box(&buf.origin.clone(), &ub)
+                .iter()
+                .enumerate()
+            {
+                let inside = p.iter().zip(extents).all(|(&x, &n)| (0..n).contains(&x));
+                let v = if inside {
+                    rng.coarse_f64(-4.0, 4.0)
+                } else {
+                    POISON[k % POISON.len()]
+                };
+                buf.store(p, v).unwrap();
+            }
+            buf
+        };
+        let mut fields = vec![seeded(padded(0)), seeded(padded(case.wider))];
+        fields.extend((0..5).map(|_| padded(0)));
+        let mut param = Buffer::zeroed(vec![extents[case.param_axis] + 2 * halo], vec![0]);
+        param.data.fill_with(|| rng.coarse_f64(0.5, 2.0));
+        fields.push(param);
+        let mut no = NoExtern;
+        let mut m = Machine::new(ctx, *module, &mut no);
+        if let Some((mode, lanes)) = mode {
+            let func = ctx.find_ops(*module, "func.func")[0];
+            for apply in ctx.find_ops(func, "stencil.apply") {
+                let plan = compile_apply(ctx, apply).unwrap();
+                m.apply_plans.insert(apply, std::sync::Arc::new(plan));
+            }
+            m.apply_mode = mode;
+            m.prepared = PreparedApplies::with_lanes(lanes);
+            m.direct_stores = direct_stores(ctx, func);
+        }
+        let args: Vec<RtValue> = (fields.into_iter())
+            .map(|buf| RtValue::MemRef(m.store.alloc(buf)))
+            .collect();
+        m.call("main", &args).unwrap();
+        let outs = (2..7).map(|h| m.store.get(h).unwrap().clone()).collect();
+        (outs, m.store.work().gathered)
+    }
+
+    /// Run a [`strip_module`] on the block path at one and three threads
+    /// on every copy of it the host has, against the tree-walker: the
+    /// same bits, every output's ring still zero, and the rows run as
+    /// strips — nothing gathered — exactly when `strips`.
+    fn assert_strips(extents: &[i64], halo: i64, case: &StripCase, strips: bool) {
+        let what = format!(
+            "{extents:?} halo {halo}, b {} wider, parameter on axis {}, {} extra",
+            case.wider, case.param_axis, case.extra
+        );
+        let built = strip_module(extents, halo, case);
+        let geometry = (extents, halo, case);
+        let (tree, _) = run_strips(&built, geometry, None);
+        for (lanes, threads) in host_copies().flat_map(|l| [(l, 1), (l, 3)]) {
+            let mode = ApplyMode::Chunked { threads };
+            let (got, gathered) = run_strips(&built, geometry, Some((mode, lanes)));
+            let what = format!("{what}, {lanes:?} × {threads}");
+            assert_bitwise(&got, &tree, &what);
+            assert_eq!(gathered == 0, strips, "{what}: {gathered} gathered");
+            for out in &got {
+                let ub: Vec<i64> = extents.iter().map(|&n| n + halo).collect();
+                for p in crate::interp::iter_box(&out.origin, &ub) {
+                    if p.iter().zip(extents).any(|(&x, &n)| !(0..n).contains(&x)) {
+                        assert_eq!(out.load(&p).unwrap().to_bits(), 0, "{what}: ring at {p:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strips_read_in_place_and_write_only_the_box() {
+        // Inner extents from one point to `PACK_BELOW − 1`, halo 1 and 2,
+        // rank 2 and 3, and 4,200 points or more, so that three threads
+        // take three slabs: every lane between two rows, and every halo
+        // row between planes, holds poison that a strip computes with and
+        // must throw away. At rank 3 and halo 2 the parameter is read
+        // along axis 0, splatted per plane; elsewhere along the inner
+        // axis, from the tiled copy.
+        for (rank, halo, n) in [2, 3].into_iter().flat_map(|rank| {
+            [1, 2].into_iter().flat_map(move |halo| {
+                [1, 3, 16, PACK_BELOW as i64 - 1].map(move |n| (rank, halo, n))
+            })
+        }) {
+            let rows = (4200 + n - 1) / n;
+            let extents = match rank {
+                2 => vec![rows, n],
+                _ => vec![3, (rows + 2) / 3, n],
+            };
+            let param_axis = if rank == 3 && halo == 2 { 0 } else { rank - 1 };
+            let case = StripCase {
+                wider: 0,
+                param_axis,
+                extra: 0,
+            };
+            assert_strips(&extents, halo, &case, true);
+        }
+        // The twins that must stay packed: `b` a row pitch of its own; the
+        // parameter indexed along the rows of a strip; and 48 more
+        // instructions, so that the thrown-away lanes cost more than the
+        // gather, (1 + 48) · 2 ≥ 6 · 16.
+        for extents in [vec![300, 16], vec![3, 100, 16]] {
+            let (inner, across) = (extents.len() - 1, extents.len() - 2);
+            let twins = [(1, inner, 0), (0, across, 0), (0, inner, 48)];
+            for (wider, param_axis, extra) in twins {
+                let case = StripCase {
+                    wider,
+                    param_axis,
+                    extra,
+                };
+                assert_strips(&extents, 1, &case, false);
+            }
+        }
     }
 
     #[test]

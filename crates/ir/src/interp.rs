@@ -321,6 +321,9 @@ pub struct StoreWork {
     /// ([`crate::bytecode::exec_apply_with`]); a tree-walked apply counts
     /// none.
     pub dispatches: u64,
+    /// Input elements the block executor copied into packed blocks since
+    /// then — what a block read in place, or a strip, copies none of.
+    pub gathered: u64,
 }
 
 fn bytes(elements: usize) -> u64 {
@@ -505,9 +508,11 @@ impl<'d> Store<'d> {
         self.work
     }
 
-    /// Count `n` bytecode instructions dispatched.
-    pub fn count_dispatches(&mut self, n: u64) {
-        self.work.dispatches += n;
+    /// Count `dispatches` bytecode instructions dispatched and `gathered`
+    /// input elements copied into packed blocks.
+    pub fn count_blocks(&mut self, dispatches: u64, gathered: u64) {
+        self.work.dispatches += dispatches;
+        self.work.gathered += gathered;
     }
 
     /// Start the work counters again from zero — called once the
@@ -1490,6 +1495,7 @@ mod tests {
                 allocated_bytes: 16,
                 copied_bytes: 4 * 32 + 32 + 16,
                 dispatches: 0,
+                gathered: 0,
             }
         );
         store.reset_work();

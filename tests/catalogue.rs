@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use shmls_ir::bytecode::{ApplyMode, BLOCK};
 use shmls_ir::interp::Buffer;
 use shmls_kernels::catalogue::{self, CATALOGUE};
-use stencil_hmls::engine::{Engine, Interp, NAMED};
+use stencil_hmls::engine::{Engine, Interp, NAMED, VECTOR};
 use stencil_hmls::{compile, CompileOptions, Fnv64};
 
 /// FNV-1a over every buffer (name, shape, origin, element bits) and every
@@ -65,11 +65,22 @@ fn same_bits(a: &BTreeMap<String, Buffer>, b: &BTreeMap<String, Buffer>) -> bool
 
 #[test]
 fn every_row_runs_on_every_engine() {
-    // The small grid's inner rows are packed several to a block; the
-    // second's, of 2·BLOCK + 1 points, run as blocks in place, on the
-    // vector engine's wide copy where the host has one — against the
-    // tree-walker, which runs at the baseline width.
-    let grids = [[6, 5, 4], [3, 2, 2 * BLOCK as i64 + 1]];
+    // The small grids' short inner rows run several to a block: as strips
+    // read in place where the lane rule allows, else packed — rows of 2
+    // are packed for every kernel, rows of 16 strips, and at rows of 4
+    // heat3d and laplace strip while the advection kernels stay packed.
+    // The last grid's rows, of 2·BLOCK + 1 points, run as blocks in
+    // place. All on the vector engine's wide copy where the host has one,
+    // against the tree-walker, which runs at the baseline width.
+    let grids = [
+        [6, 5, 2],
+        [6, 5, 4],
+        [6, 5, 16],
+        [3, 2, 2 * BLOCK as i64 + 1],
+    ];
+    // Per kernel, whether a short-row grid gathered nothing (strips) and
+    // whether one gathered (packed): each kernel must meet both.
+    let mut sides: BTreeMap<&str, [bool; 2]> = BTreeMap::new();
     let mut engines: Vec<&dyn Engine> = NAMED.to_vec();
     engines.extend([
         &Interp::Bytecode(ApplyMode::Scalar) as &dyn Engine,
@@ -93,6 +104,14 @@ fn every_row_runs_on_every_engine() {
                 engine.name()
             );
         }
+        if grid[2] < BLOCK as i64 {
+            let work = VECTOR.sweep(&compiled, &data, 1).unwrap().work.unwrap();
+            sides.entry(kernel.name).or_default()[usize::from(work.gathered > 0)] = true;
+        }
+    }
+    assert_eq!(sides.len(), CATALOGUE.len());
+    for (name, met) in sides {
+        assert_eq!(met, [true, true], "{name}: [strips, packed] met");
     }
 }
 
