@@ -170,11 +170,10 @@ fn check_chunk_seam(source: &str, label: &str, max_threads: usize) {
 /// one-lane block). Short rows of a 1-D grid, which has no strips, packed
 /// several to a block: 1, 3 and 16 points. Plus the 3-D cases where the
 /// seams run along every row of a threaded slab split with more threads
-/// than rows: laplace's 16- and 48-point rows run as strips read in place
-/// (its 10 instructions × 2 halo lanes a row cost less than the 7
-/// elements a point it would gather), and its 2-point rows are packed.
-/// These are exactly the off-by-one shapes a block split, a strip and a
-/// packing get wrong first.
+/// than rows: laplace's 16-, 48- and 2-point rows run as strips read in
+/// place, the 2-point rows with more halo lanes between them than
+/// points. These are exactly the off-by-one shapes a block split, a strip
+/// and a packing get wrong first.
 #[test]
 fn chunk_boundary_extents_are_bitwise_exact() {
     let w = BLOCK as i64;
@@ -186,8 +185,8 @@ fn chunk_boundary_extents_are_bitwise_exact() {
         );
     }
     // (axis-0 rows, middle, inner): in place with inner W+1; a strip of
-    // eight 16-point rows a plane; strips of 96 rows of 48, and packed
-    // 2-point rows, each over enough points that three workers spawn — a
+    // eight 16-point rows a plane; strips of 96 rows of 48 and of 700
+    // rows of 2, each over enough points that three workers spawn — a
     // thread per row at most, so 4 and 5 clamp.
     for [nx, ny, nz] in [[3, 4, w + 1], [4, 8, 16], [3, 96, 48], [3, 700, 2]] {
         check_chunk_seam(

@@ -1107,27 +1107,22 @@ impl Layout {
                 }
             }
         }
-        layout.strip = layout.strip_pitch(prog.instrs.len(), lb, ub);
+        layout.strip = layout.strip_pitch(lb, ub);
         Ok(layout)
     }
 
     /// The pitch `P` every access shares along the axis next to the inner
     /// one, when the block path runs the box's short rows as strips: rank
-    /// 2 or more, rows shorter than [`PACK_BELOW`], no parameter indexed
-    /// by that axis, and the lanes a strip computes and throws away — `P −
-    /// n` a row, under every instruction — fewer than the elements a
-    /// packed block would gather, `n` a row from every streamed input.
-    fn strip_pitch(&self, instrs: usize, lb: &[i64], ub: &[i64]) -> Option<usize> {
+    /// 2 or more, rows shorter than [`PACK_BELOW`], and no parameter
+    /// indexed by that axis. Rows a strip cannot run stay packed.
+    fn strip_pitch(&self, lb: &[i64], ub: &[i64]) -> Option<usize> {
         let rank = lb.len();
         let (inner, across) = (rank.checked_sub(1)?, rank.checked_sub(2)?);
         let n = (ub[inner] - lb[inner]).max(0) as usize;
         let pitch = self.buf_loads.first()?.map.stride[across] as usize;
-        let streamed =
-            self.buf_loads.len() + self.param_reads.iter().filter(|pr| pr.dim == inner).count();
         let strips = n < PACK_BELOW
             && (self.buf_loads.iter()).all(|bl| bl.map.stride[across] as usize == pitch)
-            && self.param_reads.iter().all(|pr| pr.dim != across)
-            && instrs * pitch.saturating_sub(n) < streamed * n;
+            && self.param_reads.iter().all(|pr| pr.dim != across);
         strips.then_some(pitch)
     }
 
@@ -2980,21 +2975,20 @@ mod tests {
     }
 
     /// What [`strip_module`] varies beside its grid: how much wider field
-    /// `b`'s inner-axis halo is than the others' (so its row pitch), the
-    /// axis parameter `p` is indexed by, and how many additions the last
-    /// result chains after its product.
+    /// `b`'s inner-axis halo is than the others' (so its row pitch), and
+    /// the axis parameter `p` is indexed by.
     struct StripCase {
         wider: i64,
         param_axis: usize,
-        extra: usize,
     }
 
     /// `main(%fa, %fb, %o0 .. %o4, %fp)` over an interior of `extents` with
     /// `halo`: five results, each stored to its field — `a` a halo along
     /// axis 0 and along the inner axis, `b` a halo along the axis next to
     /// the inner one and back along the inner one, all four as they are,
-    /// and `b[0] · p[index[param_axis] + halo]`. Five accesses, a parameter
-    /// and one instruction: strips at every inner extent and halo.
+    /// and `b[0] · p[index[param_axis] + halo]`: strips at every inner
+    /// extent and halo unless `b`'s pitch differs or `p` is indexed along
+    /// the axis next to the inner one.
     fn strip_module(extents: &[i64], halo: i64, case: &StripCase) -> (Context, OpId) {
         let rank = extents.len();
         let (inner, across) = (rank - 1, rank - 2);
@@ -3036,15 +3030,9 @@ mod tests {
       %h = \"arith.constant\"() {{value = {halo} : index}} : () -> (index)
       %j = \"arith.addi\"(%i, %h) : (index, index) -> (index)
       %q = \"memref.load\"(%p, %j) : ({param}, index) -> (f64)
-      %v0 = \"arith.mulf\"(%x4, %q) : (f64, f64) -> (f64)\n",
+      %v = \"arith.mulf\"(%x4, %q) : (f64, f64) -> (f64)\n",
             case.param_axis
         );
-        for k in 0..case.extra {
-            body += &format!(
-                "      %v{} = \"arith.addf\"(%v{k}, %x4) : (f64, f64) -> (f64)\n",
-                k + 1
-            );
-        }
         let whole: Vec<String> = (vec![0; rank].into_iter().chain(extents.iter().copied()))
             .map(|b| b.to_string())
             .collect();
@@ -3066,13 +3054,12 @@ mod tests {
     %tb = "stencil.load"(%fb) : ({fb}) -> ({tb})
     %r0, %r1, %r2, %r3, %r4 = "stencil.apply"(%ta, %tb, %fp) ({{
     ^bb(%a: {ta}, %b: {tb}, %p: {param}):
-{body}      "stencil.return"(%x0, %x1, %x2, %x3, %v{last}) : (f64, f64, f64, f64, f64) -> ()
+{body}      "stencil.return"(%x0, %x1, %x2, %x3, %v) : (f64, f64, f64, f64, f64) -> ()
     }}) : ({ta}, {tb}, {param}) -> ({interiors})
 {stores}    "func.return"() : () -> ()
   }}) {{sym_name = "main"}} : () -> ()
 }}) : () -> ()"#,
             outs = outs.join(", "),
-            last = case.extra,
             interiors = [interior.as_str(); 5].join(", "),
         );
         parse_op(&text).unwrap_or_else(|e| panic!("{e}\n{text}"))
@@ -3156,8 +3143,8 @@ mod tests {
     /// strips — nothing gathered — exactly when `strips`.
     fn assert_strips(extents: &[i64], halo: i64, case: &StripCase, strips: bool) {
         let what = format!(
-            "{extents:?} halo {halo}, b {} wider, parameter on axis {}, {} extra",
-            case.wider, case.param_axis, case.extra
+            "{extents:?} halo {halo}, b {} wider, parameter on axis {}",
+            case.wider, case.param_axis
         );
         let built = strip_module(extents, halo, case);
         let geometry = (extents, halo, case);
@@ -3202,23 +3189,15 @@ mod tests {
             let case = StripCase {
                 wider: 0,
                 param_axis,
-                extra: 0,
             };
             assert_strips(&extents, halo, &case, true);
         }
-        // The twins that must stay packed: `b` a row pitch of its own; the
-        // parameter indexed along the rows of a strip; and 48 more
-        // instructions, so that the thrown-away lanes cost more than the
-        // gather, (1 + 48) · 2 ≥ 6 · 16.
+        // The twins a strip cannot run, so packed: `b` a row pitch of its
+        // own, and the parameter indexed along the rows of a strip.
         for extents in [vec![300, 16], vec![3, 100, 16]] {
             let (inner, across) = (extents.len() - 1, extents.len() - 2);
-            let twins = [(1, inner, 0), (0, across, 0), (0, inner, 48)];
-            for (wider, param_axis, extra) in twins {
-                let case = StripCase {
-                    wider,
-                    param_axis,
-                    extra,
-                };
+            for (wider, param_axis) in [(1, inner), (0, across)] {
+                let case = StripCase { wider, param_axis };
                 assert_strips(&extents, 1, &case, false);
             }
         }
