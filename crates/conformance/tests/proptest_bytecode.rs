@@ -200,75 +200,105 @@ fn chunk_boundary_extents_are_bitwise_exact() {
 /// Flip one opcode in a compiled plan and require the differential to
 /// notice, on both forms a kernel's plans come in: the split form's,
 /// which the scalar bytecode tier runs, and the fused host form's, which
-/// the vector tier runs. If this test ever passes with the mutation in
-/// place, the bitwise harness has lost its teeth.
+/// the vector tier runs. Each kind of flip runs on its own: an unfused
+/// `Binary` or `Unary` opcode, and a fused pair's inner and outer opcode.
+/// If this test ever passes with a mutation in place, the bitwise harness
+/// has lost its teeth.
 #[test]
 fn mutated_opcode_is_detected() {
     let kernel = shmls_frontend::parse_kernel(&shmls_kernels::pw_advection::source(6, 5, 4))
         .expect("parse pw_advection");
-    let mut compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
-    assert!(
-        !compiled.apply_plans.is_empty(),
-        "pw_advection must compile to bytecode for this test to mean anything"
-    );
-    assert!(
-        compiled.host_form().is_some(),
-        "pw_advection must have a host form"
-    );
-
-    let mutated = mutate_one_opcode(&mut compiled.apply_plans);
-    assert!(mutated, "no mutable instruction found in any plan");
-    let host = compiled.host.get_mut().and_then(Option::as_mut);
-    let host_mutated = host.is_some_and(|host| mutate_one_opcode(&mut host.apply_plans));
-    assert!(
-        host_mutated,
-        "no mutable instruction found in the host form's plan"
-    );
-
     let data = kernel.seeded_data(3);
-    let oracle = run_stencil(&compiled, &data).expect("oracle");
     let lb = vec![0i64; kernel.grid.len()];
-    for mode in [ApplyMode::Scalar, ApplyMode::default()] {
-        let fast = run_stencil_bytecode_with(&compiled, &data, mode).expect("mutated bytecode");
-        let detected = oracle.iter().any(|(name, expect)| {
-            let out = &fast[name];
-            iter_box(&lb, &kernel.grid)
-                .into_iter()
-                .any(|p| expect.load(&p).unwrap().to_bits() != out.load(&p).unwrap().to_bits())
-        });
+    for flip in [Flip::Unfused, Flip::Inner, Flip::Outer] {
+        let mut compiled = compile_kernel(kernel.clone(), &compile_opts()).expect("compile");
         assert!(
-            detected,
-            "{mode:?}: flipped opcode produced bitwise-identical output; the differential is blind"
+            !compiled.apply_plans.is_empty(),
+            "pw_advection must compile to bytecode for this test to mean anything"
         );
+        assert!(
+            compiled.host_form().is_some(),
+            "pw_advection must have a host form"
+        );
+
+        let mutated = mutate_one_opcode(&mut compiled.apply_plans, flip);
+        assert!(
+            mutated,
+            "{flip:?}: no mutable instruction found in any plan"
+        );
+        let host = compiled.host.get_mut().and_then(Option::as_mut);
+        let host_mutated = host.is_some_and(|host| mutate_one_opcode(&mut host.apply_plans, flip));
+        assert!(
+            host_mutated,
+            "{flip:?}: no mutable instruction found in the host form's plan"
+        );
+
+        let oracle = run_stencil(&compiled, &data).expect("oracle");
+        for mode in [ApplyMode::Scalar, ApplyMode::default()] {
+            let fast = run_stencil_bytecode_with(&compiled, &data, mode).expect("mutated bytecode");
+            let detected = oracle.iter().any(|(name, expect)| {
+                let out = &fast[name];
+                iter_box(&lb, &kernel.grid)
+                    .into_iter()
+                    .any(|p| expect.load(&p).unwrap().to_bits() != out.load(&p).unwrap().to_bits())
+            });
+            assert!(
+                detected,
+                "{mode:?}, {flip:?}: flipped opcode produced bitwise-identical output; \
+                 the differential is blind"
+            );
+        }
     }
 }
 
-/// Flip the first flippable opcode in the first of `plans` that has one:
-/// `Add<->Sub`, `Mul<->Div`, `Max<->Min`, `Abs->Neg`. Returns whether a
-/// mutation was applied.
-fn mutate_one_opcode(plans: &mut IdMap<OpId, Arc<Program>>) -> bool {
+/// Which opcode [`mutate_one_opcode`] flips.
+#[derive(Debug, Clone, Copy)]
+enum Flip {
+    /// A `Binary` or `Unary` instruction's.
+    Unfused,
+    /// A fused pair's inner opcode.
+    Inner,
+    /// A fused pair's outer opcode.
+    Outer,
+}
+
+/// `op` flipped: `Add<->Sub`, `Mul<->Div`, `Max<->Min`, `Pow->Mul`,
+/// `Copysign->Add`.
+fn flipped(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Add => BinOp::Sub,
+        BinOp::Sub => BinOp::Add,
+        BinOp::Mul => BinOp::Div,
+        BinOp::Div => BinOp::Mul,
+        BinOp::Max => BinOp::Min,
+        BinOp::Min => BinOp::Max,
+        BinOp::Pow => BinOp::Mul,
+        BinOp::Copysign => BinOp::Add,
+    }
+}
+
+/// Flip the first opcode of kind `flip` in the first of `plans` that has
+/// one (a `Unary` flips `Abs->Neg`, the others to `Abs`). Returns whether
+/// a mutation was applied.
+fn mutate_one_opcode(plans: &mut IdMap<OpId, Arc<Program>>, flip: Flip) -> bool {
     for plan in plans.values_mut() {
         let mut prog = (**plan).clone();
         for instr in &mut prog.instrs {
-            let flipped = match instr {
-                Instr::Binary { op, .. } => {
-                    *op = match *op {
-                        BinOp::Add => BinOp::Sub,
-                        BinOp::Sub => BinOp::Add,
-                        BinOp::Mul => BinOp::Div,
-                        BinOp::Div => BinOp::Mul,
-                        BinOp::Max => BinOp::Min,
-                        BinOp::Min => BinOp::Max,
-                        BinOp::Pow => BinOp::Mul,
-                        BinOp::Copysign => BinOp::Add,
-                    };
+            let flipped = match (flip, instr) {
+                (Flip::Unfused, Instr::Binary { op, .. }) => {
+                    *op = flipped(*op);
                     true
                 }
-                Instr::Unary { op, .. } => {
+                (Flip::Unfused, Instr::Unary { op, .. }) => {
                     *op = match *op {
                         UnOp::Abs | UnOp::Sqrt | UnOp::Exp => UnOp::Neg,
                         UnOp::Neg => UnOp::Abs,
                     };
+                    true
+                }
+                (Flip::Inner, Instr::Bin2 { inner: op, .. })
+                | (Flip::Outer, Instr::Bin2 { outer: op, .. }) => {
+                    *op = flipped(*op);
                     true
                 }
                 _ => false,

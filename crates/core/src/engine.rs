@@ -96,9 +96,8 @@ pub trait Engine: Debug + Sync {
     /// after another on the calling thread. Spawning and joining a
     /// march's workers costs some 130 µs a round, so each engine names
     /// at most a millisecond of its sweeping: 16k point-steps on the
-    /// bytecode tiers (half a millisecond at the block executor's ≈ 31M
-    /// a second), 16 on the dataflow engines and 64 on the tree-walker
-    /// (tens of thousands a second).
+    /// bytecode tiers, 16 on the dataflow engines and 64 on the
+    /// tree-walker (tens of thousands a second).
     fn min_parallel_work(&self) -> u64;
 }
 
@@ -631,11 +630,13 @@ mod tests {
         let compiled = compile(RELAX, &CompileOptions::default()).unwrap();
         let data = relax_data();
         let (padded, interior) = (8 * 7 * 11 * 8, 6 * 5 * 9 * 8);
-        // Three instructions for `s`, two for `b`, each over its 270
-        // points: a strip per axis-0 plane, its five 9-point rows at the
-        // padded pitch of 11 one block of 4 · 11 + 9 = 53 lanes, read in
-        // place — six blocks, nothing gathered.
-        const DISPATCHES: u64 = (3 + 2) * 6;
+        // Two instructions for `s` — the fused pair `w * (a[-1] + a[1])`,
+        // then the sum with `s` — and one for `b`, the fused pair
+        // `s * kz + a`, each over its 270 points: a strip per axis-0
+        // plane, its five 9-point rows at the padded pitch of 11 one block
+        // of 4 · 11 + 9 = 53 lanes, read in place — six blocks, nothing
+        // gathered.
+        const DISPATCHES: u64 = (2 + 1) * 6;
         // Tree: a temp per apply, a box copy per store, and each lent
         // destination copied on its first write.
         assert_eq!(

@@ -18,26 +18,29 @@
 //!   simulator's stage plans — an element of a window pack / a scalar
 //!   stream read. Input `i` always lands in register `i`.
 //! * `instrs` — straight-line register code: `Const`, `Unary`, `Binary`,
-//!   `Fma`. There is no control flow; anything that needs it fails to
-//!   compile and falls back to the tree-walker.
+//!   `Fma`, and `Bin2`, a fused pair of binary ops whose inner value is
+//!   never stored. There is no control flow; anything that needs it fails
+//!   to compile and falls back to the tree-walker.
 //! * `results` — which registers hold the values a `stencil.return` /
 //!   `hls.write` would yield.
 //!
 //! ## Bitwise contract
 //!
 //! Every opcode executes through the functions the tree-walker calls
-//! ([`un_op`], [`bin_op`], `f64::mul_add`), so a compiled program is
+//! ([`un_op`], [`bin_op`], `f64::mul_add`; a `Bin2` is two `bin_op`
+//! calls in the order the tree-walker makes them), so a compiled program is
 //! bitwise-identical to interpretation at either lane width — signed zeros
 //! and NaNs included, bar whose payload wins when two NaNs meet (IEEE 754
 //! leaves it open). Differential fuzzing enforces it; the interpreter stays the oracle.
 //!
 //! ## Register allocation
 //!
-//! [`ProgramBuilder`] emits SSA-ish virtual registers and assigns physical
-//! registers in [`ProgramBuilder::finish`] with a last-use free list:
-//! inputs are pinned to registers `0..n_inputs`, every other register is
-//! recycled the moment its value dies. Kernels with dozens of ops
-//! typically fit in a handful of registers.
+//! [`ProgramBuilder`] emits SSA-ish virtual registers. [`ProgramBuilder::finish`]
+//! first folds each single-use `Add`/`Sub`/`Mul` temp read by one of
+//! those three into a `Bin2`, then assigns physical registers with a
+//! last-use free list: inputs are pinned to registers `0..n_inputs`,
+//! every other register is recycled the moment its value dies. Kernels
+//! with dozens of ops typically fit in a handful of registers.
 
 use std::cmp::Ordering;
 
@@ -93,6 +96,38 @@ pub enum Instr {
         /// Addend register.
         c: Reg,
     },
+    /// `regs[dst] = outer(inner(regs[a], regs[b]), regs[c])`, or
+    /// `outer(regs[c], inner(regs[a], regs[b]))` when `swap` is set: a
+    /// fused pair, the inner value never stored ([`ProgramBuilder::finish`]).
+    Bin2 {
+        /// Opcode applied last.
+        outer: BinOp,
+        /// Opcode applied first.
+        inner: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Inner left operand register.
+        a: Reg,
+        /// Inner right operand register.
+        b: Reg,
+        /// Outer operand register, beside the inner value.
+        c: Reg,
+        /// Whether the inner value is the outer op's right operand.
+        swap: bool,
+    },
+}
+
+/// `outer(inner(a, b), c)`, or `outer(c, inner(a, b))` when `swap` is set:
+/// an [`Instr::Bin2`] at one point — two roundings, in order, never
+/// contracted.
+#[inline(always)]
+fn bin2(outer: BinOp, inner: BinOp, swap: bool, a: f64, b: f64, c: f64) -> f64 {
+    let t = bin_op(inner, a, b);
+    if swap {
+        bin_op(outer, c, t)
+    } else {
+        bin_op(outer, t, c)
+    }
 }
 
 /// How the host fills one input register before each evaluation.
@@ -182,6 +217,18 @@ impl Program {
                 Instr::Fma { dst, a, b, c } => {
                     regs[dst as usize] =
                         regs[a as usize].mul_add(regs[b as usize], regs[c as usize]);
+                }
+                Instr::Bin2 {
+                    outer,
+                    inner,
+                    dst,
+                    a,
+                    b,
+                    c,
+                    swap,
+                } => {
+                    let (a, b, c) = (regs[a as usize], regs[b as usize], regs[c as usize]);
+                    regs[dst as usize] = bin2(outer, inner, swap, a, b, c);
                 }
             }
         }
@@ -280,6 +327,20 @@ impl Program {
                         *d = x.mul_add(y, z);
                     }
                 }
+                Instr::Bin2 {
+                    outer,
+                    inner,
+                    dst,
+                    a,
+                    b,
+                    c,
+                    swap,
+                } => {
+                    let (d, regs) =
+                        split_at_dst(n_in, n, temps, &mut stash, dst, &[a, b, c], &input);
+                    let srcs = [regs.lanes(a), regs.lanes(b), regs.lanes(c)];
+                    bin2_lanes(d, srcs, (outer, inner, swap));
+                }
             }
         }
     }
@@ -299,6 +360,44 @@ impl Program {
             Some(t) => &temps[t * BLOCK..][..n],
         }
     }
+}
+
+/// The lane loop of an [`Instr::Bin2`]. Each pair the builder fuses —
+/// inner and outer among `Add`, `Sub`, `Mul`, in either orientation — has
+/// an arm of its own with both opcodes constant-folded, so the loop
+/// vectorises without a per-lane branch; any other pair, which only a
+/// hand-made program spells, takes the generic loop.
+#[inline(always)]
+fn bin2_lanes(d: &mut [f64], [x, y, z]: [&[f64]; 3], (outer, inner, swap): (BinOp, BinOp, bool)) {
+    macro_rules! lanes {
+        ($outer:expr, $inner:expr, $swap:expr) => {
+            for (d, ((&a, &b), &c)) in d.iter_mut().zip(x.iter().zip(y).zip(z)) {
+                *d = bin2($outer, $inner, $swap, a, b, c);
+            }
+        };
+    }
+    macro_rules! pairs {
+        ($(($o:ident, $i:ident)),*) => {
+            match (outer, inner, swap) {
+                $(
+                    (BinOp::$o, BinOp::$i, false) => lanes!(BinOp::$o, BinOp::$i, false),
+                    (BinOp::$o, BinOp::$i, true) => lanes!(BinOp::$o, BinOp::$i, true),
+                )*
+                _ => lanes!(outer, inner, swap),
+            }
+        };
+    }
+    pairs!(
+        (Add, Add),
+        (Add, Sub),
+        (Add, Mul),
+        (Sub, Add),
+        (Sub, Sub),
+        (Sub, Mul),
+        (Mul, Add),
+        (Mul, Sub),
+        (Mul, Mul)
+    );
 }
 
 /// A block's register file around one instruction's destination, which
@@ -388,12 +487,128 @@ pub struct ProgramBuilder {
     code: Vec<VInstr>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum VInstr {
-    Const { value: f64 },
-    Unary { op: UnOp, src: VReg },
-    Binary { op: BinOp, lhs: VReg, rhs: VReg },
-    Fma { a: VReg, b: VReg, c: VReg },
+    Const {
+        value: f64,
+    },
+    Unary {
+        op: UnOp,
+        src: VReg,
+    },
+    Binary {
+        op: BinOp,
+        lhs: VReg,
+        rhs: VReg,
+    },
+    Fma {
+        a: VReg,
+        b: VReg,
+        c: VReg,
+    },
+    Bin2 {
+        outer: BinOp,
+        inner: BinOp,
+        a: VReg,
+        b: VReg,
+        c: VReg,
+        swap: bool,
+    },
+}
+
+impl VReg {
+    fn temp(j: usize) -> VReg {
+        VReg(Slot::Temp(j as u32))
+    }
+
+    /// `self` after a pass that rebuilt the temps: temp `j` reads as `to[j]`.
+    fn renamed(self, to: &[VReg]) -> VReg {
+        match self.0 {
+            Slot::Input(_) => self,
+            Slot::Temp(j) => to[j as usize],
+        }
+    }
+}
+
+/// The opcodes a fused pair is made of, inner and outer.
+fn fusable(op: BinOp) -> bool {
+    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
+}
+
+/// Fused pairs, in place: a temp defined by a `Binary` of `Add`, `Sub` or
+/// `Mul`, read exactly once — by a `Binary` of those three — and not a
+/// result, folds into its reader, which becomes a [`VInstr::Bin2`] over
+/// the temp's operands. Temps are taken in program order, producers
+/// before their readers, and a reader that has folded one operand is a
+/// `Bin2`, neither folding another nor folding into its own reader: pairs,
+/// never trees — the greedy order that pairs the most temps of such a
+/// forest.
+fn fold_pairs(code: &mut Vec<VInstr>, results: &mut [VReg]) {
+    /// The reader of a temp that folded into it.
+    const FOLDED: usize = usize::MAX;
+    // Each temp's read count and last reader, the results reading at
+    // `code.len()`.
+    let mut uses = vec![(0u32, 0usize); code.len()];
+    let operands = code.iter().enumerate();
+    let operands = operands.flat_map(|(j, instr)| instr.operands().map(move |v| (v, j)));
+    let results_read = results.iter().map(|&r| (r, code.len()));
+    for (v, j) in operands.chain(results_read) {
+        if let Slot::Temp(t) = v.0 {
+            let (reads, reader) = &mut uses[t as usize];
+            *reads += 1;
+            *reader = j;
+        }
+    }
+    for t in 0..code.len() {
+        let (1, j) = uses[t] else {
+            continue;
+        };
+        let VInstr::Binary {
+            op: inner,
+            lhs: a,
+            rhs: b,
+        } = code[t]
+        else {
+            continue;
+        };
+        let Some(&VInstr::Binary {
+            op: outer,
+            lhs,
+            rhs,
+        }) = code.get(j)
+        else {
+            continue;
+        };
+        if !fusable(inner) || !fusable(outer) {
+            continue;
+        }
+        let swap = rhs == VReg::temp(t);
+        let c = if swap { lhs } else { rhs };
+        code[j] = VInstr::Bin2 {
+            outer,
+            inner,
+            a,
+            b,
+            c,
+            swap,
+        };
+        uses[t].1 = FOLDED;
+    }
+    // A folded temp is read by no one now, so the index it is renamed to
+    // (the next kept instruction's) is never looked up.
+    let mut to = Vec::with_capacity(code.len());
+    let mut kept = 0;
+    for (t, &(_, reader)) in uses.iter().enumerate() {
+        to.push(VReg::temp(kept));
+        if reader != FOLDED {
+            code[kept] = code[t].renamed(&to);
+            kept += 1;
+        }
+    }
+    code.truncate(kept);
+    for r in results {
+        *r = r.renamed(&to);
+    }
 }
 
 impl ProgramBuilder {
@@ -433,10 +648,15 @@ impl ProgramBuilder {
         }))
     }
 
-    /// Allocate physical registers (inputs pinned to `0..n_inputs`, temps
-    /// via a last-use free list) and produce the runnable program.
-    pub fn finish(self, results: &[VReg]) -> IrResult<Program> {
+    /// Fold each single-use `Add`/`Sub`/`Mul` temp read by one of those
+    /// three into an [`Instr::Bin2`], then allocate physical registers
+    /// (inputs pinned to `0..n_inputs`, temps via a last-use free list)
+    /// and produce the runnable program.
+    pub fn finish(mut self, results: &[VReg]) -> IrResult<Program> {
         const NONE: Reg = Reg::MAX;
+        let mut results = results.to_vec();
+        fold_pairs(&mut self.code, &mut results);
+        let results = &results[..];
         let n_in = self.inputs.len();
         let expire = self.expiry_lists(results);
         let overflow =
@@ -532,9 +752,43 @@ impl VInstr {
             VInstr::Const { .. } => (None, None, None),
             VInstr::Unary { src, .. } => (Some(src), None, None),
             VInstr::Binary { lhs, rhs, .. } => (Some(lhs), Some(rhs), None),
-            VInstr::Fma { a, b, c } => (Some(a), Some(b), Some(c)),
+            VInstr::Fma { a, b, c } | VInstr::Bin2 { a, b, c, .. } => (Some(a), Some(b), Some(c)),
         };
         [a, b, c].into_iter().flatten()
+    }
+
+    /// The instruction with every operand `v` read as `v.renamed(to)`.
+    fn renamed(self, to: &[VReg]) -> VInstr {
+        let r = |v: VReg| v.renamed(to);
+        match self {
+            VInstr::Const { .. } => self,
+            VInstr::Unary { op, src } => VInstr::Unary { op, src: r(src) },
+            VInstr::Binary { op, lhs, rhs } => VInstr::Binary {
+                op,
+                lhs: r(lhs),
+                rhs: r(rhs),
+            },
+            VInstr::Fma { a, b, c } => VInstr::Fma {
+                a: r(a),
+                b: r(b),
+                c: r(c),
+            },
+            VInstr::Bin2 {
+                outer,
+                inner,
+                a,
+                b,
+                c,
+                swap,
+            } => VInstr::Bin2 {
+                outer,
+                inner,
+                a: r(a),
+                b: r(b),
+                c: r(c),
+                swap,
+            },
+        }
     }
 
     /// The instruction over physical registers: `dst`, and `srcs` in
@@ -555,6 +809,17 @@ impl VInstr {
                 a: x,
                 b: y,
                 c: z,
+            },
+            VInstr::Bin2 {
+                outer, inner, swap, ..
+            } => Instr::Bin2 {
+                outer,
+                inner,
+                dst,
+                a: x,
+                b: y,
+                c: z,
+                swap,
             },
         }
     }
@@ -2191,25 +2456,85 @@ mod tests {
         assert!(e.to_string().contains("unsupported op"), "{e}");
     }
 
+    /// `prog` with every [`Instr::Bin2`] split back into its two
+    /// `Binary` instructions, the inner value in a register of its own.
+    fn unfold(prog: &Program) -> Program {
+        let t = prog.n_regs;
+        let mut instrs = Vec::new();
+        for &instr in &prog.instrs {
+            let Instr::Bin2 {
+                outer,
+                inner,
+                dst,
+                a,
+                b,
+                c,
+                swap,
+            } = instr
+            else {
+                instrs.push(instr);
+                continue;
+            };
+            let (lhs, rhs) = if swap { (c, t) } else { (t, c) };
+            instrs.push(Instr::Binary {
+                op: inner,
+                dst: t,
+                lhs: a,
+                rhs: b,
+            });
+            instrs.push(Instr::Binary {
+                op: outer,
+                dst,
+                lhs,
+                rhs,
+            });
+        }
+        Program {
+            instrs,
+            n_regs: t + 1,
+            ..prog.clone()
+        }
+    }
+
     #[test]
     fn mutated_opcode_changes_the_result() {
         // The self-test the conformance fault-injection suite relies on:
-        // flipping one opcode must produce observably different output.
+        // flipping one opcode must produce observably different output —
+        // an unfused `Add`, and a fused pair's inner and outer opcode.
         let (ctx, module, apply) = build_sum_module();
-        let mut prog = compile_apply(&ctx, apply).unwrap();
-        let pos = prog
-            .instrs
-            .iter()
+        let prog = compile_apply(&ctx, apply).unwrap();
+        let tree = run_sum(&ctx, module, IdMap::default());
+        let run = |prog: Program| {
+            let mut plans = IdMap::default();
+            plans.insert(apply, std::sync::Arc::new(prog));
+            run_sum(&ctx, module, plans)
+        };
+        // `(l + r) * w` is one fused pair.
+        fn pair(prog: &mut Program) -> (&mut BinOp, &mut BinOp) {
+            match &mut prog.instrs[..] {
+                [Instr::Bin2 { outer, inner, .. }] => (outer, inner),
+                other => panic!("expected one fused pair, got {other:?}"),
+            }
+        }
+        let (mut inner, mut outer) = (prog.clone(), prog.clone());
+        assert_eq!(pair(&mut inner), (&mut BinOp::Mul, &mut BinOp::Add));
+        *pair(&mut inner).1 = BinOp::Sub;
+        *pair(&mut outer).0 = BinOp::Div;
+        let mut unfused = unfold(&prog);
+        assert_eq!(run(unfused.clone()), tree);
+        let pos = (unfused.instrs.iter())
             .position(|i| matches!(i, Instr::Binary { op: BinOp::Add, .. }))
             .unwrap();
-        if let Instr::Binary { op, .. } = &mut prog.instrs[pos] {
+        if let Instr::Binary { op, .. } = &mut unfused.instrs[pos] {
             *op = BinOp::Sub;
         }
-        let tree = run_sum(&ctx, module, IdMap::default());
-        let mut plans = IdMap::default();
-        plans.insert(apply, std::sync::Arc::new(prog));
-        let mutated = run_sum(&ctx, module, plans);
-        assert_ne!(tree, mutated);
+        for (what, mutant) in [("unfused", unfused), ("inner", inner), ("outer", outer)] {
+            assert_ne!(
+                run(mutant),
+                tree,
+                "flipping the {what} opcode went unnoticed"
+            );
+        }
     }
 
     #[test]
@@ -2329,6 +2654,12 @@ mod tests {
             b: y,
             c: z,
         });
+        over_edges(instrs)
+    }
+
+    /// `instrs` over three rank-1 accesses in registers 0, 1 and 2,
+    /// instruction `i` writing result `i` in register `3 + i`.
+    fn over_edges(instrs: Vec<Instr>) -> Program {
         let access = |operand| InputRef::Access {
             operand,
             offset: vec![0],
@@ -2339,6 +2670,29 @@ mod tests {
             n_regs: 3 + instrs.len() as Reg,
             instrs,
         }
+    }
+
+    /// The opcodes the builder fuses, as inner and as outer op.
+    const FUSABLE: [BinOp; 3] = [BinOp::Add, BinOp::Sub, BinOp::Mul];
+
+    /// Every fused pair on `(x, y, z)`, in both orientations, each into a
+    /// result of its own.
+    fn every_pair() -> Program {
+        let mut instrs = Vec::new();
+        for (outer, inner) in FUSABLE.iter().flat_map(|&o| FUSABLE.map(|i| (o, i))) {
+            for swap in [false, true] {
+                instrs.push(Instr::Bin2 {
+                    outer,
+                    inner,
+                    dst: 3 + instrs.len() as Reg,
+                    a: 0,
+                    b: 1,
+                    c: 2,
+                    swap,
+                });
+            }
+        }
+        over_edges(instrs)
     }
 
     /// Run `prog` over one rank-1 row of `n` points through
@@ -2418,7 +2772,7 @@ mod tests {
                         let read = match *instr {
                             Instr::Unary { .. } => 1,
                             Instr::Binary { .. } => 2,
-                            Instr::Fma { .. } | Instr::Const { .. } => 3,
+                            Instr::Fma { .. } | Instr::Bin2 { .. } | Instr::Const { .. } => 3,
                         };
                         assert!(
                             lane_agrees(got, want, &regs[..read]),
@@ -2429,6 +2783,161 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_fused_pair_is_bitwise_its_two_ops_at_both_widths() {
+        // Each pair through the per-point loop and each copy of the block
+        // path, packed (1, 3) and in-row (either side of `BLOCK`), against
+        // the same two ops unfused, over every edge operand. The outer op
+        // reads the inner value too: where it is a NaN (`∞ · 0` makes
+        // one) meeting another, either payload may win.
+        let w = BLOCK;
+        let (prog, unfused) = (every_pair(), unfold(&every_pair()));
+        let (mut fused, mut apart) = (vec![0.0; 3 + 18], vec![0.0; 3 + 19]);
+        for n in [1, 3, w, w + 1, 17 * w + 3] {
+            for lanes in host_copies() {
+                let (operands, results) = run_edges(&prog, n, lanes);
+                for l in 0..n {
+                    for (i, data) in operands.iter().enumerate() {
+                        (fused[i], apart[i]) = (data[l], data[l]);
+                    }
+                    prog.run(&mut fused);
+                    unfused.run(&mut apart);
+                    let pairs = prog.instrs.iter().zip(&prog.results).zip(&results);
+                    for ((instr, &r), block) in pairs {
+                        let &Instr::Bin2 { inner, .. } = instr else {
+                            unreachable!()
+                        };
+                        let (x, y, z) = (fused[0], fused[1], fused[2]);
+                        let read = [x, y, z, bin_op(inner, x, y)];
+                        let want = apart[r as usize];
+                        for got in [fused[r as usize], block.data[l]] {
+                            assert!(
+                                lane_agrees(got, want, &read),
+                                "{lanes:?} n={n} lane {l} {instr:?} on {read:?}: {got:?} vs {want:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// What [`ProgramBuilder::finish`] makes of the code `body` emits over
+    /// three scalar inputs, returning its results.
+    fn built(body: impl FnOnce(&mut ProgramBuilder, [VReg; 3]) -> Vec<VReg>) -> Program {
+        let mut b = ProgramBuilder::new();
+        let ins = [0, 1, 2].map(|operand| b.input(InputRef::Scalar { operand }));
+        let results = body(&mut b, ins);
+        b.finish(&results).unwrap()
+    }
+
+    fn bin(b: &mut ProgramBuilder, op: BinOp, lhs: VReg, rhs: VReg) -> VReg {
+        b.emit(Eval::Bin(op), &[lhs, rhs]).unwrap()
+    }
+
+    #[test]
+    fn single_use_binary_temps_fold_into_their_binary_reader() {
+        use BinOp::{Add, Mul, Sub};
+        let fused = |outer, inner, c, swap| Instr::Bin2 {
+            outer,
+            inner,
+            dst: 3,
+            a: 0,
+            b: 1,
+            c,
+            swap,
+        };
+        // `(x * y) + z` and `z - (x - y)`: one pair each.
+        let p = built(|b, [x, y, z]| {
+            let t = bin(b, Mul, x, y);
+            vec![bin(b, Add, t, z)]
+        });
+        assert_eq!(p.instrs, [fused(Add, Mul, 2, false)]);
+        let p = built(|b, [x, y, z]| {
+            let t = bin(b, Sub, x, y);
+            vec![bin(b, Sub, z, t)]
+        });
+        assert_eq!(p.instrs, [fused(Sub, Sub, 2, true)]);
+        let mut regs = [1.5, -2.25, 3.0, 0.0];
+        p.run(&mut regs);
+        assert_eq!(regs[p.results[0] as usize], 3.0 - (1.5 - -2.25));
+        // A chain of four sums is two pairs: a pair never folds again.
+        let p = built(|b, [x, y, z]| {
+            let t = bin(b, Add, x, y);
+            let t = bin(b, Add, t, z);
+            let t = bin(b, Add, t, x);
+            vec![bin(b, Add, t, y)]
+        });
+        assert!(
+            matches!(p.instrs[..], [Instr::Bin2 { .. }, Instr::Bin2 { .. }]),
+            "{:?}",
+            p.instrs
+        );
+    }
+
+    #[test]
+    fn temps_read_twice_results_and_other_ops_do_not_fold() {
+        use BinOp::{Add, Div, Max, Mul, Pow};
+        type Body = fn(&mut ProgramBuilder, [VReg; 3]) -> Vec<VReg>;
+        let unfused: [(&str, Body); 8] = [
+            ("a temp read twice", |b, [x, y, _]| {
+                let t = bin(b, Add, x, y);
+                vec![bin(b, Mul, t, t)]
+            }),
+            ("a temp read by two", |b, [x, y, z]| {
+                let t = bin(b, Add, x, y);
+                vec![bin(b, Mul, t, z), bin(b, Add, z, t)]
+            }),
+            ("a result", |b, [x, y, z]| {
+                let t = bin(b, Add, x, y);
+                vec![bin(b, Mul, t, z), t]
+            }),
+            ("a Div inner", |b, [x, y, z]| {
+                let t = bin(b, Div, x, y);
+                vec![bin(b, Add, t, z)]
+            }),
+            ("a Max inner", |b, [x, y, z]| {
+                let t = bin(b, Max, x, y);
+                vec![bin(b, Add, t, z)]
+            }),
+            ("a Pow inner", |b, [x, y, z]| {
+                let t = bin(b, Pow, x, y);
+                vec![bin(b, Mul, t, z)]
+            }),
+            ("a Unary reader", |b, [x, y, _]| {
+                let t = bin(b, Add, x, y);
+                vec![b.emit(Eval::Un(UnOp::Neg), &[t]).unwrap()]
+            }),
+            ("an Fma reader", |b, [x, y, z]| {
+                let t = bin(b, Mul, x, y);
+                vec![b.emit(Eval::Fma, &[t, y, z]).unwrap()]
+            }),
+        ];
+        for (what, body) in unfused {
+            let p = built(body);
+            let folded = p.instrs.iter().filter(|i| matches!(i, Instr::Bin2 { .. }));
+            assert_eq!(folded.count(), 0, "{what}: {:?}", p.instrs);
+        }
+        // Of `t = x + y` read twice and `u = t * z` read once, only `u`
+        // folds, into the pair's outer `Add`.
+        let p = built(|b, [x, y, z]| {
+            let t = bin(b, Add, x, y);
+            let u = bin(b, Mul, t, z);
+            vec![bin(b, Add, u, t)]
+        });
+        let (t, c) = (3, 2);
+        let pair = Instr::Bin2 {
+            outer: Add,
+            inner: Mul,
+            dst: 4,
+            a: t,
+            b: c,
+            c: t,
+            swap: false,
+        };
+        assert_eq!(p.instrs[1..], [pair], "{:?}", p.instrs);
     }
 
     /// Run `prog` over `n` lanes of seeded inputs as one block and point
